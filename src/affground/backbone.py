@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .nn import MLP, make_mlp
+from .nn import make_mlp
 from .tensor import Tensor, concat, gather_rows, max_reduce, tsum
 
 EPS_INTERP = 1e-8
@@ -201,14 +201,8 @@ class FeaturePropagation:
 class MultiScaleFeatures:
     """Decoder outputs: per-scale features (coarse to fine) plus full map."""
 
-    bottleneck: Tensor
-    bottleneck_coords: np.ndarray
     scales: list                # [(coords, Tensor)] coarse -> fine
     full_res: Tensor
-
-
-def default_stage_points(n: int) -> list:
-    return [n // 4, n // 16, n // 64]
 
 
 class PointBackbone:
@@ -306,9 +300,4 @@ class PointBackbone:
                 scales.append((plan.level_coords[2 - i], feats))
         if not self.include_bottleneck_scale:
             scales.append((plan.level_coords[0], feats))
-        return MultiScaleFeatures(
-            bottleneck=bottleneck,
-            bottleneck_coords=plan.level_coords[3],
-            scales=scales,
-            full_res=feats,
-        )
+        return MultiScaleFeatures(scales=scales, full_res=feats)

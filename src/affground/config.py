@@ -23,7 +23,6 @@ class ModelConfig:
     d_h: int = 2048
     seq_len: int = 32
     cont_width: int = 256
-    n_scales: int = 3
     stage_points: list = field(default_factory=list)  # empty -> n/4, n/16, n/64
     radii: list = field(default_factory=lambda: [0.1, 0.2, 0.4])
     k_max: list = field(default_factory=lambda: [32, 32, 32])
@@ -81,8 +80,6 @@ class RunConfig:
         if m.d % self.fusion.n_heads != 0:
             raise ConfigError(
                 f"model.d={m.d} not divisible by fusion.n_heads={self.fusion.n_heads}")
-        if m.n_scales != 3:
-            raise ConfigError("the backbone is three-stage; model.n_scales must be 3")
         stages = m.resolved_stage_points()
         if len(stages) != 3 or any(a <= b for a, b in zip(stages, stages[1:])):
             raise ConfigError(f"stage points must be 3 strictly decreasing: {stages}")

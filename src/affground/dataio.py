@@ -104,12 +104,13 @@ def read_fixture(states_path) -> HiddenStates:
     states = read_tensor(states_path)
     try:
         meta = json.loads(states_path.with_suffix(".json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{states_path}: bad fixture sidecar: {exc}") from exc
-    return HiddenStates(states=states, cont_index=int(meta["cont_index"]),
-                        prompt=meta["prompt"], class_name=meta["class_name"],
-                        affordance_name=meta["affordance_name"],
-                        affordance_id=int(meta["affordance_id"]))
+        fields = {"cont_index": int(meta["cont_index"]), "prompt": meta["prompt"],
+                  "class_name": meta["class_name"],
+                  "affordance_name": meta["affordance_name"],
+                  "affordance_id": int(meta["affordance_id"])}
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{states_path}: bad fixture sidecar: {exc!r}") from exc
+    return HiddenStates(states=states, **fields)
 
 
 # -- dataset manifests -----------------------------------------------------
@@ -165,8 +166,12 @@ def read_dataset(manifest_path) -> Dataset:
     vocab_path = root / "vocab.json"
     if not vocab_path.exists():
         raise DataFormatError(f"{vocab_path} is missing")
-    vocab = json.loads(vocab_path.read_text())
-    if "affordances" not in vocab or "classes" not in vocab:
+    try:
+        vocab = json.loads(vocab_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{vocab_path}: bad vocabulary: {exc}") from exc
+    if not isinstance(vocab, dict) or "affordances" not in vocab \
+            or "classes" not in vocab:
         raise DataFormatError(f"{vocab_path}: missing vocabulary fields")
     records = []
     for lineno, line in enumerate(manifest_path.read_text().splitlines(), 1):
@@ -434,26 +439,35 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
     manifest_path = ckpt / "manifest.json"
     if not manifest_path.exists():
         raise CheckpointError(f"{manifest_path} is missing")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        config, step = manifest["config"], int(manifest["step"])
+        param_files = dict(manifest["params"])
+        opt = manifest.get("optimizer")
+        opt_files = None if opt is None else {
+            "step": opt["step"], "exp_avg": dict(opt["exp_avg"]),
+            "exp_avg_sq": dict(opt["exp_avg_sq"])}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
     params = {}
-    for name, rel in manifest["params"].items():
+    for name, rel in param_files.items():
         path = ckpt / rel
         if not path.exists():
             raise CheckpointError(f"missing parameter file for {name}: {path}")
         params[name] = read_tensor(path)
     optimizer = None
-    if "optimizer" in manifest:
-        optimizer = {"step": manifest["optimizer"]["step"]}
+    if opt_files is not None:
+        optimizer = {"step": opt_files["step"]}
         for moment in ("exp_avg", "exp_avg_sq"):
             optimizer[moment] = {}
-            for name, rel in manifest["optimizer"][moment].items():
+            for name, rel in opt_files[moment].items():
                 path = ckpt / rel
                 if not path.exists():
                     raise CheckpointError(f"missing optimizer file for {name}")
                 optimizer[moment][name] = read_tensor(path)
-    return Checkpoint(config=manifest["config"], step=int(manifest["step"]),
-                      params=params, optimizer=optimizer,
-                      rng=manifest.get("rng", {}), vocab=manifest.get("vocab", {}))
+    return Checkpoint(config=config, step=step, params=params,
+                      optimizer=optimizer, rng=manifest.get("rng", {}),
+                      vocab=manifest.get("vocab", {}))
 
 
 def restore_params(model_params: dict, saved: dict):

@@ -1,54 +1,36 @@
 """Per-point affordance decoding.
 
-Each fused point feature attends to the single lifted intention
-embedding (one key/value token, residual add) and a small MLP head with
-a sigmoid turns the result into a score in (0, 1) per point.
+Each fused point feature is conditioned on the single lifted intention
+embedding by a residual add of the value-projected embedding,
+``feats + wv(embedding)``, and a small MLP head with a sigmoid turns the
+result into a score in (0, 1) per point. (Attention over one key would
+give every point a weight of exactly 1 on that key, so no query or key
+projection is built.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 from .nn import make_linear, make_mlp
-from .tensor import Tensor, matmul, sigmoid, softmax_lastdim, transpose
-
-
-@dataclass
-class AffordanceMap:
-    """Final per-point scores for one sample."""
-
-    scores: np.ndarray
-    id: str = ""
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float32).reshape(-1)
-        if self.scores.min() < 0.0 or self.scores.max() > 1.0:
-            raise ContractError("affordance scores must lie in [0, 1]")
+from .tensor import Tensor, sigmoid
 
 
 class AffordanceDecoder:
     def __init__(self, params: dict, prefix: str, rng, d: int, dtype=np.float32):
         self.d = d
-        self.wq = make_linear(params, f"{prefix}.q", rng, d, d, dtype, bias=False)
-        self.wk = make_linear(params, f"{prefix}.k", rng, d, d, dtype, bias=False)
         self.wv = make_linear(params, f"{prefix}.v", rng, d, d, dtype, bias=False)
         self.head = make_mlp(params, f"{prefix}.head", rng,
                              [d, max(1, d // 2), 1], dtype)
 
     def point_to_intention(self, point_feats: Tensor, embedding: Tensor) -> Tensor:
-        """Residual single-token attention conditioning points on intent."""
+        """Add the value-projected (1, d) embedding to every (N, d) point row."""
         if point_feats.shape[1] != self.d or embedding.shape != (1, self.d):
             raise ShapeError(
                 f"expected (N, {self.d}) and (1, {self.d}), got "
                 f"{point_feats.shape} and {embedding.shape}")
-        q = self.wq(point_feats)
-        k = self.wk(embedding)
-        v = self.wv(embedding)
-        attn = softmax_lastdim(matmul(q, transpose(k)) * (1.0 / np.sqrt(self.d)))
-        return point_feats + matmul(attn, v)
+        return point_feats + self.wv(embedding)
 
     def predict_map(self, feats: Tensor) -> Tensor:
         """(N, d) features -> (N, 1) scores strictly inside (0, 1)."""

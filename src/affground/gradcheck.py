@@ -27,26 +27,7 @@ def finite_difference_check(f, x: Tensor, h: float = 1e-5) -> float:
     coordinate is |analytic - numeric| / max(1, |numeric|); the maximum
     over coordinates is returned. Use float64 inputs for tight tolerances.
     """
-    x.grad = None
-    out = f(x)
-    if not np.isfinite(out.data).all():
-        raise NumericError("function value is not finite at x")
-    backward(out)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-    flat = x.data.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = _eval_scalar(lambda: f(x))
-        flat[i] = orig - h
-        fm = _eval_scalar(lambda: f(x))
-        flat[i] = orig
-        numeric = (fp - fm) / (2.0 * h)
-        err = abs(analytic.reshape(-1)[i] - numeric) / max(1.0, abs(numeric))
-        worst = max(worst, err)
-    return worst
+    return finite_difference_check_params(lambda: f(x), {"x": x}, h)["x"]
 
 
 def finite_difference_check_params(loss_fn, params: dict, h: float = 1e-5) -> dict:

@@ -61,10 +61,9 @@ class HiddenStates:
 
 @dataclass
 class IntentionEmbedding:
-    """Width-d embedding with a tag recording how far it has been lifted."""
+    """Width-d intention embedding: a single (1, d) row."""
 
     vector: Tensor
-    stage: str = "raw"  # raw | lifted_i | lifted_final
 
     def __post_init__(self):
         if self.vector.ndim != 2 or self.vector.shape[0] != 1:
@@ -101,7 +100,7 @@ class IntentionHead:
         """Contact row -> (1, d) intention embedding."""
         if h.hidden_dim != self.d_h:
             raise ContractError(f"hidden width {h.hidden_dim}, expected {self.d_h}")
-        return IntentionEmbedding(self.cont_mlp(self._cont_row(h)), stage="raw")
+        return IntentionEmbedding(self.cont_mlp(self._cont_row(h)))
 
     def project_hidden(self, h: HiddenStates) -> Tensor:
         """All token rows -> (L, d), row order preserved."""

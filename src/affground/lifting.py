@@ -3,9 +3,15 @@
 Each stage lets the single-row embedding attend over one scale of point
 features (query from the embedding, keys/values from the points, scaled
 by sqrt(d), no output projection), adds the result residually, and then
-applies a residual feed-forward block. Stages run coarse to fine by
-default. Two reduced strategies are available for ablations: a single
-stage on the finest scale, and mean-pool-plus-concat projection.
+applies a residual feed-forward block. Each mode builds only the weights
+it uses:
+
+- ``multi``: one stage per scale (``stage1``..``stage3``), run coarse to
+  fine by default; with ``share_weights`` a single ``stage1`` serves all
+  three scales.
+- ``single``: one stage (``stage1``) on the finest scale.
+- ``concat``: no stages; mean-pool the finest scale, concatenate it to
+  the embedding and project back to width d (``concat``).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from .nn import make_linear, make_mlp
 from .tensor import Tensor, concat, matmul, softmax_lastdim, tmean, transpose
 
 LIFT_MODES = ("multi", "single", "concat")
+N_SCALES = 3  # the backbone yields three feature scales
 
 
 class LiftStage:
@@ -46,30 +53,29 @@ class LiftStage:
 class GeometryLifting:
     """Applies the configured lifting strategy over the feature pyramid."""
 
-    def __init__(self, params: dict, prefix: str, rng, d: int, n_scales: int = 3,
+    def __init__(self, params: dict, prefix: str, rng, d: int,
                  mode: str = "multi", share_weights: bool = False,
                  coarse_to_fine: bool = True, dtype=np.float32):
         if mode not in LIFT_MODES:
             raise ConfigError(f"lifting mode must be one of {LIFT_MODES}, got {mode!r}")
         self.d = d
-        self.n_scales = n_scales
         self.mode = mode
-        self.share_weights = share_weights
         self.coarse_to_fine = coarse_to_fine
-        n_stage_params = 1 if share_weights else n_scales
-        self.stages = [LiftStage(params, f"{prefix}.stage{i + 1}", rng, d, dtype)
-                       for i in range(n_stage_params)]
-        self.concat_proj = make_linear(params, f"{prefix}.concat", rng,
-                                       2 * d, d, dtype)
-
-    def _stage(self, i: int) -> LiftStage:
-        return self.stages[0] if self.share_weights else self.stages[i]
+        self.stages = []
+        self.concat_proj = None
+        if mode == "concat":
+            self.concat_proj = make_linear(params, f"{prefix}.concat", rng,
+                                           2 * d, d, dtype)
+        else:
+            n_stages = N_SCALES if mode == "multi" and not share_weights else 1
+            self.stages = [LiftStage(params, f"{prefix}.stage{i + 1}", rng, d, dtype)
+                           for i in range(n_stages)]
 
     def lift_all(self, embedding: Tensor, scales) -> Tensor:
         """Lift a (1, d) embedding over [(coords, feats)] listed coarse->fine."""
-        if self.mode == "multi" and len(scales) != self.n_scales:
+        if self.mode == "multi" and len(scales) != N_SCALES:
             raise ContractError(
-                f"multi mode expects {self.n_scales} scales, got {len(scales)}")
+                f"multi mode expects {N_SCALES} scales, got {len(scales)}")
         if not scales:
             raise ContractError("need at least one feature scale")
         if self.mode == "multi":
@@ -77,10 +83,11 @@ class GeometryLifting:
                 else reversed(range(len(scales)))
             out = embedding
             for i in order:
-                out = self._stage(i)(out, scales[i][1])
+                # with share_weights the one stage serves every scale
+                out = self.stages[i % len(self.stages)](out, scales[i][1])
             return out
         finest = scales[-1][1]
         if self.mode == "single":
-            return self._stage(self.n_scales - 1)(embedding, finest)
+            return self.stages[0](embedding, finest)
         pooled = tmean(finest, axis=0, keepdims=True)
         return self.concat_proj(concat([embedding, pooled], axis=1))

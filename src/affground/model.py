@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import BackbonePlan, MultiScaleFeatures, PointBackbone, PointCloud
+from .backbone import BackbonePlan, PointBackbone, PointCloud
 from .config import RunConfig
 from .decoder import AffordanceDecoder
 from .fusion import FusionModule, integrate
@@ -22,8 +22,6 @@ class ForwardResult:
     scores: Tensor          # (N, 1), strictly inside (0, 1)
     aux_logits: Tensor      # (1, K)
     fused: Tensor           # (N, d) integrated point features
-    embedding: Tensor       # (1, d) lifted intention embedding
-    multi_scale: MultiScaleFeatures
 
 
 class AffordanceModel:
@@ -48,8 +46,8 @@ class AffordanceModel:
             self.params, "fusion", rng, d=m.d, n_heads=config.fusion.n_heads,
             residual=config.fusion.residual, dtype=dtype)
         self.lifting = GeometryLifting(
-            self.params, "lifting", rng, d=m.d, n_scales=m.n_scales,
-            mode=config.lifting.mode, share_weights=config.lifting.share_weights,
+            self.params, "lifting", rng, d=m.d, mode=config.lifting.mode,
+            share_weights=config.lifting.share_weights,
             coarse_to_fine=config.lifting.coarse_to_fine, dtype=dtype)
         self.decoder = AffordanceDecoder(self.params, "decoder", rng, d=m.d,
                                          dtype=dtype)
@@ -70,8 +68,7 @@ class AffordanceModel:
         feats = self.decoder.point_to_intention(fused, lifted)
         scores = self.decoder.predict_map(feats)
         logits = self.intention.aux_affordance_logits(hidden)
-        return ForwardResult(scores=scores, aux_logits=logits, fused=fused,
-                             embedding=lifted, multi_scale=ms)
+        return ForwardResult(scores=scores, aux_logits=logits, fused=fused)
 
     def loss(self, result: ForwardResult, cloud: PointCloud,
              hidden: HiddenStates):

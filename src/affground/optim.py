@@ -44,29 +44,12 @@ class AdamW:
 
     def step(self, lr=None):
         lr = self.lr if lr is None else lr
-        b1, b2 = self.betas
         self.step_count += 1
-        t = self.step_count
-        bias1 = 1.0 - b1 ** t
-        bias2 = 1.0 - b2 ** t
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ContractError(
-                    f"gradient shape {g.shape} does not match parameter "
-                    f"{name} with shape {p.data.shape}")
-            if self.weight_decay:
-                p.data *= 1.0 - lr * self.weight_decay
-            m = self.exp_avg[name]
-            v = self.exp_avg_sq[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            p.data -= (lr * update).astype(p.data.dtype, copy=False)
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            adamw_step(p, g, self.exp_avg[name], self.exp_avg_sq[name],
+                       self.step_count, lr, self.betas, self.eps,
+                       self.weight_decay)
 
     # -- persistence -----------------------------------------------------
 
@@ -94,7 +77,7 @@ class AdamW:
 def adamw_step(param: Tensor, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
                step: int, lr: float, betas=(0.9, 0.999), eps=1e-8,
                weight_decay=0.0):
-    """Single-tensor AdamW update, exposed for direct testing.
+    """Single-tensor AdamW update; :meth:`AdamW.step` applies it per tensor.
 
     ``step`` is the 1-based count after this update. Mutates param.data,
     m, and v in place.
@@ -108,7 +91,5 @@ def adamw_step(param: Tensor, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     m += (1.0 - b1) * grad
     v *= b2
     v += (1.0 - b2) * (grad * grad)
-    mhat = m / (1.0 - b1 ** step)
-    vhat = v / (1.0 - b2 ** step)
-    param.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(param.data.dtype,
-                                                             copy=False)
+    update = (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
+    param.data -= (lr * update).astype(param.data.dtype, copy=False)

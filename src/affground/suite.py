@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import PointBackbone, normalize_unit_sphere
 from .decoder import AffordanceDecoder
-from .fusion import FusionModule, integrate
+from .fusion import FusionModule
 from .gradcheck import CheckResult, finite_difference_check, \
     finite_difference_check_params
 from .intention import HiddenStates, IntentionHead

@@ -86,9 +86,6 @@ class Tensor:
             raise ContractError(f"item() needs a single element, shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self._op})"
 
@@ -144,14 +141,6 @@ class Tensor:
 def tensor(data, requires_grad=False, dtype=None) -> Tensor:
     """Create a leaf tensor."""
     return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def zeros(shape, dtype=np.float32, requires_grad=False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, dtype=np.float32, requires_grad=False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
 
 def _coerce(value, like: Tensor) -> Tensor:

@@ -103,6 +103,10 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
     steps_per_epoch = max(1, math.ceil(n / batch))
     total_steps = opt_cfg.epochs * steps_per_epoch
 
+    if resume is not None and log_path.exists():
+        # one row per step, in step order: keep the rows the checkpoint covers
+        rows = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        log_path.write_text("".join(rows[:start_step]), encoding="utf-8")
     log_file = open(log_path, "a" if resume is not None else "w",
                     encoding="utf-8")
     last = {}
@@ -145,6 +149,7 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
             done = step + 1
             if config.checkpoint_every and done % config.checkpoint_every == 0 \
                     and done < total_steps:
+                log_file.flush()  # the log must hold every step the checkpoint does
                 _write_checkpoint(ckpt_dir, model, optimizer, config, done,
                                   dataset)
     finally:

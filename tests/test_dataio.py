@@ -242,3 +242,49 @@ class TestCheckpoints:
                   "fusion": {"stage1": True, "stage2": False}}
         save_checkpoint(tmp_path / "ckpt", self._params(4), config, step=1)
         assert load_checkpoint(tmp_path / "ckpt").config == config
+
+
+def _checkpoint_reader(tmp_path):
+    params = {"a.w": T.tensor(np.ones((2, 3), dtype=np.float32))}
+    save_checkpoint(tmp_path / "ckpt", params, {"seed": 0}, step=3)
+    return tmp_path / "ckpt" / "manifest.json", \
+        lambda: load_checkpoint(tmp_path / "ckpt")
+
+
+def _vocab_reader(tmp_path):
+    manifest = gen_synthetic_dataset(tmp_path / "ds", 1, 2, 1, 64, seed=1,
+                                     d_h=16, seq_len=4)
+    return tmp_path / "ds" / "vocab.json", lambda: read_dataset(manifest)
+
+
+def _sidecar_reader(tmp_path):
+    path = tmp_path / "fix.htns"
+    write_fixture(path, synth_fixture(0, 1, seed=2, L=4, d_h=16))
+    return path.with_suffix(".json"), lambda: read_fixture(path)
+
+
+# reader -> (set-up returning (JSON file, read call), a required key, error)
+JSON_READERS = {
+    "checkpoint_manifest": (_checkpoint_reader, "params", CheckpointError),
+    "dataset_vocab": (_vocab_reader, "affordances", DataFormatError),
+    "fixture_sidecar": (_sidecar_reader, "cont_index", DataFormatError),
+}
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_key", "not_an_object"])
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+def test_malformed_json_raises_package_error(tmp_path, reader, damage):
+    setup, key, error = JSON_READERS[reader]
+    path, read = setup(tmp_path)
+    text = path.read_text()
+    read()  # intact files load
+    if damage == "truncated":
+        path.write_text(text[: len(text) // 2])
+    elif damage == "missing_key":
+        payload = json.loads(text)
+        del payload[key]
+        path.write_text(json.dumps(payload))
+    else:
+        path.write_text("[1, 2]")
+    with pytest.raises(error):
+        read()

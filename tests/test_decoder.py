@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from affground import tensor as T
-from affground.decoder import AffordanceDecoder, AffordanceMap
-from affground.errors import ContractError, ShapeError
+from affground.decoder import AffordanceDecoder
+from affground.errors import ShapeError
 from affground.gradcheck import finite_difference_check_params
 from affground.losses import affordance_loss
 from affground.rng import rng_for
@@ -28,6 +28,25 @@ class TestPointToIntention:
         emb = T.tensor(rand((1, 8), 2), dtype=np.float64)
         out = dec.point_to_intention(feats, emb)
         np.testing.assert_array_equal(out.data, feats.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_single_key_attention_bitwise(self, dtype):
+        # residual attention of every point over the one embedding token:
+        # the softmax over a single logit is exactly 1, so the query and
+        # key projections cannot change the output
+        params = {}
+        dec = make_decoder(params, d=8, seed=13, dtype=dtype)
+        gen = np.random.default_rng(14)
+        wq, wk = (gen.normal(size=(8, 8)).astype(dtype) for _ in range(2))
+        feats = T.tensor(rand((11, 8), 15), dtype=dtype)
+        emb = T.tensor(rand((1, 8), 16), dtype=dtype)
+        q = feats @ T.tensor(wq)
+        k = emb @ T.tensor(wk)
+        v = emb @ params["decoder.v.w"]
+        attn = T.softmax_lastdim((q @ k.T) * (1.0 / np.sqrt(8)))
+        expected = feats + attn @ v
+        out = dec.point_to_intention(feats, emb)
+        np.testing.assert_array_equal(out.data, expected.data)
 
     def test_identical_rows_identical_outputs(self):
         params = {}
@@ -94,12 +113,3 @@ class TestPredictMap:
         errs = finite_difference_check_params(loss, params)
         assert max(errs.values()) <= 1e-4
 
-
-class TestAffordanceMapType:
-    def test_accepts_unit_interval(self):
-        m = AffordanceMap(np.array([0.0, 0.5, 1.0]), id="s1")
-        assert m.scores.shape == (3,)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ContractError):
-            AffordanceMap(np.array([0.2, 1.4]))

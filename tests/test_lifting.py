@@ -16,7 +16,7 @@ def rand(shape, seed=0):
 
 def make_lifting(params, d=8, mode="multi", share=False, seed=0, dtype=np.float64):
     return GeometryLifting(params, "lifting", rng_for(seed, "init"), d,
-                           n_scales=3, mode=mode, share_weights=share, dtype=dtype)
+                           mode=mode, share_weights=share, dtype=dtype)
 
 
 def scales_for(d=8, seed=0, counts=(2, 4, 8)):
@@ -129,16 +129,21 @@ class TestLiftingModes:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_mode_independence_of_gradients(self):
-        params = {}
-        lifting = make_lifting(params, mode="concat")
-        emb = T.tensor(rand((1, 8), 16), dtype=np.float64)
-        out = lifting.lift_all(emb, scales_for(seed=40))
-        T.backward((out ** 2.0).sum())
-        for name, p in params.items():
-            if ".stage" in name:
-                assert p.grad is None, name
-            if ".concat" in name:
-                assert p.grad is not None, name
+        # each mode builds only the weights it uses, and all of them train
+        built = {("multi", False): {"stage1", "stage2", "stage3"},
+                 ("multi", True): {"stage1"},
+                 ("single", False): {"stage1"},
+                 ("single", True): {"stage1"},
+                 ("concat", False): {"concat"}}
+        for (mode, share), expected in built.items():
+            params = {}
+            lifting = make_lifting(params, mode=mode, share=share)
+            assert {name.split(".")[1] for name in params} == expected, mode
+            emb = T.tensor(rand((1, 8), 16), dtype=np.float64)
+            out = lifting.lift_all(emb, scales_for(seed=40))
+            T.backward((out ** 2.0).sum())
+            for name, p in params.items():
+                assert p.grad is not None and np.any(p.grad != 0), name
 
     def test_share_weights_uses_one_stage(self):
         params = {}
@@ -169,8 +174,6 @@ class TestLiftingModes:
             lifting = make_lifting(params, mode=mode, seed=19)
             emb = T.tensor(rand((1, 8), 19), dtype=np.float64)
             scales = scales_for(seed=70)
-            active = {k: v for k, v in params.items()
-                      if (mode == "concat") == (".concat" in k)}
             errs = finite_difference_check_params(
-                lambda: (lifting.lift_all(emb, scales) ** 2.0).sum(), active)
+                lambda: (lifting.lift_all(emb, scales) ** 2.0).sum(), params)
             assert max(errs.values()) <= 1e-4, mode

@@ -315,7 +315,28 @@ class TestAdamW:
         m = np.zeros_like(data)
         v = np.zeros_like(data)
         adamw_step(p2, grad, m, v, step=1, lr=0.01, weight_decay=0.01)
-        np.testing.assert_allclose(p1.data, p2.data, rtol=1e-12)
+        np.testing.assert_array_equal(p1.data, p2.data)
+
+    def test_fixed_gradients_follow_reference_arithmetic(self):
+        # float32 training must not drift from this exact operation order
+        rng = np.random.default_rng(10)
+        p = T.tensor(rng.normal(size=(3, 5)).astype(np.float32),
+                     requires_grad=True)
+        ref = p.data.copy()
+        m = np.zeros_like(ref)
+        v = np.zeros_like(ref)
+        opt = AdamW({"p": p}, lr=0.01, weight_decay=0.05)
+        for t in range(1, 6):
+            g = rng.normal(size=(3, 5)).astype(np.float32)
+            p.grad = g
+            opt.step(lr=0.01 / t)
+            lr = 0.01 / t
+            ref *= 1.0 - lr * 0.05
+            m = m * 0.9 + (1.0 - 0.9) * g
+            v = v * 0.999 + (1.0 - 0.999) * (g * g)
+            update = (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            ref -= (lr * update).astype(np.float32)
+            np.testing.assert_array_equal(p.data, ref)
 
 
 class TestLinearSchedule:
