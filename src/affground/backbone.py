@@ -8,6 +8,13 @@ resolution. All geometry (sampling indices, groupings, interpolation
 neighbors) is computed once per cloud into a :class:`BackbonePlan` and is
 not differentiated; gradients flow only through feature MLPs.
 
+Geometry contract: every squared distance is float64, summed over x, y, z
+in that order, and every nearest-first order breaks equal distances toward
+the lower index. :func:`ball_query` returns one (centers, k_max) array whose
+rows are padded past their last member with their first entry, which is
+exactly the ``SAPlan.group_idx`` layout. All three geometry functions are
+vectorised over whole rows; none loops over groups in Python.
+
 Clouds are expected centered at their centroid with max norm 1 (see
 :func:`normalize_unit_sphere`); normalization is applied when data is
 generated, never re-applied here, so perturbation magnitudes stay
@@ -68,71 +75,129 @@ def normalize_unit_sphere(coords: np.ndarray) -> np.ndarray:
     return centered.astype(np.float32)
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) float64 squared distances, summed x, y, z in order.
+
+    Built from one contiguous per-coordinate difference at a time, so no
+    (len(a), len(b), 3) temporary exists; the values equal
+    ``np.square(a[:, None] - b[None]).sum(axis=2)`` bitwise.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    d2 = np.subtract.outer(a[:, 0], b[:, 0])
+    d2 *= d2
+    diff = np.empty_like(d2)
+    for c in (1, 2):
+        np.subtract.outer(a[:, c], b[:, c], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def _nearest_k(key: np.ndarray, k: int):
+    """Per row, the first k finite columns in (key, column) order.
+
+    Returns ``(idx, count)``: ``idx`` is (rows, k) int64, each row padded
+    with its first entry past its ``count`` finite columns (a row with no
+    finite column is all zeros and has count 0). Only the candidates up to
+    each row's k-th smallest key, ties included, are sorted.
+    """
+    m, n = key.shape
+    last = min(k, n) - 1
+    kth = np.partition(key, last, axis=1)[:, last, None]
+    # capped at the largest finite value, the bound never admits inf or nan
+    np.minimum(kth, np.finfo(np.float64).max, out=kth)
+    rows, cols = np.nonzero(key <= kth)
+    order = np.lexsort((cols, key[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    found = np.bincount(rows, minlength=m)
+    pos = np.arange(rows.size) - (np.cumsum(found) - found)[rows]
+    keep = pos < k
+    idx = np.zeros((m, k), dtype=np.int64)
+    idx[rows[keep], pos[keep]] = cols[keep]
+    count = np.minimum(found, k)
+    idx = np.where(np.arange(k) < count[:, None], idx, idx[:, :1])
+    return idx, count
+
+
 def farthest_point_sample(coords: np.ndarray, m: int) -> np.ndarray:
     """Greedy max-min selection of m distinct point indices.
 
     The first pick is the point farthest from the centroid; every tie
     (including later max-min ties) is broken toward the lowest index.
+    Squared distances are float64, summed x, y, z in that order.
     """
     n = coords.shape[0]
     if not 1 <= m <= n:
         raise ContractError(f"cannot sample {m} points from {n}")
     coords = np.asarray(coords, dtype=np.float64)
-    centroid = coords.mean(axis=0)
-    dist = np.square(coords - centroid).sum(axis=1)
+    xyz = [np.ascontiguousarray(coords[:, c]) for c in range(3)]
+    d = np.empty(n)
+    diff = np.empty(n)
+
+    def sq_dist_to(point):
+        np.subtract(xyz[0], point[0], out=d)
+        np.multiply(d, d, out=d)
+        for c in (1, 2):
+            np.subtract(xyz[c], point[c], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(d, diff, out=d)
+        return d
+
     selected = np.empty(m, dtype=np.int64)
-    selected[0] = int(np.argmax(dist))  # argmax returns the first max index
-    min_dist = np.square(coords - coords[selected[0]]).sum(axis=1)
+    # argmax returns the first max index
+    selected[0] = int(np.argmax(sq_dist_to(coords.mean(axis=0))))
+    min_dist = sq_dist_to(coords[selected[0]]).copy()
     min_dist[selected[0]] = -1.0  # never re-pick
     for i in range(1, m):
         nxt = int(np.argmax(min_dist))
         selected[i] = nxt
-        d = np.square(coords - coords[nxt]).sum(axis=1)
-        np.minimum(min_dist, d, out=min_dist)
+        np.minimum(min_dist, sq_dist_to(coords[nxt]), out=min_dist)
         min_dist[nxt] = -1.0
     return selected
 
 
 def ball_query(centers: np.ndarray, coords: np.ndarray, radius: float,
-               k_max: int) -> list:
+               k_max: int) -> np.ndarray:
     """Indices within ``radius`` of each center, nearest first, up to k_max.
 
-    A center with no point in range gets the globally nearest point so no
-    group is ever empty.
+    Returns a (len(centers), k_max) int64 array. Each row holds the
+    center's in-range points in (squared distance, index) order, so equal
+    distances go to the lower index, and is padded past its last member
+    with its first entry. Distances are float64, summed x, y, z in that
+    order. A center with no point in range gets the nearest point (lowest
+    index on ties) in every column, so no group is ever empty.
     """
     if radius <= 0:
         raise ContractError("radius must be positive")
     if k_max < 1:
         raise ContractError("k_max must be at least 1")
-    centers = np.asarray(centers, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.float64)
-    d2 = np.square(centers[:, None, :] - coords[None, :, :]).sum(axis=2)
+    d2 = _sq_dist(centers, coords)
     r2 = float(radius) ** 2
-    groups = []
-    for row in d2:
-        inside = np.flatnonzero(row <= r2)
-        if inside.size == 0:
-            groups.append(np.array([int(np.argmin(row))], dtype=np.int64))
-            continue
-        order = np.argsort(row[inside], kind="stable")  # ties keep index order
-        groups.append(inside[order][:k_max].astype(np.int64))
-    return groups
+    idx, count = _nearest_k(np.where(d2 <= r2, d2, np.inf), k_max)
+    empty = count == 0
+    if empty.any():
+        idx[empty] = np.argmin(d2[empty], axis=1)[:, None]
+    return idx
 
 
 def interpolation_neighbors(src_coords: np.ndarray, dst_coords: np.ndarray,
                             k: int = 3):
-    """Nearest-source indices and normalized inverse-distance weights."""
+    """Nearest-source indices and normalized inverse-distance weights.
+
+    Per destination point, the k (at most the source count) nearest
+    sources in (squared distance, index) order, so equal distances go to
+    the lower index. Distances are float64, summed x, y, z in that order.
+    """
     if src_coords.shape[0] == 0:
         raise ContractError("interpolation needs a non-empty source set")
-    src = np.asarray(src_coords, dtype=np.float64)
-    dst = np.asarray(dst_coords, dtype=np.float64)
-    k = min(k, src.shape[0])
-    d2 = np.square(dst[:, None, :] - src[None, :, :]).sum(axis=2)
-    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    k = min(k, src_coords.shape[0])
+    d2 = _sq_dist(dst_coords, src_coords)
+    idx, _ = _nearest_k(d2, k)
     dist = np.sqrt(np.take_along_axis(d2, idx, axis=1))
     w = 1.0 / (dist + EPS_INTERP)
     w /= w.sum(axis=1, keepdims=True)
-    return idx.astype(np.int64), w.astype(np.float64)
+    return idx, w
 
 
 @dataclass
@@ -252,12 +317,7 @@ class PointBackbone:
         for m, r, k in zip(self.stage_points, self.radii, self.k_max):
             idx = farthest_point_sample(level, m)
             centers = level[idx]
-            groups = ball_query(centers, level, r, k)
-            group_idx = np.empty((m, k), dtype=np.int64)
-            for g, members in enumerate(groups):
-                padded = np.full(k, members[0], dtype=np.int64)
-                padded[: len(members)] = members[:k]
-                group_idx[g] = padded
+            group_idx = ball_query(centers, level, r, k)
             rel = level[group_idx] - centers[:, None, :]
             plan.sa.append(SAPlan(idx, group_idx, rel.astype(np.float32), centers))
             plan.level_coords.append(centers)

@@ -184,7 +184,12 @@ def read_dataset(manifest_path) -> Dataset:
             raise DataFormatError(
                 f"{manifest_path}:{lineno}: bad manifest line: {exc}") from exc
         for key in ("points", "labels", "hidden"):
-            ref = root / getattr(record, key)
+            rel = getattr(record, key)
+            if not isinstance(rel, str):
+                raise DataFormatError(
+                    f"{manifest_path}:{lineno}: {key} is not a path string: "
+                    f"{rel!r}")
+            ref = root / rel
             if not ref.exists():
                 raise DataFormatError(
                     f"{manifest_path}:{lineno}: missing file {ref}")
@@ -449,6 +454,14 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
             "exp_avg_sq": dict(opt["exp_avg_sq"])}
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
+    file_maps = [param_files] if opt_files is None else \
+        [param_files, opt_files["exp_avg"], opt_files["exp_avg_sq"]]
+    for files in file_maps:
+        for name, rel in files.items():
+            if not isinstance(rel, str):
+                raise CheckpointError(
+                    f"{manifest_path}: file for {name} is not a path string: "
+                    f"{rel!r}")
     params = {}
     for name, rel in param_files.items():
         path = ckpt / rel

@@ -24,7 +24,7 @@ from .dataio import (
     restore_params,
     save_checkpoint,
 )
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, NumericError, TrainingDiverged
 from .metrics import MetricReport, evaluate_sample
 from .model import AffordanceModel
 from .optim import AdamW, linear_lr
@@ -120,23 +120,28 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
             optimizer.zero_grad()
             sums = {"l_txt": 0.0, "l_aff": 0.0, "total": 0.0}
             scale = 1.0 / len(members)
-            for i in members:
-                sample = samples[i]
-                result = model.forward(sample.cloud, sample.hidden, sample.plan)
-                total, l_txt, l_aff = model.loss(result, sample.cloud,
-                                                 sample.hidden)
-                backward(total * scale)
-                sums["l_txt"] += l_txt.item() * scale
-                sums["l_aff"] += l_aff.item() * scale
-                sums["total"] += total.item() * scale
+            try:
+                for i in members:
+                    sample = samples[i]
+                    result = model.forward(sample.cloud, sample.hidden,
+                                           sample.plan)
+                    total, l_txt, l_aff = model.loss(result, sample.cloud,
+                                                     sample.hidden)
+                    backward(total * scale)
+                    sums["l_txt"] += l_txt.item() * scale
+                    sums["l_aff"] += l_aff.item() * scale
+                    sums["total"] += total.item() * scale
+            except NumericError as exc:
+                _abort_diverged(log_file, step, sums, str(exc), exc)
 
             if not all(np.isfinite(v) for v in sums.values()):
-                log_file.write(json.dumps(
-                    {"step": step, "event": "nan_abort", **sums},
-                    sort_keys=True) + "\n")
-                log_file.flush()
-                raise TrainingDiverged(
-                    step, f"non-finite loss at step {step}: {sums}")
+                _abort_diverged(log_file, step, sums, "non-finite loss")
+            bad = next((name for name, p in model.params.items()
+                        if p.grad is not None and not np.isfinite(p.grad).all()),
+                       None)
+            if bad is not None:
+                _abort_diverged(log_file, step, sums,
+                                f"non-finite gradient in {bad}")
 
             lr = opt_cfg.lr if opt_cfg.schedule == "constant" else \
                 linear_lr(opt_cfg.lr, step, total_steps)
@@ -158,6 +163,16 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
     _write_checkpoint(ckpt_dir, model, optimizer, config, total_steps, dataset)
     return TrainResult(checkpoint_dir=ckpt_dir, log_path=log_path,
                        steps=total_steps, last=last)
+
+
+def _abort_diverged(log_file, step, sums, reason, cause=None):
+    """Log a ``nan_abort`` row for ``step`` and raise TrainingDiverged."""
+    log_file.write(json.dumps(
+        {"step": step, "event": "nan_abort", "reason": reason, **sums},
+        sort_keys=True) + "\n")
+    log_file.flush()
+    raise TrainingDiverged(
+        step, f"{reason} at step {step}: {sums}") from cause
 
 
 def _write_checkpoint(ckpt_dir, model, optimizer, config, step, dataset):

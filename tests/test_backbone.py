@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affground import tensor as T
 from affground.backbone import (
+    BackbonePlan,
     FeaturePropagation,
+    FPPlan,
     PointBackbone,
     PointCloud,
     SAPlan,
@@ -14,6 +18,8 @@ from affground.backbone import (
     interpolation_neighbors,
     normalize_unit_sphere,
 )
+from affground.corruption import KINDS, LEVELS, generate_benchmark
+from affground.dataio import gen_synthetic_dataset, read_dataset
 from affground.errors import ContractError
 from affground.gradcheck import finite_difference_check_params
 from affground.rng import rng_for
@@ -44,6 +50,186 @@ def fps_oracle(coords, m):
         ]
         chosen.append(pick(min_d, taken))
     return chosen
+
+
+# -- reference geometry: the per-group loop implementations, kept as oracles
+
+
+def fps_reference(coords, m):
+    """Greedy max-min sampling over (n, 3) float64 rows."""
+    coords = np.asarray(coords, dtype=np.float64)
+    centroid = coords.mean(axis=0)
+    dist = np.square(coords - centroid).sum(axis=1)
+    selected = np.empty(m, dtype=np.int64)
+    selected[0] = int(np.argmax(dist))  # argmax returns the first max index
+    min_dist = np.square(coords - coords[selected[0]]).sum(axis=1)
+    min_dist[selected[0]] = -1.0  # never re-pick
+    for i in range(1, m):
+        nxt = int(np.argmax(min_dist))
+        selected[i] = nxt
+        d = np.square(coords - coords[nxt]).sum(axis=1)
+        np.minimum(min_dist, d, out=min_dist)
+        min_dist[nxt] = -1.0
+    return selected
+
+
+def ball_query_oracle(centers, coords, radius, k_max):
+    """One unpadded index array per center: in range, nearest first."""
+    centers = np.asarray(centers, dtype=np.float64)
+    coords = np.asarray(coords, dtype=np.float64)
+    d2 = np.square(centers[:, None, :] - coords[None, :, :]).sum(axis=2)
+    r2 = float(radius) ** 2
+    groups = []
+    for row in d2:
+        inside = np.flatnonzero(row <= r2)
+        if inside.size == 0:
+            groups.append(np.array([int(np.argmin(row))], dtype=np.int64))
+            continue
+        order = np.argsort(row[inside], kind="stable")  # ties keep index order
+        groups.append(inside[order][:k_max].astype(np.int64))
+    return groups
+
+
+def pad_groups_oracle(groups, k):
+    """(m, k) group indices, each row padded with its first entry."""
+    group_idx = np.empty((len(groups), k), dtype=np.int64)
+    for g, members in enumerate(groups):
+        padded = np.full(k, members[0], dtype=np.int64)
+        padded[: len(members)] = members[:k]
+        group_idx[g] = padded
+    return group_idx
+
+
+def interpolation_neighbors_oracle(src_coords, dst_coords, k=3):
+    """k nearest sources by a full stable sort, inverse-distance weights."""
+    src = np.asarray(src_coords, dtype=np.float64)
+    dst = np.asarray(dst_coords, dtype=np.float64)
+    k = min(k, src.shape[0])
+    d2 = np.square(dst[:, None, :] - src[None, :, :]).sum(axis=2)
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    dist = np.sqrt(np.take_along_axis(d2, idx, axis=1))
+    w = 1.0 / (dist + 1e-8)
+    w /= w.sum(axis=1, keepdims=True)
+    return idx.astype(np.int64), w.astype(np.float64)
+
+
+def build_plan_oracle(backbone, coords):
+    """``PointBackbone.build_plan`` computed with the reference geometry."""
+    coords = np.asarray(coords, dtype=np.float32)
+    plan = BackbonePlan(level_coords=[coords])
+    level = coords
+    for m, r, k in zip(backbone.stage_points, backbone.radii, backbone.k_max):
+        idx = fps_reference(level, m)
+        centers = level[idx]
+        group_idx = pad_groups_oracle(ball_query_oracle(centers, level, r, k), k)
+        rel = level[group_idx] - centers[:, None, :]
+        plan.sa.append(SAPlan(idx, group_idx, rel.astype(np.float32), centers))
+        plan.level_coords.append(centers)
+        level = centers
+    for i in range(3):
+        nn_idx, w = interpolation_neighbors_oracle(plan.level_coords[3 - i],
+                                                   plan.level_coords[2 - i])
+        plan.fp.append(FPPlan(nn_idx, w))
+    return plan
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_plans_bitwise(got, want):
+    assert len(got.level_coords) == len(want.level_coords)
+    for a, b in zip(got.level_coords, want.level_coords):
+        assert_bitwise(a, b)
+    assert len(got.sa) == len(want.sa) and len(got.fp) == len(want.fp)
+    for a, b in zip(got.sa, want.sa):
+        for name in ("sample_idx", "group_idx", "rel_coords", "centers"):
+            assert_bitwise(getattr(a, name), getattr(b, name))
+    for a, b in zip(got.fp, want.fp):
+        assert_bitwise(a.nn_idx, b.nn_idx)
+        assert_bitwise(a.weights, b.weights)
+
+
+@st.composite
+def clouds(draw):
+    """float32 clouds: random, gridded, duplicated points, or 4 points.
+
+    Grid clouds sit on integer coordinates, so many squared distances are
+    exactly equal, and equal to an integer radius squared.
+    """
+    kind = draw(st.sampled_from(["random", "grid", "duplicate", "four"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        coords = rng.normal(size=(draw(st.integers(4, 160)), 3))
+    elif kind == "grid":
+        g = draw(st.integers(2, 5))
+        axes = np.meshgrid(*[np.arange(g)] * 3, indexing="ij")
+        coords = np.stack(axes, axis=-1).reshape(-1, 3)[rng.permutation(g ** 3)]
+    elif kind == "duplicate":
+        base = rng.normal(size=(draw(st.integers(1, 12)), 3))
+        coords = base[rng.integers(0, len(base), draw(st.integers(4, 120)))]
+    else:
+        coords = rng.integers(-1, 2, size=(4, 3))
+    return coords.astype(np.float32), rng
+
+
+class TestGeometryMatchesOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(clouds(), st.data())
+    def test_farthest_point_sample(self, cloud, data):
+        coords, _ = cloud
+        n = len(coords)
+        m = data.draw(st.integers(1, n))
+        got = farthest_point_sample(coords, m)
+        assert_bitwise(got, fps_reference(coords, m))
+        if n <= 24:
+            assert got.tolist() == fps_oracle(coords, m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(clouds(), st.data())
+    def test_ball_query(self, cloud, data):
+        coords, rng = cloud
+        n = len(coords)
+        centers = coords[rng.integers(0, n, data.draw(st.integers(1, 12)))]
+        if data.draw(st.booleans()):  # centers far outside every ball
+            centers = np.vstack([centers, coords[:2] + 50.0])
+        radius = data.draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]))
+        k_max = data.draw(st.integers(1, n + 4))
+        want = pad_groups_oracle(
+            ball_query_oracle(centers, coords, radius, k_max), k_max)
+        assert_bitwise(ball_query(centers, coords, radius, k_max), want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(clouds(), st.data())
+    def test_interpolation_neighbors(self, cloud, data):
+        coords, rng = cloud
+        n = len(coords)
+        src = coords[rng.permutation(n)[: data.draw(st.integers(1, n))]]
+        k = data.draw(st.integers(1, 5))
+        got_idx, got_w = interpolation_neighbors(src, coords, k)
+        want_idx, want_w = interpolation_neighbors_oracle(src, coords, k)
+        assert_bitwise(got_idx, want_idx)
+        assert_bitwise(got_w, want_w)
+
+    def test_build_plan_on_every_corruption_cell(self, tmp_path):
+        manifest = gen_synthetic_dataset(tmp_path / "data", 1, 2, 1, 128,
+                                         seed=5, d_h=16, seq_len=4)
+        tree = generate_benchmark(manifest, tmp_path / "bench", seed=31)
+        backbone = PointBackbone({}, "backbone", rng_for(0, "init"), d=8,
+                                 stage_points=[32, 8, 2])
+        cells = 0
+        for kind in KINDS:
+            for level in LEVELS:
+                cell = read_dataset(tree / kind / f"level_{level}" / "manifest.jsonl")
+                for record in cell.records:
+                    coords = cell.load_cloud(record).coords
+                    assert_plans_bitwise(backbone.build_plan(coords),
+                                         build_plan_oracle(backbone, coords))
+                cells += 1
+        assert cells == 35
 
 
 class TestFarthestPointSample:
@@ -88,7 +274,8 @@ class TestBallQuery:
     def test_radius_filter(self):
         coords = np.array([[0.5, 0, 0], [2.0, 0, 0]])
         groups = ball_query(np.zeros((1, 3)), coords, radius=1.0, k_max=8)
-        assert groups[0].tolist() == [0]
+        assert groups.dtype == np.int64 and groups.shape == (1, 8)
+        assert groups[0].tolist() == [0] + [0] * 7
 
     def test_huge_radius_sorts_by_distance(self):
         rng = np.random.default_rng(2)
@@ -96,6 +283,7 @@ class TestBallQuery:
         center = coords[[3]]
         groups = ball_query(center, coords, radius=100.0, k_max=10)
         d = np.linalg.norm(coords - center, axis=1)
+        assert groups.shape == (1, 10)
         assert groups[0].tolist() == np.argsort(d, kind="stable").tolist()
 
     @pytest.mark.parametrize("seed", range(5))
@@ -105,23 +293,29 @@ class TestBallQuery:
         centers = coords[farthest_point_sample(coords, 6)]
         r = 0.6
         groups = ball_query(centers, coords, radius=r, k_max=40)
+        assert groups.shape == (6, 40)
         for c, group in zip(centers, groups):
             expected = {
                 i for i in range(40)
                 if np.linalg.norm(coords[i] - c) <= r
             }
             assert set(group.tolist()) == expected
+            # the members, once each, then copies of the first
+            members = group[: len(expected)].tolist()
+            assert sorted(members) == sorted(expected)
+            assert group.tolist() == members + [members[0]] * (40 - len(expected))
 
     def test_empty_group_padded_with_nearest(self):
         coords = np.array([[5.0, 0, 0], [6.0, 0, 0], [4.0, 0, 0], [9.0, 0, 0]])
         groups = ball_query(np.zeros((1, 3)), coords, radius=0.5, k_max=4)
-        assert groups[0].tolist() == [2]
+        assert groups.shape == (1, 4)
+        assert groups[0].tolist() == [2] + [2] * 3
 
     def test_truncation_at_k_max(self):
         coords = np.linspace(0, 1, 9)[:, None] * np.array([[1.0, 0, 0]])
         groups = ball_query(np.zeros((1, 3)), coords, radius=2.0, k_max=3)
+        assert groups.shape == (1, 3)
         assert groups[0].tolist() == [0, 1, 2]
-
 
 def tiny_backbone(params, rng, d=8, stage_points=(8, 4, 2), dtype=np.float64):
     return PointBackbone(params, "backbone", rng, d=d,
@@ -242,7 +436,6 @@ class TestFeaturePropagation:
         skip = T.tensor(rng.normal(size=(5, 2)), dtype=np.float64)
         idx, w = interpolation_neighbors(rng.normal(size=(3, 3)),
                                          rng.normal(size=(5, 3)))
-        from affground.backbone import FPPlan
         out = fp(src_feats, FPPlan(idx, w), skip)
         assert out.shape == (5, 4)
 

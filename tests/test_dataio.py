@@ -288,3 +288,41 @@ def test_malformed_json_raises_package_error(tmp_path, reader, damage):
         path.write_text("[1, 2]")
     with pytest.raises(error):
         read()
+
+
+def _manifest_row_path(tmp_path):
+    manifest = gen_synthetic_dataset(tmp_path / "ds", 1, 2, 1, 64, seed=1,
+                                     d_h=16, seq_len=4)
+    rows = manifest.read_text().splitlines()
+    row = json.loads(rows[0])
+    row["points"] = 5
+    manifest.write_text("\n".join([json.dumps(row)] + rows[1:]) + "\n")
+    return lambda: read_dataset(manifest)
+
+
+def _checkpoint_path(section):
+    def damage(tmp_path):
+        params = {"a.w": T.tensor(np.ones((2, 3), dtype=np.float32))}
+        save_checkpoint(tmp_path / "ckpt", params, {"seed": 0}, step=3,
+                        optimizer_state={"step": 3,
+                                         "exp_avg": {"a.w": np.zeros((2, 3))},
+                                         "exp_avg_sq": {"a.w": np.zeros((2, 3))}})
+        path = tmp_path / "ckpt" / "manifest.json"
+        payload = json.loads(path.read_text())
+        files = payload["params"] if section == "params" \
+            else payload["optimizer"][section]
+        files["a.w"] = 5
+        path.write_text(json.dumps(payload))
+        return lambda: load_checkpoint(tmp_path / "ckpt")
+    return damage
+
+
+@pytest.mark.parametrize("damage, error", [
+    (_manifest_row_path, DataFormatError),
+    (_checkpoint_path("params"), CheckpointError),
+    (_checkpoint_path("exp_avg"), CheckpointError),
+], ids=["manifest_row", "checkpoint_params", "checkpoint_optimizer"])
+def test_non_string_path_raises_package_error(tmp_path, damage, error):
+    read = damage(tmp_path)
+    with pytest.raises(error, match="not a path string"):
+        read()

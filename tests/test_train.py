@@ -1,9 +1,16 @@
-"""Training runs: an interrupted run resumed from its checkpoint."""
+"""Training runs: resuming from a checkpoint, and stopping on divergence."""
 
+import json
+import math
+
+import numpy as np
 import pytest
 
+from affground import train as train_module
+from affground.cli import main
 from affground.config import ModelConfig, OptimConfig, RunConfig
 from affground.dataio import gen_synthetic_dataset, load_checkpoint
+from affground.errors import TrainingDiverged
 from affground.train import train
 
 TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
@@ -43,3 +50,64 @@ def test_resumed_run_matches_uninterrupted_run(tmp_path):
     assert got.params.keys() == want.params.keys()
     for name, arr in want.params.items():
         assert got.params[name].tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_divergence_stops_as_training_diverged(tmp_path, capsys):
+    manifest = gen_synthetic_dataset(tmp_path / "data", 1, 2, 1,
+                                     TOY["n_points"], seed=2, d_h=TOY["d_h"],
+                                     seq_len=TOY["seq_len"])
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=4, batch_size=2, lr=1e4))
+    with pytest.raises(TrainingDiverged) as info:
+        train(config, manifest, tmp_path / "run")
+    assert info.value.step == 1
+    rows = [json.loads(line) for line in
+            (tmp_path / "run" / "log.jsonl").read_text().splitlines()]
+    assert [row["step"] for row in rows] == [0, 1]
+    assert "event" not in rows[0] and math.isfinite(rows[0]["total"])
+    assert rows[1]["event"] == "nan_abort" and rows[1]["reason"]
+    assert not (tmp_path / "run" / "checkpoint").exists()
+
+    args = ["train", "--data", str(manifest), "--out", str(tmp_path / "cli"),
+            "--set", "optimizer.lr=10000", "--set", "optimizer.epochs=4",
+            "--set", "optimizer.batch_size=2"]
+    for key, value in TOY.items():
+        args += ["--set", f"model.{key}={json.dumps(value)}"]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("runtime error:")
+
+
+def test_nonfinite_gradient_aborts_before_the_update(tmp_path, monkeypatch):
+    manifest = gen_synthetic_dataset(tmp_path / "data", 1, 2, 1,
+                                     TOY["n_points"], seed=2, d_h=TOY["d_h"],
+                                     seq_len=TOY["seq_len"])
+    models = []
+
+    class RecordedModel(train_module.AffordanceModel):
+        def __init__(self, config):
+            super().__init__(config)
+            self.initial = {k: p.data.copy() for k, p in self.params.items()}
+            models.append(self)
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        next(iter(models[0].params.values())).grad[0] = np.nan
+
+    real_backward = train_module.backward
+    monkeypatch.setattr(train_module, "AffordanceModel", RecordedModel)
+    monkeypatch.setattr(train_module, "backward", poisoned_backward)
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=2, batch_size=2))
+    with pytest.raises(TrainingDiverged) as info:
+        train(config, manifest, tmp_path / "run")
+    assert info.value.step == 0
+    (row,) = [json.loads(line) for line in
+              (tmp_path / "run" / "log.jsonl").read_text().splitlines()]
+    assert row["event"] == "nan_abort" and math.isfinite(row["total"])
+    assert row["reason"].startswith("non-finite gradient in ")
+    (model,) = models
+    for name, p in model.params.items():
+        assert p.data.tobytes() == model.initial[name].tobytes(), name
