@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .nn import make_mlp
-from .tensor import Tensor, concat, gather_rows, max_reduce, tsum
+from .tensor import Tensor, concat, gather_rows, interpolate, max_reduce
 
 EPS_INTERP = 1e-8
 
@@ -244,19 +244,21 @@ class SetAbstraction:
 
 
 class FeaturePropagation:
-    """Interpolate coarse features to finer points, merge skip, run unit MLP."""
+    """Interpolate coarse features to finer points, merge skip, run unit MLP.
+
+    Each destination point takes the inverse-distance weighted sum of its
+    k nearest source rows (one :func:`~affground.tensor.interpolate` node;
+    the plan's weights are constants), the skip features of that level are
+    concatenated on the right, and a two-layer unit MLP maps the result to
+    ``out`` channels.
+    """
 
     def __init__(self, params, prefix, rng, in_dim, out, dtype=np.float32):
         self.mlp = make_mlp(params, prefix, rng, [in_dim, out, out], dtype)
-        self.dtype = dtype
 
     def __call__(self, src_feats: Tensor, plan: FPPlan,
                  skip_feats: Tensor | None) -> Tensor:
-        n_dst, k = plan.nn_idx.shape
-        d = src_feats.shape[1]
-        neighbor = gather_rows(src_feats, plan.nn_idx.reshape(-1))
-        w = Tensor(plan.weights.reshape(n_dst * k, 1).astype(self.dtype))
-        mixed = tsum((neighbor * w).reshape(n_dst, k, d), axis=1)
+        mixed = interpolate(src_feats, plan.nn_idx, plan.weights)
         if skip_feats is not None:
             mixed = concat([mixed, skip_feats], axis=1)
         return self.mlp(mixed)

@@ -193,6 +193,12 @@ def read_dataset(manifest_path) -> Dataset:
             if not ref.exists():
                 raise DataFormatError(
                     f"{manifest_path}:{lineno}: missing file {ref}")
+        for key in ("affordance_id", "cont_index"):
+            value = getattr(record, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DataFormatError(
+                    f"{manifest_path}:{lineno}: {key} is not an integer: "
+                    f"{value!r}")
         if not 0 <= record.affordance_id < len(vocab["affordances"]):
             raise DataFormatError(
                 f"{manifest_path}:{lineno}: affordance_id "

@@ -39,6 +39,9 @@ def _primitive_checks(tol) -> list:
     c25 = T.tensor(_rand((2, 5), 103), dtype=np.float64)
     c54 = T.tensor(_rand((5, 4), 104), dtype=np.float64)
     gather_idx = np.array([0, 2, 2, 1])
+    # source row 0 is read three times, row 1 never
+    interp_idx = np.array([[0, 0], [2, 0], [0, 2]])
+    interp_w = np.array([[0.7, 0.3], [0.25, 0.75], [0.5, 0.5]])
 
     cases = [
         ("add", (3, 4), lambda x: (x + c34).sum(), False),
@@ -65,6 +68,8 @@ def _primitive_checks(tol) -> list:
          False),
         ("gather_rows", (3, 4),
          lambda x: (T.gather_rows(x, gather_idx) ** 2.0).sum(), False),
+        ("interpolate", (3, 4),
+         lambda x: (T.interpolate(x, interp_idx, interp_w) ** 2.0).sum(), False),
         ("repeat_rows", (1, 4), lambda x: (T.repeat_rows(x, 5) * c54).sum(),
          False),
         ("slice_cols", (3, 4), lambda x: (T.slice_cols(x, 1, 3) ** 2.0).sum(),

@@ -7,6 +7,14 @@ enabled, remember the operation that produced them. Calling
 in reverse, accumulating gradients into every tensor that was created
 with ``requires_grad=True``.
 
+Accumulation contract: a tensor's gradient is the sum of its consumers'
+contributions, added in tape order onto ``+0.0``. Where one row feeds
+several outputs (:func:`gather_rows`, :func:`interpolate`), that row's
+gradient sums the output rows in increasing position, exactly as
+``np.add.at`` into zeros would, so every gradient is byte-reproducible,
+negative zeros included. A gradient is only computed for an operand that
+requires one.
+
 A graph is confined to the thread that built it; independent graphs may
 live on different threads. Nothing here is shared between graphs except
 the per-thread autograd on/off flag.
@@ -170,8 +178,10 @@ def _accumulate(t: Tensor, grad: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+        # a fresh 0 + grad: turns -0.0 into +0.0 and never aliases grad
+        t.grad = np.add(grad, 0, out=np.empty_like(t.data))
+    else:
+        t.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -193,8 +203,10 @@ def add(a, b) -> Tensor:
     _check_dtypes(a, b, "add")
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _node(a.data + b.data, (a, b), backward, "add")
 
@@ -205,8 +217,10 @@ def sub(a, b) -> Tensor:
     _check_dtypes(a, b, "sub")
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _node(a.data - b.data, (a, b), backward, "sub")
 
@@ -217,8 +231,10 @@ def mul(a, b) -> Tensor:
     _check_dtypes(a, b, "mul")
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(a.data * b.data, (a, b), backward, "mul")
 
@@ -229,8 +245,10 @@ def div(a, b) -> Tensor:
     _check_dtypes(a, b, "div")
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(a.data / b.data, (a, b), backward, "div")
 
@@ -251,8 +269,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes(a, b, "matmul")
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _node(a.data @ b.data, (a, b), backward, "matmul")
 
@@ -411,6 +431,37 @@ def concat(tensors, axis=-1) -> Tensor:
     return _node(data, tensors, backward, "concat")
 
 
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Rows of ``g`` summed per target row ``idx[i]``, shaped like ``like``.
+
+    Byte-equal to ``np.add.at(np.zeros_like(like), idx, g)``: each target
+    sums its rows in increasing position starting from +0.0, and a target
+    that no row names stays +0.0. Targets are ranked busiest first, so the
+    j-th pass adds the j-th row of every target that has one to a
+    shrinking prefix; the work is one pass over ``g`` plus one Python step
+    per unit of the largest in-degree.
+    """
+    out = np.zeros_like(like)
+    if idx.size == 0:
+        return out
+    idx = np.where(idx < 0, idx + len(like), idx)
+    counts = np.bincount(idx, minlength=len(like))
+    by_rank = np.argsort(-counts, kind="stable")
+    sizes = counts[by_rank]
+    n_active = int(np.count_nonzero(sizes))
+    rank = np.empty_like(by_rank)
+    rank[by_rank] = np.arange(len(by_rank))
+    order = np.argsort(rank[idx], kind="stable")
+    starts = np.cumsum(sizes[:n_active]) - sizes[:n_active]
+    # active[j]: how many targets have more than j rows
+    active = n_active - np.cumsum(np.bincount(sizes[:n_active]))[:sizes[0]]
+    acc = np.zeros((n_active,) + like.shape[1:], dtype=like.dtype)
+    for j, a in enumerate(active.tolist()):
+        acc[:a] += g[order[starts[:a] + j]]
+    out[by_rank[:n_active]] = acc
+    return out
+
+
 def gather_rows(x: Tensor, index) -> Tensor:
     """Select rows by a 1-D integer index array (duplicates allowed)."""
     idx = np.asarray(index)
@@ -418,11 +469,39 @@ def gather_rows(x: Tensor, index) -> Tensor:
         raise ShapeError(f"gather_rows index must be 1-D, got shape {idx.shape}")
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        _accumulate(x, gx)
+        _accumulate(x, _scatter_rows(g, idx, x.data))
 
     return _node(x.data[idx], (x,), backward, "gather_rows")
+
+
+def interpolate(x: Tensor, index, weights) -> Tensor:
+    """Weighted sum of source rows: ``out[i] = sum_c weights[i, c] * x[index[i, c]]``.
+
+    ``index`` and ``weights`` are constant (n, k) arrays; ``weights`` is cast
+    to ``x``'s dtype and gets no gradient. The forward adds the k terms in
+    order onto +0.0, and the backward scatters ``g[i] * weights[i, c]``
+    onto ``index[i, c]`` in (i, c) order, so both equal the gather,
+    multiply, reshape and sum chain they replace byte for byte, with one
+    graph node instead of four.
+    """
+    idx = np.asarray(index)
+    if x.ndim != 2 or idx.ndim != 2:
+        raise ShapeError(
+            f"interpolate needs 2-D source and index, got {x.shape} and {idx.shape}")
+    w = np.asarray(weights).astype(x.dtype)
+    if w.shape != idx.shape:
+        raise ShapeError(
+            f"interpolate weights {w.shape} do not match index {idx.shape}")
+    n, k = idx.shape
+    out = np.zeros((n, x.shape[1]), dtype=x.dtype)
+    for c in range(k):
+        out += x.data[idx[:, c]] * w[:, c:c + 1]
+
+    def backward(g):
+        per_row = (g[:, None, :] * w[:, :, None]).reshape(n * k, g.shape[1])
+        _accumulate(x, _scatter_rows(per_row, idx.reshape(-1), x.data))
+
+    return _node(out, (x,), backward, "interpolate")
 
 
 def repeat_rows(x: Tensor, n: int) -> Tensor:

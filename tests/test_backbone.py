@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affground import backbone as backbone_module
 from affground import tensor as T
 from affground.backbone import (
     BackbonePlan,
@@ -18,10 +19,13 @@ from affground.backbone import (
     interpolation_neighbors,
     normalize_unit_sphere,
 )
+from affground.config import ModelConfig, RunConfig
 from affground.corruption import KINDS, LEVELS, generate_benchmark
-from affground.dataio import gen_synthetic_dataset, read_dataset
+from affground.dataio import gen_synthetic_dataset, read_dataset, synth_cloud
 from affground.errors import ContractError
 from affground.gradcheck import finite_difference_check_params
+from affground.intention import synth_fixture
+from affground.model import AffordanceModel
 from affground.rng import rng_for
 
 
@@ -438,6 +442,119 @@ class TestFeaturePropagation:
                                          rng.normal(size=(5, 3)))
         out = fp(src_feats, FPPlan(idx, w), skip)
         assert out.shape == (5, 4)
+
+
+def gather_rows_oracle(x, index):
+    """The former gather_rows: its backward is np.add.at into zeros."""
+    idx = np.asarray(index)
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, idx, g)
+        T._accumulate(x, gx)
+
+    return T._node(x.data[idx], (x,), backward, "gather_rows")
+
+
+def interpolate_chain_oracle(src_feats, nn_idx, weights):
+    """The former FP interpolation: gather, multiply, reshape, sum over k."""
+    n_dst, k = nn_idx.shape
+    neighbor = gather_rows_oracle(src_feats, nn_idx.reshape(-1))
+    w = T.Tensor(weights.reshape(n_dst * k, 1).astype(src_feats.dtype))
+    mixed = (neighbor * w).reshape(n_dst, k, src_feats.shape[1])
+    return T.tsum(mixed, axis=1)
+
+
+def fp_call_oracle(fp, src_feats, plan, skip_feats):
+    """The former FeaturePropagation.__call__."""
+    mixed = interpolate_chain_oracle(src_feats, plan.nn_idx, plan.weights)
+    if skip_feats is not None:
+        mixed = T.concat([mixed, skip_feats], axis=1)
+    return fp.mlp(mixed)
+
+
+def accumulate_oracle(t, grad):
+    """The former first gradient write: zero-fill, then add in place."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += grad
+
+
+def fp_plans():
+    """Real FP plans: a random cloud and a duplicate-heavy gridded one."""
+    rng = np.random.default_rng(31)
+    backbone = PointBackbone({}, "backbone", rng_for(0, "init"), d=4,
+                             stage_points=[64, 16, 4], k_max=[8, 8, 8])
+    grid = np.stack(np.meshgrid(*[np.arange(5.0)] * 3), -1).reshape(-1, 3)
+    clouds = [normalize_unit_sphere(rng.normal(size=(160, 3))),
+              normalize_unit_sphere(np.vstack([grid, grid[:35]]))]
+    return [fp for coords in clouds for fp in backbone.build_plan(coords).fp]
+
+
+class TestInterpolateMatchesChain:
+    """interpolate equals the gather -> mul -> reshape -> sum chain byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward_on_real_plans(self, dtype, monkeypatch):
+        rng = np.random.default_rng(32)
+        for plan in fp_plans():
+            n_src = int(plan.nn_idx.max()) + 1
+            x_data = rng.normal(size=(n_src, 6)).astype(dtype)
+            x_data[rng.random(x_data.shape) < 0.2] = -0.0
+            g = rng.normal(size=(len(plan.nn_idx), 6)).astype(dtype)
+            g[rng.random(g.shape) < 0.2] = -0.0
+
+            def run(interp):
+                x = T.tensor(x_data, requires_grad=True, dtype=dtype)
+                out = interp(x, plan.nn_idx, plan.weights)
+                T.backward((out * T.tensor(g, dtype=dtype)).sum())
+                return out.data, x.grad
+
+            got = run(T.interpolate)
+            with monkeypatch.context() as m:
+                m.setattr(T, "_accumulate", accumulate_oracle)
+                want = run(interpolate_chain_oracle)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_model_gradients_equal_the_oracle_run(self, monkeypatch):
+        toy = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4,
+               "cont_width": 16, "k_max": [8, 8, 8]}
+        samples = [(synth_cloud(c, a, seed=5 + c, n=toy["n_points"]),
+                    synth_fixture(c, a, seed=7 + c, L=toy["seq_len"],
+                                  d_h=toy["d_h"]))
+                   for c, a in [(0, 1), (2, 0)]]
+
+        def accumulated():
+            model = AffordanceModel(RunConfig(model=ModelConfig(**toy)))
+            losses = []
+            for cloud, hidden in samples:
+                total, _, _ = model.loss(model.forward(cloud, hidden), cloud, hidden)
+                T.backward(total)
+                losses.append(total.data.tobytes())
+            return losses, {k: p.grad for k, p in model.params.items()}
+
+        losses, grads = accumulated()
+        with monkeypatch.context() as m:
+            m.setattr(backbone_module, "gather_rows", gather_rows_oracle)
+            m.setattr(FeaturePropagation, "__call__", fp_call_oracle)
+            m.setattr(T, "_accumulate", accumulate_oracle)
+            want_losses, want_grads = accumulated()
+        assert losses == want_losses
+        assert sorted(grads) == sorted(want_grads)
+        differ = [k for k in grads if grads[k].tobytes() != want_grads[k].tobytes()]
+        assert differ == []
+
+    def test_one_node_replaces_four(self):
+        plan = fp_plans()[0]
+        x = T.tensor(np.ones((int(plan.nn_idx.max()) + 1, 2)), requires_grad=True)
+        new = len(T.Tape.trace(T.interpolate(x, plan.nn_idx, plan.weights)).nodes)
+        old = len(T.Tape.trace(
+            interpolate_chain_oracle(x, plan.nn_idx, plan.weights)).nodes)
+        assert (new, old) == (2, 6)
 
 
 class TestEncodeDecode:

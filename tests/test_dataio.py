@@ -290,14 +290,18 @@ def test_malformed_json_raises_package_error(tmp_path, reader, damage):
         read()
 
 
-def _manifest_row_path(tmp_path):
+def _edit_first_row(tmp_path, key, value):
     manifest = gen_synthetic_dataset(tmp_path / "ds", 1, 2, 1, 64, seed=1,
                                      d_h=16, seq_len=4)
     rows = manifest.read_text().splitlines()
     row = json.loads(rows[0])
-    row["points"] = 5
+    row[key] = value
     manifest.write_text("\n".join([json.dumps(row)] + rows[1:]) + "\n")
     return lambda: read_dataset(manifest)
+
+
+def _manifest_row_path(tmp_path):
+    return _edit_first_row(tmp_path, "points", 5)
 
 
 def _checkpoint_path(section):
@@ -325,4 +329,14 @@ def _checkpoint_path(section):
 def test_non_string_path_raises_package_error(tmp_path, damage, error):
     read = damage(tmp_path)
     with pytest.raises(error, match="not a path string"):
+        read()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("affordance_id", "0"), ("affordance_id", True), ("affordance_id", 1.0),
+    ("cont_index", "3"), ("cont_index", None), ("cont_index", False),
+])
+def test_non_integer_index_raises_package_error(tmp_path, key, value):
+    read = _edit_first_row(tmp_path, key, value)
+    with pytest.raises(DataFormatError, match=f"{key} is not an integer"):
         read()

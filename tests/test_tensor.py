@@ -216,12 +216,168 @@ class TestPrimitiveGradients:
         idx = np.array([0, 2, 2, 1])
         self._check(lambda x: (T.gather_rows(x, idx) ** 2.0).sum())
 
+    def test_interpolate_with_repeated_and_unread_rows(self):
+        idx = TestInterpolate.IDX
+        self._check(lambda x: (T.interpolate(x, idx, TestInterpolate.W) ** 2.0).sum())
+
     def test_repeat_rows(self):
         w = T.tensor(np.random.default_rng(4).normal(size=(5, 4)), dtype=np.float64)
         self._check(lambda x: (T.repeat_rows(x, 5) * w).sum(), shape=(1, 4))
 
     def test_slice_cols(self):
         self._check(lambda x: (T.slice_cols(x, 1, 3) ** 2.0).sum())
+
+
+def add_at_oracle(x_data, index, g):
+    """The former gather_rows backward: np.add.at into zeros."""
+    gx = np.zeros_like(x_data)
+    np.add.at(gx, index, g)
+    return gx
+
+
+INDEX_KINDS = ("random", "skewed", "all_to_one", "unread_targets", "negative_zero")
+
+
+def scatter_case(kind, n_rows, n_gathered, d, dtype, seed):
+    """(index, upstream gradient) of one kind, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    if kind == "skewed":
+        idx = np.minimum(rng.geometric(0.3, n_gathered) - 1, n_rows - 1)
+    elif kind == "all_to_one":
+        idx = np.full(n_gathered, rng.integers(n_rows))
+    elif kind == "unread_targets":
+        read = rng.choice(n_rows, size=max(1, n_rows // 3), replace=False)
+        idx = rng.choice(read, size=n_gathered)
+    else:
+        idx = rng.integers(0, n_rows, n_gathered)
+    # magnitudes spread over 8 decades, so the summation order shows
+    g = rng.normal(size=(n_gathered, d)) * 10.0 ** rng.integers(-4, 4, (n_gathered, d))
+    if kind == "negative_zero":
+        g[rng.random((n_gathered, d)) < 0.3] = -0.0
+        g[rng.random((n_gathered, d)) < 0.3] = 0.0
+    return idx, g.astype(dtype)
+
+
+class TestGatherRowsScatter:
+    """gather_rows backward equals the np.add.at oracle byte for byte."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(INDEX_KINDS),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           n_rows=st.integers(1, 12), n_gathered=st.integers(0, 60),
+           d=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_backward_equals_add_at(self, kind, dtype, n_rows, n_gathered, d, seed):
+        idx, g = scatter_case(kind, n_rows, n_gathered, d, dtype, seed)
+        x = T.tensor(np.ones((n_rows, d), dtype=dtype), requires_grad=True)
+        out = T.gather_rows(x, idx)
+        T.backward((out * T.tensor(g)).sum())
+        expected = add_at_oracle(x.data, idx, g)
+        assert x.grad.dtype == expected.dtype
+        assert x.grad.tobytes() == expected.tobytes()
+        assert T._scatter_rows(g, idx, x.data).tobytes() == expected.tobytes()
+
+    def test_all_negative_zero_gradient_gives_positive_zero(self):
+        x = T.tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float32)
+        T.backward((T.gather_rows(x, np.array([2, 0, 2])) *
+                    T.tensor(np.full((3, 2), -0.0), dtype=np.float32)).sum())
+        assert not np.signbit(x.grad).any()
+        assert x.grad.tobytes() == np.zeros((3, 2), np.float32).tobytes()
+
+    def test_busiest_target_sums_in_gather_order(self):
+        # float32: (1e8 - 1e8) + 1 is 1, but (1 - 1e8) + 1e8 is 0
+        x = T.tensor(np.zeros((2, 1)), requires_grad=True, dtype=np.float32)
+        g = np.array([[1e8], [-1e8], [5.0], [1.0]], dtype=np.float32)
+        T.backward((T.gather_rows(x, np.array([0, 0, 1, 0])) * T.tensor(g)).sum())
+        np.testing.assert_array_equal(x.grad, [[1.0], [5.0]])
+
+    def test_negative_indices_count_from_the_end(self):
+        x = T.tensor(np.ones((4, 2)), requires_grad=True, dtype=np.float64)
+        idx = np.array([-1, 3, 0, -4, 1])
+        g = np.arange(10, dtype=np.float64).reshape(5, 2)
+        T.backward((T.gather_rows(x, idx) * T.tensor(g)).sum())
+        assert x.grad.tobytes() == add_at_oracle(x.data, idx, g).tobytes()
+
+
+class TestInterpolate:
+    IDX = np.array([[0, 0], [2, 0], [0, 2]])   # row 0 twice in a row, row 1 unread
+    W = np.array([[0.7, 0.3], [0.25, 0.75], [0.5, 0.5]])
+
+    def test_forward_is_weighted_row_sum(self):
+        x = T.tensor(np.arange(6.0).reshape(3, 2), dtype=np.float64)
+        out = T.interpolate(x, self.IDX, self.W)
+        expected = (x.data[self.IDX] * self.W[..., None]).sum(axis=1)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-15)
+
+    def test_unread_source_row_gets_zero_gradient(self):
+        x = T.tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float64)
+        T.backward(T.interpolate(x, self.IDX, self.W).sum())
+        np.testing.assert_array_equal(x.grad, [[2.25, 2.25], [0, 0], [0.75, 0.75]])
+
+    def test_weights_take_the_input_dtype_and_get_no_gradient(self):
+        x = T.tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float32)
+        out = T.interpolate(x, self.IDX, self.W)
+        assert out.dtype == np.float32 and out._parents == (x,)
+
+    @pytest.mark.parametrize("x_shape, idx, w", [
+        ((3, 2), np.array([0, 1]), np.array([0.5, 0.5])),
+        ((3, 2), np.array([[0, 1]]), np.array([[0.5, 0.25, 0.25]])),
+        ((3,), np.array([[0, 1]]), np.array([[0.5, 0.5]])),
+    ], ids=["1d_index", "weight_shape", "1d_source"])
+    def test_rejects_bad_shapes(self, x_shape, idx, w):
+        with pytest.raises(ShapeError):
+            T.interpolate(T.tensor(np.ones(x_shape)), idx, w)
+
+
+class TestAccumulateOwnsItsBuffer:
+    """A first gradient write stores a fresh 0 + grad; later ones add in place."""
+
+    def assert_grads_own_memory(self, tensors):
+        for t in tensors:
+            if t.grad is None:
+                continue
+            for other in tensors:
+                assert not np.shares_memory(t.grad, other.data)
+                if other is not t and other.grad is not None:
+                    assert not np.shares_memory(t.grad, other.grad)
+
+    def test_x_plus_x(self):
+        x = T.tensor([1.0, -2.0], requires_grad=True)
+        c = T.tensor([3.0, 0.5])
+        loss = ((x + x) * c).sum()
+        tensors = T.Tape.trace(loss).nodes
+        T.backward(loss)
+        np.testing.assert_array_equal(x.grad, [6.0, 1.0])
+        self.assert_grads_own_memory(tensors)
+
+    def test_shared_subexpression(self):
+        a = T.tensor([1.0, 2.0], requires_grad=True)
+        b = T.tensor([0.5, -1.0], requires_grad=True)
+        s = a + b
+        loss = (s * s + s).sum()
+        tensors = T.Tape.trace(loss).nodes
+        T.backward(loss)
+        np.testing.assert_array_equal(a.grad, [4.0, 3.0])
+        np.testing.assert_array_equal(b.grad, [4.0, 3.0])
+        self.assert_grads_own_memory(tensors)
+
+    def test_repeated_backward_accumulates_per_leaf(self):
+        # a + b hands the same upstream buffer to both leaves; adding into
+        # one leaf's gradient later must leave the other's untouched
+        a = T.tensor([1.0, 2.0], requires_grad=True)
+        b = T.tensor([3.0, 4.0], requires_grad=True)
+        c = T.tensor([2.0, -1.0])
+        loss = ((a + b) * c).sum()
+        T.backward(loss)
+        T.backward(loss)
+        T.backward((a * c).sum())
+        np.testing.assert_array_equal(a.grad, [6.0, -3.0])
+        np.testing.assert_array_equal(b.grad, [4.0, -2.0])
+        self.assert_grads_own_memory(T.Tape.trace(loss).nodes)
+
+    def test_first_write_turns_negative_zero_positive(self):
+        x = T.tensor([1.0, 2.0], requires_grad=True)
+        T.backward((x * T.tensor([-0.0, 3.0])).sum())
+        assert x.grad.tobytes() == np.array([0.0, 3.0], np.float32).tobytes()
 
 
 class TestFiniteDifferenceHarness:
