@@ -8,6 +8,15 @@ resolution. All geometry (sampling indices, groupings, interpolation
 neighbors) is computed once per cloud into a :class:`BackbonePlan` and is
 not differentiated; gradients flow only through feature MLPs.
 
+Both stage kinds compute their first linear layer on distinct rows only,
+in exact algebra equal to concatenating the inputs and projecting:
+
+- SA: ``rel @ W[:3] + gather_rows(feats @ W[3:], group_idx) + b``;
+- FP: ``interpolate(src @ W[:d_src], nn_idx, w) + skip @ W[d_src:] + b``.
+
+``W[a:b]`` is a :func:`~affground.tensor.slice_rows` view, so parameter
+names, shapes and checkpoints are those of the concatenated layer.
+
 Geometry contract: every squared distance is float64, summed over x, y, z
 in that order, and every nearest-first order breaks equal distances toward
 the lower index. :func:`ball_query` returns one (centers, k_max) array whose
@@ -29,7 +38,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .nn import make_mlp
-from .tensor import Tensor, concat, gather_rows, interpolate, max_reduce
+from .tensor import Tensor, gather_rows, interpolate, matmul, max_reduce
 
 EPS_INTERP = 1e-8
 
@@ -224,22 +233,28 @@ class BackbonePlan:
 
 
 class SetAbstraction:
-    """Sample/group/encode/pool stage producing coarser features."""
+    """Sample/group/encode/pool stage producing coarser features.
+
+    The shared MLP's first layer sees ``[rel, feats[group]]`` per member.
+    With ``W = [W_rel; W_feat]`` its pre-activation is computed as
+    ``rel @ W_rel + gather(feats @ W_feat) + b``: each point's features
+    are projected once, and only the 3 relative-coordinate columns run
+    on all m*k member rows.
+    """
 
     def __init__(self, params, prefix, rng, in_dim, hidden, out, dtype=np.float32):
         self.mlp = make_mlp(params, prefix, rng, [in_dim + 3, hidden, out], dtype)
         self.out_dim = out
         self.dtype = dtype
 
-    def __call__(self, feats: Tensor | None, plan: SAPlan) -> Tensor:
+    def __call__(self, feats: Tensor, plan: SAPlan) -> Tensor:
         m, k, _ = plan.rel_coords.shape
         rel = Tensor(plan.rel_coords.reshape(m * k, 3).astype(self.dtype))
-        if feats is None:
-            x = rel
-        else:
-            member = gather_rows(feats, plan.group_idx.reshape(-1))
-            x = concat([rel, member], axis=1)
-        encoded = self.mlp(x).reshape(m, k, self.out_dim)
+        first = self.mlp.layers[0]
+        w_rel, w_feat = first.split(3)
+        member = gather_rows(matmul(feats, w_feat), plan.group_idx.reshape(-1))
+        h = matmul(rel, w_rel) + member + first.b
+        encoded = self.mlp.after_first(h).reshape(m, k, self.out_dim)
         return max_reduce(encoded, axis=1)
 
 
@@ -247,21 +262,24 @@ class FeaturePropagation:
     """Interpolate coarse features to finer points, merge skip, run unit MLP.
 
     Each destination point takes the inverse-distance weighted sum of its
-    k nearest source rows (one :func:`~affground.tensor.interpolate` node;
-    the plan's weights are constants), the skip features of that level are
-    concatenated on the right, and a two-layer unit MLP maps the result to
-    ``out`` channels.
+    k nearest source rows (the plan's weights are constants), the skip
+    features of that level are appended on the right, and a two-layer unit
+    MLP maps the result to ``out`` channels. Interpolation is linear, so
+    with ``W = [W_src; W_skip]`` the first layer is computed as
+    ``interpolate(src @ W_src) + skip @ W_skip + b``: the source half runs
+    on the coarse rows, not on every destination row.
     """
 
     def __init__(self, params, prefix, rng, in_dim, out, dtype=np.float32):
         self.mlp = make_mlp(params, prefix, rng, [in_dim, out, out], dtype)
 
     def __call__(self, src_feats: Tensor, plan: FPPlan,
-                 skip_feats: Tensor | None) -> Tensor:
-        mixed = interpolate(src_feats, plan.nn_idx, plan.weights)
-        if skip_feats is not None:
-            mixed = concat([mixed, skip_feats], axis=1)
-        return self.mlp(mixed)
+                 skip_feats: Tensor) -> Tensor:
+        first = self.mlp.layers[0]
+        w_src, w_skip = first.split(src_feats.shape[1])
+        h = (interpolate(matmul(src_feats, w_src), plan.nn_idx, plan.weights)
+             + matmul(skip_feats, w_skip) + first.b)
+        return self.mlp.after_first(h)
 
 
 @dataclass

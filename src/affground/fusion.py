@@ -4,9 +4,11 @@ Stage I: bottleneck point features attend to projected token states
 (queries are points, keys/values are tokens; the attention output
 replaces the input rather than being added, unless the residual flag is
 set). Stage II: a gated weighted sum over tokens forms one global
-descriptor, which is tiled across points, concatenated to the
-full-resolution map, and mixed by an MLP. Both stages can be switched
-off independently for ablations.
+descriptor, and an MLP mixes each full-resolution row with it. Its first
+layer, the concatenation ``[full_res, descriptor]`` times ``W``, is
+computed exactly as ``full_res @ W[:d] + (descriptor @ W[d:] + b)``: the
+descriptor's (1, d) projection is broadcast over the rows, never tiled.
+Both stages can be switched off independently for ablations.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .tensor import (
     Tensor,
     concat,
     matmul,
-    repeat_rows,
     slice_cols,
     softmax_lastdim,
     transpose,
@@ -89,13 +90,15 @@ class FusionModule:
         return matmul(weights, token_feats)
 
     def fuse_full_res(self, full_res: Tensor, descriptor: Tensor) -> Tensor:
-        """Stage II: tile the descriptor, concatenate, and mix row-wise."""
+        """Stage II: mix every row with the descriptor, ``MLP([row, desc])``."""
         if full_res.shape[1] != self.d or descriptor.shape != (1, self.d):
             raise ShapeError(
                 f"fuse expects (N, {self.d}) and (1, {self.d}), got "
                 f"{full_res.shape} and {descriptor.shape}")
-        tiled = repeat_rows(descriptor, full_res.shape[0])
-        return self.fuse_mlp(concat([full_res, tiled], axis=1))
+        first = self.fuse_mlp.layers[0]
+        w_row, w_desc = first.split(self.d)
+        h = matmul(full_res, w_row) + (matmul(descriptor, w_desc) + first.b)
+        return self.fuse_mlp.after_first(h)
 
 
 def integrate(backbone, fusion: FusionModule, plan, token_feats: Tensor,

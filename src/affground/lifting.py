@@ -3,8 +3,13 @@
 Each stage lets the single-row embedding attend over one scale of point
 features (query from the embedding, keys/values from the points, scaled
 by sqrt(d), no output projection), adds the result residually, and then
-applies a residual feed-forward block. Each mode builds only the weights
-it uses:
+applies a residual feed-forward block. With one query the products are
+re-associated so that no (N, d) x (d, d) key or value projection is formed:
+
+- ``logits = point_feats @ (W_k @ q.T)``, equal to ``q @ (point_feats @ W_k).T``;
+- ``update = (attn @ point_feats) @ W_v``, equal to ``attn @ (point_feats @ W_v)``.
+
+Each mode builds only the weights it uses:
 
 - ``multi``: one stage per scale (``stage1``..``stage3``), run coarse to
   fine by default; with ``share_weights`` a single ``stage1`` serves all
@@ -43,10 +48,9 @@ class LiftStage:
             raise ShapeError(f"point features must be (N, {self.d}), "
                              f"got {point_feats.shape}")
         q = self.wq(embedding)
-        k = self.wk(point_feats)
-        v = self.wv(point_feats)
-        attn = softmax_lastdim(matmul(q, transpose(k)) * (1.0 / np.sqrt(self.d)))
-        updated = embedding + matmul(attn, v)
+        logits = transpose(matmul(point_feats, matmul(self.wk.w, transpose(q))))
+        attn = softmax_lastdim(logits * (1.0 / np.sqrt(self.d)))
+        updated = embedding + self.wv(matmul(attn, point_feats))
         return updated + self.ffn(updated)
 
 

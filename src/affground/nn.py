@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, matmul, relu
+from .tensor import Tensor, matmul, relu, slice_rows
 
 
 # variance-preserving for linear chains; there is no normalization layer
@@ -36,6 +36,14 @@ class Linear:
             y = y + self.b
         return y
 
+    def split(self, at: int):
+        """Weight rows ``[:at]`` and ``[at:]`` as views that pass gradients back.
+
+        ``concat([x, z]) @ w`` equals ``x @ w_a + z @ w_b``; callers use this
+        to project each input part on its distinct rows only.
+        """
+        return slice_rows(self.w, 0, at), slice_rows(self.w, at, self.w.shape[0])
+
 
 def make_linear(params: dict, name: str, rng, fan_in: int, fan_out: int,
                 dtype=np.float32, bias: bool = True,
@@ -60,11 +68,13 @@ class MLP:
         self.layers = list(layers)
 
     def __call__(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i + 1 < len(self.layers):
-                x = relu(x)
-        return x
+        return self.after_first(self.layers[0](x))
+
+    def after_first(self, h: Tensor) -> Tensor:
+        """The rest of the stack, given the first layer's pre-activation."""
+        for layer in self.layers[1:]:
+            h = layer(relu(h))
+        return h
 
 
 def make_mlp(params: dict, name: str, rng, widths, dtype=np.float32,

@@ -13,7 +13,10 @@ several outputs (:func:`gather_rows`, :func:`interpolate`), that row's
 gradient sums the output rows in increasing position, exactly as
 ``np.add.at`` into zeros would, so every gradient is byte-reproducible,
 negative zeros included. A gradient is only computed for an operand that
-requires one.
+requires one. A first contribution is kept in the buffer its rule handed
+over (a writable array of the tensor's shape and dtype that no other
+tensor receives) rather than copied; read-only and broadcast buffers are
+copied.
 
 A graph is confined to the thread that built it; independent graphs may
 live on different threads. Nothing here is shared between graphs except
@@ -177,11 +180,15 @@ def _node(data, parents, backward, op) -> Tensor:
 def _accumulate(t: Tensor, grad: np.ndarray):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # a fresh 0 + grad: turns -0.0 into +0.0 and never aliases grad
-        t.grad = np.add(grad, 0, out=np.empty_like(t.data))
-    else:
+    if t.grad is not None:
         t.grad += grad
+    elif (grad.flags.writeable and grad.shape == t.data.shape
+          and grad.dtype == t.data.dtype):
+        # take the rule's buffer; 0 + grad in place turns -0.0 into +0.0
+        t.grad = np.add(grad, 0, out=grad)
+    else:
+        # read-only or broadcast: a fresh 0 + grad
+        t.grad = np.add(grad, 0, out=np.empty_like(t.data))
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -203,10 +210,14 @@ def add(a, b) -> Tensor:
     _check_dtypes(a, b, "add")
 
     def backward(g):
+        ga = None
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
+            ga = _unbroadcast(g, a.shape)
+            _accumulate(a, ga)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+            gb = _unbroadcast(g, b.shape)
+            # a may own g by now: b gets a buffer of its own
+            _accumulate(b, gb.copy() if gb is ga else gb)
 
     return _node(a.data + b.data, (a, b), backward, "add")
 
@@ -504,16 +515,17 @@ def interpolate(x: Tensor, index, weights) -> Tensor:
     return _node(out, (x,), backward, "interpolate")
 
 
-def repeat_rows(x: Tensor, n: int) -> Tensor:
-    """Tile a single-row tensor into n identical rows."""
-    if x.ndim != 2 or x.shape[0] != 1:
-        raise ShapeError(f"repeat_rows expects shape (1, d), got {x.shape}")
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a 2-D tensor, as a view of its buffer."""
+    if x.ndim != 2:
+        raise ShapeError(f"slice_rows expects a 2-D tensor, got {x.shape}")
 
     def backward(g):
-        _accumulate(x, g.sum(axis=0, keepdims=True))
+        gx = np.zeros_like(x.data)
+        gx[start:stop] = g
+        _accumulate(x, gx)
 
-    data = np.broadcast_to(x.data, (n, x.shape[1])).copy()
-    return _node(data, (x,), backward, "repeat_rows")
+    return _node(x.data[start:stop], (x,), backward, "slice_rows")
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:

@@ -75,6 +75,8 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
           log_fn=None) -> TrainResult:
     config.validate()
     dataset = read_dataset(manifest_path)
+    if not dataset.records:
+        raise ConfigError(f"{manifest_path}: dataset has no samples")
     _check_dataset_compat(config, dataset)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

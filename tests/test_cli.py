@@ -53,3 +53,21 @@ def test_gen_data_train_eval_corrupt_smoke(tmp_path, capsys):
     cells = sorted(tree.glob("*/level_*/manifest.jsonl"))
     assert len(cells) == len(KINDS) * len(LEVELS)
     assert capsys.readouterr().err == ""
+
+
+def test_train_on_empty_manifest_exits_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--classes", "1",
+                 "--affordances", "2", "--samples-per", "1", "--points", "128",
+                 "--d-h", "32", "--seq-len", "4"]) == 0
+    empty = data / "empty.jsonl"
+    empty.write_text("")
+    capsys.readouterr()
+    assert main(["train", "--data", str(empty), "--out", str(tmp_path / "run"),
+                 "--set", "model.n_points=128", "--set", "model.d=16",
+                 "--set", "model.d_h=32", "--set", "model.seq_len=4",
+                 "--set", "model.cont_width=16",
+                 "--set", "model.k_max=[8,8,8]"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dataset has no samples" in err
+    assert "Traceback" not in err

@@ -133,21 +133,6 @@ class TestGatedDescriptor:
 
 
 class TestDuplicateAndFuse:
-    def test_duplicate_rows_equal(self):
-        x = T.tensor(rand((1, 8), 17), dtype=np.float64)
-        for n in (1, 5):
-            tiled = T.repeat_rows(x, n)
-            assert tiled.shape == (n, 8)
-            assert np.ptp(tiled.data, axis=0).max() == 0.0
-
-    def test_duplicate_backward_is_column_sum(self):
-        x = T.tensor(rand((1, 4), 18), requires_grad=True, dtype=np.float64)
-        upstream = rand((6, 4), 19)
-        out = T.repeat_rows(x, 6) * T.tensor(upstream, dtype=np.float64)
-        T.backward(out.sum())
-        np.testing.assert_allclose(x.grad, upstream.sum(axis=0, keepdims=True),
-                                   atol=1e-12)
-
     def test_constructed_identity_passthrough(self):
         params = {}
         fusion = make_fusion(params)

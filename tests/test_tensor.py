@@ -220,9 +220,15 @@ class TestPrimitiveGradients:
         idx = TestInterpolate.IDX
         self._check(lambda x: (T.interpolate(x, idx, TestInterpolate.W) ** 2.0).sum())
 
-    def test_repeat_rows(self):
-        w = T.tensor(np.random.default_rng(4).normal(size=(5, 4)), dtype=np.float64)
-        self._check(lambda x: (T.repeat_rows(x, 5) * w).sum(), shape=(1, 4))
+    def test_slice_rows(self):
+        self._check(lambda x: (T.slice_rows(x, 1, 3) ** 2.0).sum())
+
+    def test_slice_rows_views_the_buffer(self):
+        x = T.tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        rows = T.slice_rows(x, 1, 3)
+        assert np.shares_memory(rows.data, x.data)
+        T.backward((rows * 2.0).sum())
+        np.testing.assert_array_equal(x.grad, [[0] * 3, [2] * 3, [2] * 3, [0] * 3])
 
     def test_slice_cols(self):
         self._check(lambda x: (T.slice_cols(x, 1, 3) ** 2.0).sum())
@@ -329,7 +335,7 @@ class TestInterpolate:
 
 
 class TestAccumulateOwnsItsBuffer:
-    """A first gradient write stores a fresh 0 + grad; later ones add in place."""
+    """A first gradient write keeps 0 + grad in a buffer no other tensor holds."""
 
     def assert_grads_own_memory(self, tensors):
         for t in tensors:
@@ -373,6 +379,29 @@ class TestAccumulateOwnsItsBuffer:
         np.testing.assert_array_equal(a.grad, [6.0, -3.0])
         np.testing.assert_array_equal(b.grad, [4.0, -2.0])
         self.assert_grads_own_memory(T.Tape.trace(loss).nodes)
+
+    def test_add_of_two_full_shape_leaves(self):
+        # both operands would receive the upstream buffer itself
+        a = T.tensor([1.0, 2.0], requires_grad=True)
+        b = T.tensor([3.0, 4.0], requires_grad=True)
+        loss = ((a + b) * T.tensor([2.0, -1.0])).sum()
+        tensors = T.Tape.trace(loss).nodes
+        T.backward(loss)
+        np.testing.assert_array_equal(a.grad, [2.0, -1.0])
+        np.testing.assert_array_equal(b.grad, [2.0, -1.0])
+        self.assert_grads_own_memory(tensors)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, [2.0, -1.0])
+
+    def test_concat_of_one_tensor_twice(self):
+        # both halves of one upstream buffer land in the same gradient
+        x = T.tensor([[1.0, -2.0]], requires_grad=True)
+        c = T.tensor([[3.0, 0.5, -1.0, 4.0]])
+        loss = (T.concat([x, x], axis=1) * c).sum()
+        tensors = T.Tape.trace(loss).nodes
+        T.backward(loss)
+        np.testing.assert_array_equal(x.grad, [[2.0, 4.5]])
+        self.assert_grads_own_memory(tensors)
 
     def test_first_write_turns_negative_zero_positive(self):
         x = T.tensor([1.0, 2.0], requires_grad=True)

@@ -10,7 +10,7 @@ from affground import train as train_module
 from affground.cli import main
 from affground.config import ModelConfig, OptimConfig, RunConfig
 from affground.dataio import gen_synthetic_dataset, load_checkpoint
-from affground.errors import TrainingDiverged
+from affground.errors import ConfigError, TrainingDiverged
 from affground.train import train
 
 TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
@@ -111,3 +111,20 @@ def test_nonfinite_gradient_aborts_before_the_update(tmp_path, monkeypatch):
     (model,) = models
     for name, p in model.params.items():
         assert p.data.tobytes() == model.initial[name].tobytes(), name
+
+
+def test_empty_manifest_is_rejected_before_the_model_is_built(tmp_path,
+                                                              monkeypatch):
+    manifest = gen_synthetic_dataset(tmp_path / "data", 1, 2, 1,
+                                     TOY["n_points"], seed=2, d_h=TOY["d_h"],
+                                     seq_len=TOY["seq_len"])
+    empty = manifest.parent / "empty.jsonl"
+    empty.write_text("")
+
+    def no_model(config):
+        raise AssertionError("model built for an empty dataset")
+
+    monkeypatch.setattr(train_module, "AffordanceModel", no_model)
+    with pytest.raises(ConfigError, match="dataset has no samples"):
+        train(RunConfig(model=ModelConfig(**TOY)), empty, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
