@@ -4,9 +4,12 @@ The encoder stacks three set-abstraction stages (sample centers, group
 neighbors in a ball, run a shared per-point MLP, max-pool per group); the
 decoder runs three feature-propagation stages (inverse-distance 3-NN
 interpolation plus skip connection and a unit MLP) back to full
-resolution. All geometry (sampling indices, groupings, interpolation
-neighbors) is computed once per cloud into a :class:`BackbonePlan` and is
-not differentiated; gradients flow only through feature MLPs.
+resolution. ``decode`` returns that full-resolution map together with
+the three coarser feature scales lifting attends over: the bottleneck and
+the first two FP outputs, coarse to fine. All geometry (sampling
+indices, groupings, interpolation neighbors) is computed once per cloud
+into a :class:`BackbonePlan` and is not differentiated; gradients flow
+only through feature MLPs.
 
 Both stage kinds compute their first linear layer on distinct rows only,
 in exact algebra equal to concatenating the inputs and projecting:
@@ -282,20 +285,12 @@ class FeaturePropagation:
         return self.mlp.after_first(h)
 
 
-@dataclass
-class MultiScaleFeatures:
-    """Decoder outputs: per-scale features (coarse to fine) plus full map."""
-
-    scales: list                # [(coords, Tensor)] coarse -> fine
-    full_res: Tensor
-
-
 class PointBackbone:
     """Three-stage set-abstraction encoder and feature-propagation decoder."""
 
     def __init__(self, params: dict, prefix: str, rng, d: int,
                  stage_points, radii=(0.1, 0.2, 0.4), k_max=(32, 32, 32),
-                 include_bottleneck_scale: bool = True, dtype=np.float32):
+                 dtype=np.float32):
         if len(stage_points) != 3 or len(radii) != 3 or len(k_max) != 3:
             raise ContractError("backbone expects exactly three stages")
         if any(a <= b for a, b in zip(stage_points, stage_points[1:])):
@@ -304,7 +299,6 @@ class PointBackbone:
         self.stage_points = list(stage_points)
         self.radii = list(radii)
         self.k_max = list(k_max)
-        self.include_bottleneck_scale = include_bottleneck_scale
         self.dtype = dtype
 
         widths = [max(1, d // 4), max(1, d // 2), d]
@@ -365,19 +359,18 @@ class PointBackbone:
             skips.append(feats)
         return feats, skips[:-1]
 
-    def decode(self, bottleneck: Tensor, skips, plan: BackbonePlan) -> MultiScaleFeatures:
+    def decode(self, bottleneck: Tensor, skips, plan: BackbonePlan):
+        """Run the FP stack; returns (full_res, scales).
+
+        ``scales`` is the bottleneck and the first two FP outputs, coarse
+        to fine: the three feature tensors that lifting attends over.
+        """
         if bottleneck.shape != (self.stage_points[-1], self.d):
             raise ShapeError(
                 f"bottleneck shape {bottleneck.shape} does not match "
                 f"({self.stage_points[-1]}, {self.d})")
-        scales = []
-        if self.include_bottleneck_scale:
-            scales.append((plan.level_coords[3], bottleneck))
-        feats = bottleneck
-        for i, fp in enumerate(self.fp_stages):
-            feats = fp(feats, plan.fp[i], skips[2 - i])
-            if i < 2:
-                scales.append((plan.level_coords[2 - i], feats))
-        if not self.include_bottleneck_scale:
-            scales.append((plan.level_coords[0], feats))
-        return MultiScaleFeatures(scales=scales, full_res=feats)
+        scales = [bottleneck]
+        for fp, fp_plan, skip in zip(self.fp_stages, plan.fp, reversed(skips)):
+            scales.append(fp(scales[-1], fp_plan, skip))
+        full_res = scales.pop()
+        return full_res, scales

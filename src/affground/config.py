@@ -1,13 +1,21 @@
 """Run configuration: nested dataclasses, JSON loading, dotted overrides.
 
-Unknown keys are rejected on load so typos fail fast, and the full
+Unknown keys are rejected on load so typos fail fast, every value is
+checked against its field's type before any range check, and the full
 config is echoed into every checkpoint and report for provenance.
+
+Keys that once selected a behaviour nothing used are listed in
+:data:`RETIRED_KEYS` with the value the code kept. A saved config that
+holds the kept value loads and the key is dropped; any other value is a
+:class:`ConfigError` naming the key.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,10 +31,9 @@ class ModelConfig:
     d_h: int = 2048
     seq_len: int = 32
     cont_width: int = 256
-    stage_points: list = field(default_factory=list)  # empty -> n/4, n/16, n/64
-    radii: list = field(default_factory=lambda: [0.1, 0.2, 0.4])
-    k_max: list = field(default_factory=lambda: [32, 32, 32])
-    include_bottleneck_scale: bool = True
+    stage_points: list[int] = field(default_factory=list)  # empty -> n/4, n/16, n/64
+    radii: list[float] = field(default_factory=lambda: [0.1, 0.2, 0.4])
+    k_max: list[int] = field(default_factory=lambda: [32, 32, 32])
     n_affordances: int = 2
 
     def resolved_stage_points(self) -> list:
@@ -39,15 +46,11 @@ class ModelConfig:
 class FusionConfig:
     stage1: bool = True
     stage2: bool = True
-    n_heads: int = 1
-    residual: bool = False
 
 
 @dataclass
 class LiftingConfig:
     mode: str = "multi"
-    share_weights: bool = False
-    coarse_to_fine: bool = True
 
 
 @dataclass
@@ -57,7 +60,6 @@ class OptimConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
-    schedule: str = "linear"
     epochs: int = 30
     batch_size: int = 8
     grad_accum: int = 1
@@ -74,12 +76,16 @@ class RunConfig:
     checkpoint_every: int = 0  # optimizer steps between checkpoints; 0 = final only
 
     def validate(self):
+        for name, kind in typing.get_type_hints(RunConfig).items():
+            value = getattr(self, name)
+            if dataclasses.is_dataclass(kind):
+                for key, key_kind in typing.get_type_hints(kind).items():
+                    _check_type(f"{name}.{key}", getattr(value, key), key_kind)
+            else:
+                _check_type(name, value, kind)
         m = self.model
         if m.d < 2:
             raise ConfigError("model.d must be at least 2")
-        if m.d % self.fusion.n_heads != 0:
-            raise ConfigError(
-                f"model.d={m.d} not divisible by fusion.n_heads={self.fusion.n_heads}")
         stages = m.resolved_stage_points()
         if len(stages) != 3 or any(a <= b for a, b in zip(stages, stages[1:])):
             raise ConfigError(f"stage points must be 3 strictly decreasing: {stages}")
@@ -95,8 +101,13 @@ class RunConfig:
         o = self.optimizer
         if o.lr <= 0:
             raise ConfigError("optimizer.lr must be positive")
-        if o.schedule not in ("linear", "constant"):
-            raise ConfigError("optimizer.schedule must be 'linear' or 'constant'")
+        # beta = 1 or eps = 0 makes the first AdamW step divide zero by zero
+        if not (0 <= o.beta1 < 1 and 0 <= o.beta2 < 1):
+            raise ConfigError("optimizer.beta1 and optimizer.beta2 must lie in [0, 1)")
+        if o.eps <= 0:
+            raise ConfigError("optimizer.eps must be positive")
+        if o.weight_decay < 0:
+            raise ConfigError("optimizer.weight_decay must be >= 0")
         if min(o.epochs, o.batch_size, o.grad_accum) < 1:
             raise ConfigError("epochs, batch_size, and grad_accum must be >= 1")
         if self.checkpoint_every < 0:
@@ -105,6 +116,46 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _check_type(path: str, value, kind):
+    """ConfigError unless ``value`` is a ``kind``; a bool is no int, an int is a float."""
+    expected = typing.get_origin(kind) or kind
+    accepted = (int, float) if expected is float else expected
+    ok = isinstance(value, accepted) and (expected is bool or not isinstance(value, bool))
+    if ok and expected is float:
+        ok = math.isfinite(value)
+    if not ok:
+        raise ConfigError(f"{path} must be a {expected.__name__}, got {value!r}")
+    for i, item in enumerate(value if expected is list else ()):
+        _check_type(f"{path}[{i}]", item, typing.get_args(kind)[0])
+
+
+# value the code kept for each retired key
+RETIRED_KEYS = {
+    "model.include_bottleneck_scale": True,
+    "fusion.n_heads": 1,
+    "fusion.residual": False,
+    "lifting.share_weights": False,
+    "lifting.coarse_to_fine": True,
+    "optimizer.schedule": "linear",
+}
+
+
+def drop_retired(payload: dict) -> dict:
+    """Copy of a saved config without its retired keys, each at its kept value."""
+    payload = {k: dict(v) if isinstance(v, dict) else v for k, v in payload.items()}
+    for dotted, kept in RETIRED_KEYS.items():
+        section, key = dotted.split(".")
+        node = payload.get(section)
+        if not isinstance(node, dict) or key not in node:
+            continue
+        value = node.pop(key)
+        if type(value) is not type(kept) or value != kept:
+            raise ConfigError(
+                f"{dotted}={json.dumps(value)} is no longer supported; this key "
+                f"was retired and only {json.dumps(kept)} is accepted")
+    return payload
 
 
 _SECTIONS = {
@@ -128,7 +179,9 @@ def _build_section(cls, payload: dict, path: str):
 
 
 def config_from_dict(payload: dict) -> RunConfig:
-    payload = dict(payload)
+    if not isinstance(payload, dict):
+        raise ConfigError("a config must be a JSON object")
+    payload = drop_retired(payload)
     kwargs = {}
     for name, cls in _SECTIONS.items():
         section = payload.pop(name, {})

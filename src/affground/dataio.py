@@ -402,7 +402,7 @@ def regen_fixtures(manifest_path, seed: int, d_h: int, seq_len: int):
 
 
 def save_checkpoint(ckpt_dir, params: dict, config: dict, step: int,
-                    optimizer_state=None, rng_state=None, vocab=None):
+                    optimizer_state=None, vocab=None):
     """Parameters (and optimizer moments) as tensor files plus a manifest."""
     ckpt = Path(ckpt_dir)
     (ckpt / "params").mkdir(parents=True, exist_ok=True)
@@ -418,7 +418,6 @@ def save_checkpoint(ckpt_dir, params: dict, config: dict, step: int,
         "config": config,
         "step": int(step),
         "params": files,
-        "rng": rng_state or {},
         "vocab": vocab or {},
     }
     if optimizer_state is not None:
@@ -441,7 +440,6 @@ class Checkpoint:
     step: int
     params: dict            # name -> np.ndarray
     optimizer: dict | None  # {"step", "exp_avg": {...}, "exp_avg_sq": {...}}
-    rng: dict
     vocab: dict
 
 
@@ -485,8 +483,7 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
                     raise CheckpointError(f"missing optimizer file for {name}")
                 optimizer[moment][name] = read_tensor(path)
     return Checkpoint(config=config, step=step, params=params,
-                      optimizer=optimizer, rng=manifest.get("rng", {}),
-                      vocab=manifest.get("vocab", {}))
+                      optimizer=optimizer, vocab=manifest.get("vocab", {}))
 
 
 def restore_params(model_params: dict, saved: dict):

@@ -1,43 +1,31 @@
 """Two-stage cross-modal integration of token features into point features.
 
 Stage I: bottleneck point features attend to projected token states
-(queries are points, keys/values are tokens; the attention output
-replaces the input rather than being added, unless the residual flag is
-set). Stage II: a gated weighted sum over tokens forms one global
-descriptor, and an MLP mixes each full-resolution row with it. Its first
-layer, the concatenation ``[full_res, descriptor]`` times ``W``, is
-computed exactly as ``full_res @ W[:d] + (descriptor @ W[d:] + b)``: the
-descriptor's (1, d) projection is broadcast over the rows, never tiled.
-Both stages can be switched off independently for ablations.
+(queries are points, keys/values are tokens, one head; the attention
+output replaces the input rather than being added to it). Stage II: a
+gated weighted sum over tokens forms one global descriptor, and an MLP
+mixes each full-resolution row with it. Its first layer, the
+concatenation ``[full_res, descriptor]`` times ``W``, is computed exactly
+as ``full_res @ W[:d] + (descriptor @ W[d:] + b)``: the descriptor's
+(1, d) projection is broadcast over the rows, never tiled.
+``AffordanceModel.forward`` runs the stages around the backbone, and
+``fusion.stage1``/``fusion.stage2`` switch each off for ablations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
-from .nn import make_mlp
-from .tensor import (
-    Tensor,
-    concat,
-    matmul,
-    slice_cols,
-    softmax_lastdim,
-    transpose,
-)
+from .errors import ShapeError
+from .nn import make_linear, make_mlp
+from .tensor import Tensor, matmul, softmax_lastdim, transpose
 
 
 class CrossAttention:
     """Scaled dot-product attention with q/k/v/output projections."""
 
-    def __init__(self, params: dict, prefix: str, rng, d: int, n_heads: int = 1,
-                 dtype=np.float32):
-        if d % n_heads != 0:
-            raise ContractError(f"width {d} not divisible by {n_heads} heads")
+    def __init__(self, params: dict, prefix: str, rng, d: int, dtype=np.float32):
         self.d = d
-        self.n_heads = n_heads
-        self.head_dim = d // n_heads
-        from .nn import make_linear
         self.wq = make_linear(params, f"{prefix}.q", rng, d, d, dtype, bias=False)
         self.wk = make_linear(params, f"{prefix}.k", rng, d, d, dtype, bias=False)
         self.wv = make_linear(params, f"{prefix}.v", rng, d, d, dtype, bias=False)
@@ -47,29 +35,18 @@ class CrossAttention:
         if queries.shape[1] != self.d or context.shape[1] != self.d:
             raise ShapeError(
                 f"attention width {self.d}, got {queries.shape} and {context.shape}")
-        q = self.wq(queries)
-        k = self.wk(context)
-        v = self.wv(context)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        heads = []
-        for h in range(self.n_heads):
-            lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-            qh, kh, vh = (slice_cols(t, lo, hi) for t in (q, k, v))
-            attn = softmax_lastdim(matmul(qh, transpose(kh)) * scale)
-            heads.append(matmul(attn, vh))
-        mixed = heads[0] if self.n_heads == 1 else concat(heads, axis=1)
-        return self.wo(mixed)
+        logits = matmul(self.wq(queries), transpose(self.wk(context)))
+        attn = softmax_lastdim(logits * (1.0 / np.sqrt(self.d)))
+        return self.wo(matmul(attn, self.wv(context)))
 
 
 class FusionModule:
     """Holds both integration stages and their parameters."""
 
-    def __init__(self, params: dict, prefix: str, rng, d: int, n_heads: int = 1,
-                 residual: bool = False, dtype=np.float32):
+    def __init__(self, params: dict, prefix: str, rng, d: int, dtype=np.float32):
         self.d = d
-        self.residual = residual
         self.dtype = dtype
-        self.attn = CrossAttention(params, f"{prefix}.attn", rng, d, n_heads, dtype)
+        self.attn = CrossAttention(params, f"{prefix}.attn", rng, d, dtype)
         gate = rng.uniform(-1, 1, size=(d, 1)) / np.sqrt(d)
         self.gate_w = Tensor(gate.astype(dtype), requires_grad=True)
         params[f"{prefix}.gate.w"] = self.gate_w
@@ -78,10 +55,7 @@ class FusionModule:
     def bottleneck_cross_attention(self, point_feats: Tensor,
                                    token_feats: Tensor) -> Tensor:
         """Stage I enhancement of the bottleneck point features."""
-        out = self.attn(point_feats, token_feats)
-        if self.residual:
-            out = out + point_feats
-        return out
+        return self.attn(point_feats, token_feats)
 
     def gated_global_descriptor(self, token_feats: Tensor) -> Tensor:
         """Softmax-gated weighted sum over token rows -> (1, d)."""
@@ -99,23 +73,3 @@ class FusionModule:
         w_row, w_desc = first.split(self.d)
         h = matmul(full_res, w_row) + (matmul(descriptor, w_desc) + first.b)
         return self.fuse_mlp.after_first(h)
-
-
-def integrate(backbone, fusion: FusionModule, plan, token_feats: Tensor,
-              stage1: bool = True, stage2: bool = True):
-    """Encode, optionally enhance at the bottleneck, decode, optionally fuse.
-
-    Returns the fused full-resolution features and the multi-scale
-    feature pyramid for lifting. With both stages off the fused map is
-    exactly the decoder output.
-    """
-    bottleneck, skips = backbone.encode(plan)
-    if stage1:
-        bottleneck = fusion.bottleneck_cross_attention(bottleneck, token_feats)
-    ms = backbone.decode(bottleneck, skips, plan)
-    if stage2:
-        descriptor = fusion.gated_global_descriptor(token_feats)
-        fused = fusion.fuse_full_res(ms.full_res, descriptor)
-    else:
-        fused = ms.full_res
-    return fused, ms

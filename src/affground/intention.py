@@ -59,18 +59,6 @@ class HiddenStates:
         return self.states.shape[1]
 
 
-@dataclass
-class IntentionEmbedding:
-    """Width-d intention embedding: a single (1, d) row."""
-
-    vector: Tensor
-
-    def __post_init__(self):
-        if self.vector.ndim != 2 or self.vector.shape[0] != 1:
-            raise ContractError(
-                f"embedding must be a single row, got {self.vector.shape}")
-
-
 def extract_cont(h: HiddenStates) -> np.ndarray:
     """The contact token's hidden-state row."""
     return h.states[h.cont_index]
@@ -96,11 +84,11 @@ class IntentionHead:
     def _cont_row(self, h: HiddenStates) -> Tensor:
         return Tensor(extract_cont(h).reshape(1, -1).astype(self.dtype))
 
-    def project_cont(self, h: HiddenStates) -> IntentionEmbedding:
+    def project_cont(self, h: HiddenStates) -> Tensor:
         """Contact row -> (1, d) intention embedding."""
         if h.hidden_dim != self.d_h:
             raise ContractError(f"hidden width {h.hidden_dim}, expected {self.d_h}")
-        return IntentionEmbedding(self.cont_mlp(self._cont_row(h)))
+        return self.cont_mlp(self._cont_row(h))
 
     def project_hidden(self, h: HiddenStates) -> Tensor:
         """All token rows -> (L, d), row order preserved."""

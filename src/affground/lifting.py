@@ -12,8 +12,7 @@ re-associated so that no (N, d) x (d, d) key or value projection is formed:
 Each mode builds only the weights it uses:
 
 - ``multi``: one stage per scale (``stage1``..``stage3``), run coarse to
-  fine by default; with ``share_weights`` a single ``stage1`` serves all
-  three scales.
+  fine, ``stage1`` on the bottleneck.
 - ``single``: one stage (``stage1``) on the finest scale.
 - ``concat``: no stages; mean-pool the finest scale, concatenate it to
   the embedding and project back to width d (``concat``).
@@ -58,39 +57,34 @@ class GeometryLifting:
     """Applies the configured lifting strategy over the feature pyramid."""
 
     def __init__(self, params: dict, prefix: str, rng, d: int,
-                 mode: str = "multi", share_weights: bool = False,
-                 coarse_to_fine: bool = True, dtype=np.float32):
+                 mode: str = "multi", dtype=np.float32):
         if mode not in LIFT_MODES:
             raise ConfigError(f"lifting mode must be one of {LIFT_MODES}, got {mode!r}")
         self.d = d
         self.mode = mode
-        self.coarse_to_fine = coarse_to_fine
         self.stages = []
         self.concat_proj = None
         if mode == "concat":
             self.concat_proj = make_linear(params, f"{prefix}.concat", rng,
                                            2 * d, d, dtype)
         else:
-            n_stages = N_SCALES if mode == "multi" and not share_weights else 1
+            n_stages = N_SCALES if mode == "multi" else 1
             self.stages = [LiftStage(params, f"{prefix}.stage{i + 1}", rng, d, dtype)
                            for i in range(n_stages)]
 
     def lift_all(self, embedding: Tensor, scales) -> Tensor:
-        """Lift a (1, d) embedding over [(coords, feats)] listed coarse->fine."""
+        """Lift a (1, d) embedding over feature tensors listed coarse->fine."""
         if self.mode == "multi" and len(scales) != N_SCALES:
             raise ContractError(
                 f"multi mode expects {N_SCALES} scales, got {len(scales)}")
         if not scales:
             raise ContractError("need at least one feature scale")
         if self.mode == "multi":
-            order = range(len(scales)) if self.coarse_to_fine \
-                else reversed(range(len(scales)))
             out = embedding
-            for i in order:
-                # with share_weights the one stage serves every scale
-                out = self.stages[i % len(self.stages)](out, scales[i][1])
+            for stage, feats in zip(self.stages, scales):
+                out = stage(out, feats)
             return out
-        finest = scales[-1][1]
+        finest = scales[-1]
         if self.mode == "single":
             return self.stages[0](embedding, finest)
         pooled = tmean(finest, axis=0, keepdims=True)

@@ -1,4 +1,12 @@
-"""Full pipeline assembly: intention -> integration -> lifting -> decoding."""
+"""Full pipeline assembly: intention -> integration -> lifting -> decoding.
+
+:meth:`AffordanceModel.forward` is the one forward path. It projects the
+token states, encodes the cloud, enhances the bottleneck with Stage I
+cross-attention, decodes to full resolution, mixes in the Stage II
+descriptor, lifts the contact-token embedding over the three decoder
+scales and scores every point. ``fusion.stage1`` and ``fusion.stage2``
+skip their stage (an ablation); ``lifting.mode`` picks the lifting.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +17,7 @@ import numpy as np
 from .backbone import BackbonePlan, PointBackbone, PointCloud
 from .config import RunConfig
 from .decoder import AffordanceDecoder
-from .fusion import FusionModule, integrate
+from .fusion import FusionModule
 from .intention import HiddenStates, IntentionHead
 from .lifting import GeometryLifting
 from .losses import affordance_loss, cross_entropy, total_loss
@@ -37,18 +45,14 @@ class AffordanceModel:
         self.backbone = PointBackbone(
             self.params, "backbone", rng, d=m.d,
             stage_points=m.resolved_stage_points(), radii=m.radii,
-            k_max=m.k_max, include_bottleneck_scale=m.include_bottleneck_scale,
-            dtype=dtype)
+            k_max=m.k_max, dtype=dtype)
         self.intention = IntentionHead(
             self.params, "intention", rng, d_h=m.d_h, d=m.d,
             n_affordances=m.n_affordances, cont_width=m.cont_width, dtype=dtype)
-        self.fusion = FusionModule(
-            self.params, "fusion", rng, d=m.d, n_heads=config.fusion.n_heads,
-            residual=config.fusion.residual, dtype=dtype)
+        self.fusion = FusionModule(self.params, "fusion", rng, d=m.d, dtype=dtype)
         self.lifting = GeometryLifting(
             self.params, "lifting", rng, d=m.d, mode=config.lifting.mode,
-            share_weights=config.lifting.share_weights,
-            coarse_to_fine=config.lifting.coarse_to_fine, dtype=dtype)
+            dtype=dtype)
         self.decoder = AffordanceDecoder(self.params, "decoder", rng, d=m.d,
                                          dtype=dtype)
 
@@ -59,12 +63,17 @@ class AffordanceModel:
                 plan: BackbonePlan | None = None) -> ForwardResult:
         if plan is None:
             plan = self.build_plan(cloud)
+        stages = self.config.fusion
         token_feats = self.intention.project_hidden(hidden)
-        fused, ms = integrate(self.backbone, self.fusion, plan, token_feats,
-                              stage1=self.config.fusion.stage1,
-                              stage2=self.config.fusion.stage2)
-        raw = self.intention.project_cont(hidden)
-        lifted = self.lifting.lift_all(raw.vector, ms.scales)
+        bottleneck, skips = self.backbone.encode(plan)
+        if stages.stage1:
+            bottleneck = self.fusion.bottleneck_cross_attention(bottleneck,
+                                                                token_feats)
+        fused, scales = self.backbone.decode(bottleneck, skips, plan)
+        if stages.stage2:
+            descriptor = self.fusion.gated_global_descriptor(token_feats)
+            fused = self.fusion.fuse_full_res(fused, descriptor)
+        lifted = self.lifting.lift_all(self.intention.project_cont(hidden), scales)
         feats = self.decoder.point_to_intention(fused, lifted)
         scores = self.decoder.predict_map(feats)
         logits = self.intention.aux_affordance_logits(hidden)

@@ -170,8 +170,8 @@ def _backbone_encode_decode(tol) -> CheckResult:
 
     def loss():
         bottleneck, skips = backbone.encode(plan)
-        ms = backbone.decode(bottleneck, skips, plan)
-        return ((ms.full_res - target) ** 2.0).mean()
+        full_res, _ = backbone.decode(bottleneck, skips, plan)
+        return ((full_res - target) ** 2.0).mean()
 
     errs = finite_difference_check_params(loss, params)
     return CheckResult("composite.backbone_encode_decode", max(errs.values()), tol)
@@ -192,18 +192,18 @@ def _total_objective(tol) -> CheckResult:
     hidden = HiddenStates(gen.normal(size=(L, d_h)).astype(np.float32),
                           cont_index=L - 1, affordance_id=1)
     full_res = T.tensor(gen.normal(size=(N, D)), dtype=np.float64)
-    scales = [(None, T.tensor(gen.normal(size=(2 ** (i + 1), D)),
-                              dtype=np.float64)) for i in range(3)]
+    scales = [T.tensor(gen.normal(size=(2 ** (i + 1), D)), dtype=np.float64)
+              for i in range(3)]
     targets = (gen.uniform(size=N) > 0.5).astype(np.float64)
     weights = LossWeights()
 
     def loss():
         tokens = intention.project_hidden(hidden)
-        enhanced = fusion.bottleneck_cross_attention(scales[0][1], tokens)
+        enhanced = fusion.bottleneck_cross_attention(scales[0], tokens)
         desc = fusion.gated_global_descriptor(tokens)
         fused = fusion.fuse_full_res(full_res, desc)
-        emb = lifting.lift_all(intention.project_cont(hidden).vector,
-                               [(None, enhanced), scales[1], scales[2]])
+        emb = lifting.lift_all(intention.project_cont(hidden),
+                               [enhanced, scales[1], scales[2]])
         feats = decoder.point_to_intention(fused, emb)
         l_aff = affordance_loss(decoder.predict_map(feats), targets, weights)
         l_txt = cross_entropy(intention.aux_affordance_logits(hidden),

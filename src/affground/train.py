@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict
+from .config import RunConfig, config_from_dict, drop_retired
 from .dataio import (
     Dataset,
     load_checkpoint,
@@ -36,18 +36,16 @@ from .tensor import backward
 class LoadedSample:
     cloud: object
     hidden: object
-    plan: object = None
+    plan: object
 
 
-def load_samples(dataset: Dataset, model: AffordanceModel | None = None,
-                 with_plans: bool = True) -> list:
+def load_samples(dataset: Dataset, model: AffordanceModel) -> list:
     """Eagerly load every sample; plans are precomputed once per cloud."""
     samples = []
     for record in dataset.records:
         cloud = dataset.load_cloud(record)
-        hidden = dataset.load_hidden(record)
-        plan = model.build_plan(cloud) if (model and with_plans) else None
-        samples.append(LoadedSample(cloud=cloud, hidden=hidden, plan=plan))
+        samples.append(LoadedSample(cloud=cloud, hidden=dataset.load_hidden(record),
+                                    plan=model.build_plan(cloud)))
     return samples
 
 
@@ -92,7 +90,7 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
     start_step = 0
     if resume is not None:
         ckpt = load_checkpoint(resume)
-        if ckpt.config != config.to_dict():
+        if drop_retired(ckpt.config) != config.to_dict():
             raise ConfigError("resume checkpoint was written with a different config")
         restore_params(model.params, ckpt.params)
         if ckpt.optimizer is not None:
@@ -145,8 +143,7 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
                 _abort_diverged(log_file, step, sums,
                                 f"non-finite gradient in {bad}")
 
-            lr = opt_cfg.lr if opt_cfg.schedule == "constant" else \
-                linear_lr(opt_cfg.lr, step, total_steps)
+            lr = linear_lr(opt_cfg.lr, step, total_steps)
             optimizer.step(lr)
 
             last = {"step": step, "lr": lr, **sums}
@@ -180,11 +177,7 @@ def _abort_diverged(log_file, step, sums, reason, cause=None):
 def _write_checkpoint(ckpt_dir, model, optimizer, config, step, dataset):
     save_checkpoint(
         ckpt_dir, model.params, config.to_dict(), step,
-        optimizer_state=optimizer.state_arrays(),
-        # all randomness is counter-based, so the stream state is just
-        # the seed plus the step counter
-        rng_state={"seed": config.seed, "step": int(step)},
-        vocab=dataset.vocab)
+        optimizer_state=optimizer.state_arrays(), vocab=dataset.vocab)
 
 
 def load_model(ckpt_dir) -> tuple:

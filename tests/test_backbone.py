@@ -559,12 +559,12 @@ class TestEncodeDecode:
         with T.no_grad():
             bottleneck, skips = backbone.encode(plan)
             assert bottleneck.shape == (32, 512)
-            ms = backbone.decode(bottleneck, skips, plan)
-        assert [s[1].shape[0] for s in ms.scales] == [32, 128, 512]
-        assert ms.full_res.shape == (2048, 512)
-        for coords_i, feats_i in ms.scales:
-            assert coords_i.shape[0] == feats_i.shape[0]
-            assert feats_i.shape[1] == 512
+            full_res, scales = backbone.decode(bottleneck, skips, plan)
+        assert full_res.shape == (2048, 512)
+        assert scales[0] is bottleneck
+        # one scale per sampled level, coarse to fine
+        assert [s.shape for s in scales] == \
+            [(len(plan.level_coords[3 - i]), 512) for i in range(3)]
 
     def test_toy_config_bottleneck_shape(self):
         params = {}
@@ -583,8 +583,8 @@ class TestEncodeDecode:
         plan = backbone.build_plan(coords)
         with T.no_grad():
             bottleneck, skips = backbone.encode(plan)
-            ms = backbone.decode(bottleneck, skips, plan)
-        assert np.isfinite(ms.full_res.data).all()
+            full_res, _ = backbone.decode(bottleneck, skips, plan)
+        assert np.isfinite(full_res.data).all()
 
     def test_zero_bottleneck_zero_skips_zero_output(self):
         params = {}
@@ -599,8 +599,8 @@ class TestEncodeDecode:
         zero_skips = [T.tensor(np.zeros((16, 3)), dtype=np.float64),
                       T.tensor(np.zeros((8, 2)), dtype=np.float64),
                       T.tensor(np.zeros((4, 4)), dtype=np.float64)]
-        ms = backbone.decode(zero_bottleneck, zero_skips, plan)
-        np.testing.assert_array_equal(ms.full_res.data, 0.0)
+        full_res, _ = backbone.decode(zero_bottleneck, zero_skips, plan)
+        np.testing.assert_array_equal(full_res.data, 0.0)
 
     def test_full_res_row_count_matches_input(self):
         params = {}
@@ -611,8 +611,8 @@ class TestEncodeDecode:
             plan = backbone.build_plan(coords)
             with T.no_grad():
                 bottleneck, skips = backbone.encode(plan)
-                ms = backbone.decode(bottleneck, skips, plan)
-            assert ms.full_res.shape == (n, 8)
+                full_res, _ = backbone.decode(bottleneck, skips, plan)
+            assert full_res.shape == (n, 8)
 
     def test_subset_property(self):
         # every sampled scale's coordinates are rows of the input cloud
@@ -637,18 +637,6 @@ class TestEncodeDecode:
             np.testing.assert_array_equal(a.sample_idx, b.sample_idx)
             np.testing.assert_array_equal(a.group_idx, b.group_idx)
 
-    def test_exclude_bottleneck_scale_switch(self):
-        params = {}
-        backbone = tiny_backbone(params, rng_for(7, "init"))
-        backbone.include_bottleneck_scale = False
-        rng = np.random.default_rng(16)
-        coords = normalize_unit_sphere(rng.normal(size=(16, 3)))
-        plan = backbone.build_plan(coords)
-        with T.no_grad():
-            bottleneck, skips = backbone.encode(plan)
-            ms = backbone.decode(bottleneck, skips, plan)
-        assert [s[1].shape[0] for s in ms.scales] == [4, 8, 16]
-
     def test_gradcheck_encode_decode(self):
         params = {}
         backbone = tiny_backbone(params, rng_for(8, "init"))
@@ -659,8 +647,8 @@ class TestEncodeDecode:
 
         def loss():
             bottleneck, skips = backbone.encode(plan)
-            ms = backbone.decode(bottleneck, skips, plan)
-            return ((ms.full_res - target) ** 2.0).mean()
+            full_res, _ = backbone.decode(bottleneck, skips, plan)
+            return ((full_res - target) ** 2.0).mean()
 
         errs = finite_difference_check_params(loss, params)
         assert max(errs.values()) <= 1e-4

@@ -205,8 +205,7 @@ class TestCheckpoints:
             "exp_avg_sq": {k: np.full_like(v.data, 0.5) for k, v in params.items()},
         }
         save_checkpoint(tmp_path / "ckpt", params, config, step=17,
-                        optimizer_state=opt_state, rng_state={"seed": 3},
-                        vocab={"affordances": ["grasp"]})
+                        optimizer_state=opt_state, vocab={"affordances": ["grasp"]})
         ckpt = load_checkpoint(tmp_path / "ckpt")
         assert isinstance(ckpt, Checkpoint)
         assert ckpt.step == 17 and ckpt.config == config

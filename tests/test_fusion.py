@@ -5,15 +5,21 @@ import pytest
 
 from affground import tensor as T
 from affground.backbone import PointBackbone, normalize_unit_sphere
+from affground.config import FusionConfig, ModelConfig, RunConfig
+from affground.dataio import synth_cloud
 from affground.errors import ShapeError
-from affground.fusion import FusionModule, integrate
+from affground.fusion import FusionModule
 from affground.gradcheck import finite_difference_check_params
+from affground.intention import synth_fixture
+from affground.model import AffordanceModel
 from affground.rng import rng_for
 
+TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
+       "k_max": [8, 8, 8]}
 
-def make_fusion(params, d=8, n_heads=1, residual=False, dtype=np.float64, seed=0):
-    return FusionModule(params, "fusion", rng_for(seed, "init"), d,
-                        n_heads=n_heads, residual=residual, dtype=dtype)
+
+def make_fusion(params, d=8, dtype=np.float64, seed=0):
+    return FusionModule(params, "fusion", rng_for(seed, "init"), d, dtype=dtype)
 
 
 def rand(shape, seed=0):
@@ -63,25 +69,6 @@ class TestBottleneckCrossAttention:
             lambda: (fusion.bottleneck_cross_attention(queries, tokens) ** 2.0).sum(),
             attn_params)
         assert max(errs.values()) <= 1e-4
-
-    def test_two_heads_supported(self):
-        params = {}
-        fusion = make_fusion(params, n_heads=2)
-        out = fusion.bottleneck_cross_attention(
-            T.tensor(rand((4, 8), 8), dtype=np.float64),
-            T.tensor(rand((3, 8), 9), dtype=np.float64))
-        assert out.shape == (4, 8)
-
-    def test_residual_flag(self):
-        params = {}
-        fusion = make_fusion(params, residual=True)
-        for k in params:
-            if ".attn.v" in k or ".attn.out" in k:
-                params[k].data[:] = 0.0
-        queries = T.tensor(rand((4, 8), 10), dtype=np.float64)
-        tokens = T.tensor(rand((2, 8), 11), dtype=np.float64)
-        out = fusion.bottleneck_cross_attention(queries, tokens)
-        np.testing.assert_array_equal(out.data, queries.data)
 
 
 class TestGatedDescriptor:
@@ -175,39 +162,39 @@ class TestDuplicateAndFuse:
 
 
 class TestIntegrate:
-    def _setup(self, seed=0):
-        params = {}
-        backbone = PointBackbone(params, "backbone", rng_for(seed, "init"), d=8,
-                                 stage_points=[8, 4, 2], radii=[0.35, 0.6, 1.0],
-                                 k_max=[4, 4, 2], dtype=np.float64)
-        fusion = make_fusion(params, seed=seed)
-        coords = normalize_unit_sphere(rand((16, 3), seed))
-        plan = backbone.build_plan(coords)
-        tokens = T.tensor(rand((3, 8), seed + 1), dtype=np.float64)
-        return params, backbone, fusion, plan, tokens
+    """The stages as ``AffordanceModel.forward`` runs them around the backbone."""
+
+    def _setup(self, seed=0, **stages):
+        config = RunConfig(model=ModelConfig(**TOY), fusion=FusionConfig(**stages),
+                           seed=seed)
+        model = AffordanceModel(config, dtype=np.float64)
+        cloud = synth_cloud(seed % 4, 0, seed=seed, n=TOY["n_points"])
+        hidden = synth_fixture(seed % 4, 0, seed=seed + 1, L=TOY["seq_len"],
+                               d_h=TOY["d_h"])
+        return model, cloud, hidden, model.build_plan(cloud)
 
     def test_both_stages_off_returns_decoder_output(self):
-        params, backbone, fusion, plan, tokens = self._setup()
+        model, cloud, hidden, plan = self._setup(stage1=False, stage2=False)
         with T.no_grad():
-            fused, ms = integrate(backbone, fusion, plan, tokens,
-                                  stage1=False, stage2=False)
-        np.testing.assert_array_equal(fused.data, ms.full_res.data)
+            fused = model.forward(cloud, hidden, plan).fused
+            expected, _ = model.backbone.decode(*model.backbone.encode(plan), plan)
+        np.testing.assert_array_equal(fused.data, expected.data)
 
     def test_stage1_off_means_decoder_sees_raw_bottleneck(self):
-        params, backbone, fusion, plan, tokens = self._setup(1)
+        model, cloud, hidden, plan = self._setup(1, stage1=False)
         with T.no_grad():
-            bottleneck, skips = backbone.encode(plan)
-            expected = backbone.decode(bottleneck, skips, plan).full_res
-            fused, _ = integrate(backbone, fusion, plan, tokens,
-                                 stage1=False, stage2=False)
+            fused = model.forward(cloud, hidden, plan).fused
+            full_res, _ = model.backbone.decode(*model.backbone.encode(plan), plan)
+            tokens = model.intention.project_hidden(hidden)
+            expected = model.fusion.fuse_full_res(
+                full_res, model.fusion.gated_global_descriptor(tokens))
         np.testing.assert_array_equal(fused.data, expected.data)
 
     def test_disabled_stage_gets_zero_gradient(self):
-        params, backbone, fusion, plan, tokens = self._setup(2)
-        fused, _ = integrate(backbone, fusion, plan, tokens,
-                             stage1=False, stage2=True)
-        T.backward((fused ** 2.0).sum())
-        for name, p in params.items():
+        model, cloud, hidden, plan = self._setup(2, stage1=False)
+        result = model.forward(cloud, hidden, plan)
+        T.backward(model.loss(result, cloud, hidden)[0])
+        for name, p in model.params.items():
             if ".attn" in name:
                 assert p.grad is None, name
             if ".fuse" in name:
@@ -222,6 +209,10 @@ class TestIntegrate:
         plan = backbone.build_plan(coords)
         tokens = T.tensor(rand((4, 512), 31).astype(np.float32))
         with T.no_grad():
-            fused, ms = integrate(backbone, fusion, plan, tokens)
+            bottleneck, skips = backbone.encode(plan)
+            bottleneck = fusion.bottleneck_cross_attention(bottleneck, tokens)
+            full_res, scales = backbone.decode(bottleneck, skips, plan)
+            fused = fusion.fuse_full_res(full_res,
+                                         fusion.gated_global_descriptor(tokens))
         assert fused.shape == (2048, 512)
-        assert [s[1].shape[0] for s in ms.scales] == [32, 128, 512]
+        assert [s.shape for s in scales] == [(32, 512), (128, 512), (512, 512)]

@@ -45,13 +45,13 @@ class TestProjections:
             if name.endswith(".b"):
                 p.data[:] = 0.0
         h = HiddenStates(np.zeros((4, 16)), cont_index=3)
-        np.testing.assert_array_equal(head.project_cont(h).vector.data, 0.0)
+        np.testing.assert_array_equal(head.project_cont(h).data, 0.0)
 
     def test_output_width_matches_pipeline(self):
         params = {}
         head = make_head(params, d_h=32, d=512, cont_width=256)
         h = HiddenStates(np.random.default_rng(0).normal(size=(4, 32)), 3)
-        assert head.project_cont(h).vector.shape == (1, 512)
+        assert head.project_cont(h).shape == (1, 512)
 
     def test_cont_depends_only_on_cont_row(self):
         params = {}
@@ -59,13 +59,13 @@ class TestProjections:
         rng = np.random.default_rng(1)
         states = rng.normal(size=(5, 16)).astype(np.float32)
         h = HiddenStates(states.copy(), cont_index=2)
-        base = head.project_cont(h).vector.data.copy()
+        base = head.project_cont(h).data.copy()
 
         perturbed = states.copy()
         perturbed[0] += 3.0
         perturbed[4] -= 1.0
         h2 = HiddenStates(perturbed, cont_index=2)
-        np.testing.assert_array_equal(head.project_cont(h2).vector.data, base)
+        np.testing.assert_array_equal(head.project_cont(h2).data, base)
 
     def test_hidden_rows_map_independently(self):
         params = {}
@@ -107,7 +107,7 @@ class TestProjections:
         w = T.tensor(rng.normal(size=(3, 8)), dtype=np.float64)
 
         errs = finite_difference_check_params(
-            lambda: (head.project_cont(h).vector.sum()
+            lambda: (head.project_cont(h).sum()
                      + (head.project_hidden(h) * w).sum()), params)
         assert max(errs.values()) <= 1e-4
 

@@ -14,14 +14,13 @@ def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
 
 
-def make_lifting(params, d=8, mode="multi", share=False, seed=0, dtype=np.float64):
+def make_lifting(params, d=8, mode="multi", seed=0, dtype=np.float64):
     return GeometryLifting(params, "lifting", rng_for(seed, "init"), d,
-                           mode=mode, share_weights=share, dtype=dtype)
+                           mode=mode, dtype=dtype)
 
 
 def scales_for(d=8, seed=0, counts=(2, 4, 8)):
-    return [(rand((n, 3), seed + i), T.tensor(rand((n, d), seed + 10 + i),
-                                              dtype=np.float64))
+    return [T.tensor(rand((n, d), seed + 10 + i), dtype=np.float64)
             for i, n in enumerate(counts)]
 
 
@@ -101,9 +100,7 @@ class TestLiftingModes:
         scales = scales_for(seed=20)
         out = lifting.lift_all(emb, scales)
 
-        perturbed = [(scales[0][0], scales[0][1] + 5.0),
-                     (scales[1][0], scales[1][1] * 3.0),
-                     scales[2]]
+        perturbed = [scales[0] + 5.0, scales[1] * 3.0, scales[2]]
         out2 = lifting.lift_all(emb, perturbed)
         np.testing.assert_array_equal(out.data, out2.data)
 
@@ -111,8 +108,7 @@ class TestLiftingModes:
         params = {}
         lifting = GeometryLifting(params, "lifting", rng_for(6, "init"), 512)
         emb = T.tensor(rand((1, 512), 14).astype(np.float32))
-        scales = [(None, T.tensor(rand((n, 512), n).astype(np.float32)))
-                  for n in (4, 8, 16)]
+        scales = [T.tensor(rand((n, 512), n).astype(np.float32)) for n in (4, 8, 16)]
         with T.no_grad():
             assert lifting.lift_all(emb, scales).shape == (1, 512)
 
@@ -122,7 +118,7 @@ class TestLiftingModes:
         emb = rand((1, 8), 15)
         scales = scales_for(seed=30)
         out = lifting.lift_all(T.tensor(emb, dtype=np.float64), scales)
-        pooled = scales[-1][1].data.mean(axis=0, keepdims=True)
+        pooled = scales[-1].data.mean(axis=0, keepdims=True)
         joint = np.hstack([emb, pooled])
         expected = joint @ params["lifting.concat.w"].data + \
             params["lifting.concat.b"].data
@@ -130,14 +126,12 @@ class TestLiftingModes:
 
     def test_mode_independence_of_gradients(self):
         # each mode builds only the weights it uses, and all of them train
-        built = {("multi", False): {"stage1", "stage2", "stage3"},
-                 ("multi", True): {"stage1"},
-                 ("single", False): {"stage1"},
-                 ("single", True): {"stage1"},
-                 ("concat", False): {"concat"}}
-        for (mode, share), expected in built.items():
+        built = {"multi": {"stage1", "stage2", "stage3"},
+                 "single": {"stage1"},
+                 "concat": {"concat"}}
+        for mode, expected in built.items():
             params = {}
-            lifting = make_lifting(params, mode=mode, share=share)
+            lifting = make_lifting(params, mode=mode)
             assert {name.split(".")[1] for name in params} == expected, mode
             emb = T.tensor(rand((1, 8), 16), dtype=np.float64)
             out = lifting.lift_all(emb, scales_for(seed=40))
@@ -145,24 +139,16 @@ class TestLiftingModes:
             for name, p in params.items():
                 assert p.grad is not None and np.any(p.grad != 0), name
 
-    def test_share_weights_uses_one_stage(self):
-        params = {}
-        lifting = make_lifting(params, share=True)
-        stage_names = {k for k in params if ".stage" in k}
-        assert all(".stage1." in k for k in stage_names)
-        emb = T.tensor(rand((1, 8), 17), dtype=np.float64)
-        out = lifting.lift_all(emb, scales_for(seed=50))
-        assert out.shape == (1, 8)
-
-    def test_reversed_order_flag_changes_result(self):
+    def test_multi_runs_stage_i_on_scale_i_coarse_to_fine(self):
         params = {}
         lifting = make_lifting(params, seed=18)
         emb = T.tensor(rand((1, 8), 18), dtype=np.float64)
         scales = scales_for(seed=60)
-        fwd = lifting.lift_all(emb, scales)
-        lifting.coarse_to_fine = False
-        rev = lifting.lift_all(emb, scales)
-        assert not np.array_equal(fwd.data, rev.data)
+        expected = emb
+        for stage, feats in zip(lifting.stages, scales):
+            expected = stage(expected, feats)
+        np.testing.assert_array_equal(lifting.lift_all(emb, scales).data,
+                                      expected.data)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigError):
