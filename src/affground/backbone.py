@@ -53,8 +53,6 @@ class PointCloud:
     coords: np.ndarray
     labels: np.ndarray | None = None
     id: str = ""
-    class_name: str = ""
-    affordance_name: str = ""
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float32)

@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .config import RunConfig, apply_overrides, load_config
 from .corruption import KINDS, LEVELS, generate_benchmark
-from .dataio import gen_synthetic_dataset, read_dataset, regen_fixtures, write_tensor
+from .dataio import (_canon_json, gen_synthetic_dataset, read_dataset,
+                     regen_fixtures, write_tensor)
 from .errors import AffgroundError, ConfigError, ContractError, DataFormatError
 from .train import evaluate_checkpoint, load_model, train
 
@@ -175,8 +176,7 @@ def _cmd_pca_viz(args):
     sidecar = {"sample": record.id, "rank": projected.rank,
                "padded": projected.padded,
                "explained_variance": projected.explained.tolist()}
-    out.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True,
-                                                   indent=2) + "\n")
+    out.with_suffix(".json").write_text(_canon_json(sidecar))
     print(out)
     return 0
 

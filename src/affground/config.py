@@ -94,6 +94,8 @@ class RunConfig:
                 f"first stage ({stages[0]}) exceeds n_points ({m.n_points})")
         if m.seq_len < 2:
             raise ConfigError("model.seq_len must be at least 2")
+        if m.cont_width < 1:
+            raise ConfigError("model.cont_width must be at least 1")
         if m.n_affordances < 2:
             raise ConfigError("model.n_affordances must be at least 2")
         if self.lifting.mode not in LIFT_MODES:

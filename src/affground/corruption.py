@@ -13,15 +13,14 @@ afterwards, so the applied magnitude stays meaningful.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .backbone import PointCloud
-from .dataio import Dataset, SampleRecord, read_dataset, write_manifest, write_tensor
+from .dataio import Dataset, _canon_json, read_dataset, write_manifest, write_tensor
 from .errors import ContractError, DataFormatError
 from .rng import rng_for
 
@@ -147,8 +146,7 @@ def apply_corruption(cloud: PointCloud, spec: CorruptionSpec) -> PointCloud:
         raise ContractError(
             f"{spec.kind} level {spec.level} left {coords.shape[0]} points")
     return PointCloud(coords=coords.astype(np.float32), labels=labels,
-                      id=cloud.id, class_name=cloud.class_name,
-                      affordance_name=cloud.affordance_name)
+                      id=cloud.id)
 
 
 def generate_benchmark(manifest_path, out_dir, seed: int, kinds=KINDS,
@@ -167,14 +165,14 @@ def generate_benchmark(manifest_path, out_dir, seed: int, kinds=KINDS,
     for kind in kinds:
         for level in levels:
             _generate_cell(dataset, out, kind, level, seed)
-    (out / "benchmark.json").write_text(json.dumps({
+    (out / "benchmark.json").write_text(_canon_json({
         "seed": seed,
         "kinds": list(kinds),
         "levels": list(levels),
         "level_table": LEVEL_TABLE,
         "source_manifest": str(Path(manifest_path).resolve()),
         "samples_per_cell": len(dataset.records),
-    }, sort_keys=True, indent=2) + "\n")
+    }))
     return out
 
 
@@ -193,25 +191,19 @@ def _generate_cell(dataset: Dataset, out: Path, kind: str, level: int, seed: int
         write_tensor(cell / "clouds" / f"{record.id}.htns", corrupted.coords)
         write_tensor(cell / "labels" / f"{record.id}.htns", corrupted.labels)
         # fixtures are shared with the source dataset, not copied
-        hidden_rel = os.path.relpath(dataset.root / record.hidden, cell)
-        records.append(SampleRecord(
-            id=record.id, class_name=record.class_name,
-            affordance_name=record.affordance_name,
-            affordance_id=record.affordance_id,
-            points=f"clouds/{record.id}.htns",
+        records.append(replace(
+            record, points=f"clouds/{record.id}.htns",
             labels=f"labels/{record.id}.htns",
-            hidden=hidden_rel,
-            cont_index=record.cont_index, prompt=record.prompt))
+            hidden=os.path.relpath(dataset.root / record.hidden, cell)))
     write_manifest(cell / "manifest.jsonl", records)
     vocab = dict(dataset.vocab)
     vocab["corruption"] = {"kind": kind, "level": level, "seed": seed}
-    (cell / "vocab.json").write_text(json.dumps(vocab, sort_keys=True,
-                                                indent=2) + "\n")
-    (cell / "cell.json").write_text(json.dumps({
+    (cell / "vocab.json").write_text(_canon_json(vocab))
+    (cell / "cell.json").write_text(_canon_json({
         "kind": kind, "level": level, "seed": seed,
         "magnitudes": LEVEL_TABLE[kind][level],
         "samples": len(records),
-    }, sort_keys=True, indent=2) + "\n")
+    }))
 
 
 def tree_digest(root) -> str:

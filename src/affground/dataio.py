@@ -2,11 +2,32 @@
 
 Tensors persist in a little-endian container ("HTNS"): 4-byte magic,
 version byte, dtype byte (0=float32, 1=float64), rank byte, one zero pad
-byte, rank u64 extents, then the row-major payload. Datasets are a
-directory with a JSON-lines manifest (one sample per line), a sidecar
-vocabulary file, and one tensor file each for points, labels, and hidden
-states. Checkpoints are a directory of parameter tensors plus a JSON
-manifest carrying the full config, optimizer moments, and counters.
+byte, rank u64 extents, then the row-major payload.
+
+A dataset is a directory holding:
+
+- ``manifest.jsonl``, one JSON row per sample. The row is the only record
+  of the sample's metadata: id, class and affordance names, affordance
+  id, contact-token index (``cont_index``), prompt, and the relative
+  paths of its three tensor files;
+- ``vocab.json``: class and affordance vocabularies and generation sizes;
+- ``clouds/``, ``labels/`` and ``hidden/``: one plain tensor file per
+  sample for the (N, 3) points, the N labels and the (L, d_h) hidden
+  states. Trees written by older versions also hold a ``hidden/*.json``
+  metadata sidecar per fixture; it is never read. Where an older version
+  regenerated the fixtures at another length, the rows still hold the old
+  ``cont_index``; running ``gen-fixtures`` again rewrites them.
+
+A corruption cell's rows copy ``cont_index`` from its source manifest,
+so regenerate fixtures before generating cells, not after.
+
+A checkpoint is a directory holding ``manifest.json`` and three groups of
+tensor files, ``params/``, ``exp_avg/`` and ``exp_avg_sq/`` (the AdamW
+moments), one file per parameter name. The manifest carries the config,
+step counter and vocabulary, maps each parameter name to its file under
+``params``, and under ``optimizer`` holds the optimizer step and the
+file maps of both moments. Every group is written, read and restored by
+one code path each.
 
 Everything written here is byte-reproducible: fixed key order in JSON,
 explicit little-endian scalars, and counter-based generators.
@@ -22,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import PointCloud, normalize_unit_sphere
-from .errors import CheckpointError, ContractError, DataFormatError
+from .errors import AffgroundError, CheckpointError, ContractError, DataFormatError
 from .intention import HiddenStates, synth_fixture
 from .rng import derive_seed, rng_for
 
@@ -82,37 +103,6 @@ def _canon_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-# -- fixtures ------------------------------------------------------------
-
-
-def write_fixture(states_path, h: HiddenStates):
-    """One tensor file for the states plus a JSON sidecar for metadata."""
-    states_path = Path(states_path)
-    write_tensor(states_path, h.states)
-    sidecar = {
-        "cont_index": h.cont_index,
-        "prompt": h.prompt,
-        "class_name": h.class_name,
-        "affordance_name": h.affordance_name,
-        "affordance_id": h.affordance_id,
-    }
-    states_path.with_suffix(".json").write_text(_canon_json(sidecar))
-
-
-def read_fixture(states_path) -> HiddenStates:
-    states_path = Path(states_path)
-    states = read_tensor(states_path)
-    try:
-        meta = json.loads(states_path.with_suffix(".json").read_text())
-        fields = {"cont_index": int(meta["cont_index"]), "prompt": meta["prompt"],
-                  "class_name": meta["class_name"],
-                  "affordance_name": meta["affordance_name"],
-                  "affordance_id": int(meta["affordance_id"])}
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{states_path}: bad fixture sidecar: {exc!r}") from exc
-    return HiddenStates(states=states, **fields)
-
-
 # -- dataset manifests -----------------------------------------------------
 
 
@@ -138,12 +128,12 @@ class Dataset:
     def load_cloud(self, record: SampleRecord) -> PointCloud:
         coords = read_tensor(self.root / record.points)
         labels = read_tensor(self.root / record.labels)
-        return PointCloud(coords=coords, labels=labels, id=record.id,
-                          class_name=record.class_name,
-                          affordance_name=record.affordance_name)
+        return PointCloud(coords=coords, labels=labels, id=record.id)
 
     def load_hidden(self, record: SampleRecord) -> HiddenStates:
-        return read_fixture(self.root / record.hidden)
+        return HiddenStates(states=read_tensor(self.root / record.hidden),
+                            cont_index=record.cont_index,
+                            affordance_id=record.affordance_id)
 
 
 def write_manifest(path, records):
@@ -211,6 +201,8 @@ def read_dataset(manifest_path) -> Dataset:
 
 CLASS_NAMES = ("mug", "pan", "bottle", "stool")
 AFFORDANCE_NAMES = ("grasp", "contain", "support", "lift", "open", "press")
+PROMPT_TEMPLATE = ("Locate the points on the {class_name} that support the "
+                   "action '{affordance_name}'.")
 
 _BODY_FRACTION = 0.53
 _PART_FRACTION = 0.22  # region for even affordance ids
@@ -318,8 +310,7 @@ def _make_shape(class_id: int, rng, n: int):
 
 
 def synth_cloud(class_id: int, affordance_id: int, seed: int, n: int,
-                sample_id: str = "", class_name: str = "",
-                affordance_name: str = "") -> PointCloud:
+                sample_id: str = "") -> PointCloud:
     """One deterministic labeled cloud, unit-sphere normalized."""
     rng = rng_for(int(seed), "cloud", class_id, affordance_id, n)
     coords, labels = _make_shape(class_id, rng, n)
@@ -327,8 +318,7 @@ def synth_cloud(class_id: int, affordance_id: int, seed: int, n: int,
     perm = rng.permutation(n)
     coords = normalize_unit_sphere(coords[perm])
     return PointCloud(coords=coords, labels=np.clip(label[perm], 0, 1),
-                      id=sample_id, class_name=class_name,
-                      affordance_name=affordance_name)
+                      id=sample_id)
 
 
 def gen_synthetic_dataset(out_dir, n_classes: int, n_affordances: int,
@@ -353,21 +343,21 @@ def gen_synthetic_dataset(out_dir, n_classes: int, n_affordances: int,
             for _ in range(samples_per_pair):
                 sid = f"{class_names[c]}_{affordance_names[a]}_{index:04d}"
                 cloud_seed = derive_seed(seed, "cloud", index)
-                cloud = synth_cloud(c, a, cloud_seed, n_points, sid,
-                                    class_names[c], affordance_names[a])
+                cloud = synth_cloud(c, a, cloud_seed, n_points, sid)
                 fixture = synth_fixture(
                     c, a, seed=derive_seed(seed, "fixture", index),
-                    L=seq_len, d_h=d_h, class_name=class_names[c],
-                    affordance_name=affordance_names[a])
+                    L=seq_len, d_h=d_h)
                 write_tensor(out / "clouds" / f"{sid}.htns", cloud.coords)
                 write_tensor(out / "labels" / f"{sid}.htns", cloud.labels)
-                write_fixture(out / "hidden" / f"{sid}.htns", fixture)
+                write_tensor(out / "hidden" / f"{sid}.htns", fixture.states)
                 records.append(SampleRecord(
                     id=sid, class_name=class_names[c],
                     affordance_name=affordance_names[a], affordance_id=a,
                     points=f"clouds/{sid}.htns", labels=f"labels/{sid}.htns",
                     hidden=f"hidden/{sid}.htns", cont_index=fixture.cont_index,
-                    prompt=fixture.prompt))
+                    prompt=PROMPT_TEMPLATE.format(
+                        class_name=class_names[c],
+                        affordance_name=affordance_names[a])))
                 index += 1
     (out / "vocab.json").write_text(_canon_json({
         "classes": class_names,
@@ -382,15 +372,20 @@ def gen_synthetic_dataset(out_dir, n_classes: int, n_affordances: int,
 
 
 def regen_fixtures(manifest_path, seed: int, d_h: int, seq_len: int):
-    """Rewrite every hidden-state fixture referenced by a manifest."""
+    """Rewrite every hidden-state fixture referenced by a manifest.
+
+    Each row's ``cont_index`` is updated to its new fixture's contact
+    token, and the manifest and vocabulary are rewritten.
+    """
     ds = read_dataset(manifest_path)
     class_index = {name: i for i, name in enumerate(ds.vocab["classes"])}
     for index, record in enumerate(ds.records):
         fixture = synth_fixture(
             class_index[record.class_name], record.affordance_id,
-            seed=derive_seed(seed, "fixture", index), L=seq_len, d_h=d_h,
-            class_name=record.class_name, affordance_name=record.affordance_name)
-        write_fixture(ds.root / record.hidden, fixture)
+            seed=derive_seed(seed, "fixture", index), L=seq_len, d_h=d_h)
+        write_tensor(ds.root / record.hidden, fixture.states)
+        record.cont_index = fixture.cont_index
+    write_manifest(manifest_path, ds.records)
     vocab = dict(ds.vocab)
     vocab["d_h"] = d_h
     vocab["seq_len"] = seq_len
@@ -400,37 +395,37 @@ def regen_fixtures(manifest_path, seed: int, d_h: int, seq_len: int):
 
 # -- checkpoints -------------------------------------------------------------
 
+MOMENTS = ("exp_avg", "exp_avg_sq")
+
+
+def _write_group(ckpt: Path, group: str, arrays: dict) -> dict:
+    """One tensor file per entry under ``group/``; returns name -> relative path."""
+    (ckpt / group).mkdir(parents=True, exist_ok=True)
+    files = {}
+    for name, data in arrays.items():
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"refusing to save non-finite {group} entry {name}")
+        files[name] = f"{group}/{name}.htns"
+        write_tensor(ckpt / files[name], data)
+    return files
+
 
 def save_checkpoint(ckpt_dir, params: dict, config: dict, step: int,
                     optimizer_state=None, vocab=None):
     """Parameters (and optimizer moments) as tensor files plus a manifest."""
     ckpt = Path(ckpt_dir)
-    (ckpt / "params").mkdir(parents=True, exist_ok=True)
-    files = {}
-    for name, p in params.items():
-        data = p.data if hasattr(p, "data") else np.asarray(p)
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"refusing to save non-finite parameter {name}")
-        rel = f"params/{name}.htns"
-        write_tensor(ckpt / rel, data)
-        files[name] = rel
     manifest = {
         "config": config,
         "step": int(step),
-        "params": files,
+        "params": _write_group(ckpt, "params",
+                               {name: p.data for name, p in params.items()}),
         "vocab": vocab or {},
     }
     if optimizer_state is not None:
-        opt_files = {"step": int(optimizer_state["step"])}
-        for moment in ("exp_avg", "exp_avg_sq"):
-            (ckpt / moment).mkdir(exist_ok=True)
-            entry = {}
-            for name, arr in optimizer_state[moment].items():
-                rel = f"{moment}/{name}.htns"
-                write_tensor(ckpt / rel, arr)
-                entry[name] = rel
-            opt_files[moment] = entry
-        manifest["optimizer"] = opt_files
+        manifest["optimizer"] = {"step": int(optimizer_state["step"])}
+        for moment in MOMENTS:
+            manifest["optimizer"][moment] = _write_group(
+                ckpt, moment, optimizer_state[moment])
     (ckpt / "manifest.json").write_text(_canon_json(manifest))
 
 
@@ -443,6 +438,20 @@ class Checkpoint:
     vocab: dict
 
 
+def _read_group(ckpt: Path, group: str, files) -> dict:
+    arrays = {}
+    for name, rel in dict(files).items():
+        if not isinstance(rel, str):
+            raise CheckpointError(
+                f"{ckpt / 'manifest.json'}: file for {group} entry {name} is "
+                f"not a path string: {rel!r}")
+        path = ckpt / rel
+        if not path.exists():
+            raise CheckpointError(f"missing {group} file for {name}: {path}")
+        arrays[name] = read_tensor(path)
+    return arrays
+
+
 def load_checkpoint(ckpt_dir) -> Checkpoint:
     ckpt = Path(ckpt_dir)
     manifest_path = ckpt / "manifest.json"
@@ -451,50 +460,35 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
     try:
         manifest = json.loads(manifest_path.read_text())
         config, step = manifest["config"], int(manifest["step"])
-        param_files = dict(manifest["params"])
+        params = _read_group(ckpt, "params", manifest["params"])
         opt = manifest.get("optimizer")
-        opt_files = None if opt is None else {
-            "step": opt["step"], "exp_avg": dict(opt["exp_avg"]),
-            "exp_avg_sq": dict(opt["exp_avg_sq"])}
+        optimizer = None
+        if opt is not None:
+            optimizer = {"step": int(opt["step"])}
+            for moment in MOMENTS:
+                optimizer[moment] = _read_group(ckpt, moment, opt[moment])
+    except AffgroundError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
-    file_maps = [param_files] if opt_files is None else \
-        [param_files, opt_files["exp_avg"], opt_files["exp_avg_sq"]]
-    for files in file_maps:
-        for name, rel in files.items():
-            if not isinstance(rel, str):
-                raise CheckpointError(
-                    f"{manifest_path}: file for {name} is not a path string: "
-                    f"{rel!r}")
-    params = {}
-    for name, rel in param_files.items():
-        path = ckpt / rel
-        if not path.exists():
-            raise CheckpointError(f"missing parameter file for {name}: {path}")
-        params[name] = read_tensor(path)
-    optimizer = None
-    if opt_files is not None:
-        optimizer = {"step": opt_files["step"]}
-        for moment in ("exp_avg", "exp_avg_sq"):
-            optimizer[moment] = {}
-            for name, rel in opt_files[moment].items():
-                path = ckpt / rel
-                if not path.exists():
-                    raise CheckpointError(f"missing optimizer file for {name}")
-                optimizer[moment][name] = read_tensor(path)
     return Checkpoint(config=config, step=step, params=params,
                       optimizer=optimizer, vocab=manifest.get("vocab", {}))
 
 
-def restore_params(model_params: dict, saved: dict):
-    """Copy saved arrays into live tensors; shapes must match exactly."""
-    missing = set(model_params) - set(saved)
+def restore_arrays(live: dict, saved: dict, group: str):
+    """Copy each saved array into the live array of the same name, in place.
+
+    Every live name must be saved with exactly the live shape; all of them
+    are checked before any is written, so a refused restore changes
+    nothing. The live dtype is kept.
+    """
+    missing = sorted(set(live) - set(saved))
     if missing:
-        raise CheckpointError(f"checkpoint lacks parameters: {sorted(missing)[:5]}")
-    for name, p in model_params.items():
-        arr = saved[name]
-        if tuple(arr.shape) != tuple(p.data.shape):
+        raise CheckpointError(f"checkpoint lacks {group} entries: {missing[:5]}")
+    for name, arr in live.items():
+        if saved[name].shape != arr.shape:
             raise CheckpointError(
-                f"parameter {name} has shape {arr.shape} in the checkpoint "
-                f"but {p.data.shape} in the model")
-        p.data = arr.astype(p.data.dtype, copy=True)
+                f"{group} entry {name} has shape {saved[name].shape} in the "
+                f"checkpoint but {arr.shape} in the model")
+    for name, arr in live.items():
+        arr[...] = saved[name]

@@ -30,13 +30,10 @@ TOKEN_NOISE_SIGMA = 0.1
 
 @dataclass
 class HiddenStates:
-    """L x d_h token states with the contact token position and metadata."""
+    """L x d_h token states, the contact token's row, and the affordance label."""
 
     states: np.ndarray
     cont_index: int
-    prompt: str = ""
-    class_name: str = ""
-    affordance_name: str = ""
     affordance_id: int = 0
 
     def __post_init__(self):
@@ -107,13 +104,8 @@ def _signal_vector(kind: str, index: int, d_h: int) -> np.ndarray:
     return (v / np.sqrt(d_h)).astype(np.float64)
 
 
-DEFAULT_PROMPT = ("Locate the points on the {class_name} that support the "
-                  "action '{affordance_name}'.")
-
-
 def synth_fixture(class_id: int, affordance_id: int, seed: int, L: int = 32,
-                  d_h: int = 2048, class_name: str = "", affordance_name: str = "",
-                  prompt: str | None = None) -> HiddenStates:
+                  d_h: int = 2048) -> HiddenStates:
     """Deterministic stand-in for language-model inference.
 
     Every token row carries the same class+affordance signal direction
@@ -130,15 +122,5 @@ def synth_fixture(class_id: int, affordance_id: int, seed: int, L: int = 32,
     rng = rng_for(int(seed), "fixture-noise", class_id, affordance_id, L, d_h)
     states = signal[None, :] + rng.normal(scale=TOKEN_NOISE_SIGMA, size=(L, d_h))
     states[L - 1] = signal + rng.normal(scale=CONT_NOISE_SIGMA, size=d_h)
-    if prompt is None:
-        prompt = DEFAULT_PROMPT.format(class_name=class_name or f"class{class_id}",
-                                       affordance_name=affordance_name or
-                                       f"affordance{affordance_id}")
-    return HiddenStates(
-        states=states.astype(np.float32),
-        cont_index=L - 1,
-        prompt=prompt,
-        class_name=class_name or f"class{class_id}",
-        affordance_name=affordance_name or f"affordance{affordance_id}",
-        affordance_id=affordance_id,
-    )
+    return HiddenStates(states=states.astype(np.float32), cont_index=L - 1,
+                        affordance_id=affordance_id)

@@ -78,15 +78,13 @@ def auc(p, y) -> float:
     if n_pos == 0 or n_neg == 0:
         raise MetricSkip("single-class ground truth")
     order = np.argsort(p, kind="mergesort")
-    ranks = np.empty(p.size, dtype=np.float64)
     sorted_p = p[order]
-    i = 0
-    while i < p.size:
-        j = i
-        while j + 1 < p.size and sorted_p[j + 1] == sorted_p[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # runs of equal scores: [starts[r], ends[r]) in sorted order
+    starts = np.flatnonzero(np.r_[True, sorted_p[1:] != sorted_p[:-1]])
+    ends = np.r_[starts[1:], p.size]
+    ranks = np.empty(p.size, dtype=np.float64)
+    # average 1-based rank of a run is the midpoint of its first and last
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     pos_rank_sum = ranks[gt].sum()
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

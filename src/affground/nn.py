@@ -14,12 +14,12 @@ from .tensor import Tensor, matmul, relu, slice_rows
 
 # variance-preserving for linear chains; there is no normalization layer
 # anywhere in this architecture, so anything hotter saturates the sigmoids
-DEFAULT_GAIN = np.sqrt(3.0)
+INIT_GAIN = np.sqrt(3.0)
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int,
-                 dtype, gain: float = DEFAULT_GAIN) -> np.ndarray:
-    bound = gain / np.sqrt(max(1, fan_in))
+                 dtype) -> np.ndarray:
+    bound = INIT_GAIN / np.sqrt(max(1, fan_in))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
 
 
@@ -46,9 +46,8 @@ class Linear:
 
 
 def make_linear(params: dict, name: str, rng, fan_in: int, fan_out: int,
-                dtype=np.float32, bias: bool = True,
-                gain: float = DEFAULT_GAIN) -> Linear:
-    w = Tensor(uniform_init(rng, fan_in, fan_out, dtype, gain), requires_grad=True)
+                dtype=np.float32, bias: bool = True) -> Linear:
+    w = Tensor(uniform_init(rng, fan_in, fan_out, dtype), requires_grad=True)
     params[f"{name}.w"] = w
     b = None
     if bias:
@@ -77,11 +76,10 @@ class MLP:
         return h
 
 
-def make_mlp(params: dict, name: str, rng, widths, dtype=np.float32,
-             bias: bool = True) -> MLP:
+def make_mlp(params: dict, name: str, rng, widths, dtype=np.float32) -> MLP:
     """widths = [in, hidden..., out]; registers one Linear per segment."""
     layers = []
     for i in range(len(widths) - 1):
         layers.append(make_linear(params, f"{name}.{i}", rng,
-                                  widths[i], widths[i + 1], dtype, bias))
+                                  widths[i], widths[i + 1], dtype))
     return MLP(layers)

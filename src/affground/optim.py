@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .tensor import Tensor
 
 
@@ -24,7 +24,9 @@ class AdamW:
 
     Each step first shrinks every parameter by ``(1 - lr * weight_decay)``
     and then applies the moment-based update. A zero gradient with zero
-    weight decay therefore leaves parameters untouched.
+    weight decay therefore leaves parameters untouched. A step that would
+    make a parameter non-finite raises :class:`NumericError` naming it and
+    leaves that parameter as it was.
     """
 
     def __init__(self, params: dict, lr=1e-4, betas=(0.9, 0.999), eps=1e-8,
@@ -49,7 +51,7 @@ class AdamW:
             g = np.zeros_like(p.data) if p.grad is None else p.grad
             adamw_step(p, g, self.exp_avg[name], self.exp_avg_sq[name],
                        self.step_count, lr, self.betas, self.eps,
-                       self.weight_decay)
+                       self.weight_decay, name)
 
     # -- persistence -----------------------------------------------------
 
@@ -61,35 +63,27 @@ class AdamW:
             "exp_avg_sq": self.exp_avg_sq,
         }
 
-    def load_state_arrays(self, state):
-        self.step_count = int(state["step"])
-        for name, p in self.params.items():
-            for key, target in (("exp_avg", self.exp_avg),
-                                ("exp_avg_sq", self.exp_avg_sq)):
-                buf = np.asarray(state[key][name])
-                if buf.shape != p.data.shape:
-                    raise ContractError(
-                        f"optimizer state for {name} has shape {buf.shape}, "
-                        f"expected {p.data.shape}")
-                target[name] = buf.astype(p.data.dtype, copy=True)
-
 
 def adamw_step(param: Tensor, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
                step: int, lr: float, betas=(0.9, 0.999), eps=1e-8,
-               weight_decay=0.0):
+               weight_decay=0.0, name="parameter"):
     """Single-tensor AdamW update; :meth:`AdamW.step` applies it per tensor.
 
-    ``step`` is the 1-based count after this update. Mutates param.data,
-    m, and v in place.
+    ``step`` is the 1-based count after this update. Updates m and v in
+    place. The new parameter value is formed in a temporary and replaces
+    param.data only when it is finite; otherwise :class:`NumericError`
+    names ``name``.
     """
     if grad.shape != param.data.shape:
         raise ContractError(f"grad shape {grad.shape} vs param {param.data.shape}")
     b1, b2 = betas
-    if weight_decay:
-        param.data *= 1.0 - lr * weight_decay
     m *= b1
     m += (1.0 - b1) * grad
     v *= b2
     v += (1.0 - b2) * (grad * grad)
     update = (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
-    param.data -= (lr * update).astype(param.data.dtype, copy=False)
+    new = param.data * (1.0 - lr * weight_decay)
+    new -= (lr * update).astype(param.data.dtype, copy=False)
+    if not np.isfinite(new).all():
+        raise NumericError(f"non-finite AdamW update in {name}")
+    param.data = new

@@ -19,9 +19,10 @@ import numpy as np
 from .config import RunConfig, config_from_dict, drop_retired
 from .dataio import (
     Dataset,
+    MOMENTS,
     load_checkpoint,
     read_dataset,
-    restore_params,
+    restore_arrays,
     save_checkpoint,
 )
 from .errors import ConfigError, NumericError, TrainingDiverged
@@ -92,9 +93,13 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
         ckpt = load_checkpoint(resume)
         if drop_retired(ckpt.config) != config.to_dict():
             raise ConfigError("resume checkpoint was written with a different config")
-        restore_params(model.params, ckpt.params)
+        restore_arrays({name: p.data for name, p in model.params.items()},
+                       ckpt.params, "params")
         if ckpt.optimizer is not None:
-            optimizer.load_state_arrays(ckpt.optimizer)
+            state = optimizer.state_arrays()
+            for moment in MOMENTS:
+                restore_arrays(state[moment], ckpt.optimizer[moment], moment)
+            optimizer.step_count = ckpt.optimizer["step"]
         start_step = ckpt.step
 
     samples = load_samples(dataset, model)
@@ -131,20 +136,17 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
                     sums["l_txt"] += l_txt.item() * scale
                     sums["l_aff"] += l_aff.item() * scale
                     sums["total"] += total.item() * scale
+                if not all(np.isfinite(v) for v in sums.values()):
+                    raise NumericError("non-finite loss")
+                bad = next((name for name, p in model.params.items()
+                            if p.grad is not None
+                            and not np.isfinite(p.grad).all()), None)
+                if bad is not None:
+                    raise NumericError(f"non-finite gradient in {bad}")
+                lr = linear_lr(opt_cfg.lr, step, total_steps)
+                optimizer.step(lr)
             except NumericError as exc:
                 _abort_diverged(log_file, step, sums, str(exc), exc)
-
-            if not all(np.isfinite(v) for v in sums.values()):
-                _abort_diverged(log_file, step, sums, "non-finite loss")
-            bad = next((name for name, p in model.params.items()
-                        if p.grad is not None and not np.isfinite(p.grad).all()),
-                       None)
-            if bad is not None:
-                _abort_diverged(log_file, step, sums,
-                                f"non-finite gradient in {bad}")
-
-            lr = linear_lr(opt_cfg.lr, step, total_steps)
-            optimizer.step(lr)
 
             last = {"step": step, "lr": lr, **sums}
             log_file.write(json.dumps(last, sort_keys=True) + "\n")
@@ -164,7 +166,7 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
                        steps=total_steps, last=last)
 
 
-def _abort_diverged(log_file, step, sums, reason, cause=None):
+def _abort_diverged(log_file, step, sums, reason, cause):
     """Log a ``nan_abort`` row for ``step`` and raise TrainingDiverged."""
     log_file.write(json.dumps(
         {"step": step, "event": "nan_abort", "reason": reason, **sums},
@@ -185,7 +187,8 @@ def load_model(ckpt_dir) -> tuple:
     ckpt = load_checkpoint(ckpt_dir)
     config = config_from_dict(ckpt.config)
     model = AffordanceModel(config)
-    restore_params(model.params, ckpt.params)
+    restore_arrays({name: p.data for name, p in model.params.items()},
+                   ckpt.params, "params")
     return model, config, ckpt
 
 

@@ -114,6 +114,7 @@ def test_retired_keys_at_any_other_value_are_rejected(dotted, value):
     ("optimizer.beta1=-0.1", "optimizer.beta1"),
     ("optimizer.eps=0", "optimizer.eps"),
     ("optimizer.weight_decay=-0.01", "optimizer.weight_decay"),
+    ("model.cont_width=0", "model.cont_width"),
 ])
 def test_bad_values_exit_1_without_traceback(tmp_path, capsys, override, name):
     code, err = run_cli(["train", "--data", str(tmp_path / "none.jsonl"),

@@ -14,18 +14,15 @@ from affground.dataio import (
     gen_synthetic_dataset,
     load_checkpoint,
     read_dataset,
-    read_fixture,
     read_tensor,
     regen_fixtures,
-    restore_params,
+    restore_arrays,
     save_checkpoint,
     synth_cloud,
-    write_fixture,
     write_manifest,
     write_tensor,
 )
 from affground.errors import CheckpointError, DataFormatError
-from affground.intention import synth_fixture
 
 
 class TestTensorFile:
@@ -97,26 +94,6 @@ class TestTensorFile:
         assert read_tensor(path).tobytes() == data.tobytes()
 
 
-class TestFixtureFiles:
-    def test_round_trip_preserves_cont_row_bitwise(self, tmp_path):
-        h = synth_fixture(2, 1, seed=11, L=6, d_h=64)
-        path = tmp_path / "fix.htns"
-        write_fixture(path, h)
-        back = read_fixture(path)
-        assert back.states[back.cont_index].tobytes() == \
-            h.states[h.cont_index].tobytes()
-        assert back.prompt == h.prompt
-        assert back.affordance_id == 1
-
-    def test_missing_sidecar_raises(self, tmp_path):
-        h = synth_fixture(0, 0, seed=1, L=4, d_h=16)
-        path = tmp_path / "fix.htns"
-        write_fixture(path, h)
-        path.with_suffix(".json").unlink()
-        with pytest.raises(DataFormatError):
-            read_fixture(path)
-
-
 class TestSyntheticData:
     def test_label_positive_fraction_bounds(self):
         for class_id in range(4):
@@ -179,6 +156,36 @@ class TestSyntheticData:
         hidden = ds.load_hidden(ds.records[0])
         assert hidden.hidden_dim == 48 and hidden.seq_len == 6
 
+    @pytest.mark.parametrize("seq_len", [3, 12])
+    def test_regen_fixtures_moves_every_rows_cont_index(self, tmp_path, seq_len):
+        manifest = gen_synthetic_dataset(tmp_path / "ds", 2, 2, 2, 64, seed=9,
+                                         d_h=32, seq_len=8)
+        regen_fixtures(manifest, seed=10, d_h=32, seq_len=seq_len)
+        ds = read_dataset(manifest)
+        assert [r.cont_index for r in ds.records] == [seq_len - 1] * 8
+        for record in ds.records:
+            hidden = ds.load_hidden(record)
+            assert hidden.seq_len == seq_len
+            assert hidden.cont_index == seq_len - 1
+            assert hidden.affordance_id == record.affordance_id
+
+    def test_fixture_metadata_comes_from_the_row(self, tmp_path):
+        manifest = gen_synthetic_dataset(tmp_path / "ds", 1, 2, 1, 64, seed=9,
+                                         d_h=32, seq_len=4)
+        assert not list((tmp_path / "ds" / "hidden").glob("*.json"))
+        ds = read_dataset(manifest)
+        ds.records[1].cont_index = 1
+        write_manifest(manifest, ds.records)
+        record = read_dataset(manifest).records[1]
+        hidden = ds.load_hidden(record)
+        assert (hidden.cont_index, hidden.affordance_id) == (1, 1)
+        # trees from older versions hold a metadata sidecar per fixture
+        sidecar = (ds.root / record.hidden).with_suffix(".json")
+        sidecar.write_text(json.dumps({"cont_index": 3, "affordance_id": 0}))
+        assert ds.load_hidden(record).cont_index == 1
+        sidecar.write_text("not json")
+        assert ds.load_hidden(record).cont_index == 1
+
     def test_class_geometries_differ(self):
         clouds = [synth_cloud(c, 0, seed=1, n=256) for c in range(4)]
         for i in range(4):
@@ -222,13 +229,16 @@ class TestCheckpoints:
             load_checkpoint(tmp_path / "ckpt")
 
     def test_shape_drift_rejected(self, tmp_path):
-        params = self._params(2)
-        save_checkpoint(tmp_path / "ckpt", params, {}, step=0)
+        save_checkpoint(tmp_path / "ckpt", self._params(2), {}, step=0)
         ckpt = load_checkpoint(tmp_path / "ckpt")
-        params["a.w"] = T.tensor(np.zeros((5, 3), dtype=np.float32),
-                                 requires_grad=True)
+        live = {"a.w": np.zeros((4, 3), dtype=np.float32),
+                "b.w": np.zeros((1, 4), dtype=np.float32)}
+        with pytest.raises(CheckpointError, match="b.w"):
+            restore_arrays(live, ckpt.params, "params")
+        assert not live["a.w"].any()  # a refused restore writes nothing
+        del ckpt.params["a.w"]
         with pytest.raises(CheckpointError, match="a.w"):
-            restore_params(params, ckpt.params)
+            restore_arrays(live, ckpt.params, "params")
 
     def test_nonfinite_parameters_refused(self, tmp_path):
         params = self._params(3)
@@ -256,17 +266,10 @@ def _vocab_reader(tmp_path):
     return tmp_path / "ds" / "vocab.json", lambda: read_dataset(manifest)
 
 
-def _sidecar_reader(tmp_path):
-    path = tmp_path / "fix.htns"
-    write_fixture(path, synth_fixture(0, 1, seed=2, L=4, d_h=16))
-    return path.with_suffix(".json"), lambda: read_fixture(path)
-
-
 # reader -> (set-up returning (JSON file, read call), a required key, error)
 JSON_READERS = {
     "checkpoint_manifest": (_checkpoint_reader, "params", CheckpointError),
     "dataset_vocab": (_vocab_reader, "affordances", DataFormatError),
-    "fixture_sidecar": (_sidecar_reader, "cont_index", DataFormatError),
 }
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affground.errors import ContractError
@@ -46,6 +46,26 @@ def auc_pair_oracle(p, y):
             elif a == b:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def auc_loop_oracle(p, y):
+    """Rank sums with average ranks assigned one tie run at a time."""
+    p = np.asarray(p, dtype=np.float64)
+    gt = np.asarray(y) > 0
+    n_pos = int(gt.sum())
+    n_neg = gt.size - n_pos
+    order = np.argsort(p, kind="mergesort")
+    ranks = np.empty(p.size, dtype=np.float64)
+    sorted_p = p[order]
+    i = 0
+    while i < p.size:
+        j = i
+        while j + 1 < p.size and sorted_p[j + 1] == sorted_p[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
+        i = j + 1
+    pos_rank_sum = ranks[gt].sum()
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 class TestAiou:
@@ -107,6 +127,15 @@ class TestAuc:
             if (y > 0).all():
                 y[int(rng.integers(n))] = 0.0
             assert auc(p, y) == pytest.approx(auc_pair_oracle(p, y), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 3.0]),
+                              st.booleans()), min_size=2, max_size=80))
+    def test_tied_scores_match_loop_oracle_bitwise(self, pairs):
+        p = np.array([score for score, _ in pairs])
+        y = np.array([float(pos) for _, pos in pairs])
+        assume((y > 0).any() and not (y > 0).all())
+        assert auc(p, y) == auc_loop_oracle(p, y)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

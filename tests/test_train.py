@@ -9,8 +9,8 @@ import pytest
 from affground import train as train_module
 from affground.cli import main
 from affground.config import ModelConfig, OptimConfig, RunConfig
-from affground.dataio import gen_synthetic_dataset, load_checkpoint
-from affground.errors import ConfigError, TrainingDiverged
+from affground.dataio import gen_synthetic_dataset, load_checkpoint, write_tensor
+from affground.errors import CheckpointError, ConfigError, TrainingDiverged
 from affground.train import train
 
 TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
@@ -128,3 +128,83 @@ def test_empty_manifest_is_rejected_before_the_model_is_built(tmp_path,
     with pytest.raises(ConfigError, match="dataset has no samples"):
         train(RunConfig(model=ModelConfig(**TOY)), empty, tmp_path / "run")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_overflowing_update_stops_before_reaching_the_parameters(
+        tmp_path, monkeypatch, capsys):
+    manifest = gen_synthetic_dataset(tmp_path / "data", 1, 2, 1,
+                                     TOY["n_points"], seed=2, d_h=TOY["d_h"],
+                                     seq_len=TOY["seq_len"])
+    models = []
+
+    class RecordedModel(train_module.AffordanceModel):
+        def __init__(self, config):
+            super().__init__(config)
+            models.append(self)
+
+    monkeypatch.setattr(train_module, "AffordanceModel", RecordedModel)
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=2, batch_size=2, lr=1e300))
+    with pytest.raises(TrainingDiverged) as info:
+        train(config, manifest, tmp_path / "run")
+    assert info.value.step == 0
+    (row,) = [json.loads(line) for line in
+              (tmp_path / "run" / "log.jsonl").read_text().splitlines()]
+    assert row["event"] == "nan_abort" and math.isfinite(row["total"])
+    assert row["reason"].startswith("non-finite AdamW update in ")
+    assert not (tmp_path / "run" / "checkpoint").exists()
+    (model,) = models
+    for name, p in model.params.items():
+        assert np.isfinite(p.data).all(), name
+
+    args = ["train", "--data", str(manifest), "--out", str(tmp_path / "cli"),
+            "--set", "optimizer.lr=1e300", "--set", "optimizer.epochs=2",
+            "--set", "optimizer.batch_size=2"]
+    for key, value in TOY.items():
+        args += ["--set", f"model.{key}={json.dumps(value)}"]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("runtime error:")
+    assert not (tmp_path / "cli" / "checkpoint").exists()
+
+
+def _drop_moment_entry(ckpt, manifest):
+    files = manifest["optimizer"]["exp_avg_sq"]
+    del files[next(iter(files))]
+
+
+def _misshape_moment(ckpt, manifest):
+    rel = next(iter(manifest["optimizer"]["exp_avg"].values()))
+    write_tensor(ckpt / rel, np.zeros(3, dtype=np.float32))
+
+
+def _non_integer_optimizer_step(ckpt, manifest):
+    manifest["optimizer"]["step"] = "x"
+
+
+@pytest.mark.parametrize("damage", [
+    _drop_moment_entry, _misshape_moment, _non_integer_optimizer_step,
+], ids=["missing_moment_entry", "moment_shape", "optimizer_step"])
+def test_damaged_optimizer_state_fails_resume_as_checkpoint_error(
+        tmp_path, capsys, damage):
+    manifest = gen_synthetic_dataset(tmp_path / "data", 1, 2, 1,
+                                     TOY["n_points"], seed=2, d_h=TOY["d_h"],
+                                     seq_len=TOY["seq_len"])
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=2, batch_size=2))
+    ckpt = train(config, manifest, tmp_path / "run").checkpoint_dir
+    payload = json.loads((ckpt / "manifest.json").read_text())
+    damage(ckpt, payload)
+    (ckpt / "manifest.json").write_text(json.dumps(payload))
+
+    with pytest.raises(CheckpointError):
+        train(config, manifest, tmp_path / "resumed", resume=ckpt)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path), "--data", str(manifest),
+                 "--out", str(tmp_path / "cli"), "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "Traceback" not in err
