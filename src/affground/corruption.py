@@ -13,7 +13,7 @@ afterwards, so the applied magnitude stays meaningful.
 from __future__ import annotations
 
 import hashlib
-import os
+import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -153,9 +153,10 @@ def generate_benchmark(manifest_path, out_dir, seed: int, kinds=KINDS,
                        levels=LEVELS) -> Path:
     """One corrupted copy of every sample per (kind, level) cell.
 
-    Layout: <out>/<kind>/level_<l>/ with clouds/, labels/, a dataset-style
-    manifest referencing the original fixtures, and a cell.json recording
-    the spec, seed, and magnitude constants.
+    Layout: <out>/<kind>/level_<l>/ with clouds/, labels/, hidden/ (copies
+    of the source fixtures, so a cell stays a self-contained snapshot when
+    the source's fixtures are later regenerated), a dataset-style manifest,
+    and a cell.json recording the spec, seed, and magnitude constants.
     """
     dataset = read_dataset(manifest_path)
     out = Path(out_dir)
@@ -178,23 +179,24 @@ def generate_benchmark(manifest_path, out_dir, seed: int, kinds=KINDS,
 
 def _generate_cell(dataset: Dataset, out: Path, kind: str, level: int, seed: int):
     cell = out / kind / f"level_{level}"
-    (cell / "clouds").mkdir(parents=True, exist_ok=True)
-    (cell / "labels").mkdir(parents=True, exist_ok=True)
+    for sub in ("clouds", "labels", "hidden"):
+        (cell / sub).mkdir(parents=True, exist_ok=True)
     spec = CorruptionSpec(kind=kind, level=level, seed=seed)
     records = []
     for record in dataset.records:
+        hidden = f"hidden/{record.id}.htns"
         try:
             cloud = dataset.load_cloud(record)
+            # the row's cont_index is copied, so the fixture it indexes is too
+            shutil.copyfile(dataset.root / record.hidden, cell / hidden)
         except OSError as exc:
-            raise DataFormatError(f"{dataset.root / record.points}: {exc}") from exc
+            raise DataFormatError(f"source sample {record.id}: {exc}") from exc
         corrupted = apply_corruption(cloud, spec)
         write_tensor(cell / "clouds" / f"{record.id}.htns", corrupted.coords)
         write_tensor(cell / "labels" / f"{record.id}.htns", corrupted.labels)
-        # fixtures are shared with the source dataset, not copied
         records.append(replace(
             record, points=f"clouds/{record.id}.htns",
-            labels=f"labels/{record.id}.htns",
-            hidden=os.path.relpath(dataset.root / record.hidden, cell)))
+            labels=f"labels/{record.id}.htns", hidden=hidden))
     write_manifest(cell / "manifest.jsonl", records)
     vocab = dict(dataset.vocab)
     vocab["corruption"] = {"kind": kind, "level": level, "seed": seed}

@@ -18,9 +18,6 @@ A dataset is a directory holding:
   regenerated the fixtures at another length, the rows still hold the old
   ``cont_index``; running ``gen-fixtures`` again rewrites them.
 
-A corruption cell's rows copy ``cont_index`` from its source manifest,
-so regenerate fixtures before generating cells, not after.
-
 A checkpoint is a directory holding ``manifest.json`` and three groups of
 tensor files, ``params/``, ``exp_avg/`` and ``exp_avg_sq/`` (the AdamW
 moments), one file per parameter name. The manifest carries the config,
@@ -448,7 +445,10 @@ def _read_group(ckpt: Path, group: str, files) -> dict:
         path = ckpt / rel
         if not path.exists():
             raise CheckpointError(f"missing {group} file for {name}: {path}")
-        arrays[name] = read_tensor(path)
+        try:
+            arrays[name] = read_tensor(path)
+        except DataFormatError as exc:
+            raise CheckpointError(f"{group} file for {name}: {exc}") from exc
     return arrays
 
 

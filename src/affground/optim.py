@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataio import MOMENTS, restore_arrays
 from .errors import ContractError, NumericError
 from .tensor import Tensor
 
@@ -62,6 +63,17 @@ class AdamW:
             "exp_avg": self.exp_avg,
             "exp_avg_sq": self.exp_avg_sq,
         }
+
+    def restore(self, saved: dict):
+        """Load moments and step count laid out as :meth:`state_arrays` saves them.
+
+        Each moment must match the live names and shapes; see
+        :func:`~affground.dataio.restore_arrays`.
+        """
+        state = self.state_arrays()
+        for moment in MOMENTS:
+            restore_arrays(state[moment], saved[moment], moment)
+        self.step_count = saved["step"]
 
 
 def adamw_step(param: Tensor, grad: np.ndarray, m: np.ndarray, v: np.ndarray,

@@ -19,7 +19,6 @@ import numpy as np
 from .config import RunConfig, config_from_dict, drop_retired
 from .dataio import (
     Dataset,
-    MOMENTS,
     load_checkpoint,
     read_dataset,
     restore_arrays,
@@ -93,13 +92,9 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
         ckpt = load_checkpoint(resume)
         if drop_retired(ckpt.config) != config.to_dict():
             raise ConfigError("resume checkpoint was written with a different config")
-        restore_arrays({name: p.data for name, p in model.params.items()},
-                       ckpt.params, "params")
+        _restore_params(model, ckpt)
         if ckpt.optimizer is not None:
-            state = optimizer.state_arrays()
-            for moment in MOMENTS:
-                restore_arrays(state[moment], ckpt.optimizer[moment], moment)
-            optimizer.step_count = ckpt.optimizer["step"]
+            optimizer.restore(ckpt.optimizer)
         start_step = ckpt.step
 
     samples = load_samples(dataset, model)
@@ -187,9 +182,14 @@ def load_model(ckpt_dir) -> tuple:
     ckpt = load_checkpoint(ckpt_dir)
     config = config_from_dict(ckpt.config)
     model = AffordanceModel(config)
+    _restore_params(model, ckpt)
+    return model, config, ckpt
+
+
+def _restore_params(model: AffordanceModel, ckpt):
+    """Copy a checkpoint's parameters into the model, checking names and shapes."""
     restore_arrays({name: p.data for name, p in model.params.items()},
                    ckpt.params, "params")
-    return model, config, ckpt
 
 
 def evaluate(model: AffordanceModel, manifest_path,

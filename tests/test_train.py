@@ -184,9 +184,16 @@ def _non_integer_optimizer_step(ckpt, manifest):
     manifest["optimizer"]["step"] = "x"
 
 
+def _truncate_moment_file(ckpt, manifest):
+    path = ckpt / next(iter(manifest["optimizer"]["exp_avg"].values()))
+    path.write_bytes(path.read_bytes()[:-4])
+
+
 @pytest.mark.parametrize("damage", [
     _drop_moment_entry, _misshape_moment, _non_integer_optimizer_step,
-], ids=["missing_moment_entry", "moment_shape", "optimizer_step"])
+    _truncate_moment_file,
+], ids=["missing_moment_entry", "moment_shape", "optimizer_step",
+        "truncated_moment_file"])
 def test_damaged_optimizer_state_fails_resume_as_checkpoint_error(
         tmp_path, capsys, damage):
     manifest = gen_synthetic_dataset(tmp_path / "data", 1, 2, 1,
