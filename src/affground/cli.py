@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-data, gen-fixtures, train, eval, corrupt, pca-viz,
-gradcheck. Exit codes: 0 success, 1 usage/validation error, 2 runtime
-error.
+gradcheck. ``train`` reads every setting, the seed included, from
+``--config`` and ``--set KEY=VALUE`` (for example ``--set seed=3``).
+Exit codes: 0 success, 1 usage/validation error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .corruption import KINDS, LEVELS, generate_benchmark
 from .dataio import (_canon_json, gen_synthetic_dataset, read_dataset,
                      regen_fixtures, write_tensor)
 from .errors import AffgroundError, ConfigError, ContractError, DataFormatError
+from .gradcheck import run_gradcheck_suite
 from .train import evaluate_checkpoint, load_model, train
 
 
@@ -57,7 +59,6 @@ def _build_parser() -> _Parser:
     tr = sub.add_parser("train", help="train on a dataset manifest")
     tr.add_argument("--config")
     tr.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    tr.add_argument("--seed", type=int)
     tr.add_argument("--data", required=True, help="dataset manifest path")
     tr.add_argument("--out", required=True, help="run directory")
     tr.add_argument("--resume", help="checkpoint directory to continue from")
@@ -93,11 +94,6 @@ def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     if args.set:
         config = apply_overrides(config, args.set)
-    if args.seed is not None:
-        payload = config.to_dict()
-        payload["seed"] = args.seed
-        from .config import config_from_dict
-        config = config_from_dict(payload)
     return config.validate()
 
 
@@ -182,8 +178,6 @@ def _cmd_pca_viz(args):
 
 
 def _cmd_gradcheck(args):
-    from .gradcheck import run_gradcheck_suite
-
     results = run_gradcheck_suite(args.tol)
     failed = [r for r in results if not r.ok]
     for r in results:

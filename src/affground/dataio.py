@@ -10,7 +10,9 @@ A dataset is a directory holding:
   of the sample's metadata: id, class and affordance names, affordance
   id, contact-token index (``cont_index``), prompt, and the relative
   paths of its three tensor files;
-- ``vocab.json``: class and affordance vocabularies and generation sizes;
+- ``vocab.json``: the class and affordance vocabularies (lists of names)
+  and the generation sizes. Every row's class and affordance must be in
+  the vocabulary;
 - ``clouds/``, ``labels/`` and ``hidden/``: one plain tensor file per
   sample for the (N, 3) points, the N labels and the (L, d_h) hidden
   states. Trees written by older versions also hold a ``hidden/*.json``
@@ -147,7 +149,11 @@ def write_manifest(path, records):
 
 
 def read_dataset(manifest_path) -> Dataset:
-    """Parse and validate a manifest; referenced files must exist."""
+    """Parse and validate a manifest and its vocabulary.
+
+    Referenced files must exist, and each row's class and affordance must
+    be in the vocabulary.
+    """
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     vocab_path = root / "vocab.json"
@@ -160,6 +166,12 @@ def read_dataset(manifest_path) -> Dataset:
     if not isinstance(vocab, dict) or "affordances" not in vocab \
             or "classes" not in vocab:
         raise DataFormatError(f"{vocab_path}: missing vocabulary fields")
+    for key in ("classes", "affordances"):
+        names = vocab[key]
+        if not isinstance(names, list) or \
+                not all(isinstance(name, str) for name in names):
+            raise DataFormatError(
+                f"{vocab_path}: {key} is not a list of strings: {names!r}")
     records = []
     for lineno, line in enumerate(manifest_path.read_text().splitlines(), 1):
         if not line.strip():
@@ -170,13 +182,15 @@ def read_dataset(manifest_path) -> Dataset:
         except (json.JSONDecodeError, TypeError) as exc:
             raise DataFormatError(
                 f"{manifest_path}:{lineno}: bad manifest line: {exc}") from exc
-        for key in ("points", "labels", "hidden"):
-            rel = getattr(record, key)
-            if not isinstance(rel, str):
+        for key in ("id", "class_name", "affordance_name", "prompt",
+                    "points", "labels", "hidden"):
+            value = getattr(record, key)
+            if not isinstance(value, str):
                 raise DataFormatError(
-                    f"{manifest_path}:{lineno}: {key} is not a path string: "
-                    f"{rel!r}")
-            ref = root / rel
+                    f"{manifest_path}:{lineno}: {key} is not a string: "
+                    f"{value!r}")
+        for key in ("points", "labels", "hidden"):
+            ref = root / getattr(record, key)
             if not ref.exists():
                 raise DataFormatError(
                     f"{manifest_path}:{lineno}: missing file {ref}")
@@ -186,6 +200,13 @@ def read_dataset(manifest_path) -> Dataset:
                 raise DataFormatError(
                     f"{manifest_path}:{lineno}: {key} is not an integer: "
                     f"{value!r}")
+        for key, names in (("class_name", "classes"),
+                           ("affordance_name", "affordances")):
+            value = getattr(record, key)
+            if value not in vocab[names]:
+                raise DataFormatError(
+                    f"{manifest_path}:{lineno}: {key} {value!r} is not in "
+                    f"the vocabulary")
         if not 0 <= record.affordance_id < len(vocab["affordances"]):
             raise DataFormatError(
                 f"{manifest_path}:{lineno}: affordance_id "
@@ -467,12 +488,16 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
             optimizer = {"step": int(opt["step"])}
             for moment in MOMENTS:
                 optimizer[moment] = _read_group(ckpt, moment, opt[moment])
+        vocab = manifest.get("vocab", {})
+        if not isinstance(vocab, dict):
+            raise CheckpointError(
+                f"{manifest_path}: vocab is not an object: {vocab!r}")
     except AffgroundError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
     return Checkpoint(config=config, step=step, params=params,
-                      optimizer=optimizer, vocab=manifest.get("vocab", {}))
+                      optimizer=optimizer, vocab=vocab)
 
 
 def restore_arrays(live: dict, saved: dict, group: str):

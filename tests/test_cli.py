@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
+
 from affground.cli import main
 from affground.corruption import KINDS, LEVELS
-from affground.dataio import read_dataset
+from affground.dataio import load_checkpoint, read_dataset, read_tensor
 
 
 def _toy_checkpoint(tmp_path):
@@ -56,9 +58,9 @@ def test_gen_data_train_eval_corrupt_smoke(tmp_path, capsys):
                  "--set", "model.n_points=128", "--set", "model.d=16",
                  "--set", "model.d_h=16", "--set", "model.seq_len=4",
                  "--set", "model.cont_width=16", "--set", "model.k_max=[8,8,8]",
-                 "--set", "optimizer.epochs=1"]) == 0
+                 "--set", "optimizer.epochs=1", "--set", "seed=3"]) == 0
     ckpt = run / "checkpoint"
-    assert (ckpt / "manifest.json").exists()
+    assert load_checkpoint(ckpt).config["seed"] == 3
     assert main(["eval", "--checkpoint", str(ckpt), "--data", manifest,
                  "--out", str(report)]) == 0
     assert json.loads(report.with_suffix(".json").read_text())
@@ -69,6 +71,24 @@ def test_gen_data_train_eval_corrupt_smoke(tmp_path, capsys):
     cells = sorted(tree.glob("*/level_*/manifest.jsonl"))
     assert len(cells) == len(KINDS) * len(LEVELS)
     assert capsys.readouterr().err == ""
+
+
+def test_pca_viz_writes_projection_and_sidecar(tmp_path, capsys):
+    manifest, ckpt = _toy_checkpoint(tmp_path)
+    sample = read_dataset(manifest).records[0].id
+    out = tmp_path / "viz" / "pca.htns"
+    args = ["pca-viz", "--checkpoint", str(ckpt), "--data", manifest,
+            "--out", str(out), "--sample"]
+    assert main(args + [sample]) == 0
+    projection = read_tensor(out)
+    assert projection.shape == (128, 3) and projection.dtype == np.float32
+    sidecar = json.loads(out.with_suffix(".json").read_text())
+    assert set(sidecar) == {"sample", "rank", "padded", "explained_variance"}
+    assert sidecar["sample"] == sample
+    capsys.readouterr()
+    assert main(args + ["no_such_sample"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cell_keeps_its_fixtures_when_the_source_is_regenerated(tmp_path, capsys):

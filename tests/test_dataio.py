@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from affground import tensor as T
+from affground.cli import main
 from affground.dataio import (
     CLASS_NAMES,
     Checkpoint,
@@ -271,20 +272,30 @@ JSON_READERS = {
     "checkpoint_manifest": (_checkpoint_reader, "params", CheckpointError),
     "dataset_vocab": (_vocab_reader, "affordances", DataFormatError),
 }
+# "<key>_is_a_number" replaces a key that must hold an object or a list
+JSON_DAMAGE = [(reader, damage) for reader in sorted(JSON_READERS)
+               for damage in ("truncated", "missing_key", "not_an_object")] + [
+    ("checkpoint_manifest", "vocab_is_a_number"),
+    ("dataset_vocab", "classes_is_a_number"),
+    ("dataset_vocab", "affordances_is_a_number"),
+]
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing_key", "not_an_object"])
-@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+@pytest.mark.parametrize("reader, damage", JSON_DAMAGE,
+                         ids=[f"{reader}-{damage}" for reader, damage in JSON_DAMAGE])
 def test_malformed_json_raises_package_error(tmp_path, reader, damage):
     setup, key, error = JSON_READERS[reader]
     path, read = setup(tmp_path)
     text = path.read_text()
     read()  # intact files load
+    payload = json.loads(text)
     if damage == "truncated":
         path.write_text(text[: len(text) // 2])
     elif damage == "missing_key":
-        payload = json.loads(text)
         del payload[key]
+        path.write_text(json.dumps(payload))
+    elif damage.endswith("_is_a_number"):
+        payload[damage.removesuffix("_is_a_number")] = 5
         path.write_text(json.dumps(payload))
     else:
         path.write_text("[1, 2]")
@@ -302,8 +313,8 @@ def _edit_first_row(tmp_path, key, value):
     return lambda: read_dataset(manifest)
 
 
-def _manifest_row_path(tmp_path):
-    return _edit_first_row(tmp_path, "points", 5)
+def _manifest_row(key, value):
+    return lambda tmp_path: _edit_first_row(tmp_path, key, value)
 
 
 def _checkpoint_path(section):
@@ -324,14 +335,35 @@ def _checkpoint_path(section):
 
 
 @pytest.mark.parametrize("damage, error", [
-    (_manifest_row_path, DataFormatError),
+    (_manifest_row("points", 5), DataFormatError),
+    (_manifest_row("id", ["a"]), DataFormatError),
+    (_manifest_row("class_name", 5), DataFormatError),
+    (_manifest_row("affordance_name", 5), DataFormatError),
+    (_manifest_row("prompt", None), DataFormatError),
     (_checkpoint_path("params"), CheckpointError),
     (_checkpoint_path("exp_avg"), CheckpointError),
-], ids=["manifest_row", "checkpoint_params", "checkpoint_optimizer"])
+], ids=["manifest_row", "manifest_id", "manifest_class_name",
+        "manifest_affordance_name", "manifest_prompt", "checkpoint_params",
+        "checkpoint_optimizer"])
 def test_non_string_path_raises_package_error(tmp_path, damage, error):
     read = damage(tmp_path)
-    with pytest.raises(error, match="not a path string"):
+    with pytest.raises(error, match="is not a (path )?string"):
         read()
+
+
+@pytest.mark.parametrize("key, value", [("class_name", "cup"),
+                                        ("affordance_name", "pour")])
+def test_name_outside_vocabulary_raises_package_error(tmp_path, capsys, key,
+                                                      value):
+    read = _edit_first_row(tmp_path, key, value)
+    with pytest.raises(DataFormatError, match=rf"manifest.jsonl:1: {key} "
+                                              rf"'{value}' is not in the vocab"):
+        read()
+    capsys.readouterr()
+    assert main(["gen-fixtures", "--manifest",
+                 str(tmp_path / "ds" / "manifest.jsonl"), "--d-h", "16",
+                 "--seq-len", "4"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("key, value", [
