@@ -14,11 +14,18 @@ only through feature MLPs.
 Both stage kinds compute their first linear layer on distinct rows only,
 in exact algebra equal to concatenating the inputs and projecting:
 
-- SA: ``rel @ W[:3] + gather_rows(feats @ W[3:], group_idx) + b``;
+- SA1, whose input features are the coordinates themselves:
+  ``geometry @ W + b``, with the plan's constant (m*k, 6) member rows
+  ``[rel, coords[group_idx]]``;
+- SA2, SA3: ``rel @ W[:3] + gather_rows(feats @ W[3:], group_idx) + b``;
 - FP: ``interpolate(src @ W[:d_src], nn_idx, w) + skip @ W[d_src:] + b``.
 
 ``W[a:b]`` is a :func:`~affground.tensor.slice_rows` view, so parameter
-names, shapes and checkpoints are those of the concatenated layer.
+names, shapes and checkpoints are those of the concatenated layer. Each
+FP stage returns its unit MLP's last layer unapplied (an
+:class:`~affground.nn.Affine`): ``decode`` applies FP1 and FP2, and hands
+FP3's ``relu(h_fp3) @ W_fp3.1 + b_fp3.1`` on for the next linear layer
+(the Stage II fuse or the decoder head) to be multiplied into it.
 
 Geometry contract: every squared distance is float64, summed over x, y, z
 in that order, and every nearest-first order breaks equal distances toward
@@ -40,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .nn import make_mlp
+from .nn import Affine, make_mlp
 from .tensor import Tensor, gather_rows, interpolate, matmul, max_reduce
 
 EPS_INTERP = 1e-8
@@ -212,9 +219,16 @@ def interpolation_neighbors(src_coords: np.ndarray, dst_coords: np.ndarray,
 
 @dataclass
 class SAPlan:
+    """One stage's grouping and its members' constant first-layer columns.
+
+    ``geometry`` is each member's offset from its center; at the first
+    stage, whose input features are the coordinates, the member's own
+    coordinates follow.
+    """
+
     sample_idx: np.ndarray      # (m,) into the previous level
     group_idx: np.ndarray       # (m, k) padded with each group's first entry
-    rel_coords: np.ndarray      # (m, k, 3) member minus center
+    geometry: np.ndarray        # (m, k, 3), or (m, k, 6) at the first stage
     centers: np.ndarray         # (m, 3)
 
 
@@ -236,11 +250,13 @@ class BackbonePlan:
 class SetAbstraction:
     """Sample/group/encode/pool stage producing coarser features.
 
-    The shared MLP's first layer sees ``[rel, feats[group]]`` per member.
-    With ``W = [W_rel; W_feat]`` its pre-activation is computed as
-    ``rel @ W_rel + gather(feats @ W_feat) + b``: each point's features
-    are projected once, and only the 3 relative-coordinate columns run
-    on all m*k member rows.
+    The shared MLP's first layer sees ``[geometry, feats[group]]`` per
+    member, where ``geometry`` holds the plan's constant columns. With
+    ``W = [W_geo; W_feat]`` its pre-activation is computed as
+    ``geometry @ W_geo + gather(feats @ W_feat) + b``: each point's
+    features are projected once, and only the geometry columns run on all
+    m*k member rows. ``feats`` is None when the geometry is the whole
+    input (the first stage, whose features are the coordinates).
     """
 
     def __init__(self, params, prefix, rng, in_dim, hidden, out, dtype=np.float32):
@@ -248,14 +264,16 @@ class SetAbstraction:
         self.out_dim = out
         self.dtype = dtype
 
-    def __call__(self, feats: Tensor, plan: SAPlan) -> Tensor:
-        m, k, _ = plan.rel_coords.shape
-        rel = Tensor(plan.rel_coords.reshape(m * k, 3).astype(self.dtype))
+    def __call__(self, feats: Tensor | None, plan: SAPlan) -> Tensor:
+        m, k, g = plan.geometry.shape
+        geometry = Tensor(plan.geometry.reshape(m * k, g).astype(self.dtype))
         first = self.mlp.layers[0]
-        w_rel, w_feat = first.split(3)
-        member = gather_rows(matmul(feats, w_feat), plan.group_idx.reshape(-1))
-        h = matmul(rel, w_rel) + member + first.b
-        encoded = self.mlp.after_first(h).reshape(m, k, self.out_dim)
+        w_geo, w_feat = first.split(g)
+        h = matmul(geometry, w_geo)
+        if feats is not None:
+            h = h + gather_rows(matmul(feats, w_feat), plan.group_idx.reshape(-1))
+        h = h + first.b
+        encoded = self.mlp.after_first(h).apply().reshape(m, k, self.out_dim)
         return max_reduce(encoded, axis=1)
 
 
@@ -268,14 +286,15 @@ class FeaturePropagation:
     MLP maps the result to ``out`` channels. Interpolation is linear, so
     with ``W = [W_src; W_skip]`` the first layer is computed as
     ``interpolate(src @ W_src) + skip @ W_skip + b``: the source half runs
-    on the coarse rows, not on every destination row.
+    on the coarse rows, not on every destination row. The MLP's last
+    layer is returned unapplied.
     """
 
     def __init__(self, params, prefix, rng, in_dim, out, dtype=np.float32):
         self.mlp = make_mlp(params, prefix, rng, [in_dim, out, out], dtype)
 
     def __call__(self, src_feats: Tensor, plan: FPPlan,
-                 skip_feats: Tensor) -> Tensor:
+                 skip_feats: Tensor) -> Affine:
         first = self.mlp.layers[0]
         w_src, w_skip = first.split(src_feats.shape[1])
         h = (interpolate(matmul(src_feats, w_src), plan.nn_idx, plan.weights)
@@ -330,8 +349,14 @@ class PointBackbone:
             idx = farthest_point_sample(level, m)
             centers = level[idx]
             group_idx = ball_query(centers, level, r, k)
-            rel = level[group_idx] - centers[:, None, :]
-            plan.sa.append(SAPlan(idx, group_idx, rel.astype(np.float32), centers))
+            columns = level
+            if level is coords:
+                # the first stage's input features are the coordinates: its
+                # members carry their own coordinates after the offset
+                columns = np.concatenate([level, level], axis=1)
+            geometry = columns[group_idx]
+            geometry[:, :, :3] -= centers[:, None, :]
+            plan.sa.append(SAPlan(idx, group_idx, geometry, centers))
             plan.level_coords.append(centers)
             level = centers
         # propagation runs bottleneck -> ... -> full resolution
@@ -348,10 +373,11 @@ class PointBackbone:
         """Run the SA stack; returns (bottleneck, skip features fine->coarse).
 
         skips[0] is the raw full-resolution coordinate features, then one
-        entry per abstraction stage except the bottleneck itself.
+        entry per abstraction stage except the bottleneck itself. The
+        first stage reads the coordinates from its plan's geometry.
         """
-        feats = Tensor(plan.level_coords[0].astype(self.dtype))
-        skips = [feats]
+        skips = [Tensor(plan.level_coords[0].astype(self.dtype))]
+        feats = None
         for stage, sa_plan in zip(self.sa_stages, plan.sa):
             feats = stage(feats, sa_plan)
             skips.append(feats)
@@ -360,15 +386,16 @@ class PointBackbone:
     def decode(self, bottleneck: Tensor, skips, plan: BackbonePlan):
         """Run the FP stack; returns (full_res, scales).
 
-        ``scales`` is the bottleneck and the first two FP outputs, coarse
-        to fine: the three feature tensors that lifting attends over.
+        ``full_res`` is FP3's output with its last layer unapplied (an
+        :class:`~affground.nn.Affine`). ``scales`` is the bottleneck and
+        the first two FP outputs, coarse to fine: the three feature
+        tensors that lifting attends over.
         """
         if bottleneck.shape != (self.stage_points[-1], self.d):
             raise ShapeError(
                 f"bottleneck shape {bottleneck.shape} does not match "
                 f"({self.stage_points[-1]}, {self.d})")
         scales = [bottleneck]
-        for fp, fp_plan, skip in zip(self.fp_stages, plan.fp, reversed(skips)):
-            scales.append(fp(scales[-1], fp_plan, skip))
-        full_res = scales.pop()
-        return full_res, scales
+        for fp, fp_plan, skip in zip(self.fp_stages[:2], plan.fp, reversed(skips)):
+            scales.append(fp(scales[-1], fp_plan, skip).apply())
+        return self.fp_stages[2](scales[-1], plan.fp[2], skips[0]), scales

@@ -164,8 +164,9 @@ def _cmd_pca_viz(args):
     cloud = dataset.load_cloud(record)
     hidden = dataset.load_hidden(record)
     with no_grad():
-        result = model.forward(cloud, hidden)
-    projected = pca_project(result.fused.data, k=3)
+        fused, _ = model.integrate(hidden, model.build_plan(cloud))
+        features = fused.apply().data
+    projected = pca_project(features, k=3)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_tensor(out, projected.projection.astype("float32"))

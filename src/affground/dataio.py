@@ -492,6 +492,13 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
         if not isinstance(vocab, dict):
             raise CheckpointError(
                 f"{manifest_path}: vocab is not an object: {vocab!r}")
+        # a non-empty vocab is checked against the evaluated dataset's
+        affordances = vocab.get("affordances")
+        if vocab and not (isinstance(affordances, list)
+                          and all(isinstance(a, str) for a in affordances)):
+            raise CheckpointError(
+                f"{manifest_path}: vocab affordances is not a list of "
+                f"strings: {affordances!r}")
     except AffgroundError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

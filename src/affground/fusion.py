@@ -5,11 +5,16 @@ Stage I: bottleneck point features attend to projected token states
 output replaces the input rather than being added to it). Stage II: a
 gated weighted sum over tokens forms one global descriptor, and an MLP
 mixes each full-resolution row with it. Its first layer, the
-concatenation ``[full_res, descriptor]`` times ``W``, is computed exactly
-as ``full_res @ W[:d] + (descriptor @ W[d:] + b)``: the descriptor's
-(1, d) projection is broadcast over the rows, never tiled.
-``AffordanceModel.forward`` runs the stages around the backbone, and
-``fusion.stage1``/``fusion.stage2`` switch each off for ablations.
+concatenation ``[full_res, descriptor]`` times ``W``, is
+``full_res @ W[:d] + (descriptor @ W[d:] + b)``: the descriptor's (1, d)
+projection is broadcast over the rows, never tiled. ``full_res`` arrives
+as FP3's last layer unapplied, so the row half folds into it and the
+pre-activation is computed exactly as
+``relu(h_fp3) @ (W_fp3.1 @ W[:d]) + (b_fp3.1 @ W[:d] + descriptor @ W[d:] + b)``.
+The fuse MLP's own last layer is returned unapplied in turn, for the
+decoder head to fold in. ``AffordanceModel.forward`` runs the stages
+around the backbone, and ``fusion.stage1``/``fusion.stage2`` switch each
+off for ablations.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .nn import make_linear, make_mlp
+from .nn import Affine, Linear, make_linear, make_mlp
 from .tensor import Tensor, matmul, softmax_lastdim, transpose
 
 
@@ -63,13 +68,16 @@ class FusionModule:
         weights = softmax_lastdim(transpose(scores))       # (1, L)
         return matmul(weights, token_feats)
 
-    def fuse_full_res(self, full_res: Tensor, descriptor: Tensor) -> Tensor:
-        """Stage II: mix every row with the descriptor, ``MLP([row, desc])``."""
+    def fuse_full_res(self, full_res: Affine, descriptor: Tensor) -> Affine:
+        """Stage II: mix every row with the descriptor, ``MLP([row, desc])``.
+
+        Both the rows and the result are unapplied affine maps.
+        """
         if full_res.shape[1] != self.d or descriptor.shape != (1, self.d):
             raise ShapeError(
                 f"fuse expects (N, {self.d}) and (1, {self.d}), got "
                 f"{full_res.shape} and {descriptor.shape}")
         first = self.fuse_mlp.layers[0]
         w_row, w_desc = first.split(self.d)
-        h = matmul(full_res, w_row) + (matmul(descriptor, w_desc) + first.b)
-        return self.fuse_mlp.after_first(h)
+        rows = Linear(w_row, matmul(descriptor, w_desc) + first.b)
+        return self.fuse_mlp.after_first(full_res.then(rows).apply())

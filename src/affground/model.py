@@ -3,9 +3,19 @@
 :meth:`AffordanceModel.forward` is the one forward path. It projects the
 token states, encodes the cloud, enhances the bottleneck with Stage I
 cross-attention, decodes to full resolution, mixes in the Stage II
-descriptor, lifts the contact-token embedding over the three decoder
-scales and scores every point. ``fusion.stage1`` and ``fusion.stage2``
-skip their stage (an ablation); ``lifting.mode`` picks the lifting.
+descriptor (together :meth:`AffordanceModel.integrate`), lifts the
+contact-token embedding over the three decoder scales and scores every
+point. ``fusion.stage1`` and ``fusion.stage2`` skip their stage (an
+ablation); ``lifting.mode`` picks the lifting.
+
+The (N, d) full-resolution features are never formed. The linear layer
+that ends an MLP there is multiplied into the linear layer that follows
+it at the weight level (see :class:`~affground.nn.Affine`): FP3's last
+layer into the Stage II fuse's row half, and the fuse's last layer,
+through the broadcast intention add, into the decoder head's first
+layer. With Stage II off, FP3's last layer folds straight into the head.
+Parameter names and shapes are those of the unfolded layers. ``pca-viz``
+applies the integrated features itself.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from .fusion import FusionModule
 from .intention import HiddenStates, IntentionHead
 from .lifting import GeometryLifting
 from .losses import affordance_loss, cross_entropy, total_loss
+from .nn import Affine
 from .rng import rng_for
 from .tensor import Tensor
 
@@ -29,7 +40,6 @@ from .tensor import Tensor
 class ForwardResult:
     scores: Tensor          # (N, 1), strictly inside (0, 1)
     aux_logits: Tensor      # (1, K)
-    fused: Tensor           # (N, d) integrated point features
 
 
 class AffordanceModel:
@@ -59,10 +69,14 @@ class AffordanceModel:
     def build_plan(self, cloud: PointCloud) -> BackbonePlan:
         return self.backbone.build_plan(cloud.coords)
 
-    def forward(self, cloud: PointCloud, hidden: HiddenStates,
-                plan: BackbonePlan | None = None) -> ForwardResult:
-        if plan is None:
-            plan = self.build_plan(cloud)
+    def integrate(self, hidden: HiddenStates,
+                  plan: BackbonePlan) -> tuple[Affine, list]:
+        """(fused, scales): the point features after both integration stages.
+
+        ``fused`` is the (N, d) features with their last linear layer
+        unapplied; ``scales`` are the three decoder scales lifting
+        attends over.
+        """
         stages = self.config.fusion
         token_feats = self.intention.project_hidden(hidden)
         bottleneck, skips = self.backbone.encode(plan)
@@ -73,11 +87,18 @@ class AffordanceModel:
         if stages.stage2:
             descriptor = self.fusion.gated_global_descriptor(token_feats)
             fused = self.fusion.fuse_full_res(fused, descriptor)
+        return fused, scales
+
+    def forward(self, cloud: PointCloud, hidden: HiddenStates,
+                plan: BackbonePlan | None = None) -> ForwardResult:
+        if plan is None:
+            plan = self.build_plan(cloud)
+        fused, scales = self.integrate(hidden, plan)
         lifted = self.lifting.lift_all(self.intention.project_cont(hidden), scales)
         feats = self.decoder.point_to_intention(fused, lifted)
         scores = self.decoder.predict_map(feats)
         logits = self.intention.aux_affordance_logits(hidden)
-        return ForwardResult(scores=scores, aux_logits=logits, fused=fused)
+        return ForwardResult(scores=scores, aux_logits=logits)
 
     def loss(self, result: ForwardResult, cloud: PointCloud,
              hidden: HiddenStates):

@@ -125,8 +125,10 @@ def build_plan_oracle(backbone, coords):
         idx = fps_reference(level, m)
         centers = level[idx]
         group_idx = pad_groups_oracle(ball_query_oracle(centers, level, r, k), k)
-        rel = level[group_idx] - centers[:, None, :]
-        plan.sa.append(SAPlan(idx, group_idx, rel.astype(np.float32), centers))
+        geometry = level[group_idx] - centers[:, None, :]
+        if len(plan.sa) == 0:  # the input cloud: its features are the coords
+            geometry = np.concatenate([geometry, level[group_idx]], axis=2)
+        plan.sa.append(SAPlan(idx, group_idx, geometry.astype(np.float32), centers))
         plan.level_coords.append(centers)
         level = centers
     for i in range(3):
@@ -149,7 +151,7 @@ def assert_plans_bitwise(got, want):
         assert_bitwise(a, b)
     assert len(got.sa) == len(want.sa) and len(got.fp) == len(want.fp)
     for a, b in zip(got.sa, want.sa):
-        for name in ("sample_idx", "group_idx", "rel_coords", "centers"):
+        for name in ("sample_idx", "group_idx", "geometry", "centers"):
             assert_bitwise(getattr(a, name), getattr(b, name))
     for a, b in zip(got.fp, want.fp):
         assert_bitwise(a.nn_idx, b.nn_idx)
@@ -335,7 +337,7 @@ class TestSetAbstraction:
         plan = SAPlan(
             sample_idx=np.array([0, 4]),
             group_idx=np.array([[0, 1, 2, 3], [4, 5, 6, 7]]),
-            rel_coords=np.stack([patch, patch]).astype(np.float64),
+            geometry=np.stack([patch, patch]).astype(np.float64),
             centers=np.zeros((2, 3)),
         )
         feats = T.tensor(np.tile(np.arange(8)[:, None] % 4, (1, 3)),
@@ -385,12 +387,12 @@ class TestSetAbstraction:
         rng = np.random.default_rng(5)
         coords = normalize_unit_sphere(rng.normal(size=(32, 3)))
         plan = backbone.build_plan(coords)
-        feats = T.tensor(coords, dtype=np.float64)
         target = T.tensor(rng.normal(size=(8, 2)), dtype=np.float64)
 
+        # the first stage reads its input, the coordinates, from the plan
         stage_params = {k: v for k, v in params.items() if k.startswith("backbone.sa1")}
         errs = finite_difference_check_params(
-            lambda: ((backbone.sa_stages[0](feats, plan.sa[0]) - target) ** 2.0).sum(),
+            lambda: ((backbone.sa_stages[0](None, plan.sa[0]) - target) ** 2.0).sum(),
             stage_params)
         assert max(errs.values()) <= 1e-4
 
@@ -584,7 +586,7 @@ class TestEncodeDecode:
         with T.no_grad():
             bottleneck, skips = backbone.encode(plan)
             full_res, _ = backbone.decode(bottleneck, skips, plan)
-        assert np.isfinite(full_res.data).all()
+        assert np.isfinite(full_res.apply().data).all()
 
     def test_zero_bottleneck_zero_skips_zero_output(self):
         params = {}
@@ -600,7 +602,7 @@ class TestEncodeDecode:
                       T.tensor(np.zeros((8, 2)), dtype=np.float64),
                       T.tensor(np.zeros((4, 4)), dtype=np.float64)]
         full_res, _ = backbone.decode(zero_bottleneck, zero_skips, plan)
-        np.testing.assert_array_equal(full_res.data, 0.0)
+        np.testing.assert_array_equal(full_res.apply().data, 0.0)
 
     def test_full_res_row_count_matches_input(self):
         params = {}
@@ -648,7 +650,7 @@ class TestEncodeDecode:
         def loss():
             bottleneck, skips = backbone.encode(plan)
             full_res, _ = backbone.decode(bottleneck, skips, plan)
-            return ((full_res - target) ** 2.0).mean()
+            return ((full_res.apply() - target) ** 2.0).mean()
 
         errs = finite_difference_check_params(loss, params)
         assert max(errs.values()) <= 1e-4

@@ -1,4 +1,9 @@
-"""Affordance decoding head."""
+"""Affordance decoding head.
+
+The decoder takes the fused features as an MLP's last layer hands them
+on, ``x @ w + b`` unapplied (:class:`affground.nn.Affine`); the tests
+compare its output with those rows applied.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from affground.decoder import AffordanceDecoder
 from affground.errors import ShapeError
 from affground.gradcheck import finite_difference_check_params
 from affground.losses import affordance_loss
+from affground.nn import Affine
 from affground.rng import rng_for
 
 
@@ -19,49 +25,60 @@ def make_decoder(params, d=8, seed=0, dtype=np.float64):
     return AffordanceDecoder(params, "decoder", rng_for(seed, "init"), d, dtype)
 
 
+def pending(x, seed=0, dtype=np.float64):
+    """Rows ``x @ w + b``, unapplied, with a random (d, d) w and (1, d) b.
+
+    ``w`` has variance 1/d, so the rows have about the scale of ``x``.
+    """
+    d = x.shape[1]
+    return Affine(T.tensor(x, dtype=dtype),
+                  T.tensor(rand((d, d), seed + 100) / np.sqrt(d), dtype=dtype),
+                  T.tensor(rand((1, d), seed + 200), dtype=dtype))
+
+
 class TestPointToIntention:
     def test_zero_value_projection_is_identity(self):
         params = {}
         dec = make_decoder(params)
         params["decoder.v.w"].data[:] = 0.0
-        feats = T.tensor(rand((5, 8), 1), dtype=np.float64)
+        feats = pending(rand((5, 8), 1))
         emb = T.tensor(rand((1, 8), 2), dtype=np.float64)
         out = dec.point_to_intention(feats, emb)
-        np.testing.assert_array_equal(out.data, feats.data)
+        np.testing.assert_array_equal(out.apply().data, feats.apply().data)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_single_key_attention_bitwise(self, dtype):
         # residual attention of every point over the one embedding token:
         # the softmax over a single logit is exactly 1, so the query and
-        # key projections cannot change the output
+        # key projections cannot change the output: every row gains v
         params = {}
         dec = make_decoder(params, d=8, seed=13, dtype=dtype)
         gen = np.random.default_rng(14)
         wq, wk = (gen.normal(size=(8, 8)).astype(dtype) for _ in range(2))
-        feats = T.tensor(rand((11, 8), 15), dtype=dtype)
+        feats = pending(rand((11, 8), 15), dtype=dtype)
         emb = T.tensor(rand((1, 8), 16), dtype=dtype)
-        q = feats @ T.tensor(wq)
+        q = feats.apply() @ T.tensor(wq)
         k = emb @ T.tensor(wk)
         v = emb @ params["decoder.v.w"]
         attn = T.softmax_lastdim((q @ k.T) * (1.0 / np.sqrt(8)))
-        expected = feats + attn @ v
+        expected = feats.shift(attn @ v)
         out = dec.point_to_intention(feats, emb)
-        np.testing.assert_array_equal(out.data, expected.data)
+        np.testing.assert_array_equal(out.apply().data, expected.apply().data)
 
     def test_identical_rows_identical_outputs(self):
         params = {}
         dec = make_decoder(params)
         row = rand((1, 8), 3)
-        feats = T.tensor(np.vstack([row, rand((2, 8), 4), row]), dtype=np.float64)
+        feats = pending(np.vstack([row, rand((2, 8), 4), row]))
         emb = T.tensor(rand((1, 8), 5), dtype=np.float64)
-        out = dec.point_to_intention(feats, emb)
+        out = dec.point_to_intention(feats, emb).apply()
         np.testing.assert_allclose(out.data[0], out.data[3], atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         params = {}
         dec = make_decoder(params)
         with pytest.raises(ShapeError):
-            dec.point_to_intention(T.tensor(rand((5, 4)), dtype=np.float64),
+            dec.point_to_intention(pending(rand((5, 4))),
                                    T.tensor(rand((1, 8)), dtype=np.float64))
 
     def test_row_permutation_equivariance(self):
@@ -71,10 +88,9 @@ class TestPointToIntention:
         emb = T.tensor(rand((1, 8), 7), dtype=np.float64)
         perm = np.random.default_rng(8).permutation(9)
         with T.no_grad():
-            base = dec.predict_map(dec.point_to_intention(
-                T.tensor(feats, dtype=np.float64), emb))
+            base = dec.predict_map(dec.point_to_intention(pending(feats), emb))
             permuted = dec.predict_map(dec.point_to_intention(
-                T.tensor(feats[perm], dtype=np.float64), emb))
+                pending(feats[perm]), emb))
         np.testing.assert_allclose(permuted.data, base.data[perm], atol=1e-6)
 
 
@@ -85,7 +101,7 @@ class TestPredictMap:
         for name, p in params.items():
             if name.startswith("decoder.head"):
                 p.data[:] = 0.0
-        out = dec.predict_map(T.tensor(np.zeros((6, 8)), dtype=np.float64))
+        out = dec.predict_map(pending(np.zeros((6, 8))))
         np.testing.assert_array_equal(out.data, np.full((6, 1), 0.5))
 
     def test_scores_strictly_inside_unit_interval(self):
@@ -93,7 +109,7 @@ class TestPredictMap:
         # probe the representable range
         params = {}
         dec = make_decoder(params)
-        feats = T.tensor(rand((20, 8), 9) * 3, dtype=np.float64)
+        feats = pending(rand((20, 8), 9) * 3)
         with T.no_grad():
             out = dec.predict_map(dec.point_to_intention(
                 feats, T.tensor(rand((1, 8), 10), dtype=np.float64)))
@@ -102,7 +118,7 @@ class TestPredictMap:
     def test_gradcheck_through_losses(self):
         params = {}
         dec = make_decoder(params)
-        feats = T.tensor(rand((6, 8), 11), dtype=np.float64)
+        feats = pending(rand((6, 8), 11))
         emb = T.tensor(rand((1, 8), 12), dtype=np.float64)
         targets = np.array([1.0, 0.0, 0.6, 0.0, 1.0, 0.0])
 

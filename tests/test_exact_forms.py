@@ -1,33 +1,46 @@
 """The exact-algebra layer forms against the repeated-row forms they replace.
 
 Set abstraction, feature propagation, Stage II fusion and lifting compute
-each first linear layer on distinct rows only (see the module
-docstrings). The oracles below are the forms that build the repeated rows
-and multiply them: gather then concatenate, interpolate then concatenate,
-tile then concatenate, and the (N, d) x (d, d) key and value projections
-of a single query. Both are equal in exact arithmetic. In floating point
-every output must lie within ``TOL[dtype]`` times the largest output
-magnitude, and every gradient within ``TOL[dtype]`` times the largest
-gradient magnitude over all parameters and inputs.
+each first linear layer on distinct rows only, and the linear layer that
+ends FP3 and the fuse MLP is multiplied into the next linear layer at the
+weight level (see the module docstrings). The oracles below are the forms
+that build the repeated rows and multiply them:
+
+- ``sa_call_oracle``: gather the member features, then concatenate;
+- ``encode_oracle``: the coordinates fed to the first stage as features;
+- ``fp_call_oracle``: interpolate, then concatenate the skip;
+- ``decode_oracle``: every FP stage applied, FP3's (N, d) output formed;
+- ``fuse_full_res_oracle``: tile the descriptor, concatenate, and form the
+  (N, d) fused features;
+- ``point_to_intention_oracle``: add ``wv(embedding)`` to every (N, d) row;
+- ``predict_map_oracle``: run the head on the (N, d) features;
+- ``lift_stage_oracle``: the (N, d) x (d, d) key and value projections of
+  a single query.
+
+Both are equal in exact arithmetic. In floating point every output must
+lie within ``TOL[dtype]`` times the largest output magnitude, and every
+gradient within ``TOL[dtype]`` times the largest gradient magnitude over
+all parameters and inputs.
 """
 
 import numpy as np
 import pytest
 
 from affground import tensor as T
-from affground.backbone import (
-    FeaturePropagation,
-    PointBackbone,
-    SetAbstraction,
-    normalize_unit_sphere,
-)
-from affground.config import ModelConfig, RunConfig
-from affground.dataio import synth_cloud
+from affground.backbone import PointBackbone, normalize_unit_sphere
+from affground.cli import main
+from affground.config import FusionConfig, ModelConfig, RunConfig
+from affground.dataio import read_dataset, read_tensor, synth_cloud
+from affground.decoder import AffordanceDecoder
+from affground.errors import ContractError
 from affground.fusion import FusionModule
 from affground.intention import synth_fixture
 from affground.lifting import LiftStage
+from affground.metrics import pca_project
 from affground.model import AffordanceModel
+from affground.nn import Affine, make_mlp
 from affground.rng import rng_for
+from affground.train import load_model
 
 TOL = {np.float64: 1e-13, np.float32: 1e-5}
 DTYPES = [np.float64, np.float32]
@@ -35,17 +48,36 @@ DTYPES = [np.float64, np.float32]
 
 def sa_call_oracle(stage, feats, plan):
     """SetAbstraction: gather member features, concatenate, run the MLP."""
-    m, k, _ = plan.rel_coords.shape
-    rel = T.Tensor(plan.rel_coords.reshape(m * k, 3).astype(stage.dtype))
+    m, k, _ = plan.geometry.shape
+    rel = T.Tensor(plan.geometry[:, :, :3].reshape(m * k, 3).astype(stage.dtype))
     member = T.gather_rows(feats, plan.group_idx.reshape(-1))
     encoded = stage.mlp(T.concat([rel, member], axis=1))
     return T.max_reduce(encoded.reshape(m, k, stage.out_dim), axis=1)
+
+
+def encode_oracle(backbone, plan):
+    """PointBackbone.encode with the coordinates as the first stage's features."""
+    feats = T.Tensor(plan.level_coords[0].astype(backbone.dtype))
+    skips = [feats]
+    for stage, sa_plan in zip(backbone.sa_stages, plan.sa):
+        feats = sa_call_oracle(stage, feats, sa_plan)
+        skips.append(feats)
+    return feats, skips[:-1]
 
 
 def fp_call_oracle(fp, src_feats, plan, skip_feats):
     """FeaturePropagation: interpolate, concatenate the skip, run the MLP."""
     mixed = T.interpolate(src_feats, plan.nn_idx, plan.weights)
     return fp.mlp(T.concat([mixed, skip_feats], axis=1))
+
+
+def decode_oracle(backbone, bottleneck, skips, plan):
+    """PointBackbone.decode forming every FP output, FP3's (N, d) included."""
+    scales = [bottleneck]
+    for fp, fp_plan, skip in zip(backbone.fp_stages, plan.fp, reversed(skips)):
+        scales.append(fp_call_oracle(fp, scales[-1], fp_plan, skip))
+    full_res = scales.pop()
+    return full_res, scales
 
 
 def repeat_rows_oracle(x, n):
@@ -61,6 +93,21 @@ def fuse_full_res_oracle(fusion, full_res, descriptor):
     """Stage II: tile the descriptor, concatenate, run the MLP."""
     tiled = repeat_rows_oracle(descriptor, full_res.shape[0])
     return fusion.fuse_mlp(T.concat([full_res, tiled], axis=1))
+
+
+def point_to_intention_oracle(decoder, point_feats, embedding):
+    """The value-projected embedding added to every (N, d) row."""
+    return point_feats + decoder.wv(embedding)
+
+
+def predict_map_oracle(decoder, feats):
+    """The head's MLP and sigmoid on the (N, d) features."""
+    return T.sigmoid(decoder.head(feats))
+
+
+def unfolded(x, w, b):
+    """The (N, d) rows ``x @ w + b`` that an :class:`Affine` stands for."""
+    return T.matmul(x, w) + b
 
 
 def lift_stage_oracle(stage, embedding, point_feats):
@@ -126,13 +173,21 @@ def stage_params(params, prefix):
 def test_set_abstraction_matches_gather_concat(i, dtype):
     params, backbone, plan = real_plan(16, dtype)
     stage = backbone.sa_stages[i]
+    sa_params = stage_params(params, f"backbone.sa{i + 1}")
+    if i == 0:
+        # the first stage's features are the constant coordinates, which
+        # it reads from its plan's (m*k, 6) member rows
+        coords = T.Tensor(plan.level_coords[0].astype(dtype))
+        check_against_oracle(lambda: stage(None, plan.sa[0]),
+                             lambda: sa_call_oracle(stage, coords, plan.sa[0]),
+                             {}, sa_params, dtype, i)
+        return
     in_dim = stage.mlp.layers[0].w.shape[0] - 3
     rng = np.random.default_rng(42 + i)
     feats = leaf(rng, (len(plan.level_coords[i]), in_dim), dtype)
     check_against_oracle(lambda f: stage(f, plan.sa[i]),
                          lambda f: sa_call_oracle(stage, f, plan.sa[i]),
-                         {"feats": feats},
-                         stage_params(params, f"backbone.sa{i + 1}"), dtype, i)
+                         {"feats": feats}, sa_params, dtype, i)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -145,10 +200,24 @@ def test_feature_propagation_matches_interpolate_concat(i, dtype):
     rng = np.random.default_rng(45 + i)
     inputs = {"src": leaf(rng, (int(fp_plan.nn_idx.max()) + 1, 16), dtype),
               "skip": leaf(rng, (len(fp_plan.nn_idx), skip_dim), dtype)}
-    check_against_oracle(lambda s, k: fp(s, fp_plan, k),
+    check_against_oracle(lambda s, k: fp(s, fp_plan, k).apply(),
                          lambda s, k: fp_call_oracle(fp, s, fp_plan, k),
                          inputs, stage_params(params, f"backbone.fp{i + 1}"),
                          dtype, 3 + i)
+
+
+def test_mlp_without_hidden_layer_is_refused():
+    # after_first hands the last layer on unapplied, after a ReLU
+    with pytest.raises(ContractError):
+        make_mlp({}, "mlp", rng_for(0, "init"), [4, 2])
+
+
+def pending_leaves(rng, n_rows, d, dtype):
+    """Leaves x, w, b of rows ``x @ w + b`` as an MLP's last layer hands them on."""
+    return {"x": leaf(rng, (n_rows, d), dtype),
+            "w": T.tensor(rng.normal(size=(d, d)) / np.sqrt(d),
+                          requires_grad=True, dtype=dtype),
+            "b": leaf(rng, (1, d), dtype)}
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -157,11 +226,32 @@ def test_fuse_full_res_matches_tile_concat(n_rows, dtype):
     params = {}
     fusion = FusionModule(params, "fusion", rng_for(1, "init"), 16, dtype=dtype)
     rng = np.random.default_rng(48)
-    inputs = {"full_res": leaf(rng, (n_rows, 16), dtype),
+    inputs = {**pending_leaves(rng, n_rows, 16, dtype),
               "descriptor": leaf(rng, (1, 16), dtype)}
-    check_against_oracle(fusion.fuse_full_res,
-                         lambda f, dsc: fuse_full_res_oracle(fusion, f, dsc),
-                         inputs, stage_params(params, "fusion.fuse"), dtype, 6)
+    check_against_oracle(
+        lambda x, w, b, dsc: fusion.fuse_full_res(Affine(x, w, b), dsc).apply(),
+        lambda x, w, b, dsc: fuse_full_res_oracle(fusion, unfolded(x, w, b), dsc),
+        inputs, stage_params(params, "fusion.fuse"), dtype, 6)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n_rows", [1, 50])
+def test_decoder_matches_unfolded_rows(n_rows, dtype):
+    params = {}
+    decoder = AffordanceDecoder(params, "decoder", rng_for(3, "init"), 16,
+                                dtype=dtype)
+    rng = np.random.default_rng(50)
+    inputs = {**pending_leaves(rng, n_rows, 16, dtype),
+              "embedding": leaf(rng, (1, 16), dtype)}
+
+    def folded(x, w, b, e):
+        return decoder.predict_map(decoder.point_to_intention(Affine(x, w, b), e))
+
+    def oracle(x, w, b, e):
+        feats = point_to_intention_oracle(decoder, unfolded(x, w, b), e)
+        return predict_map_oracle(decoder, feats)
+
+    check_against_oracle(folded, oracle, inputs, params, dtype, 8)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -188,18 +278,23 @@ def toy_samples():
 
 
 def patch_in_oracles(m):
-    m.setattr(SetAbstraction, "__call__", sa_call_oracle)
-    m.setattr(FeaturePropagation, "__call__", fp_call_oracle)
+    m.setattr(PointBackbone, "encode", encode_oracle)
+    m.setattr(PointBackbone, "decode", decode_oracle)
     m.setattr(FusionModule, "fuse_full_res", fuse_full_res_oracle)
     m.setattr(LiftStage, "__call__", lift_stage_oracle)
+    m.setattr(AffordanceDecoder, "point_to_intention", point_to_intention_oracle)
+    m.setattr(AffordanceDecoder, "predict_map", predict_map_oracle)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_model_matches_the_repeated_row_forms(dtype, monkeypatch):
+@pytest.mark.parametrize("stage2", [True, False], ids=["stage2", "no_stage2"])
+def test_model_matches_the_repeated_row_forms(stage2, dtype, monkeypatch):
     samples = toy_samples()
+    config = RunConfig(model=ModelConfig(**TOY),
+                       fusion=FusionConfig(stage2=stage2))
 
     def accumulated():
-        model = AffordanceModel(RunConfig(model=ModelConfig(**TOY)), dtype=dtype)
+        model = AffordanceModel(config, dtype=dtype)
         outputs = {}
         for j, (cloud, hidden) in enumerate(samples):
             result = model.forward(cloud, hidden)
@@ -207,7 +302,9 @@ def test_model_matches_the_repeated_row_forms(dtype, monkeypatch):
             T.backward(total)
             outputs[f"loss{j}"] = total.data.copy()
             outputs[f"scores{j}"] = result.scores.data.copy()
-        return outputs, {k: p.grad for k, p in model.params.items()}
+        # with Stage II off its parameters get no gradient in either form
+        return outputs, {k: p.grad for k, p in model.params.items()
+                         if p.grad is not None}
 
     outputs, grads = accumulated()
     with monkeypatch.context() as m:
@@ -241,3 +338,30 @@ def test_forward_multiplies_fewer_rows(monkeypatch):
     new = forward_macs()
     patch_in_oracles(monkeypatch)
     assert new < forward_macs()
+
+
+def test_pca_viz_matches_the_unfolded_features(tmp_path, monkeypatch):
+    """What ``pca-viz`` writes is the projection of the oracle's fused rows."""
+    data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "pca.htns"
+    assert main(["gen-data", "--out", str(data), "--classes", "1",
+                 "--affordances", "2", "--samples-per", "1", "--points", "128",
+                 "--d-h", "32", "--seq-len", "4"]) == 0
+    manifest = str(data / "manifest.jsonl")
+    assert main(["train", "--data", manifest, "--out", str(run),
+                 "--set", "model.n_points=128", "--set", "model.d=16",
+                 "--set", "model.d_h=32", "--set", "model.seq_len=4",
+                 "--set", "model.cont_width=16", "--set", "model.k_max=[8,8,8]",
+                 "--set", "optimizer.epochs=1"]) == 0
+    dataset = read_dataset(manifest)
+    record = dataset.records[0]
+    assert main(["pca-viz", "--checkpoint", str(run / "checkpoint"),
+                 "--data", manifest, "--sample", record.id,
+                 "--out", str(out)]) == 0
+    model, _, _ = load_model(run / "checkpoint")
+    cloud, hidden = dataset.load_cloud(record), dataset.load_hidden(record)
+    patch_in_oracles(monkeypatch)
+    with T.no_grad():
+        fused, _ = model.integrate(hidden, model.build_plan(cloud))
+    want = pca_project(fused.data, k=3).projection.astype(np.float32)
+    assert_within({"projection": read_tensor(out)}, {"projection": want},
+                  TOL[np.float32])

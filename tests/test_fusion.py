@@ -12,6 +12,7 @@ from affground.fusion import FusionModule
 from affground.gradcheck import finite_difference_check_params
 from affground.intention import synth_fixture
 from affground.model import AffordanceModel
+from affground.nn import Affine
 from affground.rng import rng_for
 
 TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
@@ -24,6 +25,14 @@ def make_fusion(params, d=8, dtype=np.float64, seed=0):
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
+
+
+def pending(x, seed=0):
+    """Rows ``x @ w + b``, unapplied, as FP3 hands them to the fuse."""
+    d = x.shape[1]
+    return Affine(T.tensor(x, dtype=np.float64),
+                  T.tensor(rand((d, d), seed + 100) / np.sqrt(d), dtype=np.float64),
+                  T.tensor(rand((1, d), seed + 200), dtype=np.float64))
 
 
 class TestBottleneckCrossAttention:
@@ -131,9 +140,11 @@ class TestDuplicateAndFuse:
         params["fusion.fuse.1.w"].data[:] = np.eye(d)
         params["fusion.fuse.1.b"].data[:] = 0.0
         feats = np.abs(rand((5, d), 20))  # non-negative so relu is identity
-        out = fusion.fuse_full_res(T.tensor(feats, dtype=np.float64),
-                                   T.tensor(np.zeros((1, d)), dtype=np.float64))
-        np.testing.assert_allclose(out.data, feats, atol=1e-12)
+        rows = Affine(T.tensor(feats, dtype=np.float64),
+                      T.tensor(np.eye(d), dtype=np.float64),
+                      T.tensor(np.zeros((1, d)), dtype=np.float64))
+        out = fusion.fuse_full_res(rows, T.tensor(np.zeros((1, d)), dtype=np.float64))
+        np.testing.assert_allclose(out.apply().data, feats, atol=1e-12)
 
     def test_row_permutation_equivariance(self):
         params = {}
@@ -141,19 +152,19 @@ class TestDuplicateAndFuse:
         feats = rand((9, 8), 21)
         desc = T.tensor(rand((1, 8), 22), dtype=np.float64)
         perm = np.random.default_rng(23).permutation(9)
-        out = fusion.fuse_full_res(T.tensor(feats, dtype=np.float64), desc)
-        out_perm = fusion.fuse_full_res(T.tensor(feats[perm], dtype=np.float64), desc)
+        out = fusion.fuse_full_res(pending(feats), desc).apply()
+        out_perm = fusion.fuse_full_res(pending(feats[perm]), desc).apply()
         np.testing.assert_allclose(out_perm.data, out.data[perm], atol=1e-12)
 
     def test_gradcheck_descriptor_and_fuse(self):
         params = {}
         fusion = make_fusion(params)
         tokens = T.tensor(rand((3, 8), 24), dtype=np.float64)
-        feats = T.tensor(rand((4, 8), 25), dtype=np.float64)
+        feats = pending(rand((4, 8), 25))
 
         def loss():
             desc = fusion.gated_global_descriptor(tokens)
-            return (fusion.fuse_full_res(feats, desc) ** 2.0).sum()
+            return (fusion.fuse_full_res(feats, desc).apply() ** 2.0).sum()
 
         stage2 = {k: v for k, v in params.items()
                   if ".gate" in k or ".fuse" in k}
@@ -162,7 +173,11 @@ class TestDuplicateAndFuse:
 
 
 class TestIntegrate:
-    """The stages as ``AffordanceModel.forward`` runs them around the backbone."""
+    """The stages as ``AffordanceModel.integrate`` runs them around the backbone.
+
+    ``integrate`` is the part of the forward that ``pca-viz`` runs; the
+    features it returns are compared applied.
+    """
 
     def _setup(self, seed=0, **stages):
         config = RunConfig(model=ModelConfig(**TOY), fusion=FusionConfig(**stages),
@@ -176,19 +191,19 @@ class TestIntegrate:
     def test_both_stages_off_returns_decoder_output(self):
         model, cloud, hidden, plan = self._setup(stage1=False, stage2=False)
         with T.no_grad():
-            fused = model.forward(cloud, hidden, plan).fused
+            fused, _ = model.integrate(hidden, plan)
             expected, _ = model.backbone.decode(*model.backbone.encode(plan), plan)
-        np.testing.assert_array_equal(fused.data, expected.data)
+        np.testing.assert_array_equal(fused.apply().data, expected.apply().data)
 
     def test_stage1_off_means_decoder_sees_raw_bottleneck(self):
         model, cloud, hidden, plan = self._setup(1, stage1=False)
         with T.no_grad():
-            fused = model.forward(cloud, hidden, plan).fused
+            fused, _ = model.integrate(hidden, plan)
             full_res, _ = model.backbone.decode(*model.backbone.encode(plan), plan)
             tokens = model.intention.project_hidden(hidden)
             expected = model.fusion.fuse_full_res(
                 full_res, model.fusion.gated_global_descriptor(tokens))
-        np.testing.assert_array_equal(fused.data, expected.data)
+        np.testing.assert_array_equal(fused.apply().data, expected.apply().data)
 
     def test_disabled_stage_gets_zero_gradient(self):
         model, cloud, hidden, plan = self._setup(2, stage1=False)
