@@ -16,11 +16,15 @@ negative zeros included. A gradient is only computed for an operand that
 requires one. A first contribution is kept in the buffer its rule handed
 over (a writable array of the tensor's shape and dtype that no other
 tensor receives) rather than copied; read-only and broadcast buffers are
-copied.
+copied. Interior gradients are scratch for one walk: :func:`backward`
+drops each one as soon as its rule has run, so a walk holds only the
+gradients still waiting for their rule, and only leaves keep theirs.
 
-A graph is confined to the thread that built it; independent graphs may
-live on different threads. Nothing here is shared between graphs except
-the per-thread autograd on/off flag.
+A finished graph may be handed to another thread, which walks it, but
+two threads never touch one graph at once. Graphs that are built and
+walked at the same time share only leaves: building reads their data,
+and a walk writes their gradients. The autograd on/off flag is per
+thread.
 """
 
 from __future__ import annotations
@@ -189,6 +193,25 @@ def _accumulate(t: Tensor, grad: np.ndarray):
     else:
         # read-only or broadcast: a fresh 0 + grad
         t.grad = np.add(grad, 0, out=np.empty_like(t.data))
+
+
+def _accumulate_part(t: Tensor, part, grad: np.ndarray):
+    """Accumulate ``grad`` into the block ``part`` of ``t``'s gradient.
+
+    Byte-equal to accumulating a zero buffer of ``t``'s shape that holds
+    ``grad`` at ``part``: the first write allocates zeros and adds ``0 +
+    grad`` into the block, and a later one adds ``grad`` to the block
+    alone. Outside the block that skips adding +0.0, which changes
+    nothing, because an accumulated gradient never holds -0.0 (a sum is
+    -0.0 only if both terms are).
+    """
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+        np.add(grad, 0, out=t.grad[part])
+    else:
+        t.grad[part] += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -521,9 +544,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_rows expects a 2-D tensor, got {x.shape}")
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        _accumulate(x, gx)
+        _accumulate_part(x, np.s_[start:stop], g)
 
     return _node(x.data[start:stop], (x,), backward, "slice_rows")
 
@@ -533,9 +554,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_cols expects a 2-D tensor, got {x.shape}")
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        _accumulate(x, gx)
+        _accumulate_part(x, np.s_[:, start:stop], g)
 
     return _node(x.data[:, start:stop].copy(), (x,), backward, "slice_cols")
 
@@ -577,9 +596,11 @@ class Tape:
 
 
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(t) into t.grad for every requires_grad tensor.
+    """Accumulate d(loss)/d(t) into t.grad for every requires_grad leaf.
 
-    Repeated calls without clearing gradients keep accumulating.
+    Repeated calls without clearing gradients keep accumulating. Each
+    interior gradient is dropped once its rule has run (a second call
+    contributes exactly one more pass).
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -588,13 +609,10 @@ def backward(loss: Tensor):
     tape = Tape.trace(loss)
     _accumulate(loss, np.ones_like(loss.data))
     for node in reversed(tape.nodes):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-    # only leaves keep their gradients across calls; interior grads are
-    # per-walk scratch (a second backward contributes exactly one more pass)
-    for node in tape.nodes:
-        if node._backward is not None:
+        grad = node.grad
+        if node._backward is not None and grad is not None:
             node.grad = None
+            node._backward(grad)
 
 
 def zero_grad(params):

@@ -5,12 +5,26 @@ epoch comes from a counter-based stream, gradients accumulate over each
 batch on per-sample graphs, and AdamW steps under a linear learning-rate
 decay. Checkpoints carry parameters, optimizer moments, counters, and
 the config, so a resumed run reproduces the uninterrupted one bitwise.
+
+Each batch is pipelined over two threads. A worker thread runs the
+forward pass and loss of the batch members in order, and the main thread
+walks each member's graph (:func:`~affground.tensor.backward`) and sums
+its loss terms in that same order while the worker builds the next one.
+The worker starts a member only once the main thread has taken the one
+before it, so at most two graphs are alive at once: the one being walked
+and the one being built. Leaf gradients therefore accumulate in exactly
+the order of a sequential loop, and log rows, gradients, parameters and
+checkpoints are bitwise those of one. The worker thread lives only as
+long as :func:`train`, and an exception it raises reaches the caller
+unchanged.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +44,29 @@ from .model import AffordanceModel
 from .optim import AdamW, linear_lr
 from .rng import rng_for
 from .tensor import backward
+
+
+_M_ARENA_MAX = -8   # mallopt parameter, from glibc's malloc.h
+
+
+def _share_one_malloc_arena():
+    """Make every thread allocate from glibc's main malloc arena; a no-op
+    where the C library has no ``mallopt``.
+
+    glibc would give the forward worker an arena of its own. The forward
+    activations are allocated there, and what is freed goes back to that
+    arena alone, so after training a model loaded on the main thread
+    needs new pages while the worker's freed ones stay resident. One
+    arena lets any thread reuse what another freed. The limit holds for
+    the rest of the process.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
 
 
 @dataclass
@@ -109,6 +146,9 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
         log_path.write_text("".join(rows[:start_step]), encoding="utf-8")
     log_file = open(log_path, "a" if resume is not None else "w",
                     encoding="utf-8")
+    _share_one_malloc_arena()   # before the worker's first allocation
+    worker = ThreadPoolExecutor(max_workers=1,
+                                thread_name_prefix="affground-forward")
     last = {}
     try:
         for step in range(start_step, total_steps):
@@ -119,18 +159,9 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
 
             optimizer.zero_grad()
             sums = {"l_txt": 0.0, "l_aff": 0.0, "total": 0.0}
-            scale = 1.0 / len(members)
             try:
-                for i in members:
-                    sample = samples[i]
-                    result = model.forward(sample.cloud, sample.hidden,
-                                           sample.plan)
-                    total, l_txt, l_aff = model.loss(result, sample.cloud,
-                                                     sample.hidden)
-                    backward(total * scale)
-                    sums["l_txt"] += l_txt.item() * scale
-                    sums["l_aff"] += l_aff.item() * scale
-                    sums["total"] += total.item() * scale
+                _accumulate_batch(worker, model, [samples[i] for i in members],
+                                  sums)
                 if not all(np.isfinite(v) for v in sums.values()):
                     raise NumericError("non-finite loss")
                 bad = next((name for name, p in model.params.items()
@@ -154,11 +185,39 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
                 _write_checkpoint(ckpt_dir, model, optimizer, config, done,
                                   dataset)
     finally:
+        worker.shutdown()   # waits, so no worker outlives train()
         log_file.close()
 
     _write_checkpoint(ckpt_dir, model, optimizer, config, total_steps, dataset)
     return TrainResult(checkpoint_dir=ckpt_dir, log_path=log_path,
                        steps=total_steps, last=last)
+
+
+def _forward_loss(model: AffordanceModel, sample: LoadedSample):
+    result = model.forward(sample.cloud, sample.hidden, sample.plan)
+    return model.loss(result, sample.cloud, sample.hidden)
+
+
+def _accumulate_batch(worker, model: AffordanceModel, batch: list, sums: dict):
+    """Accumulate the gradient of the batch's mean loss; add its mean
+    loss terms to ``sums``.
+
+    ``worker`` builds member k + 1's graph while this thread walks member
+    k's; member k + 1 is submitted only after member k's graph is taken,
+    and member k's last reference goes when member k + 1's is taken, so
+    at most two graphs are alive. ``sums`` holds the members walked so
+    far when an exception leaves.
+    """
+    scale = 1.0 / len(batch)
+    pending = worker.submit(_forward_loss, model, batch[0])
+    for k in range(len(batch)):
+        total, l_txt, l_aff = pending.result()
+        if k + 1 < len(batch):
+            pending = worker.submit(_forward_loss, model, batch[k + 1])
+        backward(total * scale)
+        sums["l_txt"] += l_txt.item() * scale
+        sums["l_aff"] += l_aff.item() * scale
+        sums["total"] += total.item() * scale
 
 
 def _abort_diverged(log_file, step, sums, reason, cause):

@@ -1,5 +1,7 @@
 """Tensor engine: primitives, tape, backward, AdamW, schedules."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,30 @@ class TestBackward:
         y = x * x
         T.backward((y + y).sum())
         np.testing.assert_allclose(x.grad, [12.0])
+
+    def test_consumed_interior_gradient_is_released(self):
+        # mul hands its parent a fresh buffer, so once z's rule has run
+        # nothing but the walk could still hold z's gradient
+        x = T.tensor([1.0, -2.0], requires_grad=True)
+        y = x * 2.0
+        z = y * 3.0
+        consumed = []
+        dead_when_y_ran = []
+        z_rule, y_rule = z._backward, y._backward
+
+        def record_z(g):
+            consumed.append(weakref.ref(g))
+            z_rule(g)
+
+        def check_y(g):
+            dead_when_y_ran.append(consumed[0]() is None)
+            y_rule(g)
+
+        z._backward, y._backward = record_z, check_y
+        T.backward(z.sum())
+        assert dead_when_y_ran == [True]
+        assert y.grad is None and z.grad is None
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
 
     def test_no_grad_suppresses_recording(self):
         x = T.tensor([1.0], requires_grad=True)
@@ -302,6 +328,89 @@ class TestGatherRowsScatter:
         g = np.arange(10, dtype=np.float64).reshape(5, 2)
         T.backward((T.gather_rows(x, idx) * T.tensor(g)).sum())
         assert x.grad.tobytes() == add_at_oracle(x.data, idx, g).tobytes()
+
+
+def old_slice_rule(x, part):
+    """The former slice backward: the block written into a full zero buffer."""
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[part] = g
+        T._accumulate(x, gx)
+
+    return backward
+
+
+def new_slice_rule(x, part):
+    rows, cols = part
+    if rows == slice(None):
+        return T.slice_cols(x, cols.start, cols.stop)._backward
+    return T.slice_rows(x, rows.start, rows.stop)._backward
+
+
+def with_negative_zeros(rng, shape, dtype):
+    g = rng.normal(size=shape).astype(dtype)
+    g[rng.random(shape) < 0.3] = -0.0
+    g.flat[0] = -0.0
+    return g
+
+
+class TestSliceGradient:
+    """slice_rows and slice_cols backward equal the former rule byte for byte.
+
+    The rules are called directly: inside a walk, ``_accumulate`` has
+    already turned every -0.0 of the upstream gradient into +0.0.
+    """
+
+    @staticmethod
+    def contributions(axis, dtype, seed):
+        """Whole-tensor and block gradients, in the order they arrive."""
+        rng = np.random.default_rng(seed)
+        shape = (5, 4)
+        out = []
+        for _ in range(rng.integers(1, 6)):
+            if rng.random() < 0.3:
+                out.append((None, with_negative_zeros(rng, shape, dtype)))
+                continue
+            a, b = sorted(rng.choice(shape[axis] + 1, size=2, replace=False))
+            part = (np.s_[a:b], np.s_[:]) if axis == 0 else (np.s_[:], np.s_[a:b])
+            out.append((part, with_negative_zeros(rng, np.zeros(shape)[part].shape,
+                                                   dtype)))
+        return shape, out
+
+    @staticmethod
+    def grad(make_rule, shape, contributions, dtype):
+        x = T.tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+        for part, g in contributions:
+            if part is None:
+                T._accumulate(x, g.copy())
+            else:
+                make_rule(x, part)(g.copy())
+        return x.grad
+
+    @settings(max_examples=150, deadline=None)
+    @given(axis=st.sampled_from([0, 1]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_former_rule(self, axis, dtype, seed):
+        shape, contributions = self.contributions(axis, dtype, seed)
+        want = self.grad(old_slice_rule, shape, contributions, dtype)
+        got = self.grad(new_slice_rule, shape, contributions, dtype)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("part", [np.s_[1:2, :], np.s_[:, 1:3]],
+                             ids=["rows", "cols"])
+    def test_negative_zero_first_write_gives_positive_zero(self, part):
+        g = np.full(np.zeros((3, 3))[part].shape, -0.0, np.float32)
+        got = self.grad(new_slice_rule, (3, 3), [(part, g)], np.float32)
+        assert got.tobytes() == np.zeros((3, 3), np.float32).tobytes()
+
+    def test_split_weight_through_a_walk(self):
+        x = T.tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        top, bottom = T.slice_rows(x, 0, 1), T.slice_rows(x, 1, 4)
+        T.backward((top * 2.0).sum() + (bottom * 3.0).sum() + (x * x).sum())
+        want = 2.0 * x.data + np.array([[2.0]] + [[3.0]] * 3)
+        assert x.grad.tobytes() == want.tobytes()
 
 
 class TestInterpolate:

@@ -1,7 +1,11 @@
-"""Training runs: resuming from a checkpoint, and stopping on divergence."""
+"""Training runs: the pipelined batch, resuming from a checkpoint, and
+stopping on divergence."""
 
 import json
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +13,22 @@ import pytest
 from affground import train as train_module
 from affground.cli import main
 from affground.config import ModelConfig, OptimConfig, RunConfig
-from affground.dataio import gen_synthetic_dataset, load_checkpoint, write_tensor
-from affground.errors import CheckpointError, ConfigError, TrainingDiverged
+from affground.dataio import (
+    gen_synthetic_dataset,
+    load_checkpoint,
+    read_dataset,
+    write_tensor,
+)
+from affground.errors import (
+    CheckpointError,
+    ConfigError,
+    NumericError,
+    TrainingDiverged,
+)
+from affground.model import AffordanceModel
+from affground.optim import AdamW, linear_lr
+from affground.rng import rng_for
+from affground.tensor import backward
 from affground.train import train
 
 TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
@@ -19,6 +37,221 @@ TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
 
 class Interrupt(Exception):
     pass
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.fixture
+def eight_samples(tmp_path):
+    return gen_synthetic_dataset(tmp_path / "data", 1, 2, 4, TOY["n_points"],
+                                 seed=5, d_h=TOY["d_h"], seq_len=TOY["seq_len"])
+
+
+@pytest.fixture
+def no_thread_left():
+    """Fails the test if a thread started inside it is still alive after it."""
+    before = set(threading.enumerate())
+    yield
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.fixture
+def frequent_switches():
+    """Switch threads every microsecond, so the pipeline's threads interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def sequential_step(config, manifest, members=None):
+    """Step 0 as a sequential loop: forward, loss and backward per member in
+    turn, then one AdamW step. Returns (model, optimizer, log row); with
+    ``members`` given, only the first ``members`` are walked, and neither
+    the step nor the learning rate is taken."""
+    opt_cfg = config.optimizer
+    model = AffordanceModel(config)
+    optimizer = AdamW(model.params, lr=opt_cfg.lr,
+                      betas=(opt_cfg.beta1, opt_cfg.beta2), eps=opt_cfg.eps,
+                      weight_decay=opt_cfg.weight_decay)
+    samples = train_module.load_samples(read_dataset(manifest), model)
+    batch = opt_cfg.batch_size * opt_cfg.grad_accum
+    order = rng_for(config.seed, "order", 0).permutation(len(samples))[:batch]
+    scale = 1.0 / len(order)
+    sums = {"l_txt": 0.0, "l_aff": 0.0, "total": 0.0}
+    for i in order[:members]:
+        sample = samples[i]
+        result = model.forward(sample.cloud, sample.hidden, sample.plan)
+        total, l_txt, l_aff = model.loss(result, sample.cloud, sample.hidden)
+        backward(total * scale)
+        sums["l_txt"] += l_txt.item() * scale
+        sums["l_aff"] += l_aff.item() * scale
+        sums["total"] += total.item() * scale
+    if members is not None:
+        return model, optimizer, sums
+    total_steps = opt_cfg.epochs * math.ceil(len(samples) / batch)
+    lr = linear_lr(opt_cfg.lr, 0, total_steps)
+    optimizer.step(lr)
+    return model, optimizer, {"step": 0, "lr": lr, **sums}
+
+
+def recording(monkeypatch, forward_hook=None):
+    """Patch the model and optimizer train() builds so the test can read them."""
+    built = {}
+
+    class RecordedModel(AffordanceModel):
+        def __init__(self, config):
+            super().__init__(config)
+            built["model"] = self
+            self.calls = 0
+
+        def forward(self, *args, **kwargs):
+            self.calls += 1
+            if forward_hook is not None:
+                forward_hook(self.calls)
+            return super().forward(*args, **kwargs)
+
+    class RecordedAdamW(AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built["optimizer"] = self
+
+    monkeypatch.setattr(train_module, "AffordanceModel", RecordedModel)
+    monkeypatch.setattr(train_module, "AdamW", RecordedAdamW)
+    return built
+
+
+def stop_after_step_0(row):
+    raise Interrupt(row)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+def test_pipelined_step_equals_a_sequential_step(
+        tmp_path, eight_samples, monkeypatch, no_thread_left,
+        frequent_switches, batch_size):
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=batch_size))
+    want_model, want_opt, want_row = sequential_step(config, eight_samples)
+    built = recording(monkeypatch)
+    with pytest.raises(Interrupt) as info:
+        train(config, eight_samples, tmp_path / "run", log_fn=stop_after_step_0)
+    (row,) = info.value.args
+    assert row == want_row
+    assert json.loads((tmp_path / "run" / "log.jsonl").read_text()) == want_row
+    got_opt = built["optimizer"]
+    assert got_opt.step_count == want_opt.step_count == 1
+    for name, p in want_model.params.items():
+        assert built["model"].params[name].data.tobytes() == p.data.tobytes(), name
+        assert got_opt.exp_avg[name].tobytes() == want_opt.exp_avg[name].tobytes()
+        assert got_opt.exp_avg_sq[name].tobytes() == \
+            want_opt.exp_avg_sq[name].tobytes()
+
+
+def test_at_most_two_graphs_are_alive(tmp_path, eight_samples, monkeypatch,
+                                      no_thread_left, frequent_switches):
+    # each score buffer dies with its graph; when a member's forward
+    # starts, only the member before it may still be alive (being walked)
+    scores, alive_at_start = [], []
+
+    def count_alive(calls):
+        alive_at_start.append(sum(ref() is not None for ref in scores))
+
+    built = recording(monkeypatch, count_alive)
+    real_loss = AffordanceModel.loss
+
+    def recorded_loss(self, result, cloud, hidden):
+        scores.append(weakref.ref(result.scores.data))
+        return real_loss(self, result, cloud, hidden)
+
+    monkeypatch.setattr(AffordanceModel, "loss", recorded_loss)
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=8))
+    train(config, eight_samples, tmp_path / "run")
+    assert built["model"].calls == 8
+    assert alive_at_start[0] == 0 and max(alive_at_start) <= 1
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_numeric_error_in_a_forward_ends_as_nan_abort(
+        tmp_path, eight_samples, monkeypatch, no_thread_left, k):
+    def fail_kth(calls):
+        if calls == k:
+            raise NumericError("softmax received NaN input")
+
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=4))
+    _, _, sums = sequential_step(config, eight_samples, members=k - 1)
+    recording(monkeypatch, fail_kth)
+    with pytest.raises(TrainingDiverged) as info:
+        train(config, eight_samples, tmp_path / "run")
+    assert info.value.step == 0
+    (row,) = [json.loads(line) for line in
+              (tmp_path / "run" / "log.jsonl").read_text().splitlines()]
+    assert row == {"step": 0, "event": "nan_abort",
+                   "reason": "softmax received NaN input", **sums}
+
+
+@pytest.mark.parametrize("where", ["forward", "backward"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_other_exceptions_propagate_unchanged(
+        tmp_path, eight_samples, monkeypatch, no_thread_left, where, k):
+    boom = Boom("injected")
+
+    def fail_kth(calls):
+        if calls == k:
+            raise boom
+
+    if where == "forward":
+        recording(monkeypatch, fail_kth)
+    else:
+        walks = []
+
+        def failing_backward(loss):
+            walks.append(loss)
+            fail_kth(len(walks))
+            backward(loss)
+
+        monkeypatch.setattr(train_module, "backward", failing_backward)
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=4))
+    with pytest.raises(Boom) as info:
+        train(config, eight_samples, tmp_path / "run")
+    assert info.value is boom
+    assert (tmp_path / "run" / "log.jsonl").read_text() == ""
+
+
+def test_one_malloc_arena_is_set_before_the_first_forward(
+        tmp_path, eight_samples, monkeypatch, no_thread_left):
+    calls = []
+
+    class FakeGlibc:
+        @staticmethod
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+    def first_forward(count):
+        if count == 1:
+            calls.append("forward")
+
+    monkeypatch.setattr(train_module.ctypes, "CDLL", lambda name: FakeGlibc())
+    recording(monkeypatch, first_forward)
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=8))
+    train(config, eight_samples, tmp_path / "run")
+    assert calls == [(train_module._M_ARENA_MAX, 1), "forward"]
+
+
+def test_one_malloc_arena_is_a_no_op_without_glibc(monkeypatch):
+    class NoGlibc:
+        pass
+
+    monkeypatch.setattr(train_module.ctypes, "CDLL", lambda name: NoGlibc())
+    train_module._share_one_malloc_arena()
 
 
 def test_resumed_run_matches_uninterrupted_run(tmp_path):
