@@ -6,17 +6,19 @@ batch on per-sample graphs, and AdamW steps under a linear learning-rate
 decay. Checkpoints carry parameters, optimizer moments, counters, and
 the config, so a resumed run reproduces the uninterrupted one bitwise.
 
-Each batch is pipelined over two threads. A worker thread runs the
-forward pass and loss of the batch members in order, and the main thread
-walks each member's graph (:func:`~affground.tensor.backward`) and sums
-its loss terms in that same order while the worker builds the next one.
-The worker starts a member only once the main thread has taken the one
-before it, so at most two graphs are alive at once: the one being walked
-and the one being built. Leaf gradients therefore accumulate in exactly
-the order of a sequential loop, and log rows, gradients, parameters and
-checkpoints are bitwise those of one. The worker thread lives only as
-long as :func:`train`, and an exception it raises reaches the caller
-unchanged.
+At model sizes whose numpy operations are long enough (see
+:func:`_pipelines`), each batch is pipelined over two threads. A worker
+thread runs the forward pass and loss of the batch members in order, and
+the main thread walks each member's graph
+(:func:`~affground.tensor.backward`) and sums its loss terms in that same
+order while the worker builds the next one. The worker starts a member
+only once the main thread has taken the one before it, so at most two
+graphs are alive at once: the one being walked and the one being built.
+Leaf gradients therefore accumulate in exactly the order of the
+sequential loop used at smaller sizes, and log rows, gradients,
+parameters and checkpoints are bitwise those of it. The worker thread
+lives only as long as :func:`train`, and an exception it raises reaches
+the caller unchanged.
 """
 
 from __future__ import annotations
@@ -47,6 +49,26 @@ from .tensor import backward
 
 
 _M_ARENA_MAX = -8   # mallopt parameter, from glibc's malloc.h
+
+# n_points * d of the smallest model whose batches are pipelined
+_PIPELINE_MIN_ROW_ENTRIES = 1 << 19
+
+
+def _pipelines(model_cfg) -> bool:
+    """Whether :func:`train` builds each member's graph on a worker thread.
+
+    The two threads share the GIL and overlap only while one of them is
+    inside a numpy call that released it, so the pipeline pays where
+    those calls are long: their arrays scale with the (n_points, d)
+    feature rows. On 2 vCPUs at n=2048, d=512 it made steps 30-50%
+    faster with a run-to-run spread like the sequential loop's. At
+    n=1024, d=128 the threads instead handed the GIL back and forth
+    about 5,000 times a second (50k voluntary context switches a run,
+    against 900 sequentially), and the step time spread between runs
+    two to four times wider than the sequential loop's, so smaller
+    models run their batches sequentially.
+    """
+    return model_cfg.n_points * model_cfg.d >= _PIPELINE_MIN_ROW_ENTRIES
 
 
 def _share_one_malloc_arena():
@@ -146,9 +168,11 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
         log_path.write_text("".join(rows[:start_step]), encoding="utf-8")
     log_file = open(log_path, "a" if resume is not None else "w",
                     encoding="utf-8")
-    _share_one_malloc_arena()   # before the worker's first allocation
-    worker = ThreadPoolExecutor(max_workers=1,
-                                thread_name_prefix="affground-forward")
+    worker = None
+    if _pipelines(config.model):
+        _share_one_malloc_arena()   # before the worker's first allocation
+        worker = ThreadPoolExecutor(max_workers=1,
+                                    thread_name_prefix="affground-forward")
     last = {}
     try:
         for step in range(start_step, total_steps):
@@ -185,7 +209,8 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
                 _write_checkpoint(ckpt_dir, model, optimizer, config, done,
                                   dataset)
     finally:
-        worker.shutdown()   # waits, so no worker outlives train()
+        if worker is not None:
+            worker.shutdown()   # waits, so no worker outlives train()
         log_file.close()
 
     _write_checkpoint(ckpt_dir, model, optimizer, config, total_steps, dataset)
@@ -202,18 +227,23 @@ def _accumulate_batch(worker, model: AffordanceModel, batch: list, sums: dict):
     """Accumulate the gradient of the batch's mean loss; add its mean
     loss terms to ``sums``.
 
-    ``worker`` builds member k + 1's graph while this thread walks member
-    k's; member k + 1 is submitted only after member k's graph is taken,
-    and member k's last reference goes when member k + 1's is taken, so
-    at most two graphs are alive. ``sums`` holds the members walked so
-    far when an exception leaves.
+    With ``worker`` None each member's graph is built here, just before
+    it is walked. Otherwise ``worker`` builds member k + 1's graph while
+    this thread walks member k's; member k + 1 is submitted only after
+    member k's graph is taken, and member k's last reference goes when
+    member k + 1's is taken, so at most two graphs are alive. ``sums``
+    holds the members walked so far when an exception leaves.
     """
     scale = 1.0 / len(batch)
-    pending = worker.submit(_forward_loss, model, batch[0])
-    for k in range(len(batch)):
-        total, l_txt, l_aff = pending.result()
-        if k + 1 < len(batch):
-            pending = worker.submit(_forward_loss, model, batch[k + 1])
+    if worker is not None:
+        pending = worker.submit(_forward_loss, model, batch[0])
+    for k, sample in enumerate(batch):
+        if worker is None:
+            total, l_txt, l_aff = _forward_loss(model, sample)
+        else:
+            total, l_txt, l_aff = pending.result()
+            if k + 1 < len(batch):
+                pending = worker.submit(_forward_loss, model, batch[k + 1])
         backward(total * scale)
         sums["l_txt"] += l_txt.item() * scale
         sums["l_aff"] += l_aff.item() * scale

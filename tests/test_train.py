@@ -68,6 +68,20 @@ def frequent_switches():
         sys.setswitchinterval(interval)
 
 
+@pytest.fixture
+def pipelined(monkeypatch):
+    """Pipeline the batches of the toy model, which train() runs sequentially."""
+    monkeypatch.setattr(train_module, "_PIPELINE_MIN_ROW_ENTRIES", 0)
+
+
+@pytest.fixture(params=["pipelined", "sequential"])
+def batch_loop(request):
+    """Run the test with each of train()'s two batch loops."""
+    if request.param == "pipelined":
+        request.getfixturevalue("pipelined")
+    return request.param
+
+
 def sequential_step(config, manifest, members=None):
     """Step 0 as a sequential loop: forward, loss and backward per member in
     turn, then one AdamW step. Returns (model, optimizer, log row); with
@@ -131,7 +145,7 @@ def stop_after_step_0(row):
 
 @pytest.mark.parametrize("batch_size", [1, 3, 8])
 def test_pipelined_step_equals_a_sequential_step(
-        tmp_path, eight_samples, monkeypatch, no_thread_left,
+        tmp_path, eight_samples, monkeypatch, pipelined, no_thread_left,
         frequent_switches, batch_size):
     config = RunConfig(model=ModelConfig(**TOY),
                        optimizer=OptimConfig(epochs=1, batch_size=batch_size))
@@ -152,7 +166,8 @@ def test_pipelined_step_equals_a_sequential_step(
 
 
 def test_at_most_two_graphs_are_alive(tmp_path, eight_samples, monkeypatch,
-                                      no_thread_left, frequent_switches):
+                                      pipelined, no_thread_left,
+                                      frequent_switches):
     # each score buffer dies with its graph; when a member's forward
     # starts, only the member before it may still be alive (being walked)
     scores, alive_at_start = [], []
@@ -177,7 +192,7 @@ def test_at_most_two_graphs_are_alive(tmp_path, eight_samples, monkeypatch,
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_numeric_error_in_a_forward_ends_as_nan_abort(
-        tmp_path, eight_samples, monkeypatch, no_thread_left, k):
+        tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left, k):
     def fail_kth(calls):
         if calls == k:
             raise NumericError("softmax received NaN input")
@@ -198,7 +213,8 @@ def test_numeric_error_in_a_forward_ends_as_nan_abort(
 @pytest.mark.parametrize("where", ["forward", "backward"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_other_exceptions_propagate_unchanged(
-        tmp_path, eight_samples, monkeypatch, no_thread_left, where, k):
+        tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left,
+        where, k):
     boom = Boom("injected")
 
     def fail_kth(calls):
@@ -225,7 +241,7 @@ def test_other_exceptions_propagate_unchanged(
 
 
 def test_one_malloc_arena_is_set_before_the_first_forward(
-        tmp_path, eight_samples, monkeypatch, no_thread_left):
+        tmp_path, eight_samples, monkeypatch, pipelined, no_thread_left):
     calls = []
 
     class FakeGlibc:
@@ -244,6 +260,36 @@ def test_one_malloc_arena_is_set_before_the_first_forward(
                        optimizer=OptimConfig(epochs=1, batch_size=8))
     train(config, eight_samples, tmp_path / "run")
     assert calls == [(train_module._M_ARENA_MAX, 1), "forward"]
+
+
+def test_small_models_step_sequentially_without_a_thread(
+        tmp_path, eight_samples, monkeypatch, no_thread_left):
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker thread was started")
+
+    def no_glibc_call(name):
+        raise AssertionError("the malloc arenas were limited")
+
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=8))
+    want_model, want_opt, want_row = sequential_step(config, eight_samples)
+    built = recording(monkeypatch)
+    monkeypatch.setattr(train_module, "ThreadPoolExecutor", no_worker)
+    monkeypatch.setattr(train_module.ctypes, "CDLL", no_glibc_call)
+    with pytest.raises(Interrupt) as info:
+        train(config, eight_samples, tmp_path / "run", log_fn=stop_after_step_0)
+    assert info.value.args == (want_row,)
+    for name, p in want_model.params.items():
+        assert built["model"].params[name].data.tobytes() == p.data.tobytes(), name
+        assert built["optimizer"].exp_avg_sq[name].tobytes() == \
+            want_opt.exp_avg_sq[name].tobytes()
+
+
+def test_pipeline_starts_at_the_paper_feature_rows():
+    assert train_module._pipelines(ModelConfig(n_points=2048, d=512))
+    assert train_module._pipelines(ModelConfig(n_points=1024, d=512))
+    assert not train_module._pipelines(ModelConfig(n_points=1024, d=128))
+    assert not train_module._pipelines(ModelConfig(**TOY))
 
 
 def test_one_malloc_arena_is_a_no_op_without_glibc(monkeypatch):
