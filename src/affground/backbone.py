@@ -4,9 +4,12 @@ The encoder stacks three set-abstraction stages (sample centers, group
 neighbors in a ball, run a shared per-point MLP, max-pool per group); the
 decoder runs three feature-propagation stages (inverse-distance 3-NN
 interpolation plus skip connection and a unit MLP) back to full
-resolution. ``decode`` returns that full-resolution map together with
-the three coarser feature scales lifting attends over: the bottleneck and
-the first two FP outputs, coarse to fine. All geometry (sampling
+resolution. FP1 and FP2 end in a linear layer; FP3 is one linear layer
+followed by a ReLU, because the next thing on the point path (the
+Stage II fuse, or the decoder head with Stage II off) is itself linear.
+``decode`` returns that full-resolution map together with the three
+coarser feature scales lifting attends over: the bottleneck and the first
+two FP outputs, coarse to fine. All geometry (sampling
 indices, groupings, interpolation neighbors) is computed once per cloud
 into a :class:`BackbonePlan` and is not differentiated; gradients flow
 only through feature MLPs.
@@ -21,11 +24,7 @@ in exact algebra equal to concatenating the inputs and projecting:
 - FP: ``interpolate(src @ W[:d_src], nn_idx, w) + skip @ W[d_src:] + b``.
 
 ``W[a:b]`` is a :func:`~affground.tensor.slice_rows` view, so parameter
-names, shapes and checkpoints are those of the concatenated layer. Each
-FP stage returns its unit MLP's last layer unapplied (an
-:class:`~affground.nn.Affine`): ``decode`` applies FP1 and FP2, and hands
-FP3's ``relu(h_fp3) @ W_fp3.1 + b_fp3.1`` on for the next linear layer
-(the Stage II fuse or the decoder head) to be multiplied into it.
+names, shapes and checkpoints are those of the concatenated layer.
 
 Geometry contract: every squared distance is float64, summed over x, y, z
 in that order, and every nearest-first order breaks equal distances toward
@@ -47,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .nn import Affine, make_mlp
-from .tensor import Tensor, gather_rows, interpolate, matmul, max_reduce
+from .nn import make_mlp
+from .tensor import Tensor, gather_rows, interpolate, matmul, max_reduce, relu
 
 EPS_INTERP = 1e-8
 
@@ -226,10 +225,8 @@ class SAPlan:
     coordinates follow.
     """
 
-    sample_idx: np.ndarray      # (m,) into the previous level
     group_idx: np.ndarray       # (m, k) padded with each group's first entry
     geometry: np.ndarray        # (m, k, 3), or (m, k, 6) at the first stage
-    centers: np.ndarray         # (m, 3)
 
 
 @dataclass
@@ -273,7 +270,7 @@ class SetAbstraction:
         if feats is not None:
             h = h + gather_rows(matmul(feats, w_feat), plan.group_idx.reshape(-1))
         h = h + first.b
-        encoded = self.mlp.after_first(h).apply().reshape(m, k, self.out_dim)
+        encoded = self.mlp.after_first(h).reshape(m, k, self.out_dim)
         return max_reduce(encoded, axis=1)
 
 
@@ -282,19 +279,19 @@ class FeaturePropagation:
 
     Each destination point takes the inverse-distance weighted sum of its
     k nearest source rows (the plan's weights are constants), the skip
-    features of that level are appended on the right, and a two-layer unit
-    MLP maps the result to ``out`` channels. Interpolation is linear, so
-    with ``W = [W_src; W_skip]`` the first layer is computed as
-    ``interpolate(src @ W_src) + skip @ W_skip + b``: the source half runs
-    on the coarse rows, not on every destination row. The MLP's last
-    layer is returned unapplied.
+    features of that level are appended on the right, and a unit MLP of
+    the given ``widths`` maps the result to ``widths[-1]`` channels.
+    Interpolation is linear, so with ``W = [W_src; W_skip]`` the first
+    layer is computed as ``interpolate(src @ W_src) + skip @ W_skip + b``:
+    the source half runs on the coarse rows, not on every destination row.
+    The MLP's last layer has no activation.
     """
 
-    def __init__(self, params, prefix, rng, in_dim, out, dtype=np.float32):
-        self.mlp = make_mlp(params, prefix, rng, [in_dim, out, out], dtype)
+    def __init__(self, params, prefix, rng, widths, dtype=np.float32):
+        self.mlp = make_mlp(params, prefix, rng, widths, dtype)
 
     def __call__(self, src_feats: Tensor, plan: FPPlan,
-                 skip_feats: Tensor) -> Affine:
+                 skip_feats: Tensor) -> Tensor:
         first = self.mlp.layers[0]
         w_src, w_skip = first.split(src_feats.shape[1])
         h = (interpolate(matmul(src_feats, w_src), plan.nn_idx, plan.weights)
@@ -326,12 +323,12 @@ class PointBackbone:
                                    in_dim, w, w, dtype)
             self.sa_stages.append(stage)
             in_dim = w
-        # decoder skips: the two finer encoder stages, then the raw coords
-        skip_dims = [widths[1], widths[0], 3]
+        # decoder skips: the two finer encoder stages, then the raw coords;
+        # FP3 is one layer, since a linear layer follows its ReLU'd output
+        fp_widths = [[d + widths[1], d, d], [d + widths[0], d, d], [d + 3, d]]
         self.fp_stages = [
-            FeaturePropagation(params, f"{prefix}.fp{i + 1}", rng,
-                               d + skip_dims[i], d, dtype)
-            for i in range(3)
+            FeaturePropagation(params, f"{prefix}.fp{i + 1}", rng, w, dtype)
+            for i, w in enumerate(fp_widths)
         ]
 
     # -- geometry ------------------------------------------------------
@@ -356,7 +353,7 @@ class PointBackbone:
                 columns = np.concatenate([level, level], axis=1)
             geometry = columns[group_idx]
             geometry[:, :, :3] -= centers[:, None, :]
-            plan.sa.append(SAPlan(idx, group_idx, geometry, centers))
+            plan.sa.append(SAPlan(group_idx, geometry))
             plan.level_coords.append(centers)
             level = centers
         # propagation runs bottleneck -> ... -> full resolution
@@ -386,16 +383,15 @@ class PointBackbone:
     def decode(self, bottleneck: Tensor, skips, plan: BackbonePlan):
         """Run the FP stack; returns (full_res, scales).
 
-        ``full_res`` is FP3's output with its last layer unapplied (an
-        :class:`~affground.nn.Affine`). ``scales`` is the bottleneck and
-        the first two FP outputs, coarse to fine: the three feature
-        tensors that lifting attends over.
+        ``full_res`` is ``relu`` of FP3's (N, d) output. ``scales`` is the
+        bottleneck and the first two FP outputs, coarse to fine: the three
+        feature tensors that lifting attends over.
         """
         if bottleneck.shape != (self.stage_points[-1], self.d):
             raise ShapeError(
                 f"bottleneck shape {bottleneck.shape} does not match "
                 f"({self.stage_points[-1]}, {self.d})")
         scales = [bottleneck]
-        for fp, fp_plan, skip in zip(self.fp_stages[:2], plan.fp, reversed(skips)):
-            scales.append(fp(scales[-1], fp_plan, skip).apply())
-        return self.fp_stages[2](scales[-1], plan.fp[2], skips[0]), scales
+        for fp, fp_plan, skip in zip(self.fp_stages, plan.fp, reversed(skips)):
+            scales.append(fp(scales[-1], fp_plan, skip))
+        return relu(scales.pop()), scales

@@ -98,11 +98,15 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _parse_levels(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        levels = list(range(int(lo), int(hi) + 1))
-    else:
-        levels = [int(x) for x in text.split(",") if x.strip()]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            levels = list(range(int(lo), int(hi) + 1))
+        else:
+            levels = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"levels must be a range like 0..4 or comma-separated "
+                          f"integers, got {text!r}") from None
     for level in levels:
         if level not in LEVELS:
             raise ConfigError(f"level {level} outside 0..4")
@@ -165,7 +169,7 @@ def _cmd_pca_viz(args):
     hidden = dataset.load_hidden(record)
     with no_grad():
         fused, _ = model.integrate(hidden, model.build_plan(cloud))
-        features = fused.apply().data
+        features = fused.data
     projected = pca_project(features, k=3)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -136,15 +136,7 @@ class Dataset:
 
 
 def write_manifest(path, records):
-    lines = []
-    for r in records:
-        lines.append(json.dumps({
-            "id": r.id, "class_name": r.class_name,
-            "affordance_name": r.affordance_name,
-            "affordance_id": r.affordance_id, "points": r.points,
-            "labels": r.labels, "hidden": r.hidden,
-            "cont_index": r.cont_index, "prompt": r.prompt,
-        }, sort_keys=True))
+    lines = [json.dumps(asdict(r), sort_keys=True) for r in records]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -225,6 +217,7 @@ PROMPT_TEMPLATE = ("Locate the points on the {class_name} that support the "
 _BODY_FRACTION = 0.53
 _PART_FRACTION = 0.22  # region for even affordance ids
 _TOP_FRACTION = 0.25   # region for odd affordance ids
+MIN_CLOUD_POINTS = 8   # at least four points in each labeled region
 
 
 def _cylinder_side(rng, n, radius, z0, z1):
@@ -330,6 +323,9 @@ def _make_shape(class_id: int, rng, n: int):
 def synth_cloud(class_id: int, affordance_id: int, seed: int, n: int,
                 sample_id: str = "") -> PointCloud:
     """One deterministic labeled cloud, unit-sphere normalized."""
+    if n < MIN_CLOUD_POINTS:
+        raise ContractError(
+            f"a synthetic cloud needs at least {MIN_CLOUD_POINTS} points, got {n}")
     rng = rng_for(int(seed), "cloud", class_id, affordance_id, n)
     coords, labels = _make_shape(class_id, rng, n)
     label = labels["part"] if affordance_id % 2 == 0 else labels["top"]
@@ -510,13 +506,17 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
 def restore_arrays(live: dict, saved: dict, group: str):
     """Copy each saved array into the live array of the same name, in place.
 
-    Every live name must be saved with exactly the live shape; all of them
-    are checked before any is written, so a refused restore changes
-    nothing. The live dtype is kept.
+    The saved names must be exactly the live ones, each saved with the
+    live shape; all of this is checked before anything is written, so a
+    refused restore changes nothing. The live dtype is kept.
     """
     missing = sorted(set(live) - set(saved))
     if missing:
         raise CheckpointError(f"checkpoint lacks {group} entries: {missing[:5]}")
+    unexpected = sorted(set(saved) - set(live))
+    if unexpected:
+        raise CheckpointError(
+            f"checkpoint has {group} entries the model does not: {unexpected[:5]}")
     for name, arr in live.items():
         if saved[name].shape != arr.shape:
             raise CheckpointError(

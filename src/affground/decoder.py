@@ -7,12 +7,10 @@ result into a score in (0, 1) per point. (Attention over one key would
 give every point a weight of exactly 1 on that key, so no query or key
 projection is built.)
 
-The fused features arrive as the fuse MLP's last layer unapplied,
-``relu(h_fuse) @ W_fuse.1 + b_fuse.1`` (FP3's, with Stage II off). The
-residual add shifts the bias, and the head's first layer folds into the
-weights, so its pre-activation is computed exactly as
-``relu(h_fuse) @ (W_fuse.1 @ W_head.0) + ((b_fuse.1 + wv(e)) @ W_head.0 + b_head.0)``:
-one (N, d) x (d, d/2) product, and the (N, d) features are never formed.
+The head's first layer is linear, so the broadcast add is moved into its
+bias: :meth:`AffordanceDecoder.point_to_intention` returns that layer's
+pre-activation, ``feats @ W_head.0 + (wv(e) @ W_head.0 + b_head.0)``, and
+the (N, d) sum is never formed.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .nn import Affine, make_linear, make_mlp
-from .tensor import Tensor, sigmoid
+from .nn import make_linear, make_mlp
+from .tensor import Tensor, matmul, sigmoid
 
 
 class AffordanceDecoder:
@@ -31,15 +29,19 @@ class AffordanceDecoder:
         self.head = make_mlp(params, f"{prefix}.head", rng,
                              [d, max(1, d // 2), 1], dtype)
 
-    def point_to_intention(self, point_feats: Affine, embedding: Tensor) -> Affine:
-        """Add the value-projected (1, d) embedding to every (N, d) point row."""
+    def point_to_intention(self, point_feats: Tensor, embedding: Tensor) -> Tensor:
+        """The head's first pre-activation of ``point_feats + wv(embedding)``.
+
+        The value-projected (1, d) embedding is added to every (N, d) row
+        by way of the layer's (1, d/2) bias.
+        """
         if point_feats.shape[1] != self.d or embedding.shape != (1, self.d):
             raise ShapeError(
                 f"expected (N, {self.d}) and (1, {self.d}), got "
                 f"{point_feats.shape} and {embedding.shape}")
-        return point_feats.shift(self.wv(embedding))
+        first = self.head.layers[0]
+        return matmul(point_feats, first.w) + first(self.wv(embedding))
 
-    def predict_map(self, feats: Affine) -> Tensor:
-        """(N, d) features -> (N, 1) scores strictly inside (0, 1)."""
-        h = feats.then(self.head.layers[0]).apply()
-        return sigmoid(self.head.after_first(h).apply())
+    def predict_map(self, h: Tensor) -> Tensor:
+        """The head's first pre-activation -> (N, 1) scores strictly inside (0, 1)."""
+        return sigmoid(self.head.after_first(h))

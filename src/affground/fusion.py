@@ -3,18 +3,13 @@
 Stage I: bottleneck point features attend to projected token states
 (queries are points, keys/values are tokens, one head; the attention
 output replaces the input rather than being added to it). Stage II: a
-gated weighted sum over tokens forms one global descriptor, and an MLP
-mixes each full-resolution row with it. Its first layer, the
-concatenation ``[full_res, descriptor]`` times ``W``, is
+gated weighted sum over tokens forms one global descriptor, and one
+linear layer with a ReLU mixes each full-resolution row with it. The
+concatenation ``[full_res, descriptor]`` times ``W`` is computed as
 ``full_res @ W[:d] + (descriptor @ W[d:] + b)``: the descriptor's (1, d)
-projection is broadcast over the rows, never tiled. ``full_res`` arrives
-as FP3's last layer unapplied, so the row half folds into it and the
-pre-activation is computed exactly as
-``relu(h_fp3) @ (W_fp3.1 @ W[:d]) + (b_fp3.1 @ W[:d] + descriptor @ W[d:] + b)``.
-The fuse MLP's own last layer is returned unapplied in turn, for the
-decoder head to fold in. ``AffordanceModel.forward`` runs the stages
-around the backbone, and ``fusion.stage1``/``fusion.stage2`` switch each
-off for ablations.
+projection is broadcast over the rows, never tiled.
+``AffordanceModel.forward`` runs the stages around the backbone, and
+``fusion.stage1``/``fusion.stage2`` switch each off for ablations.
 """
 
 from __future__ import annotations
@@ -22,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .nn import Affine, Linear, make_linear, make_mlp
-from .tensor import Tensor, matmul, softmax_lastdim, transpose
+from .nn import make_linear
+from .tensor import Tensor, matmul, relu, softmax_lastdim, transpose
 
 
 class CrossAttention:
@@ -55,7 +50,7 @@ class FusionModule:
         gate = rng.uniform(-1, 1, size=(d, 1)) / np.sqrt(d)
         self.gate_w = Tensor(gate.astype(dtype), requires_grad=True)
         params[f"{prefix}.gate.w"] = self.gate_w
-        self.fuse_mlp = make_mlp(params, f"{prefix}.fuse", rng, [2 * d, d, d], dtype)
+        self.fuse = make_linear(params, f"{prefix}.fuse", rng, 2 * d, d, dtype)
 
     def bottleneck_cross_attention(self, point_feats: Tensor,
                                    token_feats: Tensor) -> Tensor:
@@ -68,16 +63,12 @@ class FusionModule:
         weights = softmax_lastdim(transpose(scores))       # (1, L)
         return matmul(weights, token_feats)
 
-    def fuse_full_res(self, full_res: Affine, descriptor: Tensor) -> Affine:
-        """Stage II: mix every row with the descriptor, ``MLP([row, desc])``.
-
-        Both the rows and the result are unapplied affine maps.
-        """
+    def fuse_full_res(self, full_res: Tensor, descriptor: Tensor) -> Tensor:
+        """Stage II: ``relu([row, descriptor] @ W + b)`` for every row."""
         if full_res.shape[1] != self.d or descriptor.shape != (1, self.d):
             raise ShapeError(
                 f"fuse expects (N, {self.d}) and (1, {self.d}), got "
                 f"{full_res.shape} and {descriptor.shape}")
-        first = self.fuse_mlp.layers[0]
-        w_row, w_desc = first.split(self.d)
-        rows = Linear(w_row, matmul(descriptor, w_desc) + first.b)
-        return self.fuse_mlp.after_first(full_res.then(rows).apply())
+        w_row, w_desc = self.fuse.split(self.d)
+        return relu(matmul(full_res, w_row)
+                    + (matmul(descriptor, w_desc) + self.fuse.b))

@@ -30,7 +30,6 @@ from .errors import NumericError
 from .intention import HiddenStates
 from .losses import affordance_loss, dice_loss, focal_loss
 from .model import AffordanceModel
-from .nn import Affine
 from .tensor import Tensor, backward, no_grad, zero_grad
 
 
@@ -196,8 +195,7 @@ def _model_checks(tol) -> list:
     fusion, decoder = model.fusion, model.decoder
     queries = _const((4, d), 1)
     tokens = _const((L, d), 2)
-    # (N, d) rows as an MLP's last layer hands them on, unapplied
-    feats = Affine(_const((N, d), 4), _const((d, d), 9), _const((1, d), 10))
+    feats = _const((N, d), 4)
     emb = _const((1, d), 5)
 
     def check(name, prefixes, loss_fn):
@@ -207,7 +205,7 @@ def _model_checks(tol) -> list:
 
     def stage2_loss():
         descriptor = fusion.gated_global_descriptor(tokens)
-        return (fusion.fuse_full_res(feats, descriptor).apply() ** 2.0).sum()
+        return (fusion.fuse_full_res(feats, descriptor) ** 2.0).sum()
 
     def decoder_loss():
         scores = decoder.predict_map(decoder.point_to_intention(feats, emb))
@@ -216,7 +214,7 @@ def _model_checks(tol) -> list:
     def backbone_loss():
         bottleneck, skips = model.backbone.encode(plan)
         full_res, _ = model.backbone.decode(bottleneck, skips, plan)
-        return ((full_res.apply() - feats.x) ** 2.0).mean()
+        return ((full_res - feats) ** 2.0).mean()
 
     def model_loss():
         return model.loss(model.forward(cloud, hidden, plan), cloud, hidden)[0]

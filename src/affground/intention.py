@@ -115,6 +115,8 @@ def synth_fixture(class_id: int, affordance_id: int, seed: int, L: int = 32,
     """
     if L < 2:
         raise ContractError(f"need at least 2 tokens, got L={L}")
+    if d_h < 1:
+        raise ContractError(f"hidden width must be at least 1, got d_h={d_h}")
     if class_id < 0 or affordance_id < 0:
         raise ContractError("ids must be non-negative")
     signal = _signal_vector("class", class_id, d_h) + \

@@ -8,14 +8,10 @@ contact-token embedding over the three decoder scales and scores every
 point. ``fusion.stage1`` and ``fusion.stage2`` skip their stage (an
 ablation); ``lifting.mode`` picks the lifting.
 
-The (N, d) full-resolution features are never formed. The linear layer
-that ends an MLP there is multiplied into the linear layer that follows
-it at the weight level (see :class:`~affground.nn.Affine`): FP3's last
-layer into the Stage II fuse's row half, and the fuse's last layer,
-through the broadcast intention add, into the decoder head's first
-layer. With Stage II off, FP3's last layer folds straight into the head.
-Parameter names and shapes are those of the unfolded layers. ``pca-viz``
-applies the integrated features itself.
+On the full-resolution point path every linear layer is followed by a
+ReLU before the next one: FP3 (one layer), the Stage II fuse (one layer)
+and the decoder head's first layer, whose bias carries the broadcast
+intention add. ``pca-viz`` projects the features ``integrate`` returns.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from .fusion import FusionModule
 from .intention import HiddenStates, IntentionHead
 from .lifting import GeometryLifting
 from .losses import affordance_loss, cross_entropy, total_loss
-from .nn import Affine
 from .rng import rng_for
 from .tensor import Tensor
 
@@ -70,12 +65,11 @@ class AffordanceModel:
         return self.backbone.build_plan(cloud.coords)
 
     def integrate(self, hidden: HiddenStates,
-                  plan: BackbonePlan) -> tuple[Affine, list]:
+                  plan: BackbonePlan) -> tuple[Tensor, list]:
         """(fused, scales): the point features after both integration stages.
 
-        ``fused`` is the (N, d) features with their last linear layer
-        unapplied; ``scales`` are the three decoder scales lifting
-        attends over.
+        ``fused`` is the (N, d) features; ``scales`` are the three decoder
+        scales lifting attends over.
         """
         stages = self.config.fusion
         token_feats = self.intention.project_hidden(hidden)
@@ -95,8 +89,8 @@ class AffordanceModel:
             plan = self.build_plan(cloud)
         fused, scales = self.integrate(hidden, plan)
         lifted = self.lifting.lift_all(self.intention.project_cont(hidden), scales)
-        feats = self.decoder.point_to_intention(fused, lifted)
-        scores = self.decoder.predict_map(feats)
+        h = self.decoder.point_to_intention(fused, lifted)
+        scores = self.decoder.predict_map(h)
         logits = self.intention.aux_affordance_logits(hidden)
         return ForwardResult(scores=scores, aux_logits=logits)
 

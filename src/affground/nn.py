@@ -3,13 +3,6 @@
 Modules register their tensors into a shared flat ``dict[str, Tensor]``
 under dotted names so the trainer, optimizer, and checkpoint code all see
 one namespace.
-
-An MLP has no activation after its last layer, so that layer and whatever
-linear map follows it can be multiplied out at the weight level.
-:meth:`MLP.after_first` therefore returns the last layer as an
-:class:`Affine`, ``x @ w + b`` not yet multiplied, and callers fold the
-next linear layer into it (:meth:`Affine.then`, :meth:`Affine.shift`)
-before paying for one product on the rows of ``x``.
 """
 
 from __future__ import annotations
@@ -68,39 +61,6 @@ def make_linear(params: dict, name: str, rng, fan_in: int, fan_out: int,
     return Linear(w, b)
 
 
-class Affine:
-    """``x @ w + b`` with the product not yet taken.
-
-    A linear layer applied next folds into the factors,
-    ``(x @ w + b) @ w2 + b2 = x @ (w @ w2) + (b @ w2 + b2)``: a (d, d)
-    times (d, d2) product in place of one per row of ``x``. ``w`` and
-    ``b`` are tensors in the graph, so gradients reach every factor.
-    """
-
-    __slots__ = ("x", "w", "b")
-
-    def __init__(self, x: Tensor, w: Tensor, b: Tensor):
-        self.x = x
-        self.w = w
-        self.b = b
-
-    @property
-    def shape(self):
-        return (self.x.shape[0], self.w.shape[1])
-
-    def then(self, layer: Linear) -> "Affine":
-        """This map followed by ``layer``, still unmultiplied."""
-        return Affine(self.x, matmul(self.w, layer.w), layer(self.b))
-
-    def shift(self, c: Tensor) -> "Affine":
-        """This map plus ``c``, broadcast over the rows."""
-        return Affine(self.x, self.w, self.b + c)
-
-    def apply(self) -> Tensor:
-        """The rows, ``x @ w + b``."""
-        return matmul(self.x, self.w) + self.b
-
-
 class MLP:
     """Stack of Linear layers with ReLU between them (none after the last)."""
 
@@ -108,24 +68,20 @@ class MLP:
         self.layers = list(layers)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.after_first(self.layers[0](x)).apply()
+        return self.after_first(self.layers[0](x))
 
-    def after_first(self, h: Tensor) -> Affine:
-        """The rest of the stack, given the first layer's pre-activation.
-
-        The last layer is returned unapplied, for the caller to fold the
-        next linear map into or to :meth:`~Affine.apply`.
-        """
-        for layer in self.layers[1:-1]:
+    def after_first(self, h: Tensor) -> Tensor:
+        """The rest of the stack, given the first layer's pre-activation."""
+        for layer in self.layers[1:]:
             h = layer(relu(h))
-        last = self.layers[-1]
-        return Affine(relu(h), last.w, last.b)
+        return h
 
 
 def make_mlp(params: dict, name: str, rng, widths, dtype=np.float32) -> MLP:
     """widths = [in, hidden..., out]; registers one Linear per segment."""
-    if len(widths) < 3:
-        raise ContractError(f"an MLP needs a hidden layer, got widths {widths}")
+    if len(widths) < 2:
+        raise ContractError(f"an MLP needs an input and an output width, "
+                            f"got widths {widths}")
     layers = []
     for i in range(len(widths) - 1):
         layers.append(make_linear(params, f"{name}.{i}", rng,

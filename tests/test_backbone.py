@@ -128,7 +128,7 @@ def build_plan_oracle(backbone, coords):
         geometry = level[group_idx] - centers[:, None, :]
         if len(plan.sa) == 0:  # the input cloud: its features are the coords
             geometry = np.concatenate([geometry, level[group_idx]], axis=2)
-        plan.sa.append(SAPlan(idx, group_idx, geometry.astype(np.float32), centers))
+        plan.sa.append(SAPlan(group_idx, geometry.astype(np.float32)))
         plan.level_coords.append(centers)
         level = centers
     for i in range(3):
@@ -151,7 +151,7 @@ def assert_plans_bitwise(got, want):
         assert_bitwise(a, b)
     assert len(got.sa) == len(want.sa) and len(got.fp) == len(want.fp)
     for a, b in zip(got.sa, want.sa):
-        for name in ("sample_idx", "group_idx", "geometry", "centers"):
+        for name in ("group_idx", "geometry"):
             assert_bitwise(getattr(a, name), getattr(b, name))
     for a, b in zip(got.fp, want.fp):
         assert_bitwise(a.nn_idx, b.nn_idx)
@@ -335,10 +335,8 @@ class TestSetAbstraction:
         backbone = tiny_backbone(params, rng_for(0, "init"))
         patch = np.array([[0.1, 0, 0], [0, 0.1, 0], [-0.1, 0, 0], [0, -0.1, 0]])
         plan = SAPlan(
-            sample_idx=np.array([0, 4]),
             group_idx=np.array([[0, 1, 2, 3], [4, 5, 6, 7]]),
             geometry=np.stack([patch, patch]).astype(np.float64),
-            centers=np.zeros((2, 3)),
         )
         feats = T.tensor(np.tile(np.arange(8)[:, None] % 4, (1, 3)),
                          dtype=np.float64)
@@ -351,7 +349,7 @@ class TestSetAbstraction:
         stage = backbone.sa_stages[0]
         rel = np.array([[[0.2, -0.1, 0.05]]])
         feat = np.array([[0.4, 0.0, -0.3]])
-        plan = SAPlan(np.array([0]), np.array([[0]]), rel, np.zeros((1, 3)))
+        plan = SAPlan(np.array([[0]]), rel)
         out = stage(T.tensor(feat, dtype=np.float64), plan)
 
         w0 = params["backbone.sa1.0.w"].data
@@ -373,11 +371,11 @@ class TestSetAbstraction:
         group_idx = np.stack([np.array([0, 3, 6, 7]), np.array([2, 4, 8, 10]),
                               np.array([5, 9, 11, 12]), np.array([1, 13, 14, 15])])
         rel = (coords[group_idx] - centers[:, None]).astype(np.float64)
-        plan = SAPlan(idx, group_idx, rel, centers)
+        plan = SAPlan(group_idx, rel)
         out = backbone.sa_stages[1](feats, plan)
 
         perm = np.array([2, 0, 3, 1])
-        plan_shuffled = SAPlan(idx, group_idx[:, perm], rel[:, perm], centers)
+        plan_shuffled = SAPlan(group_idx[:, perm], rel[:, perm])
         out_shuffled = backbone.sa_stages[1](feats, plan_shuffled)
         np.testing.assert_array_equal(out.data, out_shuffled.data)
 
@@ -434,8 +432,8 @@ class TestFeaturePropagation:
 
     def test_unit_mlp_applied_after_skip_concat(self):
         params = {}
-        fp = FeaturePropagation(params, "fp", rng_for(9, "init"), in_dim=6,
-                                out=4, dtype=np.float64)
+        fp = FeaturePropagation(params, "fp", rng_for(9, "init"),
+                                widths=[6, 4, 4], dtype=np.float64)
         rng = np.random.default_rng(10)
         src_feats = T.tensor(rng.normal(size=(3, 4)), dtype=np.float64)
         skip = T.tensor(rng.normal(size=(5, 2)), dtype=np.float64)
@@ -586,7 +584,7 @@ class TestEncodeDecode:
         with T.no_grad():
             bottleneck, skips = backbone.encode(plan)
             full_res, _ = backbone.decode(bottleneck, skips, plan)
-        assert np.isfinite(full_res.apply().data).all()
+        assert np.isfinite(full_res.data).all()
 
     def test_zero_bottleneck_zero_skips_zero_output(self):
         params = {}
@@ -602,7 +600,7 @@ class TestEncodeDecode:
                       T.tensor(np.zeros((8, 2)), dtype=np.float64),
                       T.tensor(np.zeros((4, 4)), dtype=np.float64)]
         full_res, _ = backbone.decode(zero_bottleneck, zero_skips, plan)
-        np.testing.assert_array_equal(full_res.apply().data, 0.0)
+        np.testing.assert_array_equal(full_res.data, 0.0)
 
     def test_full_res_row_count_matches_input(self):
         params = {}
@@ -635,9 +633,11 @@ class TestEncodeDecode:
         coords = normalize_unit_sphere(rng.normal(size=(32, 3)))
         p1 = backbone.build_plan(coords)
         p2 = backbone.build_plan(coords)
+        for a, b in zip(p1.level_coords, p2.level_coords):
+            np.testing.assert_array_equal(a, b)
         for a, b in zip(p1.sa, p2.sa):
-            np.testing.assert_array_equal(a.sample_idx, b.sample_idx)
             np.testing.assert_array_equal(a.group_idx, b.group_idx)
+            np.testing.assert_array_equal(a.geometry, b.geometry)
 
     def test_gradcheck_encode_decode(self):
         params = {}
@@ -650,7 +650,7 @@ class TestEncodeDecode:
         def loss():
             bottleneck, skips = backbone.encode(plan)
             full_res, _ = backbone.decode(bottleneck, skips, plan)
-            return ((full_res.apply() - target) ** 2.0).mean()
+            return ((full_res - target) ** 2.0).mean()
 
         errs = finite_difference_check_params(loss, params)
         assert max(errs.values()) <= 1e-4

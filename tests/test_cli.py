@@ -3,10 +3,17 @@
 import json
 
 import numpy as np
+import pytest
 
 from affground.cli import main
 from affground.corruption import KINDS, LEVELS
-from affground.dataio import load_checkpoint, read_dataset, read_tensor
+from affground.dataio import (MOMENTS, load_checkpoint, read_dataset, read_tensor,
+                              write_tensor)
+
+TOY_SETS = ["--set", "model.n_points=128", "--set", "model.d=16",
+            "--set", "model.d_h=32", "--set", "model.seq_len=4",
+            "--set", "model.cont_width=16", "--set", "model.k_max=[8,8,8]",
+            "--set", "optimizer.epochs=1"]
 
 
 def _toy_checkpoint(tmp_path):
@@ -17,11 +24,7 @@ def _toy_checkpoint(tmp_path):
                  "--d-h", "32", "--seq-len", "4"]) == 0
     manifest = str(data / "manifest.jsonl")
     run = tmp_path / "run"
-    assert main(["train", "--data", manifest, "--out", str(run),
-                 "--set", "model.n_points=128", "--set", "model.d=16",
-                 "--set", "model.d_h=32", "--set", "model.seq_len=4",
-                 "--set", "model.cont_width=16", "--set", "model.k_max=[8,8,8]",
-                 "--set", "optimizer.epochs=1"]) == 0
+    assert main(["train", "--data", manifest, "--out", str(run)] + TOY_SETS) == 0
     ckpt = run / "checkpoint"
     assert main(["eval", "--checkpoint", str(ckpt), "--data", manifest]) == 0
     return manifest, ckpt
@@ -150,3 +153,82 @@ def test_train_on_empty_manifest_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "dataset has no samples" in err
     assert "Traceback" not in err
+
+
+def _to_old_layout(ckpt):
+    """Rewrite a checkpoint as the model saved it when FP3 and the Stage II
+    fuse were two-layer MLPs: ``fusion.fuse.0`` in place of ``fusion.fuse``,
+    plus the (d, d) ``backbone.fp3.1`` and ``fusion.fuse.1`` layers, in the
+    parameters and in both AdamW moments."""
+    saved = json.loads((ckpt / "manifest.json").read_text())
+    d = read_tensor(ckpt / saved["params"]["fusion.fuse.b"]).shape[1]
+    groups = {"params": saved["params"],
+              **{moment: saved["optimizer"][moment] for moment in MOMENTS}}
+    for group, files in groups.items():
+        for part in ("w", "b"):
+            files[f"fusion.fuse.0.{part}"] = files.pop(f"fusion.fuse.{part}")
+        for layer in ("backbone.fp3.1", "fusion.fuse.1"):
+            for part, shape in (("w", (d, d)), ("b", (1, d))):
+                name = f"{layer}.{part}"
+                files[name] = f"{group}/{name}.htns"
+                write_tensor(ckpt / files[name], np.full(shape, 0.5, np.float32))
+    (ckpt / "manifest.json").write_text(json.dumps(saved))
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_old_layout_checkpoint_exits_2(tmp_path, capsys, command):
+    manifest, ckpt = _toy_checkpoint(tmp_path)
+    _to_old_layout(ckpt)
+    args = {"eval": ["eval", "--checkpoint", str(ckpt), "--data", manifest],
+            "resume": ["train", "--data", manifest, "--out", str(tmp_path / "r2"),
+                       "--resume", str(ckpt)] + TOY_SETS}[command]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "fusion.fuse" in err
+    assert "Traceback" not in err
+
+
+def _assert_usage_error(capsys, args, message):
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_corrupt_with_non_integer_levels_exits_1(tmp_path, capsys):
+    manifest = tmp_path / "data" / "manifest.jsonl"
+    assert main(["gen-data", "--out", str(manifest.parent), "--classes", "1",
+                 "--affordances", "1", "--samples-per", "1", "--points", "16",
+                 "--d-h", "4", "--seq-len", "2"]) == 0
+    _assert_usage_error(capsys, ["corrupt", "--in", str(manifest),
+                                 "--out", str(tmp_path / "tree"),
+                                 "--levels", "a..3", "--seed", "1"], "'a..3'")
+    assert not (tmp_path / "tree").exists()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--points", "5", "at least 8 points"),
+    ("--d-h", "0", "d_h=0"),
+])
+def test_gen_data_with_bad_size_exits_1(tmp_path, capsys, option, value, message):
+    data = tmp_path / "data"
+    _assert_usage_error(capsys, ["gen-data", "--out", str(data), "--classes", "1",
+                                 "--affordances", "1", "--samples-per", "1",
+                                 "--points", "16", option, value], message)
+    assert not (data / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("d_h", ["0", "-3"])
+def test_gen_fixtures_with_non_positive_width_exits_1(tmp_path, capsys, d_h):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--classes", "1",
+                 "--affordances", "1", "--samples-per", "1", "--points", "16",
+                 "--d-h", "4", "--seq-len", "2"]) == 0
+    fixture = next((data / "hidden").glob("*.htns"))
+    before = fixture.read_bytes()
+    _assert_usage_error(capsys, ["gen-fixtures", "--manifest",
+                                 str(data / "manifest.jsonl"), "--d-h", d_h],
+                        f"d_h={d_h}")
+    assert fixture.read_bytes() == before

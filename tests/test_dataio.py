@@ -241,6 +241,14 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="a.w"):
             restore_arrays(live, ckpt.params, "params")
 
+    def test_unexpected_entries_refused(self, tmp_path):
+        save_checkpoint(tmp_path / "ckpt", self._params(4), {}, step=0)
+        ckpt = load_checkpoint(tmp_path / "ckpt")
+        live = {"a.w": np.zeros((4, 3), dtype=np.float32)}
+        with pytest.raises(CheckpointError, match=r"does not: \['b.w'\]"):
+            restore_arrays(live, ckpt.params, "exp_avg")
+        assert not live["a.w"].any()  # a refused restore writes nothing
+
     def test_nonfinite_parameters_refused(self, tmp_path):
         params = self._params(3)
         params["a.w"].data[0, 0] = np.nan

@@ -1,8 +1,8 @@
 """Affordance decoding head.
 
-The decoder takes the fused features as an MLP's last layer hands them
-on, ``x @ w + b`` unapplied (:class:`affground.nn.Affine`); the tests
-compare its output with those rows applied.
+``point_to_intention`` returns the head's first pre-activation, with the
+intention add carried in that layer's bias; the tests compare it with the
+layer run on the explicit sum ``feats + wv(embedding)``.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from affground.decoder import AffordanceDecoder
 from affground.errors import ShapeError
 from affground.gradcheck import finite_difference_check_params
 from affground.losses import affordance_loss
-from affground.nn import Affine
 from affground.rng import rng_for
 
 
@@ -25,15 +24,8 @@ def make_decoder(params, d=8, seed=0, dtype=np.float64):
     return AffordanceDecoder(params, "decoder", rng_for(seed, "init"), d, dtype)
 
 
-def pending(x, seed=0, dtype=np.float64):
-    """Rows ``x @ w + b``, unapplied, with a random (d, d) w and (1, d) b.
-
-    ``w`` has variance 1/d, so the rows have about the scale of ``x``.
-    """
-    d = x.shape[1]
-    return Affine(T.tensor(x, dtype=dtype),
-                  T.tensor(rand((d, d), seed + 100) / np.sqrt(d), dtype=dtype),
-                  T.tensor(rand((1, d), seed + 200), dtype=dtype))
+def feats_of(x, dtype=np.float64):
+    return T.tensor(x, dtype=dtype)
 
 
 class TestPointToIntention:
@@ -41,10 +33,10 @@ class TestPointToIntention:
         params = {}
         dec = make_decoder(params)
         params["decoder.v.w"].data[:] = 0.0
-        feats = pending(rand((5, 8), 1))
+        feats = feats_of(rand((5, 8), 1))
         emb = T.tensor(rand((1, 8), 2), dtype=np.float64)
         out = dec.point_to_intention(feats, emb)
-        np.testing.assert_array_equal(out.apply().data, feats.apply().data)
+        np.testing.assert_array_equal(out.data, dec.head.layers[0](feats).data)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_single_key_attention_bitwise(self, dtype):
@@ -55,30 +47,33 @@ class TestPointToIntention:
         dec = make_decoder(params, d=8, seed=13, dtype=dtype)
         gen = np.random.default_rng(14)
         wq, wk = (gen.normal(size=(8, 8)).astype(dtype) for _ in range(2))
-        feats = pending(rand((11, 8), 15), dtype=dtype)
+        feats = feats_of(rand((11, 8), 15), dtype=dtype)
         emb = T.tensor(rand((1, 8), 16), dtype=dtype)
-        q = feats.apply() @ T.tensor(wq)
+        q = feats @ T.tensor(wq)
         k = emb @ T.tensor(wk)
         v = emb @ params["decoder.v.w"]
-        attn = T.softmax_lastdim((q @ k.T) * (1.0 / np.sqrt(8)))
-        expected = feats.shift(attn @ v)
+        attended = T.softmax_lastdim((q @ k.T) * (1.0 / np.sqrt(8))) @ v
+        np.testing.assert_array_equal(attended.data,
+                                      np.broadcast_to(v.data, (11, 8)))
+        first = dec.head.layers[0]
+        expected = feats @ first.w + first(T.tensor(attended.data[:1]))
         out = dec.point_to_intention(feats, emb)
-        np.testing.assert_array_equal(out.apply().data, expected.apply().data)
+        np.testing.assert_array_equal(out.data, expected.data)
 
     def test_identical_rows_identical_outputs(self):
         params = {}
         dec = make_decoder(params)
         row = rand((1, 8), 3)
-        feats = pending(np.vstack([row, rand((2, 8), 4), row]))
+        feats = feats_of(np.vstack([row, rand((2, 8), 4), row]))
         emb = T.tensor(rand((1, 8), 5), dtype=np.float64)
-        out = dec.point_to_intention(feats, emb).apply()
+        out = dec.point_to_intention(feats, emb)
         np.testing.assert_allclose(out.data[0], out.data[3], atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         params = {}
         dec = make_decoder(params)
         with pytest.raises(ShapeError):
-            dec.point_to_intention(pending(rand((5, 4))),
+            dec.point_to_intention(feats_of(rand((5, 4))),
                                    T.tensor(rand((1, 8)), dtype=np.float64))
 
     def test_row_permutation_equivariance(self):
@@ -88,9 +83,9 @@ class TestPointToIntention:
         emb = T.tensor(rand((1, 8), 7), dtype=np.float64)
         perm = np.random.default_rng(8).permutation(9)
         with T.no_grad():
-            base = dec.predict_map(dec.point_to_intention(pending(feats), emb))
+            base = dec.predict_map(dec.point_to_intention(feats_of(feats), emb))
             permuted = dec.predict_map(dec.point_to_intention(
-                pending(feats[perm]), emb))
+                feats_of(feats[perm]), emb))
         np.testing.assert_allclose(permuted.data, base.data[perm], atol=1e-6)
 
 
@@ -101,7 +96,8 @@ class TestPredictMap:
         for name, p in params.items():
             if name.startswith("decoder.head"):
                 p.data[:] = 0.0
-        out = dec.predict_map(pending(np.zeros((6, 8))))
+        out = dec.predict_map(dec.point_to_intention(
+            feats_of(rand((6, 8), 19)), T.tensor(rand((1, 8), 20), dtype=np.float64)))
         np.testing.assert_array_equal(out.data, np.full((6, 1), 0.5))
 
     def test_scores_strictly_inside_unit_interval(self):
@@ -109,7 +105,7 @@ class TestPredictMap:
         # probe the representable range
         params = {}
         dec = make_decoder(params)
-        feats = pending(rand((20, 8), 9) * 3)
+        feats = feats_of(rand((20, 8), 9) * 3)
         with T.no_grad():
             out = dec.predict_map(dec.point_to_intention(
                 feats, T.tensor(rand((1, 8), 10), dtype=np.float64)))
@@ -118,7 +114,7 @@ class TestPredictMap:
     def test_gradcheck_through_losses(self):
         params = {}
         dec = make_decoder(params)
-        feats = pending(rand((6, 8), 11))
+        feats = feats_of(rand((6, 8), 11))
         emb = T.tensor(rand((1, 8), 12), dtype=np.float64)
         targets = np.array([1.0, 0.0, 0.6, 0.0, 1.0, 0.0])
 

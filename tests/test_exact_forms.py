@@ -1,19 +1,17 @@
 """The exact-algebra layer forms against the repeated-row forms they replace.
 
-Set abstraction, feature propagation, Stage II fusion and lifting compute
-each first linear layer on distinct rows only, and the linear layer that
-ends FP3 and the fuse MLP is multiplied into the next linear layer at the
-weight level (see the module docstrings). The oracles below are the forms
+Set abstraction, feature propagation, Stage II fusion, the decoder's
+intention add and lifting compute each first linear layer on distinct
+rows only (see the module docstrings). The oracles below are the forms
 that build the repeated rows and multiply them:
 
 - ``sa_call_oracle``: gather the member features, then concatenate;
 - ``encode_oracle``: the coordinates fed to the first stage as features;
 - ``fp_call_oracle``: interpolate, then concatenate the skip;
-- ``decode_oracle``: every FP stage applied, FP3's (N, d) output formed;
-- ``fuse_full_res_oracle``: tile the descriptor, concatenate, and form the
-  (N, d) fused features;
+- ``decode_oracle``: every FP stage on its concatenated rows;
+- ``fuse_full_res_oracle``: tile the descriptor, concatenate, and project;
 - ``point_to_intention_oracle``: add ``wv(embedding)`` to every (N, d) row;
-- ``predict_map_oracle``: run the head on the (N, d) features;
+- ``predict_map_oracle``: run the whole head on the (N, d) sums;
 - ``lift_stage_oracle``: the (N, d) x (d, d) key and value projections of
   a single query.
 
@@ -38,7 +36,7 @@ from affground.intention import synth_fixture
 from affground.lifting import LiftStage
 from affground.metrics import pca_project
 from affground.model import AffordanceModel
-from affground.nn import Affine, make_mlp
+from affground.nn import make_mlp
 from affground.rng import rng_for
 from affground.train import load_model
 
@@ -72,11 +70,11 @@ def fp_call_oracle(fp, src_feats, plan, skip_feats):
 
 
 def decode_oracle(backbone, bottleneck, skips, plan):
-    """PointBackbone.decode forming every FP output, FP3's (N, d) included."""
+    """PointBackbone.decode with every FP stage on its concatenated rows."""
     scales = [bottleneck]
     for fp, fp_plan, skip in zip(backbone.fp_stages, plan.fp, reversed(skips)):
         scales.append(fp_call_oracle(fp, scales[-1], fp_plan, skip))
-    full_res = scales.pop()
+    full_res = T.relu(scales.pop())
     return full_res, scales
 
 
@@ -90,9 +88,9 @@ def repeat_rows_oracle(x, n):
 
 
 def fuse_full_res_oracle(fusion, full_res, descriptor):
-    """Stage II: tile the descriptor, concatenate, run the MLP."""
+    """Stage II: tile the descriptor, concatenate, run the layer."""
     tiled = repeat_rows_oracle(descriptor, full_res.shape[0])
-    return fusion.fuse_mlp(T.concat([full_res, tiled], axis=1))
+    return T.relu(fusion.fuse(T.concat([full_res, tiled], axis=1)))
 
 
 def point_to_intention_oracle(decoder, point_feats, embedding):
@@ -103,11 +101,6 @@ def point_to_intention_oracle(decoder, point_feats, embedding):
 def predict_map_oracle(decoder, feats):
     """The head's MLP and sigmoid on the (N, d) features."""
     return T.sigmoid(decoder.head(feats))
-
-
-def unfolded(x, w, b):
-    """The (N, d) rows ``x @ w + b`` that an :class:`Affine` stands for."""
-    return T.matmul(x, w) + b
 
 
 def lift_stage_oracle(stage, embedding, point_feats):
@@ -200,24 +193,23 @@ def test_feature_propagation_matches_interpolate_concat(i, dtype):
     rng = np.random.default_rng(45 + i)
     inputs = {"src": leaf(rng, (int(fp_plan.nn_idx.max()) + 1, 16), dtype),
               "skip": leaf(rng, (len(fp_plan.nn_idx), skip_dim), dtype)}
-    check_against_oracle(lambda s, k: fp(s, fp_plan, k).apply(),
+    check_against_oracle(lambda s, k: fp(s, fp_plan, k),
                          lambda s, k: fp_call_oracle(fp, s, fp_plan, k),
                          inputs, stage_params(params, f"backbone.fp{i + 1}"),
                          dtype, 3 + i)
 
 
-def test_mlp_without_hidden_layer_is_refused():
-    # after_first hands the last layer on unapplied, after a ReLU
-    with pytest.raises(ContractError):
-        make_mlp({}, "mlp", rng_for(0, "init"), [4, 2])
-
-
-def pending_leaves(rng, n_rows, d, dtype):
-    """Leaves x, w, b of rows ``x @ w + b`` as an MLP's last layer hands them on."""
-    return {"x": leaf(rng, (n_rows, d), dtype),
-            "w": T.tensor(rng.normal(size=(d, d)) / np.sqrt(d),
-                          requires_grad=True, dtype=dtype),
-            "b": leaf(rng, (1, d), dtype)}
+def test_mlp_needs_an_input_and_an_output_width():
+    # FP3 is a one-layer MLP: that layer alone, with no activation after it
+    params = {}
+    mlp = make_mlp(params, "mlp", rng_for(0, "init"), [4, 2], np.float64)
+    assert sorted(params) == ["mlp.0.b", "mlp.0.w"]
+    x = T.tensor(np.random.default_rng(1).normal(size=(3, 4)))
+    np.testing.assert_array_equal(
+        mlp(x).data, x.data @ params["mlp.0.w"].data + params["mlp.0.b"].data)
+    for widths in ([4], []):
+        with pytest.raises(ContractError):
+            make_mlp({}, "mlp", rng_for(0, "init"), widths)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -226,11 +218,11 @@ def test_fuse_full_res_matches_tile_concat(n_rows, dtype):
     params = {}
     fusion = FusionModule(params, "fusion", rng_for(1, "init"), 16, dtype=dtype)
     rng = np.random.default_rng(48)
-    inputs = {**pending_leaves(rng, n_rows, 16, dtype),
+    inputs = {"full_res": leaf(rng, (n_rows, 16), dtype),
               "descriptor": leaf(rng, (1, 16), dtype)}
     check_against_oracle(
-        lambda x, w, b, dsc: fusion.fuse_full_res(Affine(x, w, b), dsc).apply(),
-        lambda x, w, b, dsc: fuse_full_res_oracle(fusion, unfolded(x, w, b), dsc),
+        fusion.fuse_full_res,
+        lambda x, dsc: fuse_full_res_oracle(fusion, x, dsc),
         inputs, stage_params(params, "fusion.fuse"), dtype, 6)
 
 
@@ -241,17 +233,17 @@ def test_decoder_matches_unfolded_rows(n_rows, dtype):
     decoder = AffordanceDecoder(params, "decoder", rng_for(3, "init"), 16,
                                 dtype=dtype)
     rng = np.random.default_rng(50)
-    inputs = {**pending_leaves(rng, n_rows, 16, dtype),
+    inputs = {"feats": leaf(rng, (n_rows, 16), dtype),
               "embedding": leaf(rng, (1, 16), dtype)}
 
-    def folded(x, w, b, e):
-        return decoder.predict_map(decoder.point_to_intention(Affine(x, w, b), e))
+    def shifted_bias(x, e):
+        return decoder.predict_map(decoder.point_to_intention(x, e))
 
-    def oracle(x, w, b, e):
-        feats = point_to_intention_oracle(decoder, unfolded(x, w, b), e)
+    def oracle(x, e):
+        feats = point_to_intention_oracle(decoder, x, e)
         return predict_map_oracle(decoder, feats)
 
-    check_against_oracle(folded, oracle, inputs, params, dtype, 8)
+    check_against_oracle(shifted_bias, oracle, inputs, params, dtype, 8)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -12,7 +12,6 @@ from affground.fusion import FusionModule
 from affground.gradcheck import finite_difference_check_params
 from affground.intention import synth_fixture
 from affground.model import AffordanceModel
-from affground.nn import Affine
 from affground.rng import rng_for
 
 TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
@@ -27,12 +26,8 @@ def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
 
 
-def pending(x, seed=0):
-    """Rows ``x @ w + b``, unapplied, as FP3 hands them to the fuse."""
-    d = x.shape[1]
-    return Affine(T.tensor(x, dtype=np.float64),
-                  T.tensor(rand((d, d), seed + 100) / np.sqrt(d), dtype=np.float64),
-                  T.tensor(rand((1, d), seed + 200), dtype=np.float64))
+def rows(x):
+    return T.tensor(x, dtype=np.float64)
 
 
 class TestBottleneckCrossAttention:
@@ -133,18 +128,14 @@ class TestDuplicateAndFuse:
         params = {}
         fusion = make_fusion(params)
         d = 8
-        w0 = np.zeros((2 * d, d))
-        w0[:d] = np.eye(d)  # first layer picks the point half
-        params["fusion.fuse.0.w"].data[:] = w0
-        params["fusion.fuse.0.b"].data[:] = 0.0
-        params["fusion.fuse.1.w"].data[:] = np.eye(d)
-        params["fusion.fuse.1.b"].data[:] = 0.0
+        w = np.zeros((2 * d, d))
+        w[:d] = np.eye(d)  # the layer picks the point half
+        params["fusion.fuse.w"].data[:] = w
+        params["fusion.fuse.b"].data[:] = 0.0
         feats = np.abs(rand((5, d), 20))  # non-negative so relu is identity
-        rows = Affine(T.tensor(feats, dtype=np.float64),
-                      T.tensor(np.eye(d), dtype=np.float64),
-                      T.tensor(np.zeros((1, d)), dtype=np.float64))
-        out = fusion.fuse_full_res(rows, T.tensor(np.zeros((1, d)), dtype=np.float64))
-        np.testing.assert_allclose(out.apply().data, feats, atol=1e-12)
+        out = fusion.fuse_full_res(rows(feats),
+                                   T.tensor(rand((1, d), 26), dtype=np.float64))
+        np.testing.assert_allclose(out.data, feats, atol=1e-12)
 
     def test_row_permutation_equivariance(self):
         params = {}
@@ -152,19 +143,19 @@ class TestDuplicateAndFuse:
         feats = rand((9, 8), 21)
         desc = T.tensor(rand((1, 8), 22), dtype=np.float64)
         perm = np.random.default_rng(23).permutation(9)
-        out = fusion.fuse_full_res(pending(feats), desc).apply()
-        out_perm = fusion.fuse_full_res(pending(feats[perm]), desc).apply()
+        out = fusion.fuse_full_res(rows(feats), desc)
+        out_perm = fusion.fuse_full_res(rows(feats[perm]), desc)
         np.testing.assert_allclose(out_perm.data, out.data[perm], atol=1e-12)
 
     def test_gradcheck_descriptor_and_fuse(self):
         params = {}
         fusion = make_fusion(params)
         tokens = T.tensor(rand((3, 8), 24), dtype=np.float64)
-        feats = pending(rand((4, 8), 25))
+        feats = rows(rand((4, 8), 25))
 
         def loss():
             desc = fusion.gated_global_descriptor(tokens)
-            return (fusion.fuse_full_res(feats, desc).apply() ** 2.0).sum()
+            return (fusion.fuse_full_res(feats, desc) ** 2.0).sum()
 
         stage2 = {k: v for k, v in params.items()
                   if ".gate" in k or ".fuse" in k}
@@ -175,8 +166,7 @@ class TestDuplicateAndFuse:
 class TestIntegrate:
     """The stages as ``AffordanceModel.integrate`` runs them around the backbone.
 
-    ``integrate`` is the part of the forward that ``pca-viz`` runs; the
-    features it returns are compared applied.
+    ``integrate`` is the part of the forward that ``pca-viz`` runs.
     """
 
     def _setup(self, seed=0, **stages):
@@ -193,7 +183,7 @@ class TestIntegrate:
         with T.no_grad():
             fused, _ = model.integrate(hidden, plan)
             expected, _ = model.backbone.decode(*model.backbone.encode(plan), plan)
-        np.testing.assert_array_equal(fused.apply().data, expected.apply().data)
+        np.testing.assert_array_equal(fused.data, expected.data)
 
     def test_stage1_off_means_decoder_sees_raw_bottleneck(self):
         model, cloud, hidden, plan = self._setup(1, stage1=False)
@@ -203,7 +193,7 @@ class TestIntegrate:
             tokens = model.intention.project_hidden(hidden)
             expected = model.fusion.fuse_full_res(
                 full_res, model.fusion.gated_global_descriptor(tokens))
-        np.testing.assert_array_equal(fused.apply().data, expected.apply().data)
+        np.testing.assert_array_equal(fused.data, expected.data)
 
     def test_disabled_stage_gets_zero_gradient(self):
         model, cloud, hidden, plan = self._setup(2, stage1=False)

@@ -25,3 +25,11 @@ def test_every_parameter_gets_a_nonzero_gradient(mode):
     dead = [name for name, p in model.params.items()
             if p.grad is None or not np.any(p.grad != 0)]
     assert dead == []
+
+
+def test_paper_config_parameter_count():
+    # FP3 and the Stage II fuse are one linear layer each
+    model = AffordanceModel(RunConfig())
+    assert sum(p.data.size for p in model.params.values()) == 13_966_595
+    assert not any(name.startswith(("backbone.fp3.1.", "fusion.fuse.1."))
+                   for name in model.params)
