@@ -343,6 +343,14 @@ def gen_synthetic_dataset(out_dir, n_classes: int, n_affordances: int,
         raise ContractError("counts must be at least 1")
     if n_affordances > len(AFFORDANCE_NAMES):
         raise ContractError(f"at most {len(AFFORDANCE_NAMES)} affordances supported")
+    # the sizes synth_cloud and synth_fixture refuse, checked before any mkdir
+    if n_points < MIN_CLOUD_POINTS:
+        raise ContractError(f"a synthetic cloud needs at least {MIN_CLOUD_POINTS} "
+                            f"points, got {n_points}")
+    if d_h < 1:
+        raise ContractError(f"hidden width must be at least 1, got d_h={d_h}")
+    if seq_len < 2:
+        raise ContractError(f"need at least 2 tokens, got L={seq_len}")
     out = Path(out_dir)
     for sub in ("clouds", "labels", "hidden"):
         (out / sub).mkdir(parents=True, exist_ok=True)

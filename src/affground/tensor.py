@@ -303,10 +303,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes(a, b, "matmul")
 
     def backward(g):
+        # a product over one inner index is an outer product: broadcast it
+        # rather than run a K=1 GEMM (same bytes once _accumulate has
+        # turned -0.0 into +0.0)
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, g * b.data.T if g.shape[1] == 1 else g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, a.data.T * g if a.shape[0] == 1 else a.data.T @ g)
 
     return _node(a.data @ b.data, (a, b), backward, "matmul")
 
@@ -322,12 +325,15 @@ def power(x: Tensor, exponent) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    """``max(x, 0)``, with -0.0 mapped to +0.0; the gradient passes where
+    ``x > 0``.
 
+    A NaN input stays NaN in the output and gets a zero gradient.
+    """
     def backward(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (x.data > 0))
 
-    return _node(np.where(mask, x.data, 0), (x,), backward, "relu")
+    return _node(np.maximum(x.data, 0), (x,), backward, "relu")
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -416,18 +422,25 @@ def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def max_reduce(x: Tensor, axis: int, keepdims=False) -> Tensor:
-    """Max over one axis; gradient routes to the first occurrence of the max."""
-    idx = np.argmax(x.data, axis=axis)
-    out = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
+    """Max over one axis; gradient routes to the first occurrence of the max.
+
+    Ties are common (a padded group repeats its first member) and route
+    the whole gradient to the first one. Where the maximum is NaN the
+    output is NaN and the gradient goes to index 0 along ``axis``. Where
+    the maxima are zeros of both signs, which zero comes out is numpy's
+    choice, not necessarily the first one's.
+    """
+    kept = x.data.max(axis=axis, keepdims=True)
 
     def backward(g):
+        # only the walk needs the index: the first entry equal to the max
+        idx = np.expand_dims((x.data == kept).argmax(axis=axis), axis)
         gx = np.zeros_like(x.data)
         expanded = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(gx, np.expand_dims(idx, axis), expanded, axis=axis)
+        np.put_along_axis(gx, idx, expanded, axis=axis)
         _accumulate(x, gx)
 
+    out = kept if keepdims else np.squeeze(kept, axis=axis)
     return _node(out, (x,), backward, "max")
 
 

@@ -19,6 +19,11 @@ sequential loop used at smaller sizes, and log rows, gradients,
 parameters and checkpoints are bitwise those of it. The worker thread
 lives only as long as :func:`train`, and an exception it raises reaches
 the caller unchanged.
+
+Above the same size gate, :func:`evaluate` overlaps plan building with
+the forward pass: a worker thread loads the next record and builds its
+plan while the main thread scores the current one. Reports are bitwise
+those of the sequential loop.
 """
 
 from __future__ import annotations
@@ -50,12 +55,13 @@ from .tensor import backward
 
 _M_ARENA_MAX = -8   # mallopt parameter, from glibc's malloc.h
 
-# n_points * d of the smallest model whose batches are pipelined
+# n_points * d of the smallest model that train and evaluate pipeline
 _PIPELINE_MIN_ROW_ENTRIES = 1 << 19
 
 
 def _pipelines(model_cfg) -> bool:
-    """Whether :func:`train` builds each member's graph on a worker thread.
+    """Whether :func:`train` builds each member's graph on a worker thread,
+    and :func:`evaluate` each record's plan.
 
     The two threads share the GIL and overlap only while one of them is
     inside a numpy call that released it, so the pipeline pays where
@@ -283,7 +289,17 @@ def _restore_params(model: AffordanceModel, ckpt):
 
 def evaluate(model: AffordanceModel, manifest_path,
              expected_vocab=None) -> MetricReport:
-    """Deterministic forward passes over a dataset; one report."""
+    """Deterministic forward passes over a dataset; one report.
+
+    Where :func:`_pipelines` holds and there are at least two records, a
+    worker thread loads record k + 1 and builds its plan while this
+    thread runs record k's forward and metrics. Record k + 1 is submitted
+    only once record k's inputs are taken, so at most two records' inputs
+    are alive, and the scores and report are bitwise the sequential
+    loop's. An exception raised while loading a record reaches the caller
+    unchanged, after the records before it have been scored, as in the
+    sequential loop.
+    """
     dataset = read_dataset(manifest_path)
     if expected_vocab is not None and \
             dataset.vocab["affordances"] != expected_vocab["affordances"]:
@@ -291,13 +307,34 @@ def evaluate(model: AffordanceModel, manifest_path,
             f"checkpoint affordance vocabulary {expected_vocab['affordances']} "
             f"does not match dataset {dataset.vocab['affordances']}")
     _check_dataset_compat(model.config, dataset)
-    report = MetricReport()
-    for record in dataset.records:
+    records = dataset.records
+
+    def prepare(record):
         cloud = dataset.load_cloud(record)
-        hidden = dataset.load_hidden(record)
-        scores = model.predict(cloud, hidden)
-        report.add(record.id, record.affordance_name,
-                   evaluate_sample(scores, cloud.labels))
+        return cloud, dataset.load_hidden(record), model.build_plan(cloud)
+
+    worker = None
+    if _pipelines(model.config.model) and len(records) > 1:
+        _share_one_malloc_arena()   # before the worker's first allocation
+        worker = ThreadPoolExecutor(max_workers=1,
+                                    thread_name_prefix="affground-plan")
+    report = MetricReport()
+    try:
+        if worker is not None:
+            pending = worker.submit(prepare, records[0])
+        for k, record in enumerate(records):
+            if worker is None:
+                cloud, hidden, plan = prepare(record)
+            else:
+                cloud, hidden, plan = pending.result()
+                if k + 1 < len(records):
+                    pending = worker.submit(prepare, records[k + 1])
+            scores = model.predict(cloud, hidden, plan)
+            report.add(record.id, record.affordance_name,
+                       evaluate_sample(scores, cloud.labels))
+    finally:
+        if worker is not None:
+            worker.shutdown()   # waits, so no worker outlives evaluate()
     return report
 
 

@@ -220,6 +220,21 @@ def test_gen_data_with_bad_size_exits_1(tmp_path, capsys, option, value, message
     assert not (data / "manifest.jsonl").exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--points", "5", "at least 8 points"),
+    ("--d-h", "0", "d_h=0"),
+    ("--seq-len", "1", "L=1"),
+])
+def test_refused_gen_data_leaves_no_out_directory(tmp_path, capsys, option,
+                                                  value, message):
+    data = tmp_path / "nested" / "data"
+    _assert_usage_error(capsys, ["gen-data", "--out", str(data), "--classes", "1",
+                                 "--affordances", "1", "--samples-per", "1",
+                                 "--points", "16", "--d-h", "4", "--seq-len", "2",
+                                 option, value], message)
+    assert not (tmp_path / "nested").exists()
+
+
 @pytest.mark.parametrize("d_h", ["0", "-3"])
 def test_gen_fixtures_with_non_positive_width_exits_1(tmp_path, capsys, d_h):
     data = tmp_path / "data"

@@ -1,5 +1,6 @@
 """Tensor engine: primitives, tape, backward, AdamW, schedules."""
 
+import sys
 import weakref
 
 import numpy as np
@@ -8,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affground import tensor as T
+from affground import train as train_module
+from affground.config import ModelConfig, RunConfig
+from affground.dataio import gen_synthetic_dataset, read_dataset
 from affground.errors import ContractError, NumericError, ShapeError
 from affground.gradcheck import finite_difference_check, finite_difference_check_params
+from affground.model import AffordanceModel
 from affground.optim import AdamW, adamw_step, linear_lr
 
 
@@ -441,6 +446,171 @@ class TestInterpolate:
     def test_rejects_bad_shapes(self, x_shape, idx, w):
         with pytest.raises(ShapeError):
             T.interpolate(T.tensor(np.ones(x_shape)), idx, w)
+
+
+def former_relu(x):
+    """The former relu: the mask built in the forward, output by np.where."""
+    mask = x.data > 0
+
+    def backward(g):
+        T._accumulate(x, g * mask)
+
+    return T._node(np.where(mask, x.data, 0), (x,), backward, "relu")
+
+
+def former_max_reduce(x, axis, keepdims=False):
+    """The former max_reduce: argmax in the forward, then take_along_axis."""
+    idx = np.argmax(x.data, axis=axis)
+    out = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
+    if not keepdims:
+        out = np.squeeze(out, axis=axis)
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        expanded = g if keepdims else np.expand_dims(g, axis)
+        np.put_along_axis(gx, np.expand_dims(idx, axis), expanded, axis=axis)
+        T._accumulate(x, gx)
+
+    return T._node(out, (x,), backward, "max")
+
+
+def former_matmul(a, b):
+    """The former matmul: every backward product as a GEMM, K=1 included."""
+    def backward(g):
+        if a.requires_grad:
+            T._accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            T._accumulate(b, a.data.T @ g)
+
+    return T._node(a.data @ b.data, (a, b), backward, "matmul")
+
+
+def signed_zeros_and_negatives(rng, shape, dtype):
+    """Normal draws with about a third each of -0.0, +0.0 and negatives kept."""
+    x = rng.normal(size=shape).astype(dtype)
+    draw = rng.random(shape)
+    x[draw < 0.2] = -0.0
+    x[(draw >= 0.2) & (draw < 0.35)] = 0.0
+    return x
+
+
+class TestFormerRules:
+    """relu, max_reduce and matmul's backward equal their former numpy
+    forms byte for byte; the former forms stay here as oracles."""
+
+    DTYPES = [np.float32, np.float64]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_relu(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        data = signed_zeros_and_negatives(rng, (7, 33), dtype)
+        data[0, :3] = [-0.0, 0.0, -1.5]
+        g = T.tensor(rng.normal(size=(7, 33)).astype(dtype))
+        grads = []
+        for rule in (former_relu, T.relu):
+            x = T.tensor(data.copy(), requires_grad=True)
+            out = rule(x)
+            T.backward((out * g).sum())
+            grads.append((out.data, x.grad))
+        (want_out, want_grad), (got_out, got_grad) = grads
+        assert not np.signbit(got_out).any()
+        assert got_out.dtype == want_out.dtype
+        assert got_out.tobytes() == want_out.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_max_reduce_with_tied_maxima(self, axis, keepdims, dtype, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so most maxima are tied; +0.0 among them
+        data = rng.integers(-2, 3, size=(4, 5, 6)).astype(dtype) * 0.5
+        # a padded group: one member repeated along the reduced axis
+        lead = np.take(data, [0], axis=axis)
+        np.copyto(data, lead, where=np.arange(data.shape[axis]).reshape(
+            [-1 if a == axis else 1 for a in range(3)]) >= 3)
+        out_shape = np.zeros_like(data).max(axis=axis, keepdims=keepdims).shape
+        g = T.tensor(rng.normal(size=out_shape).astype(dtype))
+        grads = []
+        for rule in (former_max_reduce, T.max_reduce):
+            x = T.tensor(data.copy(), requires_grad=True)
+            out = rule(x, axis, keepdims=keepdims)
+            T.backward((out * g).sum())
+            grads.append((out.data, x.grad))
+        (want_out, want_grad), (got_out, got_grad) = grads
+        assert got_out.shape == want_out.shape
+        assert got_out.tobytes() == want_out.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((1, 5), (5, 4)), ((6, 5), (5, 1)), ((1, 5), (5, 1)), ((6, 5), (5, 4)),
+    ], ids=["one_row", "one_column", "one_row_and_column", "general"])
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["first_contribution", "added"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matmul_backward(self, a_shape, b_shape, existing, dtype, seed):
+        rng = np.random.default_rng(seed)
+        a_data = signed_zeros_and_negatives(rng, a_shape, dtype)
+        b_data = signed_zeros_and_negatives(rng, b_shape, dtype)
+        g = signed_zeros_and_negatives(rng, (a_shape[0], b_shape[1]), dtype)
+        earlier = [signed_zeros_and_negatives(rng, s, dtype)
+                   for s in (a_shape, b_shape)]
+        grads = []
+        for rule in (former_matmul, T.matmul):
+            a = T.tensor(a_data.copy(), requires_grad=True)
+            b = T.tensor(b_data.copy(), requires_grad=True)
+            if existing:
+                T._accumulate(a, earlier[0].copy())
+                T._accumulate(b, earlier[1].copy())
+            out = rule(a, b)
+            out._backward(g.copy())
+            grads.append((out.data, a.grad, b.grad))
+        for want, got in zip(*grads):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def _patch_former_rules(monkeypatch):
+    """Put the former relu, max_reduce and matmul in every affground module
+    that imported the current ones."""
+    for name, former in (("relu", former_relu), ("max_reduce", former_max_reduce),
+                         ("matmul", former_matmul)):
+        current = getattr(T, name)
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.startswith("affground") and module is not None
+                    and getattr(module, name, None) is current):
+                monkeypatch.setattr(module, name, former)
+
+
+def test_toy_model_gradients_equal_the_former_rules(tmp_path, monkeypatch):
+    toy = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4,
+           "cont_width": 16, "k_max": [8, 8, 8]}
+    manifest = gen_synthetic_dataset(tmp_path / "data", 1, 2, 2, toy["n_points"],
+                                     seed=4, d_h=toy["d_h"], seq_len=toy["seq_len"])
+    config = RunConfig(model=ModelConfig(**toy))
+
+    def run():
+        model = AffordanceModel(config)
+        samples = train_module.load_samples(read_dataset(manifest), model)
+        for sample in samples[:3]:
+            result = model.forward(sample.cloud, sample.hidden, sample.plan)
+            total, _, _ = model.loss(result, sample.cloud, sample.hidden)
+            T.backward(total * (1.0 / 3.0))
+        scores = [model.predict(s.cloud, s.hidden, s.plan) for s in samples]
+        return {name: p.grad for name, p in model.params.items()}, scores
+
+    got_grads, got_scores = run()
+    _patch_former_rules(monkeypatch)
+    assert T.matmul is former_matmul
+    want_grads, want_scores = run()
+    assert got_grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        assert got_grads[name].tobytes() == want.tobytes(), name
+    for got, want in zip(got_scores, want_scores, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAccumulateOwnsItsBuffer:

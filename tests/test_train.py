@@ -1,5 +1,5 @@
 """Training runs: the pipelined batch, resuming from a checkpoint, and
-stopping on divergence."""
+stopping on divergence; the pipelined evaluation."""
 
 import json
 import math
@@ -17,11 +17,13 @@ from affground.dataio import (
     gen_synthetic_dataset,
     load_checkpoint,
     read_dataset,
+    write_manifest,
     write_tensor,
 )
 from affground.errors import (
     CheckpointError,
     ConfigError,
+    DataFormatError,
     NumericError,
     TrainingDiverged,
 )
@@ -494,3 +496,143 @@ def test_damaged_optimizer_state_fails_resume_as_checkpoint_error(
                  "--out", str(tmp_path / "cli"), "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["backbone.sa1.0.w", "fusion.fuse.w"])
+def test_nan_pre_activation_ends_as_training_diverged(
+        tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left, name):
+    # relu passes a NaN pre-activation through and max_reduce keeps it, so
+    # the NaN must still stop training before any update
+    models = []
+
+    class PoisonedModel(AffordanceModel):
+        def __init__(self, config):
+            super().__init__(config)
+            self.params[name].data[0, 0] = np.nan
+            self.initial = {k: p.data.copy() for k, p in self.params.items()}
+            models.append(self)
+
+    monkeypatch.setattr(train_module, "AffordanceModel", PoisonedModel)
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=4))
+    with pytest.raises(TrainingDiverged) as info:
+        train(config, eight_samples, tmp_path / "run")
+    assert info.value.step == 0
+    (row,) = [json.loads(line) for line in
+              (tmp_path / "run" / "log.jsonl").read_text().splitlines()]
+    assert row["step"] == 0 and row["event"] == "nan_abort" and row["reason"]
+    assert not (tmp_path / "run" / "checkpoint").exists()
+    (model,) = models
+    for key, p in model.params.items():
+        assert p.data.tobytes() == model.initial[key].tobytes(), key
+
+
+# -- the evaluation pipeline ---------------------------------------------------
+
+
+def plan_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("affground-plan")]
+
+
+@pytest.fixture
+def toy_model():
+    return AffordanceModel(RunConfig(model=ModelConfig(**TOY)))
+
+
+def scored_ids(monkeypatch):
+    """Number, in order, every sample evaluate() scores."""
+    ids = []
+    real = train_module.evaluate_sample
+
+    def recorded(scores, labels):
+        ids.append(len(ids))
+        return real(scores, labels)
+
+    monkeypatch.setattr(train_module, "evaluate_sample", recorded)
+    return ids
+
+
+def test_pipelined_evaluation_equals_the_sequential_report(
+        eight_samples, toy_model, monkeypatch, no_thread_left,
+        frequent_switches):
+    want = train_module.evaluate(toy_model, eight_samples).to_json()
+    monkeypatch.setattr(train_module, "_PIPELINE_MIN_ROW_ENTRIES", 0)
+    started = []
+    real_executor = train_module.ThreadPoolExecutor
+
+    def executor(*args, **kwargs):
+        started.append(kwargs["thread_name_prefix"])
+        return real_executor(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "ThreadPoolExecutor", executor)
+    got = train_module.evaluate(toy_model, eight_samples).to_json()
+    assert started == ["affground-plan"]
+    assert got == want
+    assert not plan_threads()
+
+
+@pytest.mark.parametrize("position", [0, 3, 7], ids=["first", "middle", "last"])
+def test_damaged_cloud_fails_evaluation_as_the_sequential_loop_does(
+        eight_samples, toy_model, monkeypatch, no_thread_left, position):
+    record = read_dataset(eight_samples).records[position]
+    cloud = eight_samples.parent / record.points
+    cloud.write_bytes(cloud.read_bytes()[:-4])
+    outcomes = []
+    for threshold in (train_module._PIPELINE_MIN_ROW_ENTRIES, 0):
+        monkeypatch.setattr(train_module, "_PIPELINE_MIN_ROW_ENTRIES", threshold)
+        ids = scored_ids(monkeypatch)
+        with pytest.raises(DataFormatError) as info:
+            train_module.evaluate(toy_model, eight_samples)
+        assert not plan_threads()
+        outcomes.append((type(info.value), str(info.value), list(ids)))
+    sequential, pipelined = outcomes
+    assert sequential[0] is DataFormatError
+    assert sequential[2] == list(range(position))
+    assert pipelined == sequential
+
+
+def test_error_in_a_forward_leaves_no_plan_thread(
+        eight_samples, toy_model, monkeypatch, pipelined, no_thread_left):
+    boom = Boom("injected")
+    calls = []
+
+    def failing_predict(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise boom
+        return AffordanceModel.predict(toy_model, *args)
+
+    monkeypatch.setattr(toy_model, "predict", failing_predict)
+    with pytest.raises(Boom) as info:
+        train_module.evaluate(toy_model, eight_samples)
+    assert info.value is boom
+    assert not plan_threads()
+
+
+def test_small_models_evaluate_without_a_thread(
+        eight_samples, toy_model, monkeypatch, no_thread_left):
+    want = train_module.evaluate(toy_model, eight_samples).to_json()
+
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker thread was started")
+
+    def no_glibc_call(name):
+        raise AssertionError("the malloc arenas were limited")
+
+    monkeypatch.setattr(train_module, "ThreadPoolExecutor", no_worker)
+    monkeypatch.setattr(train_module.ctypes, "CDLL", no_glibc_call)
+    assert train_module.evaluate(toy_model, eight_samples).to_json() == want
+
+
+def test_one_record_evaluates_without_a_thread(
+        eight_samples, toy_model, monkeypatch, pipelined, no_thread_left):
+    manifest = eight_samples.parent / "one.jsonl"
+    write_manifest(manifest, read_dataset(eight_samples).records[:1])
+
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker thread was started")
+
+    monkeypatch.setattr(train_module, "ThreadPoolExecutor", no_worker)
+    report = train_module.evaluate(toy_model, manifest)
+    assert len(report.samples) == 1
