@@ -19,7 +19,7 @@ from .dataio import (_canon_json, gen_synthetic_dataset, read_dataset,
                      regen_fixtures, write_tensor)
 from .errors import AffgroundError, ConfigError, ContractError, DataFormatError
 from .gradcheck import run_gradcheck_suite
-from .train import evaluate_checkpoint, load_model, train
+from .train import evaluate_checkpoint, load_model, load_sample, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,12 +165,10 @@ def _cmd_pca_viz(args):
     record = next((r for r in dataset.records if r.id == args.sample), None)
     if record is None:
         raise ConfigError(f"sample {args.sample!r} not found in {args.data}")
-    cloud = dataset.load_cloud(record)
-    hidden = dataset.load_hidden(record)
+    sample = load_sample(dataset, model, record)
     with no_grad():
-        fused, _ = model.integrate(hidden, model.build_plan(cloud))
-        features = fused.data
-    projected = pca_project(features, k=3)
+        fused, _ = model.integrate(sample.hidden, sample.plan)
+    projected = pca_project(fused.data, k=3)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_tensor(out, projected.projection.astype("float32"))

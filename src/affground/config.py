@@ -92,6 +92,10 @@ class RunConfig:
         if stages[0] > m.n_points:
             raise ConfigError(
                 f"first stage ({stages[0]}) exceeds n_points ({m.n_points})")
+        if len(m.radii) != 3 or min(m.radii) <= 0:
+            raise ConfigError(f"model.radii must be 3 positive radii: {m.radii}")
+        if len(m.k_max) != 3 or min(m.k_max) < 1:
+            raise ConfigError(f"model.k_max must be 3 counts >= 1: {m.k_max}")
         if m.seq_len < 2:
             raise ConfigError("model.seq_len must be at least 2")
         if m.cont_width < 1:

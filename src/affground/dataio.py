@@ -460,7 +460,9 @@ class Checkpoint:
     vocab: dict
 
 
-def _read_group(ckpt: Path, group: str, files) -> dict:
+def _read_group(ckpt: Path, group: str, files, read: bool = True) -> dict:
+    """A group's arrays by name; with ``read`` false, only check that each
+    entry names a file that exists, and return no arrays."""
     arrays = {}
     for name, rel in dict(files).items():
         if not isinstance(rel, str):
@@ -470,6 +472,8 @@ def _read_group(ckpt: Path, group: str, files) -> dict:
         path = ckpt / rel
         if not path.exists():
             raise CheckpointError(f"missing {group} file for {name}: {path}")
+        if not read:
+            continue
         try:
             arrays[name] = read_tensor(path)
         except DataFormatError as exc:
@@ -477,7 +481,10 @@ def _read_group(ckpt: Path, group: str, files) -> dict:
     return arrays
 
 
-def load_checkpoint(ckpt_dir) -> Checkpoint:
+def load_checkpoint(ckpt_dir, moments: bool = True) -> Checkpoint:
+    """A checkpoint's manifest and parameters, and its optimizer moments
+    unless ``moments`` is false: then each moment file is checked as named
+    and present, and ``optimizer`` holds empty moment groups."""
     ckpt = Path(ckpt_dir)
     manifest_path = ckpt / "manifest.json"
     if not manifest_path.exists():
@@ -491,7 +498,8 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
         if opt is not None:
             optimizer = {"step": int(opt["step"])}
             for moment in MOMENTS:
-                optimizer[moment] = _read_group(ckpt, moment, opt[moment])
+                optimizer[moment] = _read_group(ckpt, moment, opt[moment],
+                                                moments)
         vocab = manifest.get("vocab", {})
         if not isinstance(vocab, dict):
             raise CheckpointError(

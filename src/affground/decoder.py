@@ -8,9 +8,10 @@ give every point a weight of exactly 1 on that key, so no query or key
 projection is built.)
 
 The head's first layer is linear, so the broadcast add is moved into its
-bias: :meth:`AffordanceDecoder.point_to_intention` returns that layer's
-pre-activation, ``feats @ W_head.0 + (wv(e) @ W_head.0 + b_head.0)``, and
-the (N, d) sum is never formed.
+bias: :meth:`AffordanceDecoder.point_to_intention` returns the (1, d/2) row
+``wv(e) @ W_head.0 + b_head.0``, and :meth:`AffordanceDecoder.predict_map`
+adds it to ``feats @ W_head.0`` for that layer's pre-activation, so the
+(N, d) sum is never formed.
 """
 
 from __future__ import annotations
@@ -29,19 +30,21 @@ class AffordanceDecoder:
         self.head = make_mlp(params, f"{prefix}.head", rng,
                              [d, max(1, d // 2), 1], dtype)
 
-    def point_to_intention(self, point_feats: Tensor, embedding: Tensor) -> Tensor:
-        """The head's first pre-activation of ``point_feats + wv(embedding)``.
+    def point_to_intention(self, embedding: Tensor) -> Tensor:
+        """The (1, d/2) row ``head.0(wv(embedding))``: the head's first
+        layer on the value-projected embedding, bias included."""
+        if embedding.shape != (1, self.d):
+            raise ShapeError(f"expected (1, {self.d}), got {embedding.shape}")
+        return self.head.layers[0](self.wv(embedding))
 
-        The value-projected (1, d) embedding is added to every (N, d) row
-        by way of the layer's (1, d/2) bias.
+    def predict_map(self, point_feats: Tensor, row: Tensor) -> Tensor:
+        """(N, d) point features and :meth:`point_to_intention`'s row ->
+        (N, 1) scores strictly inside (0, 1).
+
+        ``point_feats @ W_head.0 + row`` is the head's first pre-activation
+        of ``point_feats + wv(embedding)``.
         """
-        if point_feats.shape[1] != self.d or embedding.shape != (1, self.d):
-            raise ShapeError(
-                f"expected (N, {self.d}) and (1, {self.d}), got "
-                f"{point_feats.shape} and {embedding.shape}")
+        if point_feats.shape[1] != self.d:
+            raise ShapeError(f"expected (N, {self.d}), got {point_feats.shape}")
         first = self.head.layers[0]
-        return matmul(point_feats, first.w) + first(self.wv(embedding))
-
-    def predict_map(self, h: Tensor) -> Tensor:
-        """The head's first pre-activation -> (N, 1) scores strictly inside (0, 1)."""
-        return sigmoid(self.head.after_first(h))
+        return sigmoid(self.head.after_first(matmul(point_feats, first.w) + row))

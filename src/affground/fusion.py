@@ -9,7 +9,8 @@ concatenation ``[full_res, descriptor]`` times ``W`` is computed as
 ``full_res @ W[:d] + (descriptor @ W[d:] + b)``: the descriptor's (1, d)
 projection is broadcast over the rows, never tiled.
 ``AffordanceModel.forward`` runs the stages around the backbone, and
-``fusion.stage1``/``fusion.stage2`` switch each off for ablations.
+``fusion.stage1``/``fusion.stage2`` switch each off for ablations; a
+stage that is off builds no weights.
 """
 
 from __future__ import annotations
@@ -41,16 +42,19 @@ class CrossAttention:
 
 
 class FusionModule:
-    """Holds both integration stages and their parameters."""
+    """Holds the integration stages that are on and their parameters."""
 
-    def __init__(self, params: dict, prefix: str, rng, d: int, dtype=np.float32):
+    def __init__(self, params: dict, prefix: str, rng, d: int,
+                 stage1: bool = True, stage2: bool = True, dtype=np.float32):
         self.d = d
         self.dtype = dtype
-        self.attn = CrossAttention(params, f"{prefix}.attn", rng, d, dtype)
-        gate = rng.uniform(-1, 1, size=(d, 1)) / np.sqrt(d)
-        self.gate_w = Tensor(gate.astype(dtype), requires_grad=True)
-        params[f"{prefix}.gate.w"] = self.gate_w
-        self.fuse = make_linear(params, f"{prefix}.fuse", rng, 2 * d, d, dtype)
+        if stage1:
+            self.attn = CrossAttention(params, f"{prefix}.attn", rng, d, dtype)
+        if stage2:
+            gate = rng.uniform(-1, 1, size=(d, 1)) / np.sqrt(d)
+            self.gate_w = Tensor(gate.astype(dtype), requires_grad=True)
+            params[f"{prefix}.gate.w"] = self.gate_w
+            self.fuse = make_linear(params, f"{prefix}.fuse", rng, 2 * d, d, dtype)
 
     def bottleneck_cross_attention(self, point_feats: Tensor,
                                    token_feats: Tensor) -> Tensor:

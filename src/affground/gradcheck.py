@@ -208,7 +208,7 @@ def _model_checks(tol) -> list:
         return (fusion.fuse_full_res(feats, descriptor) ** 2.0).sum()
 
     def decoder_loss():
-        scores = decoder.predict_map(decoder.point_to_intention(feats, emb))
+        scores = decoder.predict_map(feats, decoder.point_to_intention(emb))
         return affordance_loss(scores, cloud.labels)
 
     def backbone_loss():

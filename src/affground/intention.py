@@ -4,8 +4,8 @@ Real multimodal-model inference is out of scope; hidden states arrive
 either from fixture files or from :func:`synth_fixture`, a deterministic
 generator whose token rows carry a class/affordance signal plus seeded
 noise. The trainable pieces here are the contact-token projection (to
-the intention embedding), the row-wise token projection (for fusion),
-and a linear head predicting the affordance label as auxiliary
+the intention embedding), the row-wise token projection (for fusion,
+built only when a fusion stage reads it), and a linear head predicting the affordance label as auxiliary
 supervision.
 """
 
@@ -65,7 +65,8 @@ class IntentionHead:
     """Trainable projections from hidden states into the pipeline width."""
 
     def __init__(self, params: dict, prefix: str, rng, d_h: int, d: int,
-                 n_affordances: int, cont_width: int = 256, dtype=np.float32):
+                 n_affordances: int, cont_width: int = 256, tokens: bool = True,
+                 dtype=np.float32):
         if n_affordances < 2:
             raise ContractError("affordance vocabulary needs at least 2 entries")
         self.d_h = d_h
@@ -73,8 +74,9 @@ class IntentionHead:
         self.dtype = dtype
         self.cont_mlp = make_mlp(params, f"{prefix}.cont", rng,
                                  [d_h, cont_width, d], dtype)
-        self.token_mlp = make_mlp(params, f"{prefix}.tokens", rng,
-                                  [d_h, cont_width, d], dtype)
+        if tokens:
+            self.token_mlp = make_mlp(params, f"{prefix}.tokens", rng,
+                                      [d_h, cont_width, d], dtype)
         self.aux_head = make_linear(params, f"{prefix}.aux", rng,
                                     d_h, n_affordances, dtype)
 

@@ -6,7 +6,8 @@ cross-attention, decodes to full resolution, mixes in the Stage II
 descriptor (together :meth:`AffordanceModel.integrate`), lifts the
 contact-token embedding over the three decoder scales and scores every
 point. ``fusion.stage1`` and ``fusion.stage2`` skip their stage (an
-ablation); ``lifting.mode`` picks the lifting.
+ablation) and build none of its weights, nor the token projection when
+neither stage reads it; ``lifting.mode`` picks the lifting.
 
 On the full-resolution point path every linear layer is followed by a
 ReLU before the next one: FP3 (one layer), the Stage II fuse (one layer)
@@ -51,10 +52,14 @@ class AffordanceModel:
             self.params, "backbone", rng, d=m.d,
             stage_points=m.resolved_stage_points(), radii=m.radii,
             k_max=m.k_max, dtype=dtype)
+        stages = config.fusion
         self.intention = IntentionHead(
             self.params, "intention", rng, d_h=m.d_h, d=m.d,
-            n_affordances=m.n_affordances, cont_width=m.cont_width, dtype=dtype)
-        self.fusion = FusionModule(self.params, "fusion", rng, d=m.d, dtype=dtype)
+            n_affordances=m.n_affordances, cont_width=m.cont_width,
+            tokens=stages.stage1 or stages.stage2, dtype=dtype)
+        self.fusion = FusionModule(self.params, "fusion", rng, d=m.d,
+                                   stage1=stages.stage1, stage2=stages.stage2,
+                                   dtype=dtype)
         self.lifting = GeometryLifting(
             self.params, "lifting", rng, d=m.d, mode=config.lifting.mode,
             dtype=dtype)
@@ -72,7 +77,8 @@ class AffordanceModel:
         scales lifting attends over.
         """
         stages = self.config.fusion
-        token_feats = self.intention.project_hidden(hidden)
+        if stages.stage1 or stages.stage2:
+            token_feats = self.intention.project_hidden(hidden)
         bottleneck, skips = self.backbone.encode(plan)
         if stages.stage1:
             bottleneck = self.fusion.bottleneck_cross_attention(bottleneck,
@@ -89,8 +95,8 @@ class AffordanceModel:
             plan = self.build_plan(cloud)
         fused, scales = self.integrate(hidden, plan)
         lifted = self.lifting.lift_all(self.intention.project_cont(hidden), scales)
-        h = self.decoder.point_to_intention(fused, lifted)
-        scores = self.decoder.predict_map(h)
+        row = self.decoder.point_to_intention(lifted)
+        scores = self.decoder.predict_map(fused, row)
         logits = self.intention.aux_affordance_logits(hidden)
         return ForwardResult(scores=scores, aux_logits=logits)
 

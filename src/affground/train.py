@@ -6,24 +6,15 @@ batch on per-sample graphs, and AdamW steps under a linear learning-rate
 decay. Checkpoints carry parameters, optimizer moments, counters, and
 the config, so a resumed run reproduces the uninterrupted one bitwise.
 
-At model sizes whose numpy operations are long enough (see
-:func:`_pipelines`), each batch is pipelined over two threads. A worker
-thread runs the forward pass and loss of the batch members in order, and
-the main thread walks each member's graph
-(:func:`~affground.tensor.backward`) and sums its loss terms in that same
-order while the worker builds the next one. The worker starts a member
-only once the main thread has taken the one before it, so at most two
-graphs are alive at once: the one being walked and the one being built.
-Leaf gradients therefore accumulate in exactly the order of the
-sequential loop used at smaller sizes, and log rows, gradients,
-parameters and checkpoints are bitwise those of it. The worker thread
-lives only as long as :func:`train`, and an exception it raises reaches
-the caller unchanged.
-
-Above the same size gate, :func:`evaluate` overlaps plan building with
-the forward pass: a worker thread loads the next record and builds its
-plan while the main thread scores the current one. Reports are bitwise
-those of the sequential loop.
+:func:`train` and :func:`evaluate` each run their items through
+:func:`_in_order`. ``train`` makes each batch member's graph (forward
+pass and loss) and walks it (:func:`~affground.tensor.backward`);
+``evaluate`` loads each record and builds its plan (:func:`load_sample`),
+then scores it. At model sizes whose numpy operations are long enough
+(see :func:`_pipelines`), and with at least two items, a worker thread
+makes item k + 1 while the main thread uses item k. :func:`_in_order`
+states the ordering contract that keeps log rows, gradients, parameters,
+checkpoints and reports bitwise those of the sequential loop.
 """
 
 from __future__ import annotations
@@ -32,6 +23,7 @@ import ctypes
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,21 +89,69 @@ def _share_one_malloc_arena():
     mallopt(_M_ARENA_MAX, 1)
 
 
+@contextmanager
+def _pipeline_worker(model_cfg, n_items: int, name: str):
+    """Yield a one-thread executor named ``name`` for :func:`_in_order`
+    where :func:`_pipelines` holds and there are at least two items, and
+    None otherwise. Leaving the block waits for the thread."""
+    if not (_pipelines(model_cfg) and n_items > 1):
+        yield None
+        return
+    _share_one_malloc_arena()   # before the worker's first allocation
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix=name) as worker:
+        yield worker
+
+
+def _in_order(worker, make, items, use):
+    """Run ``use(make(item))`` for each item, in order.
+
+    With ``worker`` None each item is made just before it is used.
+    Otherwise ``worker`` (from :func:`_pipeline_worker`) makes item k + 1
+    while this thread uses item k, and the outcome is the sequential
+    loop's:
+
+    - item k + 1 is submitted only once item k's result is taken, and
+      result k is dropped here when result k + 1 is taken, so at most two
+      results are alive: the one being used and the one being made;
+    - an exception raised by ``make`` or ``use`` reaches the caller
+      unchanged, after every earlier item was used;
+    - no thread outlives the call that opened the worker's block, which
+      waits for the thread however it is left.
+
+    ``use`` is a callback, not the body of a loop over yielded results:
+    a caller's loop variable would keep result k - 1 alive while item
+    k + 1 is made.
+    """
+    if worker is None:
+        for item in items:
+            use(make(item))
+        return
+    pending = worker.submit(make, items[0])
+    for k in range(1, len(items) + 1):
+        result = pending.result()
+        if k < len(items):
+            pending = worker.submit(make, items[k])
+        use(result)
+
+
 @dataclass
 class LoadedSample:
+    record: object
     cloud: object
     hidden: object
     plan: object
 
 
+def load_sample(dataset: Dataset, model: AffordanceModel, record) -> LoadedSample:
+    """A record's cloud, hidden states and the model's plan for the cloud."""
+    cloud = dataset.load_cloud(record)
+    return LoadedSample(record, cloud, dataset.load_hidden(record),
+                        model.build_plan(cloud))
+
+
 def load_samples(dataset: Dataset, model: AffordanceModel) -> list:
     """Eagerly load every sample; plans are precomputed once per cloud."""
-    samples = []
-    for record in dataset.records:
-        cloud = dataset.load_cloud(record)
-        samples.append(LoadedSample(cloud=cloud, hidden=dataset.load_hidden(record),
-                                    plan=model.build_plan(cloud)))
-    return samples
+    return [load_sample(dataset, model, record) for record in dataset.records]
 
 
 def _check_dataset_compat(config: RunConfig, dataset: Dataset):
@@ -172,15 +212,23 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
         # one row per step, in step order: keep the rows the checkpoint covers
         rows = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
         log_path.write_text("".join(rows[:start_step]), encoding="utf-8")
-    log_file = open(log_path, "a" if resume is not None else "w",
-                    encoding="utf-8")
-    worker = None
-    if _pipelines(config.model):
-        _share_one_malloc_arena()   # before the worker's first allocation
-        worker = ThreadPoolExecutor(max_workers=1,
-                                    thread_name_prefix="affground-forward")
+
+    def forward_loss(sample):
+        result = model.forward(sample.cloud, sample.hidden, sample.plan)
+        return model.loss(result, sample.cloud, sample.hidden)
+
+    def walk(losses):   # adds to the current step's sums
+        total, l_txt, l_aff = losses
+        backward(total * scale)
+        sums["l_txt"] += l_txt.item() * scale
+        sums["l_aff"] += l_aff.item() * scale
+        sums["total"] += total.item() * scale
+
     last = {}
-    try:
+    with open(log_path, "a" if resume is not None else "w",
+              encoding="utf-8") as log_file, \
+            _pipeline_worker(config.model, min(batch, n),
+                             "affground-forward") as worker:
         for step in range(start_step, total_steps):
             epoch = step // steps_per_epoch
             slot = step % steps_per_epoch
@@ -189,9 +237,10 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
 
             optimizer.zero_grad()
             sums = {"l_txt": 0.0, "l_aff": 0.0, "total": 0.0}
+            scale = 1.0 / len(members)
             try:
-                _accumulate_batch(worker, model, [samples[i] for i in members],
-                                  sums)
+                _in_order(worker, forward_loss, [samples[i] for i in members],
+                          walk)
                 if not all(np.isfinite(v) for v in sums.values()):
                     raise NumericError("non-finite loss")
                 bad = next((name for name, p in model.params.items()
@@ -214,46 +263,10 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
                 log_file.flush()  # the log must hold every step the checkpoint does
                 _write_checkpoint(ckpt_dir, model, optimizer, config, done,
                                   dataset)
-    finally:
-        if worker is not None:
-            worker.shutdown()   # waits, so no worker outlives train()
-        log_file.close()
 
     _write_checkpoint(ckpt_dir, model, optimizer, config, total_steps, dataset)
     return TrainResult(checkpoint_dir=ckpt_dir, log_path=log_path,
                        steps=total_steps, last=last)
-
-
-def _forward_loss(model: AffordanceModel, sample: LoadedSample):
-    result = model.forward(sample.cloud, sample.hidden, sample.plan)
-    return model.loss(result, sample.cloud, sample.hidden)
-
-
-def _accumulate_batch(worker, model: AffordanceModel, batch: list, sums: dict):
-    """Accumulate the gradient of the batch's mean loss; add its mean
-    loss terms to ``sums``.
-
-    With ``worker`` None each member's graph is built here, just before
-    it is walked. Otherwise ``worker`` builds member k + 1's graph while
-    this thread walks member k's; member k + 1 is submitted only after
-    member k's graph is taken, and member k's last reference goes when
-    member k + 1's is taken, so at most two graphs are alive. ``sums``
-    holds the members walked so far when an exception leaves.
-    """
-    scale = 1.0 / len(batch)
-    if worker is not None:
-        pending = worker.submit(_forward_loss, model, batch[0])
-    for k, sample in enumerate(batch):
-        if worker is None:
-            total, l_txt, l_aff = _forward_loss(model, sample)
-        else:
-            total, l_txt, l_aff = pending.result()
-            if k + 1 < len(batch):
-                pending = worker.submit(_forward_loss, model, batch[k + 1])
-        backward(total * scale)
-        sums["l_txt"] += l_txt.item() * scale
-        sums["l_aff"] += l_aff.item() * scale
-        sums["total"] += total.item() * scale
 
 
 def _abort_diverged(log_file, step, sums, reason, cause):
@@ -273,8 +286,9 @@ def _write_checkpoint(ckpt_dir, model, optimizer, config, step, dataset):
 
 
 def load_model(ckpt_dir) -> tuple:
-    """Rebuild a model (and its config) from a checkpoint directory."""
-    ckpt = load_checkpoint(ckpt_dir)
+    """Rebuild a model (and its config) from a checkpoint directory; the
+    optimizer moments are checked as named but not read."""
+    ckpt = load_checkpoint(ckpt_dir, moments=False)
     config = config_from_dict(ckpt.config)
     model = AffordanceModel(config)
     _restore_params(model, ckpt)
@@ -291,14 +305,9 @@ def evaluate(model: AffordanceModel, manifest_path,
              expected_vocab=None) -> MetricReport:
     """Deterministic forward passes over a dataset; one report.
 
-    Where :func:`_pipelines` holds and there are at least two records, a
-    worker thread loads record k + 1 and builds its plan while this
-    thread runs record k's forward and metrics. Record k + 1 is submitted
-    only once record k's inputs are taken, so at most two records' inputs
-    are alive, and the scores and report are bitwise the sequential
-    loop's. An exception raised while loading a record reaches the caller
-    unchanged, after the records before it have been scored, as in the
-    sequential loop.
+    Records are loaded (:func:`load_sample`) and scored through
+    :func:`_in_order`, so above the size gate record k + 1's plan is built
+    on a worker thread while record k runs forward.
     """
     dataset = read_dataset(manifest_path)
     if expected_vocab is not None and \
@@ -307,34 +316,17 @@ def evaluate(model: AffordanceModel, manifest_path,
             f"checkpoint affordance vocabulary {expected_vocab['affordances']} "
             f"does not match dataset {dataset.vocab['affordances']}")
     _check_dataset_compat(model.config, dataset)
-    records = dataset.records
-
-    def prepare(record):
-        cloud = dataset.load_cloud(record)
-        return cloud, dataset.load_hidden(record), model.build_plan(cloud)
-
-    worker = None
-    if _pipelines(model.config.model) and len(records) > 1:
-        _share_one_malloc_arena()   # before the worker's first allocation
-        worker = ThreadPoolExecutor(max_workers=1,
-                                    thread_name_prefix="affground-plan")
     report = MetricReport()
-    try:
-        if worker is not None:
-            pending = worker.submit(prepare, records[0])
-        for k, record in enumerate(records):
-            if worker is None:
-                cloud, hidden, plan = prepare(record)
-            else:
-                cloud, hidden, plan = pending.result()
-                if k + 1 < len(records):
-                    pending = worker.submit(prepare, records[k + 1])
-            scores = model.predict(cloud, hidden, plan)
-            report.add(record.id, record.affordance_name,
-                       evaluate_sample(scores, cloud.labels))
-    finally:
-        if worker is not None:
-            worker.shutdown()   # waits, so no worker outlives evaluate()
+
+    def score(sample):
+        scores = model.predict(sample.cloud, sample.hidden, sample.plan)
+        report.add(sample.record.id, sample.record.affordance_name,
+                   evaluate_sample(scores, sample.cloud.labels))
+
+    with _pipeline_worker(model.config.model, len(dataset.records),
+                          "affground-plan") as worker:
+        _in_order(worker, lambda record: load_sample(dataset, model, record),
+                  dataset.records, score)
     return report
 
 

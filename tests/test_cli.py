@@ -1,6 +1,8 @@
 """The command-line entry point and its exit codes."""
 
+import builtins
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from affground.cli import main
 from affground.corruption import KINDS, LEVELS
 from affground.dataio import (MOMENTS, load_checkpoint, read_dataset, read_tensor,
                               write_tensor)
+from affground.train import load_model
 
 TOY_SETS = ["--set", "model.n_points=128", "--set", "model.d=16",
             "--set", "model.d_h=32", "--set", "model.seq_len=4",
@@ -187,6 +190,36 @@ def test_old_layout_checkpoint_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and "fusion.fuse" in err
     assert "Traceback" not in err
+
+
+def test_load_model_opens_no_optimizer_moment(tmp_path, capsys, monkeypatch):
+    manifest, ckpt = _toy_checkpoint(tmp_path)
+    opened = []
+    real_open, real_path_open = builtins.open, pathlib.Path.open
+
+    def recorded_open(file, *args, **kwargs):
+        opened.append(pathlib.Path(file))
+        return real_open(file, *args, **kwargs)
+
+    def recorded_path_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_path_open(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", recorded_open)
+        m.setattr(pathlib.Path, "open", recorded_path_open)
+        model, _, _ = load_model(ckpt)
+    groups = {path.relative_to(ckpt).parts[0] for path in opened}
+    assert groups == {"manifest.json", "params"}
+    assert len(model.params) == len(list((ckpt / "params").iterdir()))
+    # so a damaged moment file stops a resume but not an evaluation
+    moment = next((ckpt / MOMENTS[1]).glob("*.htns"))
+    moment.write_bytes(moment.read_bytes()[:-4])
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", manifest]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", manifest, "--out", str(tmp_path / "r2"),
+                 "--resume", str(ckpt)] + TOY_SETS) == 2
+    assert moment.name in capsys.readouterr().err
 
 
 def _assert_usage_error(capsys, args, message):

@@ -106,6 +106,10 @@ def test_retired_keys_at_any_other_value_are_rejected(dotted, value):
     ("optimizer.epochs=2.0", "optimizer.epochs"),
     ('model.k_max=[8,"8",8]', "model.k_max[1]"),
     ("model.radii=0.1", "model.radii"),
+    ("model.radii=[0.1,0.2]", "model.radii"),
+    ("model.radii=[-1,0.2,0.4]", "model.radii"),
+    ("model.k_max=[0,8,8]", "model.k_max"),
+    ("model.k_max=[8,8]", "model.k_max"),
     ('fusion.stage1="no"', "fusion.stage1"),
     ("lifting.mode=1", "lifting.mode"),
     ('losses.lambda_txt="x"', "losses"),

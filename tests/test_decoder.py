@@ -1,8 +1,8 @@
 """Affordance decoding head.
 
-``point_to_intention`` returns the head's first pre-activation, with the
-intention add carried in that layer's bias; the tests compare it with the
-layer run on the explicit sum ``feats + wv(embedding)``.
+``point_to_intention`` returns the head's first layer on ``wv(embedding)``,
+the row ``predict_map`` adds to ``feats @ W_head.0``; the tests compare it
+with the layer run on the explicit sum ``feats + wv(embedding)``.
 """
 
 import numpy as np
@@ -35,8 +35,10 @@ class TestPointToIntention:
         params["decoder.v.w"].data[:] = 0.0
         feats = feats_of(rand((5, 8), 1))
         emb = T.tensor(rand((1, 8), 2), dtype=np.float64)
-        out = dec.point_to_intention(feats, emb)
-        np.testing.assert_array_equal(out.data, dec.head.layers[0](feats).data)
+        row = dec.point_to_intention(emb)
+        np.testing.assert_array_equal(row.data, params["decoder.head.0.b"].data)
+        out = dec.predict_map(feats, row)
+        np.testing.assert_array_equal(out.data, T.sigmoid(dec.head(feats)).data)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_single_key_attention_bitwise(self, dtype):
@@ -56,8 +58,11 @@ class TestPointToIntention:
         np.testing.assert_array_equal(attended.data,
                                       np.broadcast_to(v.data, (11, 8)))
         first = dec.head.layers[0]
-        expected = feats @ first.w + first(T.tensor(attended.data[:1]))
-        out = dec.point_to_intention(feats, emb)
+        expected_row = first(T.tensor(attended.data[:1]))
+        row = dec.point_to_intention(emb)
+        np.testing.assert_array_equal(row.data, expected_row.data)
+        expected = T.sigmoid(dec.head.after_first(feats @ first.w + expected_row))
+        out = dec.predict_map(feats, row)
         np.testing.assert_array_equal(out.data, expected.data)
 
     def test_identical_rows_identical_outputs(self):
@@ -66,15 +71,17 @@ class TestPointToIntention:
         row = rand((1, 8), 3)
         feats = feats_of(np.vstack([row, rand((2, 8), 4), row]))
         emb = T.tensor(rand((1, 8), 5), dtype=np.float64)
-        out = dec.point_to_intention(feats, emb)
+        out = dec.predict_map(feats, dec.point_to_intention(emb))
         np.testing.assert_allclose(out.data[0], out.data[3], atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         params = {}
         dec = make_decoder(params)
+        row = dec.point_to_intention(T.tensor(rand((1, 8)), dtype=np.float64))
         with pytest.raises(ShapeError):
-            dec.point_to_intention(feats_of(rand((5, 4))),
-                                   T.tensor(rand((1, 8)), dtype=np.float64))
+            dec.predict_map(feats_of(rand((5, 4))), row)
+        with pytest.raises(ShapeError):
+            dec.point_to_intention(T.tensor(rand((1, 4)), dtype=np.float64))
 
     def test_row_permutation_equivariance(self):
         params = {}
@@ -83,9 +90,9 @@ class TestPointToIntention:
         emb = T.tensor(rand((1, 8), 7), dtype=np.float64)
         perm = np.random.default_rng(8).permutation(9)
         with T.no_grad():
-            base = dec.predict_map(dec.point_to_intention(feats_of(feats), emb))
-            permuted = dec.predict_map(dec.point_to_intention(
-                feats_of(feats[perm]), emb))
+            base = dec.predict_map(feats_of(feats), dec.point_to_intention(emb))
+            permuted = dec.predict_map(feats_of(feats[perm]),
+                                       dec.point_to_intention(emb))
         np.testing.assert_allclose(permuted.data, base.data[perm], atol=1e-6)
 
 
@@ -96,8 +103,8 @@ class TestPredictMap:
         for name, p in params.items():
             if name.startswith("decoder.head"):
                 p.data[:] = 0.0
-        out = dec.predict_map(dec.point_to_intention(
-            feats_of(rand((6, 8), 19)), T.tensor(rand((1, 8), 20), dtype=np.float64)))
+        out = dec.predict_map(feats_of(rand((6, 8), 19)), dec.point_to_intention(
+            T.tensor(rand((1, 8), 20), dtype=np.float64)))
         np.testing.assert_array_equal(out.data, np.full((6, 1), 0.5))
 
     def test_scores_strictly_inside_unit_interval(self):
@@ -107,8 +114,8 @@ class TestPredictMap:
         dec = make_decoder(params)
         feats = feats_of(rand((20, 8), 9) * 3)
         with T.no_grad():
-            out = dec.predict_map(dec.point_to_intention(
-                feats, T.tensor(rand((1, 8), 10), dtype=np.float64)))
+            out = dec.predict_map(feats, dec.point_to_intention(
+                T.tensor(rand((1, 8), 10), dtype=np.float64)))
         assert (out.data > 0).all() and (out.data < 1).all()
 
     def test_gradcheck_through_losses(self):
@@ -119,7 +126,7 @@ class TestPredictMap:
         targets = np.array([1.0, 0.0, 0.6, 0.0, 1.0, 0.0])
 
         def loss():
-            p = dec.predict_map(dec.point_to_intention(feats, emb))
+            p = dec.predict_map(feats, dec.point_to_intention(emb))
             return affordance_loss(p, targets)
 
         errs = finite_difference_check_params(loss, params)

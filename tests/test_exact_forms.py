@@ -10,8 +10,9 @@ that build the repeated rows and multiply them:
 - ``fp_call_oracle``: interpolate, then concatenate the skip;
 - ``decode_oracle``: every FP stage on its concatenated rows;
 - ``fuse_full_res_oracle``: tile the descriptor, concatenate, and project;
-- ``point_to_intention_oracle``: add ``wv(embedding)`` to every (N, d) row;
-- ``predict_map_oracle``: run the whole head on the (N, d) sums;
+- ``point_to_intention_oracle``: the (1, d) value row ``wv(embedding)``;
+- ``predict_map_oracle``: add that row to every (N, d) row, then run the
+  whole head on the sums;
 - ``lift_stage_oracle``: the (N, d) x (d, d) key and value projections of
   a single query.
 
@@ -93,14 +94,14 @@ def fuse_full_res_oracle(fusion, full_res, descriptor):
     return T.relu(fusion.fuse(T.concat([full_res, tiled], axis=1)))
 
 
-def point_to_intention_oracle(decoder, point_feats, embedding):
-    """The value-projected embedding added to every (N, d) row."""
-    return point_feats + decoder.wv(embedding)
+def point_to_intention_oracle(decoder, embedding):
+    """The value-projected embedding, before the head."""
+    return decoder.wv(embedding)
 
 
-def predict_map_oracle(decoder, feats):
-    """The head's MLP and sigmoid on the (N, d) features."""
-    return T.sigmoid(decoder.head(feats))
+def predict_map_oracle(decoder, point_feats, value):
+    """The head's MLP and sigmoid on ``value`` added to every (N, d) row."""
+    return T.sigmoid(decoder.head(point_feats + value))
 
 
 def lift_stage_oracle(stage, embedding, point_feats):
@@ -237,11 +238,11 @@ def test_decoder_matches_unfolded_rows(n_rows, dtype):
               "embedding": leaf(rng, (1, 16), dtype)}
 
     def shifted_bias(x, e):
-        return decoder.predict_map(decoder.point_to_intention(x, e))
+        return decoder.predict_map(x, decoder.point_to_intention(e))
 
     def oracle(x, e):
-        feats = point_to_intention_oracle(decoder, x, e)
-        return predict_map_oracle(decoder, feats)
+        return predict_map_oracle(decoder, x,
+                                  point_to_intention_oracle(decoder, e))
 
     check_against_oracle(shifted_bias, oracle, inputs, params, dtype, 8)
 

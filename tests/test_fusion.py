@@ -196,14 +196,13 @@ class TestIntegrate:
         np.testing.assert_array_equal(fused.data, expected.data)
 
     def test_disabled_stage_gets_zero_gradient(self):
+        # a stage that is off builds no weights; the other one still trains
         model, cloud, hidden, plan = self._setup(2, stage1=False)
         result = model.forward(cloud, hidden, plan)
         T.backward(model.loss(result, cloud, hidden)[0])
-        for name, p in model.params.items():
-            if ".attn" in name:
-                assert p.grad is None, name
-            if ".fuse" in name:
-                assert p.grad is not None, name
+        assert not any(".attn" in name for name in model.params)
+        fuse = [p for name, p in model.params.items() if ".fuse" in name]
+        assert fuse and all(p.grad is not None for p in fuse)
 
     def test_full_pipeline_shape_at_defaults(self):
         params = {}

@@ -1,11 +1,13 @@
 """Training runs: the pipelined batch, resuming from a checkpoint, and
-stopping on divergence; the pipelined evaluation."""
+stopping on divergence; the pipelined evaluation; the in-order loop both
+run on."""
 
 import json
 import math
 import sys
 import threading
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -636,3 +638,44 @@ def test_one_record_evaluates_without_a_thread(
     monkeypatch.setattr(train_module, "ThreadPoolExecutor", no_worker)
     report = train_module.evaluate(toy_model, manifest)
     assert len(report.samples) == 1
+
+
+# -- the in-order loop ----------------------------------------------------------
+
+
+class InlineWorker:
+    """An executor that runs each call when it is submitted, in the caller's
+    thread, so what is alive at each submission does not depend on timing."""
+
+    @staticmethod
+    def submit(fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class Made:
+    def __init__(self, k):
+        self.k = k
+
+
+@pytest.mark.parametrize("worker", [None, InlineWorker()],
+                         ids=["sequential", "worker"])
+def test_in_order_keeps_at_most_two_results_alive(worker):
+    # a loop over yielded results would keep result k - 1 alive in the
+    # caller while item k + 1 is made
+    made, used, alive_at_make = [], [], []
+
+    def make(k):
+        alive_at_make.append(sum(ref() is not None for ref in made))
+        result = Made(k)
+        made.append(weakref.ref(result))
+        return result
+
+    train_module._in_order(worker, make, list(range(6)),
+                           lambda result: used.append(result.k))
+    assert used == list(range(6))
+    assert max(alive_at_make) == (0 if worker is None else 1)
