@@ -158,11 +158,10 @@ def generate_benchmark(manifest_path, out_dir, seed: int, kinds=KINDS,
     the source's fixtures are later regenerated), a dataset-style manifest,
     and a cell.json recording the spec, seed, and magnitude constants.
     """
+    _check_selection("kind", kinds, KINDS)
+    _check_selection("level", levels, LEVELS)
     dataset = read_dataset(manifest_path)
     out = Path(out_dir)
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ContractError(f"unknown corruption kind {kind!r}")
     for kind in kinds:
         for level in levels:
             _generate_cell(dataset, out, kind, level, seed)
@@ -175,6 +174,17 @@ def generate_benchmark(manifest_path, out_dir, seed: int, kinds=KINDS,
         "samples_per_cell": len(dataset.records),
     }))
     return out
+
+
+def _check_selection(what: str, chosen, allowed):
+    """Refuse an empty, repeated or unknown list of corruption kinds or levels."""
+    if not chosen:
+        raise ContractError(f"no corruption {what} selected")
+    for item in chosen:
+        if item not in allowed:
+            raise ContractError(f"unknown corruption {what} {item!r}")
+    if len(set(chosen)) != len(chosen):
+        raise ContractError(f"corruption {what}s repeat: {list(chosen)}")
 
 
 def _generate_cell(dataset: Dataset, out: Path, kind: str, level: int, seed: int):

@@ -1,15 +1,16 @@
 """Two-stage cross-modal integration of token features into point features.
 
-Stage I: bottleneck point features attend to projected token states
-(queries are points, keys/values are tokens, one head; the attention
-output replaces the input rather than being added to it). Stage II: a
-gated weighted sum over tokens forms one global descriptor, and one
-linear layer with a ReLU mixes each full-resolution row with it. The
-concatenation ``[full_res, descriptor]`` times ``W`` is computed as
-``full_res @ W[:d] + (descriptor @ W[d:] + b)``: the descriptor's (1, d)
-projection is broadcast over the rows, never tiled.
-``AffordanceModel.forward`` runs the stages around the backbone, and
-``fusion.stage1``/``fusion.stage2`` switch each off for ablations; a
+Stage I: bottleneck point features attend to the token states (one head
+of key width d; the output replaces the input). ``W_q @ W_k.T`` and
+``W_v @ W_o`` are each one free (d, d) matrix, learned directly as ``q``
+and ``v``: the logits are ``q(points) @ tokens.T`` and the output is
+``attn @ v(tokens)``. Stage II: a gated weighted sum over tokens forms
+one global descriptor, and one linear layer with a ReLU mixes each
+full-resolution row with it. The concatenation ``[full_res, descriptor]``
+times ``W`` is computed as ``full_res @ W[:d] + (descriptor @ W[d:] + b)``:
+the descriptor's (1, d) projection is broadcast over the rows, never
+tiled. ``AffordanceModel.forward`` runs the stages around the backbone,
+and ``fusion.stage1``/``fusion.stage2`` switch each off for ablations; a
 stage that is off builds no weights.
 """
 
@@ -23,22 +24,21 @@ from .tensor import Tensor, matmul, relu, softmax_lastdim, transpose
 
 
 class CrossAttention:
-    """Scaled dot-product attention with q/k/v/output projections."""
+    """One-head scaled dot-product attention; ``q`` is ``W_q @ W_k.T`` and
+    ``v`` is ``W_v @ W_o``."""
 
     def __init__(self, params: dict, prefix: str, rng, d: int, dtype=np.float32):
         self.d = d
         self.wq = make_linear(params, f"{prefix}.q", rng, d, d, dtype, bias=False)
-        self.wk = make_linear(params, f"{prefix}.k", rng, d, d, dtype, bias=False)
         self.wv = make_linear(params, f"{prefix}.v", rng, d, d, dtype, bias=False)
-        self.wo = make_linear(params, f"{prefix}.out", rng, d, d, dtype, bias=False)
 
     def __call__(self, queries: Tensor, context: Tensor) -> Tensor:
         if queries.shape[1] != self.d or context.shape[1] != self.d:
             raise ShapeError(
                 f"attention width {self.d}, got {queries.shape} and {context.shape}")
-        logits = matmul(self.wq(queries), transpose(self.wk(context)))
+        logits = matmul(self.wq(queries), transpose(context))
         attn = softmax_lastdim(logits * (1.0 / np.sqrt(self.d)))
-        return self.wo(matmul(attn, self.wv(context)))
+        return matmul(attn, self.wv(context))
 
 
 class FusionModule:

@@ -3,11 +3,11 @@
 Each stage lets the single-row embedding attend over one scale of point
 features (query from the embedding, keys/values from the points, scaled
 by sqrt(d), no output projection), adds the result residually, and then
-applies a residual feed-forward block. With one query the products are
-re-associated so that no (N, d) x (d, d) key or value projection is formed:
-
-- ``logits = point_feats @ (W_k @ q.T)``, equal to ``q @ (point_feats @ W_k).T``;
-- ``update = (attn @ point_feats) @ W_v``, equal to ``attn @ (point_feats @ W_v)``.
+applies a residual feed-forward block. With one head of key width d,
+``W_q @ W_k.T`` is one free (d, d) matrix, so ``q`` learns that product.
+With one query the products are ordered so that no (N, d) x (d, d)
+projection is formed: ``logits = (point_feats @ q(e).T).T`` and
+``update = v(attn @ point_feats)``.
 
 Each mode builds only the weights it uses:
 
@@ -36,7 +36,6 @@ class LiftStage:
     def __init__(self, params: dict, prefix: str, rng, d: int, dtype=np.float32):
         self.d = d
         self.wq = make_linear(params, f"{prefix}.q", rng, d, d, dtype, bias=False)
-        self.wk = make_linear(params, f"{prefix}.k", rng, d, d, dtype, bias=False)
         self.wv = make_linear(params, f"{prefix}.v", rng, d, d, dtype, bias=False)
         self.ffn = make_mlp(params, f"{prefix}.ffn", rng, [d, 4 * d, d], dtype)
 
@@ -46,8 +45,7 @@ class LiftStage:
         if point_feats.shape[1] != self.d or point_feats.shape[0] < 1:
             raise ShapeError(f"point features must be (N, {self.d}), "
                              f"got {point_feats.shape}")
-        q = self.wq(embedding)
-        logits = transpose(matmul(point_feats, matmul(self.wk.w, transpose(q))))
+        logits = transpose(matmul(point_feats, transpose(self.wq(embedding))))
         attn = softmax_lastdim(logits * (1.0 / np.sqrt(self.d)))
         updated = embedding + self.wv(matmul(attn, point_feats))
         return updated + self.ffn(updated)

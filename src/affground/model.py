@@ -12,7 +12,10 @@ neither stage reads it; ``lifting.mode`` picks the lifting.
 On the full-resolution point path every linear layer is followed by a
 ReLU before the next one: FP3 (one layer), the Stage II fuse (one layer)
 and the decoder head's first layer, whose bias carries the broadcast
-intention add. ``pca-viz`` projects the features ``integrate`` returns.
+intention add. No two learned matrices meet only in a product: Stage I
+learns ``W_q @ W_k.T`` and ``W_v @ W_o``, each lift stage ``W_q @ W_k.T``,
+and the decoder ``W_v @ W_head.0``, each as one matrix.
+``pca-viz`` projects the features ``integrate`` returns.
 """
 
 from __future__ import annotations

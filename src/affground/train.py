@@ -166,6 +166,15 @@ def _check_dataset_compat(config: RunConfig, dataset: Dataset):
             f"d_h {config.model.d_h}")
 
 
+def _check_vocab(dataset: Dataset, vocab):
+    """Refuse a dataset whose affordance names differ from a checkpoint's
+    (an empty or missing checkpoint vocabulary is not checked)."""
+    if vocab and dataset.vocab["affordances"] != vocab["affordances"]:
+        raise ConfigError(
+            f"checkpoint affordance vocabulary {vocab['affordances']} "
+            f"does not match dataset {dataset.vocab['affordances']}")
+
+
 @dataclass
 class TrainResult:
     checkpoint_dir: Path
@@ -182,7 +191,6 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
         raise ConfigError(f"{manifest_path}: dataset has no samples")
     _check_dataset_compat(config, dataset)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt_dir = out / "checkpoint"
     log_path = out / "log.jsonl"
 
@@ -197,12 +205,14 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
         ckpt = load_checkpoint(resume)
         if drop_retired(ckpt.config) != config.to_dict():
             raise ConfigError("resume checkpoint was written with a different config")
+        _check_vocab(dataset, ckpt.vocab)
         _restore_params(model, ckpt)
         if ckpt.optimizer is not None:
             optimizer.restore(ckpt.optimizer)
         start_step = ckpt.step
 
     samples = load_samples(dataset, model)
+    out.mkdir(parents=True, exist_ok=True)  # inputs checked: a refusal makes no --out
     n = len(samples)
     batch = opt_cfg.batch_size * opt_cfg.grad_accum
     steps_per_epoch = max(1, math.ceil(n / batch))
@@ -310,11 +320,7 @@ def evaluate(model: AffordanceModel, manifest_path,
     on a worker thread while record k runs forward.
     """
     dataset = read_dataset(manifest_path)
-    if expected_vocab is not None and \
-            dataset.vocab["affordances"] != expected_vocab["affordances"]:
-        raise ConfigError(
-            f"checkpoint affordance vocabulary {expected_vocab['affordances']} "
-            f"does not match dataset {dataset.vocab['affordances']}")
+    _check_vocab(dataset, expected_vocab)
     _check_dataset_compat(model.config, dataset)
     report = MetricReport()
 
@@ -332,5 +338,4 @@ def evaluate(model: AffordanceModel, manifest_path,
 
 def evaluate_checkpoint(ckpt_dir, manifest_path) -> MetricReport:
     model, _, ckpt = load_model(ckpt_dir)
-    expected = ckpt.vocab if ckpt.vocab else None
-    return evaluate(model, manifest_path, expected_vocab=expected)
+    return evaluate(model, manifest_path, expected_vocab=ckpt.vocab)

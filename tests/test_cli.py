@@ -3,6 +3,7 @@
 import builtins
 import json
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -158,38 +159,74 @@ def test_train_on_empty_manifest_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _edit_entries(ckpt, added, renamed=()):
+    """Rename entries (old, new) and add entries (name -> shape, filled with
+    0.5) in a checkpoint's parameters and both AdamW moments."""
+    saved = json.loads((ckpt / "manifest.json").read_text())
+    groups = {"params": saved["params"],
+              **{moment: saved["optimizer"][moment] for moment in MOMENTS}}
+    for group, files in groups.items():
+        for old, new in renamed:
+            files[new] = files.pop(old)
+        for name, shape in added.items():
+            files[name] = f"{group}/{name}.htns"
+            write_tensor(ckpt / files[name], np.full(shape, 0.5, np.float32))
+    (ckpt / "manifest.json").write_text(json.dumps(saved))
+
+
 def _to_old_layout(ckpt):
     """Rewrite a checkpoint as the model saved it when FP3 and the Stage II
     fuse were two-layer MLPs: ``fusion.fuse.0`` in place of ``fusion.fuse``,
     plus the (d, d) ``backbone.fp3.1`` and ``fusion.fuse.1`` layers, in the
     parameters and in both AdamW moments."""
-    saved = json.loads((ckpt / "manifest.json").read_text())
-    d = read_tensor(ckpt / saved["params"]["fusion.fuse.b"]).shape[1]
-    groups = {"params": saved["params"],
-              **{moment: saved["optimizer"][moment] for moment in MOMENTS}}
-    for group, files in groups.items():
-        for part in ("w", "b"):
-            files[f"fusion.fuse.0.{part}"] = files.pop(f"fusion.fuse.{part}")
-        for layer in ("backbone.fp3.1", "fusion.fuse.1"):
-            for part, shape in (("w", (d, d)), ("b", (1, d))):
-                name = f"{layer}.{part}"
-                files[name] = f"{group}/{name}.htns"
-                write_tensor(ckpt / files[name], np.full(shape, 0.5, np.float32))
-    (ckpt / "manifest.json").write_text(json.dumps(saved))
+    d = load_checkpoint(ckpt, moments=False).params["fusion.fuse.b"].shape[1]
+    _edit_entries(ckpt, {f"{layer}.{part}": shape
+                         for layer in ("backbone.fp3.1", "fusion.fuse.1")
+                         for part, shape in (("w", (d, d)), ("b", (1, d)))},
+                  [(f"fusion.fuse.{part}", f"fusion.fuse.0.{part}")
+                   for part in ("w", "b")])
+
+
+def _snapshot(root):
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def test_resume_on_a_relabelled_dataset_exits_1(tmp_path, capsys):
+    manifest, ckpt = _toy_checkpoint(tmp_path)
+    vocab_path = pathlib.Path(manifest).parent / "vocab.json"
+    vocab = json.loads(vocab_path.read_text())
+    vocab["affordances"] = vocab["affordances"][::-1]
+    assert len(set(vocab["affordances"])) == 2
+    vocab_path.write_text(json.dumps(vocab))
+    before = _snapshot(ckpt.parent)
+    assert ckpt.parent / "log.jsonl" in before
+    _assert_usage_error(capsys, ["train", "--data", manifest,
+                                 "--out", str(ckpt.parent),
+                                 "--resume", str(ckpt)] + TOY_SETS,
+                        "does not match dataset")
+    assert _snapshot(ckpt.parent) == before
 
 
 @pytest.mark.parametrize("command", ["eval", "resume"])
 def test_old_layout_checkpoint_exits_2(tmp_path, capsys, command):
+    # two earlier layouts: FP3 and the Stage II fuse as two-layer MLPs, and
+    # Stage I with the key weight its query weight now folds in
     manifest, ckpt = _toy_checkpoint(tmp_path)
+    attn_k = tmp_path / "attn_k"
+    shutil.copytree(ckpt, attn_k)
     _to_old_layout(ckpt)
-    args = {"eval": ["eval", "--checkpoint", str(ckpt), "--data", manifest],
-            "resume": ["train", "--data", manifest, "--out", str(tmp_path / "r2"),
-                       "--resume", str(ckpt)] + TOY_SETS}[command]
-    capsys.readouterr()
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("runtime error:") and "fusion.fuse" in err
-    assert "Traceback" not in err
+    _edit_entries(attn_k, {"fusion.attn.k.w": (16, 16)})
+    for old, entry in ((ckpt, "fusion.fuse"), (attn_k, "fusion.attn.k.w")):
+        args = {"eval": ["eval", "--checkpoint", str(old), "--data", manifest],
+                "resume": ["train", "--data", manifest,
+                           "--out", str(tmp_path / f"r2-{old.name}"),
+                           "--resume", str(old)] + TOY_SETS}[command]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and entry in err
+        assert "Traceback" not in err
+    assert not any(tmp_path.glob("r2-*"))  # a refused resume makes no --out
 
 
 def test_load_model_opens_no_optimizer_moment(tmp_path, capsys, monkeypatch):
@@ -238,6 +275,28 @@ def test_corrupt_with_non_integer_levels_exits_1(tmp_path, capsys):
     _assert_usage_error(capsys, ["corrupt", "--in", str(manifest),
                                  "--out", str(tmp_path / "tree"),
                                  "--levels", "a..3", "--seed", "1"], "'a..3'")
+    assert not (tmp_path / "tree").exists()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--levels", "3..1", "no corruption level"),
+    ("--levels", "", "no corruption level"),
+    ("--levels", ",", "no corruption level"),
+    ("--levels", "7", "unknown corruption level 7"),
+    ("--levels", "1,1", "corruption levels repeat"),
+    ("--kinds", "jitter,jitter", "corruption kinds repeat"),
+    ("--kinds", "", "unknown corruption kind ''"),
+], ids=["empty_range", "empty", "comma", "unknown_level", "repeated_level",
+        "repeated_kind", "empty_kind"])
+def test_corrupt_with_empty_repeated_or_unknown_selection_exits_1(
+        tmp_path, capsys, option, value, message):
+    manifest = tmp_path / "data" / "manifest.jsonl"
+    assert main(["gen-data", "--out", str(manifest.parent), "--classes", "1",
+                 "--affordances", "1", "--samples-per", "1", "--points", "16",
+                 "--d-h", "4", "--seq-len", "2"]) == 0
+    _assert_usage_error(capsys, ["corrupt", "--in", str(manifest),
+                                 "--out", str(tmp_path / "tree"),
+                                 option, value, "--seed", "1"], message)
     assert not (tmp_path / "tree").exists()
 
 

@@ -1,8 +1,9 @@
 """Affordance decoding head.
 
-``point_to_intention`` returns the head's first layer on ``wv(embedding)``,
-the row ``predict_map`` adds to ``feats @ W_head.0``; the tests compare it
-with the layer run on the explicit sum ``feats + wv(embedding)``.
+``point_to_intention`` returns ``v(embedding) + b_head.0``, the row
+``predict_map`` adds to ``feats @ W_head.0``. ``v`` is the product
+``W_v @ W_head.0``; the tests compare the scores with the head run on the
+explicit sum ``feats + embedding @ W_v``.
 """
 
 import numpy as np
@@ -44,7 +45,8 @@ class TestPointToIntention:
     def test_equals_single_key_attention_bitwise(self, dtype):
         # residual attention of every point over the one embedding token:
         # the softmax over a single logit is exactly 1, so the query and
-        # key projections cannot change the output: every row gains v
+        # key projections cannot change the output: every row gains v,
+        # which is already in the head's first pre-activation space
         params = {}
         dec = make_decoder(params, d=8, seed=13, dtype=dtype)
         gen = np.random.default_rng(14)
@@ -56,14 +58,29 @@ class TestPointToIntention:
         v = emb @ params["decoder.v.w"]
         attended = T.softmax_lastdim((q @ k.T) * (1.0 / np.sqrt(8))) @ v
         np.testing.assert_array_equal(attended.data,
-                                      np.broadcast_to(v.data, (11, 8)))
+                                      np.broadcast_to(v.data, (11, 4)))
         first = dec.head.layers[0]
-        expected_row = first(T.tensor(attended.data[:1]))
+        expected_row = T.tensor(attended.data[:1]) + first.b
         row = dec.point_to_intention(emb)
         np.testing.assert_array_equal(row.data, expected_row.data)
         expected = T.sigmoid(dec.head.after_first(feats @ first.w + expected_row))
         out = dec.predict_map(feats, row)
         np.testing.assert_array_equal(out.data, expected.data)
+
+    def test_equals_the_factored_value_and_head(self):
+        params = {}
+        dec = make_decoder(params)
+        w_v = rand((8, 8), 30)
+        w_h, b_h = (params[f"decoder.head.0.{p}"].data for p in "wb")
+        params["decoder.v.w"].data[:] = w_v @ w_h
+        feats, emb = rand((6, 8), 31), rand((1, 8), 32)
+        hidden = np.maximum((feats + emb @ w_v) @ w_h + b_h, 0.0)
+        logits = hidden @ params["decoder.head.1.w"].data \
+            + params["decoder.head.1.b"].data
+        out = dec.predict_map(feats_of(feats),
+                              dec.point_to_intention(feats_of(emb)))
+        np.testing.assert_allclose(out.data, 1.0 / (1.0 + np.exp(-logits)),
+                                   rtol=1e-12)
 
     def test_identical_rows_identical_outputs(self):
         params = {}

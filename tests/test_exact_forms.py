@@ -10,11 +10,12 @@ that build the repeated rows and multiply them:
 - ``fp_call_oracle``: interpolate, then concatenate the skip;
 - ``decode_oracle``: every FP stage on its concatenated rows;
 - ``fuse_full_res_oracle``: tile the descriptor, concatenate, and project;
-- ``point_to_intention_oracle``: the (1, d) value row ``wv(embedding)``;
-- ``predict_map_oracle``: add that row to every (N, d) row, then run the
-  whole head on the sums;
-- ``lift_stage_oracle``: the (N, d) x (d, d) key and value projections of
-  a single query.
+- ``point_to_intention_oracle``: the (1, d/2) value row ``wv(embedding)``,
+  without the head's bias;
+- ``predict_map_oracle``: run the head's first layer on every (N, d) row,
+  then add the tiled value row;
+- ``lift_stage_oracle``: the (N, d) x (d, d) value projection of every
+  point, and the query row against every point row.
 
 Both are equal in exact arithmetic. In floating point every output must
 lie within ``TOL[dtype]`` times the largest output magnitude, and every
@@ -95,22 +96,24 @@ def fuse_full_res_oracle(fusion, full_res, descriptor):
 
 
 def point_to_intention_oracle(decoder, embedding):
-    """The value-projected embedding, before the head."""
+    """The value-projected embedding, without the head's bias."""
     return decoder.wv(embedding)
 
 
 def predict_map_oracle(decoder, point_feats, value):
-    """The head's MLP and sigmoid on ``value`` added to every (N, d) row."""
-    return T.sigmoid(decoder.head(point_feats + value))
+    """The head's first layer on every (N, d) row plus ``value`` tiled over
+    the rows, then the rest of the head and the sigmoid."""
+    tiled = repeat_rows_oracle(value, point_feats.shape[0])
+    first = decoder.head.layers[0](point_feats) + tiled
+    return T.sigmoid(decoder.head.after_first(first))
 
 
 def lift_stage_oracle(stage, embedding, point_feats):
-    """LiftStage with per-point key and value projections."""
+    """LiftStage with the value projection of every point."""
     q = stage.wq(embedding)
-    k = stage.wk(point_feats)
     v = stage.wv(point_feats)
     scale = 1.0 / np.sqrt(stage.d)
-    attn = T.softmax_lastdim(T.matmul(q, T.transpose(k)) * scale)
+    attn = T.softmax_lastdim(T.matmul(q, T.transpose(point_feats)) * scale)
     updated = embedding + T.matmul(attn, v)
     return updated + stage.ffn(updated)
 

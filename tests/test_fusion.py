@@ -40,10 +40,27 @@ class TestBottleneckCrossAttention:
         out1 = fusion.bottleneck_cross_attention(q1, token)
         out2 = fusion.bottleneck_cross_attention(q2, token)
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-12)
-        expected = (token.data @ params["fusion.attn.v.w"].data) \
-            @ params["fusion.attn.out.w"].data
+        w_v, w_o = rand((8, 8), 8), rand((8, 8), 9)
+        params["fusion.attn.v.w"].data[:] = w_v @ w_o
+        out1 = fusion.bottleneck_cross_attention(q1, token)
+        expected = (token.data @ w_v) @ w_o
         for row in out1.data:
             np.testing.assert_allclose(row, expected[0], atol=1e-12)
+
+    def test_equals_the_factored_attention(self):
+        # q is W_q W_k^T and v is W_v W_o
+        params = {}
+        fusion = make_fusion(params)
+        w_q, w_k, w_v, w_o = (rand((8, 8), 40 + i) for i in range(4))
+        params["fusion.attn.q.w"].data[:] = w_q @ w_k.T
+        params["fusion.attn.v.w"].data[:] = w_v @ w_o
+        points, tokens = rand((5, 8), 44), rand((3, 8), 45)
+        logits = (points @ w_q) @ (tokens @ w_k).T / np.sqrt(8)
+        attn = np.exp(logits - logits.max(axis=1, keepdims=True))
+        attn /= attn.sum(axis=1, keepdims=True)
+        out = fusion.bottleneck_cross_attention(rows(points), rows(tokens))
+        np.testing.assert_allclose(out.data, (attn @ (tokens @ w_v)) @ w_o,
+                                   rtol=1e-12)
 
     def test_identical_tokens_identical_outputs(self):
         params = {}

@@ -46,6 +46,25 @@ class TestLiftStage:
         expected = emb + feat @ params["stage.v.w"].data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
+    def test_equals_the_factored_attention(self):
+        # q is W_q W_k^T
+        params = {}
+        stage = LiftStage(params, "stage", rng_for(6, "init"), 8, dtype=np.float64)
+        w_q, w_k = rand((8, 8), 50), rand((8, 8), 51)
+        params["stage.q.w"].data[:] = w_q @ w_k.T
+        emb, feats = rand((1, 8), 52), rand((6, 8), 53)
+        logits = (emb @ w_q) @ (feats @ w_k).T / np.sqrt(8)
+        attn = np.exp(logits - logits.max())
+        attn /= attn.sum()
+        updated = emb + attn @ (feats @ params["stage.v.w"].data)
+        hidden = np.maximum(updated @ params["stage.ffn.0.w"].data
+                            + params["stage.ffn.0.b"].data, 0.0)
+        expected = updated + hidden @ params["stage.ffn.1.w"].data \
+            + params["stage.ffn.1.b"].data
+        out = stage(T.tensor(emb, dtype=np.float64),
+                    T.tensor(feats, dtype=np.float64))
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+
     def test_point_permutation_invariance(self):
         params = {}
         stage = LiftStage(params, "stage", rng_for(2, "init"), 8, dtype=np.float64)

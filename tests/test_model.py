@@ -34,8 +34,26 @@ def test_every_parameter_gets_a_nonzero_gradient(mode, stages):
 
 
 def test_paper_config_parameter_count():
-    # FP3 and the Stage II fuse are one linear layer each
+    # FP3 and the Stage II fuse are one linear layer each; Stage I learns
+    # W_q W_k^T and W_v W_o, each lift stage W_q W_k^T, and the decoder
+    # W_v W_head.0, each as one matrix
     model = AffordanceModel(RunConfig())
-    assert sum(p.data.size for p in model.params.values()) == 13_966_595
-    assert not any(name.startswith(("backbone.fp3.1.", "fusion.fuse.1."))
-                   for name in model.params)
+    assert sum(p.data.size for p in model.params.values()) == 12_524_803
+    assert len(model.params) == 60
+    assert not any(name.startswith(("backbone.fp3.1.", "fusion.fuse.1.",
+                                    "fusion.attn.out."))
+                   or ".k." in name for name in model.params)
+    assert model.params["decoder.v.w"].shape == (512, 256)
+
+
+@pytest.mark.parametrize("mode, stages, count", [
+    ("multi", {"stage1": False}, 12_000_515),
+    ("multi", {"stage2": False}, 11_999_491),
+    ("multi", {"stage1": False, "stage2": False}, 10_819_075),
+    ("single", {}, 7_276_803),
+    ("concat", {}, 5_177_603),
+], ids=["stage1_off", "stage2_off", "both_off", "single", "concat"])
+def test_paper_config_ablation_parameter_counts(mode, stages, count):
+    model = AffordanceModel(RunConfig(lifting=LiftingConfig(mode=mode),
+                                      fusion=FusionConfig(**stages)))
+    assert sum(p.data.size for p in model.params.values()) == count
