@@ -144,7 +144,9 @@ def read_dataset(manifest_path) -> Dataset:
     """Parse and validate a manifest and its vocabulary.
 
     Referenced files must exist, and each row's class and affordance must
-    be in the vocabulary.
+    be in the vocabulary, with ``affordance_id`` the index of
+    ``affordance_name``. Each id must be unique and one plain path
+    component: corruption cells name the sample's files after it.
     """
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
@@ -164,7 +166,7 @@ def read_dataset(manifest_path) -> Dataset:
                 not all(isinstance(name, str) for name in names):
             raise DataFormatError(
                 f"{vocab_path}: {key} is not a list of strings: {names!r}")
-    records = []
+    records, lines_by_id = [], {}
     for lineno, line in enumerate(manifest_path.read_text().splitlines(), 1):
         if not line.strip():
             continue
@@ -181,6 +183,16 @@ def read_dataset(manifest_path) -> Dataset:
                 raise DataFormatError(
                     f"{manifest_path}:{lineno}: {key} is not a string: "
                     f"{value!r}")
+        if record.id in ("", ".", "..") \
+                or any(c in record.id for c in "/\\\0"):
+            raise DataFormatError(
+                f"{manifest_path}:{lineno}: id {record.id!r} is not one "
+                f"plain file name")
+        if record.id in lines_by_id:
+            raise DataFormatError(
+                f"{manifest_path}:{lineno}: id {record.id!r} repeats line "
+                f"{lines_by_id[record.id]}")
+        lines_by_id[record.id] = lineno
         for key in ("points", "labels", "hidden"):
             ref = root / getattr(record, key)
             if not ref.exists():
@@ -203,6 +215,12 @@ def read_dataset(manifest_path) -> Dataset:
             raise DataFormatError(
                 f"{manifest_path}:{lineno}: affordance_id "
                 f"{record.affordance_id} outside vocabulary")
+        named = vocab["affordances"][record.affordance_id]
+        if named != record.affordance_name:
+            raise DataFormatError(
+                f"{manifest_path}:{lineno}: affordance_id "
+                f"{record.affordance_id} names {named!r}, not affordance_name "
+                f"{record.affordance_name!r}")
         records.append(record)
     return Dataset(root=root, vocab=vocab, records=records)
 

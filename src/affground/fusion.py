@@ -1,17 +1,15 @@
 """Two-stage cross-modal integration of token features into point features.
 
-Stage I: bottleneck point features attend to the token states (one head
-of key width d; the output replaces the input). ``W_q @ W_k.T`` and
-``W_v @ W_o`` are each one free (d, d) matrix, learned directly as ``q``
-and ``v``: the logits are ``q(points) @ tokens.T`` and the output is
-``attn @ v(tokens)``. Stage II: a gated weighted sum over tokens forms
-one global descriptor, and one linear layer with a ReLU mixes each
-full-resolution row with it. The concatenation ``[full_res, descriptor]``
-times ``W`` is computed as ``full_res @ W[:d] + (descriptor @ W[d:] + b)``:
-the descriptor's (1, d) projection is broadcast over the rows, never
-tiled. ``AffordanceModel.forward`` runs the stages around the backbone,
-and ``fusion.stage1``/``fusion.stage2`` switch each off for ablations; a
-stage that is off builds no weights.
+Stage I: the bottleneck point features attend to the token states with
+:class:`~affground.nn.CrossAttention`; the output replaces the input.
+Stage II: a gated weighted sum over tokens forms one global descriptor,
+and one linear layer with a ReLU mixes each full-resolution row with it.
+The concatenation ``[full_res, descriptor]`` times ``W`` is computed as
+``full_res @ W[:d] + (descriptor @ W[d:] + b)``: the descriptor's (1, d)
+projection is broadcast over the rows, never tiled.
+``AffordanceModel.forward`` runs the stages around the backbone, and
+``fusion.stage1``/``fusion.stage2`` switch each off for ablations; a stage
+that is off builds no weights.
 """
 
 from __future__ import annotations
@@ -19,26 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .nn import make_linear
+from .nn import CrossAttention, make_linear
 from .tensor import Tensor, matmul, relu, softmax_lastdim, transpose
-
-
-class CrossAttention:
-    """One-head scaled dot-product attention; ``q`` is ``W_q @ W_k.T`` and
-    ``v`` is ``W_v @ W_o``."""
-
-    def __init__(self, params: dict, prefix: str, rng, d: int, dtype=np.float32):
-        self.d = d
-        self.wq = make_linear(params, f"{prefix}.q", rng, d, d, dtype, bias=False)
-        self.wv = make_linear(params, f"{prefix}.v", rng, d, d, dtype, bias=False)
-
-    def __call__(self, queries: Tensor, context: Tensor) -> Tensor:
-        if queries.shape[1] != self.d or context.shape[1] != self.d:
-            raise ShapeError(
-                f"attention width {self.d}, got {queries.shape} and {context.shape}")
-        logits = matmul(self.wq(queries), transpose(context))
-        attn = softmax_lastdim(logits * (1.0 / np.sqrt(self.d)))
-        return matmul(attn, self.wv(context))
 
 
 class FusionModule:
@@ -47,7 +27,6 @@ class FusionModule:
     def __init__(self, params: dict, prefix: str, rng, d: int,
                  stage1: bool = True, stage2: bool = True, dtype=np.float32):
         self.d = d
-        self.dtype = dtype
         if stage1:
             self.attn = CrossAttention(params, f"{prefix}.attn", rng, d, dtype)
         if stage2:

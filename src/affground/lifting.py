@@ -1,30 +1,27 @@
 """Multi-scale geometry lifting of the intention embedding.
 
-Each stage lets the single-row embedding attend over one scale of point
-features (query from the embedding, keys/values from the points, scaled
-by sqrt(d), no output projection), adds the result residually, and then
-applies a residual feed-forward block. With one head of key width d,
-``W_q @ W_k.T`` is one free (d, d) matrix, so ``q`` learns that product.
-With one query the products are ordered so that no (N, d) x (d, d)
-projection is formed: ``logits = (point_feats @ q(e).T).T`` and
-``update = v(attn @ point_feats)``.
+Each stage lets the (1, d) embedding attend over one scale of point
+features with :class:`~affground.nn.CrossAttention` (query from the
+embedding, keys and values from the points), adds the result residually,
+and then applies a residual feed-forward block.
 
 Each mode builds only the weights it uses:
 
 - ``multi``: one stage per scale (``stage1``..``stage3``), run coarse to
   fine, ``stage1`` on the bottleneck.
 - ``single``: one stage (``stage1``) on the finest scale.
-- ``concat``: no stages; mean-pool the finest scale, concatenate it to
-  the embedding and project back to width d (``concat``).
+- ``concat``: no stages; mean-pool the finest scale and project
+  ``[embedding, pooled]`` back to width d (``concat``), computed as
+  ``embedding @ W[:d] + pooled @ W[d:] + b``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
-from .nn import make_linear, make_mlp
-from .tensor import Tensor, concat, matmul, softmax_lastdim, tmean, transpose
+from .errors import ConfigError, ContractError
+from .nn import CrossAttention, make_linear, make_mlp
+from .tensor import Tensor, matmul, tmean
 
 LIFT_MODES = ("multi", "single", "concat")
 N_SCALES = 3  # the backbone yields three feature scales
@@ -34,20 +31,11 @@ class LiftStage:
     """One residual attention + feed-forward update of the embedding."""
 
     def __init__(self, params: dict, prefix: str, rng, d: int, dtype=np.float32):
-        self.d = d
-        self.wq = make_linear(params, f"{prefix}.q", rng, d, d, dtype, bias=False)
-        self.wv = make_linear(params, f"{prefix}.v", rng, d, d, dtype, bias=False)
+        self.attn = CrossAttention(params, prefix, rng, d, dtype)
         self.ffn = make_mlp(params, f"{prefix}.ffn", rng, [d, 4 * d, d], dtype)
 
     def __call__(self, embedding: Tensor, point_feats: Tensor) -> Tensor:
-        if embedding.shape != (1, self.d):
-            raise ShapeError(f"embedding must be (1, {self.d}), got {embedding.shape}")
-        if point_feats.shape[1] != self.d or point_feats.shape[0] < 1:
-            raise ShapeError(f"point features must be (N, {self.d}), "
-                             f"got {point_feats.shape}")
-        logits = transpose(matmul(point_feats, transpose(self.wq(embedding))))
-        attn = softmax_lastdim(logits * (1.0 / np.sqrt(self.d)))
-        updated = embedding + self.wv(matmul(attn, point_feats))
+        updated = embedding + self.attn(embedding, point_feats)
         return updated + self.ffn(updated)
 
 
@@ -59,7 +47,6 @@ class GeometryLifting:
         if mode not in LIFT_MODES:
             raise ConfigError(f"lifting mode must be one of {LIFT_MODES}, got {mode!r}")
         self.d = d
-        self.mode = mode
         self.stages = []
         self.concat_proj = None
         if mode == "concat":
@@ -71,19 +58,16 @@ class GeometryLifting:
                            for i in range(n_stages)]
 
     def lift_all(self, embedding: Tensor, scales) -> Tensor:
-        """Lift a (1, d) embedding over feature tensors listed coarse->fine."""
-        if self.mode == "multi" and len(scales) != N_SCALES:
-            raise ContractError(
-                f"multi mode expects {N_SCALES} scales, got {len(scales)}")
-        if not scales:
-            raise ContractError("need at least one feature scale")
-        if self.mode == "multi":
-            out = embedding
-            for stage, feats in zip(self.stages, scales):
-                out = stage(out, feats)
-            return out
-        finest = scales[-1]
-        if self.mode == "single":
-            return self.stages[0](embedding, finest)
-        pooled = tmean(finest, axis=0, keepdims=True)
-        return self.concat_proj(concat([embedding, pooled], axis=1))
+        """Lift a (1, d) embedding over the feature tensors listed coarse->fine;
+        the stages run on the finest scales."""
+        if len(scales) != N_SCALES:
+            raise ContractError(f"lifting expects {N_SCALES} scales, got {len(scales)}")
+        if self.concat_proj is not None:
+            w_embedding, w_pooled = self.concat_proj.split(self.d)
+            pooled = tmean(scales[-1], axis=0, keepdims=True)
+            return (matmul(embedding, w_embedding) + matmul(pooled, w_pooled)
+                    + self.concat_proj.b)
+        out = embedding
+        for stage, feats in zip(self.stages, scales[-len(self.stages):]):
+            out = stage(out, feats)
+        return out

@@ -12,9 +12,15 @@ neither stage reads it; ``lifting.mode`` picks the lifting.
 On the full-resolution point path every linear layer is followed by a
 ReLU before the next one: FP3 (one layer), the Stage II fuse (one layer)
 and the decoder head's first layer, whose bias carries the broadcast
-intention add. No two learned matrices meet only in a product: Stage I
-learns ``W_q @ W_k.T`` and ``W_v @ W_o``, each lift stage ``W_q @ W_k.T``,
-and the decoder ``W_v @ W_head.0``, each as one matrix.
+intention add. Stage I learns ``W_q @ W_k.T`` and ``W_v @ W_o``, each
+lift stage ``W_q @ W_k.T``, and the decoder ``W_v @ W_head.0``, each as
+one matrix. Two learned matrices are known to still meet only in a
+product, and are left so because folding them would make the last lift
+stage unlike the others: the last lift stage's FFN output layer
+(``lifting.stage3.ffn.1``, or ``stage1`` in ``single`` mode) feeds only
+``decoder.v`` through the residual, and its bias is spanned by
+``b_head.0``; in ``concat`` mode, ``lifting.concat`` feeds only
+``decoder.v``.
 ``pca-viz`` projects the features ``integrate`` returns.
 """
 

@@ -1,4 +1,4 @@
-"""Linear layers, MLP stacks, and parameter registration helpers.
+"""Linear layers, MLP stacks, one-head attention, and parameter registration.
 
 Modules register their tensors into a shared flat ``dict[str, Tensor]``
 under dotted names so the trainer, optimizer, and checkpoint code all see
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
-from .tensor import Tensor, matmul, relu, slice_rows
+from .errors import ContractError, ShapeError
+from .tensor import Tensor, matmul, relu, slice_rows, softmax_lastdim, transpose
 
 
 # variance-preserving for linear chains; there is no normalization layer
@@ -87,3 +87,30 @@ def make_mlp(params: dict, name: str, rng, widths, dtype=np.float32) -> MLP:
         layers.append(make_linear(params, f"{name}.{i}", rng,
                                   widths[i], widths[i + 1], dtype))
     return MLP(layers)
+
+
+class CrossAttention:
+    """One-head scaled dot-product attention of query rows over context rows.
+
+    With one head of key width d, ``W_q @ W_k.T`` is one free (d, d)
+    matrix, and so is ``W_v @ W_o`` (``W_v`` alone where there is no output
+    projection); ``q`` and ``v`` learn them directly. The products are
+    re-associated so that no (rows(context), d) projection is formed: the
+    logits are ``(context @ q(queries).T).T`` and the output is
+    ``v(attn @ context)``, which equals ``attn @ v(context)``. Stage I and
+    every lift stage use it.
+    """
+
+    def __init__(self, params: dict, prefix: str, rng, d: int, dtype=np.float32):
+        self.d = d
+        self.wq = make_linear(params, f"{prefix}.q", rng, d, d, dtype, bias=False)
+        self.wv = make_linear(params, f"{prefix}.v", rng, d, d, dtype, bias=False)
+
+    def __call__(self, queries: Tensor, context: Tensor) -> Tensor:
+        if queries.shape[1] != self.d or context.shape[1] != self.d \
+                or context.shape[0] < 1:
+            raise ShapeError(f"attention width {self.d} over at least one row, "
+                             f"got {queries.shape} and {context.shape}")
+        logits = transpose(matmul(context, transpose(self.wq(queries))))
+        attn = softmax_lastdim(logits * (1.0 / np.sqrt(self.d)))
+        return self.wv(matmul(attn, context))

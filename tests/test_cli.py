@@ -14,10 +14,9 @@ from affground.dataio import (MOMENTS, load_checkpoint, read_dataset, read_tenso
                               write_tensor)
 from affground.train import load_model
 
-TOY_SETS = ["--set", "model.n_points=128", "--set", "model.d=16",
-            "--set", "model.d_h=32", "--set", "model.seq_len=4",
-            "--set", "model.cont_width=16", "--set", "model.k_max=[8,8,8]",
-            "--set", "optimizer.epochs=1"]
+from conftest import TOY_MODEL_SETS
+
+TOY_SETS = TOY_MODEL_SETS + ["--set", "optimizer.epochs=1"]
 
 
 def _toy_checkpoint(tmp_path):
@@ -149,11 +148,8 @@ def test_train_on_empty_manifest_exits_1(tmp_path, capsys):
     empty = data / "empty.jsonl"
     empty.write_text("")
     capsys.readouterr()
-    assert main(["train", "--data", str(empty), "--out", str(tmp_path / "run"),
-                 "--set", "model.n_points=128", "--set", "model.d=16",
-                 "--set", "model.d_h=32", "--set", "model.seq_len=4",
-                 "--set", "model.cont_width=16",
-                 "--set", "model.k_max=[8,8,8]"]) == 1
+    assert main(["train", "--data", str(empty), "--out", str(tmp_path / "run")]
+                + TOY_MODEL_SETS) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "dataset has no samples" in err
     assert "Traceback" not in err
@@ -191,6 +187,14 @@ def _snapshot(root):
     return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
+def _edit_rows(manifest, edit):
+    """Rewrite a manifest's rows, a list of dicts, in place with ``edit``."""
+    path = pathlib.Path(manifest)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(rows)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
 def test_resume_on_a_relabelled_dataset_exits_1(tmp_path, capsys):
     manifest, ckpt = _toy_checkpoint(tmp_path)
     vocab_path = pathlib.Path(manifest).parent / "vocab.json"
@@ -198,6 +202,12 @@ def test_resume_on_a_relabelled_dataset_exits_1(tmp_path, capsys):
     vocab["affordances"] = vocab["affordances"][::-1]
     assert len(set(vocab["affordances"])) == 2
     vocab_path.write_text(json.dumps(vocab))
+
+    def relabel(rows):
+        for row in rows:
+            row["affordance_id"] = vocab["affordances"].index(row["affordance_name"])
+
+    _edit_rows(manifest, relabel)
     before = _snapshot(ckpt.parent)
     assert ckpt.parent / "log.jsonl" in before
     _assert_usage_error(capsys, ["train", "--data", manifest,
@@ -205,6 +215,46 @@ def test_resume_on_a_relabelled_dataset_exits_1(tmp_path, capsys):
                                  "--resume", str(ckpt)] + TOY_SETS,
                         "does not match dataset")
     assert _snapshot(ckpt.parent) == before
+
+
+def test_affordance_id_naming_another_affordance_exits_1(tmp_path, capsys):
+    manifest, ckpt = _toy_checkpoint(tmp_path)
+
+    def mislabel(rows):
+        rows[0]["affordance_id"] = 1 - rows[0]["affordance_id"]
+
+    _edit_rows(manifest, mislabel)
+    for args in (["train", "--data", manifest, "--out", str(tmp_path / "run2")]
+                 + TOY_SETS,
+                 ["eval", "--checkpoint", str(ckpt), "--data", manifest]):
+        _assert_usage_error(capsys, args, "manifest.jsonl:1: affordance_id")
+    assert not (tmp_path / "run2").exists()
+
+
+def _escape(rows):
+    rows[0]["id"] = "../../../escaped"
+
+
+def _repeat(rows):
+    rows[1]["id"] = rows[0]["id"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_escape, "is not one plain file name"), (_repeat, "repeats line 1")],
+    ids=["escape", "repeat"])
+def test_corrupt_on_an_unsafe_or_repeated_id_exits_1(tmp_path, capsys, edit,
+                                                     message):
+    data, tree = tmp_path / "data", tmp_path / "tree"
+    assert main(["gen-data", "--out", str(data), "--classes", "1",
+                 "--affordances", "2", "--samples-per", "1", "--points", "128",
+                 "--d-h", "16", "--seq-len", "4"]) == 0
+    manifest = str(data / "manifest.jsonl")
+    _edit_rows(manifest, edit)
+    _assert_usage_error(capsys, ["corrupt", "--in", manifest, "--out", str(tree),
+                                 "--kinds", "jitter", "--levels", "0",
+                                 "--seed", "1"], message)
+    assert not tree.exists()
+    assert not any(tmp_path.rglob("escaped*"))
 
 
 @pytest.mark.parametrize("command", ["eval", "resume"])

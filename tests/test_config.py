@@ -21,8 +21,7 @@ from affground.dataio import gen_synthetic_dataset, load_checkpoint
 from affground.errors import ConfigError
 from affground.train import load_model, train
 
-TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
-       "k_max": [8, 8, 8]}
+from conftest import TOY
 
 
 def with_retired(payload: dict, **retired) -> dict:

@@ -382,3 +382,31 @@ def test_non_integer_index_raises_package_error(tmp_path, key, value):
     read = _edit_first_row(tmp_path, key, value)
     with pytest.raises(DataFormatError, match=f"{key} is not an integer"):
         read()
+
+
+def test_affordance_id_naming_another_affordance_raises_package_error(tmp_path):
+    read = _edit_first_row(tmp_path, "affordance_id", 1)
+    with pytest.raises(DataFormatError,
+                       match="manifest.jsonl:1: affordance_id 1 names "
+                             "'contain', not affordance_name 'grasp'"):
+        read()
+
+
+@pytest.mark.parametrize("sample_id", ["", ".", "..", "../../../escaped",
+                                       "a/b", "a\\b", "a\0b"])
+def test_id_that_is_not_one_file_name_raises_package_error(tmp_path, sample_id):
+    read = _edit_first_row(tmp_path, "id", sample_id)
+    with pytest.raises(DataFormatError,
+                       match="manifest.jsonl:1: id .* is not one plain file name"):
+        read()
+
+
+def test_repeated_id_raises_package_error(tmp_path):
+    manifest = gen_synthetic_dataset(tmp_path / "ds", 1, 2, 1, 64, seed=1,
+                                     d_h=16, seq_len=4)
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    rows[1]["id"] = rows[0]["id"]
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(DataFormatError, match="manifest.jsonl:2: id "
+                                              "'mug_grasp_0000' repeats line 1"):
+        read_dataset(manifest)

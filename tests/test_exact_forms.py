@@ -14,14 +14,22 @@ that build the repeated rows and multiply them:
   without the head's bias;
 - ``predict_map_oracle``: run the head's first layer on every (N, d) row,
   then add the tiled value row;
+- ``cross_attention_oracle``: Stage I's former form, the query projection
+  of every query row and the value projection of every context row;
 - ``lift_stage_oracle``: the (N, d) x (d, d) value projection of every
-  point, and the query row against every point row.
+  point, and the query row against every point row;
+- ``concat_lift_oracle``: concatenate the embedding and the pooled finest
+  scale, then project.
 
 Both are equal in exact arithmetic. In floating point every output must
 lie within ``TOL[dtype]`` times the largest output magnitude, and every
 gradient within ``TOL[dtype]`` times the largest gradient magnitude over
-all parameters and inputs.
+all parameters and inputs. ``former_lift_stage`` is the lift stage as it
+was before it used ``nn.CrossAttention``; the lifting must equal it bit
+for bit.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -35,12 +43,14 @@ from affground.decoder import AffordanceDecoder
 from affground.errors import ContractError
 from affground.fusion import FusionModule
 from affground.intention import synth_fixture
-from affground.lifting import LiftStage
+from affground.lifting import GeometryLifting, LiftStage
 from affground.metrics import pca_project
 from affground.model import AffordanceModel
-from affground.nn import make_mlp
+from affground.nn import CrossAttention, make_mlp
 from affground.rng import rng_for
 from affground.train import load_model
+
+from conftest import TOY, TOY_MODEL_SETS
 
 TOL = {np.float64: 1e-13, np.float32: 1e-5}
 DTYPES = [np.float64, np.float32]
@@ -108,14 +118,43 @@ def predict_map_oracle(decoder, point_feats, value):
     return T.sigmoid(decoder.head.after_first(first))
 
 
+def cross_attention_oracle(attn, queries, context):
+    """CrossAttention as ``softmax(q(queries) @ context.T) @ v(context)``."""
+    scale = 1.0 / np.sqrt(attn.d)
+    logits = T.matmul(attn.wq(queries), T.transpose(context)) * scale
+    return T.matmul(T.softmax_lastdim(logits), attn.wv(context))
+
+
 def lift_stage_oracle(stage, embedding, point_feats):
     """LiftStage with the value projection of every point."""
-    q = stage.wq(embedding)
-    v = stage.wv(point_feats)
-    scale = 1.0 / np.sqrt(stage.d)
-    attn = T.softmax_lastdim(T.matmul(q, T.transpose(point_feats)) * scale)
-    updated = embedding + T.matmul(attn, v)
+    updated = embedding + cross_attention_oracle(stage.attn, embedding,
+                                                 point_feats)
     return updated + stage.ffn(updated)
+
+
+def former_lift_stage(stage, embedding, point_feats):
+    """LiftStage as it was written before it used CrossAttention."""
+    wq, wv, d = stage.attn.wq, stage.attn.wv, stage.attn.d
+    logits = T.transpose(T.matmul(point_feats, T.transpose(wq(embedding))))
+    attn = T.softmax_lastdim(logits * (1.0 / np.sqrt(d)))
+    updated = embedding + wv(T.matmul(attn, point_feats))
+    return updated + stage.ffn(updated)
+
+
+def former_lift_all(lifting, embedding, scales):
+    """The former ``multi`` loop and ``single`` branch."""
+    if len(lifting.stages) == 1:
+        return former_lift_stage(lifting.stages[0], embedding, scales[-1])
+    out = embedding
+    for stage, feats in zip(lifting.stages, scales):
+        out = former_lift_stage(stage, out, feats)
+    return out
+
+
+def concat_lift_oracle(lifting, embedding, scales):
+    """``concat`` lifting: concatenate, then project."""
+    pooled = T.tmean(scales[-1], axis=0, keepdims=True)
+    return lifting.concat_proj(T.concat([embedding, pooled], axis=1))
 
 
 def assert_within(got: dict, want: dict, tol: float):
@@ -263,8 +302,58 @@ def test_lift_stage_matches_key_value_projections(n_points, dtype):
                          inputs, params, dtype, 7)
 
 
-TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
-       "k_max": [8, 8, 8]}
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n_rows", [1, 50])
+def test_stage1_matches_the_value_projection_of_every_token(n_rows, dtype):
+    params = {}
+    fusion = FusionModule(params, "fusion", rng_for(4, "init"), 16, dtype=dtype)
+    rng = np.random.default_rng(51)
+    inputs = {"points": leaf(rng, (n_rows, 16), dtype),
+              "tokens": leaf(rng, (4, 16), dtype)}
+    check_against_oracle(
+        fusion.bottleneck_cross_attention,
+        lambda p, t: cross_attention_oracle(fusion.attn, p, t),
+        inputs, stage_params(params, "fusion.attn"), dtype, 9)
+
+
+def lift_inputs(dtype, seed):
+    """A (1, d) embedding and three scales, coarse to fine."""
+    rng = np.random.default_rng(seed)
+    return (leaf(rng, (1, 16), dtype),
+            [leaf(rng, (n, 16), dtype) for n in (4, 16, 64)])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_lifting_equals_the_former_stages_bitwise(mode, dtype):
+    params = {}
+    lifting = GeometryLifting(params, "lifting", rng_for(5, "init"), 16,
+                              mode=mode, dtype=dtype)
+    embedding, scales = lift_inputs(dtype, 52)
+    # the leaves that get a gradient: single mode reads only the finest scale
+    read = {"embedding": embedding, "finest": scales[-1]}
+    if mode == "multi":
+        read.update(coarse=scales[0], middle=scales[1])
+    out, grads = run(lambda *_: lifting.lift_all(embedding, scales),
+                     read, params, 10)
+    want_out, want_grads = run(
+        lambda *_: former_lift_all(lifting, embedding, scales), read, params, 10)
+    np.testing.assert_array_equal(out, want_out)
+    assert out.dtype == dtype and grads.keys() == want_grads.keys()
+    for name, grad in grads.items():
+        np.testing.assert_array_equal(grad, want_grads[name], err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_concat_lifting_matches_concat_then_project(dtype):
+    params = {}
+    lifting = GeometryLifting(params, "lifting", rng_for(6, "init"), 16,
+                              mode="concat", dtype=dtype)
+    embedding, scales = lift_inputs(dtype, 53)
+    check_against_oracle(
+        lambda e, f: lifting.lift_all(e, scales[:-1] + [f]),
+        lambda e, f: concat_lift_oracle(lifting, e, scales[:-1] + [f]),
+        {"embedding": embedding, "finest": scales[-1]}, params, dtype, 11)
 
 
 def toy_samples():
@@ -277,6 +366,7 @@ def patch_in_oracles(m):
     m.setattr(PointBackbone, "encode", encode_oracle)
     m.setattr(PointBackbone, "decode", decode_oracle)
     m.setattr(FusionModule, "fuse_full_res", fuse_full_res_oracle)
+    m.setattr(CrossAttention, "__call__", cross_attention_oracle)
     m.setattr(LiftStage, "__call__", lift_stage_oracle)
     m.setattr(AffordanceDecoder, "point_to_intention", point_to_intention_oracle)
     m.setattr(AffordanceDecoder, "predict_map", predict_map_oracle)
@@ -329,8 +419,13 @@ def test_forward_multiplies_fewer_rows(monkeypatch):
             model.forward(cloud, hidden, plan)
         return macs[-1]
 
-    for module in ("tensor", "backbone", "fusion", "lifting", "nn"):
-        monkeypatch.setattr(f"affground.{module}.matmul", counting)
+    # every module that multiplies through tensor.matmul, as perfbench counts
+    patched = {name for name, module in list(sys.modules.items())
+               if name.startswith("affground.")
+               and getattr(module, "matmul", None) is matmul}
+    assert {"affground.decoder", "affground.nn"} <= patched
+    for name in patched:
+        monkeypatch.setattr(f"{name}.matmul", counting)
     new = forward_macs()
     patch_in_oracles(monkeypatch)
     assert new < forward_macs()
@@ -343,11 +438,8 @@ def test_pca_viz_matches_the_unfolded_features(tmp_path, monkeypatch):
                  "--affordances", "2", "--samples-per", "1", "--points", "128",
                  "--d-h", "32", "--seq-len", "4"]) == 0
     manifest = str(data / "manifest.jsonl")
-    assert main(["train", "--data", manifest, "--out", str(run),
-                 "--set", "model.n_points=128", "--set", "model.d=16",
-                 "--set", "model.d_h=32", "--set", "model.seq_len=4",
-                 "--set", "model.cont_width=16", "--set", "model.k_max=[8,8,8]",
-                 "--set", "optimizer.epochs=1"]) == 0
+    assert main(["train", "--data", manifest, "--out", str(run)] + TOY_MODEL_SETS
+                + ["--set", "optimizer.epochs=1"]) == 0
     dataset = read_dataset(manifest)
     record = dataset.records[0]
     assert main(["pca-viz", "--checkpoint", str(run / "checkpoint"),

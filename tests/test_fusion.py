@@ -14,8 +14,7 @@ from affground.intention import synth_fixture
 from affground.model import AffordanceModel
 from affground.rng import rng_for
 
-TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
-       "k_max": [8, 8, 8]}
+from conftest import TOY
 
 
 def make_fusion(params, d=8, dtype=np.float64, seed=0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affground import tensor as T
-from affground.errors import ConfigError, ShapeError
+from affground.errors import ConfigError, ContractError, ShapeError
 from affground.gradcheck import finite_difference_check_params
 from affground.lifting import GeometryLifting, LiftStage
 from affground.rng import rng_for
@@ -168,6 +168,14 @@ class TestLiftingModes:
             expected = stage(expected, feats)
         np.testing.assert_array_equal(lifting.lift_all(emb, scales).data,
                                       expected.data)
+
+    def test_every_mode_needs_three_scales(self):
+        emb = T.tensor(rand((1, 8), 17), dtype=np.float64)
+        for mode in ("multi", "single", "concat"):
+            lifting = make_lifting({}, mode=mode)
+            for scales in (scales_for()[1:], scales_for() + scales_for()[:1]):
+                with pytest.raises(ContractError, match="expects 3 scales"):
+                    lifting.lift_all(emb, scales)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigError):

@@ -9,8 +9,7 @@ from affground.dataio import synth_cloud
 from affground.intention import synth_fixture
 from affground.model import AffordanceModel
 
-TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
-       "k_max": [8, 8, 8]}
+from conftest import TOY
 
 
 @pytest.mark.parametrize("mode, stages", [

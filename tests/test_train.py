@@ -35,8 +35,7 @@ from affground.rng import rng_for
 from affground.tensor import backward
 from affground.train import train
 
-TOY = {"n_points": 128, "d": 16, "d_h": 32, "seq_len": 4, "cont_width": 16,
-       "k_max": [8, 8, 8]}
+from conftest import TOY, TOY_MODEL_SETS
 
 
 class Interrupt(Exception):
@@ -355,9 +354,7 @@ def test_divergence_stops_as_training_diverged(tmp_path, capsys):
 
     args = ["train", "--data", str(manifest), "--out", str(tmp_path / "cli"),
             "--set", "optimizer.lr=10000", "--set", "optimizer.epochs=4",
-            "--set", "optimizer.batch_size=2"]
-    for key, value in TOY.items():
-        args += ["--set", f"model.{key}={json.dumps(value)}"]
+            "--set", "optimizer.batch_size=2"] + TOY_MODEL_SETS
     capsys.readouterr()
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("runtime error:")
@@ -444,9 +441,7 @@ def test_overflowing_update_stops_before_reaching_the_parameters(
 
     args = ["train", "--data", str(manifest), "--out", str(tmp_path / "cli"),
             "--set", "optimizer.lr=1e300", "--set", "optimizer.epochs=2",
-            "--set", "optimizer.batch_size=2"]
-    for key, value in TOY.items():
-        args += ["--set", f"model.{key}={json.dumps(value)}"]
+            "--set", "optimizer.batch_size=2"] + TOY_MODEL_SETS
     capsys.readouterr()
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("runtime error:")
