@@ -18,7 +18,7 @@ Both stage kinds compute their first linear layer on distinct rows only,
 in exact algebra equal to concatenating the inputs and projecting:
 
 - SA1, whose input features are the coordinates themselves:
-  ``geometry @ W + b``, with the plan's constant (m*k, 6) member rows
+  ``geometry @ W + b``, with the plan's constant (rows, 6) member rows
   ``[rel, coords[group_idx]]``;
 - SA2, SA3: ``rel @ W[:3] + gather_rows(feats @ W[3:], group_idx) + b``;
 - FP: ``interpolate(src @ W[:d_src], nn_idx, w) + skip @ W[d_src:] + b``.
@@ -28,10 +28,12 @@ names, shapes and checkpoints are those of the concatenated layer.
 
 Geometry contract: every squared distance is float64, summed over x, y, z
 in that order, and every nearest-first order breaks equal distances toward
-the lower index. :func:`ball_query` returns one (centers, k_max) array whose
-rows are padded past their last member with their first entry, which is
-exactly the ``SAPlan.group_idx`` layout. All three geometry functions are
-vectorised over whole rows; none loops over groups in Python.
+the lower index. :func:`farthest_point_sample` returns the distance rows
+it computes from each pick; :func:`ball_query` groups from them, and each
+FP stage's :func:`interpolation_neighbors` reads their transpose, the same
+bytes since (a - b)^2 = (b - a)^2. Groups hold real members only, back to
+back with one start offset each (the ``SAPlan`` layout), so the SA MLPs
+run on no padding. No geometry function loops over groups in Python.
 
 Clouds are expected centered at their centroid with max norm 1 (see
 :func:`normalize_unit_sphere`); normalization is applied when data is
@@ -47,7 +49,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .nn import make_mlp
-from .tensor import Tensor, gather_rows, interpolate, matmul, max_reduce, relu
+from .tensor import Tensor, gather_rows, interpolate, matmul, relu, segment_max
 
 EPS_INTERP = 1e-8
 
@@ -91,125 +93,97 @@ def normalize_unit_sphere(coords: np.ndarray) -> np.ndarray:
     return centered.astype(np.float32)
 
 
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) float64 squared distances, summed x, y, z in order.
-
-    Built from one contiguous per-coordinate difference at a time, so no
-    (len(a), len(b), 3) temporary exists; the values equal
-    ``np.square(a[:, None] - b[None]).sum(axis=2)`` bitwise.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d2 = np.subtract.outer(a[:, 0], b[:, 0])
-    d2 *= d2
-    diff = np.empty_like(d2)
-    for c in (1, 2):
-        np.subtract.outer(a[:, c], b[:, c], out=diff)
-        diff *= diff
-        d2 += diff
-    return d2
-
-
-def _nearest_k(key: np.ndarray, k: int):
-    """Per row, the first k finite columns in (key, column) order.
-
-    Returns ``(idx, count)``: ``idx`` is (rows, k) int64, each row padded
-    with its first entry past its ``count`` finite columns (a row with no
-    finite column is all zeros and has count 0). Only the candidates up to
-    each row's k-th smallest key, ties included, are sorted.
-    """
-    m, n = key.shape
-    last = min(k, n) - 1
-    kth = np.partition(key, last, axis=1)[:, last, None]
-    # capped at the largest finite value, the bound never admits inf or nan
-    np.minimum(kth, np.finfo(np.float64).max, out=kth)
-    rows, cols = np.nonzero(key <= kth)
-    order = np.lexsort((cols, key[rows, cols], rows))
-    rows, cols = rows[order], cols[order]
-    found = np.bincount(rows, minlength=m)
-    pos = np.arange(rows.size) - (np.cumsum(found) - found)[rows]
-    keep = pos < k
-    idx = np.zeros((m, k), dtype=np.int64)
-    idx[rows[keep], pos[keep]] = cols[keep]
-    count = np.minimum(found, k)
-    idx = np.where(np.arange(k) < count[:, None], idx, idx[:, :1])
-    return idx, count
-
-
-def farthest_point_sample(coords: np.ndarray, m: int) -> np.ndarray:
+def farthest_point_sample(coords: np.ndarray, m: int):
     """Greedy max-min selection of m distinct point indices.
 
-    The first pick is the point farthest from the centroid; every tie
-    (including later max-min ties) is broken toward the lowest index.
-    Squared distances are float64, summed x, y, z in that order.
+    Returns ``(selected, d2)``: the (m,) int64 picks, and the (m, n)
+    float64 squared distances from each pick to every point, summed x, y,
+    z in that order, which the selection computes anyway. The first pick
+    is the point farthest from the centroid; every tie (including later
+    max-min ties) is broken toward the lowest index.
     """
     n = coords.shape[0]
     if not 1 <= m <= n:
         raise ContractError(f"cannot sample {m} points from {n}")
     coords = np.asarray(coords, dtype=np.float64)
     xyz = [np.ascontiguousarray(coords[:, c]) for c in range(3)]
-    d = np.empty(n)
+    d2 = np.empty((m, n))
     diff = np.empty(n)
 
-    def sq_dist_to(point):
-        np.subtract(xyz[0], point[0], out=d)
-        np.multiply(d, d, out=d)
+    def sq_dist_to(point, out):
+        np.subtract(xyz[0], point[0], out=out)
+        np.multiply(out, out, out=out)
         for c in (1, 2):
             np.subtract(xyz[c], point[c], out=diff)
             np.multiply(diff, diff, out=diff)
-            np.add(d, diff, out=d)
-        return d
+            np.add(out, diff, out=out)
+        return out
 
     selected = np.empty(m, dtype=np.int64)
     # argmax returns the first max index
-    selected[0] = int(np.argmax(sq_dist_to(coords.mean(axis=0))))
-    min_dist = sq_dist_to(coords[selected[0]]).copy()
+    selected[0] = int(np.argmax(sq_dist_to(coords.mean(axis=0), d2[0])))
+    min_dist = sq_dist_to(coords[selected[0]], d2[0]).copy()
     min_dist[selected[0]] = -1.0  # never re-pick
     for i in range(1, m):
         nxt = int(np.argmax(min_dist))
         selected[i] = nxt
-        np.minimum(min_dist, sq_dist_to(coords[nxt]), out=min_dist)
+        np.minimum(min_dist, sq_dist_to(coords[nxt], d2[i]), out=min_dist)
         min_dist[nxt] = -1.0
-    return selected
+    return selected, d2
 
 
-def ball_query(centers: np.ndarray, coords: np.ndarray, radius: float,
-               k_max: int) -> np.ndarray:
-    """Indices within ``radius`` of each center, nearest first, up to k_max.
+def ball_query(d2: np.ndarray, radius: float, k_max: int):
+    """Each center's points within ``radius``, nearest first, up to k_max.
 
-    Returns a (len(centers), k_max) int64 array. Each row holds the
-    center's in-range points in (squared distance, index) order, so equal
-    distances go to the lower index, and is padded past its last member
-    with its first entry. Distances are float64, summed x, y, z in that
-    order. A center with no point in range gets the nearest point (lowest
-    index on ties) in every column, so no group is ever empty.
+    ``d2`` is the (centers, points) float64 squared distances. Returns
+    ``(group_idx, starts)``: ``group_idx`` is 1-D int64, center by
+    center, each center's in-range points in (squared distance, index)
+    order, so equal distances go to the lower index; ``starts`` is the
+    (centers,) offset of each center's first member. A center with no
+    point in range keeps one member, its nearest point (lowest index on
+    ties), so no group is ever empty. Only the candidates up to each
+    row's k_max-th smallest distance, ties included, are sorted.
     """
     if radius <= 0:
         raise ContractError("radius must be positive")
     if k_max < 1:
         raise ContractError("k_max must be at least 1")
-    d2 = _sq_dist(centers, coords)
-    r2 = float(radius) ** 2
-    idx, count = _nearest_k(np.where(d2 <= r2, d2, np.inf), k_max)
-    empty = count == 0
-    if empty.any():
-        idx[empty] = np.argmin(d2[empty], axis=1)[:, None]
-    return idx
+    m, n = d2.shape
+    last = min(k_max, n) - 1
+    nearest = d2.min(axis=1)
+    # a center with no point in range keeps its nearest point alone
+    limit = np.where(nearest <= float(radius) ** 2, k_max, 1)
+    bound = np.minimum(np.partition(d2, last, axis=1)[:, last], float(radius) ** 2)
+    bound = np.maximum(bound, nearest)
+    flat = np.flatnonzero(d2 <= bound[:, None])
+    rows, cols = np.divmod(flat, n)
+    # stable, so equal distances keep the candidates' index order
+    order = np.lexsort((d2.reshape(-1)[flat], rows))
+    rows, cols = rows[order], cols[order]
+    found = np.bincount(rows, minlength=m)
+    pos = np.arange(rows.size) - (np.cumsum(found) - found)[rows]
+    count = np.minimum(found, limit)
+    return cols[pos < limit[rows]], np.cumsum(count) - count
 
 
-def interpolation_neighbors(src_coords: np.ndarray, dst_coords: np.ndarray,
-                            k: int = 3):
+def interpolation_neighbors(d2: np.ndarray, k: int = 3):
     """Nearest-source indices and normalized inverse-distance weights.
 
-    Per destination point, the k (at most the source count) nearest
-    sources in (squared distance, index) order, so equal distances go to
-    the lower index. Distances are float64, summed x, y, z in that order.
+    ``d2`` is the (destinations, sources) float64 squared distances. Per
+    destination point, the k (at most the source count) nearest sources
+    in (squared distance, index) order, so equal distances go to the
+    lower index.
     """
-    if src_coords.shape[0] == 0:
+    if d2.shape[1] == 0:
         raise ContractError("interpolation needs a non-empty source set")
-    k = min(k, src_coords.shape[0])
-    d2 = _sq_dist(dst_coords, src_coords)
-    idx, _ = _nearest_k(d2, k)
+    k = min(k, d2.shape[1])
+    key = np.array(d2, order="C")   # row-major, and each pick struck out
+    rows = np.arange(len(key))
+    idx = np.empty((len(key), k), dtype=np.int64)
+    for c in range(k):
+        # argmin takes the first of equal minima, the lower index
+        idx[:, c] = key.argmin(axis=1)
+        key[rows, idx[:, c]] = np.inf
     dist = np.sqrt(np.take_along_axis(d2, idx, axis=1))
     w = 1.0 / (dist + EPS_INTERP)
     w /= w.sum(axis=1, keepdims=True)
@@ -218,15 +192,18 @@ def interpolation_neighbors(src_coords: np.ndarray, dst_coords: np.ndarray,
 
 @dataclass
 class SAPlan:
-    """One stage's grouping and its members' constant first-layer columns.
+    """One stage's groups and their members' constant first-layer columns.
 
+    Groups hold real members only, stored group by group: group j is rows
+    ``starts[j]:starts[j + 1]`` of ``group_idx`` and ``geometry``.
     ``geometry`` is each member's offset from its center; at the first
     stage, whose input features are the coordinates, the member's own
     coordinates follow.
     """
 
-    group_idx: np.ndarray       # (m, k) padded with each group's first entry
-    geometry: np.ndarray        # (m, k, 3), or (m, k, 6) at the first stage
+    group_idx: np.ndarray       # (rows,) member indices, nearest first per group
+    geometry: np.ndarray        # (rows, 3), or (rows, 6) at the first stage
+    starts: np.ndarray          # (m,) each group's first row
 
 
 @dataclass
@@ -251,9 +228,11 @@ class SetAbstraction:
     member, where ``geometry`` holds the plan's constant columns. With
     ``W = [W_geo; W_feat]`` its pre-activation is computed as
     ``geometry @ W_geo + gather(feats @ W_feat) + b``: each point's
-    features are projected once, and only the geometry columns run on all
-    m*k member rows. ``feats`` is None when the geometry is the whole
-    input (the first stage, whose features are the coordinates).
+    features are projected once, and only the geometry columns run on the
+    member rows. The MLP runs on real members only, and
+    :func:`~affground.tensor.segment_max` pools each group's rows.
+    ``feats`` is None when the geometry is the whole input (the first
+    stage, whose features are the coordinates).
     """
 
     def __init__(self, params, prefix, rng, in_dim, hidden, out, dtype=np.float32):
@@ -262,16 +241,14 @@ class SetAbstraction:
         self.dtype = dtype
 
     def __call__(self, feats: Tensor | None, plan: SAPlan) -> Tensor:
-        m, k, g = plan.geometry.shape
-        geometry = Tensor(plan.geometry.reshape(m * k, g).astype(self.dtype))
+        geometry = Tensor(plan.geometry.astype(self.dtype))
         first = self.mlp.layers[0]
-        w_geo, w_feat = first.split(g)
+        w_geo, w_feat = first.split(plan.geometry.shape[1])
         h = matmul(geometry, w_geo)
         if feats is not None:
-            h = h + gather_rows(matmul(feats, w_feat), plan.group_idx.reshape(-1))
+            h = h + gather_rows(matmul(feats, w_feat), plan.group_idx)
         h = h + first.b
-        encoded = self.mlp.after_first(h).reshape(m, k, self.out_dim)
-        return max_reduce(encoded, axis=1)
+        return segment_max(self.mlp.after_first(h), plan.starts)
 
 
 class FeaturePropagation:
@@ -342,25 +319,27 @@ class PointBackbone:
                 f"{self.stage_points[0]}")
         plan = BackbonePlan(level_coords=[coords])
         level = coords
+        fps_d2 = []
         for m, r, k in zip(self.stage_points, self.radii, self.k_max):
-            idx = farthest_point_sample(level, m)
+            idx, d2 = farthest_point_sample(level, m)
             centers = level[idx]
-            group_idx = ball_query(centers, level, r, k)
+            group_idx, starts = ball_query(d2, r, k)
             columns = level
             if level is coords:
                 # the first stage's input features are the coordinates: its
                 # members carry their own coordinates after the offset
                 columns = np.concatenate([level, level], axis=1)
             geometry = columns[group_idx]
-            geometry[:, :, :3] -= centers[:, None, :]
-            plan.sa.append(SAPlan(group_idx, geometry))
+            geometry[:, :3] -= np.repeat(
+                centers, np.diff(starts, append=len(group_idx)), axis=0)
+            plan.sa.append(SAPlan(group_idx, geometry, starts))
             plan.level_coords.append(centers)
+            fps_d2.append(d2)
             level = centers
-        # propagation runs bottleneck -> ... -> full resolution
+        # propagation runs bottleneck -> ... -> full resolution; each
+        # stage's (finer, coarser) distances are its sampling's, transposed
         for i in range(3):
-            src = plan.level_coords[3 - i]
-            dst = plan.level_coords[2 - i]
-            nn_idx, w = interpolation_neighbors(src, dst)
+            nn_idx, w = interpolation_neighbors(fps_d2[2 - i].T)
             plan.fp.append(FPPlan(nn_idx, w))
         return plan
 

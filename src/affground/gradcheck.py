@@ -120,6 +120,8 @@ def _primitive_checks(tol) -> list:
     c43 = _const((4, 3), 102)
     c25 = _const((2, 5), 103)
     gather_idx = np.array([0, 2, 2, 1])
+    # segments of one, three and one rows
+    seg_starts = np.array([0, 1, 4])
     # source row 0 is read three times, row 1 never
     interp_idx = np.array([[0, 0], [2, 0], [0, 2]])
     interp_w = np.array([[0.7, 0.3], [0.25, 0.75], [0.5, 0.5]])
@@ -142,11 +144,10 @@ def _primitive_checks(tol) -> list:
         ("sum_axis", (3, 4), lambda x: (x * x.sum(axis=1, keepdims=True)).sum(),
          False),
         ("mean", (3, 4), lambda x: (x.mean(axis=0) ** 2.0).sum(), False),
-        ("max_reduce", (3, 4), lambda x: T.max_reduce(x, axis=1).sum(), False),
+        ("segment_max", (5, 4),
+         lambda x: (T.segment_max(x, seg_starts) * c34).sum(), False),
         ("reshape", (3, 4), lambda x: (x.reshape(2, 6) ** 2.0).sum(), False),
         ("transpose", (3, 4), lambda x: (x.T * c43).sum(), False),
-        ("concat", (3, 4), lambda x: (T.concat([x, c34], axis=1) ** 2.0).sum(),
-         False),
         ("gather_rows", (3, 4),
          lambda x: (T.gather_rows(x, gather_idx) ** 2.0).sum(), False),
         ("interpolate", (3, 4),

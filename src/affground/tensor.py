@@ -294,6 +294,18 @@ def neg(x: Tensor) -> Tensor:
     return _node(-x.data, (x,), backward, "neg")
 
 
+def _sum_over_rows(a: np.ndarray, g: np.ndarray, block: int = 256) -> np.ndarray:
+    """``a.T @ g``, summed in order over blocks of at most ``block`` rows.
+
+    OpenBLAS splits a longer sum at edges that depend on its thread count,
+    so only blocks this short give the same bytes on any number of threads.
+    """
+    out = a[:block].T @ g[:block]
+    for i in range(block, a.shape[0], block):
+        out += a[i:i + block].T @ g[i:i + block]
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors."""
     if a.ndim != 2 or b.ndim != 2:
@@ -309,7 +321,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g * b.data.T if g.shape[1] == 1 else g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, a.data.T * g if a.shape[0] == 1 else a.data.T @ g)
+            _accumulate(b, a.data.T * g if a.shape[0] == 1
+                        else _sum_over_rows(a.data, g))
 
     return _node(a.data @ b.data, (a, b), backward, "matmul")
 
@@ -421,27 +434,51 @@ def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
     return _node(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward, "mean")
 
 
-def max_reduce(x: Tensor, axis: int, keepdims=False) -> Tensor:
-    """Max over one axis; gradient routes to the first occurrence of the max.
+def segment_max(x: Tensor, starts) -> Tensor:
+    """Per-column maximum over each run of rows ``starts[j]:starts[j + 1]``.
 
-    Ties are common (a padded group repeats its first member) and route
-    the whole gradient to the first one. Where the maximum is NaN the
-    output is NaN and the gradient goes to index 0 along ``axis``. Where
-    the maxima are zeros of both signs, which zero comes out is numpy's
-    choice, not necessarily the first one's.
+    ``starts`` holds each segment's first row, increasing from 0; the last
+    segment runs to the end. Each column's gradient goes to the first row
+    of its segment that equals the maximum, or to the segment's first row
+    where the maximum is NaN. A zero maximum keeps its first zero's sign.
+    Segments are ranked longest first, so the j-th rows of those longer
+    than j are a prefix: one Python step per row of the longest segment.
     """
-    kept = x.data.max(axis=axis, keepdims=True)
+    if x.ndim != 2:
+        raise ShapeError(f"segment_max expects a 2-D tensor, got {x.shape}")
+    data = x.data
+    starts = np.asarray(starts)
+    lengths = np.diff(starts, append=data.shape[0])
+    if starts.ndim != 1 or not starts.size or starts[0] != 0 or lengths.min() < 1:
+        raise ContractError("segment_max needs non-empty segments starting at row 0")
+    order = np.argsort(-lengths, kind="stable")
+    first = starts[order]
+    # longer[j]: how many segments have more than j rows
+    longer = (len(order) - np.cumsum(np.bincount(lengths))[:lengths.max()]).tolist()
+    acc = data[first]
+    for j, a in enumerate(longer[1:], 1):
+        np.maximum(acc[:a], data[first[:a] + j], out=acc[:a])
+
+    def first_rows():
+        # rows in reverse, so each column keeps its earliest match; no row
+        # equals a NaN maximum, which keeps the segment's first row
+        rows = np.repeat(first[:, None], data.shape[1], axis=1)
+        for j, a in reversed(list(enumerate(longer))):
+            at = first[:a] + j
+            np.copyto(rows[:a], at[:, None], where=data[at] == acc[:a])
+        return rows
+
+    if not acc.all():
+        # np.maximum returns either zero of a tie: take the first one's sign
+        zero = acc == 0
+        acc[zero] = np.take_along_axis(data, first_rows(), axis=0)[zero]
 
     def backward(g):
-        # only the walk needs the index: the first entry equal to the max
-        idx = np.expand_dims((x.data == kept).argmax(axis=axis), axis)
-        gx = np.zeros_like(x.data)
-        expanded = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(gx, idx, expanded, axis=axis)
+        gx = np.zeros_like(data)
+        np.put_along_axis(gx, first_rows(), g[order], axis=0)
         _accumulate(x, gx)
 
-    out = kept if keepdims else np.squeeze(kept, axis=axis)
-    return _node(out, (x,), backward, "max")
+    return _node(acc[np.argsort(order)], (x,), backward, "segment_max")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -459,23 +496,6 @@ def transpose(x: Tensor) -> Tensor:
         _accumulate(x, g.T)
 
     return _node(x.data.T.copy(), (x,), backward, "transpose")
-
-
-def concat(tensors, axis=-1) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ContractError("concat needs at least one tensor")
-    for t in tensors[1:]:
-        _check_dtypes(tensors[0], t, "concat")
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accumulate(t, piece)
-
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    return _node(data, tensors, backward, "concat")
 
 
 def _scatter_rows(g: np.ndarray, idx: np.ndarray, like: np.ndarray) -> np.ndarray:

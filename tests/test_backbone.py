@@ -76,11 +76,16 @@ def fps_reference(coords, m):
     return selected
 
 
+def sq_dist_oracle(a, b):
+    """(len(a), len(b)) float64 squared distances, summed x, y, z in order."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return np.square(a[:, None, :] - b[None, :, :]).sum(axis=2)
+
+
 def ball_query_oracle(centers, coords, radius, k_max):
-    """One unpadded index array per center: in range, nearest first."""
-    centers = np.asarray(centers, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.float64)
-    d2 = np.square(centers[:, None, :] - coords[None, :, :]).sum(axis=2)
+    """One index array per center: in range, nearest first."""
+    d2 = sq_dist_oracle(centers, coords)
     r2 = float(radius) ** 2
     groups = []
     for row in d2:
@@ -93,22 +98,17 @@ def ball_query_oracle(centers, coords, radius, k_max):
     return groups
 
 
-def pad_groups_oracle(groups, k):
-    """(m, k) group indices, each row padded with its first entry."""
-    group_idx = np.empty((len(groups), k), dtype=np.int64)
-    for g, members in enumerate(groups):
-        padded = np.full(k, members[0], dtype=np.int64)
-        padded[: len(members)] = members[:k]
-        group_idx[g] = padded
-    return group_idx
+def compact_groups_oracle(groups):
+    """The groups back to back, and each group's first row."""
+    sizes = [len(g) for g in groups]
+    starts = np.array([sum(sizes[:j]) for j in range(len(groups))], dtype=np.int64)
+    return np.concatenate(groups), starts
 
 
 def interpolation_neighbors_oracle(src_coords, dst_coords, k=3):
     """k nearest sources by a full stable sort, inverse-distance weights."""
-    src = np.asarray(src_coords, dtype=np.float64)
-    dst = np.asarray(dst_coords, dtype=np.float64)
-    k = min(k, src.shape[0])
-    d2 = np.square(dst[:, None, :] - src[None, :, :]).sum(axis=2)
+    k = min(k, len(src_coords))
+    d2 = sq_dist_oracle(dst_coords, src_coords)
     idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
     dist = np.sqrt(np.take_along_axis(d2, idx, axis=1))
     w = 1.0 / (dist + 1e-8)
@@ -124,11 +124,13 @@ def build_plan_oracle(backbone, coords):
     for m, r, k in zip(backbone.stage_points, backbone.radii, backbone.k_max):
         idx = fps_reference(level, m)
         centers = level[idx]
-        group_idx = pad_groups_oracle(ball_query_oracle(centers, level, r, k), k)
-        geometry = level[group_idx] - centers[:, None, :]
+        groups = ball_query_oracle(centers, level, r, k)
+        group_idx, starts = compact_groups_oracle(groups)
+        geometry = np.concatenate(
+            [level[g] - centers[j] for j, g in enumerate(groups)])
         if len(plan.sa) == 0:  # the input cloud: its features are the coords
-            geometry = np.concatenate([geometry, level[group_idx]], axis=2)
-        plan.sa.append(SAPlan(group_idx, geometry.astype(np.float32)))
+            geometry = np.concatenate([geometry, level[group_idx]], axis=1)
+        plan.sa.append(SAPlan(group_idx, geometry.astype(np.float32), starts))
         plan.level_coords.append(centers)
         level = centers
     for i in range(3):
@@ -151,7 +153,7 @@ def assert_plans_bitwise(got, want):
         assert_bitwise(a, b)
     assert len(got.sa) == len(want.sa) and len(got.fp) == len(want.fp)
     for a, b in zip(got.sa, want.sa):
-        for name in ("group_idx", "geometry"):
+        for name in ("group_idx", "geometry", "starts"):
             assert_bitwise(getattr(a, name), getattr(b, name))
     for a, b in zip(got.fp, want.fp):
         assert_bitwise(a.nn_idx, b.nn_idx)
@@ -188,8 +190,11 @@ class TestGeometryMatchesOracles:
         coords, _ = cloud
         n = len(coords)
         m = data.draw(st.integers(1, n))
-        got = farthest_point_sample(coords, m)
+        got, d2 = farthest_point_sample(coords, m)
         assert_bitwise(got, fps_reference(coords, m))
+        # each pick's distance row, as the ball query and FP stages read it
+        assert_bitwise(d2, sq_dist_oracle(coords[got], coords))
+        assert_bitwise(d2.T, sq_dist_oracle(coords, coords[got]))
         if n <= 24:
             assert got.tolist() == fps_oracle(coords, m)
 
@@ -203,9 +208,12 @@ class TestGeometryMatchesOracles:
             centers = np.vstack([centers, coords[:2] + 50.0])
         radius = data.draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]))
         k_max = data.draw(st.integers(1, n + 4))
-        want = pad_groups_oracle(
-            ball_query_oracle(centers, coords, radius, k_max), k_max)
-        assert_bitwise(ball_query(centers, coords, radius, k_max), want)
+        want = compact_groups_oracle(
+            ball_query_oracle(centers, coords, radius, k_max))
+        got = ball_query(sq_dist_oracle(centers, coords), radius, k_max)
+        assert len(got) == 2
+        for a, b in zip(got, want):
+            assert_bitwise(a, b)
 
     @settings(max_examples=80, deadline=None)
     @given(clouds(), st.data())
@@ -214,7 +222,7 @@ class TestGeometryMatchesOracles:
         n = len(coords)
         src = coords[rng.permutation(n)[: data.draw(st.integers(1, n))]]
         k = data.draw(st.integers(1, 5))
-        got_idx, got_w = interpolation_neighbors(src, coords, k)
+        got_idx, got_w = interpolation_neighbors(sq_dist_oracle(coords, src), k)
         want_idx, want_w = interpolation_neighbors_oracle(src, coords, k)
         assert_bitwise(got_idx, want_idx)
         assert_bitwise(got_w, want_w)
@@ -236,38 +244,52 @@ class TestGeometryMatchesOracles:
                 cells += 1
         assert cells == 35
 
+    def test_build_plan_with_a_one_member_group_and_a_full_one(self):
+        rng = np.random.default_rng(7)
+        # a dense clump, and one point farther than any radius from it,
+        # which the sampling picks first
+        coords = np.vstack([rng.normal(scale=0.02, size=(63, 3)), [[0, 0, 3.0]]])
+        backbone = PointBackbone({}, "backbone", rng_for(0, "init"), d=8,
+                                 stage_points=[32, 8, 2], k_max=[8, 8, 8])
+        plan = backbone.build_plan(coords)
+        assert_plans_bitwise(plan, build_plan_oracle(backbone, coords))
+        sa = plan.sa[0]
+        sizes = np.diff(sa.starts, append=len(sa.group_idx))
+        assert sizes[0] == 1 and sa.group_idx[0] == 63 and sizes.max() == 8
+
 
 class TestFarthestPointSample:
     def test_colinear_hand_case(self):
         coords = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
-        idx = farthest_point_sample(coords, 3)
+        idx, d2 = farthest_point_sample(coords, 3)
         assert idx.tolist() == [0, 3, 1]
+        assert d2.tolist() == [[0, 1, 4, 9], [9, 4, 1, 0], [1, 0, 1, 4]]
 
     def test_m_equals_n_all_indices(self):
         rng = np.random.default_rng(0)
         coords = rng.normal(size=(12, 3))
-        idx = farthest_point_sample(coords, 12)
+        idx, _ = farthest_point_sample(coords, 12)
         assert sorted(idx.tolist()) == list(range(12))
-        again = farthest_point_sample(coords, 12)
+        again, _ = farthest_point_sample(coords, 12)
         np.testing.assert_array_equal(idx, again)
 
     def test_m_one_is_farthest_from_centroid(self):
         rng = np.random.default_rng(1)
         coords = rng.normal(size=(20, 3))
-        idx = farthest_point_sample(coords, 1)
+        idx, d2 = farthest_point_sample(coords, 1)
         d = np.square(coords - coords.mean(0)).sum(1)
-        assert idx[0] == int(np.argmax(d))
+        assert idx[0] == int(np.argmax(d)) and d2.shape == (1, 20)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_bruteforce_oracle(self, seed):
         rng = np.random.default_rng(seed)
         coords = rng.normal(size=(15, 3))
         m = 7
-        assert farthest_point_sample(coords, m).tolist() == fps_oracle(coords, m)
+        assert farthest_point_sample(coords, m)[0].tolist() == fps_oracle(coords, m)
 
     def test_indices_distinct_on_duplicate_cloud(self):
         coords = np.zeros((8, 3))
-        idx = farthest_point_sample(coords, 5)
+        idx, _ = farthest_point_sample(coords, 5)
         assert len(set(idx.tolist())) == 5
 
     def test_m_too_large_rejected(self):
@@ -275,52 +297,58 @@ class TestFarthestPointSample:
             farthest_point_sample(np.zeros((4, 3)), 5)
 
 
+def ball_query_at(centers, coords, radius, k_max):
+    """ball_query from the centers' squared distances to the points."""
+    return ball_query(sq_dist_oracle(centers, coords), radius, k_max)
+
+
 class TestBallQuery:
     def test_radius_filter(self):
         coords = np.array([[0.5, 0, 0], [2.0, 0, 0]])
-        groups = ball_query(np.zeros((1, 3)), coords, radius=1.0, k_max=8)
-        assert groups.dtype == np.int64 and groups.shape == (1, 8)
-        assert groups[0].tolist() == [0] + [0] * 7
+        group_idx, starts = ball_query_at(np.zeros((1, 3)), coords, 1.0, 8)
+        assert group_idx.dtype == np.int64 and starts.dtype == np.int64
+        assert group_idx.tolist() == [0] and starts.tolist() == [0]
 
     def test_huge_radius_sorts_by_distance(self):
         rng = np.random.default_rng(2)
         coords = rng.normal(size=(10, 3))
         center = coords[[3]]
-        groups = ball_query(center, coords, radius=100.0, k_max=10)
+        group_idx, starts = ball_query_at(center, coords, 100.0, 10)
         d = np.linalg.norm(coords - center, axis=1)
-        assert groups.shape == (1, 10)
-        assert groups[0].tolist() == np.argsort(d, kind="stable").tolist()
+        assert starts.tolist() == [0]
+        assert group_idx.tolist() == np.argsort(d, kind="stable").tolist()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_membership_matches_bruteforce(self, seed):
         rng = np.random.default_rng(seed)
         coords = rng.uniform(-1, 1, size=(40, 3))
-        centers = coords[farthest_point_sample(coords, 6)]
+        picks, d2 = farthest_point_sample(coords, 6)
         r = 0.6
-        groups = ball_query(centers, coords, radius=r, k_max=40)
-        assert groups.shape == (6, 40)
-        for c, group in zip(centers, groups):
+        group_idx, starts = ball_query(d2, r, 40)
+        bounds = np.append(starts, len(group_idx))
+        assert bounds[0] == 0 and (np.diff(bounds) >= 1).all()
+        for j, c in enumerate(coords[picks]):
             expected = {
                 i for i in range(40)
                 if np.linalg.norm(coords[i] - c) <= r
             }
-            assert set(group.tolist()) == expected
-            # the members, once each, then copies of the first
-            members = group[: len(expected)].tolist()
-            assert sorted(members) == sorted(expected)
-            assert group.tolist() == members + [members[0]] * (40 - len(expected))
+            # the members, once each, and nothing else
+            members = group_idx[bounds[j]:bounds[j + 1]].tolist()
+            assert len(members) == len(expected) and set(members) == expected
 
-    def test_empty_group_padded_with_nearest(self):
+    def test_empty_group_keeps_its_nearest_point(self):
         coords = np.array([[5.0, 0, 0], [6.0, 0, 0], [4.0, 0, 0], [9.0, 0, 0]])
-        groups = ball_query(np.zeros((1, 3)), coords, radius=0.5, k_max=4)
-        assert groups.shape == (1, 4)
-        assert groups[0].tolist() == [2] + [2] * 3
+        centers = np.array([[0.0, 0, 0], [5.9, 0, 0], [0.0, 0, 0], [20.0, 0, 0]])
+        group_idx, starts = ball_query_at(centers, coords, 0.5, 4)
+        # one member each for the empty groups, the nearest point
+        assert group_idx.tolist() == [2, 1, 2, 3]
+        assert starts.tolist() == [0, 1, 2, 3]
 
     def test_truncation_at_k_max(self):
         coords = np.linspace(0, 1, 9)[:, None] * np.array([[1.0, 0, 0]])
-        groups = ball_query(np.zeros((1, 3)), coords, radius=2.0, k_max=3)
-        assert groups.shape == (1, 3)
-        assert groups[0].tolist() == [0, 1, 2]
+        group_idx, starts = ball_query_at(np.zeros((1, 3)), coords, 2.0, 3)
+        assert group_idx.tolist() == [0, 1, 2] and starts.tolist() == [0]
+
 
 def tiny_backbone(params, rng, d=8, stage_points=(8, 4, 2), dtype=np.float64):
     return PointBackbone(params, "backbone", rng, d=d,
@@ -334,10 +362,8 @@ class TestSetAbstraction:
         params = {}
         backbone = tiny_backbone(params, rng_for(0, "init"))
         patch = np.array([[0.1, 0, 0], [0, 0.1, 0], [-0.1, 0, 0], [0, -0.1, 0]])
-        plan = SAPlan(
-            group_idx=np.array([[0, 1, 2, 3], [4, 5, 6, 7]]),
-            geometry=np.stack([patch, patch]).astype(np.float64),
-        )
+        plan = SAPlan(group_idx=np.arange(8), geometry=np.vstack([patch, patch]),
+                      starts=np.array([0, 4]))
         feats = T.tensor(np.tile(np.arange(8)[:, None] % 4, (1, 3)),
                          dtype=np.float64)
         out = backbone.sa_stages[0](feats, plan)
@@ -347,16 +373,16 @@ class TestSetAbstraction:
         params = {}
         backbone = tiny_backbone(params, rng_for(1, "init"))
         stage = backbone.sa_stages[0]
-        rel = np.array([[[0.2, -0.1, 0.05]]])
+        rel = np.array([[0.2, -0.1, 0.05]])
         feat = np.array([[0.4, 0.0, -0.3]])
-        plan = SAPlan(np.array([[0]]), rel)
+        plan = SAPlan(np.array([0]), rel, np.array([0]))
         out = stage(T.tensor(feat, dtype=np.float64), plan)
 
         w0 = params["backbone.sa1.0.w"].data
         b0 = params["backbone.sa1.0.b"].data
         w1 = params["backbone.sa1.1.w"].data
         b1 = params["backbone.sa1.1.b"].data
-        stacked = np.hstack([rel.reshape(1, 3), feat])
+        stacked = np.hstack([rel, feat])
         expected = np.maximum(stacked @ w0 + b0, 0) @ w1 + b1
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
@@ -368,14 +394,16 @@ class TestSetAbstraction:
         feats = T.tensor(rng.normal(size=(16, 2)), dtype=np.float64)
         idx = np.array([1, 5, 9, 13])
         centers = coords[idx]
-        group_idx = np.stack([np.array([0, 3, 6, 7]), np.array([2, 4, 8, 10]),
-                              np.array([5, 9, 11, 12]), np.array([1, 13, 14, 15])])
-        rel = (coords[group_idx] - centers[:, None]).astype(np.float64)
-        plan = SAPlan(group_idx, rel)
+        # groups of four, one, three and two members
+        group_idx = np.array([0, 3, 6, 7, 2, 5, 9, 11, 1, 13])
+        starts = np.array([0, 4, 5, 8])
+        center_of_row = np.repeat(centers, [4, 1, 3, 2], axis=0)
+        rel = (coords[group_idx] - center_of_row).astype(np.float64)
+        plan = SAPlan(group_idx, rel, starts)
         out = backbone.sa_stages[1](feats, plan)
 
-        perm = np.array([2, 0, 3, 1])
-        plan_shuffled = SAPlan(group_idx[:, perm], rel[:, perm])
+        perm = np.array([2, 0, 3, 1, 4, 6, 7, 5, 9, 8])  # within each group
+        plan_shuffled = SAPlan(group_idx[perm], rel[perm], starts)
         out_shuffled = backbone.sa_stages[1](feats, plan_shuffled)
         np.testing.assert_array_equal(out.data, out_shuffled.data)
 
@@ -401,7 +429,7 @@ class TestFeaturePropagation:
         src = rng.normal(size=(5, 3))
         feats = rng.normal(size=(5, 4))
         dst = np.vstack([src[2], [10.0, 0, 0]])
-        idx, w = interpolation_neighbors(src, dst)
+        idx, w = interpolation_neighbors(sq_dist_oracle(dst, src))
         mixed = (feats[idx] * w[..., None]).sum(axis=1)
         np.testing.assert_allclose(mixed[0], feats[2], atol=1e-5)
 
@@ -410,7 +438,7 @@ class TestFeaturePropagation:
         src = rng.normal(size=(6, 3))
         dst = rng.normal(size=(9, 3))
         feats = np.full((6, 4), 2.5)
-        idx, w = interpolation_neighbors(src, dst)
+        idx, w = interpolation_neighbors(sq_dist_oracle(dst, src))
         mixed = (feats[idx] * w[..., None]).sum(axis=1)
         np.testing.assert_allclose(mixed, 2.5, atol=1e-6)
 
@@ -419,7 +447,7 @@ class TestFeaturePropagation:
         src = rng.normal(size=(12, 3))
         dst = rng.normal(size=(20, 3))
         feats = rng.normal(size=(12, 5))
-        idx, w = interpolation_neighbors(src, dst)
+        idx, w = interpolation_neighbors(sq_dist_oracle(dst, src))
         mixed = (feats[idx] * w[..., None]).sum(axis=1)
 
         for j in range(20):
@@ -437,8 +465,8 @@ class TestFeaturePropagation:
         rng = np.random.default_rng(10)
         src_feats = T.tensor(rng.normal(size=(3, 4)), dtype=np.float64)
         skip = T.tensor(rng.normal(size=(5, 2)), dtype=np.float64)
-        idx, w = interpolation_neighbors(rng.normal(size=(3, 3)),
-                                         rng.normal(size=(5, 3)))
+        idx, w = interpolation_neighbors(
+            sq_dist_oracle(rng.normal(size=(5, 3)), rng.normal(size=(3, 3))))
         out = fp(src_feats, FPPlan(idx, w), skip)
         assert out.shape == (5, 4)
 
@@ -638,6 +666,7 @@ class TestEncodeDecode:
         for a, b in zip(p1.sa, p2.sa):
             np.testing.assert_array_equal(a.group_idx, b.group_idx)
             np.testing.assert_array_equal(a.geometry, b.geometry)
+            np.testing.assert_array_equal(a.starts, b.starts)
 
     def test_gradcheck_encode_decode(self):
         params = {}

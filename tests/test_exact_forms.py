@@ -5,7 +5,8 @@ intention add and lifting compute each first linear layer on distinct
 rows only (see the module docstrings). The oracles below are the forms
 that build the repeated rows and multiply them:
 
-- ``sa_call_oracle``: gather the member features, then concatenate;
+- ``sa_call_oracle``: every group padded to ``k_max`` rows, the member
+  features gathered, then concatenated;
 - ``encode_oracle``: the coordinates fed to the first stage as features;
 - ``fp_call_oracle``: interpolate, then concatenate the skip;
 - ``decode_oracle``: every FP stage on its concatenated rows;
@@ -27,6 +28,12 @@ gradient within ``TOL[dtype]`` times the largest gradient magnitude over
 all parameters and inputs. ``former_lift_stage`` is the lift stage as it
 was before it used ``nn.CrossAttention``; the lifting must equal it bit
 for bit.
+
+Set abstraction runs its MLP on each group's real members only.
+``padded_sa_call`` is the former stage, which padded every group to
+``k_max`` rows with copies of its first member and pooled with
+``max_reduce``; outputs must equal it bit for bit, and gradients (whose
+products sum other rows) lie within ``TOL``.
 """
 
 import sys
@@ -51,26 +58,60 @@ from affground.rng import rng_for
 from affground.train import load_model
 
 from conftest import TOY, TOY_MODEL_SETS
+from oracles import concat, max_reduce, padded_rows
 
 TOL = {np.float64: 1e-13, np.float32: 1e-5}
 DTYPES = [np.float64, np.float32]
 
 
-def sa_call_oracle(stage, feats, plan):
-    """SetAbstraction: gather member features, concatenate, run the MLP."""
-    m, k, _ = plan.geometry.shape
-    rel = T.Tensor(plan.geometry[:, :, :3].reshape(m * k, 3).astype(stage.dtype))
-    member = T.gather_rows(feats, plan.group_idx.reshape(-1))
-    encoded = stage.mlp(T.concat([rel, member], axis=1))
-    return T.max_reduce(encoded.reshape(m, k, stage.out_dim), axis=1)
+def pad_sa_plan(plan, k):
+    """The former (m, k) group indices and (m, k, g) geometry of a stage:
+    each group's members, then copies of its first member up to k."""
+    rows = padded_rows(plan.starts, len(plan.group_idx), k)
+    return plan.group_idx[rows], plan.geometry[rows]
+
+
+def padded_sa_call(stage, feats, plan, k):
+    """The former SetAbstraction: the exact form on groups padded to k."""
+    group_idx, geometry = pad_sa_plan(plan, k)
+    m, k, g = geometry.shape
+    first = stage.mlp.layers[0]
+    w_geo, w_feat = first.split(g)
+    h = T.matmul(T.Tensor(geometry.reshape(m * k, g).astype(stage.dtype)), w_geo)
+    if feats is not None:
+        h = h + T.gather_rows(T.matmul(feats, w_feat), group_idx.reshape(-1))
+    h = h + first.b
+    encoded = stage.mlp.after_first(h).reshape(m, k, stage.out_dim)
+    return max_reduce(encoded, axis=1)
+
+
+def sa_call_oracle(stage, feats, plan, k):
+    """SetAbstraction: pad the groups, gather member features, concatenate,
+    run the MLP."""
+    group_idx, geometry = pad_sa_plan(plan, k)
+    m, k, _ = geometry.shape
+    rel = T.Tensor(geometry[:, :, :3].reshape(m * k, 3).astype(stage.dtype))
+    member = T.gather_rows(feats, group_idx.reshape(-1))
+    encoded = stage.mlp(concat([rel, member], axis=1))
+    return max_reduce(encoded.reshape(m, k, stage.out_dim), axis=1)
+
+
+def padded_encode(backbone, plan):
+    """PointBackbone.encode with every stage on groups padded to k_max."""
+    feats = None
+    skips = [T.Tensor(plan.level_coords[0].astype(backbone.dtype))]
+    for stage, sa_plan, k in zip(backbone.sa_stages, plan.sa, backbone.k_max):
+        feats = padded_sa_call(stage, feats, sa_plan, k)
+        skips.append(feats)
+    return feats, skips[:-1]
 
 
 def encode_oracle(backbone, plan):
     """PointBackbone.encode with the coordinates as the first stage's features."""
     feats = T.Tensor(plan.level_coords[0].astype(backbone.dtype))
     skips = [feats]
-    for stage, sa_plan in zip(backbone.sa_stages, plan.sa):
-        feats = sa_call_oracle(stage, feats, sa_plan)
+    for stage, sa_plan, k in zip(backbone.sa_stages, plan.sa, backbone.k_max):
+        feats = sa_call_oracle(stage, feats, sa_plan, k)
         skips.append(feats)
     return feats, skips[:-1]
 
@@ -78,7 +119,7 @@ def encode_oracle(backbone, plan):
 def fp_call_oracle(fp, src_feats, plan, skip_feats):
     """FeaturePropagation: interpolate, concatenate the skip, run the MLP."""
     mixed = T.interpolate(src_feats, plan.nn_idx, plan.weights)
-    return fp.mlp(T.concat([mixed, skip_feats], axis=1))
+    return fp.mlp(concat([mixed, skip_feats], axis=1))
 
 
 def decode_oracle(backbone, bottleneck, skips, plan):
@@ -102,7 +143,7 @@ def repeat_rows_oracle(x, n):
 def fuse_full_res_oracle(fusion, full_res, descriptor):
     """Stage II: tile the descriptor, concatenate, run the layer."""
     tiled = repeat_rows_oracle(descriptor, full_res.shape[0])
-    return T.relu(fusion.fuse(T.concat([full_res, tiled], axis=1)))
+    return T.relu(fusion.fuse(concat([full_res, tiled], axis=1)))
 
 
 def point_to_intention_oracle(decoder, embedding):
@@ -154,7 +195,7 @@ def former_lift_all(lifting, embedding, scales):
 def concat_lift_oracle(lifting, embedding, scales):
     """``concat`` lifting: concatenate, then project."""
     pooled = T.tmean(scales[-1], axis=0, keepdims=True)
-    return lifting.concat_proj(T.concat([embedding, pooled], axis=1))
+    return lifting.concat_proj(concat([embedding, pooled], axis=1))
 
 
 def assert_within(got: dict, want: dict, tol: float):
@@ -191,39 +232,63 @@ def leaf(rng, shape, dtype):
 
 
 def real_plan(d, dtype):
-    """A backbone and the plan of a cloud whose groups are padded."""
+    """A backbone and the plan of a cloud whose groups are short of k_max."""
     params = {}
     backbone = PointBackbone(params, "backbone", rng_for(0, "init"), d=d,
                              stage_points=[64, 16, 4], k_max=[8, 8, 8],
                              dtype=dtype)
     coords = normalize_unit_sphere(np.random.default_rng(41).normal(size=(160, 3)))
-    return params, backbone, backbone.build_plan(coords)
+    plan = backbone.build_plan(coords)
+    for sa in plan.sa:
+        assert len(sa.group_idx) < 8 * len(sa.starts)
+    return params, backbone, plan
 
 
 def stage_params(params, prefix):
     return {k: v for k, v in params.items() if k.startswith(prefix + ".")}
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("i", [0, 1, 2])
-def test_set_abstraction_matches_gather_concat(i, dtype):
+def check_stage(i, dtype, oracle):
+    """SA stage i against ``oracle(stage, feats, plan, k)``: returns the
+    outputs and gradients of both."""
     params, backbone, plan = real_plan(16, dtype)
-    stage = backbone.sa_stages[i]
+    stage, k = backbone.sa_stages[i], backbone.k_max[i]
     sa_params = stage_params(params, f"backbone.sa{i + 1}")
     if i == 0:
         # the first stage's features are the constant coordinates, which
-        # it reads from its plan's (m*k, 6) member rows
+        # it reads from its plan's (rows, 6) member rows; the oracle
+        # gathers them from the coordinates
         coords = T.Tensor(plan.level_coords[0].astype(dtype))
-        check_against_oracle(lambda: stage(None, plan.sa[0]),
-                             lambda: sa_call_oracle(stage, coords, plan.sa[0]),
-                             {}, sa_params, dtype, i)
-        return
+        got = run(lambda: stage(None, plan.sa[0]), {}, sa_params, i)
+        want = run(lambda: oracle(stage, coords, plan.sa[0], k), {}, sa_params, i)
+        return got, want
     in_dim = stage.mlp.layers[0].w.shape[0] - 3
     rng = np.random.default_rng(42 + i)
-    feats = leaf(rng, (len(plan.level_coords[i]), in_dim), dtype)
-    check_against_oracle(lambda f: stage(f, plan.sa[i]),
-                         lambda f: sa_call_oracle(stage, f, plan.sa[i]),
-                         {"feats": feats}, sa_params, dtype, i)
+    inputs = {"feats": leaf(rng, (len(plan.level_coords[i]), in_dim), dtype)}
+    got = run(lambda f: stage(f, plan.sa[i]), inputs, sa_params, i)
+    want = run(lambda f: oracle(stage, f, plan.sa[i], k), inputs, sa_params, i)
+    return got, want
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_set_abstraction_matches_gather_concat(i, dtype):
+    (out, grads), (want_out, want_grads) = check_stage(i, dtype, sa_call_oracle)
+    assert_within({"out": out}, {"out": want_out}, TOL[dtype])
+    assert_within(grads, want_grads, TOL[dtype])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_set_abstraction_equals_the_padded_groups(i, dtype):
+    def padded(stage, feats, plan, k):
+        # the first stage reads its features from the geometry as well
+        return padded_sa_call(stage, None if i == 0 else feats, plan, k)
+
+    (out, grads), (want_out, want_grads) = check_stage(i, dtype, padded)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, want_out)
+    assert_within(grads, want_grads, TOL[dtype])
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -372,37 +437,51 @@ def patch_in_oracles(m):
     m.setattr(AffordanceDecoder, "predict_map", predict_map_oracle)
 
 
+def accumulated(config, dtype):
+    """Losses and scores of the toy samples, and the summed gradients."""
+    model = AffordanceModel(config, dtype=dtype)
+    outputs = {}
+    for j, (cloud, hidden) in enumerate(toy_samples()):
+        result = model.forward(cloud, hidden)
+        total, _, _ = model.loss(result, cloud, hidden)
+        T.backward(total)
+        outputs[f"loss{j}"] = total.data.copy()
+        outputs[f"scores{j}"] = result.scores.data.copy()
+    # with Stage II off its parameters get no gradient in either form
+    return outputs, {k: p.grad for k, p in model.params.items()
+                     if p.grad is not None}
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("stage2", [True, False], ids=["stage2", "no_stage2"])
 def test_model_matches_the_repeated_row_forms(stage2, dtype, monkeypatch):
-    samples = toy_samples()
     config = RunConfig(model=ModelConfig(**TOY),
                        fusion=FusionConfig(stage2=stage2))
-
-    def accumulated():
-        model = AffordanceModel(config, dtype=dtype)
-        outputs = {}
-        for j, (cloud, hidden) in enumerate(samples):
-            result = model.forward(cloud, hidden)
-            total, _, _ = model.loss(result, cloud, hidden)
-            T.backward(total)
-            outputs[f"loss{j}"] = total.data.copy()
-            outputs[f"scores{j}"] = result.scores.data.copy()
-        # with Stage II off its parameters get no gradient in either form
-        return outputs, {k: p.grad for k, p in model.params.items()
-                         if p.grad is not None}
-
-    outputs, grads = accumulated()
+    outputs, grads = accumulated(config, dtype)
     with monkeypatch.context() as m:
         patch_in_oracles(m)
-        want_outputs, want_grads = accumulated()
+        want_outputs, want_grads = accumulated(config, dtype)
     for name in outputs:
         assert_within({name: outputs[name]}, {name: want_outputs[name]}, TOL[dtype])
     assert_within(grads, want_grads, TOL[dtype])
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_model_equals_the_padded_groups(dtype, monkeypatch):
+    config = RunConfig(model=ModelConfig(**TOY))
+    outputs, grads = accumulated(config, dtype)
+    with monkeypatch.context() as m:
+        m.setattr(PointBackbone, "encode", padded_encode)
+        want_outputs, want_grads = accumulated(config, dtype)
+    for name, want in want_outputs.items():
+        assert outputs[name].dtype == dtype
+        np.testing.assert_array_equal(outputs[name], want, err_msg=name)
+    assert_within(grads, want_grads, TOL[dtype])
+
+
 def test_forward_multiplies_fewer_rows(monkeypatch):
-    """The model's forward does fewer multiply-adds than the oracle forms."""
+    """The model's forward does fewer multiply-adds than the oracle forms:
+    the SA MLPs run on real member rows, not on groups padded to k_max."""
     cloud, hidden = toy_samples()[0]
     model = AffordanceModel(RunConfig(model=ModelConfig(**TOY)))
     plan = model.build_plan(cloud)
@@ -427,8 +506,19 @@ def test_forward_multiplies_fewer_rows(monkeypatch):
     for name in patched:
         monkeypatch.setattr(f"{name}.matmul", counting)
     new = forward_macs()
+    monkeypatch.setattr(PointBackbone, "encode", padded_encode)
+    padded = forward_macs()
+    # both SA layers skip the padded rows: the first on its g geometry
+    # columns, the second on its whole input
+    saved = 0
+    for stage, sa, k in zip(model.backbone.sa_stages, plan.sa,
+                            model.backbone.k_max):
+        _, second = stage.mlp.layers
+        g, (width, out) = sa.geometry.shape[1], second.w.shape
+        saved += (k * len(sa.starts) - len(sa.group_idx)) * (g + out) * width
+    assert saved > 0 and padded - new == saved
     patch_in_oracles(monkeypatch)
-    assert new < forward_macs()
+    assert padded < forward_macs()
 
 
 def test_pca_viz_matches_the_unfolded_features(tmp_path, monkeypatch):
@@ -447,9 +537,16 @@ def test_pca_viz_matches_the_unfolded_features(tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
     model, _, _ = load_model(run / "checkpoint")
     cloud, hidden = dataset.load_cloud(record), dataset.load_hidden(record)
+    written = read_tensor(out)
+    with monkeypatch.context() as m:
+        m.setattr(PointBackbone, "encode", padded_encode)
+        with T.no_grad():
+            fused, _ = model.integrate(hidden, model.build_plan(cloud))
+    padded = pca_project(fused.data, k=3).projection.astype(np.float32)
+    np.testing.assert_array_equal(written, padded)
     patch_in_oracles(monkeypatch)
     with T.no_grad():
         fused, _ = model.integrate(hidden, model.build_plan(cloud))
     want = pca_project(fused.data, k=3).projection.astype(np.float32)
-    assert_within({"projection": read_tensor(out)}, {"projection": want},
+    assert_within({"projection": written}, {"projection": want},
                   TOL[np.float32])

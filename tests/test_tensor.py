@@ -1,7 +1,10 @@
 """Tensor engine: primitives, tape, backward, AdamW, schedules."""
 
+import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from affground.errors import ContractError, NumericError, ShapeError
 from affground.gradcheck import finite_difference_check, finite_difference_check_params
 from affground.model import AffordanceModel
 from affground.optim import AdamW, adamw_step, linear_lr
+
+from oracles import concat, max_reduce, padded_rows
 
 
 class TestMatmul:
@@ -52,6 +57,39 @@ class TestMatmul:
             lambda: (a @ bb).sum(), {"b": (bb := T.tensor(b.data, requires_grad=True,
                                                           dtype=np.float64))})
         assert err_b["b"] <= 1e-6
+
+    @pytest.mark.parametrize("rows", [1, 7, 256, 257, 1900])
+    def test_weight_gradient_sums_blocks_of_rows(self, rows):
+        rng = np.random.default_rng(rows)
+        a = rng.normal(size=(rows, 5)).astype(np.float32)
+        g = rng.normal(size=(rows, 3)).astype(np.float32)
+        got = T._sum_over_rows(a, g)
+        if rows <= 256:
+            assert got.tobytes() == (a.T @ g).tobytes()
+        want = sum(a[i:i + 256].T.astype(np.float64) @ g[i:i + 256]
+                   for i in range(0, rows, 256))
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    def test_weight_gradient_bytes_do_not_depend_on_blas_threads(self):
+        # 1900 rows: a plain OpenBLAS product of this length sums its
+        # blocks differently on one thread and on two
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from affground import tensor as T\n"
+            "rng = np.random.default_rng(0)\n"
+            "a = T.tensor(rng.normal(size=(1900, 128)), dtype=np.float32)\n"
+            "w = T.tensor(rng.normal(size=(128, 96)), requires_grad=True,\n"
+            "             dtype=np.float32)\n"
+            "c = T.tensor(rng.normal(size=(1900, 96)), dtype=np.float32)\n"
+            "T.backward((T.matmul(a, w) * c).sum())\n"
+            "sys.stdout.buffer.write(w.grad.tobytes())\n")
+        src = str(Path(T.__file__).resolve().parent.parent)
+        grads = [subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n,
+                 "OMP_NUM_THREADS": n}).stdout for n in ("1", "2")]
+        assert len(grads[0]) == 128 * 96 * 4 and grads[0] == grads[1]
 
 
 class TestSoftmax:
@@ -226,11 +264,30 @@ class TestPrimitiveGradients:
     def test_sum_keepdims(self):
         self._check(lambda x: (x * x.sum(axis=1, keepdims=True)).sum())
 
+    # max_reduce and concat are the oracles' own: check them as well
+
     def test_max_reduce(self):
-        self._check(lambda x: T.max_reduce(x, axis=1).sum(), seed=11)
+        self._check(lambda x: max_reduce(x, axis=1).sum(), seed=11)
 
     def test_max_reduce_3d(self):
-        self._check(lambda x: T.max_reduce(x, axis=1).sum(), shape=(2, 3, 4))
+        self._check(lambda x: max_reduce(x, axis=1).sum(), shape=(2, 3, 4))
+
+    def test_segment_max_on_segments_of_one_row(self):
+        c = T.tensor(np.random.default_rng(3).normal(size=(3, 4)), dtype=np.float64)
+        self._check(lambda x: (T.segment_max(x, np.arange(3)) * c).sum(), seed=12)
+
+    def test_segment_max_on_uneven_segments(self):
+        c = T.tensor(np.random.default_rng(4).normal(size=(3, 4)), dtype=np.float64)
+        self._check(lambda x: (T.segment_max(x, [0, 1, 4]) * c).sum(),
+                    shape=(6, 4), seed=13)
+
+    def test_segment_max_on_tied_maxima(self):
+        # repeated rows, as a group that holds one member twice: every copy
+        # moves with its source, so the maxima stay tied under perturbation
+        idx = np.array([0, 1, 0, 2, 2, 3, 0, 3])
+        c = T.tensor(np.random.default_rng(5).normal(size=(3, 4)), dtype=np.float64)
+        self._check(lambda x: (T.segment_max(T.gather_rows(x, idx), [0, 3, 5])
+                               * c).sum(), shape=(4, 4), seed=14)
 
     def test_reshape(self):
         self._check(lambda x: (x.reshape(2, 6) ** 2.0).sum())
@@ -241,7 +298,7 @@ class TestPrimitiveGradients:
 
     def test_concat(self):
         c = T.tensor(np.ones((3, 2)), dtype=np.float64)
-        self._check(lambda x: (T.concat([x, c], axis=1) ** 2.0).sum())
+        self._check(lambda x: (concat([x, c], axis=1) ** 2.0).sum())
 
     def test_gather_rows_with_duplicates(self):
         idx = np.array([0, 2, 2, 1])
@@ -474,6 +531,15 @@ def former_max_reduce(x, axis, keepdims=False):
     return T._node(out, (x,), backward, "max")
 
 
+def former_segment_max(x, starts):
+    """segment_max as the former padded pool: every segment padded to the
+    longest with copies of its first row, then ``former_max_reduce``."""
+    longest = int(np.diff(starts, append=x.shape[0]).max())
+    rows = padded_rows(starts, x.shape[0], longest)
+    padded = T.gather_rows(x, rows.reshape(-1))
+    return former_max_reduce(padded.reshape(rows.shape + x.shape[1:]), axis=1)
+
+
 def former_matmul(a, b):
     """The former matmul: every backward product as a GEMM, K=1 included."""
     def backward(g):
@@ -495,8 +561,9 @@ def signed_zeros_and_negatives(rng, shape, dtype):
 
 
 class TestFormerRules:
-    """relu, max_reduce and matmul's backward equal their former numpy
-    forms byte for byte; the former forms stay here as oracles."""
+    """relu, segment_max, the oracles' max_reduce and matmul's backward
+    equal their former numpy forms byte for byte; the former forms stay
+    here as oracles."""
 
     DTYPES = [np.float32, np.float64]
 
@@ -534,7 +601,7 @@ class TestFormerRules:
         out_shape = np.zeros_like(data).max(axis=axis, keepdims=keepdims).shape
         g = T.tensor(rng.normal(size=out_shape).astype(dtype))
         grads = []
-        for rule in (former_max_reduce, T.max_reduce):
+        for rule in (former_max_reduce, max_reduce):
             x = T.tensor(data.copy(), requires_grad=True)
             out = rule(x, axis, keepdims=keepdims)
             T.backward((out * g).sum())
@@ -543,6 +610,40 @@ class TestFormerRules:
         assert got_out.shape == want_out.shape
         assert got_out.tobytes() == want_out.tobytes()
         assert got_grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_segment_max_equals_former_max_reduce(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        m, k, c = 6, 5, 7
+        # few distinct values, so most maxima are tied, zeros of both signs
+        data = rng.integers(-2, 3, size=(m, k, c)).astype(dtype) * 0.5
+        data[(data == 0) & (rng.random(data.shape) < 0.5)] = -0.0
+        # padded groups: members past the third repeat the first
+        data[:, 3:] = data[:, :1]
+        g = rng.normal(size=(m, c)).astype(dtype)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        want_x = T.tensor(data.copy(), requires_grad=True)
+        want = former_max_reduce(want_x, axis=1)
+        T.backward((want * T.tensor(g)).sum())
+        got_x = T.tensor(data.reshape(m * k, c), requires_grad=True)
+        got = T.segment_max(got_x, np.arange(m) * k)
+        T.backward((got * T.tensor(g)).sum())
+        assert np.signbit(want.data).any() and not np.signbit(want.data).all()
+        assert got.data.dtype == dtype
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got_x.grad.tobytes() == want_x.grad.reshape(m * k, c).tobytes()
+
+    def test_segment_max_nan_goes_to_the_first_row(self):
+        data = np.array([[1.0, 5.0], [np.nan, 2.0], [3.0, np.nan],
+                         [4.0, 0.5], [np.nan, -1.0]])
+        x = T.tensor(data, requires_grad=True, dtype=np.float64)
+        out = T.segment_max(x, [0, 3])
+        T.backward(out.sum())
+        assert np.isnan(out.data).tolist() == [[True, True], [True, False]]
+        np.testing.assert_array_equal(out.data[1, 1], 0.5)
+        np.testing.assert_array_equal(
+            x.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("a_shape, b_shape", [
         ((1, 5), (5, 4)), ((6, 5), (5, 1)), ((1, 5), (5, 1)), ((6, 5), (5, 4)),
@@ -574,9 +675,9 @@ class TestFormerRules:
 
 
 def _patch_former_rules(monkeypatch):
-    """Put the former relu, max_reduce and matmul in every affground module
+    """Put the former relu, max pool and matmul in every affground module
     that imported the current ones."""
-    for name, former in (("relu", former_relu), ("max_reduce", former_max_reduce),
+    for name, former in (("relu", former_relu), ("segment_max", former_segment_max),
                          ("matmul", former_matmul)):
         current = getattr(T, name)
         for module_name, module in list(sys.modules.items()):
@@ -605,6 +706,7 @@ def test_toy_model_gradients_equal_the_former_rules(tmp_path, monkeypatch):
     got_grads, got_scores = run()
     _patch_former_rules(monkeypatch)
     assert T.matmul is former_matmul
+    assert sys.modules["affground.backbone"].segment_max is former_segment_max
     want_grads, want_scores = run()
     assert got_grads.keys() == want_grads.keys()
     for name, want in want_grads.items():
@@ -676,7 +778,7 @@ class TestAccumulateOwnsItsBuffer:
         # both halves of one upstream buffer land in the same gradient
         x = T.tensor([[1.0, -2.0]], requires_grad=True)
         c = T.tensor([[3.0, 0.5, -1.0, 4.0]])
-        loss = (T.concat([x, x], axis=1) * c).sum()
+        loss = (concat([x, x], axis=1) * c).sum()
         tensors = T.Tape.trace(loss).nodes
         T.backward(loss)
         np.testing.assert_array_equal(x.grad, [[2.0, 4.5]])

@@ -498,8 +498,8 @@ def test_damaged_optimizer_state_fails_resume_as_checkpoint_error(
 @pytest.mark.parametrize("name", ["backbone.sa1.0.w", "fusion.fuse.w"])
 def test_nan_pre_activation_ends_as_training_diverged(
         tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left, name):
-    # relu passes a NaN pre-activation through and max_reduce keeps it, so
-    # the NaN must still stop training before any update
+    # relu passes a NaN pre-activation through and segment_max keeps it,
+    # so the NaN must still stop training before any update
     models = []
 
     class PoisonedModel(AffordanceModel):
