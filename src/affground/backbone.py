@@ -7,6 +7,8 @@ interpolation plus skip connection and a unit MLP) back to full
 resolution. FP1 and FP2 end in a linear layer; FP3 is one linear layer
 followed by a ReLU, because the next thing on the point path (the
 Stage II fuse, or the decoder head with Stage II off) is itself linear.
+Every first layer is one :func:`~affground.tensor.linear` node that ends
+in its ReLU (FP3's being the one after its only layer).
 ``decode`` returns that full-resolution map together with the three
 coarser feature scales lifting attends over: the bottleneck and the first
 two FP outputs, coarse to fine. All geometry (sampling
@@ -21,7 +23,9 @@ in exact algebra equal to concatenating the inputs and projecting:
   ``geometry @ W + b``, with the plan's constant (rows, 6) member rows
   ``[rel, coords[group_idx]]``;
 - SA2, SA3: ``rel @ W[:3] + gather_rows(feats @ W[3:], group_idx) + b``;
-- FP: ``interpolate(src @ W[:d_src], nn_idx, w) + skip @ W[d_src:] + b``.
+- FP: ``skip @ W[d_src:] + interpolate(src @ W[:d_src], nn_idx, w) + b``.
+
+Each sum is added left to right into the first product's buffer.
 
 ``W[a:b]`` is a :func:`~affground.tensor.slice_rows` view, so parameter
 names, shapes and checkpoints are those of the concatenated layer.
@@ -49,7 +53,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .nn import make_mlp
-from .tensor import Tensor, gather_rows, interpolate, matmul, relu, segment_max
+from .tensor import Tensor, gather_rows, interpolate, linear, matmul, segment_max
 
 EPS_INTERP = 1e-8
 
@@ -227,9 +231,10 @@ class SetAbstraction:
     The shared MLP's first layer sees ``[geometry, feats[group]]`` per
     member, where ``geometry`` holds the plan's constant columns. With
     ``W = [W_geo; W_feat]`` its pre-activation is computed as
-    ``geometry @ W_geo + gather(feats @ W_feat) + b``: each point's
-    features are projected once, and only the geometry columns run on the
-    member rows. The MLP runs on real members only, and
+    ``geometry @ W_geo + gather(feats @ W_feat) + b``, with its ReLU, in
+    the buffer of ``geometry @ W_geo``: each point's features are
+    projected once, and only the geometry columns run on the member rows.
+    The MLP runs on real members only, and
     :func:`~affground.tensor.segment_max` pools each group's rows.
     ``feats`` is None when the geometry is the whole input (the first
     stage, whose features are the coordinates).
@@ -244,10 +249,11 @@ class SetAbstraction:
         geometry = Tensor(plan.geometry.astype(self.dtype))
         first = self.mlp.layers[0]
         w_geo, w_feat = first.split(plan.geometry.shape[1])
-        h = matmul(geometry, w_geo)
+        addends = (first.b,)
         if feats is not None:
-            h = h + gather_rows(matmul(feats, w_feat), plan.group_idx)
-        h = h + first.b
+            addends = (gather_rows(matmul(feats, w_feat), plan.group_idx),
+                       first.b)
+        h = linear(geometry, w_geo, addends, relu=True)
         return segment_max(self.mlp.after_first(h), plan.starts)
 
 
@@ -259,9 +265,11 @@ class FeaturePropagation:
     features of that level are appended on the right, and a unit MLP of
     the given ``widths`` maps the result to ``widths[-1]`` channels.
     Interpolation is linear, so with ``W = [W_src; W_skip]`` the first
-    layer is computed as ``interpolate(src @ W_src) + skip @ W_skip + b``:
-    the source half runs on the coarse rows, not on every destination row.
-    The MLP's last layer has no activation.
+    layer is computed as ``skip @ W_skip + interpolate(src @ W_src) + b``,
+    with its ReLU, in the buffer of ``skip @ W_skip``: the source half runs
+    on the coarse rows, not on every destination row. The first layer
+    always ends in a ReLU: between layers, or, in a one-layer MLP (FP3),
+    on the output. A longer MLP's last layer has no activation.
     """
 
     def __init__(self, params, prefix, rng, widths, dtype=np.float32):
@@ -271,9 +279,9 @@ class FeaturePropagation:
                  skip_feats: Tensor) -> Tensor:
         first = self.mlp.layers[0]
         w_src, w_skip = first.split(src_feats.shape[1])
-        h = (interpolate(matmul(src_feats, w_src), plan.nn_idx, plan.weights)
-             + matmul(skip_feats, w_skip) + first.b)
-        return self.mlp.after_first(h)
+        mixed = interpolate(matmul(src_feats, w_src), plan.nn_idx, plan.weights)
+        return self.mlp.after_first(
+            linear(skip_feats, w_skip, (mixed, first.b), relu=True))
 
 
 class PointBackbone:
@@ -362,7 +370,7 @@ class PointBackbone:
     def decode(self, bottleneck: Tensor, skips, plan: BackbonePlan):
         """Run the FP stack; returns (full_res, scales).
 
-        ``full_res`` is ``relu`` of FP3's (N, d) output. ``scales`` is the
+        ``full_res`` is FP3's (N, d) output, after its ReLU. ``scales`` is the
         bottleneck and the first two FP outputs, coarse to fine: the three
         feature tensors that lifting attends over.
         """
@@ -373,4 +381,4 @@ class PointBackbone:
         scales = [bottleneck]
         for fp, fp_plan, skip in zip(self.fp_stages, plan.fp, reversed(skips)):
             scales.append(fp(scales[-1], fp_plan, skip))
-        return relu(scales.pop()), scales
+        return scales.pop(), scales

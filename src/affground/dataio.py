@@ -62,8 +62,11 @@ def write_tensor(path, array: np.ndarray):
     code = _CODES_BY_KIND[base]
     header = MAGIC + struct.pack("<BBBB", VERSION, code, arr.ndim, 0)
     dims = struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    payload = arr.astype(_DTYPE_CODES[code], copy=False).tobytes(order="C")
-    Path(path).write_bytes(header + dims + payload)
+    # the array's own buffer where it is little-endian and row-major
+    payload = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
+    with open(path, "wb") as f:
+        f.write(header + dims)
+        f.write(payload.data)
 
 
 def read_tensor(path) -> np.ndarray:

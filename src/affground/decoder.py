@@ -10,9 +10,10 @@ The head's first layer is linear, so the broadcast add moves into its
 bias, and the value projection times that layer's weight is one (d, d/2)
 matrix, which ``v`` learns directly:
 :meth:`AffordanceDecoder.point_to_intention` returns the (1, d/2) row
-``v(e) + b_head.0``, and :meth:`AffordanceDecoder.predict_map` adds it to
-``feats @ W_head.0`` for that layer's pre-activation, so the (N, d) sum is
-never formed.
+``v(e) + b_head.0``, and :meth:`AffordanceDecoder.predict_map` adds it and
+the ReLU into the buffer of ``feats @ W_head.0`` (one
+:func:`~affground.tensor.linear` node), so the (N, d) sum is never
+formed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .nn import make_linear, make_mlp
-from .tensor import Tensor, matmul, sigmoid
+from .tensor import Tensor, linear, sigmoid
 
 
 class AffordanceDecoder:
@@ -35,16 +36,16 @@ class AffordanceDecoder:
         """The (1, d/2) row ``v(embedding) + b_head.0``."""
         if embedding.shape != (1, self.d):
             raise ShapeError(f"expected (1, {self.d}), got {embedding.shape}")
-        return self.wv(embedding) + self.head.layers[0].b
+        return linear(embedding, self.wv.w, (self.head.layers[0].b,))
 
     def predict_map(self, point_feats: Tensor, row: Tensor) -> Tensor:
         """(N, d) point features and :meth:`point_to_intention`'s row ->
         (N, 1) scores strictly inside (0, 1).
 
-        ``point_feats @ W_head.0 + row`` is the head's first pre-activation
-        of every point with the value-projected embedding added.
+        ``relu(point_feats @ W_head.0 + row)`` is the head's first
+        activation of every point with the value-projected embedding added.
         """
         if point_feats.shape[1] != self.d:
             raise ShapeError(f"expected (N, {self.d}), got {point_feats.shape}")
-        first = self.head.layers[0]
-        return sigmoid(self.head.after_first(matmul(point_feats, first.w) + row))
+        first = linear(point_feats, self.head.layers[0].w, (row,), relu=True)
+        return sigmoid(self.head.after_first(first))

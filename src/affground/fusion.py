@@ -6,7 +6,9 @@ Stage II: a gated weighted sum over tokens forms one global descriptor,
 and one linear layer with a ReLU mixes each full-resolution row with it.
 The concatenation ``[full_res, descriptor]`` times ``W`` is computed as
 ``full_res @ W[:d] + (descriptor @ W[d:] + b)``: the descriptor's (1, d)
-projection is broadcast over the rows, never tiled.
+projection is broadcast over the rows, never tiled, and it and the ReLU
+go into the buffer of ``full_res @ W[:d]`` (one
+:func:`~affground.tensor.linear` node).
 ``AffordanceModel.forward`` runs the stages around the backbone, and
 ``fusion.stage1``/``fusion.stage2`` switch each off for ablations; a stage
 that is off builds no weights.
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .nn import CrossAttention, make_linear
-from .tensor import Tensor, matmul, relu, softmax_lastdim, transpose
+from .tensor import Tensor, linear, matmul, softmax_lastdim, transpose
 
 
 class FusionModule:
@@ -53,5 +55,5 @@ class FusionModule:
                 f"fuse expects (N, {self.d}) and (1, {self.d}), got "
                 f"{full_res.shape} and {descriptor.shape}")
         w_row, w_desc = self.fuse.split(self.d)
-        return relu(matmul(full_res, w_row)
-                    + (matmul(descriptor, w_desc) + self.fuse.b))
+        shift = linear(descriptor, w_desc, (self.fuse.b,))
+        return linear(full_res, w_row, (shift,), relu=True)

@@ -119,6 +119,7 @@ def _primitive_checks(tol) -> list:
     c14 = _const((1, 4), 101)
     c43 = _const((4, 3), 102)
     c25 = _const((2, 5), 103)
+    c13 = _const((1, 3), 104)
     gather_idx = np.array([0, 2, 2, 1])
     # segments of one, three and one rows
     seg_starts = np.array([0, 1, 4])
@@ -134,7 +135,6 @@ def _primitive_checks(tol) -> list:
         ("div", (3, 4), lambda x: (1.0 / x).sum(), True),
         ("matmul", (3, 4), lambda x: (x @ c43).sum(), False),
         ("power", (3, 4), lambda x: (x ** 3.0).sum(), True),
-        ("relu", (3, 4), lambda x: T.relu(x).sum(), False),
         ("sigmoid", (3, 4), lambda x: T.sigmoid(x).sum(), False),
         ("exp", (3, 4), lambda x: T.exp(x).sum(), False),
         ("log", (3, 4), lambda x: T.log(x).sum(), True),
@@ -156,6 +156,14 @@ def _primitive_checks(tol) -> list:
          False),
         ("slice_cols", (3, 4), lambda x: (T.slice_cols(x, 1, 3) ** 2.0).sum(),
          False),
+        ("linear", (3, 4), lambda x: (T.linear(x, c43, (c13,)) ** 2.0).sum(),
+         False),
+        ("linear_relu", (3, 4),
+         lambda x: (T.linear(x, c43, (c13,), relu=True) ** 2.0).sum(), False),
+        ("linear_broadcast_bias", (1, 3),
+         lambda x: (T.linear(c34, c43, (x,), relu=True) ** 2.0).sum(), False),
+        ("linear_two_addends", (3, 3),
+         lambda x: (T.linear(c34, c43, (x, c13), relu=True) ** 2.0).sum(), False),
     ]
     for i, (name, shape, fn, positive) in enumerate(cases):
         data = _rand(shape, 200 + i)

@@ -12,7 +12,8 @@ Each mode builds only the weights it uses:
 - ``single``: one stage (``stage1``) on the finest scale.
 - ``concat``: no stages; mean-pool the finest scale and project
   ``[embedding, pooled]`` back to width d (``concat``), computed as
-  ``embedding @ W[:d] + pooled @ W[d:] + b``.
+  ``embedding @ W[:d] + pooled @ W[d:] + b``, the sum added into the
+  first product's buffer (one :func:`~affground.tensor.linear` node).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .nn import CrossAttention, make_linear, make_mlp
-from .tensor import Tensor, matmul, tmean
+from .tensor import Tensor, linear, matmul, tmean
 
 LIFT_MODES = ("multi", "single", "concat")
 N_SCALES = 3  # the backbone yields three feature scales
@@ -65,8 +66,8 @@ class GeometryLifting:
         if self.concat_proj is not None:
             w_embedding, w_pooled = self.concat_proj.split(self.d)
             pooled = tmean(scales[-1], axis=0, keepdims=True)
-            return (matmul(embedding, w_embedding) + matmul(pooled, w_pooled)
-                    + self.concat_proj.b)
+            return linear(embedding, w_embedding,
+                          (matmul(pooled, w_pooled), self.concat_proj.b))
         out = embedding
         for stage, feats in zip(self.stages, scales[-len(self.stages):]):
             out = stage(out, feats)

@@ -12,7 +12,10 @@ neither stage reads it; ``lifting.mode`` picks the lifting.
 On the full-resolution point path every linear layer is followed by a
 ReLU before the next one: FP3 (one layer), the Stage II fuse (one layer)
 and the decoder head's first layer, whose bias carries the broadcast
-intention add. Stage I learns ``W_q @ W_k.T`` and ``W_v @ W_o``, each
+intention add. Each layer, here and in every MLP, is one
+:func:`~affground.tensor.linear` node: its bias, other addends and ReLU
+are written into the product's buffer, so the graph keeps one buffer per
+layer. Stage I learns ``W_q @ W_k.T`` and ``W_v @ W_o``, each
 lift stage ``W_q @ W_k.T``, and the decoder ``W_v @ W_head.0``, each as
 one matrix. Two learned matrices are known to still meet only in a
 product, and are left so because folding them would make the last lift
@@ -50,13 +53,16 @@ class ForwardResult:
 class AffordanceModel:
     """Owns every trainable tensor and runs the per-sample forward pass."""
 
-    def __init__(self, config: RunConfig, dtype=np.float32):
+    def __init__(self, config: RunConfig, dtype=np.float32, rng=None):
+        """``rng`` draws the initial weights; by default it is the seed's
+        ``init`` stream."""
         config.validate()
         self.config = config
         m = config.model
         self.dtype = dtype
         self.params: dict[str, Tensor] = {}
-        rng = rng_for(config.seed, "init")
+        if rng is None:
+            rng = rng_for(config.seed, "init")
         self.backbone = PointBackbone(
             self.params, "backbone", rng, d=m.d,
             stage_points=m.resolved_stage_points(), radii=m.radii,

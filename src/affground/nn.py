@@ -2,7 +2,9 @@
 
 Modules register their tensors into a shared flat ``dict[str, Tensor]``
 under dotted names so the trainer, optimizer, and checkpoint code all see
-one namespace.
+one namespace. Every layer is one :func:`~affground.tensor.linear` node
+on its product: the bias, and in an :class:`MLP` the ReLU after every
+layer but the last, are written into the product's buffer.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, matmul, relu, slice_rows, softmax_lastdim, transpose
+from .tensor import Tensor, linear, matmul, slice_rows, softmax_lastdim, transpose
 
 
 # variance-preserving for linear chains; there is no normalization layer
@@ -25,17 +27,15 @@ def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 class Linear:
-    """y = x @ w (+ b), with x shaped (rows, fan_in)."""
+    """y = x @ w (+ b), with x shaped (rows, fan_in), and ``relu(y)`` with
+    ``relu``: one :func:`~affground.tensor.linear` node on the product."""
 
     def __init__(self, w: Tensor, b: Tensor | None = None):
         self.w = w
         self.b = b
 
-    def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.w)
-        if self.b is not None:
-            y = y + self.b
-        return y
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return linear(x, self.w, () if self.b is None else (self.b,), relu)
 
     def split(self, at: int):
         """Weight rows ``[:at]`` and ``[at:]`` as views that pass gradients back.
@@ -68,12 +68,13 @@ class MLP:
         self.layers = list(layers)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.after_first(self.layers[0](x))
+        return self.after_first(self.layers[0](x, relu=len(self.layers) > 1))
 
     def after_first(self, h: Tensor) -> Tensor:
-        """The rest of the stack, given the first layer's pre-activation."""
-        for layer in self.layers[1:]:
-            h = layer(relu(h))
+        """The rest of the stack, given the first layer's activation."""
+        rest = self.layers[1:]
+        for i, layer in enumerate(rest, 1):
+            h = layer(h, relu=i < len(rest))
         return h
 
 

@@ -20,6 +20,13 @@ copied. Interior gradients are scratch for one walk: :func:`backward`
 drops each one as soon as its rule has run, so a walk holds only the
 gradients still waiting for their rule, and only leaves keep theirs.
 
+Product buffers: no backward rule reads a :func:`matmul` node's output
+(``matmul``'s own reads only its operands), and only :func:`linear`
+writes into one: the product it made itself, which nothing else
+consumes. So a layer's bias, its other addends and its ReLU go into that
+buffer in place, and a layer keeps one output buffer alive until
+backward.
+
 A finished graph may be handed to another thread, which walks it, but
 two threads never touch one graph at once. Graphs that are built and
 walked at the same time share only leaves: building reads their data,
@@ -327,6 +334,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data, (a, b), backward, "matmul")
 
 
+def linear(x: Tensor, w: Tensor, addends=(), relu: bool = False) -> Tensor:
+    """``x @ w`` plus each addend, left to right, then ``max(., 0)`` with
+    ``relu``, all in the product's own buffer.
+
+    The product is an ordinary :func:`matmul` node, and this node writes
+    into its output: the bytes are those of ``matmul``, one :func:`add`
+    per addend and a ReLU (-0.0 becomes +0.0, NaN stays NaN), but the
+    graph keeps one buffer instead of one per step. The backward masks
+    the gradient by ``out > 0`` in place, hands it to the product, and
+    gives each addend its broadcast-reduced share. Each addend must have
+    the product's dtype and broadcast to its shape. With no addend and no
+    ReLU this is the product alone.
+    """
+    product = matmul(x, w)
+    if not addends and not relu:
+        return product
+    out = product.data
+    for a in addends:
+        _check_dtypes(product, a, "linear")
+        try:
+            fits = np.broadcast_shapes(a.shape, out.shape) == out.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError(
+                f"linear: addend {a.shape} does not broadcast to {out.shape}")
+        out += a.data
+    if relu:
+        np.maximum(out, 0, out=out)
+
+    def backward(g):
+        if relu:
+            np.multiply(g, out > 0, out=g)
+        _accumulate(product, g)
+        for a in addends:
+            if a.requires_grad:
+                ga = _unbroadcast(g, a.shape)
+                # the product may own g by now: a gets a buffer of its own
+                _accumulate(a, ga.copy() if ga is g else ga)
+
+    return _node(out, (product, *addends), backward, "linear")
+
+
 def power(x: Tensor, exponent) -> Tensor:
     """Elementwise x**c for a constant exponent."""
     c = float(exponent)
@@ -335,18 +385,6 @@ def power(x: Tensor, exponent) -> Tensor:
         _accumulate(x, g * c * np.power(x.data, c - 1.0))
 
     return _node(np.power(x.data, c), (x,), backward, "power")
-
-
-def relu(x: Tensor) -> Tensor:
-    """``max(x, 0)``, with -0.0 mapped to +0.0; the gradient passes where
-    ``x > 0``.
-
-    A NaN input stays NaN in the output and gets a zero gradient.
-    """
-    def backward(g):
-        _accumulate(x, g * (x.data > 0))
-
-    return _node(np.maximum(x.data, 0), (x,), backward, "relu")
 
 
 def sigmoid(x: Tensor) -> Tensor:

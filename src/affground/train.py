@@ -295,12 +295,22 @@ def _write_checkpoint(ckpt_dir, model, optimizer, config, step, dataset):
         optimizer_state=optimizer.state_arrays(), vocab=dataset.vocab)
 
 
+class _NoDraws:
+    """The initial-weight generator of a model whose every parameter a
+    checkpoint overwrites: each draw is zeros, and nothing is drawn."""
+
+    @staticmethod
+    def uniform(low=0.0, high=1.0, size=None):
+        return np.zeros(size)
+
+
 def load_model(ckpt_dir) -> tuple:
     """Rebuild a model (and its config) from a checkpoint directory; the
-    optimizer moments are checked as named but not read."""
+    optimizer moments are checked as named but not read, and no initial
+    weight is drawn."""
     ckpt = load_checkpoint(ckpt_dir, moments=False)
     config = config_from_dict(ckpt.config)
-    model = AffordanceModel(config)
+    model = AffordanceModel(config, rng=_NoDraws())
     _restore_params(model, ckpt)
     return model, config, ckpt
 

@@ -1,14 +1,40 @@
 """Primitives the model no longer calls, kept as oracles for their tests.
 
-``max_reduce`` pooled the former padded groups, and ``concat`` built the
-repeated-row forms that the exact layer forms replaced. Both are the
-``affground.tensor`` code as it was when the model last called it.
+``max_reduce`` pooled the former padded groups, ``concat`` built the
+repeated-row forms that the exact layer forms replaced, and ``relu``
+followed every layer before :func:`affground.tensor.linear` took the
+ReLU into the product's buffer. All three are the ``affground.tensor``
+code as it was when the model last called it.
 """
 
 import numpy as np
 
 from affground import tensor as T
 from affground.errors import ContractError
+
+
+def relu(x):
+    """``max(x, 0)``, with -0.0 mapped to +0.0; the gradient passes where
+    ``x > 0``.
+
+    A NaN input stays NaN in the output and gets a zero gradient.
+    """
+    def backward(g):
+        T._accumulate(x, g * (x.data > 0))
+
+    return T._node(np.maximum(x.data, 0), (x,), backward, "relu")
+
+
+_relu = relu    # unfused_linear's flag takes the name, as in tensor.linear
+
+
+def unfused_linear(x, w, addends=(), relu=False):
+    """:func:`affground.tensor.linear` as the chain it replaced: ``matmul``,
+    one ``add`` per addend, then ``relu``, each its own node and buffer."""
+    out = T.matmul(x, w)
+    for a in addends:
+        out = out + a
+    return _relu(out) if relu else out
 
 
 def max_reduce(x, axis, keepdims=False):

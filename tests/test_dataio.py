@@ -55,6 +55,30 @@ class TestTensorFile:
         assert struct.unpack("<2Q", raw[8:24]) == (1, 2)
         assert raw[24:] == struct.pack("<2f", 1.0, 2.0)
 
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8", ">f4", ">f8"])
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4), (2, 3, 4)],
+                             ids=["rank0", "rank1", "rank2", "rank3"])
+    @pytest.mark.parametrize("view", ["whole", "strided"])
+    def test_bytes_equal_the_joined_form(self, tmp_path, dtype, shape, view):
+        # the former writer joined header, extents and a copy of the payload
+        data = np.random.default_rng(len(shape)).normal(size=shape).astype(dtype)
+        if view == "strided":
+            data = np.random.default_rng(1).normal(
+                size=tuple(2 * n for n in shape)).astype(dtype)
+            data = data[tuple(slice(None, None, 2) for _ in shape)]
+            if data.ndim >= 2:
+                data = data.swapaxes(0, 1)
+                assert not data.flags.c_contiguous
+        code = 0 if data.dtype.itemsize == 4 else 1
+        joined = (b"HTNS" + struct.pack("<BBBB", 1, code, data.ndim, 0)
+                  + struct.pack(f"<{data.ndim}Q", *data.shape)
+                  + data.astype(data.dtype.newbyteorder("<"), copy=False)
+                  .tobytes(order="C"))
+        path = tmp_path / "t.htns"
+        write_tensor(path, data)
+        assert path.read_bytes() == joined
+        np.testing.assert_array_equal(read_tensor(path), data)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.htns"
         write_tensor(path, np.zeros(3, dtype=np.float32))

@@ -16,6 +16,8 @@ from affground.gradcheck import finite_difference_check_params
 from affground.losses import affordance_loss
 from affground.rng import rng_for
 
+from oracles import relu
+
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
@@ -63,7 +65,8 @@ class TestPointToIntention:
         expected_row = T.tensor(attended.data[:1]) + first.b
         row = dec.point_to_intention(emb)
         np.testing.assert_array_equal(row.data, expected_row.data)
-        expected = T.sigmoid(dec.head.after_first(feats @ first.w + expected_row))
+        expected = T.sigmoid(
+            dec.head.after_first(relu(feats @ first.w + expected_row)))
         out = dec.predict_map(feats, row)
         np.testing.assert_array_equal(out.data, expected.data)
 

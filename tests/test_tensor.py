@@ -20,7 +20,7 @@ from affground.gradcheck import finite_difference_check, finite_difference_check
 from affground.model import AffordanceModel
 from affground.optim import AdamW, adamw_step, linear_lr
 
-from oracles import concat, max_reduce, padded_rows
+from oracles import concat, max_reduce, padded_rows, relu, unfused_linear
 
 
 class TestMatmul:
@@ -240,7 +240,7 @@ class TestPrimitiveGradients:
         self._check(lambda x: (x ** 3.0).sum(), positive=True)
 
     def test_relu(self):
-        self._check(lambda x: T.relu(x).sum(), seed=5)
+        self._check(lambda x: relu(x).sum(), seed=5)
 
     def test_sigmoid(self):
         self._check(lambda x: T.sigmoid(x).sum())
@@ -561,7 +561,7 @@ def signed_zeros_and_negatives(rng, shape, dtype):
 
 
 class TestFormerRules:
-    """relu, segment_max, the oracles' max_reduce and matmul's backward
+    """The oracles' relu and max_reduce, segment_max and matmul's backward
     equal their former numpy forms byte for byte; the former forms stay
     here as oracles."""
 
@@ -575,7 +575,7 @@ class TestFormerRules:
         data[0, :3] = [-0.0, 0.0, -1.5]
         g = T.tensor(rng.normal(size=(7, 33)).astype(dtype))
         grads = []
-        for rule in (former_relu, T.relu):
+        for rule in (former_relu, relu):
             x = T.tensor(data.copy(), requires_grad=True)
             out = rule(x)
             T.backward((out * g).sum())
@@ -674,10 +674,134 @@ class TestFormerRules:
             assert got.tobytes() == want.tobytes()
 
 
+def walk(root, g):
+    """``T.backward`` from ``root`` with upstream gradient ``g`` as given,
+    -0.0 and NaN included (``backward`` would start from a scalar)."""
+    root.grad = g.copy()
+    for node in reversed(T.Tape.trace(root).nodes):
+        grad = node.grad
+        if node._backward is not None and grad is not None:
+            node.grad = None
+            node._backward(grad)
+
+
+class TestLinear:
+    """``linear`` against ``matmul``, one ``add`` per addend and the
+    oracles' relu: the same bytes forward and backward, in one buffer."""
+
+    # addend shapes, each with whether it needs a gradient
+    CASES = {
+        "product_only": [],
+        "bias": [((1, 6), True)],
+        "two_addends": [((5, 6), True), ((1, 6), True)],
+        "constant_addend": [((5, 6), False), ((1, 6), True)],
+        "row_vector_bias": [((6,), True)],
+    }
+
+    def leaves(self, case, dtype, seed, x_grad=True):
+        rng = np.random.default_rng(seed)
+        x = signed_zeros_and_negatives(rng, (5, 4), dtype)
+        x[0, 0], x[3, :] = np.nan, 0.0
+        w = signed_zeros_and_negatives(rng, (4, 6), dtype)
+        product = x @ w
+        addends = []
+        for shape, grad in self.CASES[case]:
+            a = signed_zeros_and_negatives(rng, shape, dtype)
+            if a.shape == product.shape:
+                # cancel some sums exactly: the ReLU's kink at +0.0
+                cancel = rng.random(shape) < 0.3
+                a[cancel] = -product[cancel]
+            addends.append((a, grad))
+        g = signed_zeros_and_negatives(rng, product.shape, dtype)
+        g[1, 1] = np.nan
+
+        def make():
+            return (T.tensor(x, requires_grad=x_grad),
+                    T.tensor(w, requires_grad=True),
+                    [T.tensor(a, requires_grad=grad) for a, grad in addends])
+        return make, g
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("relu_on", [False, True], ids=["plain", "relu"])
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_unfused_chain(self, case, relu_on, dtype, seed):
+        make, g = self.leaves(case, dtype, seed)
+        results = []
+        for rule in (unfused_linear, T.linear):
+            x, w, addends = make()
+            out = rule(x, w, addends, relu=relu_on)
+            walk(out, g)
+            results.append([out.data.copy(), x.grad, w.grad]
+                           + [a.grad for a in addends])
+        want, got = results
+        assert np.isnan(want[0]).any() and (want[0] == 0).any()
+        for i, (a, b) in enumerate(zip(want, got)):
+            if a is None:
+                assert b is None, i
+                continue
+            assert b.dtype == a.dtype == dtype, i
+            assert b.tobytes() == a.tobytes(), i
+
+    def test_addend_without_gradient_gets_none(self):
+        make, g = self.leaves("constant_addend", np.float64, 0, x_grad=False)
+        x, w, (full, bias) = make()
+        walk(T.linear(x, w, (full, bias), relu=True), g)
+        assert x.grad is None and full.grad is None
+        assert w.grad is not None and bias.grad is not None
+
+    def test_output_is_the_products_buffer(self):
+        make, _ = self.leaves("two_addends", np.float32, 0)
+        x, w, addends = make()
+        out = T.linear(x, w, addends, relu=True)
+        product = out._parents[0]
+        assert product._op == "matmul" and out._op == "linear"
+        assert out._parents[1:] == tuple(addends)
+        assert np.shares_memory(out.data, product.data)
+        # no addend and no ReLU: the product is the whole layer
+        assert T.linear(x, w)._op == "matmul"
+
+    @pytest.mark.parametrize("relu_on", [False, True], ids=["plain", "relu"])
+    def test_each_operand_gets_a_gradient_buffer_of_its_own(self, relu_on):
+        make, g = self.leaves("two_addends", np.float64, 2)
+        x, w, addends = make()
+        out = T.linear(x, w, addends, relu=relu_on)
+        product = out._parents[0]
+        out._backward(g.copy())
+        grads = [product.grad] + [a.grad for a in addends]
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_no_grad_output_is_the_products_buffer(self):
+        make, _ = self.leaves("bias", np.float32, 1)
+        x, w, addends = make()
+        with T.no_grad():
+            out = T.linear(x, w, addends, relu=True)
+        assert out._parents == () and not out.requires_grad
+        np.testing.assert_array_equal(
+            out.data, np.maximum(x.data @ w.data + addends[0].data, 0))
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((1, 6), np.float64), ((2, 6), np.float32), ((5, 7), np.float32),
+        ((1, 5, 6), np.float32),
+    ], ids=["dtype", "rows", "columns", "rank"])
+    def test_rejects_an_addend(self, shape, dtype):
+        x = T.tensor(np.ones((5, 4)), requires_grad=True, dtype=np.float32)
+        w = T.tensor(np.ones((4, 6)), requires_grad=True, dtype=np.float32)
+        addend = T.tensor(np.ones(shape), dtype=dtype)
+        with pytest.raises(ShapeError):
+            T.linear(x, w, (addend,))
+        if dtype != np.float32:
+            with pytest.raises(ShapeError):     # as add refuses it
+                x @ w + addend
+
+
 def _patch_former_rules(monkeypatch):
-    """Put the former relu, max pool and matmul in every affground module
-    that imported the current ones."""
-    for name, former in (("relu", former_relu), ("segment_max", former_segment_max),
+    """Put the unfused linear chain, the former max pool and matmul in
+    every affground module that imported the current ones."""
+    for name, former in (("linear", unfused_linear),
+                         ("segment_max", former_segment_max),
                          ("matmul", former_matmul)):
         current = getattr(T, name)
         for module_name, module in list(sys.modules.items()):
@@ -706,6 +830,7 @@ def test_toy_model_gradients_equal_the_former_rules(tmp_path, monkeypatch):
     got_grads, got_scores = run()
     _patch_former_rules(monkeypatch)
     assert T.matmul is former_matmul
+    assert sys.modules["affground.nn"].linear is unfused_linear
     assert sys.modules["affground.backbone"].segment_max is former_segment_max
     want_grads, want_scores = run()
     assert got_grads.keys() == want_grads.keys()
@@ -927,7 +1052,7 @@ class TestDeterminism:
                          dtype=np.float64)
             w = T.tensor(rng.normal(size=(8, 8)), requires_grad=True,
                          dtype=np.float64)
-            loss = (T.relu(x @ w)).sum()
+            loss = T.linear(x, w, relu=True).sum()
             T.backward(loss)
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
 

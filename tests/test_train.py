@@ -12,6 +12,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from affground import model as model_module
 from affground import train as train_module
 from affground.cli import main
 from affground.config import ModelConfig, OptimConfig, RunConfig
@@ -334,6 +335,53 @@ def test_resumed_run_matches_uninterrupted_run(tmp_path):
         assert got.params[name].tobytes() == arr.tobytes(), name
 
 
+def test_grad_accum_trains_as_the_multiplied_batch(tmp_path, eight_samples,
+                                                   batch_loop):
+    # grad_accum only multiplies batch_size: the same rows and weights
+    runs = {}
+    for batch_size, grad_accum in ((4, 2), (8, 1)):
+        config = RunConfig(model=ModelConfig(**TOY), optimizer=OptimConfig(
+            epochs=2, batch_size=batch_size, grad_accum=grad_accum))
+        runs[batch_size] = train(config, eight_samples,
+                                 tmp_path / f"batch{batch_size}")
+    accum, whole = runs[4], runs[8]
+    assert accum.steps == whole.steps == 2
+    assert accum.log_path.read_bytes() == whole.log_path.read_bytes()
+    want = load_checkpoint(whole.checkpoint_dir)
+    got = load_checkpoint(accum.checkpoint_dir)
+    for group in ("params", "exp_avg", "exp_avg_sq"):
+        saved = want.params if group == "params" else want.optimizer[group]
+        loaded = got.params if group == "params" else got.optimizer[group]
+        assert loaded.keys() == saved.keys()
+        for name, arr in saved.items():
+            assert loaded[name].tobytes() == arr.tobytes(), (group, name)
+
+
+def test_load_model_draws_no_initial_weight(tmp_path, eight_samples,
+                                            monkeypatch):
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=8))
+    result = train(config, eight_samples, tmp_path / "run")
+    streams = []
+    real_rng_for = model_module.rng_for
+
+    def recorded_rng_for(*args):
+        streams.append(args)
+        return real_rng_for(*args)
+
+    monkeypatch.setattr(model_module, "rng_for", recorded_rng_for)
+    model, _, _ = train_module.load_model(result.checkpoint_dir)
+    # the model's only generator is the seed's init stream
+    assert streams == []
+    AffordanceModel(config)
+    assert streams == [(config.seed, "init")]
+    saved = load_checkpoint(result.checkpoint_dir).params
+    assert model.params.keys() == saved.keys()
+    for name, p in model.params.items():
+        assert p.data.dtype == saved[name].dtype, name
+        assert p.data.tobytes() == saved[name].tobytes(), name
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_divergence_stops_as_training_diverged(tmp_path, capsys):
@@ -498,7 +546,7 @@ def test_damaged_optimizer_state_fails_resume_as_checkpoint_error(
 @pytest.mark.parametrize("name", ["backbone.sa1.0.w", "fusion.fuse.w"])
 def test_nan_pre_activation_ends_as_training_diverged(
         tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left, name):
-    # relu passes a NaN pre-activation through and segment_max keeps it,
+    # the ReLU passes a NaN pre-activation through and segment_max keeps it,
     # so the NaN must still stop training before any update
     models = []
 
