@@ -25,7 +25,9 @@ in exact algebra equal to concatenating the inputs and projecting:
 - SA2, SA3: ``rel @ W[:3] + gather_rows(feats @ W[3:], group_idx) + b``;
 - FP: ``skip @ W[d_src:] + interpolate(src @ W[:d_src], nn_idx, w) + b``.
 
-Each sum is added left to right into the first product's buffer.
+Each sum is added left to right into the first product's buffer, and
+the graph keeps no buffer of the gathered or interpolated term once it
+is added (``linear``'s ``spent``).
 
 ``W[a:b]`` is a :func:`~affground.tensor.slice_rows` view, so parameter
 names, shapes and checkpoints are those of the concatenated layer.
@@ -249,11 +251,11 @@ class SetAbstraction:
         geometry = Tensor(plan.geometry.astype(self.dtype))
         first = self.mlp.layers[0]
         w_geo, w_feat = first.split(plan.geometry.shape[1])
-        addends = (first.b,)
+        gathered = ()
         if feats is not None:
-            addends = (gather_rows(matmul(feats, w_feat), plan.group_idx),
-                       first.b)
-        h = linear(geometry, w_geo, addends, relu=True)
+            gathered = (gather_rows(matmul(feats, w_feat), plan.group_idx),)
+        h = linear(geometry, w_geo, (*gathered, first.b), relu=True,
+                   spent=gathered)
         return segment_max(self.mlp.after_first(h), plan.starts)
 
 
@@ -281,7 +283,8 @@ class FeaturePropagation:
         w_src, w_skip = first.split(src_feats.shape[1])
         mixed = interpolate(matmul(src_feats, w_src), plan.nn_idx, plan.weights)
         return self.mlp.after_first(
-            linear(skip_feats, w_skip, (mixed, first.b), relu=True))
+            linear(skip_feats, w_skip, (mixed, first.b), relu=True,
+                   spent=(mixed,)))
 
 
 class PointBackbone:

@@ -81,6 +81,22 @@ class AffordanceModel:
         self.decoder = AffordanceDecoder(self.params, "decoder", rng, d=m.d,
                                          dtype=dtype)
 
+    def full_resolution_params(self) -> list:
+        """The weights and biases of the layers that run on all N points:
+        FP3, the Stage II fuse (when it is on) and the decoder head.
+
+        A backward walk reaches them first. ``train`` keeps their gradient
+        work on the walking thread and hands the other layers' to its
+        pipeline worker, which balances the two threads at the paper
+        config.
+        """
+        layers = [*self.backbone.fp_stages[-1].mlp.layers,
+                  *self.decoder.head.layers]
+        if self.config.fusion.stage2:
+            layers.append(self.fusion.fuse)
+        return [t for layer in layers for t in (layer.w, layer.b)
+                if t is not None]
+
     def build_plan(self, cloud: PointCloud) -> BackbonePlan:
         return self.backbone.build_plan(cloud.coords)
 

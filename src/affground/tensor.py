@@ -27,17 +27,39 @@ consumes. So a layer's bias, its other addends and its ReLU go into that
 buffer in place, and a layer keeps one output buffer alive until
 backward.
 
-A finished graph may be handed to another thread, which walks it, but
-two threads never touch one graph at once. Graphs that are built and
-walked at the same time share only leaves: building reads their data,
-and a walk writes their gradients. The autograd on/off flag is per
-thread.
+Threading. A graph is built on one thread and walked on one thread, which
+may be another, and two threads never touch one graph at once; the
+autograd on/off flag is per thread. A walk does all of a graph's gradient
+work itself, except inside :func:`handing_off`, which splits each walk
+on the calling thread in two:
+
+- the *parameter side* is every requires-grad leaf outside ``keep`` and
+  every one-input node whose input is on that side (such as the
+  :func:`slice_rows` views of a weight). It belongs to the thread that
+  runs the jobs handed to ``submit``;
+- the *activation side*, everything else, belongs to the walking thread.
+
+The walk computes every activation gradient itself and hands over, in
+tape order, each piece of work that writes the parameter side: a
+:func:`matmul`'s product for a handed-off operand (``_sum_over_rows(a,
+g)`` for a weight) with its accumulation, each handed-off :func:`linear`
+addend's share (a bias's row sum) with its accumulation, and the rule of
+every parameter-side node. A handed-off tensor may feed the activation
+side only as a ``matmul`` operand or a ``linear`` addend. So every leaf's
+gradient is written by one thread only, in the walk's order: when the
+jobs run one at a time in submission order, every gradient is bitwise
+the one walk's. A job reads only buffers that nothing writes again, and
+the walk returns before its jobs are done; the caller waits for them
+before it reads a handed-off gradient. Graphs built and walked at the
+same time share only leaves: building reads their data, and walks and
+jobs write their gradients.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +72,23 @@ _state = threading.local()
 
 def _grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
+
+
+@contextmanager
+def handing_off(submit, keep=()):
+    """Split every walk on this thread inside the block: hand the parameter
+    side's work to ``submit`` and keep the leaves in ``keep`` (and the
+    work on them) on the walking thread (see the module docstring).
+
+    ``submit(job)`` takes a callable of no arguments; the jobs must run
+    one at a time, in the order they were submitted.
+    """
+    prev = getattr(_state, "hand_off", None)
+    _state.hand_off = (submit, frozenset(map(id, keep)))
+    try:
+        yield
+    finally:
+        _state.hand_off = prev
 
 
 @contextmanager
@@ -176,6 +215,20 @@ def _check_dtypes(a: Tensor, b: Tensor, op: str):
         raise ShapeError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
 
 
+def _binary(a, b, op: str, ufunc):
+    """``(a, b, ufunc(a.data, b.data))`` with both operands as tensors of
+    one dtype (either may be a constant); ShapeError where the dtypes
+    differ or the shapes do not broadcast."""
+    a = a if isinstance(a, Tensor) else _coerce(a, b)
+    b = _coerce(b, a)
+    _check_dtypes(a, b, op)
+    try:
+        return a, b, ufunc(a.data, b.data)
+    except ValueError:
+        raise ShapeError(
+            f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+
+
 def _node(data, parents, backward, op) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -221,6 +274,17 @@ def _accumulate_part(t: Tensor, part, grad: np.ndarray):
         t.grad[part] += grad
 
 
+def _give(t: Tensor, off, share, *args):
+    """Accumulate ``share(*args)`` into ``t``: here, or as a job where
+    ``off`` (the parameter side of a split walk, or None) holds ``t``.
+    A job computes the share later, so ``args`` must be buffers that
+    nothing writes again."""
+    if off is None or id(t) not in off.ids:
+        _accumulate(t, share(*args))
+    else:
+        off.submit(lambda: _accumulate(t, share(*args)))
+
+
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     while grad.ndim > len(shape):
@@ -231,13 +295,17 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
+def _own_share(g: np.ndarray, shape) -> np.ndarray:
+    """``g`` summed down to ``shape``, in a buffer that is not ``g``."""
+    share = _unbroadcast(g, shape)
+    return share.copy() if share is g else share
+
+
 # -- primitives ---------------------------------------------------------
 
 
 def add(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _coerce(a, b)
-    b = _coerce(b, a)
-    _check_dtypes(a, b, "add")
+    a, b, out = _binary(a, b, "add", np.add)
 
     def backward(g):
         ga = None
@@ -249,13 +317,11 @@ def add(a, b) -> Tensor:
             # a may own g by now: b gets a buffer of its own
             _accumulate(b, gb.copy() if gb is ga else gb)
 
-    return _node(a.data + b.data, (a, b), backward, "add")
+    return _node(out, (a, b), backward, "add")
 
 
 def sub(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _coerce(a, b)
-    b = _coerce(b, a)
-    _check_dtypes(a, b, "sub")
+    a, b, out = _binary(a, b, "sub", np.subtract)
 
     def backward(g):
         if a.requires_grad:
@@ -263,13 +329,11 @@ def sub(a, b) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(-g, b.shape))
 
-    return _node(a.data - b.data, (a, b), backward, "sub")
+    return _node(out, (a, b), backward, "sub")
 
 
 def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _coerce(a, b)
-    b = _coerce(b, a)
-    _check_dtypes(a, b, "mul")
+    a, b, out = _binary(a, b, "mul", np.multiply)
 
     def backward(g):
         if a.requires_grad:
@@ -277,13 +341,11 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    return _node(a.data * b.data, (a, b), backward, "mul")
+    return _node(out, (a, b), backward, "mul")
 
 
 def div(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _coerce(a, b)
-    b = _coerce(b, a)
-    _check_dtypes(a, b, "div")
+    a, b, out = _binary(a, b, "div", np.true_divide)
 
     def backward(g):
         if a.requires_grad:
@@ -291,7 +353,7 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return _node(a.data / b.data, (a, b), backward, "div")
+    return _node(out, (a, b), backward, "div")
 
 
 def neg(x: Tensor) -> Tensor:
@@ -321,20 +383,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
     _check_dtypes(a, b, "matmul")
 
-    def backward(g):
-        # a product over one inner index is an outer product: broadcast it
-        # rather than run a K=1 GEMM (same bytes once _accumulate has
-        # turned -0.0 into +0.0)
+    def backward(g, off=None):
         if a.requires_grad:
-            _accumulate(a, g * b.data.T if g.shape[1] == 1 else g @ b.data.T)
+            _give(a, off, _left_share, g, b.data)
         if b.requires_grad:
-            _accumulate(b, a.data.T * g if a.shape[0] == 1
-                        else _sum_over_rows(a.data, g))
+            _give(b, off, _right_share, a.data, g)
 
     return _node(a.data @ b.data, (a, b), backward, "matmul")
 
 
-def linear(x: Tensor, w: Tensor, addends=(), relu: bool = False) -> Tensor:
+# A product over one inner index is an outer product: each share
+# broadcasts it rather than run a K=1 GEMM (the same bytes once
+# _accumulate has turned -0.0 into +0.0).
+
+def _left_share(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d(loss)/da of ``a @ b``, given ``g`` = d(loss)/d(a @ b)."""
+    return g * b.T if g.shape[1] == 1 else g @ b.T
+
+
+def _right_share(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """d(loss)/db of ``a @ b``, given ``g`` = d(loss)/d(a @ b)."""
+    return a.T * g if a.shape[0] == 1 else _sum_over_rows(a, g)
+
+
+def linear(x: Tensor, w: Tensor, addends=(), relu: bool = False,
+           spent=()) -> Tensor:
     """``x @ w`` plus each addend, left to right, then ``max(., 0)`` with
     ``relu``, all in the product's own buffer.
 
@@ -346,6 +419,13 @@ def linear(x: Tensor, w: Tensor, addends=(), relu: bool = False) -> Tensor:
     gives each addend its broadcast-reduced share. Each addend must have
     the product's dtype and broadcast to its shape. With no addend and no
     ReLU this is the product alone.
+
+    ``spent`` names addends of the product's shape whose values the
+    caller will not read again and no backward rule reads (the outputs
+    of :func:`gather_rows` and :func:`interpolate`, passed nowhere
+    else): once added, each one's data becomes a read-only view of this
+    node's output, so the graph no longer keeps its buffer. Its
+    gradient is unchanged.
     """
     product = matmul(x, w)
     if not addends and not relu:
@@ -363,16 +443,20 @@ def linear(x: Tensor, w: Tensor, addends=(), relu: bool = False) -> Tensor:
         out += a.data
     if relu:
         np.maximum(out, 0, out=out)
+    for a in spent:
+        if not any(a is b for b in addends) or a.shape != out.shape:
+            raise ContractError(
+                f"linear: a spent tensor must be an addend of shape {out.shape}")
+        a.data = np.broadcast_to(out, out.shape)
 
-    def backward(g):
+    def backward(g, off=None):
         if relu:
             np.multiply(g, out > 0, out=g)
         _accumulate(product, g)
         for a in addends:
             if a.requires_grad:
-                ga = _unbroadcast(g, a.shape)
-                # the product may own g by now: a gets a buffer of its own
-                _accumulate(a, ga.copy() if ga is g else ga)
+                # the product owns g by now: a gets a buffer of its own
+                _give(a, off, _own_share, g, a.shape)
 
     return _node(out, (product, *addends), backward, "linear")
 
@@ -671,19 +755,78 @@ def backward(loss: Tensor):
 
     Repeated calls without clearing gradients keep accumulating. Each
     interior gradient is dropped once its rule has run (a second call
-    contributes exactly one more pass).
+    contributes exactly one more pass). Inside :func:`handing_off` the
+    walk is split (see the module docstring), and returns before the jobs
+    it handed over have run.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     tape = Tape.trace(loss)
+    hand_off = getattr(_state, "hand_off", None)
+    if hand_off is not None:
+        _walk_split(tape.nodes, *hand_off)
+        return
     _accumulate(loss, np.ones_like(loss.data))
     for node in reversed(tape.nodes):
         grad = node.grad
         if node._backward is not None and grad is not None:
             node.grad = None
             node._backward(grad)
+
+
+class _ParameterSide:
+    """A split walk's parameter side, by ``id``, and where its jobs go."""
+
+    __slots__ = ("ids", "submit")
+
+    def __init__(self, ids, submit):
+        self.ids = ids
+        self.submit = submit
+
+
+def _run_rule(node: Tensor):
+    grad = node.grad
+    if grad is not None:
+        node.grad = None
+        node._backward(grad)
+
+
+def _walk_split(nodes, submit, keep):
+    """The walk of :func:`backward` inside :func:`handing_off`."""
+    off = _ParameterSide(set(), submit)
+    feeds = set()   # activation-side nodes with a parameter-side input
+    for node in nodes:
+        parents = node._parents
+        if not node.requires_grad:
+            continue
+        if not parents:
+            if id(node) not in keep:
+                off.ids.add(id(node))
+        elif len(parents) == 1:
+            if id(parents[0]) in off.ids:
+                off.ids.add(id(node))
+        elif any(id(p) in off.ids for p in parents):
+            if node._op not in ("matmul", "linear"):
+                raise ContractError(
+                    f"backward: a handed-off tensor feeds {node._op}; only "
+                    "matmul operands and linear addends can be handed off")
+            feeds.add(id(node))
+    root = nodes[-1]
+    _give(root, off, np.ones_like, root.data)
+    for node in reversed(nodes):
+        if node._backward is None:
+            continue
+        if id(node) in off.ids:
+            # queued after every job that adds to the node's gradient
+            submit(partial(_run_rule, node))
+        elif node.grad is not None:
+            grad, node.grad = node.grad, None
+            if id(node) in feeds:
+                node._backward(grad, off)
+            else:
+                node._backward(grad)
 
 
 def zero_grad(params):

@@ -15,6 +15,18 @@ then scores it. At model sizes whose numpy operations are long enough
 makes item k + 1 while the main thread uses item k. :func:`_in_order`
 states the ordering contract that keeps log rows, gradients, parameters,
 checkpoints and reports bitwise those of the sequential loop.
+
+With that worker, ``train`` also splits each walk
+(:func:`~affground.tensor.handing_off`): the main thread walks the
+activation gradients, and the graph's parameter side (each weight
+gradient product, each bias share, each accumulation into a parameter)
+goes to the worker as jobs, queued behind the forward it is making.
+Each parameter belongs to one thread for the whole run: the
+full-resolution layers (:meth:`AffordanceModel.full_resolution_params`)
+to the main thread, every other parameter to the worker. Jobs run in
+the order they were queued, so every parameter sums its contributions
+in the sequential order; ``train`` waits for them, and re-raises the
+first error, before the finiteness checks and the AdamW step.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ from .metrics import MetricReport, evaluate_sample
 from .model import AffordanceModel
 from .optim import AdamW, linear_lr
 from .rng import rng_for
-from .tensor import backward
+from .tensor import backward, handing_off
 
 
 _M_ARENA_MAX = -8   # mallopt parameter, from glibc's malloc.h
@@ -52,14 +64,17 @@ _PIPELINE_MIN_ROW_ENTRIES = 1 << 19
 
 
 def _pipelines(model_cfg) -> bool:
-    """Whether :func:`train` builds each member's graph on a worker thread,
-    and :func:`evaluate` each record's plan.
+    """Whether :func:`train` builds each member's graph, and runs the
+    parameter-side jobs of each walk, on a worker thread, and
+    :func:`evaluate` builds each record's plan there.
 
     The two threads share the GIL and overlap only while one of them is
     inside a numpy call that released it, so the pipeline pays where
     those calls are long: their arrays scale with the (n_points, d)
     feature rows. On 2 vCPUs at n=2048, d=512 it made steps 30-50%
-    faster with a run-to-run spread like the sequential loop's. At
+    faster with a run-to-run spread like the sequential loop's; the
+    worker then idled for about half of each member's walk, which the
+    weight-gradient jobs now fill. At
     n=1024, d=128 the threads instead handed the GIL back and forth
     about 5,000 times a second (50k voluntary context switches a run,
     against 900 sequentially), and the step time spread between runs
@@ -102,6 +117,49 @@ def _pipeline_worker(model_cfg, n_items: int, name: str):
         yield worker
 
 
+class _Jobs:
+    """Parameter-side jobs of the walks, run on the pipeline worker in the
+    order they were submitted. :meth:`drain` waits for them and re-raises
+    the first error; the jobs after a failed one do not run."""
+
+    def __init__(self, worker):
+        self._worker = worker
+        self._last = None
+        self._error = None
+
+    def submit(self, job):
+        self._last = self._worker.submit(self._run, job)
+
+    def _run(self, job):
+        if self._error is None:
+            try:
+                job()
+            except Exception as exc:
+                self._error = exc
+
+    def drain(self):
+        last, self._last = self._last, None
+        if last is not None:
+            last.result()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+
+@contextmanager
+def _split_walks(worker, keep):
+    """Yield the function that waits for the parameter-side jobs of this
+    thread's walks. With a worker, walks inside the block hand those jobs
+    to it, keeping the parameters in ``keep`` on this thread; without
+    one, nothing is handed off and the function does nothing."""
+    if worker is None:
+        yield lambda: None
+        return
+    jobs = _Jobs(worker)
+    with handing_off(jobs.submit, keep):
+        yield jobs.drain
+
+
 def _in_order(worker, make, items, use):
     """Run ``use(make(item))`` for each item, in order.
 
@@ -112,7 +170,9 @@ def _in_order(worker, make, items, use):
 
     - item k + 1 is submitted only once item k's result is taken, and
       result k is dropped here when result k + 1 is taken, so at most two
-      results are alive: the one being used and the one being made;
+      results are alive: the one being used and the one being made. Jobs
+      that ``use`` queues on the worker (a walk's parameter side) run
+      before item k + 2 is made, so they keep result k no longer;
     - an exception raised by ``make`` or ``use`` reaches the caller
       unchanged, after every earlier item was used;
     - no thread outlives the call that opened the worker's block, which
@@ -238,7 +298,8 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
     with open(log_path, "a" if resume is not None else "w",
               encoding="utf-8") as log_file, \
             _pipeline_worker(config.model, min(batch, n),
-                             "affground-forward") as worker:
+                             "affground-forward") as worker, \
+            _split_walks(worker, model.full_resolution_params()) as drain:
         for step in range(start_step, total_steps):
             epoch = step // steps_per_epoch
             slot = step % steps_per_epoch
@@ -251,6 +312,7 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
             try:
                 _in_order(worker, forward_loss, [samples[i] for i in members],
                           walk)
+                drain()
                 if not all(np.isfinite(v) for v in sums.values()):
                     raise NumericError("non-finite loss")
                 bad = next((name for name, p in model.params.items()

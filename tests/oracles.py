@@ -28,9 +28,10 @@ def relu(x):
 _relu = relu    # unfused_linear's flag takes the name, as in tensor.linear
 
 
-def unfused_linear(x, w, addends=(), relu=False):
+def unfused_linear(x, w, addends=(), relu=False, spent=()):
     """:func:`affground.tensor.linear` as the chain it replaced: ``matmul``,
-    one ``add`` per addend, then ``relu``, each its own node and buffer."""
+    one ``add`` per addend, then ``relu``, each its own node and buffer
+    (so ``spent`` releases nothing)."""
     out = T.matmul(x, w)
     for a in addends:
         out = out + a

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from affground import backbone as backbone_module
 from affground import tensor as T
 from affground.config import FusionConfig, LiftingConfig, ModelConfig, RunConfig
 from affground.dataio import synth_cloud
@@ -56,3 +57,41 @@ def test_paper_config_ablation_parameter_counts(mode, stages, count):
     model = AffordanceModel(RunConfig(lifting=LiftingConfig(mode=mode),
                                       fusion=FusionConfig(**stages)))
     assert sum(p.data.size for p in model.params.values()) == count
+
+
+def interior_bytes(root):
+    """Bytes of the distinct buffers that the interior nodes of ``root``'s
+    graph hold, each view counted as the array it views."""
+    owners = {}
+    for node in T.Tape.trace(root).nodes:
+        if node._parents:
+            owner = np.asarray(node.data)
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            owners[id(owner)] = owner
+    return sum(owner.nbytes for owner in owners.values())
+
+
+def test_graph_keeps_no_gathered_or_interpolated_term(monkeypatch):
+    config = RunConfig(model=ModelConfig(**TOY))
+    cloud = synth_cloud(1, 0, seed=3, n=TOY["n_points"])
+    hidden = synth_fixture(1, 0, seed=4, L=TOY["seq_len"], d_h=TOY["d_h"])
+
+    def run():
+        model = AffordanceModel(config)
+        total, _, _ = model.loss(model.forward(cloud, hidden), cloud, hidden)
+        terms = sum(node.data.nbytes for node in T.Tape.trace(total).nodes
+                    if node._op in ("gather_rows", "interpolate"))
+        kept = interior_bytes(total)
+        T.backward(total)
+        return kept, terms, {name: p.grad for name, p in model.params.items()}
+
+    kept, _, grads = run()
+    # the former graph: linear keeps every addend's buffer
+    real_linear = T.linear
+    monkeypatch.setattr(backbone_module, "linear",
+                        lambda *args, spent=(), **kwargs: real_linear(*args, **kwargs))
+    kept_before, terms, grads_before = run()
+    assert terms > 0 and kept_before - kept == terms
+    for name, grad in grads_before.items():
+        assert grads[name].tobytes() == grad.tobytes(), name

@@ -1,5 +1,6 @@
 """Tensor engine: primitives, tape, backward, AdamW, schedules."""
 
+import operator
 import os
 import subprocess
 import sys
@@ -795,6 +796,98 @@ class TestLinear:
         if dtype != np.float32:
             with pytest.raises(ShapeError):     # as add refuses it
                 x @ w + addend
+
+
+    @pytest.mark.parametrize("relu_on", [False, True], ids=["plain", "relu"])
+    def test_a_spent_addend_keeps_no_buffer(self, relu_on):
+        make, g = self.leaves("two_addends", np.float32, 3)
+        results = []
+        for spend in (False, True):
+            x, w, (full, bias) = make()
+            full.data = full.data.copy()    # a buffer only the addend holds
+            buffer = weakref.ref(full.data)
+            out = T.linear(x, w, (full, bias), relu=relu_on,
+                           spent=(full,) if spend else ())
+            assert (buffer() is None) == spend
+            walk(out, g)
+            results.append([out.data, x.grad, w.grad, full.grad, bias.grad])
+        assert np.shares_memory(full.data, out.data)
+        assert not full.data.flags.writeable and full.shape == out.shape
+        for want, got in zip(*results):
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_a_spent_tensor_it_does_not_fill(self):
+        make, _ = self.leaves("two_addends", np.float32, 0)
+        x, w, (full, bias) = make()
+        other = T.tensor(np.ones((5, 6), dtype=np.float32))
+        for spent in ((other,), (bias,)):
+            with pytest.raises(ContractError):
+                T.linear(x, w, (full, bias), spent=spent)
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div],
+                         ids=["add", "sub", "mul", "div"])
+@pytest.mark.parametrize("operand", ["tensor", "constant"])
+def test_operands_that_do_not_broadcast_raise_shape_error(op, operand):
+    a = T.tensor(np.ones((5, 6)))
+    b = np.ones((2, 6))
+    if operand == "tensor":
+        b = T.tensor(b)
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(ShapeError, match=r"\(5, 6\).*\(2, 6\)|\(2, 6\).*\(5, 6\)"):
+            op(left, right)
+
+
+class TestHandingOff:
+    """A walk inside ``handing_off``: jobs for the parameter side, run
+    afterwards in order, give the one walk's gradients bitwise."""
+
+    def graph(self):
+        rng = np.random.default_rng(7)
+
+        def leaf(shape, grad=True):
+            return T.tensor(signed_zeros_and_negatives(rng, shape, np.float32),
+                            requires_grad=grad)
+
+        x, z = leaf((300, 4), grad=False), leaf((300, 3), grad=False)
+        w1, b1, split, kept = leaf((4, 6)), leaf((1, 6)), leaf((9, 5)), leaf((5, 1))
+        row, w_row = leaf((1, 2)), leaf((2, 5))
+        top, bottom = T.slice_rows(split, 0, 6), T.slice_rows(split, 6, 9)
+        h = T.linear(x, w1, (b1,), relu=True)
+        shift = T.linear(row, w_row)                      # a K=1 product
+        h2 = T.linear(h, top, (T.matmul(z, bottom), shift), relu=True)
+        loss = T.matmul(h2, kept).sum() + (h2 * h2).mean()
+        return loss, {"w1": w1, "b1": b1, "split": split, "kept": kept,
+                      "row": row, "w_row": w_row}
+
+    def test_jobs_in_order_give_the_sequential_gradients(self):
+        loss, want = self.graph()
+        T.backward(loss)
+        loss, got = self.graph()
+        jobs = []
+        with T.handing_off(jobs.append, keep=[got["kept"]]):
+            T.backward(loss)
+        # the walk itself wrote only the kept leaf
+        assert {name for name, p in got.items() if p.grad is not None} == {"kept"}
+        for job in jobs:
+            job()
+        for name, p in want.items():
+            assert got[name].grad.tobytes() == p.grad.tobytes(), name
+
+    def test_walks_outside_the_block_do_all_their_work(self):
+        jobs = []
+        with T.handing_off(jobs.append):
+            pass
+        loss, params = self.graph()
+        T.backward(loss)
+        assert not jobs and all(p.grad is not None for p in params.values())
+
+    def test_refuses_a_handed_off_tensor_in_another_op(self):
+        w = T.tensor(np.ones((2, 3)), requires_grad=True)
+        x = T.tensor(np.ones((2, 3)), requires_grad=True)
+        with T.handing_off(lambda job: None, keep=[x]):
+            with pytest.raises(ContractError, match="feeds mul"):
+                T.backward((w * x).sum())
 
 
 def _patch_former_rules(monkeypatch):

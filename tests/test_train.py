@@ -13,9 +13,16 @@ import numpy as np
 import pytest
 
 from affground import model as model_module
+from affground import tensor as tensor_module
 from affground import train as train_module
 from affground.cli import main
-from affground.config import ModelConfig, OptimConfig, RunConfig
+from affground.config import (
+    FusionConfig,
+    LiftingConfig,
+    ModelConfig,
+    OptimConfig,
+    RunConfig,
+)
 from affground.dataio import (
     gen_synthetic_dataset,
     load_checkpoint,
@@ -33,7 +40,7 @@ from affground.errors import (
 from affground.model import AffordanceModel
 from affground.optim import AdamW, linear_lr
 from affground.rng import rng_for
-from affground.tensor import backward
+from affground.tensor import Tape, backward
 from affground.train import train
 
 from conftest import TOY, TOY_MODEL_SETS
@@ -147,16 +154,13 @@ def stop_after_step_0(row):
     raise Interrupt(row)
 
 
-@pytest.mark.parametrize("batch_size", [1, 3, 8])
-def test_pipelined_step_equals_a_sequential_step(
-        tmp_path, eight_samples, monkeypatch, pipelined, no_thread_left,
-        frequent_switches, batch_size):
-    config = RunConfig(model=ModelConfig(**TOY),
-                       optimizer=OptimConfig(epochs=1, batch_size=batch_size))
-    want_model, want_opt, want_row = sequential_step(config, eight_samples)
+def check_pipelined_step(tmp_path, manifest, monkeypatch, config):
+    """Step 0 of a pipelined train() equals :func:`sequential_step`: the
+    log row, every parameter and both AdamW moments, bitwise."""
+    want_model, want_opt, want_row = sequential_step(config, manifest)
     built = recording(monkeypatch)
     with pytest.raises(Interrupt) as info:
-        train(config, eight_samples, tmp_path / "run", log_fn=stop_after_step_0)
+        train(config, manifest, tmp_path / "run", log_fn=stop_after_step_0)
     (row,) = info.value.args
     assert row == want_row
     assert json.loads((tmp_path / "run" / "log.jsonl").read_text()) == want_row
@@ -169,29 +173,232 @@ def test_pipelined_step_equals_a_sequential_step(
             want_opt.exp_avg_sq[name].tobytes()
 
 
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+def test_pipelined_step_equals_a_sequential_step(
+        tmp_path, eight_samples, monkeypatch, pipelined, no_thread_left,
+        frequent_switches, batch_size):
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=batch_size))
+    check_pipelined_step(tmp_path, eight_samples, monkeypatch, config)
+
+
+@pytest.mark.parametrize("ablation", [
+    {"fusion": FusionConfig(stage2=False)},
+    {"lifting": LiftingConfig(mode="concat")},
+], ids=["stage2_off", "concat"])
+def test_pipelined_ablation_step_equals_a_sequential_step(
+        tmp_path, eight_samples, monkeypatch, pipelined, no_thread_left,
+        frequent_switches, ablation):
+    # the parameters kept on the walking thread differ from the default's
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=8), **ablation)
+    check_pipelined_step(tmp_path, eight_samples, monkeypatch, config)
+
+
+class HeldFuture(Future):
+    def __init__(self, worker):
+        super().__init__()
+        self.worker = worker
+
+    def result(self, timeout=None):
+        self.worker.release(self)
+        return super().result(timeout)
+
+
+class HeldWorker:
+    """An executor that runs its jobs in the caller's thread, in the order
+    they were submitted: each at once with ``eager``, and otherwise only
+    when released, which asking for a result does for every job up to
+    that one. What is alive when a job runs does not depend on timing."""
+
+    def __init__(self, eager=False):
+        self.eager = eager
+        self.queue = []
+
+    def submit(self, fn, *args):
+        future = HeldFuture(self)
+        self.queue.append((future, fn, args))
+        if self.eager:
+            self.release()
+        return future
+
+    def release(self, upto=None):
+        while self.queue and not (upto is not None and upto.done()):
+            future, fn, args = self.queue.pop(0)
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.release()
+
+
+@pytest.mark.parametrize("eager", [True, False],
+                         ids=["run_at_submission", "run_at_result"])
 def test_at_most_two_graphs_are_alive(tmp_path, eight_samples, monkeypatch,
-                                      pipelined, no_thread_left,
-                                      frequent_switches):
-    # each score buffer dies with its graph; when a member's forward
-    # starts, only the member before it may still be alive (being walked)
-    scores, alive_at_start = [], []
+                                      pipelined, eager):
+    # when a member's forward starts, only the member before it may still
+    # be alive: being walked, or waiting for its weight-gradient jobs.
+    # Run at submission, each forward starts as early as it can; run when
+    # its result is asked for, as late as it can, with the weight-gradient
+    # jobs of the member before it still waiting behind it
+    worker = HeldWorker(eager)
+    graphs, alive_at_start, jobs_pending = [], [], []
 
     def count_alive(calls):
-        alive_at_start.append(sum(ref() is not None for ref in scores))
+        alive_at_start.append(sum(any(ref() is not None for ref in graph)
+                                  for graph in graphs))
+        jobs_pending.append(len(worker.queue))
 
     built = recording(monkeypatch, count_alive)
     real_loss = AffordanceModel.loss
 
     def recorded_loss(self, result, cloud, hidden):
-        scores.append(weakref.ref(result.scores.data))
-        return real_loss(self, result, cloud, hidden)
+        losses = real_loss(self, result, cloud, hidden)
+        graphs.append([weakref.ref(node.data)
+                       for node in Tape.trace(losses[0]).nodes
+                       if node._parents and isinstance(node.data, np.ndarray)])
+        return losses
 
     monkeypatch.setattr(AffordanceModel, "loss", recorded_loss)
+    monkeypatch.setattr(train_module, "ThreadPoolExecutor",
+                        lambda **kwargs: worker)
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=2, batch_size=4))
+    train(config, eight_samples, tmp_path / "run")
+    assert built["model"].calls == 16
+    assert alive_at_start[0] == 0 and max(alive_at_start) == 1
+    if not eager:
+        # from each step's third forward on, the member before it still
+        # had weight-gradient jobs waiting behind that forward
+        assert all(jobs_pending[i] > 0 for i in (2, 3, 6, 7, 10, 11, 14, 15))
+
+
+def test_each_parameter_gradient_is_written_by_one_thread(
+        tmp_path, eight_samples, monkeypatch, pipelined, no_thread_left,
+        frequent_switches):
+    writers = {}
+    real_accumulate = tensor_module._accumulate
+    real_accumulate_part = tensor_module._accumulate_part
+
+    def record(t):
+        if t.requires_grad and not t._parents:
+            writers.setdefault(id(t), set()).add(threading.get_ident())
+
+    def accumulate(t, grad):
+        record(t)
+        real_accumulate(t, grad)
+
+    def accumulate_part(t, part, grad):
+        record(t)
+        real_accumulate_part(t, part, grad)
+
+    monkeypatch.setattr(tensor_module, "_accumulate", accumulate)
+    monkeypatch.setattr(tensor_module, "_accumulate_part", accumulate_part)
+    built = recording(monkeypatch)
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=2, batch_size=4))
+    train(config, eight_samples, tmp_path / "run")
+    model = built["model"]
+    kept = {id(p) for p in model.full_resolution_params()}
+    assert kept and len(kept) < len(model.params)
+    main = threading.get_ident()
+    for name, p in model.params.items():
+        (thread,) = writers[id(p)]
+        assert (thread == main) == (id(p) in kept), name
+
+
+@pytest.mark.parametrize("k", [1, 60])
+def test_failed_weight_gradient_job_propagates_unchanged(
+        tmp_path, eight_samples, monkeypatch, pipelined, no_thread_left, k):
+    boom = Boom("injected")
+    main = threading.get_ident()
+    calls, walks, failed_in_walk = [], [], []
+    real_sum = tensor_module._sum_over_rows
+
+    def failing_sum(a, g, *args):
+        if threading.get_ident() != main:
+            calls.append(a.shape)
+            if len(calls) == k:
+                failed_in_walk.append(len(walks))   # walks begun by then
+                raise boom
+        return real_sum(a, g, *args)
+
+    def counted_backward(loss):
+        walks.append("begun")
+        backward(loss)
+        walks[-1] = "done"
+
+    monkeypatch.setattr(tensor_module, "_sum_over_rows", failing_sum)
+    monkeypatch.setattr(train_module, "backward", counted_backward)
+    built = recording(monkeypatch)
+    initial = {}
+    real_init = AdamW.__init__
+
+    def keep_initial(self, params, **kwargs):
+        initial.update({name: p.data.copy() for name, p in params.items()})
+        real_init(self, params, **kwargs)
+
+    monkeypatch.setattr(AdamW, "__init__", keep_initial)
     config = RunConfig(model=ModelConfig(**TOY),
                        optimizer=OptimConfig(epochs=1, batch_size=8))
-    train(config, eight_samples, tmp_path / "run")
-    assert built["model"].calls == 8
-    assert alive_at_start[0] == 0 and max(alive_at_start) <= 1
+    with pytest.raises(Boom) as info:
+        train(config, eight_samples, tmp_path / "run")
+    assert info.value is boom
+    # the failing job's member and every earlier one had been walked
+    (begun,) = failed_in_walk
+    assert 1 <= begun and walks[:begun] == ["done"] * begun
+    assert (tmp_path / "run" / "log.jsonl").read_text() == ""
+    assert built["optimizer"].step_count == 0
+    for name, p in built["model"].params.items():
+        assert p.data.tobytes() == initial[name].tobytes(), name
+
+
+@pytest.mark.parametrize("name", ["fusion.gate.w", "decoder.head.0.w"],
+                         ids=["worker", "main"])
+def test_nan_weight_gradient_ends_as_the_sequential_nan_abort(
+        tmp_path, eight_samples, monkeypatch, no_thread_left, name):
+    # sequentially, then on a worker thread, then with jobs held until
+    # train() waits for them
+    real_accumulate = tensor_module._accumulate
+    real_executor = train_module.ThreadPoolExecutor
+    rows = []
+    for run, executor in enumerate((real_executor, real_executor,
+                                    lambda **kwargs: HeldWorker())):
+        monkeypatch.setattr(train_module, "_PIPELINE_MIN_ROW_ENTRIES",
+                            train_module._PIPELINE_MIN_ROW_ENTRIES if run == 0
+                            else 0)
+        monkeypatch.setattr(train_module, "ThreadPoolExecutor", executor)
+        built = recording(monkeypatch)
+        writes = []
+
+        def poisoned(t, grad):
+            # the last member's contribution: a walk's jobs that train()
+            # did not wait for would leave it out of the checks
+            if t is built["model"].params[name]:
+                writes.append(t)
+                if len(writes) == 8:
+                    grad = grad.copy()
+                    grad.flat[0] = np.nan
+            real_accumulate(t, grad)
+
+        monkeypatch.setattr(tensor_module, "_accumulate", poisoned)
+        config = RunConfig(model=ModelConfig(**TOY),
+                           optimizer=OptimConfig(epochs=1, batch_size=8))
+        out = tmp_path / f"run-{run}"
+        with pytest.raises(TrainingDiverged) as info:
+            train(config, eight_samples, out)
+        assert info.value.step == 0
+        rows.append((out / "log.jsonl").read_text())
+    sequential, *pipelined = rows
+    assert pipelined == [sequential, sequential]
+    (row,) = [json.loads(line) for line in sequential.splitlines()]
+    assert row["event"] == "nan_abort"
+    assert row["reason"] == f"non-finite gradient in {name}"
 
 
 @pytest.mark.parametrize("k", [1, 3])
