@@ -237,10 +237,8 @@ class HeldWorker:
         self.release()
 
 
-@pytest.mark.parametrize("eager", [True, False],
-                         ids=["run_at_submission", "run_at_result"])
-def test_at_most_two_graphs_are_alive(tmp_path, eight_samples, monkeypatch,
-                                      pipelined, eager):
+def check_at_most_two_graphs_are_alive(tmp_path, eight_samples, monkeypatch,
+                                       eager):
     # when a member's forward starts, only the member before it may still
     # be alive: being walked, or waiting for its weight-gradient jobs.
     # Run at submission, each forward starts as early as it can; run when
@@ -276,6 +274,18 @@ def test_at_most_two_graphs_are_alive(tmp_path, eight_samples, monkeypatch,
         # from each step's third forward on, the member before it still
         # had weight-gradient jobs waiting behind that forward
         assert all(jobs_pending[i] > 0 for i in (2, 3, 6, 7, 10, 11, 14, 15))
+
+
+def test_at_most_two_graphs_are_alive(tmp_path, eight_samples, monkeypatch,
+                                      pipelined):
+    check_at_most_two_graphs_are_alive(tmp_path, eight_samples, monkeypatch,
+                                       eager=True)
+
+
+def test_at_most_two_graphs_are_alive_with_jobs_held(
+        tmp_path, eight_samples, monkeypatch, pipelined):
+    check_at_most_two_graphs_are_alive(tmp_path, eight_samples, monkeypatch,
+                                       eager=False)
 
 
 def test_each_parameter_gradient_is_written_by_one_thread(
