@@ -6,15 +6,17 @@ batch on per-sample graphs, and AdamW steps under a linear learning-rate
 decay. Checkpoints carry parameters, optimizer moments, counters, and
 the config, so a resumed run reproduces the uninterrupted one bitwise.
 
-:func:`train` and :func:`evaluate` each run their items through
-:func:`_in_order`. ``train`` makes each batch member's graph (forward
-pass and loss) and walks it (:func:`~affground.tensor.backward`);
-``evaluate`` loads each record and builds its plan (:func:`load_sample`),
-then scores it. At model sizes whose numpy operations are long enough
-(see :func:`_pipelines`), and with at least two items, a worker thread
-makes item k + 1 while the main thread uses item k. :func:`_in_order`
-states the ordering contract that keeps log rows, gradients, parameters,
-checkpoints and reports bitwise those of the sequential loop.
+At model sizes whose numpy operations are long enough (see
+:func:`_pipelines`), and with at least two items, both loops use a
+worker thread. :func:`train` runs each batch through :func:`_in_order`:
+the worker makes member k + 1's graph (forward pass and loss) while the
+main thread walks member k's (:func:`~affground.tensor.backward`).
+:func:`evaluate` takes records two at a time: the main thread loads both
+and builds both plans (:func:`load_sample`), then the two forwards run
+side by side, the first on the main thread and the second on the
+worker. Each loop states the ordering contract that keeps log rows,
+gradients, parameters, checkpoints and reports bitwise those of the
+sequential loop.
 
 With that worker, ``train`` also splits each walk
 (:func:`~affground.tensor.handing_off`): the main thread walks the
@@ -37,6 +39,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +69,8 @@ _PIPELINE_MIN_ROW_ENTRIES = 1 << 19
 def _pipelines(model_cfg) -> bool:
     """Whether :func:`train` builds each member's graph, and runs the
     parameter-side jobs of each walk, on a worker thread, and
-    :func:`evaluate` builds each record's plan there.
+    :func:`evaluate` runs the second forward of each pair of records
+    there.
 
     The two threads share the GIL and overlap only while one of them is
     inside a numpy call that released it, so the pipeline pays where
@@ -80,6 +84,14 @@ def _pipelines(model_cfg) -> bool:
     against 900 sequentially), and the step time spread between runs
     two to four times wider than the sequential loop's, so smaller
     models run their batches sequentially.
+
+    Which work is paired matters as much. On 2 vCPUs at n=2048, d=512
+    with one BLAS thread, a forward took 53 ms alone and 57-58 ms next
+    to another forward, but 64-115 ms next to a plan build; a plan took
+    26-27 ms alone and 47-48 ms next to another, because building one
+    holds the GIL for most of its time. So evaluation builds its plans
+    one after the other on one thread and runs its forwards side by
+    side.
     """
     return model_cfg.n_points * model_cfg.d >= _PIPELINE_MIN_ROW_ENTRIES
 
@@ -106,9 +118,11 @@ def _share_one_malloc_arena():
 
 @contextmanager
 def _pipeline_worker(model_cfg, n_items: int, name: str):
-    """Yield a one-thread executor named ``name`` for :func:`_in_order`
-    where :func:`_pipelines` holds and there are at least two items, and
-    None otherwise. Leaving the block waits for the thread."""
+    """Yield a one-thread executor named ``name`` where :func:`_pipelines`
+    holds and there are at least two items, and None otherwise: the
+    worker of :func:`train`'s :func:`_in_order`, or the one that runs
+    the second forward of each pair in :func:`evaluate`. Leaving the
+    block waits for the thread."""
     if not (_pipelines(model_cfg) and n_items > 1):
         yield None
         return
@@ -161,7 +175,8 @@ def _split_walks(worker, keep):
 
 
 def _in_order(worker, make, items, use):
-    """Run ``use(make(item))`` for each item, in order.
+    """Run ``use(make(item))`` for each item, in order: :func:`train`'s
+    batch members, each made into a graph and walked.
 
     With ``worker`` None each item is made just before it is used.
     Otherwise ``worker`` (from :func:`_pipeline_worker`) makes item k + 1
@@ -181,6 +196,10 @@ def _in_order(worker, make, items, use):
     ``use`` is a callback, not the body of a loop over yielded results:
     a caller's loop variable would keep result k - 1 alive while item
     k + 1 is made.
+
+    :func:`evaluate` does not use it: there the item made on the worker
+    would be a plan, whose build holds the GIL and slows the forward
+    beside it more than a second forward does (see :func:`_pipelines`).
     """
     if worker is None:
         for item in items:
@@ -387,24 +406,59 @@ def evaluate(model: AffordanceModel, manifest_path,
              expected_vocab=None) -> MetricReport:
     """Deterministic forward passes over a dataset; one report.
 
-    Records are loaded (:func:`load_sample`) and scored through
-    :func:`_in_order`, so above the size gate record k + 1's plan is built
-    on a worker thread while record k runs forward.
+    Records go two at a time. This thread loads both and builds both
+    plans (:func:`load_sample`), then runs the first one's forward while,
+    above the size gate (:func:`_pipeline_worker`), the worker runs the
+    second one's; without a worker this thread runs both. The outcome is
+    the sequential loop's:
+
+    - records are scored (``evaluate_sample``, then ``report.add``) in
+      record order, so the report is byte-equal;
+    - a pair's samples are dropped before the next pair's plans are
+      built, so at most two loaded samples are alive;
+    - an exception reaches the caller unchanged, after every earlier
+      record was scored: if the second record of a pair fails to load,
+      the first is scored before the error is raised;
+    - no thread outlives the call: leaving the worker's block waits for
+      the thread however it is left.
     """
     dataset = read_dataset(manifest_path)
+    if not dataset.records:
+        raise ConfigError(f"{manifest_path}: dataset has no samples")
     _check_vocab(dataset, expected_vocab)
     _check_dataset_compat(model.config, dataset)
     report = MetricReport()
 
-    def score(sample):
-        scores = model.predict(sample.cloud, sample.hidden, sample.plan)
+    def predict(sample):
+        return model.predict(sample.cloud, sample.hidden, sample.plan)
+
+    def score(sample, scores):
         report.add(sample.record.id, sample.record.affordance_name,
                    evaluate_sample(scores, sample.cloud.labels))
 
-    with _pipeline_worker(model.config.model, len(dataset.records),
-                          "affground-plan") as worker:
-        _in_order(worker, lambda record: load_sample(dataset, model, record),
-                  dataset.records, score)
+    def score_pair(worker, pair):
+        # one call per pair: its samples are dropped when it returns
+        first = load_sample(dataset, model, pair[0])
+        if len(pair) == 1:
+            score(first, predict(first))
+            return
+        try:
+            second = load_sample(dataset, model, pair[1])
+        except Exception:
+            score(first, predict(first))
+            raise
+        if worker is None:
+            second_scores = partial(predict, second)
+        else:
+            second_scores = worker.submit(predict, second).result
+        score(first, predict(first))
+        score(second, second_scores())
+
+    records = dataset.records
+    with _pipeline_worker(model.config.model, len(records),
+                          "affground-predict") as worker:
+        for k in range(0, len(records), 2):
+            score_pair(worker, records[k:k + 2])
     return report
 
 

@@ -155,6 +155,20 @@ def test_train_on_empty_manifest_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_on_empty_manifest_exits_1(tmp_path, capsys):
+    manifest, ckpt = _toy_checkpoint(tmp_path)
+    empty = pathlib.Path(manifest).parent / "empty.jsonl"
+    empty.write_text("")
+    report = tmp_path / "eval" / "report"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(empty),
+                 "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dataset has no samples" in err
+    assert "Traceback" not in err
+    assert not report.parent.exists()
+
+
 def _edit_entries(ckpt, added, renamed=()):
     """Rename entries (old, new) and add entries (name -> shape, filled with
     0.5) in a checkpoint's parameters and both AdamW moments."""

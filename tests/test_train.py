@@ -1,6 +1,6 @@
 """Training runs: the pipelined batch, resuming from a checkpoint, and
-stopping on divergence; the pipelined evaluation; the in-order loop both
-run on."""
+stopping on divergence; the pairwise evaluation; the in-order loop train
+runs on."""
 
 import json
 import math
@@ -37,6 +37,7 @@ from affground.errors import (
     NumericError,
     TrainingDiverged,
 )
+from affground.metrics import MetricReport, evaluate_sample
 from affground.model import AffordanceModel
 from affground.optim import AdamW, linear_lr
 from affground.rng import rng_for
@@ -87,7 +88,9 @@ def pipelined(monkeypatch):
 
 @pytest.fixture(params=["pipelined", "sequential"])
 def batch_loop(request):
-    """Run the test with each of train()'s two batch loops."""
+    """Run the test with and without the pipeline worker: each of train()'s
+    two batch loops, and evaluate() with a pair's second forward on the
+    worker or on this thread."""
     if request.param == "pipelined":
         request.getfixturevalue("pipelined")
     return request.param
@@ -789,12 +792,12 @@ def test_nan_pre_activation_ends_as_training_diverged(
         assert p.data.tobytes() == model.initial[key].tobytes(), key
 
 
-# -- the evaluation pipeline ---------------------------------------------------
+# -- the pairwise evaluation ---------------------------------------------------
 
 
 def plan_threads():
     return [t for t in threading.enumerate()
-            if t.name.startswith("affground-plan")]
+            if t.name.startswith("affground-predict")]
 
 
 @pytest.fixture
@@ -802,17 +805,60 @@ def toy_model():
     return AffordanceModel(RunConfig(model=ModelConfig(**TOY)))
 
 
+def first_records(manifest, n):
+    """A manifest next to ``manifest`` with its first ``n`` records."""
+    path = manifest.parent / f"first{n}.jsonl"
+    write_manifest(path, read_dataset(manifest).records[:n])
+    return path
+
+
+def record_ids(manifest, n=None):
+    return [record.id for record in read_dataset(manifest).records[:n]]
+
+
+def sequential_report(model, manifest):
+    """evaluate() as a loop over the records, one at a time, on this thread."""
+    dataset = read_dataset(manifest)
+    report = MetricReport()
+    for record in dataset.records:
+        sample = train_module.load_sample(dataset, model, record)
+        scores = model.predict(sample.cloud, sample.hidden, sample.plan)
+        report.add(record.id, record.affordance_name,
+                   evaluate_sample(scores, sample.cloud.labels))
+    return report
+
+
 def scored_ids(monkeypatch):
-    """Number, in order, every sample evaluate() scores."""
-    ids = []
-    real = train_module.evaluate_sample
+    """The ids of the records evaluate() passes to evaluate_sample, in
+    call order."""
+    ids, loaded = [], {}
+    real_load = train_module.load_sample
+    real_score = train_module.evaluate_sample
 
-    def recorded(scores, labels):
-        ids.append(len(ids))
-        return real(scores, labels)
+    def load(dataset, model, record):
+        sample = real_load(dataset, model, record)
+        loaded[id(sample.cloud.labels)] = record.id   # unique while it lives
+        return sample
 
-    monkeypatch.setattr(train_module, "evaluate_sample", recorded)
+    def score(scores, labels):
+        ids.append(loaded[id(labels)])
+        return real_score(scores, labels)
+
+    monkeypatch.setattr(train_module, "load_sample", load)
+    monkeypatch.setattr(train_module, "evaluate_sample", score)
     return ids
+
+
+@pytest.mark.parametrize("n_records", [1, 2, 3, 8])
+def test_evaluation_equals_the_sequential_loop(
+        eight_samples, toy_model, monkeypatch, batch_loop, no_thread_left,
+        frequent_switches, n_records):
+    # an odd count leaves the last record to run alone
+    manifest = first_records(eight_samples, n_records)
+    want = sequential_report(toy_model, manifest).to_json()
+    ids = scored_ids(monkeypatch)
+    assert train_module.evaluate(toy_model, manifest).to_json() == want
+    assert ids == record_ids(manifest)
 
 
 def test_pipelined_evaluation_equals_the_sequential_report(
@@ -829,14 +875,17 @@ def test_pipelined_evaluation_equals_the_sequential_report(
 
     monkeypatch.setattr(train_module, "ThreadPoolExecutor", executor)
     got = train_module.evaluate(toy_model, eight_samples).to_json()
-    assert started == ["affground-plan"]
+    assert started == ["affground-predict"]
     assert got == want
     assert not plan_threads()
 
 
-@pytest.mark.parametrize("position", [0, 3, 7], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("position", [0, 1, 2, 3, 7],
+                         ids=["first", "second", "third", "middle", "last"])
 def test_damaged_cloud_fails_evaluation_as_the_sequential_loop_does(
         eight_samples, toy_model, monkeypatch, no_thread_left, position):
+    # the first or the second record of a pair: when the second fails to
+    # load, the first is still scored before the error is raised
     record = read_dataset(eight_samples).records[position]
     cloud = eight_samples.parent / record.points
     cloud.write_bytes(cloud.read_bytes()[:-4])
@@ -850,7 +899,7 @@ def test_damaged_cloud_fails_evaluation_as_the_sequential_loop_does(
         outcomes.append((type(info.value), str(info.value), list(ids)))
     sequential, pipelined = outcomes
     assert sequential[0] is DataFormatError
-    assert sequential[2] == list(range(position))
+    assert sequential[2] == record_ids(eight_samples, position)
     assert pipelined == sequential
 
 
@@ -870,6 +919,71 @@ def test_error_in_a_forward_leaves_no_plan_thread(
         train_module.evaluate(toy_model, eight_samples)
     assert info.value is boom
     assert not plan_threads()
+
+
+@pytest.mark.parametrize("position", [2, 3], ids=["first", "second"])
+def test_error_in_either_forward_of_a_pair_propagates_unchanged(
+        eight_samples, toy_model, monkeypatch, batch_loop, no_thread_left,
+        position):
+    # with a worker, a pair's first forward runs on this thread and its
+    # second on the worker
+    dataset = read_dataset(eight_samples)
+    target = dataset.load_cloud(dataset.records[position]).coords
+    boom = Boom("injected")
+    main = threading.get_ident()
+    failed_on_main = []
+
+    def failing_predict(cloud, hidden, plan):
+        if np.array_equal(cloud.coords, target):
+            failed_on_main.append(threading.get_ident() == main)
+            raise boom
+        return AffordanceModel.predict(toy_model, cloud, hidden, plan)
+
+    monkeypatch.setattr(toy_model, "predict", failing_predict)
+    ids = scored_ids(monkeypatch)
+    with pytest.raises(Boom) as info:
+        train_module.evaluate(toy_model, eight_samples)
+    assert info.value is boom
+    assert failed_on_main == [batch_loop == "sequential" or position == 2]
+    assert ids == record_ids(eight_samples, position)
+    assert not plan_threads()
+
+
+@pytest.mark.parametrize("eager", [None, True, False],
+                         ids=["sequential", "worker_at_submission",
+                              "worker_at_result"])
+def test_at_most_two_samples_are_alive_when_a_plan_is_built(
+        eight_samples, toy_model, monkeypatch, eager):
+    # the plan being built and the other one of its pair; a pair's samples
+    # kept past its scoring would make it three. HeldWorker runs each
+    # forward when it is submitted or when its result is asked for, so
+    # what is alive does not depend on timing
+    if eager is not None:
+        monkeypatch.setattr(train_module, "_PIPELINE_MIN_ROW_ENTRIES", 0)
+        monkeypatch.setattr(train_module, "ThreadPoolExecutor",
+                            lambda **kwargs: HeldWorker(eager))
+    plans, alive_at_build = [], []
+    real_build = toy_model.build_plan
+
+    def build_plan(cloud):
+        alive_at_build.append(sum(ref() is not None for ref in plans))
+        plan = real_build(cloud)
+        plans.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(toy_model, "build_plan", build_plan)
+    for n_records in (8, 3):
+        plans.clear()
+        alive_at_build.clear()
+        train_module.evaluate(toy_model, first_records(eight_samples, n_records))
+        assert alive_at_build == [0, 1, 0, 1, 0, 1, 0, 1][:n_records]
+
+
+def test_empty_manifest_fails_evaluation(eight_samples, toy_model):
+    empty = eight_samples.parent / "empty.jsonl"
+    empty.write_text("")
+    with pytest.raises(ConfigError, match="dataset has no samples"):
+        train_module.evaluate(toy_model, empty)
 
 
 def test_small_models_evaluate_without_a_thread(
@@ -900,7 +1014,7 @@ def test_one_record_evaluates_without_a_thread(
     assert len(report.samples) == 1
 
 
-# -- the in-order loop ----------------------------------------------------------
+# -- the in-order loop of train() ----------------------------------------------
 
 
 class InlineWorker:
