@@ -40,6 +40,10 @@ FP stage's :func:`interpolation_neighbors` reads their transpose, the same
 bytes since (a - b)^2 = (b - a)^2. Groups hold real members only, back to
 back with one start offset each (the ``SAPlan`` layout), so the SA MLPs
 run on no padding. No geometry function loops over groups in Python.
+:meth:`PointBackbone.build_plan` is :meth:`~PointBackbone.group` of
+:meth:`~PointBackbone.sample`: the sampling, hundreds of small numpy calls
+that hold the GIL, apart from the grouping, a few calls on large arrays,
+so that a caller can run the two on different threads.
 
 Clouds are expected centered at their centroid with max norm 1 (see
 :func:`normalize_unit_sphere`); normalization is applied when data is
@@ -147,29 +151,49 @@ def ball_query(d2: np.ndarray, radius: float, k_max: int):
     order, so equal distances go to the lower index; ``starts`` is the
     (centers,) offset of each center's first member. A center with no
     point in range keeps one member, its nearest point (lowest index on
-    ties), so no group is ever empty. Only the candidates up to each
-    row's k_max-th smallest distance, ties included, are sorted.
+    ties), so no group is ever empty.
+
+    Only the rows with more than k_max points in range are partitioned,
+    and each is cut at its k_max-th smallest distance, ties kept; every
+    other row keeps all its in-range points, and a row with none keeps
+    its first ``argmin``. A cut row still holds every point that sorts
+    before its k_max-th in (squared distance, index) order, so the sort
+    and the cut at k_max give the groups that sorting all in-range
+    points would.
     """
     if radius <= 0:
         raise ContractError("radius must be positive")
     if k_max < 1:
         raise ContractError("k_max must be at least 1")
     m, n = d2.shape
-    last = min(k_max, n) - 1
-    nearest = d2.min(axis=1)
-    # a center with no point in range keeps its nearest point alone
-    limit = np.where(nearest <= float(radius) ** 2, k_max, 1)
-    bound = np.minimum(np.partition(d2, last, axis=1)[:, last], float(radius) ** 2)
-    bound = np.maximum(bound, nearest)
-    flat = np.flatnonzero(d2 <= bound[:, None])
+    flat = np.flatnonzero(d2 <= float(radius) ** 2)
     rows, cols = np.divmod(flat, n)
+    dist = d2.reshape(-1)[flat]
+    found = np.bincount(rows, minlength=m)
+    over = np.flatnonzero(found > k_max)
+    if over.size:
+        # a crowded row keeps its points up to its k_max-th distance, ties too
+        cut = np.full(m, np.inf)
+        cut[over] = np.partition(d2[over], k_max - 1, axis=1)[:, k_max - 1]
+        keep = dist <= cut[rows]
+        rows, cols, dist = rows[keep], cols[keep], dist[keep]
+    empty = np.flatnonzero(found == 0)
+    if empty.size:
+        # a center with no point in range keeps its nearest point alone
+        nearest = d2[empty].argmin(axis=1)
+        rows, cols, dist = (np.concatenate(pair) for pair in (
+            (rows, empty), (cols, nearest), (dist, d2[empty, nearest])))
     # stable, so equal distances keep the candidates' index order
-    order = np.lexsort((d2.reshape(-1)[flat], rows))
+    order = np.lexsort((dist, rows))
     rows, cols = rows[order], cols[order]
     found = np.bincount(rows, minlength=m)
     pos = np.arange(rows.size) - (np.cumsum(found) - found)[rows]
-    count = np.minimum(found, limit)
-    return cols[pos < limit[rows]], np.cumsum(count) - count
+    count = np.minimum(found, k_max)
+    return cols[pos < k_max], np.cumsum(count) - count
+
+
+# interpolation_neighbors' key tile: destination rows by sources
+KEY_TILE = (256, 64)
 
 
 def interpolation_neighbors(d2: np.ndarray, k: int = 3):
@@ -179,17 +203,31 @@ def interpolation_neighbors(d2: np.ndarray, k: int = 3):
     destination point, the k (at most the source count) nearest sources
     in (squared distance, index) order, so equal distances go to the
     lower index.
+
+    The picks strike entries out of a row-major copy of ``d2``, the key.
+    ``d2`` is usually the transpose of a sampling's rows, so the key is
+    built in tiles of ``KEY_TILE`` (destinations, sources), each small
+    enough to stay in cache while it is copied, and one band of
+    destination rows at a time: no full-size key is ever held.
     """
-    if d2.shape[1] == 0:
+    n_dst, n_src = d2.shape
+    if n_src == 0:
         raise ContractError("interpolation needs a non-empty source set")
-    k = min(k, d2.shape[1])
-    key = np.array(d2, order="C")   # row-major, and each pick struck out
-    rows = np.arange(len(key))
-    idx = np.empty((len(key), k), dtype=np.int64)
-    for c in range(k):
-        # argmin takes the first of equal minima, the lower index
-        idx[:, c] = key.argmin(axis=1)
-        key[rows, idx[:, c]] = np.inf
+    k = min(k, n_src)
+    tile_rows, tile_cols = KEY_TILE
+    band = np.empty((min(tile_rows, n_dst), n_src))
+    idx = np.empty((n_dst, k), dtype=np.int64)
+    for r0 in range(0, n_dst, tile_rows):
+        r1 = min(r0 + tile_rows, n_dst)
+        key = band[:r1 - r0]
+        for c0 in range(0, n_src, tile_cols):
+            key[:, c0:c0 + tile_cols] = d2[r0:r1, c0:c0 + tile_cols]
+        rows = np.arange(r1 - r0)
+        for c in range(k):
+            # argmin takes the first of equal minima, the lower index
+            pick = key.argmin(axis=1)
+            idx[r0:r1, c] = pick
+            key[rows, pick] = np.inf
     dist = np.sqrt(np.take_along_axis(d2, idx, axis=1))
     w = 1.0 / (dist + EPS_INTERP)
     w /= w.sum(axis=1, keepdims=True)
@@ -216,6 +254,15 @@ class SAPlan:
 class FPPlan:
     nn_idx: np.ndarray          # (n_dst, k) into the source level
     weights: np.ndarray         # (n_dst, k)
+
+
+@dataclass
+class SampledCloud:
+    """A cloud's farthest-point sampling stages, the input of a plan's
+    grouping (see :meth:`PointBackbone.sample`)."""
+
+    level_coords: list          # [0]=input cloud, then each stage's centers
+    d2: list = field(default_factory=list)  # (centers, level) per stage
 
 
 @dataclass
@@ -321,22 +368,39 @@ class PointBackbone:
 
     # -- geometry ------------------------------------------------------
 
-    def build_plan(self, coords: np.ndarray) -> BackbonePlan:
+    def sample(self, coords: np.ndarray) -> SampledCloud:
+        """The three farthest-point sampling stages of one cloud.
+
+        This is the part of a plan that is hundreds of small numpy calls
+        and holds the GIL for most of its time; :meth:`group` makes the
+        rest of the plan from it.
+        """
         coords = np.asarray(coords, dtype=np.float32)
         n = coords.shape[0]
         if n < self.stage_points[0]:
             raise ContractError(
                 f"cloud has {n} points but the first stage samples "
                 f"{self.stage_points[0]}")
-        plan = BackbonePlan(level_coords=[coords])
-        level = coords
-        fps_d2 = []
-        for m, r, k in zip(self.stage_points, self.radii, self.k_max):
+        sampled = SampledCloud(level_coords=[coords])
+        for m in self.stage_points:
+            level = sampled.level_coords[-1]
             idx, d2 = farthest_point_sample(level, m)
-            centers = level[idx]
+            sampled.level_coords.append(level[idx])
+            sampled.d2.append(d2)
+        return sampled
+
+    def group(self, sampled: SampledCloud) -> BackbonePlan:
+        """The plan from a cloud's sampling stages: each stage's ball
+        query and member geometry, then each FP stage's interpolation
+        neighbors. It keeps no reference to ``sampled``, whose distance
+        rows can be dropped once this returns."""
+        levels = sampled.level_coords
+        plan = BackbonePlan(level_coords=list(levels))
+        for i, (r, k, d2) in enumerate(zip(self.radii, self.k_max, sampled.d2)):
+            level, centers = levels[i], levels[i + 1]
             group_idx, starts = ball_query(d2, r, k)
             columns = level
-            if level is coords:
+            if i == 0:
                 # the first stage's input features are the coordinates: its
                 # members carry their own coordinates after the offset
                 columns = np.concatenate([level, level], axis=1)
@@ -344,15 +408,15 @@ class PointBackbone:
             geometry[:, :3] -= np.repeat(
                 centers, np.diff(starts, append=len(group_idx)), axis=0)
             plan.sa.append(SAPlan(group_idx, geometry, starts))
-            plan.level_coords.append(centers)
-            fps_d2.append(d2)
-            level = centers
         # propagation runs bottleneck -> ... -> full resolution; each
         # stage's (finer, coarser) distances are its sampling's, transposed
-        for i in range(3):
-            nn_idx, w = interpolation_neighbors(fps_d2[2 - i].T)
-            plan.fp.append(FPPlan(nn_idx, w))
+        for d2 in reversed(sampled.d2):
+            plan.fp.append(FPPlan(*interpolation_neighbors(d2.T)))
         return plan
+
+    def build_plan(self, coords: np.ndarray) -> BackbonePlan:
+        """The cloud's whole plan: :meth:`group` of :meth:`sample`."""
+        return self.group(self.sample(coords))
 
     # -- features ------------------------------------------------------
 

@@ -12,11 +12,12 @@ worker thread. :func:`train` runs each batch through :func:`_in_order`:
 the worker makes member k + 1's graph (forward pass and loss) while the
 main thread walks member k's (:func:`~affground.tensor.backward`).
 :func:`evaluate` takes records two at a time: the main thread loads both
-and builds both plans (:func:`load_sample`), then the two forwards run
-side by side, the first on the main thread and the second on the
-worker. Each loop states the ordering contract that keeps log rows,
-gradients, parameters, checkpoints and reports bitwise those of the
-sequential loop.
+and runs the first one's farthest-point sampling, then the worker groups
+the first (ball queries, geometry, interpolation neighbors) and runs its
+forward while the main thread samples, groups and runs the second. Each
+loop states the ordering contract that keeps log rows, gradients,
+parameters, checkpoints and reports bitwise those of the sequential
+loop.
 
 With that worker, ``train`` also splits each walk
 (:func:`~affground.tensor.handing_off`): the main thread walks the
@@ -39,7 +40,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +69,7 @@ _PIPELINE_MIN_ROW_ENTRIES = 1 << 19
 def _pipelines(model_cfg) -> bool:
     """Whether :func:`train` builds each member's graph, and runs the
     parameter-side jobs of each walk, on a worker thread, and
-    :func:`evaluate` runs the second forward of each pair of records
+    :func:`evaluate` groups and runs the first record of each pair
     there.
 
     The two threads share the GIL and overlap only while one of them is
@@ -87,11 +87,16 @@ def _pipelines(model_cfg) -> bool:
 
     Which work is paired matters as much. On 2 vCPUs at n=2048, d=512
     with one BLAS thread, a forward took 53 ms alone and 57-58 ms next
-    to another forward, but 64-115 ms next to a plan build; a plan took
-    26-27 ms alone and 47-48 ms next to another, because building one
-    holds the GIL for most of its time. So evaluation builds its plans
-    one after the other on one thread and runs its forwards side by
-    side.
+    to another forward, but 64-115 ms next to a whole plan build; a plan
+    took 26-27 ms alone and 47-48 ms next to another, because its
+    farthest-point sampling is hundreds of small numpy calls that hold
+    the GIL. A plan's grouping, by contrast, is a few calls on large
+    arrays. So evaluation keeps every sampling on one thread and pairs
+    only the grouping and a forward with other work: over the 35
+    corruption cells of two paper-config records that ran at 19.3-20.1
+    samples/s, against 15.7-16.4 when each thread took a whole record
+    (load, plan and forward), where two samplings at once thrash the
+    GIL.
     """
     return model_cfg.n_points * model_cfg.d >= _PIPELINE_MIN_ROW_ENTRIES
 
@@ -120,9 +125,9 @@ def _share_one_malloc_arena():
 def _pipeline_worker(model_cfg, n_items: int, name: str):
     """Yield a one-thread executor named ``name`` where :func:`_pipelines`
     holds and there are at least two items, and None otherwise: the
-    worker of :func:`train`'s :func:`_in_order`, or the one that runs
-    the second forward of each pair in :func:`evaluate`. Leaving the
-    block waits for the thread."""
+    worker of :func:`train`'s :func:`_in_order`, or the one that groups
+    and runs the first record of each pair in :func:`evaluate`. Leaving
+    the block waits for the thread."""
     if not (_pipelines(model_cfg) and n_items > 1):
         yield None
         return
@@ -198,8 +203,9 @@ def _in_order(worker, make, items, use):
     k + 1 is made.
 
     :func:`evaluate` does not use it: there the item made on the worker
-    would be a plan, whose build holds the GIL and slows the forward
-    beside it more than a second forward does (see :func:`_pipelines`).
+    would be a whole plan, whose sampling holds the GIL and slows the
+    forward beside it more than a second forward does (see
+    :func:`_pipelines`).
     """
     if worker is None:
         for item in items:
@@ -406,19 +412,27 @@ def evaluate(model: AffordanceModel, manifest_path,
              expected_vocab=None) -> MetricReport:
     """Deterministic forward passes over a dataset; one report.
 
-    Records go two at a time. This thread loads both and builds both
-    plans (:func:`load_sample`), then runs the first one's forward while,
-    above the size gate (:func:`_pipeline_worker`), the worker runs the
-    second one's; without a worker this thread runs both. The outcome is
-    the sequential loop's:
+    Above the size gate (:func:`_pipeline_worker`), records go two at a
+    time. This thread loads both and samples the first
+    (:meth:`~affground.backbone.PointBackbone.sample`), then hands its
+    grouping (:meth:`~affground.backbone.PointBackbone.group`) and
+    forward to the worker while it samples, groups and runs the second.
+    So every farthest-point sampling runs on this thread, and only the
+    grouping's large-array work and a forward run beside a sampling or a
+    forward (see :func:`_pipelines`). Below the gate, and for the last
+    of an odd number of records, this thread loads, samples, groups,
+    runs and scores one record at a time. The outcome is the sequential
+    loop's:
 
     - records are scored (``evaluate_sample``, then ``report.add``) in
       record order, so the report is byte-equal;
-    - a pair's samples are dropped before the next pair's plans are
-      built, so at most two loaded samples are alive;
+    - a pair's samples are dropped before the next pair is loaded, so
+      at most two loaded samples are alive, and the first record's
+      sampled distances are dropped as soon as the worker has grouped
+      them, not when its forward ends;
     - an exception reaches the caller unchanged, after every earlier
-      record was scored: if the second record of a pair fails to load,
-      the first is scored before the error is raised;
+      record was scored: if the second record of a pair fails, in its
+      load or later, the first is scored before the error is raised;
     - no thread outlives the call: leaving the worker's block waits for
       the thread however it is left.
     """
@@ -428,37 +442,51 @@ def evaluate(model: AffordanceModel, manifest_path,
     _check_vocab(dataset, expected_vocab)
     _check_dataset_compat(model.config, dataset)
     report = MetricReport()
-
-    def predict(sample):
-        return model.predict(sample.cloud, sample.hidden, sample.plan)
+    backbone = model.backbone
 
     def score(sample, scores):
         report.add(sample.record.id, sample.record.affordance_name,
                    evaluate_sample(scores, sample.cloud.labels))
 
-    def score_pair(worker, pair):
+    def load(record):   # planned later, from its sampling
+        return LoadedSample(record, dataset.load_cloud(record),
+                            dataset.load_hidden(record), None)
+
+    def sampling(sample):
+        # a box that alone holds the sampling, for grouped_scores to empty
+        return [backbone.sample(sample.cloud.coords)]
+
+    def grouped_scores(sample, box):
+        # the sampled distances go as soon as they are grouped
+        plan = backbone.group(box.pop())
+        return model.predict(sample.cloud, sample.hidden, plan)
+
+    def score_alone(sample):
+        score(sample, grouped_scores(sample, sampling(sample)))
+
+    def score_pair(worker, first, second):
         # one call per pair: its samples are dropped when it returns
-        first = load_sample(dataset, model, pair[0])
-        if len(pair) == 1:
-            score(first, predict(first))
-            return
+        first = load(first)
         try:
-            second = load_sample(dataset, model, pair[1])
+            second = load(second)
         except Exception:
-            score(first, predict(first))
+            score_alone(first)
             raise
-        if worker is None:
-            second_scores = partial(predict, second)
-        else:
-            second_scores = worker.submit(predict, second).result
-        score(first, predict(first))
-        score(second, second_scores())
+        first_scores = worker.submit(grouped_scores, first, sampling(first))
+        try:
+            second_scores = grouped_scores(second, sampling(second))
+        finally:
+            score(first, first_scores.result())
+        score(second, second_scores)
 
     records = dataset.records
     with _pipeline_worker(model.config.model, len(records),
                           "affground-predict") as worker:
-        for k in range(0, len(records), 2):
-            score_pair(worker, records[k:k + 2])
+        pairs = 0 if worker is None else len(records) // 2
+        for k in range(pairs):
+            score_pair(worker, *records[2 * k:2 * k + 2])
+        for record in records[2 * pairs:]:
+            score_alone(load(record))   # dropped when the call returns
     return report
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from affground import tensor as T
 from affground.backbone import (
+    KEY_TILE,
     BackbonePlan,
     FeaturePropagation,
     FPPlan,
@@ -85,7 +86,11 @@ def sq_dist_oracle(a, b):
 
 def ball_query_oracle(centers, coords, radius, k_max):
     """One index array per center: in range, nearest first."""
-    d2 = sq_dist_oracle(centers, coords)
+    return groups_oracle(sq_dist_oracle(centers, coords), radius, k_max)
+
+
+def groups_oracle(d2, radius, k_max):
+    """``ball_query_oracle`` from the (centers, points) squared distances."""
     r2 = float(radius) ** 2
     groups = []
     for row in d2:
@@ -256,6 +261,95 @@ class TestGeometryMatchesOracles:
         sa = plan.sa[0]
         sizes = np.diff(sa.starts, append=len(sa.group_idx))
         assert sizes[0] == 1 and sa.group_idx[0] == 63 and sizes.max() == 8
+
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("kind", ["gaussian", "grid"])
+    def test_interpolation_neighbors_across_key_tiles(self, kind, k):
+        rng = np.random.default_rng(11)
+        if kind == "grid":   # integer coordinates: many equal distances
+            axes = np.meshgrid(*[np.arange(9)] * 3, indexing="ij")
+            coords = np.stack(axes, axis=-1).reshape(-1, 3)
+            coords = coords[rng.permutation(len(coords))[:600]]
+        else:
+            coords = rng.normal(size=(600, 3))
+        coords = coords.astype(np.float32)
+        src = coords[rng.permutation(600)[:150]]
+        # more than one key tile each way, and a partial one at each end
+        for size, tile in zip((600, 150), KEY_TILE):
+            assert size > tile and size % tile
+        want_idx, want_w = interpolation_neighbors_oracle(src, coords, k)
+        # row-major, and transposed as a sampling stage's rows are read
+        for d2 in (sq_dist_oracle(coords, src), sq_dist_oracle(src, coords).T):
+            got_idx, got_w = interpolation_neighbors(d2, k)
+            assert_bitwise(got_idx, want_idx)
+            assert_bitwise(got_w, want_w)
+
+    def test_ball_query_at_the_k_max_cut(self):
+        radius, k_max = 2.0, 3          # squared radius 4
+        d2 = np.array([
+            [5, 1, 4, 9, 0, 7, 6, 8],   # exactly k_max in range
+            [3, 9, 2, 1, 2, 0, 2, 2],   # more, tied at the k_max-th distance
+            [2, 2, 9, 4, 2, 0, 4, 1],   # more, tied at the k_max-th and cut
+            [7, 5, 9, 5, 6, 8, 5, 10],  # none in range, tied nearest points
+            [9, 8, 7, 6, 5, 4, 5, 6],   # one in range, at the radius
+            [4, 4, 4, 4, 4, 4, 4, 4],   # all tied at the radius
+        ], dtype=np.float64)
+        group_idx, starts = ball_query(d2, radius, k_max)
+        assert starts.tolist() == [0, 3, 6, 9, 10, 11]
+        assert group_idx.tolist() == [4, 1, 2, 5, 3, 2, 5, 7, 0,
+                                      1, 5, 0, 1, 2]
+        want = compact_groups_oracle(groups_oracle(d2, radius, k_max))
+        assert_bitwise(group_idx, want[0])
+        assert_bitwise(starts, want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 40), st.data())
+    def test_ball_query_on_tie_heavy_distances(self, m, n, data):
+        # quarter steps, and radii whose squares are quarter steps too:
+        # rows full of equal distances, some equal to the squared radius
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        top = data.draw(st.sampled_from([2, 6, 12, 40]))
+        d2 = np.random.default_rng(seed).integers(0, top, (m, n)) / 4.0
+        radius = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+        k_max = data.draw(st.integers(1, n + 2))
+        want = compact_groups_oracle(groups_oracle(d2, radius, k_max))
+        for a, b in zip(ball_query(d2, radius, k_max), want):
+            assert_bitwise(a, b)
+
+    @pytest.mark.parametrize("kind", ["clumps", "grid"])
+    def test_build_plan_on_a_large_cloud(self, kind):
+        rng = np.random.default_rng(3)
+        if kind == "grid":
+            # integer coordinates, and radii whose squares are integers:
+            # groups cut at k_max among points at the same distance
+            axes = np.meshgrid(*[np.arange(11)] * 3, indexing="ij")
+            coords = np.stack(axes, axis=-1).reshape(-1, 3)
+            coords = coords[rng.permutation(len(coords))]
+            backbone = PointBackbone({}, "backbone", rng_for(0, "init"), d=8,
+                                     stage_points=[512, 128, 32],
+                                     radii=[2.0, 3.0, 5.0], k_max=[32, 16, 8])
+        else:
+            # dense clumps, as the local additions make, a duplicated
+            # block, and one far point that is in no other point's ball
+            base = normalize_unit_sphere(rng.normal(size=(1024, 3)))
+            clumps = (base[rng.integers(0, 1024, 8)][:, None, :]
+                      + rng.normal(scale=0.02, size=(8, 64, 3)))
+            coords = np.vstack([base, clumps.reshape(-1, 3), base[:64],
+                                [[0, 0, 3.0]]])
+            backbone = PointBackbone({}, "backbone", rng_for(0, "init"), d=8,
+                                     stage_points=[512, 128, 32])
+        coords = coords.astype(np.float32)
+        assert len(coords) >= 1024
+        plan = backbone.build_plan(coords)
+        assert_plans_bitwise(plan, build_plan_oracle(backbone, coords))
+        # some first-stage group was cut at k_max with more in range
+        sa = plan.sa[0]
+        in_range = (sq_dist_oracle(plan.level_coords[1], coords)
+                    <= backbone.radii[0] ** 2).sum(axis=1)
+        sizes = np.diff(sa.starts, append=len(sa.group_idx))
+        assert (in_range > backbone.k_max[0]).any()
+        assert sizes.max() == backbone.k_max[0]
 
 
 class TestFarthestPointSample:

@@ -12,6 +12,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from affground import backbone as backbone_module
 from affground import model as model_module
 from affground import tensor as tensor_module
 from affground import train as train_module
@@ -24,6 +25,7 @@ from affground.config import (
     RunConfig,
 )
 from affground.dataio import (
+    Dataset,
     gen_synthetic_dataset,
     load_checkpoint,
     read_dataset,
@@ -828,23 +830,31 @@ def sequential_report(model, manifest):
     return report
 
 
+def loaded_ids(monkeypatch):
+    """Record ids by the ``id`` of the loaded clouds' coordinates and
+    labels, which are unique while the clouds live."""
+    ids = {}
+    real_load = Dataset.load_cloud
+
+    def load_cloud(self, record):
+        cloud = real_load(self, record)
+        ids[id(cloud.coords)] = ids[id(cloud.labels)] = record.id
+        return cloud
+
+    monkeypatch.setattr(Dataset, "load_cloud", load_cloud)
+    return ids
+
+
 def scored_ids(monkeypatch):
     """The ids of the records evaluate() passes to evaluate_sample, in
     call order."""
-    ids, loaded = [], {}
-    real_load = train_module.load_sample
+    ids, loaded = [], loaded_ids(monkeypatch)
     real_score = train_module.evaluate_sample
-
-    def load(dataset, model, record):
-        sample = real_load(dataset, model, record)
-        loaded[id(sample.cloud.labels)] = record.id   # unique while it lives
-        return sample
 
     def score(scores, labels):
         ids.append(loaded[id(labels)])
         return real_score(scores, labels)
 
-    monkeypatch.setattr(train_module, "load_sample", load)
     monkeypatch.setattr(train_module, "evaluate_sample", score)
     return ids
 
@@ -925,8 +935,8 @@ def test_error_in_a_forward_leaves_no_plan_thread(
 def test_error_in_either_forward_of_a_pair_propagates_unchanged(
         eight_samples, toy_model, monkeypatch, batch_loop, no_thread_left,
         position):
-    # with a worker, a pair's first forward runs on this thread and its
-    # second on the worker
+    # with a worker, a pair's first forward runs on the worker and its
+    # second on this thread
     dataset = read_dataset(eight_samples)
     target = dataset.load_cloud(dataset.records[position]).coords
     boom = Boom("injected")
@@ -944,7 +954,7 @@ def test_error_in_either_forward_of_a_pair_propagates_unchanged(
     with pytest.raises(Boom) as info:
         train_module.evaluate(toy_model, eight_samples)
     assert info.value is boom
-    assert failed_on_main == [batch_loop == "sequential" or position == 2]
+    assert failed_on_main == [batch_loop == "sequential" or position == 3]
     assert ids == record_ids(eight_samples, position)
     assert not plan_threads()
 
@@ -954,29 +964,130 @@ def test_error_in_either_forward_of_a_pair_propagates_unchanged(
                               "worker_at_result"])
 def test_at_most_two_samples_are_alive_when_a_plan_is_built(
         eight_samples, toy_model, monkeypatch, eager):
-    # the plan being built and the other one of its pair; a pair's samples
-    # kept past its scoring would make it three. HeldWorker runs each
-    # forward when it is submitted or when its result is asked for, so
-    # what is alive does not depend on timing
+    # the sample being planned and, with a worker, the other one of its
+    # pair; a pair's samples kept past its scoring would make it three.
+    # HeldWorker runs each first record's grouping and forward when it is
+    # submitted or when its result is asked for, so what is alive does
+    # not depend on timing
     if eager is not None:
         monkeypatch.setattr(train_module, "_PIPELINE_MIN_ROW_ENTRIES", 0)
         monkeypatch.setattr(train_module, "ThreadPoolExecutor",
                             lambda **kwargs: HeldWorker(eager))
-    plans, alive_at_build = [], []
-    real_build = toy_model.build_plan
+    clouds, alive_at_plan = [], []
+    real_load = Dataset.load_cloud
+    real_group = toy_model.backbone.group
 
-    def build_plan(cloud):
-        alive_at_build.append(sum(ref() is not None for ref in plans))
-        plan = real_build(cloud)
-        plans.append(weakref.ref(plan))
-        return plan
+    def load_cloud(self, record):
+        cloud = real_load(self, record)
+        clouds.append(weakref.ref(cloud))
+        return cloud
 
-    monkeypatch.setattr(toy_model, "build_plan", build_plan)
+    def group(sampled):
+        alive_at_plan.append(sum(ref() is not None for ref in clouds))
+        return real_group(sampled)
+
+    monkeypatch.setattr(Dataset, "load_cloud", load_cloud)
+    monkeypatch.setattr(toy_model.backbone, "group", group)
     for n_records in (8, 3):
-        plans.clear()
-        alive_at_build.clear()
+        clouds.clear()
+        alive_at_plan.clear()
         train_module.evaluate(toy_model, first_records(eight_samples, n_records))
-        assert alive_at_build == [0, 1, 0, 1, 0, 1, 0, 1][:n_records]
+        paired = 0 if eager is None else n_records - n_records % 2
+        assert alive_at_plan == [2] * paired + [1] * (n_records - paired)
+
+
+def test_only_sampling_stays_on_the_main_thread(
+        eight_samples, toy_model, monkeypatch, batch_loop, no_thread_left):
+    # with a worker, each pair's first record is grouped there: its ball
+    # queries and interpolation neighbors; every sampling runs here
+    manifest = first_records(eight_samples, 3)
+    want = sequential_report(toy_model, manifest).to_json()
+    calls = {name: [] for name in ("farthest_point_sample", "ball_query",
+                                   "interpolation_neighbors")}
+    for name, threads in calls.items():
+        def recorded(*args, real=getattr(backbone_module, name),
+                     threads=threads):
+            threads.append(threading.current_thread().name.split("_")[0])
+            return real(*args)
+
+        monkeypatch.setattr(backbone_module, name, recorded)
+    loaded = loaded_ids(monkeypatch)
+    grouped_on = {}
+    real_group = toy_model.backbone.group
+
+    def group(sampled):
+        record = loaded[id(sampled.level_coords[0])]
+        grouped_on[record] = threading.current_thread().name.split("_")[0]
+        return real_group(sampled)
+
+    monkeypatch.setattr(toy_model.backbone, "group", group)
+    assert train_module.evaluate(toy_model, manifest).to_json() == want
+    here = threading.current_thread().name
+    worker = "affground-predict" if batch_loop == "pipelined" else here
+    ids = record_ids(manifest)
+    assert grouped_on == {ids[0]: worker, ids[1]: here, ids[2]: here}
+    assert calls["farthest_point_sample"] == [here] * 9
+    for name in ("ball_query", "interpolation_neighbors"):
+        assert sorted(calls[name]) == sorted([worker] * 3 + [here] * 6)
+
+
+@pytest.mark.parametrize("position", [2, 3], ids=["first", "second"])
+def test_error_in_either_grouping_of_a_pair_propagates_unchanged(
+        eight_samples, toy_model, monkeypatch, batch_loop, no_thread_left,
+        position):
+    # with a worker, a pair's first record is grouped on the worker
+    boom = Boom("injected")
+    main = threading.get_ident()
+    failed_on_main = []
+    loaded = loaded_ids(monkeypatch)
+    target = record_ids(eight_samples)[position]
+    real_group = toy_model.backbone.group
+
+    def failing_group(sampled):
+        if loaded[id(sampled.level_coords[0])] == target:
+            failed_on_main.append(threading.get_ident() == main)
+            raise boom
+        return real_group(sampled)
+
+    monkeypatch.setattr(toy_model.backbone, "group", failing_group)
+    ids = scored_ids(monkeypatch)
+    with pytest.raises(Boom) as info:
+        train_module.evaluate(toy_model, eight_samples)
+    assert info.value is boom
+    assert failed_on_main == [batch_loop == "sequential" or position == 3]
+    assert ids == record_ids(eight_samples, position)
+    assert not plan_threads()
+
+
+def test_sampled_distances_are_freed_before_the_forward_ends(
+        eight_samples, toy_model, monkeypatch, pipelined, no_thread_left):
+    # the worker's job holds its first record's sampling in a box it
+    # empties, so the distance rows go once grouped, before the forward
+    # starts, not when the job ends
+    distances, freed, on_main = {}, {}, {}
+    main = threading.get_ident()
+    real_sample = toy_model.backbone.sample
+    loaded = loaded_ids(monkeypatch)
+
+    def sample(coords):
+        sampled = real_sample(coords)
+        distances[loaded[id(coords)]] = [weakref.ref(d2) for d2 in sampled.d2]
+        return sampled
+
+    def predict(cloud, hidden, plan):
+        record = loaded[id(cloud.coords)]
+        freed[record] = all(ref() is None for ref in distances[record])
+        on_main[record] = threading.get_ident() == main
+        return AffordanceModel.predict(toy_model, cloud, hidden, plan)
+
+    monkeypatch.setattr(toy_model.backbone, "sample", sample)
+    monkeypatch.setattr(toy_model, "predict", predict)
+    manifest = first_records(eight_samples, 5)
+    train_module.evaluate(toy_model, manifest)
+    ids = record_ids(manifest)
+    assert on_main == {record: k % 2 == 1 or k == 4
+                       for k, record in enumerate(ids)}
+    assert freed == dict.fromkeys(ids, True)
 
 
 def test_empty_manifest_fails_evaluation(eight_samples, toy_model):
