@@ -22,15 +22,17 @@ in exact algebra equal to concatenating the inputs and projecting:
 - SA1, whose input features are the coordinates themselves:
   ``geometry @ W + b``, with the plan's constant (rows, 6) member rows
   ``[rel, coords[group_idx]]``;
-- SA2, SA3: ``rel @ W[:3] + gather_rows(feats @ W[3:], group_idx) + b``;
-- FP: ``skip @ W[d_src:] + interpolate(src @ W[:d_src], nn_idx, w) + b``.
+- SA2, SA3: ``rel @ W_geo + gather_rows(feats @ W_feat, group_idx) + b``;
+- FP: ``skip @ W_skip + interpolate(src @ W_src, nn_idx, w) + b``.
 
 Each sum is added left to right into the first product's buffer, and
 the graph keeps no buffer of the gathered or interpolated term once it
 is added (``linear``'s ``spent``).
 
-``W[a:b]`` is a :func:`~affground.tensor.slice_rows` view, so parameter
-names, shapes and checkpoints are those of the concatenated layer.
+Each weight of such a sum is a parameter of its own (``w_geo`` and
+``w_feat``, ``w_src`` and ``w_skip``), the rows of the concatenated
+layer's weight for that input part, in input order; SA1, whose input is
+one constant block, keeps one weight ``w``.
 
 Geometry contract: every squared distance is float64, summed over x, y, z
 in that order, and every nearest-first order breaks equal distances toward
@@ -278,28 +280,32 @@ class SetAbstraction:
     """Sample/group/encode/pool stage producing coarser features.
 
     The shared MLP's first layer sees ``[geometry, feats[group]]`` per
-    member, where ``geometry`` holds the plan's constant columns. With
-    ``W = [W_geo; W_feat]`` its pre-activation is computed as
-    ``geometry @ W_geo + gather(feats @ W_feat) + b``, with its ReLU, in
-    the buffer of ``geometry @ W_geo``: each point's features are
-    projected once, and only the geometry columns run on the member rows.
-    The MLP runs on real members only, and
-    :func:`~affground.tensor.segment_max` pools each group's rows.
-    ``feats`` is None when the geometry is the whole input (the first
-    stage, whose features are the coordinates).
+    member, where ``geometry`` holds the plan's constant columns. Its
+    weight is two parameters, ``W_geo`` and ``W_feat``, and its
+    pre-activation is computed as ``geometry @ W_geo + gather(feats @
+    W_feat) + b``, with its ReLU, in the buffer of ``geometry @ W_geo``:
+    each point's features are projected once, and only the geometry
+    columns run on the member rows. The MLP runs on real members only,
+    and :func:`~affground.tensor.segment_max` pools each group's rows.
+    With ``first_stage`` the geometry is the whole input, since that
+    stage's features are the coordinates: the layer has one weight ``W``,
+    and ``feats`` is None.
     """
 
-    def __init__(self, params, prefix, rng, in_dim, hidden, out, dtype=np.float32):
-        self.mlp = make_mlp(params, prefix, rng, [in_dim + 3, hidden, out], dtype)
+    def __init__(self, params, prefix, rng, in_dim, hidden, out, dtype=np.float32,
+                 first_stage=False):
+        parts = None if first_stage else {"w_geo": 3, "w_feat": in_dim}
+        self.mlp = make_mlp(params, prefix, rng, [in_dim + 3, hidden, out], dtype,
+                            parts)
         self.out_dim = out
         self.dtype = dtype
 
     def __call__(self, feats: Tensor | None, plan: SAPlan) -> Tensor:
         geometry = Tensor(plan.geometry.astype(self.dtype))
         first = self.mlp.layers[0]
-        w_geo, w_feat = first.split(plan.geometry.shape[1])
-        gathered = ()
+        w_geo, gathered = first.w, ()
         if feats is not None:
+            w_geo, w_feat = first.w
             gathered = (gather_rows(matmul(feats, w_feat), plan.group_idx),)
         h = linear(geometry, w_geo, (*gathered, first.b), relu=True,
                    spent=gathered)
@@ -313,21 +319,24 @@ class FeaturePropagation:
     k nearest source rows (the plan's weights are constants), the skip
     features of that level are appended on the right, and a unit MLP of
     the given ``widths`` maps the result to ``widths[-1]`` channels.
-    Interpolation is linear, so with ``W = [W_src; W_skip]`` the first
-    layer is computed as ``skip @ W_skip + interpolate(src @ W_src) + b``,
-    with its ReLU, in the buffer of ``skip @ W_skip``: the source half runs
-    on the coarse rows, not on every destination row. The first layer
-    always ends in a ReLU: between layers, or, in a one-layer MLP (FP3),
-    on the output. A longer MLP's last layer has no activation.
+    Interpolation is linear, so with the first layer's weight as two
+    parameters, ``W_src`` for the ``src_dim`` source columns and
+    ``W_skip``, that layer is computed as ``skip @ W_skip +
+    interpolate(src @ W_src) + b``, with its ReLU, in the buffer of
+    ``skip @ W_skip``: the source part runs on the coarse rows, not on
+    every destination row. The first layer always ends in a ReLU: between
+    layers, or, in a one-layer MLP (FP3), on the output. A longer MLP's
+    last layer has no activation.
     """
 
-    def __init__(self, params, prefix, rng, widths, dtype=np.float32):
-        self.mlp = make_mlp(params, prefix, rng, widths, dtype)
+    def __init__(self, params, prefix, rng, src_dim, widths, dtype=np.float32):
+        self.mlp = make_mlp(params, prefix, rng, widths, dtype,
+                            {"w_src": src_dim, "w_skip": widths[0] - src_dim})
 
     def __call__(self, src_feats: Tensor, plan: FPPlan,
                  skip_feats: Tensor) -> Tensor:
         first = self.mlp.layers[0]
-        w_src, w_skip = first.split(src_feats.shape[1])
+        w_src, w_skip = first.w
         mixed = interpolate(matmul(src_feats, w_src), plan.nn_idx, plan.weights)
         return self.mlp.after_first(
             linear(skip_feats, w_skip, (mixed, first.b), relu=True,
@@ -355,14 +364,14 @@ class PointBackbone:
         in_dim = 3  # absolute coordinates double as the initial features
         for i, w in enumerate(widths):
             stage = SetAbstraction(params, f"{prefix}.sa{i + 1}", rng,
-                                   in_dim, w, w, dtype)
+                                   in_dim, w, w, dtype, first_stage=i == 0)
             self.sa_stages.append(stage)
             in_dim = w
         # decoder skips: the two finer encoder stages, then the raw coords;
         # FP3 is one layer, since a linear layer follows its ReLU'd output
         fp_widths = [[d + widths[1], d, d], [d + widths[0], d, d], [d + 3, d]]
         self.fp_stages = [
-            FeaturePropagation(params, f"{prefix}.fp{i + 1}", rng, w, dtype)
+            FeaturePropagation(params, f"{prefix}.fp{i + 1}", rng, d, w, dtype)
             for i, w in enumerate(fp_widths)
         ]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -178,6 +179,8 @@ def _cmd_pca_viz(args):
 
 
 def _cmd_gradcheck(args):
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be a positive finite number, got {args.tol}")
     results = run_gradcheck_suite(args.tol)
     failed = [r for r in results if not r.ok]
     for r in results:

@@ -4,10 +4,11 @@ Stage I: the bottleneck point features attend to the token states with
 :class:`~affground.nn.CrossAttention`; the output replaces the input.
 Stage II: a gated weighted sum over tokens forms one global descriptor,
 and one linear layer with a ReLU mixes each full-resolution row with it.
-The concatenation ``[full_res, descriptor]`` times ``W`` is computed as
-``full_res @ W[:d] + (descriptor @ W[d:] + b)``: the descriptor's (1, d)
-projection is broadcast over the rows, never tiled, and it and the ReLU
-go into the buffer of ``full_res @ W[:d]`` (one
+The layer's weight is one parameter per input part, ``w_row`` and
+``w_desc``, and the concatenation ``[full_res, descriptor]`` times it is
+computed as ``full_res @ w_row + (descriptor @ w_desc + b)``: the
+descriptor's (1, d) projection is broadcast over the rows, never tiled,
+and it and the ReLU go into the buffer of ``full_res @ w_row`` (one
 :func:`~affground.tensor.linear` node).
 ``AffordanceModel.forward`` runs the stages around the backbone, and
 ``fusion.stage1``/``fusion.stage2`` switch each off for ablations; a stage
@@ -35,7 +36,8 @@ class FusionModule:
             gate = rng.uniform(-1, 1, size=(d, 1)) / np.sqrt(d)
             self.gate_w = Tensor(gate.astype(dtype), requires_grad=True)
             params[f"{prefix}.gate.w"] = self.gate_w
-            self.fuse = make_linear(params, f"{prefix}.fuse", rng, 2 * d, d, dtype)
+            self.fuse = make_linear(params, f"{prefix}.fuse", rng, 2 * d, d,
+                                    dtype, parts={"w_row": d, "w_desc": d})
 
     def bottleneck_cross_attention(self, point_feats: Tensor,
                                    token_feats: Tensor) -> Tensor:
@@ -54,6 +56,6 @@ class FusionModule:
             raise ShapeError(
                 f"fuse expects (N, {self.d}) and (1, {self.d}), got "
                 f"{full_res.shape} and {descriptor.shape}")
-        w_row, w_desc = self.fuse.split(self.d)
+        w_row, w_desc = self.fuse.w
         shift = linear(descriptor, w_desc, (self.fuse.b,))
         return linear(full_res, w_row, (shift,), relu=True)

@@ -152,8 +152,6 @@ def _primitive_checks(tol) -> list:
          lambda x: (T.gather_rows(x, gather_idx) ** 2.0).sum(), False),
         ("interpolate", (3, 4),
          lambda x: (T.interpolate(x, interp_idx, interp_w) ** 2.0).sum(), False),
-        ("slice_rows", (3, 4), lambda x: (T.slice_rows(x, 1, 3) ** 2.0).sum(),
-         False),
         ("slice_cols", (3, 4), lambda x: (T.slice_cols(x, 1, 3) ** 2.0).sum(),
          False),
         ("linear", (3, 4), lambda x: (T.linear(x, c43, (c13,)) ** 2.0).sum(),

@@ -11,9 +11,10 @@ Each mode builds only the weights it uses:
   fine, ``stage1`` on the bottleneck.
 - ``single``: one stage (``stage1``) on the finest scale.
 - ``concat``: no stages; mean-pool the finest scale and project
-  ``[embedding, pooled]`` back to width d (``concat``), computed as
-  ``embedding @ W[:d] + pooled @ W[d:] + b``, the sum added into the
-  first product's buffer (one :func:`~affground.tensor.linear` node).
+  ``[embedding, pooled]`` back to width d (``concat``, one weight per
+  input part), computed as ``embedding @ w_embedding + pooled @ w_pooled
+  + b``, the sum added into the first product's buffer (one
+  :func:`~affground.tensor.linear` node).
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ class GeometryLifting:
                  mode: str = "multi", dtype=np.float32):
         if mode not in LIFT_MODES:
             raise ConfigError(f"lifting mode must be one of {LIFT_MODES}, got {mode!r}")
-        self.d = d
         self.stages = []
         self.concat_proj = None
         if mode == "concat":
-            self.concat_proj = make_linear(params, f"{prefix}.concat", rng,
-                                           2 * d, d, dtype)
+            self.concat_proj = make_linear(
+                params, f"{prefix}.concat", rng, 2 * d, d, dtype,
+                parts={"w_embedding": d, "w_pooled": d})
         else:
             n_stages = N_SCALES if mode == "multi" else 1
             self.stages = [LiftStage(params, f"{prefix}.stage{i + 1}", rng, d, dtype)
@@ -64,7 +65,7 @@ class GeometryLifting:
         if len(scales) != N_SCALES:
             raise ContractError(f"lifting expects {N_SCALES} scales, got {len(scales)}")
         if self.concat_proj is not None:
-            w_embedding, w_pooled = self.concat_proj.split(self.d)
+            w_embedding, w_pooled = self.concat_proj.w
             pooled = tmean(scales[-1], axis=0, keepdims=True)
             return linear(embedding, w_embedding,
                           (matmul(pooled, w_pooled), self.concat_proj.b))

@@ -22,8 +22,8 @@ product, and are left so because folding them would make the last lift
 stage unlike the others: the last lift stage's FFN output layer
 (``lifting.stage3.ffn.1``, or ``stage1`` in ``single`` mode) feeds only
 ``decoder.v`` through the residual, and its bias is spanned by
-``b_head.0``; in ``concat`` mode, ``lifting.concat`` feeds only
-``decoder.v``.
+``b_head.0``; in ``concat`` mode, ``lifting.concat.w_embedding`` and
+``lifting.concat.w_pooled`` feed only ``decoder.v``.
 ``pca-viz`` projects the features ``integrate`` returns.
 """
 
@@ -90,12 +90,8 @@ class AffordanceModel:
         pipeline worker, which balances the two threads at the paper
         config.
         """
-        layers = [*self.backbone.fp_stages[-1].mlp.layers,
-                  *self.decoder.head.layers]
-        if self.config.fusion.stage2:
-            layers.append(self.fusion.fuse)
-        return [t for layer in layers for t in (layer.w, layer.b)
-                if t is not None]
+        layers = ("backbone.fp3.", "fusion.fuse.", "decoder.head.")
+        return [p for name, p in self.params.items() if name.startswith(layers)]
 
     def build_plan(self, cloud: PointCloud) -> BackbonePlan:
         return self.backbone.build_plan(cloud.coords)

@@ -4,7 +4,9 @@ Modules register their tensors into a shared flat ``dict[str, Tensor]``
 under dotted names so the trainer, optimizer, and checkpoint code all see
 one namespace. Every layer is one :func:`~affground.tensor.linear` node
 on its product: the bias, and in an :class:`MLP` the ReLU after every
-layer but the last, are written into the product's buffer.
+layer but the last, are written into the product's buffer. A layer over
+a concatenated input holds one weight per input part (see
+:func:`make_linear`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, linear, matmul, slice_rows, softmax_lastdim, transpose
+from .tensor import Tensor, linear, matmul, softmax_lastdim, transpose
 
 
 # variance-preserving for linear chains; there is no normalization layer
@@ -28,28 +30,41 @@ def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 class Linear:
     """y = x @ w (+ b), with x shaped (rows, fan_in), and ``relu(y)`` with
-    ``relu``: one :func:`~affground.tensor.linear` node on the product."""
+    ``relu``: one :func:`~affground.tensor.linear` node on the product.
 
-    def __init__(self, w: Tensor, b: Tensor | None = None):
+    A layer over a concatenated input ``[x_1, ..., x_k]`` holds ``w`` as a
+    tuple of one weight per input part, in input order, and is not
+    called: its caller computes ``x_1 @ w[0] + ... + x_k @ w[k - 1] + b``,
+    which equals the concatenated product in exact algebra, and can run
+    each product on only the rows that part needs.
+    """
+
+    def __init__(self, w, b: Tensor | None = None):
         self.w = w
         self.b = b
 
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
         return linear(x, self.w, () if self.b is None else (self.b,), relu)
 
-    def split(self, at: int):
-        """Weight rows ``[:at]`` and ``[at:]`` as views that pass gradients back.
-
-        ``concat([x, z]) @ w`` equals ``x @ w_a + z @ w_b``; callers use this
-        to project each input part on its distinct rows only.
-        """
-        return slice_rows(self.w, 0, at), slice_rows(self.w, at, self.w.shape[0])
-
 
 def make_linear(params: dict, name: str, rng, fan_in: int, fan_out: int,
-                dtype=np.float32, bias: bool = True) -> Linear:
-    w = Tensor(uniform_init(rng, fan_in, fan_out, dtype), requires_grad=True)
-    params[f"{name}.w"] = w
+                dtype=np.float32, bias: bool = True, parts=None) -> Linear:
+    """A layer with weight ``{name}.w`` and bias ``{name}.b``.
+
+    ``parts`` maps the parts of a concatenated input, in input order, to
+    their widths, which sum to ``fan_in``. The weight is then one tensor
+    per part, ``{name}.{part}``: that part's rows of the one (fan_in,
+    fan_out) draw, so the initial values are those of the whole weight.
+    """
+    w = uniform_init(rng, fan_in, fan_out, dtype)
+    if parts is None:
+        w = Tensor(w, requires_grad=True)
+        params[f"{name}.w"] = w
+    else:
+        cuts = np.cumsum(list(parts.values()))[:-1]
+        w = tuple(Tensor(rows.copy(), requires_grad=True)
+                  for rows in np.split(w, cuts))
+        params.update((f"{name}.{part}", t) for part, t in zip(parts, w))
     b = None
     if bias:
         # small nonzero biases: exact zeros would park ReLU pre-activations
@@ -78,15 +93,22 @@ class MLP:
         return h
 
 
-def make_mlp(params: dict, name: str, rng, widths, dtype=np.float32) -> MLP:
-    """widths = [in, hidden..., out]; registers one Linear per segment."""
+def make_mlp(params: dict, name: str, rng, widths, dtype=np.float32,
+             parts=None) -> MLP:
+    """widths = [in, hidden..., out]; registers one Linear per segment.
+
+    ``parts`` splits the first layer's weight by input part (see
+    :func:`make_linear`); such a stack is run through
+    :meth:`MLP.after_first`.
+    """
     if len(widths) < 2:
         raise ContractError(f"an MLP needs an input and an output width, "
                             f"got widths {widths}")
     layers = []
     for i in range(len(widths) - 1):
         layers.append(make_linear(params, f"{name}.{i}", rng,
-                                  widths[i], widths[i + 1], dtype))
+                                  widths[i], widths[i + 1], dtype,
+                                  parts=None if i else parts))
     return MLP(layers)
 
 

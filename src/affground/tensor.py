@@ -33,33 +33,29 @@ autograd on/off flag is per thread. A walk does all of a graph's gradient
 work itself, except inside :func:`handing_off`, which splits each walk
 on the calling thread in two:
 
-- the *parameter side* is every requires-grad leaf outside ``keep`` and
-  every one-input node whose input is on that side (such as the
-  :func:`slice_rows` views of a weight). It belongs to the thread that
-  runs the jobs handed to ``submit``;
+- the *parameter side* is every requires-grad leaf outside ``keep``. It
+  belongs to the thread that runs the jobs handed to ``submit``;
 - the *activation side*, everything else, belongs to the walking thread.
 
-The walk computes every activation gradient itself and hands over, in
-tape order, each piece of work that writes the parameter side: a
-:func:`matmul`'s product for a handed-off operand (``_sum_over_rows(a,
-g)`` for a weight) with its accumulation, each handed-off :func:`linear`
-addend's share (a bias's row sum) with its accumulation, and the rule of
-every parameter-side node. A handed-off tensor may feed the activation
-side only as a ``matmul`` operand or a ``linear`` addend. So every leaf's
-gradient is written by one thread only, in the walk's order: when the
-jobs run one at a time in submission order, every gradient is bitwise
-the one walk's. A job reads only buffers that nothing writes again, and
-the walk returns before its jobs are done; the caller waits for them
-before it reads a handed-off gradient. Graphs built and walked at the
-same time share only leaves: building reads their data, and walks and
-jobs write their gradients.
+A handed-off leaf may feed the graph only as a :func:`matmul` operand or
+a :func:`linear` addend; the walk refuses any other use before it does
+any work. It computes every activation gradient itself and hands over,
+in tape order, each piece of work that writes a handed-off leaf: a
+``matmul``'s product for it (``_sum_over_rows(a, g)`` for a weight) with
+its accumulation, or a ``linear`` addend's share (a bias's row sum) with
+its accumulation. So every leaf's gradient is written by one thread
+only, in the walk's order: when the jobs run one at a time in submission
+order, every gradient is bitwise the one walk's. A job reads only
+buffers that nothing writes again, and the walk returns before its jobs
+are done; the caller waits for them before it reads a handed-off
+gradient. Graphs built and walked at the same time share only leaves:
+building reads their data, and walks and jobs write their gradients.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
@@ -253,25 +249,6 @@ def _accumulate(t: Tensor, grad: np.ndarray):
     else:
         # read-only or broadcast: a fresh 0 + grad
         t.grad = np.add(grad, 0, out=np.empty_like(t.data))
-
-
-def _accumulate_part(t: Tensor, part, grad: np.ndarray):
-    """Accumulate ``grad`` into the block ``part`` of ``t``'s gradient.
-
-    Byte-equal to accumulating a zero buffer of ``t``'s shape that holds
-    ``grad`` at ``part``: the first write allocates zeros and adds ``0 +
-    grad`` into the block, and a later one adds ``grad`` to the block
-    alone. Outside the block that skips adding +0.0, which changes
-    nothing, because an accumulated gradient never holds -0.0 (a sum is
-    -0.0 only if both terms are).
-    """
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-        np.add(grad, 0, out=t.grad[part])
-    else:
-        t.grad[part] += grad
 
 
 def _give(t: Tensor, off, share, *args):
@@ -693,23 +670,16 @@ def interpolate(x: Tensor, index, weights) -> Tensor:
     return _node(out, (x,), backward, "interpolate")
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start:stop`` of a 2-D tensor, as a view of its buffer."""
-    if x.ndim != 2:
-        raise ShapeError(f"slice_rows expects a 2-D tensor, got {x.shape}")
-
-    def backward(g):
-        _accumulate_part(x, np.s_[start:stop], g)
-
-    return _node(x.data[start:stop], (x,), backward, "slice_rows")
-
-
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if x.ndim != 2:
         raise ShapeError(f"slice_cols expects a 2-D tensor, got {x.shape}")
 
     def backward(g):
-        _accumulate_part(x, np.s_[:, start:stop], g)
+        # the +0.0 outside the block changes no accumulated gradient,
+        # which never holds -0.0
+        gx = np.zeros_like(x.data)
+        gx[:, start:stop] = g
+        _accumulate(x, gx)
 
     return _node(x.data[:, start:stop].copy(), (x,), backward, "slice_cols")
 
@@ -764,16 +734,19 @@ def backward(loss: Tensor):
     if not loss.requires_grad:
         return
     tape = Tape.trace(loss)
+    off, feeds = None, ()
     hand_off = getattr(_state, "hand_off", None)
     if hand_off is not None:
-        _walk_split(tape.nodes, *hand_off)
-        return
-    _accumulate(loss, np.ones_like(loss.data))
+        off, feeds = _split(tape.nodes, *hand_off)
+    _give(loss, off, np.ones_like, loss.data)
     for node in reversed(tape.nodes):
         grad = node.grad
         if node._backward is not None and grad is not None:
             node.grad = None
-            node._backward(grad)
+            if id(node) in feeds:
+                node._backward(grad, off)
+            else:
+                node._backward(grad)
 
 
 class _ParameterSide:
@@ -786,47 +759,25 @@ class _ParameterSide:
         self.submit = submit
 
 
-def _run_rule(node: Tensor):
-    grad = node.grad
-    if grad is not None:
-        node.grad = None
-        node._backward(grad)
-
-
-def _walk_split(nodes, submit, keep):
-    """The walk of :func:`backward` inside :func:`handing_off`."""
+def _split(nodes, submit, keep):
+    """(parameter side, ids of the nodes it feeds) of a walk inside
+    :func:`handing_off`; ContractError where a handed-off leaf feeds
+    anything but a ``matmul`` or ``linear`` node."""
     off = _ParameterSide(set(), submit)
-    feeds = set()   # activation-side nodes with a parameter-side input
+    feeds = set()
     for node in nodes:
-        parents = node._parents
         if not node.requires_grad:
             continue
-        if not parents:
+        if not node._parents:
             if id(node) not in keep:
                 off.ids.add(id(node))
-        elif len(parents) == 1:
-            if id(parents[0]) in off.ids:
-                off.ids.add(id(node))
-        elif any(id(p) in off.ids for p in parents):
+        elif any(id(p) in off.ids for p in node._parents):
             if node._op not in ("matmul", "linear"):
                 raise ContractError(
                     f"backward: a handed-off tensor feeds {node._op}; only "
                     "matmul operands and linear addends can be handed off")
             feeds.add(id(node))
-    root = nodes[-1]
-    _give(root, off, np.ones_like, root.data)
-    for node in reversed(nodes):
-        if node._backward is None:
-            continue
-        if id(node) in off.ids:
-            # queued after every job that adds to the node's gradient
-            submit(partial(_run_rule, node))
-        elif node.grad is not None:
-            grad, node.grad = node.grad, None
-            if id(node) in feeds:
-                node._backward(grad, off)
-            else:
-                node._backward(grad)
+    return off, feeds
 
 
 def zero_grad(params):

@@ -21,15 +21,15 @@ loop.
 
 With that worker, ``train`` also splits each walk
 (:func:`~affground.tensor.handing_off`): the main thread walks the
-activation gradients, and the graph's parameter side (each weight
-gradient product, each bias share, each accumulation into a parameter)
-goes to the worker as jobs, queued behind the forward it is making.
-Each parameter belongs to one thread for the whole run: the
-full-resolution layers (:meth:`AffordanceModel.full_resolution_params`)
-to the main thread, every other parameter to the worker. Jobs run in
-the order they were queued, so every parameter sums its contributions
-in the sequential order; ``train`` waits for them, and re-raises the
-first error, before the finiteness checks and the AdamW step.
+activation gradients, and the work that writes a parameter (each weight
+gradient product and each bias share, with its accumulation) goes to the
+worker as jobs, queued behind the forward it is making. Each parameter
+belongs to one thread for the whole run: the full-resolution layers
+(:meth:`AffordanceModel.full_resolution_params`) to the main thread,
+every other parameter to the worker. Jobs run in the order they were
+queued, so every parameter sums its contributions in the sequential
+order; ``train`` waits for them, and re-raises the first error, before
+the finiteness checks and the AdamW step.
 """
 
 from __future__ import annotations
@@ -136,47 +136,27 @@ def _pipeline_worker(model_cfg, n_items: int, name: str):
         yield worker
 
 
-class _Jobs:
-    """Parameter-side jobs of the walks, run on the pipeline worker in the
-    order they were submitted. :meth:`drain` waits for them and re-raises
-    the first error; the jobs after a failed one do not run."""
-
-    def __init__(self, worker):
-        self._worker = worker
-        self._last = None
-        self._error = None
-
-    def submit(self, job):
-        self._last = self._worker.submit(self._run, job)
-
-    def _run(self, job):
-        if self._error is None:
-            try:
-                job()
-            except Exception as exc:
-                self._error = exc
-
-    def drain(self):
-        last, self._last = self._last, None
-        if last is not None:
-            last.result()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-
 @contextmanager
 def _split_walks(worker, keep):
     """Yield the function that waits for the parameter-side jobs of this
     thread's walks. With a worker, walks inside the block hand those jobs
-    to it, keeping the parameters in ``keep`` on this thread; without
-    one, nothing is handed off and the function does nothing."""
+    to it, keeping the parameters in ``keep`` on this thread; the function
+    waits for each job in the order they were queued and re-raises the
+    first one's error unchanged. Without a worker, nothing is handed off
+    and the function does nothing."""
     if worker is None:
         yield lambda: None
         return
-    jobs = _Jobs(worker)
-    with handing_off(jobs.submit, keep):
-        yield jobs.drain
+    futures = []
+
+    def drain():
+        pending = futures[:]
+        futures.clear()
+        for future in pending:
+            future.result()
+
+    with handing_off(lambda job: futures.append(worker.submit(job)), keep):
+        yield drain
 
 
 def _in_order(worker, make, items, use):

@@ -458,24 +458,25 @@ class TestSetAbstraction:
         patch = np.array([[0.1, 0, 0], [0, 0.1, 0], [-0.1, 0, 0], [0, -0.1, 0]])
         plan = SAPlan(group_idx=np.arange(8), geometry=np.vstack([patch, patch]),
                       starts=np.array([0, 4]))
-        feats = T.tensor(np.tile(np.arange(8)[:, None] % 4, (1, 3)),
+        feats = T.tensor(np.tile(np.arange(8)[:, None] % 4, (1, 2)),
                          dtype=np.float64)
-        out = backbone.sa_stages[0](feats, plan)
+        out = backbone.sa_stages[1](feats, plan)
         np.testing.assert_array_equal(out.data[0], out.data[1])
 
     def test_single_point_group_equals_mlp_output(self):
         params = {}
         backbone = tiny_backbone(params, rng_for(1, "init"))
-        stage = backbone.sa_stages[0]
+        stage = backbone.sa_stages[1]
         rel = np.array([[0.2, -0.1, 0.05]])
-        feat = np.array([[0.4, 0.0, -0.3]])
+        feat = np.array([[0.4, -0.3]])
         plan = SAPlan(np.array([0]), rel, np.array([0]))
         out = stage(T.tensor(feat, dtype=np.float64), plan)
 
-        w0 = params["backbone.sa1.0.w"].data
-        b0 = params["backbone.sa1.0.b"].data
-        w1 = params["backbone.sa1.1.w"].data
-        b1 = params["backbone.sa1.1.b"].data
+        w0 = np.vstack([params[f"backbone.sa2.0.{part}"].data
+                        for part in ("w_geo", "w_feat")])
+        b0 = params["backbone.sa2.0.b"].data
+        w1 = params["backbone.sa2.1.w"].data
+        b1 = params["backbone.sa2.1.b"].data
         stacked = np.hstack([rel, feat])
         expected = np.maximum(stacked @ w0 + b0, 0) @ w1 + b1
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
@@ -554,7 +555,7 @@ class TestFeaturePropagation:
 
     def test_unit_mlp_applied_after_skip_concat(self):
         params = {}
-        fp = FeaturePropagation(params, "fp", rng_for(9, "init"),
+        fp = FeaturePropagation(params, "fp", rng_for(9, "init"), src_dim=4,
                                 widths=[6, 4, 4], dtype=np.float64)
         rng = np.random.default_rng(10)
         src_feats = T.tensor(rng.normal(size=(3, 4)), dtype=np.float64)

@@ -8,10 +8,12 @@ import shutil
 import numpy as np
 import pytest
 
+from affground import cli as cli_module
 from affground.cli import main
 from affground.corruption import KINDS, LEVELS
 from affground.dataio import (MOMENTS, load_checkpoint, read_dataset, read_tensor,
                               write_tensor)
+from affground.gradcheck import CheckResult
 from affground.train import load_model
 
 from conftest import TOY_MODEL_SETS
@@ -169,19 +171,25 @@ def test_eval_on_empty_manifest_exits_1(tmp_path, capsys):
     assert not report.parent.exists()
 
 
-def _edit_entries(ckpt, added, renamed=()):
-    """Rename entries (old, new) and add entries (name -> shape, filled with
-    0.5) in a checkpoint's parameters and both AdamW moments."""
+def _edit_entries(ckpt, added, renamed=(), removed=()):
+    """Rename entries (old, new), remove entries and add entries (name ->
+    shape, filled with 0.5) in a checkpoint's parameters and both AdamW
+    moments."""
     saved = json.loads((ckpt / "manifest.json").read_text())
     groups = {"params": saved["params"],
               **{moment: saved["optimizer"][moment] for moment in MOMENTS}}
     for group, files in groups.items():
         for old, new in renamed:
             files[new] = files.pop(old)
+        for name in removed:
+            del files[name]
         for name, shape in added.items():
             files[name] = f"{group}/{name}.htns"
             write_tensor(ckpt / files[name], np.full(shape, 0.5, np.float32))
     (ckpt / "manifest.json").write_text(json.dumps(saved))
+
+
+FUSE_PARTS = ("fusion.fuse.w_row", "fusion.fuse.w_desc")
 
 
 def _to_old_layout(ckpt):
@@ -190,11 +198,19 @@ def _to_old_layout(ckpt):
     plus the (d, d) ``backbone.fp3.1`` and ``fusion.fuse.1`` layers, in the
     parameters and in both AdamW moments."""
     d = load_checkpoint(ckpt, moments=False).params["fusion.fuse.b"].shape[1]
-    _edit_entries(ckpt, {f"{layer}.{part}": shape
-                         for layer in ("backbone.fp3.1", "fusion.fuse.1")
-                         for part, shape in (("w", (d, d)), ("b", (1, d)))},
-                  [(f"fusion.fuse.{part}", f"fusion.fuse.0.{part}")
-                   for part in ("w", "b")])
+    _edit_entries(ckpt, {"fusion.fuse.0.w": (2 * d, d),
+                         **{f"{layer}.{part}": shape
+                            for layer in ("backbone.fp3.1", "fusion.fuse.1")
+                            for part, shape in (("w", (d, d)), ("b", (1, d)))}},
+                  [("fusion.fuse.b", "fusion.fuse.0.b")], FUSE_PARTS)
+
+
+def _to_joined_fuse_weight(ckpt):
+    """Rewrite a checkpoint as the model saved it when each layer over a
+    concatenated input had one weight: the (2d, d) ``fusion.fuse.w`` in
+    place of its two parts."""
+    d = load_checkpoint(ckpt, moments=False).params["fusion.fuse.b"].shape[1]
+    _edit_entries(ckpt, {"fusion.fuse.w": (2 * d, d)}, removed=FUSE_PARTS)
 
 
 def _snapshot(root):
@@ -273,14 +289,18 @@ def test_corrupt_on_an_unsafe_or_repeated_id_exits_1(tmp_path, capsys, edit,
 
 @pytest.mark.parametrize("command", ["eval", "resume"])
 def test_old_layout_checkpoint_exits_2(tmp_path, capsys, command):
-    # two earlier layouts: FP3 and the Stage II fuse as two-layer MLPs, and
-    # Stage I with the key weight its query weight now folds in
+    # three earlier layouts: FP3 and the Stage II fuse as two-layer MLPs,
+    # Stage I with the key weight its query weight now folds in, and the
+    # fuse with one weight over its concatenated input
     manifest, ckpt = _toy_checkpoint(tmp_path)
-    attn_k = tmp_path / "attn_k"
+    attn_k, joined = tmp_path / "attn_k", tmp_path / "joined"
     shutil.copytree(ckpt, attn_k)
+    shutil.copytree(ckpt, joined)
     _to_old_layout(ckpt)
     _edit_entries(attn_k, {"fusion.attn.k.w": (16, 16)})
-    for old, entry in ((ckpt, "fusion.fuse"), (attn_k, "fusion.attn.k.w")):
+    _to_joined_fuse_weight(joined)
+    for old, entries in ((ckpt, ["fusion.fuse"]), (attn_k, ["fusion.attn.k.w"]),
+                         (joined, FUSE_PARTS)):
         args = {"eval": ["eval", "--checkpoint", str(old), "--data", manifest],
                 "resume": ["train", "--data", manifest,
                            "--out", str(tmp_path / f"r2-{old.name}"),
@@ -288,7 +308,8 @@ def test_old_layout_checkpoint_exits_2(tmp_path, capsys, command):
         capsys.readouterr()
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("runtime error:") and entry in err
+        assert err.startswith("runtime error:")
+        assert all(entry in err for entry in entries), err
         assert "Traceback" not in err
     assert not any(tmp_path.glob("r2-*"))  # a refused resume makes no --out
 
@@ -403,3 +424,26 @@ def test_gen_fixtures_with_non_positive_width_exits_1(tmp_path, capsys, d_h):
                                  str(data / "manifest.jsonl"), "--d-h", d_h],
                         f"d_h={d_h}")
     assert fixture.read_bytes() == before
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0"])
+def test_gradcheck_with_a_bad_tolerance_exits_1(capsys, monkeypatch, tol):
+    def suite(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli_module, "run_gradcheck_suite", suite)
+    _assert_usage_error(capsys, ["gradcheck", f"--tol={tol}"],
+                        "--tol must be a positive finite number")
+
+
+def test_gradcheck_runs_the_suite_at_a_positive_tolerance(capsys, monkeypatch):
+    asked = []
+
+    def suite(tol):
+        asked.append(tol)
+        return [CheckResult("primitive.add", 0.5 * tol, tol)]
+
+    monkeypatch.setattr(cli_module, "run_gradcheck_suite", suite)
+    assert main(["gradcheck", "--tol", "1e-3"]) == 0
+    assert asked == [1e-3]
+    assert "1/1 checks passed" in capsys.readouterr().out

@@ -64,6 +64,18 @@ TOL = {np.float64: 1e-13, np.float32: 1e-5}
 DTYPES = [np.float64, np.float32]
 
 
+def on_concat(layer, x, relu=False):
+    """``layer`` on its concatenated input ``x``: one product with the
+    weights of its input parts joined in input order."""
+    w = concat(layer.w, axis=0) if isinstance(layer.w, tuple) else layer.w
+    return T.linear(x, w, (layer.b,), relu)
+
+
+def mlp_on_concat(mlp, x):
+    """``mlp`` on its concatenated input ``x`` (see :func:`on_concat`)."""
+    return mlp.after_first(on_concat(mlp.layers[0], x, len(mlp.layers) > 1))
+
+
 def pad_sa_plan(plan, k):
     """The former (m, k) group indices and (m, k, g) geometry of a stage:
     each group's members, then copies of its first member up to k."""
@@ -76,7 +88,7 @@ def padded_sa_call(stage, feats, plan, k):
     group_idx, geometry = pad_sa_plan(plan, k)
     m, k, g = geometry.shape
     first = stage.mlp.layers[0]
-    w_geo, w_feat = first.split(g)
+    w_geo, w_feat = (first.w, None) if feats is None else first.w
     h = T.matmul(T.Tensor(geometry.reshape(m * k, g).astype(stage.dtype)), w_geo)
     if feats is not None:
         h = h + T.gather_rows(T.matmul(feats, w_feat), group_idx.reshape(-1))
@@ -92,7 +104,7 @@ def sa_call_oracle(stage, feats, plan, k):
     m, k, _ = geometry.shape
     rel = T.Tensor(geometry[:, :, :3].reshape(m * k, 3).astype(stage.dtype))
     member = T.gather_rows(feats, group_idx.reshape(-1))
-    encoded = stage.mlp(concat([rel, member], axis=1))
+    encoded = mlp_on_concat(stage.mlp, concat([rel, member], axis=1))
     return max_reduce(encoded.reshape(m, k, stage.out_dim), axis=1)
 
 
@@ -120,7 +132,7 @@ def fp_call_oracle(fp, src_feats, plan, skip_feats):
     """FeaturePropagation: interpolate, concatenate the skip, run the MLP,
     and ReLU the output of a one-layer MLP (FP3)."""
     mixed = T.interpolate(src_feats, plan.nn_idx, plan.weights)
-    out = fp.mlp(concat([mixed, skip_feats], axis=1))
+    out = mlp_on_concat(fp.mlp, concat([mixed, skip_feats], axis=1))
     return relu(out) if len(fp.mlp.layers) == 1 else out
 
 
@@ -144,7 +156,7 @@ def repeat_rows_oracle(x, n):
 def fuse_full_res_oracle(fusion, full_res, descriptor):
     """Stage II: tile the descriptor, concatenate, run the layer."""
     tiled = repeat_rows_oracle(descriptor, full_res.shape[0])
-    return relu(fusion.fuse(concat([full_res, tiled], axis=1)))
+    return relu(on_concat(fusion.fuse, concat([full_res, tiled], axis=1)))
 
 
 def point_to_intention_oracle(decoder, embedding):
@@ -196,7 +208,7 @@ def former_lift_all(lifting, embedding, scales):
 def concat_lift_oracle(lifting, embedding, scales):
     """``concat`` lifting: concatenate, then project."""
     pooled = T.tmean(scales[-1], axis=0, keepdims=True)
-    return lifting.concat_proj(concat([embedding, pooled], axis=1))
+    return on_concat(lifting.concat_proj, concat([embedding, pooled], axis=1))
 
 
 def assert_within(got: dict, want: dict, tol: float):
@@ -263,7 +275,7 @@ def check_stage(i, dtype, oracle):
         got = run(lambda: stage(None, plan.sa[0]), {}, sa_params, i)
         want = run(lambda: oracle(stage, coords, plan.sa[0], k), {}, sa_params, i)
         return got, want
-    in_dim = stage.mlp.layers[0].w.shape[0] - 3
+    in_dim = stage.mlp.layers[0].w[1].shape[0]     # w_feat's rows
     rng = np.random.default_rng(42 + i)
     inputs = {"feats": leaf(rng, (len(plan.level_coords[i]), in_dim), dtype)}
     got = run(lambda f: stage(f, plan.sa[i]), inputs, sa_params, i)
@@ -298,7 +310,7 @@ def test_feature_propagation_matches_interpolate_concat(i, dtype):
     params, backbone, plan = real_plan(16, dtype)
     fp = backbone.fp_stages[i]
     fp_plan = plan.fp[i]
-    skip_dim = fp.mlp.layers[0].w.shape[0] - 16
+    skip_dim = fp.mlp.layers[0].w[1].shape[0]      # w_skip's rows
     rng = np.random.default_rng(45 + i)
     inputs = {"src": leaf(rng, (int(fp_plan.nn_idx.max()) + 1, 16), dtype),
               "skip": leaf(rng, (len(fp_plan.nn_idx), skip_dim), dtype)}

@@ -144,9 +144,9 @@ class TestDuplicateAndFuse:
         params = {}
         fusion = make_fusion(params)
         d = 8
-        w = np.zeros((2 * d, d))
-        w[:d] = np.eye(d)  # the layer picks the point half
-        params["fusion.fuse.w"].data[:] = w
+        # the layer picks the point part
+        params["fusion.fuse.w_row"].data[:] = np.eye(d)
+        params["fusion.fuse.w_desc"].data[:] = 0.0
         params["fusion.fuse.b"].data[:] = 0.0
         feats = np.abs(rand((5, d), 20))  # non-negative so relu is identity
         out = fusion.fuse_full_res(rows(feats),

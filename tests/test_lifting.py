@@ -139,8 +139,9 @@ class TestLiftingModes:
         out = lifting.lift_all(T.tensor(emb, dtype=np.float64), scales)
         pooled = scales[-1].data.mean(axis=0, keepdims=True)
         joint = np.hstack([emb, pooled])
-        expected = joint @ params["lifting.concat.w"].data + \
-            params["lifting.concat.b"].data
+        w = np.vstack([params[f"lifting.concat.{part}"].data
+                       for part in ("w_embedding", "w_pooled")])
+        expected = joint @ w + params["lifting.concat.b"].data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_mode_independence_of_gradients(self):

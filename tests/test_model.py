@@ -19,13 +19,20 @@ from conftest import TOY
     ("multi", {"stage1": False, "stage2": False}),
 ], ids=["multi", "single", "concat", "stage1_off", "stage2_off", "both_off"])
 def test_every_parameter_gets_a_nonzero_gradient(mode, stages):
-    # an ablation builds only what it runs: no zero-gradient weights
-    config = RunConfig(model=ModelConfig(**TOY), lifting=LiftingConfig(mode=mode),
+    # an ablation builds only what it runs: no zero-gradient weights. At
+    # TOY's radii SA3's two groups hold only their centres, so every offset
+    # and w_geo's gradient would be zero: SA3 gets a radius that reaches
+    # neighbours, and every stage has a group of two or more
+    toy = {**TOY, "radii": [0.1, 0.2, 0.8]}
+    config = RunConfig(model=ModelConfig(**toy), lifting=LiftingConfig(mode=mode),
                        fusion=FusionConfig(**stages))
     model = AffordanceModel(config)
     cloud = synth_cloud(1, 0, seed=3, n=TOY["n_points"])
     hidden = synth_fixture(1, 0, seed=4, L=TOY["seq_len"], d_h=TOY["d_h"])
-    result = model.forward(cloud, hidden)
+    plan = model.build_plan(cloud)
+    assert all(np.diff(sa.starts, append=len(sa.group_idx)).max() >= 2
+               for sa in plan.sa)
+    result = model.forward(cloud, hidden, plan)
     total, _, _ = model.loss(result, cloud, hidden)
     T.backward(total)
     dead = [name for name, p in model.params.items()
@@ -36,10 +43,11 @@ def test_every_parameter_gets_a_nonzero_gradient(mode, stages):
 def test_paper_config_parameter_count():
     # FP3 and the Stage II fuse are one linear layer each; Stage I learns
     # W_q W_k^T and W_v W_o, each lift stage W_q W_k^T, and the decoder
-    # W_v W_head.0, each as one matrix
+    # W_v W_head.0, each as one matrix. The first layers of SA2, SA3 and
+    # FP1-3 and the fuse hold one weight per input part
     model = AffordanceModel(RunConfig())
     assert sum(p.data.size for p in model.params.values()) == 12_524_803
-    assert len(model.params) == 60
+    assert len(model.params) == 66
     assert not any(name.startswith(("backbone.fp3.1.", "fusion.fuse.1.",
                                     "fusion.attn.out."))
                    or ".k." in name for name in model.params)
@@ -57,6 +65,21 @@ def test_paper_config_ablation_parameter_counts(mode, stages, count):
     model = AffordanceModel(RunConfig(lifting=LiftingConfig(mode=mode),
                                       fusion=FusionConfig(**stages)))
     assert sum(p.data.size for p in model.params.values()) == count
+
+
+@pytest.mark.parametrize("stage2", [True, False], ids=["stage2", "stage2_off"])
+def test_full_resolution_params_are_every_part_of_the_layers_on_all_points(
+        stage2):
+    model = AffordanceModel(RunConfig(model=ModelConfig(**TOY),
+                                      fusion=FusionConfig(stage2=stage2)))
+    names = {id(p): name for name, p in model.params.items()}
+    want = ["backbone.fp3.0.w_src", "backbone.fp3.0.w_skip", "backbone.fp3.0.b",
+            "decoder.head.0.w", "decoder.head.0.b",
+            "decoder.head.1.w", "decoder.head.1.b"]
+    if stage2:
+        want += ["fusion.fuse.w_row", "fusion.fuse.w_desc", "fusion.fuse.b"]
+    got = [names[id(p)] for p in model.full_resolution_params()]
+    assert sorted(got) == sorted(want)
 
 
 def interior_bytes(root):

@@ -298,22 +298,13 @@ def test_each_parameter_gradient_is_written_by_one_thread(
         frequent_switches):
     writers = {}
     real_accumulate = tensor_module._accumulate
-    real_accumulate_part = tensor_module._accumulate_part
-
-    def record(t):
-        if t.requires_grad and not t._parents:
-            writers.setdefault(id(t), set()).add(threading.get_ident())
 
     def accumulate(t, grad):
-        record(t)
+        if t.requires_grad and not t._parents:
+            writers.setdefault(id(t), set()).add(threading.get_ident())
         real_accumulate(t, grad)
 
-    def accumulate_part(t, part, grad):
-        record(t)
-        real_accumulate_part(t, part, grad)
-
     monkeypatch.setattr(tensor_module, "_accumulate", accumulate)
-    monkeypatch.setattr(tensor_module, "_accumulate_part", accumulate_part)
     built = recording(monkeypatch)
     config = RunConfig(model=ModelConfig(**TOY),
                        optimizer=OptimConfig(epochs=2, batch_size=4))
@@ -765,7 +756,9 @@ def test_damaged_optimizer_state_fails_resume_as_checkpoint_error(
     assert err.startswith("runtime error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["backbone.sa1.0.w", "fusion.fuse.w"])
+# element [0, 0] of each layer's weight: the fuse's is in its row part
+@pytest.mark.parametrize("name", ["backbone.sa1.0.w", "fusion.fuse.w_row"],
+                         ids=["backbone.sa1.0.w", "fusion.fuse.w"])
 def test_nan_pre_activation_ends_as_training_diverged(
         tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left, name):
     # the ReLU passes a NaN pre-activation through and segment_max keeps it,
