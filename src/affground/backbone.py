@@ -25,9 +25,11 @@ in exact algebra equal to concatenating the inputs and projecting:
 - SA2, SA3: ``rel @ W_geo + gather_rows(feats @ W_feat, group_idx) + b``;
 - FP: ``skip @ W_skip + interpolate(src @ W_src, nn_idx, w) + b``.
 
-Each sum is added left to right into the first product's buffer, and
-the graph keeps no buffer of the gathered or interpolated term once it
-is added (``linear``'s ``spent``).
+Each sum is added left to right into the first product's buffer. The
+graph keeps no buffer of the ``feats @ W_feat`` or ``src @ W_src``
+product once it is gathered or interpolated (their ``release``), nor of
+the gathered or interpolated term once it is added (``linear``'s
+``spent``).
 
 Each weight of such a sum is a parameter of its own (``w_geo`` and
 ``w_feat``, ``w_src`` and ``w_skip``), the rows of the concatenated
@@ -306,7 +308,8 @@ class SetAbstraction:
         w_geo, gathered = first.w, ()
         if feats is not None:
             w_geo, w_feat = first.w
-            gathered = (gather_rows(matmul(feats, w_feat), plan.group_idx),)
+            gathered = (gather_rows(matmul(feats, w_feat), plan.group_idx,
+                                    release=True),)
         h = linear(geometry, w_geo, (*gathered, first.b), relu=True,
                    spent=gathered)
         return segment_max(self.mlp.after_first(h), plan.starts)
@@ -337,7 +340,8 @@ class FeaturePropagation:
                  skip_feats: Tensor) -> Tensor:
         first = self.mlp.layers[0]
         w_src, w_skip = first.w
-        mixed = interpolate(matmul(src_feats, w_src), plan.nn_idx, plan.weights)
+        mixed = interpolate(matmul(src_feats, w_src), plan.nn_idx, plan.weights,
+                            release=True)
         return self.mlp.after_first(
             linear(skip_feats, w_skip, (mixed, first.b), relu=True,
                    spent=(mixed,)))

@@ -35,6 +35,7 @@ explicit little-endian scalars, and counter-based generators.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -70,35 +71,41 @@ def write_tensor(path, array: np.ndarray):
 
 
 def read_tensor(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise DataFormatError(f"{path}: truncated header")
-    if raw[:4] != MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, code, rank, pad = struct.unpack("<BBBB", raw[4:8])
-    if version != VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    if code not in _DTYPE_CODES:
-        raise DataFormatError(f"{path}: unknown dtype code {code}")
-    if pad != 0:
-        raise DataFormatError(f"{path}: nonzero pad byte")
-    offset = 8 + 8 * rank
-    if len(raw) < offset:
-        raise DataFormatError(f"{path}: truncated dimension block")
-    dims = struct.unpack(f"<{rank}Q", raw[8:offset]) if rank else ()
-    count = 1
-    for d in dims:
-        count *= d
-    if count > MAX_ELEMENTS:
-        raise DataFormatError(f"{path}: dimension overflow {dims}")
-    dtype = _DTYPE_CODES[code]
-    expected = offset + count * dtype.itemsize
-    if len(raw) != expected:
-        raise DataFormatError(
-            f"{path}: payload is {len(raw) - offset} bytes, expected "
-            f"{count * dtype.itemsize}")
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    return data.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
+    """Read a tensor file into a new writable array in native byte order;
+    DataFormatError where the file is not one whole HTNS tensor."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        if len(head) < 8:
+            raise DataFormatError(f"{path}: truncated header")
+        if head[:4] != MAGIC:
+            raise DataFormatError(f"{path}: bad magic {head[:4]!r}")
+        version, code, rank, pad = struct.unpack("<BBBB", head[4:8])
+        if version != VERSION:
+            raise DataFormatError(f"{path}: unsupported version {version}")
+        if code not in _DTYPE_CODES:
+            raise DataFormatError(f"{path}: unknown dtype code {code}")
+        if pad != 0:
+            raise DataFormatError(f"{path}: nonzero pad byte")
+        offset = 8 + 8 * rank
+        if size < offset:
+            raise DataFormatError(f"{path}: truncated dimension block")
+        dims = struct.unpack(f"<{rank}Q", f.read(8 * rank)) if rank else ()
+        count = 1
+        for d in dims:
+            count *= d
+        if count > MAX_ELEMENTS:
+            raise DataFormatError(f"{path}: dimension overflow {dims}")
+        dtype = _DTYPE_CODES[code]
+        expected = count * dtype.itemsize
+        payload = size - offset
+        if payload == expected:
+            data = np.empty(count, dtype)
+            payload = f.readinto(memoryview(data).cast("B"))
+        if payload != expected:
+            raise DataFormatError(
+                f"{path}: payload is {payload} bytes, expected {expected}")
+    return data.reshape(dims).astype(dtype.newbyteorder("="), copy=False)
 
 
 def _canon_json(payload) -> str:

@@ -1,4 +1,11 @@
-"""AdamW with decoupled weight decay and a linear learning-rate schedule."""
+"""AdamW with decoupled weight decay and a linear learning-rate schedule.
+
+:func:`adamw_step` updates one tensor in cache-sized chunks with two
+scratch buffers. Its bytes are those of the whole-array expression it
+documents, but it makes no full-size temporary besides the new
+parameter value. The moments start as untouched zero pages, so setting
+up an optimizer writes no memory.
+"""
 
 from __future__ import annotations
 
@@ -38,8 +45,9 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.exp_avg = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.exp_avg_sq = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        # np.zeros leaves the pages untouched until the first step writes them
+        self.exp_avg = {k: np.zeros(p.shape, p.dtype) for k, p in self.params.items()}
+        self.exp_avg_sq = {k: np.zeros(p.shape, p.dtype) for k, p in self.params.items()}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -76,26 +84,57 @@ class AdamW:
         self.step_count = saved["step"]
 
 
+# elements per pass of adamw_step: its two scratch buffers stay in cache
+_CHUNK = 1 << 16
+
+
 def adamw_step(param: Tensor, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
                step: int, lr: float, betas=(0.9, 0.999), eps=1e-8,
                weight_decay=0.0, name="parameter"):
     """Single-tensor AdamW update; :meth:`AdamW.step` applies it per tensor.
 
     ``step`` is the 1-based count after this update. Updates m and v in
-    place. The new parameter value is formed in a temporary and replaces
+    place. The new parameter value is formed in a new array and replaces
     param.data only when it is finite; otherwise :class:`NumericError`
     names ``name``.
+
+    The update runs over chunks of ``_CHUNK`` elements with two scratch
+    buffers, and each chunk takes the operations of the whole-array form
+    in the same order and dtypes::
+
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * (grad * grad)
+        update = (m / (1 - b1**step)) / (sqrt(v / (1 - b2**step)) + eps)
+        new = param * (1 - lr * weight_decay) - lr * update
+
+    so the bytes are those of that form, without its full-size
+    temporaries.
     """
     if grad.shape != param.data.shape:
         raise ContractError(f"grad shape {grad.shape} vs param {param.data.shape}")
     b1, b2 = betas
-    m *= b1
-    m += (1.0 - b1) * grad
-    v *= b2
-    v += (1.0 - b2) * (grad * grad)
-    update = (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
-    new = param.data * (1.0 - lr * weight_decay)
-    new -= (lr * update).astype(param.data.dtype, copy=False)
-    if not np.isfinite(new).all():
+    bias1, bias2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+    decay = 1.0 - lr * weight_decay
+    data, g = param.data.reshape(-1), grad.reshape(-1)
+    m, v = np.reshape(m, -1, copy=False), np.reshape(v, -1, copy=False)
+    new = np.empty_like(data)
+    scratch = np.empty((2, min(data.size, _CHUNK)), m.dtype)
+    finite = True
+    for lo in range(0, data.size, _CHUNK):
+        at = slice(lo, lo + _CHUNK)
+        gs, ms, vs, out = g[at], m[at], v[at], new[at]
+        a, b = scratch[:, :len(gs)]
+        ms *= b1
+        ms += np.multiply(gs, 1.0 - b1, out=a)
+        vs *= b2
+        vs += np.multiply(1.0 - b2, np.multiply(gs, gs, out=a), out=a)
+        np.sqrt(np.divide(vs, bias2, out=b), out=b)
+        b += eps
+        np.divide(np.divide(ms, bias1, out=a), b, out=a)
+        a *= lr
+        np.multiply(data[at], decay, out=out)
+        out -= a
+        finite = finite and bool(np.isfinite(out).all())
+    if not finite:
         raise NumericError(f"non-finite AdamW update in {name}")
-    param.data = new
+    param.data = new.reshape(param.data.shape)

@@ -22,14 +22,16 @@ loop.
 With that worker, ``train`` also splits each walk
 (:func:`~affground.tensor.handing_off`): the main thread walks the
 activation gradients, and the work that writes a parameter (each weight
-gradient product and each bias share, with its accumulation) goes to the
-worker as jobs, queued behind the forward it is making. Each parameter
-belongs to one thread for the whole run: the full-resolution layers
+gradient product and each bias share, with its accumulation, and each
+rank-one record) goes to the worker as jobs, queued behind the forward
+it is making. Each parameter belongs to one thread for the whole run:
+the full-resolution layers
 (:meth:`AffordanceModel.full_resolution_params`) to the main thread,
 every other parameter to the worker. Jobs run in the order they were
 queued, so every parameter sums its contributions in the sequential
 order; ``train`` waits for them, and re-raises the first error, before
-the finiteness checks and the AdamW step.
+the finiteness checks (whose gradient reads form each weight's rank-one
+product on the main thread) and the AdamW step.
 """
 
 from __future__ import annotations

@@ -119,6 +119,31 @@ class TestTensorFile:
         assert read_tensor(path).tobytes() == data.tobytes()
 
 
+    @pytest.mark.parametrize("cut, message", [
+        (5, "truncated header"),
+        (8 + 8 + 4, "truncated dimension block"),
+        (8 + 16 + 4 * 6 - 1, "payload is 23 bytes, expected 24"),
+        (None, "payload is 28 bytes, expected 24"),
+    ], ids=["header", "dimensions", "short_payload", "long_payload"])
+    def test_every_truncation_names_its_part(self, tmp_path, cut, message):
+        path = tmp_path / "t.htns"
+        write_tensor(path, np.ones((2, 3), dtype=np.float32))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut is not None else raw + b"\0" * 4)
+        with pytest.raises(DataFormatError, match=message):
+            read_tensor(path)
+
+    def test_read_array_is_native_and_writable(self, tmp_path):
+        path = tmp_path / "t.htns"
+        data = np.arange(6, dtype=np.float32).reshape(2, 3)
+        write_tensor(path, data)
+        out = read_tensor(path)
+        assert out.dtype == np.dtype(np.float32) and out.dtype.isnative
+        assert out.flags.writeable and out.flags.c_contiguous
+        out += 1   # its own buffer
+        assert (read_tensor(path) == data).all()
+
+
 class TestSyntheticData:
     def test_label_positive_fraction_bounds(self):
         for class_id in range(4):

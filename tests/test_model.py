@@ -82,17 +82,23 @@ def test_full_resolution_params_are_every_part_of_the_layers_on_all_points(
     assert sorted(got) == sorted(want)
 
 
+def owned_bytes(nodes):
+    """Bytes of the distinct buffers that ``nodes`` hold, each view
+    counted as the array it views."""
+    owners = {}
+    for node in nodes:
+        owner = np.asarray(node.data)
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        owners[id(owner)] = owner
+    return sum(owner.nbytes for owner in owners.values())
+
+
 def interior_bytes(root):
     """Bytes of the distinct buffers that the interior nodes of ``root``'s
-    graph hold, each view counted as the array it views."""
-    owners = {}
-    for node in T.Tape.trace(root).nodes:
-        if node._parents:
-            owner = np.asarray(node.data)
-            while isinstance(owner.base, np.ndarray):
-                owner = owner.base
-            owners[id(owner)] = owner
-    return sum(owner.nbytes for owner in owners.values())
+    graph hold."""
+    return owned_bytes(node for node in T.Tape.trace(root).nodes
+                       if node._parents)
 
 
 def test_graph_keeps_no_gathered_or_interpolated_term(monkeypatch):
@@ -116,5 +122,34 @@ def test_graph_keeps_no_gathered_or_interpolated_term(monkeypatch):
                         lambda *args, spent=(), **kwargs: real_linear(*args, **kwargs))
     kept_before, terms, grads_before = run()
     assert terms > 0 and kept_before - kept == terms
+    for name, grad in grads_before.items():
+        assert grads[name].tobytes() == grad.tobytes(), name
+
+
+def test_graph_keeps_no_gathered_or_interpolated_product(monkeypatch):
+    config = RunConfig(model=ModelConfig(**TOY))
+    cloud = synth_cloud(1, 0, seed=3, n=TOY["n_points"])
+    hidden = synth_fixture(1, 0, seed=4, L=TOY["seq_len"], d_h=TOY["d_h"])
+
+    def run():
+        model = AffordanceModel(config)
+        total, _, _ = model.loss(model.forward(cloud, hidden), cloud, hidden)
+        products = [node._parents[0] for node in T.Tape.trace(total).nodes
+                    if node._op in ("gather_rows", "interpolate")]
+        held = owned_bytes(products), interior_bytes(total)
+        released = all(not any(p.data.strides) for p in products)
+        T.backward(total)
+        return held, released, {name: p.grad for name, p in model.params.items()}
+
+    (products, kept), released, grads = run()
+    assert len(grads) and released
+    # the former graph: gather_rows and interpolate keep their input
+    for name in ("gather_rows", "interpolate"):
+        real = getattr(T, name)
+        monkeypatch.setattr(backbone_module, name,
+                            lambda *args, release=False, real=real: real(*args))
+    (products_before, kept_before), released, grads_before = run()
+    assert not released and products_before > 100 * products
+    assert kept_before - kept == products_before - products
     for name, grad in grads_before.items():
         assert grads[name].tobytes() == grad.tobytes(), name

@@ -93,6 +93,109 @@ class TestMatmul:
         assert len(grads[0]) == 128 * 96 * 4 and grads[0] == grads[1]
 
 
+class TestRankOneRecords:
+    """A (1, K) row times a leaf weight records the row and its output
+    gradient; the first read of the weight's ``grad`` forms their sum.
+    One record's bytes are pinned in ``TestFormerRules.test_matmul_backward``."""
+
+    DTYPES = [np.float32, np.float64]
+
+    def walk_rows(self, w, rows, grads):
+        for row, g in zip(rows, grads):
+            T.matmul(T.tensor(row), w)._backward(g.copy())
+
+    def case(self, rng, b, dtype, k=7, n=5):
+        rows = [signed_zeros_and_negatives(rng, (1, k), dtype) for _ in range(b)]
+        grads = [signed_zeros_and_negatives(rng, (1, n), dtype) for _ in range(b)]
+        return T.tensor(np.zeros((k, n), dtype), requires_grad=True), rows, grads
+
+    @pytest.mark.parametrize("b", [2, 3, 8])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_records_sum_within_the_stated_tolerance(self, b, dtype):
+        rng = np.random.default_rng(b)
+        w, rows, grads = self.case(rng, b, dtype, k=64, n=48)
+        self.walk_rows(w, rows, grads)
+        # the walk recorded and formed nothing
+        assert len(w._rows) == b and w._grad is None
+        terms = [r.T.astype(np.float64) * g.astype(np.float64)
+                 for r, g in zip(rows, grads)]
+        exact = sum(terms)
+        bound = b * np.finfo(dtype).eps * sum(np.abs(t) for t in terms)
+        got = w.grad
+        assert got.dtype == dtype and w._rows is None
+        assert (np.abs(got - exact) <= bound).all()
+        assert not np.signbit(got[got == 0]).any()
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # paper-config shapes: lift stages, the contact projection and
+        # the decoder's value row
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from affground import tensor as T\n"
+            "rng = np.random.default_rng(0)\n"
+            "for k, n, b in ((512, 2048, 8), (2048, 256, 8), (512, 256, 3)):\n"
+            "    w = T.tensor(np.zeros((k, n)), requires_grad=True,\n"
+            "                 dtype=np.float32)\n"
+            "    for _ in range(b):\n"
+            "        row = T.tensor(rng.normal(size=(1, k)), dtype=np.float32)\n"
+            "        c = T.tensor(rng.normal(size=(1, n)), dtype=np.float32)\n"
+            "        T.backward((T.matmul(row, w) * c).sum())\n"
+            "    sys.stdout.buffer.write(w.grad.tobytes())\n")
+        src = str(Path(T.__file__).resolve().parent.parent)
+        grads = [subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n,
+                 "OMP_NUM_THREADS": n}).stdout for n in ("1", "2")]
+        size = (512 * 2048 + 2048 * 256 + 512 * 256) * 4
+        assert len(grads[0]) == size and grads[0] == grads[1]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_a_record_then_a_full_contribution(self, dtype):
+        # the full product is added in tape order, the records' sum last
+        def run():
+            rng = np.random.default_rng(5)
+            w = T.tensor(rng.normal(size=(6, 4)).astype(dtype), requires_grad=True)
+            row = T.tensor(rng.normal(size=(1, 6)).astype(dtype))
+            rows = T.tensor(rng.normal(size=(3, 6)).astype(dtype))
+            c = T.tensor(rng.normal(size=(1, 4)).astype(dtype))
+            T.backward((T.matmul(row, w) * c).sum() + T.matmul(rows, w).sum())
+            full = T._sum_over_rows(rows.data, np.ones((3, 4), dtype))
+            return w.grad, (0 + full) + row.data.T * c.data
+
+        (got, want), (again, _) = run(), run()
+        assert got.tobytes() == want.tobytes() == again.tobytes()
+
+    def test_zero_grad_and_assignment_drop_the_records(self):
+        rng = np.random.default_rng(2)
+        w, rows, grads = self.case(rng, 3, np.float32)
+        self.walk_rows(w, rows, grads)
+        T.zero_grad([w])
+        assert w._rows is None and w.grad is None
+        self.walk_rows(w, rows[:1], grads[:1])
+        assert w.grad.tobytes() == (0 + rows[0].T * grads[0]).tobytes()
+        self.walk_rows(w, rows, grads)
+        w.grad = np.ones(w.shape, np.float32)
+        assert w._rows is None and (w.grad == 1).all()
+
+    def test_interior_operand_gets_its_outer_product_at_once(self):
+        w = T.tensor(np.ones((3, 2)), requires_grad=True)
+        row = T.tensor(np.ones((1, 3)))
+        T.backward(T.matmul(row, w * 2.0).sum())
+        assert w._rows is None
+        np.testing.assert_array_equal(w._grad, np.full((3, 2), 2.0))
+
+    def test_records_keep_no_operand_buffer(self):
+        # a record holds copies, not the row's (or its base's) buffer
+        w = T.tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float32)
+        block = np.ones((4, 3), np.float32)
+        ref = weakref.ref(block)
+        row = T.tensor(block[:1])
+        T.backward(T.matmul(row, w).sum())
+        del block, row
+        assert ref() is None and len(w._rows) == 1
+
+
 class TestSoftmax:
     def test_uniform(self):
         out = T.softmax_lastdim(T.tensor([0.0, 0.0, 0.0]))
@@ -359,7 +462,7 @@ class TestGatherRowsScatter:
         expected = add_at_oracle(x.data, idx, g)
         assert x.grad.dtype == expected.dtype
         assert x.grad.tobytes() == expected.tobytes()
-        assert T._scatter_rows(g, idx, x.data).tobytes() == expected.tobytes()
+        assert T._scatter_rows(g, idx, x.shape, x.dtype).tobytes() == expected.tobytes()
 
     def test_all_negative_zero_gradient_gives_positive_zero(self):
         x = T.tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float32)
@@ -485,6 +588,46 @@ class TestInterpolate:
             T.interpolate(T.tensor(np.ones(x_shape)), idx, w)
 
 
+class TestRelease:
+    """``release`` drops a gathered or interpolated product's buffer and
+    changes no gradient."""
+
+    IDX = np.array([2, 0, 2, 1, 2])
+    NN = np.array([[0, 2], [2, 1], [1, 1]])
+    NN_W = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
+    OPS = {"gather_rows": lambda p, release: T.gather_rows(
+               p, TestRelease.IDX, release=release),
+           "interpolate": lambda p, release: T.interpolate(
+               p, TestRelease.NN, TestRelease.NN_W, release=release)}
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_product_buffer_is_dropped_and_gradients_kept(self, op):
+        grads = []
+        for release in (False, True):
+            rng = np.random.default_rng(3)
+            x = T.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+            w = T.tensor(rng.normal(size=(4, 5)), requires_grad=True)
+            product = T.matmul(x, w)
+            ref = weakref.ref(product.data)
+            out = self.OPS[op](product, release)
+            loss = (out * T.tensor(rng.normal(size=out.shape))).sum()
+            assert (ref() is None) == release   # while the graph is alive
+            if release:
+                assert product.shape == (3, 5) and product.dtype == x.dtype
+                assert not product.data.any() and not any(product.data.strides)
+            T.backward(loss)
+            grads.append((out.data, x.grad, w.grad))
+        for kept, released in zip(*grads):
+            assert kept.tobytes() == released.tobytes()
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_only_a_product_can_be_released(self, op):
+        x = T.tensor(np.ones((3, 4)), requires_grad=True)
+        with pytest.raises(ContractError, match=f"{op}: only a matmul output"):
+            self.OPS[op](x, True)
+        assert x.data.base is None and (x.data == 1).all()
+
+
 def former_relu(x):
     """The former relu: the mask built in the forward, output by np.where."""
     mask = x.data > 0
@@ -520,13 +663,29 @@ def former_segment_max(x, starts):
     return former_max_reduce(padded.reshape(rows.shape + x.shape[1:]), axis=1)
 
 
-def former_matmul(a, b):
+def gemm_matmul(a, b):
     """The former matmul: every backward product as a GEMM, K=1 included."""
     def backward(g):
         if a.requires_grad:
             T._accumulate(a, g @ b.data.T)
         if b.requires_grad:
             T._accumulate(b, a.data.T @ g)
+
+    return T._node(a.data @ b.data, (a, b), backward, "matmul")
+
+
+def former_matmul(a, b):
+    """``gemm_matmul``, except that a (1, K) row times a leaf is recorded
+    as ``matmul`` records it, so a whole model's gradients differ from
+    the current rules' only where the other former rules do."""
+    def backward(g):
+        if a.requires_grad:
+            T._accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            if a.shape[0] == 1 and b._backward is None:
+                T._record(b, a.data.copy(), g.copy())
+            else:
+                T._accumulate(b, a.data.T @ g)
 
     return T._node(a.data @ b.data, (a, b), backward, "matmul")
 
@@ -640,7 +799,7 @@ class TestFormerRules:
         earlier = [signed_zeros_and_negatives(rng, s, dtype)
                    for s in (a_shape, b_shape)]
         grads = []
-        for rule in (former_matmul, T.matmul):
+        for rule in (gemm_matmul, T.matmul):
             a = T.tensor(a_data.copy(), requires_grad=True)
             b = T.tensor(b_data.copy(), requires_grad=True)
             if existing:
@@ -1109,6 +1268,58 @@ class TestAdamW:
             update = (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
             ref -= (lr * update).astype(np.float32)
             np.testing.assert_array_equal(p.data, ref)
+
+
+def whole_array_adamw(param, grad, m, v, step, lr, betas=(0.9, 0.999),
+                      eps=1e-8, weight_decay=0.0):
+    """The former adamw_step: one whole-array expression per line."""
+    b1, b2 = betas
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * (grad * grad)
+    update = (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
+    new = param.data * (1.0 - lr * weight_decay)
+    new -= (lr * update).astype(param.data.dtype, copy=False)
+    param.data = new
+
+
+class TestChunkedAdamW:
+    CHUNK = adamw_step.__globals__["_CHUNK"]
+    SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_whole_array_form(self, size, dtype):
+        rng = np.random.default_rng(size)
+        data = rng.normal(size=(size,)).astype(dtype)
+        want, got = T.tensor(data.copy()), T.tensor(data.copy())
+        moments = [np.zeros(size, dtype) for _ in range(4)]
+        for step in range(1, 4):
+            grad = signed_zeros_and_negatives(rng, (size,), dtype)
+            grad[rng.random(size) < 0.1] *= 1e-30   # v/bias near underflow
+            lr = 0.01 / step
+            whole_array_adamw(want, grad, *moments[:2], step, lr,
+                              weight_decay=0.05)
+            adamw_step(got, grad, *moments[2:], step, lr, weight_decay=0.05)
+            assert got.data.dtype == dtype
+            assert got.data.tobytes() == want.data.tobytes()
+            for a, b in zip(moments[:2], moments[2:]):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["first_chunk", "last_chunk"])
+    def test_non_finite_update_raises_and_keeps_the_parameter(self, at):
+        size = 3 * self.CHUNK + 7
+        p = T.tensor(np.ones(size, np.float32), requires_grad=True)
+        before = p.data
+        grad = np.ones(size, np.float32)
+        grad[at] = np.nan
+        m, v = np.zeros(size, np.float32), np.zeros(size, np.float32)
+        with pytest.raises(NumericError, match="non-finite AdamW update in w"):
+            adamw_step(p, grad, m, v, step=1, lr=0.1, name="w")
+        assert p.data is before and (before == 1).all()
+        # every chunk's moments were updated, as the whole-array form does
+        assert (m[:-1] != 0).all() and (v[1:] != 0).all()
 
 
 class TestLinearSchedule:

@@ -8,6 +8,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import Future
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -296,15 +297,42 @@ def test_at_most_two_graphs_are_alive_with_jobs_held(
 def test_each_parameter_gradient_is_written_by_one_thread(
         tmp_path, eight_samples, monkeypatch, pipelined, no_thread_left,
         frequent_switches):
-    writers = {}
+    # a weight's rank-one rows count as writes: they too come from its
+    # thread only, and their product is formed only once train() has
+    # waited for the jobs that record them
+    writers, recorders, events = {}, {}, []
     real_accumulate = tensor_module._accumulate
+    real_record = tensor_module._record
+    real_form = tensor_module._form_rows
+    real_split_walks = train_module._split_walks
 
     def accumulate(t, grad):
         if t.requires_grad and not t._parents:
             writers.setdefault(id(t), set()).add(threading.get_ident())
         real_accumulate(t, grad)
 
+    def record(t, row, g):
+        for threads in (writers, recorders):
+            threads.setdefault(id(t), set()).add(threading.get_ident())
+        events.append("record")
+        real_record(t, row, g)
+
+    def form(t):
+        events.append("form")
+        real_form(t)
+
+    @contextmanager
+    def split_walks(worker, keep):
+        with real_split_walks(worker, keep) as drain:
+            def drained():
+                drain()
+                events.append("drained")
+            yield drained
+
     monkeypatch.setattr(tensor_module, "_accumulate", accumulate)
+    monkeypatch.setattr(tensor_module, "_record", record)
+    monkeypatch.setattr(tensor_module, "_form_rows", form)
+    monkeypatch.setattr(train_module, "_split_walks", split_walks)
     built = recording(monkeypatch)
     config = RunConfig(model=ModelConfig(**TOY),
                        optimizer=OptimConfig(epochs=2, batch_size=4))
@@ -316,6 +344,14 @@ def test_each_parameter_gradient_is_written_by_one_thread(
     for name, p in model.params.items():
         (thread,) = writers[id(p)]
         assert (thread == main) == (id(p) in kept), name
+        assert recorders.get(id(p), {thread}) == {thread}, name
+    assert any(id(p) in recorders for p in model.params.values()
+               if id(p) not in kept)
+    recorded = False
+    for event in events:
+        assert event != "form" or not recorded
+        recorded = event == "record" or recorded and event != "drained"
+    assert events.count("form") == 4 * len(recorders)   # once a step
 
 
 @pytest.mark.parametrize("k", [1, 60])
