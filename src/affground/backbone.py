@@ -120,28 +120,36 @@ def farthest_point_sample(coords: np.ndarray, m: int):
     if not 1 <= m <= n:
         raise ContractError(f"cannot sample {m} points from {n}")
     coords = np.asarray(coords, dtype=np.float64)
-    xyz = [np.ascontiguousarray(coords[:, c]) for c in range(3)]
+    x, y, z = (np.ascontiguousarray(coords[:, c]) for c in range(3))
+    # each pick's coordinates as Python floats, the values of the columns
+    xs, ys, zs = x.tolist(), y.tolist(), z.tolist()
     d2 = np.empty((m, n))
     diff = np.empty(n)
+    subtract, multiply, add = np.subtract, np.multiply, np.add
 
-    def sq_dist_to(point, out):
-        np.subtract(xyz[0], point[0], out=out)
-        np.multiply(out, out, out=out)
-        for c in (1, 2):
-            np.subtract(xyz[c], point[c], out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.add(out, diff, out=out)
+    def sq_dist_to(px, py, pz, out):
+        subtract(x, px, out=out)
+        multiply(out, out, out=out)
+        subtract(y, py, out=diff)
+        multiply(diff, diff, out=diff)
+        add(out, diff, out=out)
+        subtract(z, pz, out=diff)
+        multiply(diff, diff, out=diff)
+        add(out, diff, out=out)
         return out
 
     selected = np.empty(m, dtype=np.int64)
     # argmax returns the first max index
-    selected[0] = int(np.argmax(sq_dist_to(coords.mean(axis=0), d2[0])))
-    min_dist = sq_dist_to(coords[selected[0]], d2[0]).copy()
-    min_dist[selected[0]] = -1.0  # never re-pick
+    first = int(np.argmax(sq_dist_to(*coords.mean(axis=0).tolist(), d2[0])))
+    selected[0] = first
+    min_dist = sq_dist_to(xs[first], ys[first], zs[first], d2[0]).copy()
+    min_dist[first] = -1.0  # never re-pick
+    argmax, minimum = min_dist.argmax, np.minimum
     for i in range(1, m):
-        nxt = int(np.argmax(min_dist))
+        nxt = argmax()
         selected[i] = nxt
-        np.minimum(min_dist, sq_dist_to(coords[nxt], d2[i]), out=min_dist)
+        minimum(min_dist, sq_dist_to(xs[nxt], ys[nxt], zs[nxt], d2[i]),
+                out=min_dist)
         min_dist[nxt] = -1.0
     return selected, d2
 

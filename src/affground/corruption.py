@@ -157,14 +157,16 @@ def generate_benchmark(manifest_path, out_dir, seed: int, kinds=KINDS,
     of the source fixtures, so a cell stays a self-contained snapshot when
     the source's fixtures are later regenerated), a dataset-style manifest,
     and a cell.json recording the spec, seed, and magnitude constants.
+    Each source cloud is read once, before any cell is written.
     """
     _check_selection("kind", kinds, KINDS)
     _check_selection("level", levels, LEVELS)
     dataset = read_dataset(manifest_path)
+    clouds = [_source_cloud(dataset, record) for record in dataset.records]
     out = Path(out_dir)
     for kind in kinds:
         for level in levels:
-            _generate_cell(dataset, out, kind, level, seed)
+            _generate_cell(dataset, clouds, out, kind, level, seed)
     (out / "benchmark.json").write_text(_canon_json({
         "seed": seed,
         "kinds": list(kinds),
@@ -187,16 +189,24 @@ def _check_selection(what: str, chosen, allowed):
         raise ContractError(f"corruption {what}s repeat: {list(chosen)}")
 
 
-def _generate_cell(dataset: Dataset, out: Path, kind: str, level: int, seed: int):
+def _source_cloud(dataset: Dataset, record):
+    try:
+        return dataset.load_cloud(record)
+    except OSError as exc:
+        raise DataFormatError(f"source sample {record.id}: {exc}") from exc
+
+
+def _generate_cell(dataset: Dataset, clouds: list, out: Path, kind: str,
+                   level: int, seed: int):
+    """One cell from the source records and their clouds, in record order."""
     cell = out / kind / f"level_{level}"
     for sub in ("clouds", "labels", "hidden"):
         (cell / sub).mkdir(parents=True, exist_ok=True)
     spec = CorruptionSpec(kind=kind, level=level, seed=seed)
     records = []
-    for record in dataset.records:
+    for record, cloud in zip(dataset.records, clouds):
         hidden = f"hidden/{record.id}.htns"
         try:
-            cloud = dataset.load_cloud(record)
             # the row's cont_index is copied, so the fixture it indexes is too
             shutil.copyfile(dataset.root / record.hidden, cell / hidden)
         except OSError as exc:

@@ -547,12 +547,15 @@ def load_checkpoint(ckpt_dir, moments: bool = True) -> Checkpoint:
                       optimizer=optimizer, vocab=vocab)
 
 
-def restore_arrays(live: dict, saved: dict, group: str):
-    """Copy each saved array into the live array of the same name, in place.
+def restore_arrays(live: dict, saved: dict, group: str) -> dict:
+    """The saved arrays that replace the live ones, by name.
 
     The saved names must be exactly the live ones, each saved with the
-    live shape; all of this is checked before anything is written, so a
-    refused restore changes nothing. The live dtype is kept.
+    live shape. Each returned array is the saved array itself, or, where
+    its dtype differs from the live one, one cast of it to the live
+    dtype; the live arrays give only their names, shapes and dtypes and
+    are never written. Everything is checked before anything is
+    returned, so a refused restore hands over nothing.
     """
     missing = sorted(set(live) - set(saved))
     if missing:
@@ -566,5 +569,5 @@ def restore_arrays(live: dict, saved: dict, group: str):
             raise CheckpointError(
                 f"{group} entry {name} has shape {saved[name].shape} in the "
                 f"checkpoint but {arr.shape} in the model")
-    for name, arr in live.items():
-        arr[...] = saved[name]
+    return {name: saved[name].astype(arr.dtype, copy=False)
+            for name, arr in live.items()}

@@ -23,9 +23,16 @@ INIT_GAIN = np.sqrt(3.0)
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int,
-                 dtype) -> np.ndarray:
+                 dtype, rows=None) -> np.ndarray:
+    """A (rows, fan_out) draw, ``rows`` defaulting to ``fan_in``, bounded
+    for a weight of ``fan_in`` inputs.
+
+    ``np.asarray`` casts a real draw as ``astype`` would, and takes a
+    draw already in ``dtype`` (a placeholder's) without a copy.
+    """
     bound = INIT_GAIN / np.sqrt(max(1, fan_in))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
+    size = (fan_in if rows is None else rows, fan_out)
+    return np.asarray(rng.uniform(-bound, bound, size=size), dtype=dtype)
 
 
 class Linear:
@@ -53,25 +60,24 @@ def make_linear(params: dict, name: str, rng, fan_in: int, fan_out: int,
 
     ``parts`` maps the parts of a concatenated input, in input order, to
     their widths, which sum to ``fan_in``. The weight is then one tensor
-    per part, ``{name}.{part}``: that part's rows of the one (fan_in,
-    fan_out) draw, so the initial values are those of the whole weight.
+    per part, ``{name}.{part}``, drawn in input order from the one
+    stream: a generator's consecutive draws continue it, so the initial
+    values are those of the whole (fan_in, fan_out) weight.
     """
-    w = uniform_init(rng, fan_in, fan_out, dtype)
     if parts is None:
-        w = Tensor(w, requires_grad=True)
+        w = Tensor(uniform_init(rng, fan_in, fan_out, dtype), requires_grad=True)
         params[f"{name}.w"] = w
     else:
-        cuts = np.cumsum(list(parts.values()))[:-1]
-        w = tuple(Tensor(rows.copy(), requires_grad=True)
-                  for rows in np.split(w, cuts))
+        w = tuple(Tensor(uniform_init(rng, fan_in, fan_out, dtype, rows),
+                         requires_grad=True) for rows in parts.values())
         params.update((f"{name}.{part}", t) for part, t in zip(parts, w))
     b = None
     if bias:
         # small nonzero biases: exact zeros would park ReLU pre-activations
         # on the kink for all-zero input rows
         bound = 1.0 / np.sqrt(max(1, fan_in))
-        b = Tensor(rng.uniform(-bound, bound, size=(1, fan_out)).astype(dtype),
-                   requires_grad=True)
+        b = Tensor(np.asarray(rng.uniform(-bound, bound, size=(1, fan_out)),
+                              dtype=dtype), requires_grad=True)
         params[f"{name}.b"] = b
     return Linear(w, b)
 

@@ -3,8 +3,11 @@
 :func:`adamw_step` updates one tensor in cache-sized chunks with two
 scratch buffers. Its bytes are those of the whole-array expression it
 documents, but it makes no full-size temporary besides the new
-parameter value. The moments start as untouched zero pages, so setting
-up an optimizer writes no memory.
+parameter value, and it writes no parameter in place: each step gives
+``param.data`` a new array. The moments are updated in place. They
+start as untouched zero pages, so setting up an optimizer writes no
+memory, and :meth:`AdamW.restore` makes a checkpoint's moment arrays
+the moments themselves, so a resumed step updates those arrays.
 """
 
 from __future__ import annotations
@@ -73,14 +76,20 @@ class AdamW:
         }
 
     def restore(self, saved: dict):
-        """Load moments and step count laid out as :meth:`state_arrays` saves them.
+        """Take the moments and step count laid out as :meth:`state_arrays`
+        saves them.
 
         Each moment must match the live names and shapes; see
-        :func:`~affground.dataio.restore_arrays`.
+        :func:`~affground.dataio.restore_arrays`. The saved arrays become
+        the moments, cast only where their dtype differs from the
+        parameter's, and later steps update them in place. Both moments
+        are checked before either is taken, so a refused restore leaves
+        the optimizer as it was.
         """
         state = self.state_arrays()
-        for moment in MOMENTS:
-            restore_arrays(state[moment], saved[moment], moment)
+        taken = [restore_arrays(state[moment], saved[moment], moment)
+                 for moment in MOMENTS]
+        self.exp_avg, self.exp_avg_sq = taken
         self.step_count = saved["step"]
 
 

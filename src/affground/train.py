@@ -261,22 +261,13 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
     ckpt_dir = out / "checkpoint"
     log_path = out / "log.jsonl"
 
-    model = AffordanceModel(config)
     opt_cfg = config.optimizer
-    optimizer = AdamW(model.params, lr=opt_cfg.lr,
-                      betas=(opt_cfg.beta1, opt_cfg.beta2), eps=opt_cfg.eps,
-                      weight_decay=opt_cfg.weight_decay)
-
-    start_step = 0
-    if resume is not None:
-        ckpt = load_checkpoint(resume)
-        if drop_retired(ckpt.config) != config.to_dict():
-            raise ConfigError("resume checkpoint was written with a different config")
-        _check_vocab(dataset, ckpt.vocab)
-        _restore_params(model, ckpt)
-        if ckpt.optimizer is not None:
-            optimizer.restore(ckpt.optimizer)
-        start_step = ckpt.step
+    if resume is None:
+        model = AffordanceModel(config)
+        optimizer = _adamw(model, opt_cfg)
+        start_step = 0
+    else:
+        model, optimizer, start_step = _resumed(config, dataset, resume)
 
     samples = load_samples(dataset, model)
     out.mkdir(parents=True, exist_ok=True)  # inputs checked: a refusal makes no --out
@@ -348,6 +339,28 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
                        steps=total_steps, last=last)
 
 
+def _adamw(model, opt_cfg) -> AdamW:
+    return AdamW(model.params, lr=opt_cfg.lr,
+                 betas=(opt_cfg.beta1, opt_cfg.beta2), eps=opt_cfg.eps,
+                 weight_decay=opt_cfg.weight_decay)
+
+
+def _resumed(config: RunConfig, dataset: Dataset, ckpt_dir) -> tuple:
+    """``(model, optimizer, step)`` of the checkpoint ``train`` resumes:
+    the model and the moments are the arrays the checkpoint was read
+    into (see :func:`_adopted`). The checkpoint object is not kept, so a
+    parameter array is freed once AdamW replaces it."""
+    ckpt = load_checkpoint(ckpt_dir)
+    if drop_retired(ckpt.config) != config.to_dict():
+        raise ConfigError("resume checkpoint was written with a different config")
+    _check_vocab(dataset, ckpt.vocab)
+    model = _adopted(config, ckpt)
+    optimizer = _adamw(model, config.optimizer)
+    if ckpt.optimizer is not None:
+        optimizer.restore(ckpt.optimizer)
+    return model, optimizer, ckpt.step
+
+
 def _abort_diverged(log_file, step, sums, reason, cause):
     """Log a ``nan_abort`` row for ``step`` and raise TrainingDiverged."""
     log_file.write(json.dumps(
@@ -366,28 +379,48 @@ def _write_checkpoint(ckpt_dir, model, optimizer, config, step, dataset):
 
 class _NoDraws:
     """The initial-weight generator of a model whose every parameter a
-    checkpoint overwrites: each draw is zeros, and nothing is drawn."""
+    checkpoint replaces: nothing is drawn, and each draw is a read-only
+    zero-stride view of one zero in ``dtype``, so the placeholders hold
+    no memory that grows with the parameter count."""
 
-    @staticmethod
-    def uniform(low=0.0, high=1.0, size=None):
-        return np.zeros(size)
+    def __init__(self, dtype):
+        self.zero = np.zeros((), dtype)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.broadcast_to(self.zero, size)
+
+
+def _adopted(config: RunConfig, ckpt) -> AffordanceModel:
+    """A float32 model of ``config`` whose parameters are the
+    checkpoint's arrays.
+
+    The model is built without drawing a weight, on placeholders, and
+    every name and shape is checked (see
+    :func:`~affground.dataio.restore_arrays`) before any placeholder is
+    replaced; then each parameter's data is the array the checkpoint was
+    read into, cast once only where it is not float32.
+    """
+    model = AffordanceModel(config, rng=_NoDraws(np.float32))
+    taken = restore_arrays({name: p.data for name, p in model.params.items()},
+                           ckpt.params, "params")
+    for name, data in taken.items():
+        model.params[name].data = data
+    return model
 
 
 def load_model(ckpt_dir) -> tuple:
-    """Rebuild a model (and its config) from a checkpoint directory; the
-    optimizer moments are checked as named but not read, and no initial
-    weight is drawn."""
+    """``(model, config, ckpt)`` from a checkpoint directory.
+
+    The optimizer moments are checked as named but not read, and no
+    initial weight is drawn. The model holds the one copy of the
+    parameters: ``ckpt.params`` are the model's own arrays (unless one
+    was cast), so a write to either shows in both. Training never
+    writes a parameter in place; :class:`~affground.optim.AdamW` gives
+    each a new array.
+    """
     ckpt = load_checkpoint(ckpt_dir, moments=False)
     config = config_from_dict(ckpt.config)
-    model = AffordanceModel(config, rng=_NoDraws())
-    _restore_params(model, ckpt)
-    return model, config, ckpt
-
-
-def _restore_params(model: AffordanceModel, ckpt):
-    """Copy a checkpoint's parameters into the model, checking names and shapes."""
-    restore_arrays({name: p.data for name, p in model.params.items()},
-                   ckpt.params, "params")
+    return _adopted(config, ckpt), config, ckpt
 
 
 def evaluate(model: AffordanceModel, manifest_path,

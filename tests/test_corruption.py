@@ -1,5 +1,7 @@
 """Corruption kinds, magnitudes, determinism, and benchmark structure."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from affground.corruption import (
     generate_benchmark,
     tree_digest,
 )
-from affground.dataio import gen_synthetic_dataset, read_dataset
+from affground.dataio import Dataset, gen_synthetic_dataset, read_dataset
 from affground.errors import ContractError
 
 
@@ -198,3 +200,32 @@ class TestBenchmarkTree:
         b = generate_benchmark(dataset, tmp_path / "b", seed=2,
                                kinds=("jitter",), levels=(2,))
         assert tree_digest(a) != tree_digest(b)
+
+    def test_each_source_cloud_is_read_once_per_tree(self, dataset, tmp_path,
+                                                     monkeypatch):
+        read = []
+        real_load = Dataset.load_cloud
+
+        def load_cloud(self, record):
+            read.append(record.id)
+            return real_load(self, record)
+
+        monkeypatch.setattr(Dataset, "load_cloud", load_cloud)
+        generate_benchmark(dataset, tmp_path / "bench", seed=80)
+        ids = [record.id for record in read_dataset(dataset).records]
+        assert read == ids   # 4 reads for 35 cells, not 140
+
+    def test_tree_equals_the_cells_generated_one_at_a_time(self, dataset,
+                                                           tmp_path):
+        tree = generate_benchmark(dataset, tmp_path / "tree", seed=81)
+        # the reference reads the source clouds again for every cell
+        ref = tmp_path / "ref"
+        for kind in KINDS:
+            for level in LEVELS:
+                alone = generate_benchmark(dataset, tmp_path / "alone", seed=81,
+                                           kinds=(kind,), levels=(level,))
+                cell = f"{kind}/level_{level}"
+                shutil.copytree(alone / cell, ref / cell)
+                shutil.rmtree(alone)
+        shutil.copyfile(tree / "benchmark.json", ref / "benchmark.json")
+        assert tree_digest(tree) == tree_digest(ref)

@@ -298,6 +298,21 @@ class TestCheckpoints:
             restore_arrays(live, ckpt.params, "exp_avg")
         assert not live["a.w"].any()  # a refused restore writes nothing
 
+    def test_restore_takes_the_saved_arrays(self, tmp_path):
+        params = self._params(5)
+        params["b.w"].data = params["b.w"].data.astype(np.float64)
+        save_checkpoint(tmp_path / "ckpt", params, {}, step=0)
+        ckpt = load_checkpoint(tmp_path / "ckpt")
+        live = {"a.w": np.zeros((4, 3), dtype=np.float32),
+                "b.w": np.zeros((1, 3), dtype=np.float32)}
+        taken = restore_arrays(live, ckpt.params, "params")
+        assert taken["a.w"] is ckpt.params["a.w"]
+        # a saved float64 array is cast once to the live float32
+        assert taken["b.w"].dtype == np.float32
+        assert taken["b.w"].tobytes() == \
+            ckpt.params["b.w"].astype(np.float32).tobytes()
+        assert not live["a.w"].any() and not live["b.w"].any()
+
     def test_nonfinite_parameters_refused(self, tmp_path):
         params = self._params(3)
         params["a.w"].data[0, 0] = np.nan

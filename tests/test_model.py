@@ -9,6 +9,8 @@ from affground.config import FusionConfig, LiftingConfig, ModelConfig, RunConfig
 from affground.dataio import synth_cloud
 from affground.intention import synth_fixture
 from affground.model import AffordanceModel
+from affground.nn import make_linear, uniform_init
+from affground.rng import rng_for
 
 from conftest import TOY
 
@@ -80,6 +82,21 @@ def test_full_resolution_params_are_every_part_of_the_layers_on_all_points(
         want += ["fusion.fuse.w_row", "fusion.fuse.w_desc", "fusion.fuse.b"]
     got = [names[id(p)] for p in model.full_resolution_params()]
     assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_split_weight_holds_the_rows_of_one_whole_draw(dtype):
+    params = {}
+    make_linear(params, "layer", rng_for(9, "init"), 7, 5, dtype,
+                parts={"x": 3, "y": 4})
+    rng = rng_for(9, "init")
+    whole = uniform_init(rng, 7, 5, dtype)
+    bias = rng.uniform(-1 / np.sqrt(7), 1 / np.sqrt(7), size=(1, 5))
+    x, y, b = (params[f"layer.{key}"].data for key in ("x", "y", "b"))
+    assert x.shape == (3, 5) and y.shape == (4, 5)
+    assert np.concatenate([x, y]).tobytes() == whole.tobytes()
+    assert b.tobytes() == bias.astype(dtype).tobytes()
+    assert not np.shares_memory(x, y)
 
 
 def owned_bytes(nodes):

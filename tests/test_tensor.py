@@ -16,7 +16,7 @@ from affground import tensor as T
 from affground import train as train_module
 from affground.config import ModelConfig, RunConfig
 from affground.dataio import gen_synthetic_dataset, read_dataset
-from affground.errors import ContractError, NumericError, ShapeError
+from affground.errors import CheckpointError, ContractError, NumericError, ShapeError
 from affground.gradcheck import finite_difference_check, finite_difference_check_params
 from affground.model import AffordanceModel
 from affground.optim import AdamW, adamw_step, linear_lr
@@ -1247,6 +1247,43 @@ class TestAdamW:
         v = np.zeros_like(data)
         adamw_step(p2, grad, m, v, step=1, lr=0.01, weight_decay=0.01)
         np.testing.assert_array_equal(p1.data, p2.data)
+
+    def test_restore_takes_the_moment_arrays(self):
+        params = {"a": T.tensor(np.ones((2, 3), np.float32), requires_grad=True),
+                  "b": T.tensor(np.ones(4, np.float32), requires_grad=True)}
+        opt = AdamW(params, lr=0.1)
+        saved = {"step": 3,
+                 "exp_avg": {"a": np.full((2, 3), 0.5, np.float32),
+                             "b": np.full(4, 0.25, np.float32)},
+                 "exp_avg_sq": {"a": np.full((2, 3), 0.5, np.float32),
+                                "b": np.full(4, 0.125)}}   # float64: cast once
+        opt.restore(saved)
+        assert opt.step_count == 3
+        assert opt.exp_avg["a"] is saved["exp_avg"]["a"]
+        assert opt.exp_avg_sq["a"] is saved["exp_avg_sq"]["a"]
+        cast = opt.exp_avg_sq["b"]
+        assert cast.dtype == np.float32 and (cast == 0.125).all()
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        # the step updates the taken arrays in place
+        assert opt.exp_avg["a"] is saved["exp_avg"]["a"]
+        assert not (saved["exp_avg"]["a"] == 0.5).any()
+        assert opt.exp_avg_sq["b"] is cast
+
+    def test_refused_restore_leaves_the_optimizer(self):
+        p = T.tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        opt = AdamW({"p": p})
+        before = opt.state_arrays()
+        # the first moment would pass; the second is saved misshapen
+        saved = {"step": 3, "exp_avg": {"p": np.ones((2, 3), np.float32)},
+                 "exp_avg_sq": {"p": np.ones((3, 2), np.float32)}}
+        with pytest.raises(CheckpointError, match="exp_avg_sq entry p"):
+            opt.restore(saved)
+        assert opt.step_count == 0
+        for moment in ("exp_avg", "exp_avg_sq"):
+            assert getattr(opt, moment) is before[moment]
+            assert not getattr(opt, moment)["p"].any()
 
     def test_fixed_gradients_follow_reference_arithmetic(self):
         # float32 training must not drift from this exact operation order

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import Future
 from contextlib import contextmanager
@@ -30,6 +31,7 @@ from affground.dataio import (
     gen_synthetic_dataset,
     load_checkpoint,
     read_dataset,
+    save_checkpoint,
     write_manifest,
     write_tensor,
 )
@@ -611,6 +613,25 @@ def test_load_model_draws_no_initial_weight(tmp_path, eight_samples,
     config = RunConfig(model=ModelConfig(**TOY),
                        optimizer=OptimConfig(epochs=1, batch_size=8))
     result = train(config, eight_samples, tmp_path / "run")
+    streams = recorded_streams(monkeypatch)
+    loaded = recorded_loads(monkeypatch)
+    model, _, ckpt = train_module.load_model(result.checkpoint_dir)
+    # the model's only generator is the seed's init stream
+    assert streams == []
+    AffordanceModel(config)
+    assert streams == [(config.seed, "init")]
+    saved = load_checkpoint(result.checkpoint_dir).params
+    assert model.params.keys() == saved.keys()
+    assert loaded == [ckpt]
+    for name, p in model.params.items():
+        assert p.data.dtype == saved[name].dtype, name
+        assert p.data.tobytes() == saved[name].tobytes(), name
+        # the model holds the arrays the checkpoint was read into
+        assert np.shares_memory(p.data, ckpt.params[name]), name
+
+
+def recorded_streams(monkeypatch):
+    """The list of the keys of every generator the model module makes."""
     streams = []
     real_rng_for = model_module.rng_for
 
@@ -619,16 +640,97 @@ def test_load_model_draws_no_initial_weight(tmp_path, eight_samples,
         return real_rng_for(*args)
 
     monkeypatch.setattr(model_module, "rng_for", recorded_rng_for)
-    model, _, _ = train_module.load_model(result.checkpoint_dir)
-    # the model's only generator is the seed's init stream
-    assert streams == []
-    AffordanceModel(config)
-    assert streams == [(config.seed, "init")]
-    saved = load_checkpoint(result.checkpoint_dir).params
-    assert model.params.keys() == saved.keys()
+    return streams
+
+
+def recorded_loads(monkeypatch):
+    """The list of checkpoints that train's load_checkpoint returns."""
+    loaded = []
+    real_load = train_module.load_checkpoint
+
+    def recorded_load(*args, **kwargs):
+        loaded.append(real_load(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(train_module, "load_checkpoint", recorded_load)
+    return loaded
+
+
+def test_load_model_holds_one_copy_of_the_parameters(tmp_path):
+    # the small benchmark config; the copy into placeholders peaked at 2.14x
+    config = RunConfig(model=ModelConfig(n_points=1024, d=128, d_h=256,
+                                         seq_len=8))
+    params = AffordanceModel(config).params
+    param_bytes = sum(p.data.nbytes for p in params.values())
+    save_checkpoint(tmp_path / "ckpt", params, config.to_dict(), step=0)
+    del params
+    tracemalloc.start()
+    try:
+        model, _, ckpt = train_module.load_model(tmp_path / "ckpt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * param_bytes, peak / param_bytes
+    assert sum(p.data.nbytes for p in model.params.values()) == param_bytes
+
+
+def crash_at_step_2(row):
+    if row["step"] == 2:
+        raise Interrupt
+
+
+def test_resume_draws_no_weight_and_takes_the_moments(tmp_path, eight_samples,
+                                                      monkeypatch):
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=2, batch_size=4),
+                       checkpoint_every=2)
+    with pytest.raises(Interrupt):
+        train(config, eight_samples, tmp_path / "run", log_fn=crash_at_step_2)
+    ckpt_dir = tmp_path / "run" / "checkpoint"
+    streams = recorded_streams(monkeypatch)
+    loaded = recorded_loads(monkeypatch)
+    model, optimizer, step = train_module._resumed(
+        config, read_dataset(eight_samples), ckpt_dir)
+    assert streams == [] and step == optimizer.step_count == 2
+    (ckpt,) = loaded
     for name, p in model.params.items():
-        assert p.data.dtype == saved[name].dtype, name
-        assert p.data.tobytes() == saved[name].tobytes(), name
+        assert p.data is ckpt.params[name], name
+        for moment in ("exp_avg", "exp_avg_sq"):
+            assert getattr(optimizer, moment)[name] is \
+                ckpt.optimizer[moment][name], (moment, name)
+    # nor does a resume that runs the last two steps
+    assert train(config, eight_samples, tmp_path / "run",
+                 resume=ckpt_dir).steps == 4
+    assert streams == []
+
+
+def test_pipelined_resume_matches_uninterrupted_run(tmp_path):
+    # CI's wide model on 4 records: two members per step, pipelined
+    manifest = gen_synthetic_dataset(tmp_path / "data", 1, 2, 2, 1024,
+                                     seed=2, d_h=16, seq_len=4)
+    config = RunConfig(
+        model=ModelConfig(n_points=1024, d=512, d_h=16, seq_len=4,
+                          cont_width=16, k_max=[8, 8, 8]),
+        optimizer=OptimConfig(epochs=2, batch_size=2), checkpoint_every=2)
+    assert train_module._pipelines(config.model)
+    full = train(config, manifest, tmp_path / "full")
+    with pytest.raises(Interrupt):
+        train(config, manifest, tmp_path / "cut", log_fn=crash_at_step_2)
+    assert load_checkpoint(tmp_path / "cut" / "checkpoint").step == 2
+    resumed = train(config, manifest, tmp_path / "cut",
+                    resume=tmp_path / "cut" / "checkpoint")
+
+    assert len(full.log_path.read_text().splitlines()) == 4
+    assert resumed.log_path.read_bytes() == full.log_path.read_bytes()
+    want = load_checkpoint(full.checkpoint_dir)
+    got = load_checkpoint(resumed.checkpoint_dir)
+    assert got.step == want.step == 4
+    for group in ("params", "exp_avg", "exp_avg_sq"):
+        saved = want.params if group == "params" else want.optimizer[group]
+        loaded = got.params if group == "params" else got.optimizer[group]
+        assert loaded.keys() == saved.keys()
+        for name, arr in saved.items():
+            assert loaded[name].tobytes() == arr.tobytes(), (group, name)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
