@@ -153,12 +153,16 @@ def write_manifest(path, records):
 def read_dataset(manifest_path) -> Dataset:
     """Parse and validate a manifest and its vocabulary.
 
+    The manifest must be a regular file, with ``vocab.json`` beside it.
     Referenced files must exist, and each row's class and affordance must
     be in the vocabulary, with ``affordance_id`` the index of
     ``affordance_name``. Each id must be unique and one plain path
     component: corruption cells name the sample's files after it.
     """
     manifest_path = Path(manifest_path)
+    if not manifest_path.is_file():
+        what = "is not a regular file" if manifest_path.exists() else "is missing"
+        raise DataFormatError(f"manifest {manifest_path} {what}")
     root = manifest_path.parent
     vocab_path = root / "vocab.json"
     if not vocab_path.exists():

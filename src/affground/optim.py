@@ -4,10 +4,15 @@
 scratch buffers. Its bytes are those of the whole-array expression it
 documents, but it makes no full-size temporary besides the new
 parameter value, and it writes no parameter in place: each step gives
-``param.data`` a new array. The moments are updated in place. They
-start as untouched zero pages, so setting up an optimizer writes no
-memory, and :meth:`AdamW.restore` makes a checkpoint's moment arrays
-the moments themselves, so a resumed step updates those arrays.
+``param.data`` a new array. The moments are updated in place.
+
+An optimizer holds memory only while it needs it. A parameter's moment
+pair is created, as zeros, just before that parameter's first update,
+so setting up an optimizer allocates no moments, and :meth:`AdamW.step`
+consumes each gradient: it drops ``grad`` right after the update that
+read it, so the next tensors' moments and new values can reuse that
+memory. :meth:`AdamW.restore` makes a checkpoint's moment arrays the
+moments themselves, so a resumed step updates those arrays.
 """
 
 from __future__ import annotations
@@ -38,6 +43,10 @@ class AdamW:
     weight decay therefore leaves parameters untouched. A step that would
     make a parameter non-finite raises :class:`NumericError` naming it and
     leaves that parameter as it was.
+
+    ``exp_avg`` and ``exp_avg_sq`` map a parameter's name to its moments
+    and hold only the parameters updated so far (or restored);
+    :meth:`state_arrays` gives every pair.
     """
 
     def __init__(self, params: dict, lr=1e-4, betas=(0.9, 0.999), eps=1e-8,
@@ -48,27 +57,41 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        # np.zeros leaves the pages untouched until the first step writes them
-        self.exp_avg = {k: np.zeros(p.shape, p.dtype) for k, p in self.params.items()}
-        self.exp_avg_sq = {k: np.zeros(p.shape, p.dtype) for k, p in self.params.items()}
+        self.exp_avg = {}
+        self.exp_avg_sq = {}
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
+    def _moments(self, name):
+        """``name``'s moment pair, created as zeros at its first use."""
+        if name not in self.exp_avg:
+            p = self.params[name]
+            self.exp_avg[name] = np.zeros(p.shape, p.dtype)
+            self.exp_avg_sq[name] = np.zeros(p.shape, p.dtype)
+        return self.exp_avg[name], self.exp_avg_sq[name]
+
     def step(self, lr=None):
+        """One update of every parameter, in order, at ``lr`` (default the
+        base rate). A missing gradient counts as zeros. Each parameter's
+        ``grad`` is set to None right after its update: the step consumes
+        the gradients."""
         lr = self.lr if lr is None else lr
         self.step_count += 1
         for name, p in self.params.items():
             g = np.zeros_like(p.data) if p.grad is None else p.grad
-            adamw_step(p, g, self.exp_avg[name], self.exp_avg_sq[name],
-                       self.step_count, lr, self.betas, self.eps,
-                       self.weight_decay, name)
+            adamw_step(p, g, *self._moments(name), self.step_count, lr,
+                       self.betas, self.eps, self.weight_decay, name)
+            p.grad = g = None   # the last references: the memory is free now
 
     # -- persistence -----------------------------------------------------
 
     def state_arrays(self):
-        """Moment buffers and step count, for checkpointing."""
+        """Moment buffers and step count, for checkpointing; a pair not yet
+        created is created as zeros, as the update would."""
+        for name in self.params:
+            self._moments(name)
         return {
             "step": self.step_count,
             "exp_avg": self.exp_avg,
@@ -79,15 +102,17 @@ class AdamW:
         """Take the moments and step count laid out as :meth:`state_arrays`
         saves them.
 
-        Each moment must match the live names and shapes; see
-        :func:`~affground.dataio.restore_arrays`. The saved arrays become
-        the moments, cast only where their dtype differs from the
-        parameter's, and later steps update them in place. Both moments
-        are checked before either is taken, so a refused restore leaves
-        the optimizer as it was.
+        Each moment must match the parameters' names and shapes; see
+        :func:`~affground.dataio.restore_arrays`. They are checked against
+        zero-stride placeholders, so no moment is allocated only to be
+        compared. The saved arrays become the moments, cast only where
+        their dtype differs from the parameter's, and later steps update
+        them in place. Both moments are checked before either is taken,
+        so a refused restore leaves the optimizer as it was.
         """
-        state = self.state_arrays()
-        taken = [restore_arrays(state[moment], saved[moment], moment)
+        live = {name: np.broadcast_to(np.zeros((), p.dtype), p.shape)
+                for name, p in self.params.items()}
+        taken = [restore_arrays(live, saved[moment], moment)
                  for moment in MOMENTS]
         self.exp_avg, self.exp_avg_sq = taken
         self.step_count = saved["step"]

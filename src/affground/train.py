@@ -3,8 +3,10 @@
 Training is a pure function of (config, dataset, seed): sample order per
 epoch comes from a counter-based stream, gradients accumulate over each
 batch on per-sample graphs, and AdamW steps under a linear learning-rate
-decay. Checkpoints carry parameters, optimizer moments, counters, and
-the config, so a resumed run reproduces the uninterrupted one bitwise.
+decay. The step consumes the batch's gradients and creates each
+parameter's moments at its first update (see :mod:`~affground.optim`).
+Checkpoints carry parameters, optimizer moments, counters, and the
+config, so a resumed run reproduces the uninterrupted one bitwise.
 
 At model sizes whose numpy operations are long enough (see
 :func:`_pipelines`), and with at least two items, both loops use a

@@ -171,6 +171,32 @@ def test_eval_on_empty_manifest_exits_1(tmp_path, capsys):
     assert not report.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "corrupt"])
+@pytest.mark.parametrize("where", ["typo.jsonl", "."],
+                         ids=["missing", "directory"])
+def test_manifest_that_is_not_a_file_exits_1(tmp_path, capsys, command, where):
+    data, ckpt = tmp_path / "data", None
+    if command == "eval":
+        _, ckpt = _toy_checkpoint(tmp_path)   # its data is under data/
+    else:
+        assert main(["gen-data", "--out", str(data), "--classes", "1",
+                     "--affordances", "2", "--samples-per", "1", "--points",
+                     "128", "--d-h", "32", "--seq-len", "4"]) == 0
+    path, out = data / where, tmp_path / "out"
+    args = {"train": ["train", "--data", str(path), "--out", str(out)]
+            + TOY_MODEL_SETS,
+            "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(path),
+                     "--out", str(out / "report")],
+            "corrupt": ["corrupt", "--in", str(path), "--out", str(out),
+                        "--seed", "1"]}
+    capsys.readouterr()
+    assert main(args[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest {path} ") and "Traceback" not in err
+    assert "vocab.json" not in err
+    assert not out.exists()
+
+
 def _edit_entries(ckpt, added, renamed=(), removed=()):
     """Rename entries (old, new), remove entries and add entries (name ->
     shape, filled with 0.5) in a checkpoint's parameters and both AdamW

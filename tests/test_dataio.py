@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -196,6 +197,21 @@ class TestSyntheticData:
         (ds.root / ds.records[0].points).unlink()
         with pytest.raises(DataFormatError, match="missing file"):
             read_dataset(manifest)
+
+    @pytest.mark.parametrize("where, what", [
+        ("ds/typo.jsonl", "is missing"),
+        ("ds", "is not a regular file"),
+        ("elsewhere/typo.jsonl", "is missing"),
+    ], ids=["typo", "directory", "no_vocab_beside_it"])
+    def test_manifest_that_is_not_a_file_is_refused_by_name(
+            self, tmp_path, where, what):
+        gen_synthetic_dataset(tmp_path / "ds", 1, 2, 1, 64, seed=8, d_h=32,
+                              seq_len=4)
+        path = tmp_path / where
+        # the manifest is named, not the vocab.json looked for beside it
+        with pytest.raises(DataFormatError,
+                           match=f"^manifest {re.escape(str(path))} {what}$"):
+            read_dataset(path)
 
     def test_regen_fixtures_changes_width(self, tmp_path):
         manifest = gen_synthetic_dataset(tmp_path / "ds", 1, 2, 1, 64, seed=9,

@@ -674,6 +674,35 @@ def test_load_model_holds_one_copy_of_the_parameters(tmp_path):
     assert sum(p.data.nbytes for p in model.params.values()) == param_bytes
 
 
+def test_resume_holds_one_copy_of_the_parameters_and_moments(tmp_path):
+    # the small benchmark config; with moments made at set-up and then
+    # replaced by the checkpoint's, the traced peak read 5.04x
+    config = RunConfig(model=ModelConfig(n_points=1024, d=128, d_h=256,
+                                         seq_len=8))
+    manifest = gen_synthetic_dataset(tmp_path / "data", 1, 2, 1, 1024, seed=1,
+                                     d_h=256, seq_len=8)
+    dataset = read_dataset(manifest)
+    params = AffordanceModel(config).params
+    optimizer = AdamW(params)
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    optimizer.step()
+    param_bytes = sum(p.data.nbytes for p in params.values())
+    save_checkpoint(tmp_path / "ckpt", params, config.to_dict(), step=1,
+                    optimizer_state=optimizer.state_arrays(),
+                    vocab=dataset.vocab)
+    del params, optimizer
+    tracemalloc.start()
+    try:
+        model, optimizer, _ = train_module._resumed(config, dataset,
+                                                    tmp_path / "ckpt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * param_bytes, peak / param_bytes
+    assert len(optimizer.exp_avg) == len(model.params)
+
+
 def crash_at_step_2(row):
     if row["step"] == 2:
         raise Interrupt
