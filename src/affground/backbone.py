@@ -29,7 +29,9 @@ Each sum is added left to right into the first product's buffer. The
 graph keeps no buffer of the ``feats @ W_feat`` or ``src @ W_src``
 product once it is gathered or interpolated (their ``release``), nor of
 the gathered or interpolated term once it is added (``linear``'s
-``spent``).
+``spent``), nor of an SA stage's (rows, C) last-layer output once it is
+pooled (``segment_max``'s ``release``): the pool keeps only each
+column's first-max row per group.
 
 Each weight of such a sum is a parameter of its own (``w_geo`` and
 ``w_feat``, ``w_src`` and ``w_skip``), the rows of the concatenated
@@ -296,7 +298,8 @@ class SetAbstraction:
     W_feat) + b``, with its ReLU, in the buffer of ``geometry @ W_geo``:
     each point's features are projected once, and only the geometry
     columns run on the member rows. The MLP runs on real members only,
-    and :func:`~affground.tensor.segment_max` pools each group's rows.
+    and :func:`~affground.tensor.segment_max` pools each group's rows,
+    releasing the last layer's output once pooled.
     With ``first_stage`` the geometry is the whole input, since that
     stage's features are the coordinates: the layer has one weight ``W``,
     and ``feats`` is None.
@@ -320,7 +323,7 @@ class SetAbstraction:
                                     release=True),)
         h = linear(geometry, w_geo, (*gathered, first.b), relu=True,
                    spent=gathered)
-        return segment_max(self.mlp.after_first(h), plan.starts)
+        return segment_max(self.mlp.after_first(h), plan.starts, release=True)
 
 
 class FeaturePropagation:

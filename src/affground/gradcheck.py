@@ -146,6 +146,9 @@ def _primitive_checks(tol) -> list:
         ("mean", (3, 4), lambda x: (x.mean(axis=0) ** 2.0).sum(), False),
         ("segment_max", (5, 4),
          lambda x: (T.segment_max(x, seg_starts) * c34).sum(), False),
+        ("segment_max_released", (5, 4), lambda x: (T.segment_max(
+            T.linear(x, c43, (c13,)), seg_starts, release=True) ** 2.0).sum(),
+         False),
         ("reshape", (3, 4), lambda x: (x.reshape(2, 6) ** 2.0).sum(), False),
         ("transpose", (3, 4), lambda x: (x.T * c43).sum(), False),
         ("gather_rows", (3, 4),

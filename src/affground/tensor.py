@@ -43,8 +43,11 @@ Product buffers: no backward rule reads a :func:`matmul` node's output
 writes into one: the product it made itself, which nothing else
 consumes. So a layer's bias, its other addends and its ReLU go into that
 buffer in place, and a layer keeps one output buffer alive until
-backward. A product that only :func:`gather_rows` or :func:`interpolate`
-reads is not kept either, where the caller asks them to ``release`` it.
+backward; only a ReLU'd layer's rule reads it. A product that only
+:func:`gather_rows` or :func:`interpolate` reads is not kept either, where
+the caller asks them to ``release`` it, and neither is a product or
+ReLU-free layer that only :func:`segment_max` reads: its rule keeps each
+column's first-max row, not its input.
 
 Threading. A graph is built on one thread and walked on one thread, which
 may be another, and two threads never touch one graph at once; the
@@ -122,7 +125,7 @@ class Tensor:
     """A dense array plus optional gradient buffer and graph linkage."""
 
     __slots__ = ("data", "requires_grad", "_grad", "_rows", "_parents",
-                 "_backward", "_op")
+                 "_backward", "_op", "_relu")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         # default dtype is float32; float64 numpy arrays keep their precision
@@ -141,6 +144,7 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._op = "leaf"
+        self._relu = False
 
     # -- gradient --------------------------------------------------------
 
@@ -273,6 +277,7 @@ def _node(data, parents, backward, op) -> Tensor:
     out._parents = tuple(parents) if record else ()
     out._backward = backward if record else None
     out._op = op
+    out._relu = False
     return out
 
 
@@ -470,6 +475,9 @@ def linear(x: Tensor, w: Tensor, addends=(), relu: bool = False,
     else): once added, each one's data becomes a read-only view of this
     node's output, so the graph no longer keeps its buffer. Its
     gradient is unchanged.
+
+    Only the ReLU's mask reads the output in the backward; without a
+    ReLU, :func:`segment_max` can ``release`` it.
     """
     product = matmul(x, w)
     if not addends and not relu:
@@ -492,17 +500,21 @@ def linear(x: Tensor, w: Tensor, addends=(), relu: bool = False,
             raise ContractError(
                 f"linear: a spent tensor must be an addend of shape {out.shape}")
         a.data = np.broadcast_to(out, out.shape)
+    # the rule holds the output only to mask by it
+    masked = out if relu else None
 
     def backward(g, off=None):
-        if relu:
-            np.multiply(g, out > 0, out=g)
+        if masked is not None:
+            np.multiply(g, masked > 0, out=g)
         _accumulate(product, g)
         for a in addends:
             if a.requires_grad:
                 # the product owns g by now: a gets a buffer of its own
                 _give(a, off, lambda a=a: _accumulate(a, _own_share(g, a.shape)))
 
-    return _node(out, (product, *addends), backward, "linear")
+    node = _node(out, (product, *addends), backward, "linear")
+    node._relu = relu
+    return node
 
 
 def power(x: Tensor, exponent) -> Tensor:
@@ -600,7 +612,20 @@ def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
     return _node(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward, "mean")
 
 
-def segment_max(x: Tensor, starts) -> Tensor:
+def _first_rows(data, first, longer, acc) -> np.ndarray:
+    """Per ranked segment and column, the first row of ``data`` equal to
+    the maximum ``acc``, or the segment's first row where none is (a NaN
+    maximum), as one int32 array; ``first`` and ``longer`` rank the
+    segments as :func:`segment_max` does."""
+    rows = np.repeat(first[:, None].astype(np.int32), data.shape[1], axis=1)
+    # rows in reverse, so each column keeps its earliest match
+    for j, a in reversed(list(enumerate(longer))):
+        at = first[:a] + j
+        np.copyto(rows[:a], at[:, None], where=data[at] == acc[:a])
+    return rows
+
+
+def segment_max(x: Tensor, starts, release: bool = False) -> Tensor:
     """Per-column maximum over each run of rows ``starts[j]:starts[j + 1]``.
 
     ``starts`` holds each segment's first row, increasing from 0; the last
@@ -609,6 +634,14 @@ def segment_max(x: Tensor, starts) -> Tensor:
     where the maximum is NaN. A zero maximum keeps its first zero's sign.
     Segments are ranked longest first, so the j-th rows of those longer
     than j are a prefix: one Python step per row of the longest segment.
+
+    Where the node is recorded, the forward finds those first rows, one
+    (segments, columns) int32 array, and the backward scatters ``g``
+    through them without reading ``x``. With ``release``, ``x`` must be a
+    :func:`matmul` output or a :func:`linear` output without ReLU whose
+    values the caller will not read again: once pooled, its buffer (a
+    layer's, which its product shares) is dropped, as in
+    :func:`gather_rows`. Its gradient is unchanged.
     """
     if x.ndim != 2:
         raise ShapeError(f"segment_max expects a 2-D tensor, got {x.shape}")
@@ -624,27 +657,25 @@ def segment_max(x: Tensor, starts) -> Tensor:
     acc = data[first]
     for j, a in enumerate(longer[1:], 1):
         np.maximum(acc[:a], data[first[:a] + j], out=acc[:a])
-
-    def first_rows():
-        # rows in reverse, so each column keeps its earliest match; no row
-        # equals a NaN maximum, which keeps the segment's first row
-        rows = np.repeat(first[:, None], data.shape[1], axis=1)
-        for j, a in reversed(list(enumerate(longer))):
-            at = first[:a] + j
-            np.copyto(rows[:a], at[:, None], where=data[at] == acc[:a])
-        return rows
-
-    if not acc.all():
+    any_zero = not acc.all()
+    rows = None
+    if any_zero or (_grad_enabled() and x.requires_grad):
+        rows = _first_rows(data, first, longer, acc)
+    if any_zero:
         # np.maximum returns either zero of a tie: take the first one's sign
         zero = acc == 0
-        acc[zero] = np.take_along_axis(data, first_rows(), axis=0)[zero]
+        acc[zero] = np.take_along_axis(data, rows, axis=0)[zero]
+    out = acc[np.argsort(order)]
+    if release:
+        _release(x, "segment_max", layers=True)
+    shape, dtype = data.shape, data.dtype
 
     def backward(g):
-        gx = np.zeros_like(data)
-        np.put_along_axis(gx, first_rows(), g[order], axis=0)
+        gx = np.zeros(shape, dtype)
+        np.put_along_axis(gx, rows, g[order], axis=0)
         _accumulate(x, gx)
 
-    return _node(acc[np.argsort(order)], (x,), backward, "segment_max")
+    return _node(out, (x,), backward, "segment_max")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -664,7 +695,8 @@ def transpose(x: Tensor) -> Tensor:
     return _node(x.data.T.copy(), (x,), backward, "transpose")
 
 
-def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape, dtype) -> np.ndarray:
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape, dtype,
+                  weights=None) -> np.ndarray:
     """Rows of ``g`` summed per target row ``idx[i]``, in a new array of
     ``shape`` and ``dtype``.
 
@@ -674,10 +706,16 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape, dtype) -> np.ndarray:
     j-th pass adds the j-th row of every target that has one to a
     shrinking prefix; the work is one pass over ``g`` plus one Python step
     per unit of the largest in-degree.
+
+    With (n, k) ``idx`` and ``weights``, the rows are the (n * k) products
+    ``g[i] * weights[i, c]`` in (i, c) order, each pass forming only the
+    products it adds.
     """
     out = np.zeros(shape, dtype)
     if idx.size == 0:
         return out
+    k = 1 if weights is None else idx.shape[1]
+    idx = idx.reshape(-1)
     idx = np.where(idx < 0, idx + shape[0], idx)
     counts = np.bincount(idx, minlength=shape[0])
     by_rank = np.argsort(-counts, kind="stable")
@@ -689,21 +727,37 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape, dtype) -> np.ndarray:
     starts = np.cumsum(sizes[:n_active]) - sizes[:n_active]
     # active[j]: how many targets have more than j rows
     active = n_active - np.cumsum(np.bincount(sizes[:n_active]))[:sizes[0]]
+    # pass by pass: the j-th position of each of the first active[j] targets
+    nth = np.arange(len(idx)) - np.repeat(starts, sizes[:n_active])
+    order = order[np.argsort(nth, kind="stable")]
+    src = order if weights is None else order // k
+    scale = None if weights is None else weights.reshape(-1, 1)[order]
     acc = np.zeros((n_active,) + tuple(shape[1:]), dtype)
-    for j, a in enumerate(active.tolist()):
-        acc[:a] += g[order[starts[:a] + j]]
+    end = 0
+    for a in active.tolist():
+        rows = g[src[end:end + a]]
+        if scale is not None:
+            rows *= scale[end:end + a]
+        acc[:a] += rows
+        end += a
     out[by_rank[:n_active]] = acc
     return out
 
 
-def _release(x: Tensor, op: str):
-    """Make ``x.data``, a :func:`matmul` output that has just been read for
-    the last time, a read-only zero-stride view of one zero: the graph then
+def _release(x: Tensor, op: str, layers: bool = False):
+    """Make ``x.data``, a :func:`matmul` output (or, with ``layers``, a
+    :func:`linear` output without ReLU) that has just been read for the
+    last time, a read-only zero-stride view of one zero: the graph then
     keeps its shape and dtype but not its buffer, which no backward rule
-    reads."""
-    if x._op != "matmul":
-        raise ContractError(f"{op}: only a matmul output can be released")
+    reads. A layer's product, which shares its buffer, gets the same
+    view."""
+    layer = layers and x._op == "linear" and not x._relu
+    if x._op != "matmul" and not layer:
+        also = " or a linear output without ReLU" if layers else ""
+        raise ContractError(f"{op}: only a matmul output{also} can be released")
     x.data = np.broadcast_to(np.zeros((), x.dtype), x.shape)
+    if layer and x._parents:
+        x._parents[0].data = x.data
 
 
 def gather_rows(x: Tensor, index, release: bool = False) -> Tensor:
@@ -733,7 +787,8 @@ def interpolate(x: Tensor, index, weights, release: bool = False) -> Tensor:
     ``index`` and ``weights`` are constant (n, k) arrays; ``weights`` is cast
     to ``x``'s dtype and gets no gradient. The forward adds the k terms in
     order onto +0.0, and the backward scatters ``g[i] * weights[i, c]``
-    onto ``index[i, c]`` in (i, c) order, so both equal the gather,
+    onto ``index[i, c]`` in (i, c) order (forming no (n * k) product
+    array), so both equal the gather,
     multiply, reshape and sum chain they replace byte for byte, with one
     graph node instead of four. ``release`` drops ``x``'s buffer once read,
     as in :func:`gather_rows`.
@@ -755,8 +810,7 @@ def interpolate(x: Tensor, index, weights, release: bool = False) -> Tensor:
     shape = x.shape
 
     def backward(g):
-        per_row = (g[:, None, :] * w[:, :, None]).reshape(n * k, g.shape[1])
-        _accumulate(x, _scatter_rows(per_row, idx.reshape(-1), shape, w.dtype))
+        _accumulate(x, _scatter_rows(g, idx, shape, w.dtype, w))
 
     return _node(out, (x,), backward, "interpolate")
 

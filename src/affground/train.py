@@ -74,33 +74,16 @@ def _pipelines(model_cfg) -> bool:
     """Whether :func:`train` builds each member's graph, and runs the
     parameter-side jobs of each walk, on a worker thread, and
     :func:`evaluate` groups and runs the first record of each pair
-    there.
+    there: where ``n_points * d`` reaches ``_PIPELINE_MIN_ROW_ENTRIES``.
 
     The two threads share the GIL and overlap only while one of them is
-    inside a numpy call that released it, so the pipeline pays where
+    inside a numpy call that released it, so the pipeline pays only where
     those calls are long: their arrays scale with the (n_points, d)
-    feature rows. On 2 vCPUs at n=2048, d=512 it made steps 30-50%
-    faster with a run-to-run spread like the sequential loop's; the
-    worker then idled for about half of each member's walk, which the
-    weight-gradient jobs now fill. At
-    n=1024, d=128 the threads instead handed the GIL back and forth
-    about 5,000 times a second (50k voluntary context switches a run,
-    against 900 sequentially), and the step time spread between runs
-    two to four times wider than the sequential loop's, so smaller
-    models run their batches sequentially.
-
-    Which work is paired matters as much. On 2 vCPUs at n=2048, d=512
-    with one BLAS thread, a forward took 53 ms alone and 57-58 ms next
-    to another forward, but 64-115 ms next to a whole plan build; a plan
-    took 26-27 ms alone and 47-48 ms next to another, because its
-    farthest-point sampling is hundreds of small numpy calls that hold
-    the GIL. A plan's grouping, by contrast, is a few calls on large
-    arrays. So evaluation keeps every sampling on one thread and pairs
-    only the grouping and a forward with other work: over the 35
-    corruption cells of two paper-config records that ran at 19.3-20.1
-    samples/s, against 15.7-16.4 when each thread took a whole record
-    (load, plan and forward), where two samplings at once thrash the
-    GIL.
+    feature rows. Smaller models run their batches sequentially.
+    Evaluation keeps every farthest-point sampling, hundreds of small
+    numpy calls that hold the GIL, on one thread, and pairs only a plan's
+    grouping, a few calls on large arrays, and a forward with other work.
+    CHANGES.md has the measurements behind both choices.
     """
     return model_cfg.n_points * model_cfg.d >= _PIPELINE_MIN_ROW_ENTRIES
 

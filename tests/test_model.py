@@ -1,5 +1,7 @@
 """The assembled model: every registered parameter takes part in training."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -168,5 +170,38 @@ def test_graph_keeps_no_gathered_or_interpolated_product(monkeypatch):
     (products_before, kept_before), released, grads_before = run()
     assert not released and products_before > 100 * products
     assert kept_before - kept == products_before - products
+    for name, grad in grads_before.items():
+        assert grads[name].tobytes() == grad.tobytes(), name
+
+
+def test_graph_keeps_no_pooled_set_abstraction_buffer(monkeypatch):
+    config = RunConfig(model=ModelConfig(**TOY))
+    cloud = synth_cloud(1, 0, seed=3, n=TOY["n_points"])
+    hidden = synth_fixture(1, 0, seed=4, L=TOY["seq_len"], d_h=TOY["d_h"])
+    real = T.segment_max
+
+    def run(keep_input):
+        pooled, buffers = [], []
+
+        def pool(x, starts, release=False):
+            pooled.append(x)
+            buffers.append(weakref.ref(x.data))
+            return real(x, starts, release=release and not keep_input)
+
+        monkeypatch.setattr(backbone_module, "segment_max", pool)
+        model = AffordanceModel(config)
+        total, _, _ = model.loss(model.forward(cloud, hidden), cloud, hidden)
+        freed = [ref() is None for ref in buffers]
+        held = owned_bytes(pooled), interior_bytes(total)
+        T.backward(total)
+        return freed, held, {name: p.grad for name, p in model.params.items()}
+
+    # every SA stage's (rows, C) layer output is freed while the graph lives
+    freed, (pooled, kept), grads = run(keep_input=False)
+    assert freed == [True] * 3 and len(grads)
+    # the former graph: the pool keeps its input
+    freed, (pooled_before, kept_before), grads_before = run(keep_input=True)
+    assert freed == [False] * 3 and pooled_before > 100 * pooled
+    assert kept_before - kept == pooled_before - pooled
     for name, grad in grads_before.items():
         assert grads[name].tobytes() == grad.tobytes(), name

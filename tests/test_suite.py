@@ -7,4 +7,4 @@ def test_every_gradcheck_passes():
     results = run_gradcheck_suite()
     failed = [(r.name, r.max_error) for r in results if not r.ok]
     assert failed == []
-    assert len({r.name for r in results}) == len(results) == 34
+    assert len({r.name for r in results}) == len(results) == 35

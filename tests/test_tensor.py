@@ -578,6 +578,28 @@ class TestInterpolate:
         out = T.interpolate(x, self.IDX, self.W)
         assert out.dtype == np.float32 and out._parents == (x,)
 
+    @settings(max_examples=120, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           n_src=st.integers(1, 5), n=st.integers(1, 12), k=st.integers(1, 8),
+           d=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_backward_equals_the_former_per_row_rule(self, dtype, n_src, n, k,
+                                                     d, seed):
+        # k may exceed the source count, and every row names a neighbour twice
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, n_src, (n, k))
+        idx[:, -1] = idx[:, 0]
+        w = with_negative_zeros(rng, (n, k), dtype)
+        # magnitudes spread over 8 decades, so the summation order shows
+        g = with_negative_zeros(rng, (n, d), dtype) * dtype(10.0) ** rng.integers(
+            -4, 4, (n, d)).astype(dtype)
+        x = T.tensor(np.ones((n_src, d), dtype), requires_grad=True)
+        T.interpolate(x, idx, w)._backward(g.copy())
+        want = former_interpolate_backward(g, idx, w.astype(dtype), x.shape)
+        assert x.grad.dtype == want.dtype
+        assert x.grad.tobytes() == np.add(want, 0).tobytes()
+        assert T._scatter_rows(g, idx, x.shape, x.dtype, w).tobytes() == \
+            want.tobytes()
+
     @pytest.mark.parametrize("x_shape, idx, w", [
         ((3, 2), np.array([0, 1]), np.array([0.5, 0.5])),
         ((3, 2), np.array([[0, 1]]), np.array([[0.5, 0.25, 0.25]])),
@@ -586,6 +608,14 @@ class TestInterpolate:
     def test_rejects_bad_shapes(self, x_shape, idx, w):
         with pytest.raises(ShapeError):
             T.interpolate(T.tensor(np.ones(x_shape)), idx, w)
+
+
+def former_interpolate_backward(g, idx, w, shape):
+    """The former interpolate backward: every ``g[i] * w[i, c]`` formed
+    as one (n * k, C) array, then scattered onto ``idx`` in (i, c) order."""
+    n, k = idx.shape
+    per_row = (g[:, None, :] * w[:, :, None]).reshape(n * k, g.shape[1])
+    return T._scatter_rows(per_row, idx.reshape(-1), shape, w.dtype)
 
 
 class TestRelease:
@@ -628,6 +658,121 @@ class TestRelease:
         assert x.data.base is None and (x.data == 1).all()
 
 
+class TestSegmentMaxRecord:
+    """A recorded ``segment_max`` keeps each column's first-max rows, not
+    its input, and with ``release`` the graph keeps no buffer of a pooled
+    layer; the bytes are the former rule's."""
+
+    # segments of three, one, four and two rows
+    STARTS = np.array([0, 3, 4, 8])
+    KINDS = ("ties", "signed_zeros", "nan_max")
+
+    def values(self, kind, dtype, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so most maxima are tied
+        data = rng.integers(-2, 3, size=(10, 6)).astype(dtype) * 0.5
+        if kind == "signed_zeros":
+            # at most zero, so many maxima are zeros of either sign
+            data = -np.abs(data)
+            data[(data == 0) & (rng.random(data.shape) < 0.5)] = -0.0
+        elif kind == "nan_max":
+            # NaN in segments' first rows, where the former rule's first
+            # NaN is the segment's first row too
+            data[self.STARTS[[0, 2]], 1] = np.nan
+            data[self.STARTS[1:], 4] = np.nan
+        return data
+
+    def pooled(self, data, release):
+        """``data`` pooled as the output of a ReLU-free layer, whose (rows,
+        C) addend is a leaf and so gets the pool's input gradient; with a
+        weak reference to the layer's buffer."""
+        a = T.tensor(np.ones((data.shape[0], 2), data.dtype), requires_grad=True)
+        w = T.tensor(np.ones((2, data.shape[1]), data.dtype), requires_grad=True)
+        addend = T.tensor(np.zeros_like(data), requires_grad=True)
+        layer = T.linear(a, w, (addend,))
+        layer.data[...] = data   # the values to pool, in the layer's buffer
+        buffer = weakref.ref(layer.data)
+        out = T.segment_max(layer, self.STARTS, release=release)
+        return layer, addend, out, buffer
+
+    @pytest.mark.parametrize("release", [False, True], ids=["kept", "released"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_former_rule(self, release, kind, dtype, seed):
+        data = self.values(kind, dtype, seed)
+        g = with_negative_zeros(np.random.default_rng(seed + 10), (4, 6), dtype)
+        leaf = T.tensor(data.copy(), requires_grad=True)
+        want = former_segment_max(leaf, self.STARTS)
+        T.backward((want * T.tensor(g)).sum())
+        layer, addend, got, buffer = self.pooled(data, release)
+        loss = (got * T.tensor(g)).sum()
+        assert (buffer() is None) == release   # while the graph is alive
+        T.backward(loss)
+        if release:
+            for t in (layer, layer._parents[0]):
+                assert t.shape == data.shape and t.dtype == dtype
+                assert not t.data.any() and not any(t.data.strides)
+        assert got.data.dtype == dtype
+        assert got.data.tobytes() == want.data.tobytes()
+        assert addend.grad.tobytes() == leaf.grad.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nan_anywhere_gives_the_kept_bytes(self, kind):
+        data = self.values(kind, np.float64, 5)
+        data[[2, 5, 9], [0, 3, 5]] = np.nan
+        grads = []
+        for release in (False, True):
+            _, addend, out, _ = self.pooled(data, release)
+            T.backward(out.sum())
+            grads.append((out.data.tobytes(), addend.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+    def test_a_plain_product_is_released(self):
+        x = T.tensor(np.ones((4, 2)), requires_grad=True)
+        product = T.matmul(x, T.tensor(np.ones((2, 3))))
+        T.backward(T.segment_max(product, [0, 1], release=True).sum())
+        assert not any(product.data.strides)
+        np.testing.assert_array_equal(x.grad, [[3, 3], [3, 3], [0, 0], [0, 0]])
+
+    @pytest.mark.parametrize("make", [
+        lambda x, w: T.linear(x, w, (T.tensor(np.ones((1, 3))),), relu=True),
+        lambda x, w: x,
+        lambda x, w: T.matmul(x, w) + 1.0,
+        lambda x, w: T.gather_rows(T.matmul(x, w), [0, 1, 2, 3]),
+    ], ids=["relu_layer", "leaf", "add", "gather_rows"])
+    def test_release_refuses_all_but_a_product_or_a_relu_free_layer(self, make):
+        x = T.tensor(np.ones((4, 3)), requires_grad=True)
+        pooled = make(x, T.tensor(np.ones((3, 3))))
+        buffer = pooled.data
+        with pytest.raises(ContractError, match="segment_max: only a matmul output "
+                                                "or a linear output without ReLU"):
+            T.segment_max(pooled, [0, 2], release=True)
+        assert pooled.data is buffer and buffer.base is None
+
+    def test_first_rows_are_formed_once_and_only_where_recorded(self, monkeypatch):
+        calls = []
+        real = T._first_rows
+        monkeypatch.setattr(T, "_first_rows",
+                            lambda *args: calls.append(1) or real(*args))
+        positive = np.random.default_rng(0).random((10, 6)) + 1.0
+        with T.no_grad():
+            T.segment_max(T.tensor(positive, requires_grad=True), self.STARTS)
+        T.segment_max(T.tensor(positive), self.STARTS)
+        assert calls == []
+        x = T.tensor(positive, requires_grad=True)
+        out = T.segment_max(x, self.STARTS)
+        T.backward(out.sum())
+        assert len(calls) == 1 and x.grad.sum() == out.size
+        # a zero maximum's sign comes from the same rows
+        zeros = self.values("signed_zeros", np.float64, 0)
+        T.segment_max(T.tensor(zeros, requires_grad=True), self.STARTS)
+        assert len(calls) == 2
+        with T.no_grad():
+            T.segment_max(T.tensor(zeros), self.STARTS)
+        assert len(calls) == 3
+
+
 def former_relu(x):
     """The former relu: the mask built in the forward, output by np.where."""
     mask = x.data > 0
@@ -654,9 +799,10 @@ def former_max_reduce(x, axis, keepdims=False):
     return T._node(out, (x,), backward, "max")
 
 
-def former_segment_max(x, starts):
+def former_segment_max(x, starts, release=False):
     """segment_max as the former padded pool: every segment padded to the
-    longest with copies of its first row, then ``former_max_reduce``."""
+    longest with copies of its first row, then ``former_max_reduce``.
+    It keeps its input, so ``release`` changes nothing."""
     longest = int(np.diff(starts, append=x.shape[0]).max())
     rows = padded_rows(starts, x.shape[0], longest)
     padded = T.gather_rows(x, rows.reshape(-1))
