@@ -43,11 +43,11 @@ Product buffers: no backward rule reads a :func:`matmul` node's output
 writes into one: the product it made itself, which nothing else
 consumes. So a layer's bias, its other addends and its ReLU go into that
 buffer in place, and a layer keeps one output buffer alive until
-backward; only a ReLU'd layer's rule reads it. A product that only
-:func:`gather_rows` or :func:`interpolate` reads is not kept either, where
-the caller asks them to ``release`` it, and neither is a product or
-ReLU-free layer that only :func:`segment_max` reads: its rule keeps each
-column's first-max row, not its input.
+backward; only a ReLU'd layer's rule reads it. A product or ReLU-free
+layer that only :func:`gather_rows`, :func:`interpolate` or
+:func:`segment_max` reads is not kept either, where the caller asks them
+to ``release`` it: the pool's rule keeps each column's first-max row,
+not its input.
 
 Threading. A graph is built on one thread and walked on one thread, which
 may be another, and two threads never touch one graph at once; the
@@ -125,7 +125,7 @@ class Tensor:
     """A dense array plus optional gradient buffer and graph linkage."""
 
     __slots__ = ("data", "requires_grad", "_grad", "_rows", "_parents",
-                 "_backward", "_op", "_relu")
+                 "_backward", "_op")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         # default dtype is float32; float64 numpy arrays keep their precision
@@ -144,7 +144,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._op = "leaf"
-        self._relu = False
 
     # -- gradient --------------------------------------------------------
 
@@ -277,7 +276,6 @@ def _node(data, parents, backward, op) -> Tensor:
     out._parents = tuple(parents) if record else ()
     out._backward = backward if record else None
     out._op = op
-    out._relu = False
     return out
 
 
@@ -476,8 +474,9 @@ def linear(x: Tensor, w: Tensor, addends=(), relu: bool = False,
     node's output, so the graph no longer keeps its buffer. Its
     gradient is unchanged.
 
-    Only the ReLU's mask reads the output in the backward; without a
-    ReLU, :func:`segment_max` can ``release`` it.
+    Only the ReLU's mask reads the output in the backward, and the node's
+    op names it (``linear_relu``); without one, :func:`gather_rows`,
+    :func:`interpolate` and :func:`segment_max` can ``release`` it.
     """
     product = matmul(x, w)
     if not addends and not relu:
@@ -512,9 +511,8 @@ def linear(x: Tensor, w: Tensor, addends=(), relu: bool = False,
                 # the product owns g by now: a gets a buffer of its own
                 _give(a, off, lambda a=a: _accumulate(a, _own_share(g, a.shape)))
 
-    node = _node(out, (product, *addends), backward, "linear")
-    node._relu = relu
-    return node
+    return _node(out, (product, *addends), backward,
+                 "linear_relu" if relu else "linear")
 
 
 def power(x: Tensor, exponent) -> Tensor:
@@ -667,7 +665,7 @@ def segment_max(x: Tensor, starts, release: bool = False) -> Tensor:
         acc[zero] = np.take_along_axis(data, rows, axis=0)[zero]
     out = acc[np.argsort(order)]
     if release:
-        _release(x, "segment_max", layers=True)
+        _release(x, "segment_max")
     shape, dtype = data.shape, data.dtype
 
     def backward(g):
@@ -727,45 +725,40 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape, dtype,
     starts = np.cumsum(sizes[:n_active]) - sizes[:n_active]
     # active[j]: how many targets have more than j rows
     active = n_active - np.cumsum(np.bincount(sizes[:n_active]))[:sizes[0]]
-    # pass by pass: the j-th position of each of the first active[j] targets
-    nth = np.arange(len(idx)) - np.repeat(starts, sizes[:n_active])
-    order = order[np.argsort(nth, kind="stable")]
-    src = order if weights is None else order // k
-    scale = None if weights is None else weights.reshape(-1, 1)[order]
     acc = np.zeros((n_active,) + tuple(shape[1:]), dtype)
-    end = 0
-    for a in active.tolist():
-        rows = g[src[end:end + a]]
-        if scale is not None:
-            rows *= scale[end:end + a]
-        acc[:a] += rows
-        end += a
+    for j, a in enumerate(active.tolist()):
+        at = order[starts[:a] + j]
+        if weights is None:
+            acc[:a] += g[at]
+        else:
+            rows = g[at // k]
+            rows *= weights.reshape(-1, 1)[at]
+            acc[:a] += rows
     out[by_rank[:n_active]] = acc
     return out
 
 
-def _release(x: Tensor, op: str, layers: bool = False):
-    """Make ``x.data``, a :func:`matmul` output (or, with ``layers``, a
-    :func:`linear` output without ReLU) that has just been read for the
-    last time, a read-only zero-stride view of one zero: the graph then
-    keeps its shape and dtype but not its buffer, which no backward rule
-    reads. A layer's product, which shares its buffer, gets the same
-    view."""
-    layer = layers and x._op == "linear" and not x._relu
-    if x._op != "matmul" and not layer:
-        also = " or a linear output without ReLU" if layers else ""
-        raise ContractError(f"{op}: only a matmul output{also} can be released")
+def _release(x: Tensor, op: str):
+    """Make ``x.data``, a :func:`matmul` output or a :func:`linear` output
+    without ReLU that has just been read for the last time, a read-only
+    zero-stride view of one zero: the graph then keeps its shape and dtype
+    but not its buffer, which no backward rule reads. A layer's product,
+    which shares its buffer, gets the same view."""
+    if x._op not in ("matmul", "linear"):
+        raise ContractError(f"{op}: only a matmul output or a linear output "
+                            "without ReLU can be released")
     x.data = np.broadcast_to(np.zeros((), x.dtype), x.shape)
-    if layer and x._parents:
+    if x._op == "linear" and x._parents:
         x._parents[0].data = x.data
 
 
 def gather_rows(x: Tensor, index, release: bool = False) -> Tensor:
     """Select rows by a 1-D integer index array (duplicates allowed).
 
-    With ``release``, ``x`` must be a :func:`matmul` output whose values
-    the caller will not read again: once gathered, its buffer is dropped
-    (see :func:`_release`). Its gradient is unchanged.
+    With ``release``, ``x`` must be a :func:`matmul` output or a
+    :func:`linear` output without ReLU whose values the caller will not
+    read again: once gathered, its buffer is dropped (see
+    :func:`_release`). Its gradient is unchanged.
     """
     idx = np.asarray(index)
     if idx.ndim != 1:
@@ -917,7 +910,7 @@ def _split(nodes, submit, keep):
             if id(node) not in keep:
                 off.ids.add(id(node))
         elif any(id(p) in off.ids for p in node._parents):
-            if node._op not in ("matmul", "linear"):
+            if node._op not in ("matmul", "linear", "linear_relu"):
                 raise ContractError(
                     f"backward: a handed-off tensor feeds {node._op}; only "
                     "matmul operands and linear addends can be handed off")

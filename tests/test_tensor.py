@@ -651,6 +651,28 @@ class TestRelease:
             assert kept.tobytes() == released.tobytes()
 
     @pytest.mark.parametrize("op", OPS)
+    def test_relu_free_layer_is_released_and_relu_layer_refused(self, op):
+        grads = []
+        for release in (False, True):
+            rng = np.random.default_rng(4)
+            x = T.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+            w = T.tensor(rng.normal(size=(4, 5)), requires_grad=True)
+            b = T.tensor(rng.normal(size=(1, 5)), requires_grad=True)
+            layer = T.linear(x, w, (b,))
+            out = self.OPS[op](layer, release)
+            if release:
+                for t in (layer, layer._parents[0]):
+                    assert t.shape == (3, 5) and not any(t.data.strides)
+            T.backward((out * T.tensor(rng.normal(size=out.shape))).sum())
+            grads.append((out.data, x.grad, w.grad, b.grad))
+        for kept, released in zip(*grads):
+            assert kept.tobytes() == released.tobytes()
+        relu_layer = T.linear(x, w, (b,), relu=True)
+        with pytest.raises(ContractError, match=f"{op}: only a matmul output"):
+            self.OPS[op](relu_layer, True)
+        assert relu_layer.data.base is None
+
+    @pytest.mark.parametrize("op", OPS)
     def test_only_a_product_can_be_released(self, op):
         x = T.tensor(np.ones((3, 4)), requires_grad=True)
         with pytest.raises(ContractError, match=f"{op}: only a matmul output"):
@@ -1040,7 +1062,7 @@ class TestLinear:
         x, w, addends = make()
         out = T.linear(x, w, addends, relu=True)
         product = out._parents[0]
-        assert product._op == "matmul" and out._op == "linear"
+        assert product._op == "matmul" and out._op == "linear_relu"
         assert out._parents[1:] == tuple(addends)
         assert np.shares_memory(out.data, product.data)
         # no addend and no ReLU: the product is the whole layer
