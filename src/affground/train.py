@@ -64,7 +64,13 @@ from .rng import rng_for
 from .tensor import backward, handing_off
 
 
-_M_ARENA_MAX = -8   # mallopt parameter, from glibc's malloc.h
+# mallopt parameters, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+
+# allocations of at least this many bytes get pages of their own
+_MMAP_MIN_BYTES = 4 << 20
 
 # n_points * d of the smallest model that train and evaluate pipeline
 _PIPELINE_MIN_ROW_ENTRIES = 1 << 19
@@ -88,16 +94,26 @@ def _pipelines(model_cfg) -> bool:
     return model_cfg.n_points * model_cfg.d >= _PIPELINE_MIN_ROW_ENTRIES
 
 
-def _share_one_malloc_arena():
-    """Make every thread allocate from glibc's main malloc arena; a no-op
-    where the C library has no ``mallopt``.
+def _steady_malloc():
+    """Make every thread allocate from glibc's main malloc arena, and give
+    each allocation of at least ``_MMAP_MIN_BYTES`` pages of its own; a
+    no-op where the C library has no ``mallopt``.
 
     glibc would give the forward worker an arena of its own. The forward
     activations are allocated there, and what is freed goes back to that
     arena alone, so after training a model loaded on the main thread
     needs new pages while the worker's freed ones stay resident. One
-    arena lets any thread reuse what another freed. The limit holds for
-    the rest of the process.
+    arena lets any thread reuse what another freed.
+
+    glibc also raises its mmap threshold to the size of each mapped block
+    that is freed, so after a few steps every large array is carved from
+    the heap, and which holes two threads' arrays land in depends on how
+    their calls interleave: evaluation after a training step then grew
+    the heap by 0, 12 or 24 MB from one run to the next. A fixed
+    threshold maps each large array on its own and unmaps it when freed,
+    so the resident set follows the live arrays. The trim threshold is
+    fixed at twice it, the ratio glibc keeps. The settings hold for the
+    rest of the process.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -106,6 +122,8 @@ def _share_one_malloc_arena():
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     mallopt(_M_ARENA_MAX, 1)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_MIN_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_MIN_BYTES)
 
 
 @contextmanager
@@ -118,7 +136,7 @@ def _pipeline_worker(model_cfg, n_items: int, name: str):
     if not (_pipelines(model_cfg) and n_items > 1):
         yield None
         return
-    _share_one_malloc_arena()   # before the worker's first allocation
+    _steady_malloc()   # before the worker's first allocation
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix=name) as worker:
         yield worker
 

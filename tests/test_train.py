@@ -514,7 +514,9 @@ def test_one_malloc_arena_is_set_before_the_first_forward(
     config = RunConfig(model=ModelConfig(**TOY),
                        optimizer=OptimConfig(epochs=1, batch_size=8))
     train(config, eight_samples, tmp_path / "run")
-    assert calls == [(train_module._M_ARENA_MAX, 1), "forward"]
+    assert calls == [(train_module._M_ARENA_MAX, 1),
+                     (train_module._M_MMAP_THRESHOLD, 4 << 20),
+                     (train_module._M_TRIM_THRESHOLD, 8 << 20), "forward"]
 
 
 def test_small_models_step_sequentially_without_a_thread(
@@ -552,7 +554,7 @@ def test_one_malloc_arena_is_a_no_op_without_glibc(monkeypatch):
         pass
 
     monkeypatch.setattr(train_module.ctypes, "CDLL", lambda name: NoGlibc())
-    train_module._share_one_malloc_arena()
+    train_module._steady_malloc()
 
 
 def test_resumed_run_matches_uninterrupted_run(tmp_path):
