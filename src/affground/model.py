@@ -1,13 +1,14 @@
 """Full pipeline assembly: intention -> integration -> lifting -> decoding.
 
-:meth:`AffordanceModel.forward` is the one forward path. It projects the
-token states, encodes the cloud, enhances the bottleneck with Stage I
-cross-attention, decodes to full resolution, mixes in the Stage II
-descriptor (together :meth:`AffordanceModel.integrate`), lifts the
-contact-token embedding over the three decoder scales and scores every
-point. ``fusion.stage1`` and ``fusion.stage2`` skip their stage (an
-ablation) and build none of its weights, nor the token projection when
-neither stage reads it; ``lifting.mode`` picks the lifting.
+:meth:`AffordanceModel.forward` is the one forward path, in two halves.
+:meth:`AffordanceModel.integrate` projects the token states, encodes the
+cloud, enhances the bottleneck with Stage I cross-attention, decodes to
+full resolution and mixes in the Stage II descriptor;
+:meth:`AffordanceModel.score` lifts the contact-token embedding over the
+three decoder scales and scores every point. ``fusion.stage1`` and
+``fusion.stage2`` skip their stage (an ablation) and build none of its
+weights, nor the token projection when neither stage reads it;
+``lifting.mode`` picks the lifting.
 
 On the full-resolution point path every linear layer is followed by a
 ReLU before the next one: FP3 (one layer), the Stage II fuse (one layer)
@@ -85,12 +86,25 @@ class AffordanceModel:
         """The weights and biases of the layers that run on all N points:
         FP3, the Stage II fuse (when it is on) and the decoder head.
 
-        A backward walk reaches them first. ``train`` keeps their gradient
-        work on the walking thread and hands the other layers' to its
-        pipeline worker, which balances the two threads at the paper
-        config.
+        A backward walk reaches them first. In each walk but a step's
+        last, ``train`` keeps their gradient work on the walking thread
+        and hands the other layers' to its pipeline worker, which is then
+        making the next member's graph; the last walk, with no graph left
+        to make, hands all of it over.
         """
         layers = ("backbone.fp3.", "fusion.fuse.", "decoder.head.")
+        return [p for name, p in self.params.items() if name.startswith(layers)]
+
+    def integrate_params(self) -> list:
+        """The weights and biases :meth:`integrate` reads: the backbone's,
+        the fusion stages' and the token projection's. :meth:`score` reads
+        every other parameter and none of these.
+
+        At a boundary between two pipelined steps, ``train`` updates these
+        first, and its worker runs the next step's first ``integrate``
+        while the others are updated.
+        """
+        layers = ("backbone.", "fusion.", "intention.tokens.")
         return [p for name, p in self.params.items() if name.startswith(layers)]
 
     def build_plan(self, cloud: PointCloud) -> BackbonePlan:
@@ -116,16 +130,27 @@ class AffordanceModel:
             fused = self.fusion.fuse_full_res(fused, descriptor)
         return fused, scales
 
-    def forward(self, cloud: PointCloud, hidden: HiddenStates,
-                plan: BackbonePlan | None = None) -> ForwardResult:
-        if plan is None:
-            plan = self.build_plan(cloud)
-        fused, scales = self.integrate(hidden, plan)
+    def score(self, hidden: HiddenStates, fused: Tensor,
+              scales: list) -> ForwardResult:
+        """The forward's second half, on :meth:`integrate`'s result: the
+        per-point scores and the auxiliary affordance logits."""
         lifted = self.lifting.lift_all(self.intention.project_cont(hidden), scales)
         row = self.decoder.point_to_intention(lifted)
         scores = self.decoder.predict_map(fused, row)
         logits = self.intention.aux_affordance_logits(hidden)
         return ForwardResult(scores=scores, aux_logits=logits)
+
+    def forward(self, cloud: PointCloud, hidden: HiddenStates,
+                plan: BackbonePlan | None = None,
+                integrated: tuple | None = None) -> ForwardResult:
+        """:meth:`score` of :meth:`integrate`'s result. ``integrated`` is
+        that result where it was made already for this sample, and then
+        ``plan`` is not read."""
+        if integrated is None:
+            if plan is None:
+                plan = self.build_plan(cloud)
+            integrated = self.integrate(hidden, plan)
+        return self.score(hidden, *integrated)
 
     def loss(self, result: ForwardResult, cloud: PointCloud,
              hidden: HiddenStates):

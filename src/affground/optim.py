@@ -72,14 +72,42 @@ class AdamW:
             self.exp_avg_sq[name] = np.zeros(p.shape, p.dtype)
         return self.exp_avg[name], self.exp_avg_sq[name]
 
-    def step(self, lr=None):
-        """One update of every parameter, in order, at ``lr`` (default the
-        base rate). A missing gradient counts as zeros. Each parameter's
-        ``grad`` is set to None right after its update: the step consumes
-        the gradients."""
+    def step(self, lr=None, first=None):
+        """One update of every parameter at ``lr`` (default the base
+        rate), under one new step count. A missing gradient counts as
+        zeros. Each parameter's ``grad`` is set to None right after its
+        update: the step consumes the gradients.
+
+        Without ``first`` the parameters are updated in order. With
+        ``first`` (some of the parameter tensors), the call updates those,
+        in order, and returns the function that updates the others, in
+        order; each parameter's bytes are those of the one-group step. A
+        step that raises :class:`NumericError` names the first parameter,
+        in order, whose update is non-finite, as the one-group step does:
+        where one in ``first`` fails, the others before it are updated
+        before the error is raised.
+        """
         lr = self.lr if lr is None else lr
         self.step_count += 1
-        for name, p in self.params.items():
+        if first is None:
+            self._update(self.params, lr)
+            return None
+        ids = {id(p) for p in first}
+        order = list(self.params)
+        early = [name for name in order if id(self.params[name]) in ids]
+        late = [name for name in order if id(self.params[name]) not in ids]
+        for name in early:
+            try:
+                self._update((name,), lr)
+            except NumericError:
+                at = order.index(name)
+                self._update([n for n in late if order.index(n) < at], lr)
+                raise
+        return lambda: self._update(late, lr)
+
+    def _update(self, names, lr):
+        for name in names:
+            p = self.params[name]
             g = np.zeros_like(p.data) if p.grad is None else p.grad
             adamw_step(p, g, *self._moments(name), self.step_count, lr,
                        self.betas, self.eps, self.weight_decay, name)
@@ -116,6 +144,21 @@ class AdamW:
                  for moment in MOMENTS]
         self.exp_avg, self.exp_avg_sq = taken
         self.step_count = saved["step"]
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every element of ``a`` is finite.
+
+    An inf or NaN element makes the sum of squares non-finite, so the
+    elements are tested one by one only where that sum is not finite: a
+    NaN or inf, or finite elements whose squares overflow, which warns of
+    nothing. The sum is one BLAS dot product, which reads ``a`` once and
+    costs less than the elementwise test.
+    """
+    flat = a.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.dot(flat, flat)
+    return bool(np.isfinite(squares)) or bool(np.isfinite(a).all())
 
 
 # elements per pass of adamw_step: its two scratch buffers stay in cache
@@ -168,7 +211,7 @@ def adamw_step(param: Tensor, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
         a *= lr
         np.multiply(data[at], decay, out=out)
         out -= a
-        finite = finite and bool(np.isfinite(out).all())
+        finite = finite and all_finite(out)
     if not finite:
         raise NumericError(f"non-finite AdamW update in {name}")
     param.data = new.reshape(param.data.shape)

@@ -32,11 +32,8 @@ broadcast ``a.T * g``, the bytes of a K=1 product. More records give the
 same bytes on any number of BLAS threads, but not those of adding the
 outer products in record order: each element is within
 ``B * eps * sum_i |a_i g_i|`` of the exact sum (``eps`` the dtype's
-machine epsilon). Over the 17 recorded weights of one paper-config batch
-of 8, the float32 products were within ``2.4e-7 * sum_i |a_i g_i|`` of
-the exact sum, and within ``3.3e-7 * sum_i |a_i g_i|`` of the float32
-outer products added in record order. An interior operand still gets
-its outer product at once.
+machine epsilon). An interior operand still gets its outer product at
+once.
 
 Product buffers: no backward rule reads a :func:`matmul` node's output
 (``matmul``'s own reads only its operands), and only :func:`linear`
@@ -65,12 +62,17 @@ any work. It computes every activation gradient itself and hands over,
 in tape order, each piece of work that writes a handed-off leaf: a
 ``matmul``'s product for it (``_sum_over_rows(a, g)`` for a weight) with
 its accumulation, a rank-one record, or a ``linear`` addend's share (a
-bias's row sum) with its accumulation. So every leaf's gradient and
-records are written by one thread only, in the walk's order: when the
-jobs run one at a time in submission order, every gradient is bitwise
-the one walk's. A job reads only buffers that nothing writes again, and
-the walk returns before its jobs are done; the caller waits for them
-before it reads a handed-off gradient, which forms its records. Graphs
+bias's row sum) with its accumulation. So in each walk every leaf's
+gradient and records are written by one thread only, in the walk's
+order: when the jobs run one at a time in submission order, every
+gradient is bitwise the one walk's. A job reads only buffers that
+nothing writes again, and the walk returns before its jobs are done; the
+caller waits for them before it reads a handed-off gradient, which forms
+its records. ``keep`` may change between walks (a nested
+:func:`handing_off` sets it for the walks inside): a leaf kept in one walk
+and handed off in another still sums in walk order where the caller
+waits for the jobs of a walk that handed it off before a later walk
+keeps it. Graphs
 built and walked at the same time share only leaves: building reads
 their data, and walks and jobs write their gradients and records.
 """

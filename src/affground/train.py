@@ -26,14 +26,28 @@ With that worker, ``train`` also splits each walk
 activation gradients, and the work that writes a parameter (each weight
 gradient product and each bias share, with its accumulation, and each
 rank-one record) goes to the worker as jobs, queued behind the forward
-it is making. Each parameter belongs to one thread for the whole run:
-the full-resolution layers
-(:meth:`AffordanceModel.full_resolution_params`) to the main thread,
-every other parameter to the worker. Jobs run in the order they were
-queued, so every parameter sums its contributions in the sequential
-order; ``train`` waits for them, and re-raises the first error, before
-the finiteness checks (whose gradient reads form each weight's rank-one
-product on the main thread) and the AdamW step.
+it is making. In each walk but a step's last, the full-resolution layers
+(:meth:`AffordanceModel.full_resolution_params`) keep theirs on the main
+thread; the last walk, after which the worker has no graph to make,
+keeps nothing. Jobs run in the order they were queued, and a step's
+last walk is the only one that hands a full-resolution layer's work
+over, so every parameter sums its contributions in the sequential
+order; ``train`` waits for the jobs, and re-raises the first error,
+before the finiteness checks (whose gradient reads form each weight's
+rank-one product on the main thread) and the AdamW step.
+
+At each boundary between two steps of that worker, the update runs in
+two groups (:meth:`~affground.optim.AdamW.step` with ``first``). The
+weights :meth:`AffordanceModel.integrate` reads
+(:meth:`AffordanceModel.integrate_params`) are updated first; then the
+worker runs the next step's first ``integrate`` while the main thread
+updates the others, and the rest of that member's forward and its loss,
+which read those others, are queued behind it. The log row, and any
+checkpoint that falls due, are written while the worker finishes that
+forward: it only reads the parameters. A failed update raises before
+the next step begins, and an error in that forward reaches the next
+step as the error of its first member's forward, so the log rows and
+checkpoints are the sequential loop's.
 """
 
 from __future__ import annotations
@@ -42,7 +56,7 @@ import ctypes
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +73,7 @@ from .dataio import (
 from .errors import ConfigError, NumericError, TrainingDiverged
 from .metrics import MetricReport, evaluate_sample
 from .model import AffordanceModel
-from .optim import AdamW, linear_lr
+from .optim import AdamW, all_finite, linear_lr
 from .rng import rng_for
 from .tensor import backward, handing_off
 
@@ -108,10 +122,10 @@ def _steady_malloc():
     glibc also raises its mmap threshold to the size of each mapped block
     that is freed, so after a few steps every large array is carved from
     the heap, and which holes two threads' arrays land in depends on how
-    their calls interleave: evaluation after a training step then grew
-    the heap by 0, 12 or 24 MB from one run to the next. A fixed
-    threshold maps each large array on its own and unmaps it when freed,
-    so the resident set follows the live arrays. The trim threshold is
+    their calls interleave: how far evaluation after a training step grew
+    the heap then changed from one run to the next. A fixed threshold
+    maps each large array on its own and unmaps it when freed, so the
+    resident set follows the live arrays. The trim threshold is
     fixed at twice it, the ratio glibc keeps. The settings hold for the
     rest of the process.
     """
@@ -143,16 +157,21 @@ def _pipeline_worker(model_cfg, n_items: int, name: str):
 
 @contextmanager
 def _split_walks(worker, keep):
-    """Yield the function that waits for the parameter-side jobs of this
-    thread's walks. With a worker, walks inside the block hand those jobs
-    to it, keeping the parameters in ``keep`` on this thread; the function
-    waits for each job in the order they were queued and re-raises the
-    first one's error unchanged. Without a worker, nothing is handed off
-    and the function does nothing."""
+    """Yield ``(keep_nothing, drain)``. With a worker, walks inside the
+    block hand their parameter-side jobs to it, keeping the parameters in
+    ``keep`` on this thread, and walks inside ``keep_nothing()`` keep none:
+    :func:`train` walks each step's last member so, as the worker then has
+    no graph left to make. ``drain`` waits for each job in the order they
+    were queued and re-raises the first one's error unchanged. Without a
+    worker, nothing is handed off, ``keep_nothing()`` does nothing and
+    neither does ``drain``."""
     if worker is None:
-        yield lambda: None
+        yield nullcontext, lambda: None
         return
     futures = []
+
+    def submit(job):
+        futures.append(worker.submit(job))
 
     def drain():
         pending = futures[:]
@@ -160,17 +179,24 @@ def _split_walks(worker, keep):
         for future in pending:
             future.result()
 
-    with handing_off(lambda job: futures.append(worker.submit(job)), keep):
-        yield drain
+    with handing_off(submit, keep):
+        yield (lambda: handing_off(submit)), drain
 
 
-def _in_order(worker, make, items, use):
+def _in_order(worker, make, items, use, made=None):
     """Run ``use(make(item))`` for each item, in order: :func:`train`'s
     batch members, each made into a graph and walked.
 
     With ``worker`` None each item is made just before it is used.
     Otherwise ``worker`` (from :func:`_pipeline_worker`) makes item k + 1
-    while this thread uses item k, and the outcome is the sequential
+    while this thread uses item k. ``made`` may hold, in a list that this
+    call empties so that the caller keeps no reference to result 0, the
+    future of item 0's result where the worker is already making it.
+    :func:`train` starts each step's first member so at the boundary
+    before it: that member's ``integrate`` reads only weights whose update
+    is done (:meth:`AffordanceModel.integrate_params`) while the others
+    are updated, and the rest of its forward is queued once every weight
+    is. Item 0 is then not made here. The outcome is the sequential
     loop's:
 
     - item k + 1 is submitted only once item k's result is taken, and
@@ -178,8 +204,9 @@ def _in_order(worker, make, items, use):
       results are alive: the one being used and the one being made. Jobs
       that ``use`` queues on the worker (a walk's parameter side) run
       before item k + 2 is made, so they keep result k no longer;
-    - an exception raised by ``make`` or ``use`` reaches the caller
-      unchanged, after every earlier item was used;
+    - an exception raised by ``make`` or ``use``, or in making item 0
+      across the boundary, reaches the caller unchanged, after every
+      earlier item was used;
     - no thread outlives the call that opened the worker's block, which
       waits for the thread however it is left.
 
@@ -196,7 +223,7 @@ def _in_order(worker, make, items, use):
         for item in items:
             use(make(item))
         return
-    pending = worker.submit(make, items[0])
+    pending = made.pop() if made else worker.submit(make, items[0])
     for k in range(1, len(items) + 1):
         result = pending.result()
         if k < len(items):
@@ -284,45 +311,64 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
         rows = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
         log_path.write_text("".join(rows[:start_step]), encoding="utf-8")
 
-    def forward_loss(sample):
-        result = model.forward(sample.cloud, sample.hidden, sample.plan)
+    def members_of(step):
+        order = rng_for(config.seed, "order", step // steps_per_epoch).permutation(n)
+        slot = step % steps_per_epoch
+        return [samples[i] for i in order[slot * batch:(slot + 1) * batch]]
+
+    def forward_loss(sample, integrated=None):
+        result = model.forward(sample.cloud, sample.hidden, sample.plan,
+                               integrated)
         return model.loss(result, sample.cloud, sample.hidden)
 
     def walk(losses):   # adds to the current step's sums
+        nonlocal unwalked
+        unwalked -= 1
         total, l_txt, l_aff = losses
-        backward(total * scale)
+        with keep_nothing() if unwalked == 0 else nullcontext():
+            backward(total * scale)
         sums["l_txt"] += l_txt.item() * scale
         sums["l_aff"] += l_aff.item() * scale
         sums["total"] += total.item() * scale
 
+    def update_across(lr, head):
+        """Update the weights ``integrate`` reads, start ``head``'s
+        ``integrate`` on the worker, update the others, and queue the rest
+        of ``head``'s forward and loss behind it; return that future."""
+        update_rest = optimizer.step(lr, first=model.integrate_params())
+        integrated = worker.submit(model.integrate, head.hidden, head.plan)
+        update_rest()
+        return worker.submit(lambda: forward_loss(head, integrated.result()))
+
     last = {}
+    made = []   # the future of the next step's first member, where it is made
     with open(log_path, "a" if resume is not None else "w",
               encoding="utf-8") as log_file, \
             _pipeline_worker(config.model, min(batch, n),
                              "affground-forward") as worker, \
-            _split_walks(worker, model.full_resolution_params()) as drain:
+            _split_walks(worker, model.full_resolution_params()) as (
+                keep_nothing, drain):
         for step in range(start_step, total_steps):
-            epoch = step // steps_per_epoch
-            slot = step % steps_per_epoch
-            order = rng_for(config.seed, "order", epoch).permutation(n)
-            members = order[slot * batch:(slot + 1) * batch]
-
+            members = members_of(step)
             optimizer.zero_grad()
             sums = {"l_txt": 0.0, "l_aff": 0.0, "total": 0.0}
             scale = 1.0 / len(members)
+            unwalked = len(members)
             try:
-                _in_order(worker, forward_loss, [samples[i] for i in members],
-                          walk)
+                _in_order(worker, forward_loss, members, walk, made)
                 drain()
                 if not all(np.isfinite(v) for v in sums.values()):
                     raise NumericError("non-finite loss")
                 bad = next((name for name, p in model.params.items()
-                            if p.grad is not None
-                            and not np.isfinite(p.grad).all()), None)
+                            if p.grad is not None and not all_finite(p.grad)),
+                           None)
                 if bad is not None:
                     raise NumericError(f"non-finite gradient in {bad}")
                 lr = linear_lr(opt_cfg.lr, step, total_steps)
-                optimizer.step(lr)
+                if worker is None or step + 1 == total_steps:
+                    optimizer.step(lr)
+                else:
+                    made.append(update_across(lr, members_of(step + 1)[0]))
             except NumericError as exc:
                 _abort_diverged(log_file, step, sums, str(exc), exc)
 

@@ -44,6 +44,42 @@ def test_every_parameter_gets_a_nonzero_gradient(mode, stages):
     assert dead == []
 
 
+@pytest.mark.parametrize("mode, stages", [
+    ("multi", {}), ("single", {}), ("concat", {}),
+    ("multi", {"stage1": False}), ("multi", {"stage2": False}),
+    ("multi", {"stage1": False, "stage2": False}),
+], ids=["multi", "single", "concat", "stage1_off", "stage2_off", "both_off"])
+def test_each_half_reads_only_its_own_parameters(mode, stages):
+    # train updates integrate_params first and runs the next integrate
+    # beside the others' update: poisoning every parameter the other half
+    # reads changes neither half's bytes
+    config = RunConfig(model=ModelConfig(**TOY), lifting=LiftingConfig(mode=mode),
+                       fusion=FusionConfig(**stages))
+    model = AffordanceModel(config)
+    cloud = synth_cloud(1, 0, seed=3, n=TOY["n_points"])
+    hidden = synth_fixture(1, 0, seed=4, L=TOY["seq_len"], d_h=TOY["d_h"])
+    plan = model.build_plan(cloud)
+    fused, scales = model.integrate(hidden, plan)
+    result = model.score(hidden, fused, scales)
+    first = {id(p) for p in model.integrate_params()}
+    assert first and len(first) < len(model.params)
+    weights = {name: p.data for name, p in model.params.items()}
+    for poisoned in (False, True):
+        for name, p in model.params.items():
+            p.data = (np.full_like(weights[name], np.nan)
+                      if (id(p) in first) == poisoned else weights[name])
+        if poisoned:
+            again = model.score(hidden, fused, scales)
+            assert again.scores.data.tobytes() == result.scores.data.tobytes()
+            assert again.aux_logits.data.tobytes() == \
+                result.aux_logits.data.tobytes()
+        else:
+            got, got_scales = model.integrate(hidden, plan)
+            assert got.data.tobytes() == fused.data.tobytes()
+            assert [s.data.tobytes() for s in got_scales] == \
+                [s.data.tobytes() for s in scales]
+
+
 def test_paper_config_parameter_count():
     # FP3 and the Stage II fuse are one linear layer each; Stage I learns
     # W_q W_k^T and W_v W_o, each lift stage W_q W_k^T, and the decoder

@@ -1,4 +1,5 @@
-"""Tensor engine: primitives, tape, backward, AdamW, schedules."""
+"""Tensor engine: primitives, tape, backward, the chunked AdamW update,
+schedules."""
 
 import operator
 import os
@@ -16,10 +17,10 @@ from affground import tensor as T
 from affground import train as train_module
 from affground.config import ModelConfig, RunConfig
 from affground.dataio import gen_synthetic_dataset, read_dataset
-from affground.errors import CheckpointError, ContractError, NumericError, ShapeError
+from affground.errors import ContractError, NumericError, ShapeError
 from affground.gradcheck import finite_difference_check, finite_difference_check_params
 from affground.model import AffordanceModel
-from affground.optim import AdamW, adamw_step, linear_lr
+from affground.optim import adamw_step, linear_lr
 
 from oracles import concat, max_reduce, padded_rows, relu, unfused_linear
 
@@ -1353,126 +1354,6 @@ class TestFiniteDifferenceHarness:
 
         err = finite_difference_check(lambda t: bad_square(t).sum(), x, h=1e-5)
         assert err >= 0.05
-
-
-class TestAdamW:
-    def test_first_step_is_lr_signed(self):
-        p = T.tensor([1.0], requires_grad=True, dtype=np.float64)
-        p.grad = np.array([4.0])
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
-        opt.step()
-        np.testing.assert_allclose(p.data, [0.9], atol=1e-6)
-
-    def test_zero_grad_zero_decay_is_identity(self):
-        rng = np.random.default_rng(0)
-        p = T.tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)
-        before = p.data.copy()
-        opt = AdamW({"p": p}, lr=0.5, weight_decay=0.0)
-        for _ in range(10):
-            p.grad = np.zeros_like(p.data)
-            opt.step()
-        np.testing.assert_array_equal(p.data, before)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.floats(min_value=1e-5, max_value=0.5),
-           st.integers(min_value=1, max_value=5))
-    def test_zero_grad_identity_property(self, lr, steps):
-        p = T.tensor([[0.3, -1.2]], requires_grad=True, dtype=np.float64)
-        before = p.data.copy()
-        opt = AdamW({"p": p}, lr=lr, weight_decay=0.0)
-        for _ in range(steps):
-            opt.step()
-        np.testing.assert_array_equal(p.data, before)
-
-    def test_descent_on_quadratic(self):
-        # 200 steps of f(theta) = (theta - 3)^2 at lr 0.1
-        theta = T.tensor([0.0], requires_grad=True, dtype=np.float64)
-        opt = AdamW({"theta": theta}, lr=0.1, weight_decay=0.0)
-        for _ in range(200):
-            opt.zero_grad()
-            loss = ((theta - 3.0) ** 2.0).sum()
-            T.backward(loss)
-            opt.step()
-        assert abs(theta.data[0] - 3.0) < 0.05
-
-    def test_shape_mismatch_rejected(self):
-        p = T.tensor([1.0, 2.0], requires_grad=True)
-        p.grad = np.zeros((3,), dtype=np.float32)
-        with pytest.raises(ContractError):
-            AdamW({"p": p}).step()
-
-    def test_functional_step_matches_class(self):
-        rng = np.random.default_rng(9)
-        data = rng.normal(size=(4,))
-        grad = rng.normal(size=(4,))
-        p1 = T.tensor(data.copy(), requires_grad=True, dtype=np.float64)
-        p1.grad = grad.copy()
-        opt = AdamW({"p": p1}, lr=0.01, weight_decay=0.01)
-        opt.step()
-
-        p2 = T.tensor(data.copy(), requires_grad=True, dtype=np.float64)
-        m = np.zeros_like(data)
-        v = np.zeros_like(data)
-        adamw_step(p2, grad, m, v, step=1, lr=0.01, weight_decay=0.01)
-        np.testing.assert_array_equal(p1.data, p2.data)
-
-    def test_restore_takes_the_moment_arrays(self):
-        params = {"a": T.tensor(np.ones((2, 3), np.float32), requires_grad=True),
-                  "b": T.tensor(np.ones(4, np.float32), requires_grad=True)}
-        opt = AdamW(params, lr=0.1)
-        saved = {"step": 3,
-                 "exp_avg": {"a": np.full((2, 3), 0.5, np.float32),
-                             "b": np.full(4, 0.25, np.float32)},
-                 "exp_avg_sq": {"a": np.full((2, 3), 0.5, np.float32),
-                                "b": np.full(4, 0.125)}}   # float64: cast once
-        opt.restore(saved)
-        assert opt.step_count == 3
-        assert opt.exp_avg["a"] is saved["exp_avg"]["a"]
-        assert opt.exp_avg_sq["a"] is saved["exp_avg_sq"]["a"]
-        cast = opt.exp_avg_sq["b"]
-        assert cast.dtype == np.float32 and (cast == 0.125).all()
-        for p in params.values():
-            p.grad = np.ones_like(p.data)
-        opt.step()
-        # the step updates the taken arrays in place
-        assert opt.exp_avg["a"] is saved["exp_avg"]["a"]
-        assert not (saved["exp_avg"]["a"] == 0.5).any()
-        assert opt.exp_avg_sq["b"] is cast
-
-    def test_refused_restore_leaves_the_optimizer(self):
-        p = T.tensor(np.ones((2, 3), np.float32), requires_grad=True)
-        opt = AdamW({"p": p})
-        before = opt.state_arrays()
-        # the first moment would pass; the second is saved misshapen
-        saved = {"step": 3, "exp_avg": {"p": np.ones((2, 3), np.float32)},
-                 "exp_avg_sq": {"p": np.ones((3, 2), np.float32)}}
-        with pytest.raises(CheckpointError, match="exp_avg_sq entry p"):
-            opt.restore(saved)
-        assert opt.step_count == 0
-        for moment in ("exp_avg", "exp_avg_sq"):
-            assert getattr(opt, moment) is before[moment]
-            assert not getattr(opt, moment)["p"].any()
-
-    def test_fixed_gradients_follow_reference_arithmetic(self):
-        # float32 training must not drift from this exact operation order
-        rng = np.random.default_rng(10)
-        p = T.tensor(rng.normal(size=(3, 5)).astype(np.float32),
-                     requires_grad=True)
-        ref = p.data.copy()
-        m = np.zeros_like(ref)
-        v = np.zeros_like(ref)
-        opt = AdamW({"p": p}, lr=0.01, weight_decay=0.05)
-        for t in range(1, 6):
-            g = rng.normal(size=(3, 5)).astype(np.float32)
-            p.grad = g
-            opt.step(lr=0.01 / t)
-            lr = 0.01 / t
-            ref *= 1.0 - lr * 0.05
-            m = m * 0.9 + (1.0 - 0.9) * g
-            v = v * 0.999 + (1.0 - 0.999) * (g * g)
-            update = (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
-            ref -= (lr * update).astype(np.float32)
-            np.testing.assert_array_equal(p.data, ref)
 
 
 def whole_array_adamw(param, grad, m, v, step, lr, betas=(0.9, 0.999),

@@ -10,12 +10,14 @@ import tracemalloc
 import weakref
 from concurrent.futures import Future
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affground import backbone as backbone_module
 from affground import model as model_module
+from affground import optim as optim_module
 from affground import tensor as tensor_module
 from affground import train as train_module
 from affground.cli import main
@@ -299,23 +301,28 @@ def test_at_most_two_graphs_are_alive_with_jobs_held(
 def test_each_parameter_gradient_is_written_by_one_thread(
         tmp_path, eight_samples, monkeypatch, pipelined, no_thread_left,
         frequent_switches):
-    # a weight's rank-one rows count as writes: they too come from its
-    # thread only, and their product is formed only once train() has
-    # waited for the jobs that record them
-    writers, recorders, events = {}, {}, []
+    # in each walk, by one thread: the full-resolution layers' on the
+    # walking thread and every other parameter's on the worker, except in
+    # a step's last walk, which hands all of them to the worker. A
+    # weight's rank-one rows count as writes, and their product is formed
+    # only once train() has waited for the jobs that record them
+    writes, recorders, events, walks = [], set(), [], []
     real_accumulate = tensor_module._accumulate
     real_record = tensor_module._record
     real_form = tensor_module._form_rows
     real_split_walks = train_module._split_walks
 
+    def write(t):   # with the number of walks begun by then
+        writes.append((id(t), threading.get_ident(), len(walks)))
+
     def accumulate(t, grad):
         if t.requires_grad and not t._parents:
-            writers.setdefault(id(t), set()).add(threading.get_ident())
+            write(t)
         real_accumulate(t, grad)
 
     def record(t, row, g):
-        for threads in (writers, recorders):
-            threads.setdefault(id(t), set()).add(threading.get_ident())
+        write(t)
+        recorders.add(id(t))
         events.append("record")
         real_record(t, row, g)
 
@@ -323,17 +330,22 @@ def test_each_parameter_gradient_is_written_by_one_thread(
         events.append("form")
         real_form(t)
 
+    def counted_backward(loss):
+        walks.append("begun")
+        backward(loss)
+
     @contextmanager
     def split_walks(worker, keep):
-        with real_split_walks(worker, keep) as drain:
+        with real_split_walks(worker, keep) as (keep_nothing, drain):
             def drained():
                 drain()
                 events.append("drained")
-            yield drained
+            yield keep_nothing, drained
 
     monkeypatch.setattr(tensor_module, "_accumulate", accumulate)
     monkeypatch.setattr(tensor_module, "_record", record)
     monkeypatch.setattr(tensor_module, "_form_rows", form)
+    monkeypatch.setattr(train_module, "backward", counted_backward)
     monkeypatch.setattr(train_module, "_split_walks", split_walks)
     built = recording(monkeypatch)
     config = RunConfig(model=ModelConfig(**TOY),
@@ -343,10 +355,17 @@ def test_each_parameter_gradient_is_written_by_one_thread(
     kept = {id(p) for p in model.full_resolution_params()}
     assert kept and len(kept) < len(model.params)
     main = threading.get_ident()
+    last_walks = {4, 8, 12, 16}   # each step's fourth
+    for param, thread, walk in writes:
+        if thread == main:
+            assert param in kept and walk not in last_walks
+        else:
+            # a last walk's jobs run before the next step's first walk
+            assert param not in kept or walk in last_walks
+    (worker,) = {thread for _, thread, _ in writes} - {main}
     for name, p in model.params.items():
-        (thread,) = writers[id(p)]
-        assert (thread == main) == (id(p) in kept), name
-        assert recorders.get(id(p), {thread}) == {thread}, name
+        threads = {thread for param, thread, _ in writes if param == id(p)}
+        assert threads == ({main, worker} if id(p) in kept else {worker}), name
     assert any(id(p) in recorders for p in model.params.values()
                if id(p) not in kept)
     recorded = False
@@ -463,6 +482,181 @@ def test_numeric_error_in_a_forward_ends_as_nan_abort(
               (tmp_path / "run" / "log.jsonl").read_text().splitlines()]
     assert row == {"step": 0, "event": "nan_abort",
                    "reason": "softmax received NaN input", **sums}
+
+
+def boundary_config():
+    # 8 samples in batches of 3: 3 steps, checkpointed after each
+    return RunConfig(model=ModelConfig(**TOY),
+                     optimizer=OptimConfig(epochs=1, batch_size=3),
+                     checkpoint_every=1)
+
+
+def boundary_run(monkeypatch, config, manifest, out, serial=False, **kwargs):
+    """``(log, checkpoints, diverged)`` of a train() run: the log's bytes,
+    each checkpoint it wrote as ``{file: bytes}`` (the manifest, the
+    parameters and both moments), and the TrainingDiverged it raised, as
+    ``(step, message)``, or None. With ``serial``, the run has no worker."""
+    written = []
+    real_save = train_module.save_checkpoint
+
+    def save(ckpt_dir, *args, **kw):
+        real_save(ckpt_dir, *args, **kw)
+        written.append({str(f.relative_to(ckpt_dir)): f.read_bytes()
+                        for f in sorted(Path(ckpt_dir).rglob("*"))
+                        if f.is_file()})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(train_module, "save_checkpoint", save)
+        if serial:
+            patch.setattr(train_module, "_PIPELINE_MIN_ROW_ENTRIES", 1 << 62)
+        diverged = None
+        try:
+            train(config, manifest, out, **kwargs)
+        except TrainingDiverged as exc:
+            diverged = (exc.step, str(exc))
+    return (out / "log.jsonl").read_bytes(), written, diverged
+
+
+def test_overlapped_boundaries_equal_the_serial_run(
+        tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left,
+        frequent_switches):
+    config = boundary_config()
+    want = boundary_run(monkeypatch, config, eight_samples, tmp_path / "serial",
+                        serial=True)
+    log, written, diverged = want
+    assert len(log.splitlines()) == 3 and len(written) == 3 and diverged is None
+    got = boundary_run(monkeypatch, config, eight_samples, tmp_path / "run")
+    assert got == want
+    # resumed from the checkpoint written at its first boundary
+    resumed = tmp_path / "resumed"
+    for name, data in written[0].items():
+        (resumed / "from" / name).parent.mkdir(parents=True, exist_ok=True)
+        (resumed / "from" / name).write_bytes(data)
+    (resumed / "log.jsonl").write_bytes(log)
+    again = boundary_run(monkeypatch, config, eight_samples, resumed,
+                         resume=resumed / "from")
+    assert again == (log, written[1:], None)
+
+
+def test_next_first_integrate_starts_before_the_late_update_ends(
+        tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left):
+    # at the first boundary, the update of the last parameter in order,
+    # which integrate does not read, waits for step 1's first integrate
+    # to begin: on the worker when pipelined, and never without it
+    batch = boundary_config().optimizer.batch_size
+    begun = threading.Event()
+    threads, waited = [], []
+    real_integrate = AffordanceModel.integrate
+    real_update = optim_module.adamw_step
+
+    def integrate(self, hidden, plan):
+        threads.append(threading.get_ident())
+        if len(threads) == batch + 1:
+            begun.set()
+        return real_integrate(self, hidden, plan)
+
+    def update(param, grad, m, v, step, *args):
+        if step == 1 and args[-1] == "decoder.head.1.b":
+            waited.append(begun.wait(10 if batch_loop == "pipelined" else 0))
+        return real_update(param, grad, m, v, step, *args)
+
+    monkeypatch.setattr(AffordanceModel, "integrate", integrate)
+    monkeypatch.setattr(optim_module, "adamw_step", update)
+    train(boundary_config(), eight_samples, tmp_path / "run")
+    assert waited == [batch_loop == "pipelined"]
+    assert len(threads) == 8
+    main = threading.get_ident()
+    assert (threads[batch] != main) == (batch_loop == "pipelined")
+
+
+@pytest.mark.parametrize("name", ["decoder.head.0.w", "backbone.sa1.0.w"],
+                         ids=["late", "early"])
+def test_non_finite_update_at_a_boundary_ends_as_the_serial_loop(
+        tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left, name):
+    # step 1's update: step 0's row and checkpoint, then the nan_abort row
+    real_update = optim_module.adamw_step
+
+    def update(param, grad, m, v, step, *args):
+        if step == 2 and args[-1] == name:
+            grad = np.full_like(grad, np.nan)
+        return real_update(param, grad, m, v, step, *args)
+
+    monkeypatch.setattr(optim_module, "adamw_step", update)
+    config = boundary_config()
+    want = boundary_run(monkeypatch, config, eight_samples, tmp_path / "serial",
+                        serial=True)
+    got = boundary_run(monkeypatch, config, eight_samples, tmp_path / "run")
+    assert got == want
+    log, written, diverged = got
+    assert diverged[0] == 1 and len(written) == 1
+    rows = [json.loads(line) for line in log.splitlines()]
+    assert [row["step"] for row in rows] == [0, 1] and "event" not in rows[0]
+    assert rows[1]["event"] == "nan_abort"
+    assert rows[1]["reason"] == f"non-finite AdamW update in {name}"
+
+
+def test_numeric_error_in_the_next_first_integrate_ends_as_the_serial_loop(
+        tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left):
+    batch = boundary_config().optimizer.batch_size
+    calls = []
+    real_integrate = AffordanceModel.integrate
+
+    def integrate(self, hidden, plan):
+        calls.append(None)
+        if len(calls) == batch + 1:   # step 1's first member
+            raise NumericError("softmax received NaN input")
+        return real_integrate(self, hidden, plan)
+
+    monkeypatch.setattr(AffordanceModel, "integrate", integrate)
+    config = boundary_config()
+    want = boundary_run(monkeypatch, config, eight_samples, tmp_path / "serial",
+                        serial=True)
+    calls.clear()
+    got = boundary_run(monkeypatch, config, eight_samples, tmp_path / "run")
+    assert got == want
+    log, written, diverged = got
+    assert diverged[0] == 1 and len(written) == 1
+    rows = [json.loads(line) for line in log.splitlines()]
+    assert rows[1] == {"step": 1, "event": "nan_abort",
+                       "reason": "softmax received NaN input",
+                       "l_txt": 0.0, "l_aff": 0.0, "total": 0.0}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "big"],
+                         ids=["inf", "-inf", "nan", "overflowing_sum"])
+def test_gradient_check_fails_only_a_non_finite_element(
+        tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left,
+        value):
+    # a finite gradient whose sum overflows passes; one inf or NaN, in the
+    # last member's contribution, fails with the reason it always had
+    name = "decoder.head.0.w"
+    real_accumulate = tensor_module._accumulate
+    built = recording(monkeypatch)
+    writes = []
+
+    def poisoned(t, grad):
+        if t is built["model"].params[name]:
+            writes.append(t)
+            if len(writes) == 8:
+                if value == "big":
+                    grad = np.full_like(grad, np.finfo(grad.dtype).max / 4)
+                else:
+                    grad = grad.copy()
+                    grad.flat[-1] = value
+        real_accumulate(t, grad)
+
+    monkeypatch.setattr(tensor_module, "_accumulate", poisoned)
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=8))
+    out = tmp_path / "run"
+    # the big gradient's second moment overflows: no checkpoint would hold it
+    with pytest.raises(Interrupt if value == "big" else TrainingDiverged):
+        train(config, eight_samples, out, log_fn=stop_after_step_0)
+    (row,) = [json.loads(line) for line in (out / "log.jsonl").read_text()
+              .splitlines()]
+    assert row.get("reason") == (None if value == "big"
+                                 else f"non-finite gradient in {name}")
 
 
 @pytest.mark.parametrize("where", ["forward", "backward"])
