@@ -2,9 +2,11 @@
 
 Each fused point feature is conditioned on the single lifted intention
 embedding by a residual add of the value-projected embedding, and a
-small MLP head with a sigmoid turns the result into a score in (0, 1)
-per point. (Attention over one key would give every point a weight of
-exactly 1 on that key, so no query or key projection is built.)
+small MLP head turns the result into one logit per point. The loss
+(:func:`~affground.losses.map_loss`) takes the logits, and
+:meth:`~affground.model.AffordanceModel.predict` applies the sigmoid.
+(Attention over one key would give every point a weight of exactly 1 on
+that key, so no query or key projection is built.)
 
 The head's first layer is linear, so the broadcast add moves into its
 bias, and the value projection times that layer's weight is one (d, d/2)
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .nn import make_linear, make_mlp
-from .tensor import Tensor, linear, sigmoid
+from .tensor import Tensor, linear
 
 
 class AffordanceDecoder:
@@ -40,7 +42,7 @@ class AffordanceDecoder:
 
     def predict_map(self, point_feats: Tensor, row: Tensor) -> Tensor:
         """(N, d) point features and :meth:`point_to_intention`'s row ->
-        (N, 1) scores strictly inside (0, 1).
+        (N, 1) logits, one per point.
 
         ``relu(point_feats @ W_head.0 + row)`` is the head's first
         activation of every point with the value-projected embedding added.
@@ -48,4 +50,4 @@ class AffordanceDecoder:
         if point_feats.shape[1] != self.d:
             raise ShapeError(f"expected (N, {self.d}), got {point_feats.shape}")
         first = linear(point_feats, self.head.layers[0].w, (row,), relu=True)
-        return sigmoid(self.head.after_first(first))
+        return self.head.after_first(first)

@@ -5,7 +5,9 @@
 cloud, enhances the bottleneck with Stage I cross-attention, decodes to
 full resolution and mixes in the Stage II descriptor;
 :meth:`AffordanceModel.score` lifts the contact-token embedding over the
-three decoder scales and scores every point. ``fusion.stage1`` and
+three decoder scales and gives every point a logit. The training loss
+takes those logits; :meth:`AffordanceModel.predict` turns them into
+scores with :func:`~affground.losses.sigmoid`. ``fusion.stage1`` and
 ``fusion.stage2`` skip their stage (an ablation) and build none of its
 weights, nor the token projection when neither stage reads it;
 ``lifting.mode`` picks the lifting.
@@ -40,15 +42,19 @@ from .decoder import AffordanceDecoder
 from .fusion import FusionModule
 from .intention import HiddenStates, IntentionHead
 from .lifting import GeometryLifting
-from .losses import affordance_loss, cross_entropy, total_loss
+from .losses import cross_entropy, map_loss, sigmoid, total_loss
 from .rng import rng_for
 from .tensor import Tensor
 
 
 @dataclass
 class ForwardResult:
-    scores: Tensor          # (N, 1), strictly inside (0, 1)
-    aux_logits: Tensor      # (1, K)
+    """One sample's forward: the per-point logits, which the map loss
+    takes and whose sigmoid :meth:`AffordanceModel.predict` returns, and
+    the text-label logits."""
+
+    logits: Tensor          # (N, 1) affordance logits, one per point
+    aux_logits: Tensor      # (1, K) text-label logits
 
 
 class AffordanceModel:
@@ -133,12 +139,12 @@ class AffordanceModel:
     def score(self, hidden: HiddenStates, fused: Tensor,
               scales: list) -> ForwardResult:
         """The forward's second half, on :meth:`integrate`'s result: the
-        per-point scores and the auxiliary affordance logits."""
+        per-point logits and the auxiliary affordance logits."""
         lifted = self.lifting.lift_all(self.intention.project_cont(hidden), scales)
         row = self.decoder.point_to_intention(lifted)
-        scores = self.decoder.predict_map(fused, row)
-        logits = self.intention.aux_affordance_logits(hidden)
-        return ForwardResult(scores=scores, aux_logits=logits)
+        return ForwardResult(
+            logits=self.decoder.predict_map(fused, row),
+            aux_logits=self.intention.aux_affordance_logits(hidden))
 
     def forward(self, cloud: PointCloud, hidden: HiddenStates,
                 plan: BackbonePlan | None = None,
@@ -157,14 +163,16 @@ class AffordanceModel:
         """(total, l_txt, l_aff) for one sample."""
         w = self.config.losses
         l_txt = cross_entropy(result.aux_logits, hidden.affordance_id)
-        l_aff = affordance_loss(result.scores, cloud.labels, w)
+        l_aff = map_loss(result.logits, cloud.labels, w)
         return total_loss(l_txt, l_aff, w), l_txt, l_aff
 
     def predict(self, cloud: PointCloud, hidden: HiddenStates,
                 plan: BackbonePlan | None = None) -> np.ndarray:
-        """Per-point scores as a flat array (no graph recorded)."""
+        """Per-point scores, the sigmoid of the logits, as a flat array (no
+        graph recorded). They lie in [0, 1]: in float32 a logit above about
+        16.6 gives exactly 1.0, and one below about -104 exactly 0.0."""
         from .tensor import no_grad
 
         with no_grad():
             result = self.forward(cloud, hidden, plan)
-        return result.scores.data.reshape(-1).copy()
+        return sigmoid(result.logits.data).reshape(-1)

@@ -207,15 +207,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -389,25 +380,6 @@ def mul(a, b) -> Tensor:
     return _node(out, (a, b), backward, "mul")
 
 
-def div(a, b) -> Tensor:
-    a, b, out = _binary(a, b, "div", np.true_divide)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _node(out, (a, b), backward, "div")
-
-
-def neg(x: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(x, -g)
-
-    return _node(-x.data, (x,), backward, "neg")
-
-
 def _sum_over_rows(a: np.ndarray, g: np.ndarray, block: int = 256) -> np.ndarray:
     """``a.T @ g``, summed in order over blocks of at most ``block`` rows.
 
@@ -525,49 +497,6 @@ def power(x: Tensor, exponent) -> Tensor:
         _accumulate(x, g * c * np.power(x.data, c - 1.0))
 
     return _node(np.power(x.data, c), (x,), backward, "power")
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out[~pos] = ez / (1.0 + ez)
-
-    def backward(g):
-        _accumulate(x, g * out * (1.0 - out))
-
-    return _node(out, (x,), backward, "sigmoid")
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-
-    def backward(g):
-        _accumulate(x, g * out)
-
-    return _node(out, (x,), backward, "exp")
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
-        raise NumericError("log requires strictly positive input")
-
-    def backward(g):
-        _accumulate(x, g / x.data)
-
-    return _node(np.log(x.data), (x,), backward, "log")
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values into [lo, hi]; gradient passes through the interior only."""
-    mask = (x.data > lo) & (x.data < hi)
-
-    def backward(g):
-        _accumulate(x, g * mask)
-
-    return _node(np.clip(x.data, lo, hi), (x,), backward, "clip")
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -808,20 +737,6 @@ def interpolate(x: Tensor, index, weights, release: bool = False) -> Tensor:
         _accumulate(x, _scatter_rows(g, idx, shape, w.dtype, w))
 
     return _node(out, (x,), backward, "interpolate")
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.ndim != 2:
-        raise ShapeError(f"slice_cols expects a 2-D tensor, got {x.shape}")
-
-    def backward(g):
-        # the +0.0 outside the block changes no accumulated gradient,
-        # which never holds -0.0
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        _accumulate(x, gx)
-
-    return _node(x.data[:, start:stop].copy(), (x,), backward, "slice_cols")
 
 
 # -- backward pass ------------------------------------------------------

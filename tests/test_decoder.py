@@ -2,7 +2,7 @@
 
 ``point_to_intention`` returns ``v(embedding) + b_head.0``, the row
 ``predict_map`` adds to ``feats @ W_head.0``. ``v`` is the product
-``W_v @ W_head.0``; the tests compare the scores with the head run on the
+``W_v @ W_head.0``; the tests compare the logits with the head run on the
 explicit sum ``feats + embedding @ W_v``.
 """
 
@@ -13,7 +13,7 @@ from affground import tensor as T
 from affground.decoder import AffordanceDecoder
 from affground.errors import ShapeError
 from affground.gradcheck import finite_difference_check_params
-from affground.losses import affordance_loss
+from affground.losses import LossWeights, map_loss, sigmoid
 from affground.rng import rng_for
 
 from oracles import relu
@@ -41,7 +41,7 @@ class TestPointToIntention:
         row = dec.point_to_intention(emb)
         np.testing.assert_array_equal(row.data, params["decoder.head.0.b"].data)
         out = dec.predict_map(feats, row)
-        np.testing.assert_array_equal(out.data, T.sigmoid(dec.head(feats)).data)
+        np.testing.assert_array_equal(out.data, dec.head(feats).data)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_single_key_attention_bitwise(self, dtype):
@@ -65,8 +65,7 @@ class TestPointToIntention:
         expected_row = T.tensor(attended.data[:1]) + first.b
         row = dec.point_to_intention(emb)
         np.testing.assert_array_equal(row.data, expected_row.data)
-        expected = T.sigmoid(
-            dec.head.after_first(relu(feats @ first.w + expected_row)))
+        expected = dec.head.after_first(relu(feats @ first.w + expected_row))
         out = dec.predict_map(feats, row)
         np.testing.assert_array_equal(out.data, expected.data)
 
@@ -82,8 +81,7 @@ class TestPointToIntention:
             + params["decoder.head.1.b"].data
         out = dec.predict_map(feats_of(feats),
                               dec.point_to_intention(feats_of(emb)))
-        np.testing.assert_allclose(out.data, 1.0 / (1.0 + np.exp(-logits)),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(out.data, logits, rtol=1e-12, atol=1e-12)
 
     def test_identical_rows_identical_outputs(self):
         params = {}
@@ -125,7 +123,8 @@ class TestPredictMap:
                 p.data[:] = 0.0
         out = dec.predict_map(feats_of(rand((6, 8), 19)), dec.point_to_intention(
             T.tensor(rand((1, 8), 20), dtype=np.float64)))
-        np.testing.assert_array_equal(out.data, np.full((6, 1), 0.5))
+        np.testing.assert_array_equal(out.data, np.zeros((6, 1)))
+        np.testing.assert_array_equal(sigmoid(out.data), np.full((6, 1), 0.5))
 
     def test_scores_strictly_inside_unit_interval(self):
         # sigmoid saturates to exact 0/1 in IEEE floats around |x| ~ 36;
@@ -136,7 +135,8 @@ class TestPredictMap:
         with T.no_grad():
             out = dec.predict_map(feats, dec.point_to_intention(
                 T.tensor(rand((1, 8), 10), dtype=np.float64)))
-        assert (out.data > 0).all() and (out.data < 1).all()
+        scores = sigmoid(out.data)
+        assert (scores > 0).all() and (scores < 1).all()
 
     def test_gradcheck_through_losses(self):
         params = {}
@@ -146,8 +146,8 @@ class TestPredictMap:
         targets = np.array([1.0, 0.0, 0.6, 0.0, 1.0, 0.0])
 
         def loss():
-            p = dec.predict_map(feats, dec.point_to_intention(emb))
-            return affordance_loss(p, targets)
+            logits = dec.predict_map(feats, dec.point_to_intention(emb))
+            return map_loss(logits, targets, LossWeights())
 
         errs = finite_difference_check_params(loss, params)
         assert max(errs.values()) <= 1e-4

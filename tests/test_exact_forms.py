@@ -166,10 +166,10 @@ def point_to_intention_oracle(decoder, embedding):
 
 def predict_map_oracle(decoder, point_feats, value):
     """The head's first layer on every (N, d) row plus ``value`` tiled over
-    the rows, then the rest of the head and the sigmoid."""
+    the rows, then the rest of the head."""
     tiled = repeat_rows_oracle(value, point_feats.shape[0])
     first = decoder.head.layers[0](point_feats) + tiled
-    return T.sigmoid(decoder.head.after_first(relu(first)))
+    return decoder.head.after_first(relu(first))
 
 
 def cross_attention_oracle(attn, queries, context):
@@ -451,7 +451,7 @@ def patch_in_oracles(m):
 
 
 def accumulated(config, dtype):
-    """Losses and scores of the toy samples, and the summed gradients."""
+    """Losses and logits of the toy samples, and the summed gradients."""
     model = AffordanceModel(config, dtype=dtype)
     outputs = {}
     for j, (cloud, hidden) in enumerate(toy_samples()):
@@ -459,7 +459,7 @@ def accumulated(config, dtype):
         total, _, _ = model.loss(result, cloud, hidden)
         T.backward(total)
         outputs[f"loss{j}"] = total.data.copy()
-        outputs[f"scores{j}"] = result.scores.data.copy()
+        outputs[f"logits{j}"] = result.logits.data.copy()
     # with Stage II off its parameters get no gradient in either form
     return outputs, {k: p.grad for k, p in model.params.items()
                      if p.grad is not None}

@@ -70,7 +70,7 @@ def test_each_half_reads_only_its_own_parameters(mode, stages):
                       if (id(p) in first) == poisoned else weights[name])
         if poisoned:
             again = model.score(hidden, fused, scales)
-            assert again.scores.data.tobytes() == result.scores.data.tobytes()
+            assert again.logits.data.tobytes() == result.logits.data.tobytes()
             assert again.aux_logits.data.tobytes() == \
                 result.aux_logits.data.tobytes()
         else:
@@ -241,3 +241,16 @@ def test_graph_keeps_no_pooled_set_abstraction_buffer(monkeypatch):
     assert kept_before - kept == pooled_before - pooled
     for name, grad in grads_before.items():
         assert grads[name].tobytes() == grad.tobytes(), name
+
+
+def test_predict_scores_lie_in_the_closed_unit_interval(monkeypatch):
+    # in float32, sigmoid of a logit above about 16.6 rounds to exactly 1.0
+    model = AffordanceModel(RunConfig(model=ModelConfig(**TOY)))
+    cloud = synth_cloud(1, 0, seed=3, n=TOY["n_points"])
+    hidden = synth_fixture(1, 0, seed=4, L=TOY["seq_len"], d_h=TOY["d_h"])
+    logits = T.tensor(np.array([[17.0], [16.0], [0.0], [-17.0]], np.float32))
+    monkeypatch.setattr(model.decoder, "predict_map", lambda feats, row: logits)
+    scores = model.predict(cloud, hidden)
+    assert scores.dtype == np.float32 and scores.shape == (4,)
+    assert scores[0] == 1.0 and 0.5 < scores[1] < 1.0 and scores[2] == 0.5
+    assert 0.0 < scores[3] < 1e-7

@@ -1,6 +1,7 @@
 """Tensor engine: primitives, tape, backward, the chunked AdamW update,
 schedules."""
 
+import ast
 import operator
 import os
 import subprocess
@@ -22,7 +23,20 @@ from affground.gradcheck import finite_difference_check, finite_difference_check
 from affground.model import AffordanceModel
 from affground.optim import adamw_step, linear_lr
 
-from oracles import concat, max_reduce, padded_rows, relu, unfused_linear
+from oracles import (
+    clip,
+    concat,
+    div,
+    exp,
+    log,
+    max_reduce,
+    neg,
+    padded_rows,
+    relu,
+    sigmoid,
+    slice_cols,
+    unfused_linear,
+)
 
 
 class TestMatmul:
@@ -304,7 +318,8 @@ class TestBackward:
 
 
 class TestPrimitiveGradients:
-    """Central-difference checks for every registered primitive."""
+    """Central-difference checks for every primitive, and for the oracles'
+    former primitives."""
 
     TOL = 1e-6
 
@@ -339,7 +354,7 @@ class TestPrimitiveGradients:
         self._check(lambda x: (x * c * x).sum())
 
     def test_div(self):
-        self._check(lambda x: (1.0 / x).sum(), positive=True)
+        self._check(lambda x: div(1.0, x).sum(), positive=True)
 
     def test_power(self):
         self._check(lambda x: (x ** 3.0).sum(), positive=True)
@@ -348,20 +363,20 @@ class TestPrimitiveGradients:
         self._check(lambda x: relu(x).sum(), seed=5)
 
     def test_sigmoid(self):
-        self._check(lambda x: T.sigmoid(x).sum())
+        self._check(lambda x: sigmoid(x).sum())
 
     def test_exp(self):
-        self._check(lambda x: T.exp(x).sum())
+        self._check(lambda x: exp(x).sum())
 
     def test_log(self):
-        self._check(lambda x: T.log(x).sum(), positive=True)
+        self._check(lambda x: log(x).sum(), positive=True)
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(NumericError):
-            T.log(T.tensor([0.0, 1.0]))
+            log(T.tensor([0.0, 1.0]))
 
     def test_clip_interior(self):
-        self._check(lambda x: T.clip(x, -0.5, 0.5).sum(), seed=7)
+        self._check(lambda x: clip(x, -0.5, 0.5).sum(), seed=7)
 
     def test_mean_axis(self):
         self._check(lambda x: x.mean(axis=0).sum())
@@ -414,7 +429,7 @@ class TestPrimitiveGradients:
         self._check(lambda x: (T.interpolate(x, idx, TestInterpolate.W) ** 2.0).sum())
 
     def test_slice_cols(self):
-        self._check(lambda x: (T.slice_cols(x, 1, 3) ** 2.0).sum())
+        self._check(lambda x: (slice_cols(x, 1, 3) ** 2.0).sum())
 
 
 def add_at_oracle(x_data, index, g):
@@ -499,7 +514,7 @@ def old_slice_rule(x, cols):
 
 
 def new_slice_rule(x, cols):
-    return T.slice_cols(x, cols.start, cols.stop)._backward
+    return slice_cols(x, cols.start, cols.stop)._backward
 
 
 def with_negative_zeros(rng, shape, dtype):
@@ -510,8 +525,8 @@ def with_negative_zeros(rng, shape, dtype):
 
 
 class TestSliceGradient:
-    """slice_cols backward equals the oracle rule byte for byte, negative
-    zeros included.
+    """The oracles' slice_cols backward equals the whole-buffer rule byte for
+    byte, negative zeros included.
 
     The rules are called directly: inside a walk, ``_accumulate`` has
     already turned every -0.0 of the upstream gradient into +0.0.
@@ -1132,7 +1147,7 @@ class TestLinear:
                 T.linear(x, w, (full, bias), spent=spent)
 
 
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div],
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, div],
                          ids=["add", "sub", "mul", "div"])
 @pytest.mark.parametrize("operand", ["tensor", "constant"])
 def test_operands_that_do_not_broadcast_raise_shape_error(op, operand):
@@ -1338,7 +1353,7 @@ class TestFiniteDifferenceHarness:
 
         def ce(z):
             p = T.softmax_lastdim(z)
-            return -T.log(T.slice_cols(p, 2, 3)).sum()
+            return neg(log(slice_cols(p, 2, 3))).sum()
 
         assert finite_difference_check(ce, logits, h=1e-6) <= 1e-6
 
@@ -1438,3 +1453,53 @@ class TestDeterminism:
         second = build()
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
+
+
+# the Tensor methods that each operator invokes
+_OPERATORS = {ast.Add: ("__add__", "__radd__"), ast.Sub: ("__sub__", "__rsub__"),
+              ast.Mult: ("__mul__", "__rmul__"), ast.Div: ("__truediv__",),
+              ast.MatMult: ("__matmul__",), ast.Pow: ("__pow__",),
+              ast.USub: ("__neg__",)}
+
+
+def test_every_public_tensor_function_has_a_caller_under_src():
+    # A caller is a use by name (``f`` or ``T.f``) or an operator or method
+    # that a Tensor method forwards to it (``a + b``, ``x.sum()``), outside
+    # the Tensor class and outside gradcheck's primitive table. Operand
+    # types are not known to ast, so operators and method names count
+    # wherever they appear.
+    src = Path(T.__file__).parent
+    tensor_tree = ast.parse(Path(T.__file__).read_text())
+    public = {node.name for node in tensor_tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    (tensor_class,) = [node for node in tensor_tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "Tensor"]
+    forwards = {method.name: {n.id for n in ast.walk(method) if isinstance(n, ast.Name)}
+                for method in tensor_class.body if isinstance(method, ast.FunctionDef)}
+    forwards["__radd__"], forwards["__rmul__"] = forwards["__add__"], forwards["__mul__"]
+
+    used = set()
+    for path in sorted(src.glob("*.py")):
+        tree = tensor_tree if path.name == "tensor.py" else ast.parse(path.read_text())
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for a in node.names
+                   if a.name == "tensor"}
+        skipped = {id(tensor_class)} | {
+            id(node) for node in tree.body if isinstance(node, ast.FunctionDef)
+            and path.name == "gradcheck.py" and node.name == "_primitive_checks"}
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used |= forwards.get(node.attr, set())
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    used.add(node.attr)
+            elif isinstance(node, (ast.BinOp, ast.UnaryOp)):
+                for method in _OPERATORS.get(type(node.op), ()):
+                    used |= forwards.get(method, set())
+            stack.extend(ast.iter_child_nodes(node))
+    assert sorted(public - used) == []

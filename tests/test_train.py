@@ -37,6 +37,7 @@ from affground.dataio import (
     write_manifest,
     write_tensor,
 )
+from affground.decoder import AffordanceDecoder
 from affground.errors import (
     CheckpointError,
     ConfigError,
@@ -1148,6 +1149,30 @@ def test_nan_pre_activation_ends_as_training_diverged(
     (model,) = models
     for key, p in model.params.items():
         assert p.data.tobytes() == model.initial[key].tobytes(), key
+
+
+def test_nan_logit_ends_as_nan_abort(tmp_path, eight_samples, monkeypatch,
+                                    batch_loop, no_thread_left):
+    # the map loss neither clamps nor checks its logits: a NaN logit gives a
+    # NaN loss, which stops training as a nan_abort, not as a ContractError
+    real = AffordanceDecoder.predict_map
+
+    def with_nan(self, point_feats, row):
+        logits = real(self, point_feats, row)
+        logits.data[0, 0] = np.nan
+        return logits
+
+    monkeypatch.setattr(AffordanceDecoder, "predict_map", with_nan)
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=1, batch_size=4))
+    with pytest.raises(TrainingDiverged) as info:
+        train(config, eight_samples, tmp_path / "run")
+    assert info.value.step == 0
+    (row,) = [json.loads(line) for line in
+              (tmp_path / "run" / "log.jsonl").read_text().splitlines()]
+    assert row["event"] == "nan_abort" and row["reason"] == "non-finite loss"
+    assert math.isnan(row["l_aff"]) and math.isfinite(row["l_txt"])
+    assert not (tmp_path / "run" / "checkpoint").exists()
 
 
 # -- the pairwise evaluation ---------------------------------------------------
