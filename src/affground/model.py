@@ -93,10 +93,10 @@ class AffordanceModel:
         FP3, the Stage II fuse (when it is on) and the decoder head.
 
         A backward walk reaches them first. In each walk but a step's
-        last, ``train`` keeps their gradient work on the walking thread
-        and hands the other layers' to its pipeline worker, which is then
-        making the next member's graph; the last walk, with no graph left
-        to make, hands all of it over.
+        last, ``train`` keeps every write to these on the walking thread
+        and hands each write to another parameter to its pipeline worker,
+        which is then making the next member's graph; the last walk, with
+        no graph left to make, hands every write over.
         """
         layers = ("backbone.fp3.", "fusion.fuse.", "decoder.head.")
         return [p for name, p in self.params.items() if name.startswith(layers)]

@@ -48,33 +48,27 @@ not its input.
 
 Threading. A graph is built on one thread and walked on one thread, which
 may be another, and two threads never touch one graph at once; the
-autograd on/off flag is per thread. A walk does all of a graph's gradient
-work itself, except inside :func:`handing_off`, which splits each walk
-on the calling thread in two:
-
-- the *parameter side* is every requires-grad leaf outside ``keep``. It
-  belongs to the thread that runs the jobs handed to ``submit``;
-- the *activation side*, everything else, belongs to the walking thread.
-
-A handed-off leaf may feed the graph only as a :func:`matmul` operand or
-a :func:`linear` addend; the walk refuses any other use before it does
-any work. It computes every activation gradient itself and hands over,
-in tape order, each piece of work that writes a handed-off leaf: a
-``matmul``'s product for it (``_sum_over_rows(a, g)`` for a weight) with
-its accumulation, a rank-one record, or a ``linear`` addend's share (a
-bias's row sum) with its accumulation. So in each walk every leaf's
-gradient and records are written by one thread only, in the walk's
-order: when the jobs run one at a time in submission order, every
-gradient is bitwise the one walk's. A job reads only buffers that
-nothing writes again, and the walk returns before its jobs are done; the
-caller waits for them before it reads a handed-off gradient, which forms
-its records. ``keep`` may change between walks (a nested
-:func:`handing_off` sets it for the walks inside): a leaf kept in one walk
-and handed off in another still sums in walk order where the caller
-waits for the jobs of a walk that handed it off before a later walk
-keeps it. Graphs
-built and walked at the same time share only leaves: building reads
-their data, and walks and jobs write their gradients and records.
+autograd on/off flag is per thread. One rule moves work between threads:
+on a thread inside :func:`handing_off`, every write to a requires-grad
+leaf outside ``keep`` (an addition to its gradient, or a rank-one record)
+is a job, passed to the block's ``submit`` in the order of the writes;
+every other write runs at once. :func:`_write` is the one place that
+applies it. Any op may feed a handed-off leaf. A walk inside the block
+computes every interior gradient itself; where a leaf is a :func:`matmul`
+operand or a :func:`linear` addend, its product (``_sum_over_rows(a, g)``
+for a weight) or its share (a bias's row sum) is made in the job too. So
+in each walk every leaf's gradient and records are written by one thread
+only, in the walk's order: when the jobs run one at a time in submission
+order, every gradient is bitwise the plain walk's. A job reads only
+buffers that nothing writes again, and the walk returns before its jobs
+are done; the caller waits for them before it reads a handed-off
+gradient, which forms its records. ``keep`` may change between walks (a
+nested :func:`handing_off` sets it for the walks inside): a leaf kept in
+one walk and handed off in another still sums in walk order where the
+caller waits for the jobs of a walk that handed it off before a later
+walk keeps it. Graphs built and walked at the same time share only
+leaves: building reads their data, and walks and jobs write their
+gradients and records.
 """
 
 from __future__ import annotations
@@ -97,9 +91,9 @@ def _grad_enabled() -> bool:
 
 @contextmanager
 def handing_off(submit, keep=()):
-    """Split every walk on this thread inside the block: hand the parameter
-    side's work to ``submit`` and keep the leaves in ``keep`` (and the
-    work on them) on the walking thread (see the module docstring).
+    """Inside the block, pass each write on this thread to a requires-grad
+    leaf that is not in ``keep`` to ``submit`` as a job (see
+    :func:`_write` and the module docstring).
 
     ``submit(job)`` takes a callable of no arguments; the jobs must run
     one at a time, in the order they were submitted.
@@ -273,8 +267,19 @@ def _node(data, parents, backward, op) -> Tensor:
 
 
 def _accumulate(t: Tensor, grad: np.ndarray):
+    """Add ``grad`` to ``t``'s gradient where ``t`` requires one: at once
+    on an interior node, and through :func:`_write` on a leaf."""
     if not t.requires_grad:
         return
+    if t._backward is None:
+        _write(t, lambda: _add(t, grad))
+    else:
+        _add(t, grad)
+
+
+def _add(t: Tensor, grad: np.ndarray):
+    """Add ``grad`` to ``t``'s gradient, keeping it as the first
+    contribution where it can (see the module docstring)."""
     if t._grad is not None:
         t._grad += grad
     elif (grad.flags.writeable and grad.shape == t.data.shape
@@ -310,15 +315,18 @@ def _form_rows(t: Tensor):
         t._grad += share
 
 
-def _give(t: Tensor, off, job):
-    """Run ``job``, which writes ``t``'s gradient: here, or queued where
-    ``off`` (the parameter side of a split walk, or None) holds ``t``.
-    A queued job runs later, so it must read only buffers that nothing
-    writes again."""
-    if off is None or id(t) not in off.ids:
+def _write(t: Tensor, job):
+    """Run ``job``, which writes the gradient or records of ``t`` (a
+    tensor that requires a gradient): at once, unless ``t`` is a leaf
+    outside ``keep`` while this thread is inside :func:`handing_off`,
+    whose ``submit`` then takes it. A submitted job runs later, so it must
+    read only buffers that nothing writes again; it writes with
+    :func:`_add` or :func:`_record`, not through this function."""
+    hand_off = getattr(_state, "hand_off", None)
+    if hand_off is None or t._backward is not None or id(t) in hand_off[1]:
         job()
     else:
-        off.submit(job)
+        hand_off[0](job)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -400,22 +408,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
     _check_dtypes(a, b, "matmul")
 
-    def backward(g, off=None):
+    def backward(g):
         if a.requires_grad:
-            _give(a, off, lambda: _accumulate(a, _left_share(g, b.data)))
+            _write(a, lambda: _add(a, _left_share(g, b.data)))
         if b.requires_grad:
             if a.shape[0] == 1 and b._backward is None:
                 row, g_row = a.data.copy(), g.copy()
-                _give(b, off, lambda: _record(b, row, g_row))
+                _write(b, lambda: _record(b, row, g_row))
             else:
-                _give(b, off, lambda: _accumulate(b, _right_share(a.data, g)))
+                _write(b, lambda: _add(b, _right_share(a.data, g)))
 
     return _node(a.data @ b.data, (a, b), backward, "matmul")
 
 
 # A product over one inner index is an outer product: each share
 # broadcasts it rather than run a K=1 GEMM (the same bytes once
-# _accumulate has turned -0.0 into +0.0).
+# _add has turned -0.0 into +0.0).
 
 def _left_share(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """d(loss)/da of ``a @ b``, given ``g`` = d(loss)/d(a @ b)."""
@@ -476,14 +484,14 @@ def linear(x: Tensor, w: Tensor, addends=(), relu: bool = False,
     # the rule holds the output only to mask by it
     masked = out if relu else None
 
-    def backward(g, off=None):
+    def backward(g):
         if masked is not None:
             np.multiply(g, masked > 0, out=g)
         _accumulate(product, g)
         for a in addends:
             if a.requires_grad:
                 # the product owns g by now: a gets a buffer of its own
-                _give(a, off, lambda a=a: _accumulate(a, _own_share(g, a.shape)))
+                _write(a, lambda a=a: _add(a, _own_share(g, a.shape)))
 
     return _node(out, (product, *addends), backward,
                  "linear_relu" if relu else "linear")
@@ -780,59 +788,21 @@ def backward(loss: Tensor):
 
     Repeated calls without clearing gradients keep accumulating. Each
     interior gradient is dropped once its rule has run (a second call
-    contributes exactly one more pass). Inside :func:`handing_off` the
-    walk is split (see the module docstring), and returns before the jobs
-    it handed over have run.
+    contributes exactly one more pass). Inside :func:`handing_off` its
+    writes to handed-off leaves are jobs (see the module docstring), and
+    it returns before they have run.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     tape = Tape.trace(loss)
-    off, feeds = None, ()
-    hand_off = getattr(_state, "hand_off", None)
-    if hand_off is not None:
-        off, feeds = _split(tape.nodes, *hand_off)
-    _give(loss, off, lambda: _accumulate(loss, np.ones_like(loss.data)))
+    _accumulate(loss, np.ones_like(loss.data))
     for node in reversed(tape.nodes):
         grad = node._grad
         if node._backward is not None and grad is not None:
             node._grad = None
-            if id(node) in feeds:
-                node._backward(grad, off)
-            else:
-                node._backward(grad)
-
-
-class _ParameterSide:
-    """A split walk's parameter side, by ``id``, and where its jobs go."""
-
-    __slots__ = ("ids", "submit")
-
-    def __init__(self, ids, submit):
-        self.ids = ids
-        self.submit = submit
-
-
-def _split(nodes, submit, keep):
-    """(parameter side, ids of the nodes it feeds) of a walk inside
-    :func:`handing_off`; ContractError where a handed-off leaf feeds
-    anything but a ``matmul`` or ``linear`` node."""
-    off = _ParameterSide(set(), submit)
-    feeds = set()
-    for node in nodes:
-        if not node.requires_grad:
-            continue
-        if not node._parents:
-            if id(node) not in keep:
-                off.ids.add(id(node))
-        elif any(id(p) in off.ids for p in node._parents):
-            if node._op not in ("matmul", "linear", "linear_relu"):
-                raise ContractError(
-                    f"backward: a handed-off tensor feeds {node._op}; only "
-                    "matmul operands and linear addends can be handed off")
-            feeds.add(id(node))
-    return off, feeds
+            node._backward(grad)
 
 
 def zero_grad(params):

@@ -23,14 +23,13 @@ loop.
 
 With that worker, ``train`` also splits each walk
 (:func:`~affground.tensor.handing_off`): the main thread walks the
-activation gradients, and the work that writes a parameter (each weight
-gradient product and each bias share, with its accumulation, and each
-rank-one record) goes to the worker as jobs, queued behind the forward
-it is making. In each walk but a step's last, the full-resolution layers
+activation gradients, and every write to a parameter goes to the worker
+as a job, queued behind the forward it is making. In each walk but a
+step's last, the full-resolution layers
 (:meth:`AffordanceModel.full_resolution_params`) keep theirs on the main
 thread; the last walk, after which the worker has no graph to make,
 keeps nothing. Jobs run in the order they were queued, and a step's
-last walk is the only one that hands a full-resolution layer's work
+last walk is the only one that hands a write to a full-resolution layer
 over, so every parameter sums its contributions in the sequential
 order; ``train`` waits for the jobs, and re-raises the first error,
 before the finiteness checks (whose gradient reads form each weight's
@@ -92,7 +91,7 @@ _PIPELINE_MIN_ROW_ENTRIES = 1 << 19
 
 def _pipelines(model_cfg) -> bool:
     """Whether :func:`train` builds each member's graph, and runs the
-    parameter-side jobs of each walk, on a worker thread, and
+    jobs that write the parameters in each walk, on a worker thread, and
     :func:`evaluate` groups and runs the first record of each pair
     there: where ``n_points * d`` reaches ``_PIPELINE_MIN_ROW_ENTRIES``.
 
@@ -158,13 +157,13 @@ def _pipeline_worker(model_cfg, n_items: int, name: str):
 @contextmanager
 def _split_walks(worker, keep):
     """Yield ``(keep_nothing, drain)``. With a worker, walks inside the
-    block hand their parameter-side jobs to it, keeping the parameters in
-    ``keep`` on this thread, and walks inside ``keep_nothing()`` keep none:
-    :func:`train` walks each step's last member so, as the worker then has
-    no graph left to make. ``drain`` waits for each job in the order they
-    were queued and re-raises the first one's error unchanged. Without a
-    worker, nothing is handed off, ``keep_nothing()`` does nothing and
-    neither does ``drain``."""
+    block hand their writes to the parameters to it as jobs, keeping the
+    writes to those in ``keep`` on this thread, and walks inside
+    ``keep_nothing()`` keep none: :func:`train` walks each step's last
+    member so, as the worker then has no graph left to make. ``drain``
+    waits for each job in the order they were queued and re-raises the
+    first one's error unchanged. Without a worker, nothing is handed off,
+    ``keep_nothing()`` does nothing and neither does ``drain``."""
     if worker is None:
         yield nullcontext, lambda: None
         return
@@ -202,8 +201,9 @@ def _in_order(worker, make, items, use, made=None):
     - item k + 1 is submitted only once item k's result is taken, and
       result k is dropped here when result k + 1 is taken, so at most two
       results are alive: the one being used and the one being made. Jobs
-      that ``use`` queues on the worker (a walk's parameter side) run
-      before item k + 2 is made, so they keep result k no longer;
+      that ``use`` queues on the worker (a walk's writes to the
+      parameters) run before item k + 2 is made, so they keep result k
+      no longer;
     - an exception raised by ``make`` or ``use``, or in making item 0
       across the boundary, reaches the caller unchanged, after every
       earlier item was used;
@@ -350,7 +350,6 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
                 keep_nothing, drain):
         for step in range(start_step, total_steps):
             members = members_of(step)
-            optimizer.zero_grad()
             sums = {"l_txt": 0.0, "l_aff": 0.0, "total": 0.0}
             scale = 1.0 / len(members)
             unwalked = len(members)

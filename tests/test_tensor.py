@@ -1161,7 +1161,7 @@ def test_operands_that_do_not_broadcast_raise_shape_error(op, operand):
 
 
 class TestHandingOff:
-    """A walk inside ``handing_off``: jobs for the parameter side, run
+    """A walk inside ``handing_off``: jobs for the handed-off leaves, run
     afterwards in order, give the one walk's gradients bitwise."""
 
     def graph(self):
@@ -1204,21 +1204,31 @@ class TestHandingOff:
         T.backward(loss)
         assert not jobs and all(p.grad is not None for p in params.values())
 
-    @pytest.mark.parametrize("op, use", [
-        ("mul", lambda w, x: w * x),
-        ("transpose", lambda w, x: T.matmul(T.transpose(w), x)),
-    ], ids=["mul", "transpose"])
-    def test_refuses_a_handed_off_tensor_in_another_op(self, op, use):
-        # checked before the walk does any work: no gradient, no job
-        w = T.tensor(np.ones((2, 3)), requires_grad=True)
-        x = T.tensor(np.ones((2, 3)), requires_grad=True)
+    @pytest.mark.parametrize("use", [
+        lambda w, x: w * x,
+        lambda w, x: T.matmul(T.transpose(w), x),
+        lambda w, x: T.matmul(T.transpose(x), w) + (w * x).sum(),
+    ], ids=["mul", "transpose", "matmul_and_mul"])
+    def test_a_handed_off_leaf_in_any_op_gets_the_sequential_bytes(self, use):
+        def leaves():
+            rng = np.random.default_rng(11)
+            return [T.tensor(signed_zeros_and_negatives(rng, (3, 4), np.float32),
+                             requires_grad=True) for _ in range(2)]
+
+        want = leaves()
+        T.backward(use(*want).sum())
+        w, x = leaves()
         loss = use(w, x).sum()
         jobs = []
         with T.handing_off(jobs.append, keep=[x]):
-            with pytest.raises(ContractError, match=f"feeds {op};"):
-                T.backward(loss)
-        assert w.grad is None and x.grad is None and not jobs
-        assert loss.grad is None
+            T.backward(loss)
+        # the walk wrote the kept leaf, and every write to w is a job
+        assert jobs and w._grad is None and w._rows is None
+        assert x._grad is not None
+        for job in jobs:
+            job()
+        for got, p in zip((w, x), want, strict=True):
+            assert got.grad.tobytes() == p.grad.tobytes()
 
 
 def _patch_former_rules(monkeypatch):

@@ -308,7 +308,7 @@ def test_each_parameter_gradient_is_written_by_one_thread(
     # weight's rank-one rows count as writes, and their product is formed
     # only once train() has waited for the jobs that record them
     writes, recorders, events, walks = [], set(), [], []
-    real_accumulate = tensor_module._accumulate
+    real_add = tensor_module._add
     real_record = tensor_module._record
     real_form = tensor_module._form_rows
     real_split_walks = train_module._split_walks
@@ -316,10 +316,10 @@ def test_each_parameter_gradient_is_written_by_one_thread(
     def write(t):   # with the number of walks begun by then
         writes.append((id(t), threading.get_ident(), len(walks)))
 
-    def accumulate(t, grad):
-        if t.requires_grad and not t._parents:
+    def add(t, grad):
+        if not t._parents:
             write(t)
-        real_accumulate(t, grad)
+        real_add(t, grad)
 
     def record(t, row, g):
         write(t)
@@ -343,7 +343,7 @@ def test_each_parameter_gradient_is_written_by_one_thread(
                 events.append("drained")
             yield keep_nothing, drained
 
-    monkeypatch.setattr(tensor_module, "_accumulate", accumulate)
+    monkeypatch.setattr(tensor_module, "_add", add)
     monkeypatch.setattr(tensor_module, "_record", record)
     monkeypatch.setattr(tensor_module, "_form_rows", form)
     monkeypatch.setattr(train_module, "backward", counted_backward)
@@ -413,6 +413,7 @@ def test_failed_weight_gradient_job_propagates_unchanged(
     with pytest.raises(Boom) as info:
         train(config, eight_samples, tmp_path / "run")
     assert info.value is boom
+    assert getattr(tensor_module._state, "hand_off", None) is None
     # the failing job's member and every earlier one had been walked
     (begun,) = failed_in_walk
     assert 1 <= begun and walks[:begun] == ["done"] * begun
@@ -428,7 +429,7 @@ def test_nan_weight_gradient_ends_as_the_sequential_nan_abort(
         tmp_path, eight_samples, monkeypatch, no_thread_left, name):
     # sequentially, then on a worker thread, then with jobs held until
     # train() waits for them
-    real_accumulate = tensor_module._accumulate
+    real_add = tensor_module._add
     real_executor = train_module.ThreadPoolExecutor
     rows = []
     for run, executor in enumerate((real_executor, real_executor,
@@ -448,9 +449,9 @@ def test_nan_weight_gradient_ends_as_the_sequential_nan_abort(
                 if len(writes) == 8:
                     grad = grad.copy()
                     grad.flat[0] = np.nan
-            real_accumulate(t, grad)
+            real_add(t, grad)
 
-        monkeypatch.setattr(tensor_module, "_accumulate", poisoned)
+        monkeypatch.setattr(tensor_module, "_add", poisoned)
         config = RunConfig(model=ModelConfig(**TOY),
                            optimizer=OptimConfig(epochs=1, batch_size=8))
         out = tmp_path / f"run-{run}"
@@ -521,6 +522,21 @@ def boundary_run(monkeypatch, config, manifest, out, serial=False, **kwargs):
 def test_overlapped_boundaries_equal_the_serial_run(
         tmp_path, eight_samples, monkeypatch, batch_loop, no_thread_left,
         frequent_switches):
+    # and each step begins with no gradient and no rank-one record
+    models, begun = [], []
+    real_adamw, real_in_order = train_module._adamw, train_module._in_order
+
+    def adamw(model, opt_cfg):
+        models.append(model)
+        return real_adamw(model, opt_cfg)
+
+    def in_order(*args):
+        begun.append(all(p._rows is None and p.grad is None
+                         for p in models[-1].params.values()))
+        real_in_order(*args)
+
+    monkeypatch.setattr(train_module, "_adamw", adamw)
+    monkeypatch.setattr(train_module, "_in_order", in_order)
     config = boundary_config()
     want = boundary_run(monkeypatch, config, eight_samples, tmp_path / "serial",
                         serial=True)
@@ -537,6 +553,7 @@ def test_overlapped_boundaries_equal_the_serial_run(
     again = boundary_run(monkeypatch, config, eight_samples, resumed,
                          resume=resumed / "from")
     assert again == (log, written[1:], None)
+    assert len(models) == 3 and begun == [True] * (3 + 3 + 2)
 
 
 def test_next_first_integrate_starts_before_the_late_update_ends(
@@ -632,7 +649,7 @@ def test_gradient_check_fails_only_a_non_finite_element(
     # a finite gradient whose sum overflows passes; one inf or NaN, in the
     # last member's contribution, fails with the reason it always had
     name = "decoder.head.0.w"
-    real_accumulate = tensor_module._accumulate
+    real_add = tensor_module._add
     built = recording(monkeypatch)
     writes = []
 
@@ -645,9 +662,9 @@ def test_gradient_check_fails_only_a_non_finite_element(
                 else:
                     grad = grad.copy()
                     grad.flat[-1] = value
-        real_accumulate(t, grad)
+        real_add(t, grad)
 
-    monkeypatch.setattr(tensor_module, "_accumulate", poisoned)
+    monkeypatch.setattr(tensor_module, "_add", poisoned)
     config = RunConfig(model=ModelConfig(**TOY),
                        optimizer=OptimConfig(epochs=1, batch_size=8))
     out = tmp_path / "run"
