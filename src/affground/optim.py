@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import MOMENTS, restore_arrays
+from .dataio import MOMENTS, all_finite, restore_arrays
 from .errors import ContractError, NumericError
 from .tensor import Tensor
 
@@ -144,21 +144,6 @@ class AdamW:
                  for moment in MOMENTS]
         self.exp_avg, self.exp_avg_sq = taken
         self.step_count = saved["step"]
-
-
-def all_finite(a: np.ndarray) -> bool:
-    """Whether every element of ``a`` is finite.
-
-    An inf or NaN element makes the sum of squares non-finite, so the
-    elements are tested one by one only where that sum is not finite: a
-    NaN or inf, or finite elements whose squares overflow, which warns of
-    nothing. The sum is one BLAS dot product, which reads ``a`` once and
-    costs less than the elementwise test.
-    """
-    flat = a.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.dot(flat, flat)
-    return bool(np.isfinite(squares)) or bool(np.isfinite(a).all())
 
 
 # elements per pass of adamw_step: its two scratch buffers stay in cache

@@ -7,6 +7,13 @@ enabled, remember the operation that produced them. Calling
 in reverse, accumulating gradients into every tensor that was created
 with ``requires_grad=True``.
 
+The primitives are the ops the model runs (:func:`add`, :func:`mul`,
+:func:`matmul`, :func:`linear`, :func:`softmax_lastdim`, :func:`tmean`,
+:func:`segment_max`, :func:`transpose`, :func:`gather_rows` and
+:func:`interpolate`; its two loss nodes are in :mod:`affground.losses`)
+and :func:`tsum`, which gradcheck's check scalars reduce with. Tensor
+forwards ``+``, ``*``, ``@``, ``.sum``, ``.mean`` and ``.T`` to them.
+
 Accumulation contract: a tensor's gradient is the sum of its consumers'
 contributions, added in tape order onto ``+0.0`` (rank-one weight
 gradients, below, are added last). Where one row feeds several outputs
@@ -190,12 +197,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -204,19 +205,11 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     @property
     def T(self):
@@ -364,18 +357,6 @@ def add(a, b) -> Tensor:
     return _node(out, (a, b), backward, "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b, out = _binary(a, b, "sub", np.subtract)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _node(out, (a, b), backward, "sub")
-
-
 def mul(a, b) -> Tensor:
     a, b, out = _binary(a, b, "mul", np.multiply)
 
@@ -497,16 +478,6 @@ def linear(x: Tensor, w: Tensor, addends=(), relu: bool = False,
                  "linear_relu" if relu else "linear")
 
 
-def power(x: Tensor, exponent) -> Tensor:
-    """Elementwise x**c for a constant exponent."""
-    c = float(exponent)
-
-    def backward(g):
-        _accumulate(x, g * c * np.power(x.data, c - 1.0))
-
-    return _node(np.power(x.data, c), (x,), backward, "power")
-
-
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Numerically stable softmax over the last dimension."""
     if x.shape[-1] < 1:
@@ -613,13 +584,6 @@ def segment_max(x: Tensor, starts, release: bool = False) -> Tensor:
         _accumulate(x, gx)
 
     return _node(out, (x,), backward, "segment_max")
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    def backward(g):
-        _accumulate(x, g.reshape(x.shape))
-
-    return _node(x.data.reshape(shape), (x,), backward, "reshape")
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -64,6 +64,7 @@ import numpy as np
 from .config import RunConfig, config_from_dict, drop_retired
 from .dataio import (
     Dataset,
+    all_finite,
     load_checkpoint,
     read_dataset,
     restore_arrays,
@@ -72,7 +73,7 @@ from .dataio import (
 from .errors import ConfigError, NumericError, TrainingDiverged
 from .metrics import MetricReport, evaluate_sample
 from .model import AffordanceModel
-from .optim import AdamW, all_finite, linear_lr
+from .optim import AdamW, linear_lr
 from .rng import rng_for
 from .tensor import backward, handing_off
 

@@ -11,7 +11,9 @@ score-based ``focal_loss``, ``dice_loss`` and ``affordance_loss`` and
 the composed ``cross_entropy_chain`` are that objective. All of them are
 the ``affground`` code as it was when the model last called it, except
 that ``div`` and ``neg`` are called by name where the Tensor operators
-``/`` and unary ``-`` were.
+``/`` and unary ``-`` were. ``sub``, ``power`` and ``reshape`` were
+left only to gradcheck's check scalars, and are called by name where
+``-``, ``**`` and ``Tensor.reshape`` were.
 """
 
 import numpy as np
@@ -115,6 +117,35 @@ def neg(x):
     return T._node(-x.data, (x,), backward, "neg")
 
 
+def sub(a, b):
+    a, b, out = T._binary(a, b, "sub", np.subtract)
+
+    def backward(g):
+        if a.requires_grad:
+            T._accumulate(a, T._unbroadcast(g, a.shape))
+        if b.requires_grad:
+            T._accumulate(b, T._unbroadcast(-g, b.shape))
+
+    return T._node(out, (a, b), backward, "sub")
+
+
+def power(x, exponent):
+    """Elementwise x**c for a constant exponent."""
+    c = float(exponent)
+
+    def backward(g):
+        T._accumulate(x, g * c * np.power(x.data, c - 1.0))
+
+    return T._node(np.power(x.data, c), (x,), backward, "power")
+
+
+def reshape(x, shape):
+    def backward(g):
+        T._accumulate(x, g.reshape(x.shape))
+
+    return T._node(x.data.reshape(shape), (x,), backward, "reshape")
+
+
 def sigmoid(x):
     d = x.data
     out = np.empty_like(d)
@@ -177,7 +208,7 @@ SCORE_EPS = 1e-7
 
 def _as_column(p):
     if p.ndim == 1:
-        return p.reshape(-1, 1)
+        return reshape(p, (-1, 1))
     if p.ndim == 2 and p.shape[1] == 1:
         return p
     raise ContractError(f"scores must be (N,) or (N, 1), got {p.shape}")
@@ -197,9 +228,9 @@ def focal_loss(p, y, alpha=0.25, gamma=2.0):
     _validate_scores(p)
     p = clip(p, SCORE_EPS, 1.0 - SCORE_EPS)
     y_t = T.Tensor(yb.astype(p.dtype))
-    p_t = p * y_t + (1.0 - p) * (1.0 - y_t)
+    p_t = p * y_t + sub(1.0, p) * sub(1.0, y_t)
     alpha_t = T.Tensor((alpha * yb + (1.0 - alpha) * (1.0 - yb)).astype(p.dtype))
-    return neg(alpha_t * (1.0 - p_t) ** gamma * log(p_t)).mean()
+    return neg(alpha_t * power(sub(1.0, p_t), gamma) * log(p_t)).mean()
 
 
 def dice_loss(p, y, eps=1.0):
@@ -212,7 +243,7 @@ def dice_loss(p, y, eps=1.0):
     y_t = T.Tensor(yb.astype(p.dtype))
     overlap = 2.0 * T.tsum(p * y_t) + eps
     total = T.tsum(p) + float(yb.sum()) + eps
-    return 1.0 - div(overlap, total)
+    return sub(1.0, div(overlap, total))
 
 
 def affordance_loss(p, y, weights=None):
@@ -227,5 +258,5 @@ def cross_entropy_chain(logits, target):
     # shift by the (constant) max so exp never overflows; the gradient of
     # logsumexp is unchanged by the shift
     shift = float(logits.data.max())
-    lse = log(T.tsum(exp(logits - shift))) + shift
-    return lse - T.tsum(slice_cols(logits, target, target + 1))
+    lse = log(T.tsum(exp(sub(logits, shift)))) + shift
+    return sub(lse, T.tsum(slice_cols(logits, target, target + 1)))

@@ -28,6 +28,8 @@ from affground.intention import synth_fixture
 from affground.model import AffordanceModel
 from affground.rng import rng_for
 
+from oracles import power, reshape, sub
+
 
 def fps_oracle(coords, m):
     """Independent greedy max-min selection with explicit tie-breaking."""
@@ -513,7 +515,7 @@ class TestSetAbstraction:
         # the first stage reads its input, the coordinates, from the plan
         stage_params = {k: v for k, v in params.items() if k.startswith("backbone.sa1")}
         errs = finite_difference_check_params(
-            lambda: ((backbone.sa_stages[0](None, plan.sa[0]) - target) ** 2.0).sum(),
+            lambda: power(sub(backbone.sa_stages[0](None, plan.sa[0]), target), 2.0).sum(),
             stage_params)
         assert max(errs.values()) <= 1e-4
 
@@ -583,7 +585,7 @@ def interpolate_chain_oracle(src_feats, nn_idx, weights):
     n_dst, k = nn_idx.shape
     neighbor = gather_rows_oracle(src_feats, nn_idx.reshape(-1))
     w = T.Tensor(weights.reshape(n_dst * k, 1).astype(src_feats.dtype))
-    mixed = (neighbor * w).reshape(n_dst, k, src_feats.shape[1])
+    mixed = reshape(neighbor * w, (n_dst, k, src_feats.shape[1]))
     return T.tsum(mixed, axis=1)
 
 
@@ -774,7 +776,7 @@ class TestEncodeDecode:
         def loss():
             bottleneck, skips = backbone.encode(plan)
             full_res, _ = backbone.decode(bottleneck, skips, plan)
-            return ((full_res - target) ** 2.0).mean()
+            return power(sub(full_res, target), 2.0).mean()
 
         errs = finite_difference_check_params(loss, params)
         assert max(errs.values()) <= 1e-4

@@ -335,6 +335,20 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="non-finite"):
             save_checkpoint(tmp_path / "ckpt", params, {}, step=0)
 
+    def test_finite_parameter_whose_square_overflows_is_saved(self, tmp_path):
+        params = self._params(6)
+        params["a.w"].data[1, 2] = np.float32(3e19)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(params["a.w"].data[1, 2] ** 2)
+        save_checkpoint(tmp_path / "ckpt", params, {}, step=0)
+        ckpt = load_checkpoint(tmp_path / "ckpt")
+        for name, p in params.items():
+            assert ckpt.params[name].tobytes() == p.data.tobytes()
+        params["a.w"].data[1, 2] = np.inf
+        with pytest.raises(CheckpointError,
+                           match="refusing to save non-finite params entry a.w"):
+            save_checkpoint(tmp_path / "ckpt2", params, {}, step=0)
+
     def test_config_round_trips_key_for_key(self, tmp_path):
         config = {"optimizer": {"lr": 1e-4, "betas": [0.9, 0.999]},
                   "fusion": {"stage1": True, "stage2": False}}

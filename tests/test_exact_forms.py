@@ -58,7 +58,7 @@ from affground.rng import rng_for
 from affground.train import load_model
 
 from conftest import TOY, TOY_MODEL_SETS
-from oracles import concat, max_reduce, padded_rows, relu
+from oracles import concat, max_reduce, padded_rows, relu, reshape
 
 TOL = {np.float64: 1e-13, np.float32: 1e-5}
 DTYPES = [np.float64, np.float32]
@@ -93,7 +93,7 @@ def padded_sa_call(stage, feats, plan, k):
     if feats is not None:
         h = h + T.gather_rows(T.matmul(feats, w_feat), group_idx.reshape(-1))
     h = h + first.b
-    encoded = stage.mlp.after_first(relu(h)).reshape(m, k, stage.out_dim)
+    encoded = reshape(stage.mlp.after_first(relu(h)), (m, k, stage.out_dim))
     return max_reduce(encoded, axis=1)
 
 
@@ -105,7 +105,7 @@ def sa_call_oracle(stage, feats, plan, k):
     rel = T.Tensor(geometry[:, :, :3].reshape(m * k, 3).astype(stage.dtype))
     member = T.gather_rows(feats, group_idx.reshape(-1))
     encoded = mlp_on_concat(stage.mlp, concat([rel, member], axis=1))
-    return max_reduce(encoded.reshape(m, k, stage.out_dim), axis=1)
+    return max_reduce(reshape(encoded, (m, k, stage.out_dim)), axis=1)
 
 
 def padded_encode(backbone, plan):

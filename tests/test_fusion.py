@@ -15,6 +15,7 @@ from affground.model import AffordanceModel
 from affground.rng import rng_for
 
 from conftest import TOY
+from oracles import power
 
 
 def make_fusion(params, d=8, dtype=np.float64, seed=0):
@@ -86,7 +87,7 @@ class TestBottleneckCrossAttention:
         tokens = T.tensor(rand((3, 8), 7), dtype=np.float64)
         attn_params = {k: v for k, v in params.items() if ".attn" in k}
         errs = finite_difference_check_params(
-            lambda: (fusion.bottleneck_cross_attention(queries, tokens) ** 2.0).sum(),
+            lambda: power(fusion.bottleneck_cross_attention(queries, tokens), 2.0).sum(),
             attn_params)
         assert max(errs.values()) <= 1e-4
 
@@ -171,7 +172,8 @@ class TestDuplicateAndFuse:
 
         def loss():
             desc = fusion.gated_global_descriptor(tokens)
-            return (fusion.fuse_full_res(feats, desc) ** 2.0).sum()
+            fused = fusion.fuse_full_res(feats, desc)
+            return (fused * fused).sum()
 
         stage2 = {k: v for k, v in params.items()
                   if ".gate" in k or ".fuse" in k}
