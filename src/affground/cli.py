@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: gen-data, gen-fixtures, train, eval, corrupt, pca-viz,
-gradcheck. ``train`` reads every setting, the seed included, from
+Subcommands: gen-data, train, eval, corrupt, pca-viz, gradcheck.
+``train`` reads every setting, the seed included, from
 ``--config`` and ``--set KEY=VALUE`` (for example ``--set seed=3``).
 Exit codes: 0 success, 1 usage/validation error, 2 runtime error.
 """
@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .config import RunConfig, apply_overrides, load_config
 from .corruption import KINDS, generate_benchmark
-from .dataio import (_canon_json, gen_synthetic_dataset, read_dataset,
-                     regen_fixtures, write_tensor)
+from .dataio import _canon_json, gen_synthetic_dataset, read_dataset, write_tensor
 from .errors import AffgroundError, ConfigError, ContractError, DataFormatError
 from .gradcheck import run_gradcheck_suite
 from .train import evaluate_checkpoint, load_model, load_sample, train
@@ -49,13 +48,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--d-h", type=int, default=2048)
     gen.add_argument("--seq-len", type=int, default=32)
     gen.add_argument("--seed", type=int, default=0)
-
-    fix = sub.add_parser("gen-fixtures",
-                         help="regenerate hidden-state fixtures for a manifest")
-    fix.add_argument("--manifest", required=True)
-    fix.add_argument("--d-h", type=int, default=2048)
-    fix.add_argument("--seq-len", type=int, default=32)
-    fix.add_argument("--seed", type=int, default=0)
 
     tr = sub.add_parser("train", help="train on a dataset manifest")
     tr.add_argument("--config")
@@ -116,12 +108,6 @@ def _cmd_gen_data(args):
         args.out, args.classes, args.affordances, args.samples_per,
         args.points, args.seed, d_h=args.d_h, seq_len=args.seq_len)
     print(manifest)
-    return 0
-
-
-def _cmd_gen_fixtures(args):
-    count = regen_fixtures(args.manifest, args.seed, args.d_h, args.seq_len)
-    print(f"rewrote {count} fixtures")
     return 0
 
 
@@ -193,7 +179,6 @@ def _cmd_gradcheck(args):
 
 _COMMANDS = {
     "gen-data": _cmd_gen_data,
-    "gen-fixtures": _cmd_gen_fixtures,
     "train": _cmd_train,
     "eval": _cmd_eval,
     "corrupt": _cmd_corrupt,

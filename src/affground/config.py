@@ -3,11 +3,6 @@
 Unknown keys are rejected on load so typos fail fast, every value is
 checked against its field's type before any range check, and the full
 config is echoed into every checkpoint and report for provenance.
-
-Keys that once selected a behaviour nothing used are listed in
-:data:`RETIRED_KEYS` with the value the code kept. A saved config that
-holds the kept value loads and the key is dropped; any other value is a
-:class:`ConfigError` naming the key.
 """
 
 from __future__ import annotations
@@ -137,33 +132,6 @@ def _check_type(path: str, value, kind):
         _check_type(f"{path}[{i}]", item, typing.get_args(kind)[0])
 
 
-# value the code kept for each retired key
-RETIRED_KEYS = {
-    "model.include_bottleneck_scale": True,
-    "fusion.n_heads": 1,
-    "fusion.residual": False,
-    "lifting.share_weights": False,
-    "lifting.coarse_to_fine": True,
-    "optimizer.schedule": "linear",
-}
-
-
-def drop_retired(payload: dict) -> dict:
-    """Copy of a saved config without its retired keys, each at its kept value."""
-    payload = {k: dict(v) if isinstance(v, dict) else v for k, v in payload.items()}
-    for dotted, kept in RETIRED_KEYS.items():
-        section, key = dotted.split(".")
-        node = payload.get(section)
-        if not isinstance(node, dict) or key not in node:
-            continue
-        value = node.pop(key)
-        if type(value) is not type(kept) or value != kept:
-            raise ConfigError(
-                f"{dotted}={json.dumps(value)} is no longer supported; this key "
-                f"was retired and only {json.dumps(kept)} is accepted")
-    return payload
-
-
 _SECTIONS = {
     "model": ModelConfig,
     "fusion": FusionConfig,
@@ -187,7 +155,7 @@ def _build_section(cls, payload: dict, path: str):
 def config_from_dict(payload: dict) -> RunConfig:
     if not isinstance(payload, dict):
         raise ConfigError("a config must be a JSON object")
-    payload = drop_retired(payload)
+    payload = dict(payload)  # the caller's dict is left as it was
     kwargs = {}
     for name, cls in _SECTIONS.items():
         section = payload.pop(name, {})

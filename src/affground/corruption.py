@@ -12,7 +12,6 @@ afterwards, so the applied magnitude stays meaningful.
 
 from __future__ import annotations
 
-import hashlib
 import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -155,7 +154,7 @@ def generate_benchmark(manifest_path, out_dir, seed: int, kinds=KINDS,
 
     Layout: <out>/<kind>/level_<l>/ with clouds/, labels/, hidden/ (copies
     of the source fixtures, so a cell stays a self-contained snapshot when
-    the source's fixtures are later regenerated), a dataset-style manifest,
+    ``gen-data`` later rewrites the source tree), a dataset-style manifest,
     and a cell.json recording the spec, seed, and magnitude constants.
     Each source cloud is read once, before any cell is written.
     """
@@ -226,13 +225,3 @@ def _generate_cell(dataset: Dataset, clouds: list, out: Path, kind: str,
         "magnitudes": LEVEL_TABLE[kind][level],
         "samples": len(records),
     }))
-
-
-def tree_digest(root) -> str:
-    """SHA-256 over all file names and bytes under a directory."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(root).rglob("*")):
-        if path.is_file():
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()

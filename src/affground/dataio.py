@@ -18,7 +18,7 @@ A dataset is a directory holding:
   states. Trees written by older versions also hold a ``hidden/*.json``
   metadata sidecar per fixture; it is never read. Where an older version
   regenerated the fixtures at another length, the rows still hold the old
-  ``cont_index``; running ``gen-fixtures`` again rewrites them.
+  ``cont_index``; running ``gen-data`` again rewrites them.
 
 A checkpoint is a directory holding ``manifest.json`` and three groups of
 tensor files, ``params/``, ``exp_avg/`` and ``exp_avg_sq/`` (the AdamW
@@ -423,28 +423,6 @@ def gen_synthetic_dataset(out_dir, n_classes: int, n_affordances: int,
     }))
     write_manifest(out / "manifest.jsonl", records)
     return out / "manifest.jsonl"
-
-
-def regen_fixtures(manifest_path, seed: int, d_h: int, seq_len: int):
-    """Rewrite every hidden-state fixture referenced by a manifest.
-
-    Each row's ``cont_index`` is updated to its new fixture's contact
-    token, and the manifest and vocabulary are rewritten.
-    """
-    ds = read_dataset(manifest_path)
-    class_index = {name: i for i, name in enumerate(ds.vocab["classes"])}
-    for index, record in enumerate(ds.records):
-        fixture = synth_fixture(
-            class_index[record.class_name], record.affordance_id,
-            seed=derive_seed(seed, "fixture", index), L=seq_len, d_h=d_h)
-        write_tensor(ds.root / record.hidden, fixture.states)
-        record.cont_index = fixture.cont_index
-    write_manifest(manifest_path, ds.records)
-    vocab = dict(ds.vocab)
-    vocab["d_h"] = d_h
-    vocab["seq_len"] = seq_len
-    (ds.root / "vocab.json").write_text(_canon_json(vocab))
-    return len(ds.records)
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -60,10 +60,6 @@ class AdamW:
         self.exp_avg = {}
         self.exp_avg_sq = {}
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
     def _moments(self, name):
         """``name``'s moment pair, created as zeros at its first use."""
         if name not in self.exp_avg:

@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict, drop_retired
+from .config import RunConfig, config_from_dict
 from .dataio import (
     Dataset,
     all_finite,
@@ -400,7 +400,7 @@ def _resumed(config: RunConfig, dataset: Dataset, ckpt_dir) -> tuple:
     into (see :func:`_adopted`). The checkpoint object is not kept, so a
     parameter array is freed once AdamW replaces it."""
     ckpt = load_checkpoint(ckpt_dir)
-    if drop_retired(ckpt.config) != config.to_dict():
+    if ckpt.config != config.to_dict():
         raise ConfigError("resume checkpoint was written with a different config")
     _check_vocab(dataset, ckpt.vocab)
     model = _adopted(config, ckpt)

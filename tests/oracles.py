@@ -13,8 +13,12 @@ the ``affground`` code as it was when the model last called it, except
 that ``div`` and ``neg`` are called by name where the Tensor operators
 ``/`` and unary ``-`` were. ``sub``, ``power`` and ``reshape`` were
 left only to gradcheck's check scalars, and are called by name where
-``-``, ``**`` and ``Tensor.reshape`` were.
+``-``, ``**`` and ``Tensor.reshape`` were. :func:`tree_digest` was
+``affground.corruption``'s, which only tests called.
 """
+
+import hashlib
+from pathlib import Path
 
 import numpy as np
 
@@ -260,3 +264,13 @@ def cross_entropy_chain(logits, target):
     shift = float(logits.data.max())
     lse = log(T.tsum(exp(sub(logits, shift)))) + shift
     return sub(lse, T.tsum(slice_cols(logits, target, target + 1)))
+
+
+def tree_digest(root) -> str:
+    """SHA-256 over all file names and bytes under a directory."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(root).rglob("*")):
+        if path.is_file():
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()

@@ -1,4 +1,4 @@
-"""Run configuration: key and type checks, retired keys, and every switch."""
+"""Run configuration: key and type checks, and every switch."""
 
 import json
 import math
@@ -7,7 +7,6 @@ import pytest
 
 from affground.cli import main
 from affground.config import (
-    RETIRED_KEYS,
     FusionConfig,
     LiftingConfig,
     ModelConfig,
@@ -22,18 +21,6 @@ from affground.errors import ConfigError
 from affground.train import load_model, train
 
 from conftest import TOY
-
-
-def with_retired(payload: dict, **retired) -> dict:
-    """A config dict as older versions saved it: with every retired key."""
-    for dotted, value in {**RETIRED_KEYS, **retired}.items():
-        section, key = dotted.split(".")
-        payload[section][key] = value
-    return payload
-
-
-def saved_config(**retired) -> dict:
-    return with_retired(RunConfig().to_dict(), **retired)
 
 
 def run_cli(args, capsys) -> tuple:
@@ -60,37 +47,23 @@ def test_settable_field_count():
     ({"model": {"depth": 3}}, "depth"),
     ({"fusion": {"n_head": 1}}, "n_head"),
     ({"epochs": 3}, "epochs"),
+    ({"fusion": {"n_heads": 1}}, "n_heads"),
+    ({"optimizer": {"schedule": "linear"}}, "schedule"),
 ])
 def test_unknown_keys_are_rejected(payload, name):
     with pytest.raises(ConfigError, match=name):
         config_from_dict(payload)
 
 
+def test_config_from_dict_leaves_the_callers_dict():
+    payload = RunConfig().to_dict()
+    config_from_dict(payload)
+    assert payload == RunConfig().to_dict()
+
+
 def test_unknown_override_is_rejected():
     with pytest.raises(ConfigError, match="fusion.heads"):
         apply_overrides(RunConfig(), ["fusion.heads=2"])
-
-
-def test_retired_keys_at_their_kept_value_are_dropped():
-    payload = saved_config()
-    config = config_from_dict(payload)
-    assert config.to_dict() == RunConfig().to_dict()
-    # the caller's dict is left as it was
-    assert payload["fusion"]["n_heads"] == 1
-
-
-@pytest.mark.parametrize("dotted, value", [
-    ("model.include_bottleneck_scale", False),
-    ("fusion.n_heads", 2),
-    ("fusion.n_heads", True),
-    ("fusion.residual", True),
-    ("lifting.share_weights", True),
-    ("lifting.coarse_to_fine", False),
-    ("optimizer.schedule", "constant"),
-])
-def test_retired_keys_at_any_other_value_are_rejected(dotted, value):
-    with pytest.raises(ConfigError, match=dotted):
-        config_from_dict(saved_config(**{dotted: value}))
 
 
 # -- types and ranges ------------------------------------------------------
@@ -153,19 +126,19 @@ def test_bad_json_in_load_config(tmp_path, capsys, text):
     assert code == 1 and "Traceback" not in err
 
 
+def test_config_file_with_an_unknown_key_exits_1(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"fusion": {"n_heads": 1}}))
+    code, err = run_cli(["train", "--config", str(path), "--data", "none.jsonl",
+                         "--out", str(tmp_path / "run")], capsys)
+    assert code == 1 and "n_heads" in err and "Traceback" not in err
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     code, err = run_cli(["train", "--config", str(tmp_path / "absent.json"),
                          "--data", "none.jsonl", "--out", str(tmp_path / "run")],
                         capsys)
     assert code == 1 and "cannot read config" in err
-
-
-def test_saved_config_with_a_retired_key_exits_1(tmp_path, capsys):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(saved_config(**{"fusion.n_heads": 2})))
-    code, err = run_cli(["train", "--config", str(path), "--data", "none.jsonl",
-                         "--out", str(tmp_path / "run")], capsys)
-    assert code == 1 and "fusion.n_heads" in err
 
 
 # -- every remaining switch, one training step each ------------------------
@@ -191,23 +164,14 @@ def test_one_training_step_per_switch_setting(tmp_path, fusion, lifting):
         assert p.data.tobytes() == ckpt.params[name].tobytes(), name
 
 
-# -- checkpoints written before the keys were retired ----------------------
-
-
-def age_checkpoint(ckpt_dir, **retired):
-    """Rewrite a checkpoint manifest as an older version wrote it."""
-    path = ckpt_dir / "manifest.json"
-    manifest = json.loads(path.read_text())
-    with_retired(manifest["config"], **retired)
-    manifest["rng"] = {"seed": 0, "step": manifest["step"]}
-    path.write_text(json.dumps(manifest))
+# -- the config a checkpoint saves ---------------------------------------
 
 
 class Interrupt(Exception):
     pass
 
 
-def test_older_checkpoint_evaluates_and_resumes(tmp_path, capsys):
+def test_cut_off_checkpoint_evaluates_and_resumes(tmp_path, capsys):
     manifest = toy_manifest(tmp_path / "data")
     config = RunConfig(model=ModelConfig(**TOY),
                        optimizer=OptimConfig(epochs=2, batch_size=2),
@@ -222,7 +186,6 @@ def test_older_checkpoint_evaluates_and_resumes(tmp_path, capsys):
         train(config, manifest, tmp_path / "cut", log_fn=crash_at_step_1)
     ckpt_dir = tmp_path / "cut" / "checkpoint"
     assert load_checkpoint(ckpt_dir).step == 1
-    age_checkpoint(ckpt_dir)
 
     code, err = run_cli(["eval", "--checkpoint", str(ckpt_dir), "--data",
                          str(manifest)], capsys)
@@ -233,15 +196,3 @@ def test_older_checkpoint_evaluates_and_resumes(tmp_path, capsys):
     got = load_checkpoint(resumed.checkpoint_dir)
     for name, arr in want.params.items():
         assert got.params[name].tobytes() == arr.tobytes(), name
-
-
-@pytest.mark.parametrize("dotted, value", [("fusion.n_heads", 2),
-                                           ("optimizer.schedule", "constant")])
-def test_older_checkpoint_with_another_value_exits_1(tmp_path, capsys, dotted, value):
-    run = train(RunConfig(model=ModelConfig(**TOY),
-                          optimizer=OptimConfig(epochs=1, batch_size=2)),
-                toy_manifest(tmp_path / "data"), tmp_path / "run")
-    age_checkpoint(run.checkpoint_dir, **{dotted: value})
-    code, err = run_cli(["eval", "--checkpoint", str(run.checkpoint_dir), "--data",
-                         str(tmp_path / "data" / "manifest.jsonl")], capsys)
-    assert code == 1 and dotted in err and "Traceback" not in err

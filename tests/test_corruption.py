@@ -13,10 +13,11 @@ from affground.corruption import (
     CorruptionSpec,
     apply_corruption,
     generate_benchmark,
-    tree_digest,
 )
 from affground.dataio import Dataset, gen_synthetic_dataset, read_dataset
 from affground.errors import ContractError
+
+from oracles import tree_digest
 
 
 def make_cloud(n=256, seed=0, with_labels=True):

@@ -17,7 +17,6 @@ from affground.dataio import (
     load_checkpoint,
     read_dataset,
     read_tensor,
-    regen_fixtures,
     restore_arrays,
     save_checkpoint,
     synth_cloud,
@@ -213,27 +212,23 @@ class TestSyntheticData:
                            match=f"^manifest {re.escape(str(path))} {what}$"):
             read_dataset(path)
 
-    def test_regen_fixtures_changes_width(self, tmp_path):
-        manifest = gen_synthetic_dataset(tmp_path / "ds", 1, 2, 1, 64, seed=9,
-                                         d_h=32, seq_len=4)
-        n = regen_fixtures(manifest, seed=10, d_h=48, seq_len=6)
-        assert n == 2
-        ds = read_dataset(manifest)
-        hidden = ds.load_hidden(ds.records[0])
-        assert hidden.hidden_dim == 48 and hidden.seq_len == 6
-
-    @pytest.mark.parametrize("seq_len", [3, 12])
-    def test_regen_fixtures_moves_every_rows_cont_index(self, tmp_path, seq_len):
-        manifest = gen_synthetic_dataset(tmp_path / "ds", 2, 2, 2, 64, seed=9,
-                                         d_h=32, seq_len=8)
-        regen_fixtures(manifest, seed=10, d_h=32, seq_len=seq_len)
-        ds = read_dataset(manifest)
-        assert [r.cont_index for r in ds.records] == [seq_len - 1] * 8
-        for record in ds.records:
-            hidden = ds.load_hidden(record)
-            assert hidden.seq_len == seq_len
-            assert hidden.cont_index == seq_len - 1
-            assert hidden.affordance_id == record.affordance_id
+    def test_fixture_sizes_leave_clouds_and_labels_unchanged(self, tmp_path):
+        # so gen-data, rerun at another (d_h, L), is how fixtures are remade
+        trees = {}
+        for d_h, seq_len in ((32, 4), (48, 12)):
+            manifest = gen_synthetic_dataset(tmp_path / f"{d_h}-{seq_len}", 2, 2,
+                                             2, 64, seed=9, d_h=d_h,
+                                             seq_len=seq_len)
+            ds = read_dataset(manifest)
+            assert [r.cont_index for r in ds.records] == [seq_len - 1] * 8
+            hidden = ds.load_hidden(ds.records[0])
+            assert hidden.hidden_dim == d_h and hidden.seq_len == seq_len
+            trees[d_h, seq_len] = {
+                path.relative_to(ds.root): path.read_bytes()
+                for kind in ("clouds", "labels")
+                for path in sorted((ds.root / kind).iterdir())}
+        first, second = trees.values()
+        assert len(first) == 16 and first == second
 
     def test_fixture_metadata_comes_from_the_row(self, tmp_path):
         manifest = gen_synthetic_dataset(tmp_path / "ds", 1, 2, 1, 64, seed=9,
@@ -462,9 +457,8 @@ def test_name_outside_vocabulary_raises_package_error(tmp_path, capsys, key,
                                               rf"'{value}' is not in the vocab"):
         read()
     capsys.readouterr()
-    assert main(["gen-fixtures", "--manifest",
-                 str(tmp_path / "ds" / "manifest.jsonl"), "--d-h", "16",
-                 "--seq-len", "4"]) == 1
+    assert main(["corrupt", "--in", str(tmp_path / "ds" / "manifest.jsonl"),
+                 "--out", str(tmp_path / "tree"), "--seed", "1"]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 

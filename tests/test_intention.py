@@ -145,13 +145,14 @@ class TestAuxHead:
         aux = {k: v for k, v in params.items() if ".aux" in k}
         opt = AdamW(aux, lr=1e-2, weight_decay=0.0)
         for _ in range(200):
-            opt.zero_grad()
             loss = None
             for h in fixtures[:16]:
                 term = cross_entropy(head.aux_affordance_logits(h), h.affordance_id)
                 loss = term if loss is None else loss + term
             backward(loss)
             opt.step()
+            # the step consumed the gradients: the next backward starts clean
+            assert all(p.grad is None for p in aux.values())
         correct = sum(
             int(np.argmax(head.aux_affordance_logits(h).data)) == h.affordance_id
             for h in fixtures)

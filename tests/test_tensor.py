@@ -1,5 +1,4 @@
-"""Tensor engine: primitives, tape, backward, the chunked AdamW update,
-schedules."""
+"""Tensor engine: primitives, tape and backward."""
 
 import ast
 import operator
@@ -21,8 +20,8 @@ from affground.dataio import gen_synthetic_dataset, read_dataset
 from affground.errors import ContractError, NumericError, ShapeError
 from affground.gradcheck import finite_difference_check, finite_difference_check_params
 from affground.model import AffordanceModel
-from affground.optim import adamw_step, linear_lr
 
+from conftest import signed_zeros_and_negatives
 from oracles import (
     clip,
     concat,
@@ -877,15 +876,6 @@ def former_matmul(a, b):
     return T._node(a.data @ b.data, (a, b), backward, "matmul")
 
 
-def signed_zeros_and_negatives(rng, shape, dtype):
-    """Normal draws with about a third each of -0.0, +0.0 and negatives kept."""
-    x = rng.normal(size=shape).astype(dtype)
-    draw = rng.random(shape)
-    x[draw < 0.2] = -0.0
-    x[(draw >= 0.2) & (draw < 0.35)] = 0.0
-    return x
-
-
 class TestFormerRules:
     """The oracles' relu and max_reduce, segment_max and matmul's backward
     equal their former numpy forms byte for byte; the former forms stay
@@ -1382,72 +1372,6 @@ class TestFiniteDifferenceHarness:
 
         err = finite_difference_check(lambda t: bad_square(t).sum(), x, h=1e-5)
         assert err >= 0.05
-
-
-def whole_array_adamw(param, grad, m, v, step, lr, betas=(0.9, 0.999),
-                      eps=1e-8, weight_decay=0.0):
-    """The former adamw_step: one whole-array expression per line."""
-    b1, b2 = betas
-    m *= b1
-    m += (1.0 - b1) * grad
-    v *= b2
-    v += (1.0 - b2) * (grad * grad)
-    update = (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
-    new = param.data * (1.0 - lr * weight_decay)
-    new -= (lr * update).astype(param.data.dtype, copy=False)
-    param.data = new
-
-
-class TestChunkedAdamW:
-    CHUNK = adamw_step.__globals__["_CHUNK"]
-    SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
-
-    @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_equals_the_whole_array_form(self, size, dtype):
-        rng = np.random.default_rng(size)
-        data = rng.normal(size=(size,)).astype(dtype)
-        want, got = T.tensor(data.copy()), T.tensor(data.copy())
-        moments = [np.zeros(size, dtype) for _ in range(4)]
-        for step in range(1, 4):
-            grad = signed_zeros_and_negatives(rng, (size,), dtype)
-            grad[rng.random(size) < 0.1] *= 1e-30   # v/bias near underflow
-            lr = 0.01 / step
-            whole_array_adamw(want, grad, *moments[:2], step, lr,
-                              weight_decay=0.05)
-            adamw_step(got, grad, *moments[2:], step, lr, weight_decay=0.05)
-            assert got.data.dtype == dtype
-            assert got.data.tobytes() == want.data.tobytes()
-            for a, b in zip(moments[:2], moments[2:]):
-                assert a.tobytes() == b.tobytes()
-
-    @pytest.mark.parametrize("at", [0, -1], ids=["first_chunk", "last_chunk"])
-    def test_non_finite_update_raises_and_keeps_the_parameter(self, at):
-        size = 3 * self.CHUNK + 7
-        p = T.tensor(np.ones(size, np.float32), requires_grad=True)
-        before = p.data
-        grad = np.ones(size, np.float32)
-        grad[at] = np.nan
-        m, v = np.zeros(size, np.float32), np.zeros(size, np.float32)
-        with pytest.raises(NumericError, match="non-finite AdamW update in w"):
-            adamw_step(p, grad, m, v, step=1, lr=0.1, name="w")
-        assert p.data is before and (before == 1).all()
-        # every chunk's moments were updated, as the whole-array form does
-        assert (m[:-1] != 0).all() and (v[1:] != 0).all()
-
-
-class TestLinearSchedule:
-    def test_endpoints(self):
-        assert linear_lr(1e-3, 0, 100) == pytest.approx(1e-3)
-        assert linear_lr(1e-3, 100, 100) == 0.0
-        assert linear_lr(1e-3, 50, 100) == pytest.approx(5e-4)
-
-    def test_never_negative(self):
-        assert linear_lr(1e-3, 250, 100) == 0.0
-
-    def test_monotone_decay(self):
-        values = [linear_lr(1.0, s, 10) for s in range(11)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 class TestDeterminism:
