@@ -22,11 +22,12 @@ A dataset is a directory holding:
 
 A checkpoint is a directory holding ``manifest.json`` and three groups of
 tensor files, ``params/``, ``exp_avg/`` and ``exp_avg_sq/`` (the AdamW
-moments), one file per parameter name. The manifest carries the config,
-step counter and vocabulary, maps each parameter name to its file under
-``params``, and under ``optimizer`` holds the optimizer step and the
-file maps of both moments. Every group is written, read and restored by
-one code path each.
+moments), one file per parameter name. The manifest has one schema, all
+keys required: ``config``, ``step`` (the only counter), ``vocab``
+(checked as ``vocab.json`` is), ``params`` (each parameter name's file)
+and ``optimizer`` (the file maps of both moments). An ``optimizer.step``
+key, which older versions also wrote, is ignored. Every group is
+written, read and restored by one code path each.
 
 Everything written here is byte-reproducible: fixed key order in JSON,
 explicit little-endian scalars, and counter-based generators.
@@ -115,6 +116,22 @@ def _canon_json(payload) -> str:
 # -- dataset manifests -----------------------------------------------------
 
 
+def check_vocab(vocab, path, error):
+    """Raise ``error`` unless ``vocab``, read from ``path`` (a dataset's
+    ``vocab.json`` or a checkpoint's manifest), is an object whose
+    ``classes`` and ``affordances`` are lists of names."""
+    if not isinstance(vocab, dict):
+        raise error(f"{path}: vocabulary is not an object: {vocab!r}")
+    missing = [key for key in ("classes", "affordances") if key not in vocab]
+    if missing:
+        raise error(f"{path}: vocabulary lacks {' and '.join(missing)}")
+    for key in ("classes", "affordances"):
+        names = vocab[key]
+        if not isinstance(names, list) or \
+                not all(isinstance(name, str) for name in names):
+            raise error(f"{path}: {key} is not a list of strings: {names!r}")
+
+
 @dataclass
 class SampleRecord:
     id: str
@@ -171,15 +188,7 @@ def read_dataset(manifest_path) -> Dataset:
         vocab = json.loads(vocab_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{vocab_path}: bad vocabulary: {exc}") from exc
-    if not isinstance(vocab, dict) or "affordances" not in vocab \
-            or "classes" not in vocab:
-        raise DataFormatError(f"{vocab_path}: missing vocabulary fields")
-    for key in ("classes", "affordances"):
-        names = vocab[key]
-        if not isinstance(names, list) or \
-                not all(isinstance(name, str) for name in names):
-            raise DataFormatError(
-                f"{vocab_path}: {key} is not a list of strings: {names!r}")
+    check_vocab(vocab, vocab_path, DataFormatError)
     records, lines_by_id = [], {}
     for lineno, line in enumerate(manifest_path.read_text().splitlines(), 1):
         if not line.strip():
@@ -458,21 +467,19 @@ def _write_group(ckpt: Path, group: str, arrays: dict) -> dict:
 
 
 def save_checkpoint(ckpt_dir, params: dict, config: dict, step: int,
-                    optimizer_state=None, vocab=None):
-    """Parameters (and optimizer moments) as tensor files plus a manifest."""
+                    moments: dict, vocab: dict):
+    """Parameters and both AdamW moments (``moments[m]`` maps each name to
+    its array) as tensor files, plus the manifest."""
     ckpt = Path(ckpt_dir)
     manifest = {
         "config": config,
         "step": int(step),
         "params": _write_group(ckpt, "params",
                                {name: p.data for name, p in params.items()}),
-        "vocab": vocab or {},
+        "optimizer": {moment: _write_group(ckpt, moment, moments[moment])
+                      for moment in MOMENTS},
+        "vocab": vocab,
     }
-    if optimizer_state is not None:
-        manifest["optimizer"] = {"step": int(optimizer_state["step"])}
-        for moment in MOMENTS:
-            manifest["optimizer"][moment] = _write_group(
-                ckpt, moment, optimizer_state[moment])
     (ckpt / "manifest.json").write_text(_canon_json(manifest))
 
 
@@ -480,8 +487,8 @@ def save_checkpoint(ckpt_dir, params: dict, config: dict, step: int,
 class Checkpoint:
     config: dict
     step: int
-    params: dict            # name -> np.ndarray
-    optimizer: dict | None  # {"step", "exp_avg": {...}, "exp_avg_sq": {...}}
+    params: dict    # name -> np.ndarray
+    moments: dict   # "exp_avg" and "exp_avg_sq", each name -> np.ndarray
     vocab: dict
 
 
@@ -507,9 +514,9 @@ def _read_group(ckpt: Path, group: str, files, read: bool = True) -> dict:
 
 
 def load_checkpoint(ckpt_dir, moments: bool = True) -> Checkpoint:
-    """A checkpoint's manifest and parameters, and its optimizer moments
-    unless ``moments`` is false: then each moment file is checked as named
-    and present, and ``optimizer`` holds empty moment groups."""
+    """A checkpoint's manifest, parameters and optimizer moments; with
+    ``moments`` false, each moment file is only checked as named and
+    present, and both moment groups are empty."""
     ckpt = Path(ckpt_dir)
     manifest_path = ckpt / "manifest.json"
     if not manifest_path.exists():
@@ -518,30 +525,17 @@ def load_checkpoint(ckpt_dir, moments: bool = True) -> Checkpoint:
         manifest = json.loads(manifest_path.read_text())
         config, step = manifest["config"], int(manifest["step"])
         params = _read_group(ckpt, "params", manifest["params"])
-        opt = manifest.get("optimizer")
-        optimizer = None
-        if opt is not None:
-            optimizer = {"step": int(opt["step"])}
-            for moment in MOMENTS:
-                optimizer[moment] = _read_group(ckpt, moment, opt[moment],
-                                                moments)
-        vocab = manifest.get("vocab", {})
-        if not isinstance(vocab, dict):
-            raise CheckpointError(
-                f"{manifest_path}: vocab is not an object: {vocab!r}")
-        # a non-empty vocab is checked against the evaluated dataset's
-        affordances = vocab.get("affordances")
-        if vocab and not (isinstance(affordances, list)
-                          and all(isinstance(a, str) for a in affordances)):
-            raise CheckpointError(
-                f"{manifest_path}: vocab affordances is not a list of "
-                f"strings: {affordances!r}")
+        saved = {moment: _read_group(ckpt, moment,
+                                     manifest["optimizer"][moment], moments)
+                 for moment in MOMENTS}
+        vocab = manifest["vocab"]
+        check_vocab(vocab, manifest_path, CheckpointError)
     except AffgroundError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
-    return Checkpoint(config=config, step=step, params=params,
-                      optimizer=optimizer, vocab=vocab)
+    return Checkpoint(config=config, step=step, params=params, moments=saved,
+                      vocab=vocab)
 
 
 def restore_arrays(live: dict, saved: dict, group: str) -> dict:

@@ -232,7 +232,7 @@ def _model_checks(tol) -> list:
         return (diff * diff).mean()
 
     def model_loss():
-        return model.loss(model.forward(cloud, hidden, plan), cloud, hidden)[0]
+        return model.loss(model.forward(hidden, plan), cloud, hidden)[0]
 
     checks = [
         check("stage1_attention", "fusion.attn.", lambda: _square_sum(

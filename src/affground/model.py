@@ -146,15 +146,12 @@ class AffordanceModel:
             logits=self.decoder.predict_map(fused, row),
             aux_logits=self.intention.aux_affordance_logits(hidden))
 
-    def forward(self, cloud: PointCloud, hidden: HiddenStates,
-                plan: BackbonePlan | None = None,
+    def forward(self, hidden: HiddenStates, plan: BackbonePlan,
                 integrated: tuple | None = None) -> ForwardResult:
         """:meth:`score` of :meth:`integrate`'s result. ``integrated`` is
         that result where it was made already for this sample, and then
         ``plan`` is not read."""
         if integrated is None:
-            if plan is None:
-                plan = self.build_plan(cloud)
             integrated = self.integrate(hidden, plan)
         return self.score(hidden, *integrated)
 
@@ -166,13 +163,12 @@ class AffordanceModel:
         l_aff = map_loss(result.logits, cloud.labels, w)
         return total_loss(l_txt, l_aff, w), l_txt, l_aff
 
-    def predict(self, cloud: PointCloud, hidden: HiddenStates,
-                plan: BackbonePlan | None = None) -> np.ndarray:
+    def predict(self, hidden: HiddenStates, plan: BackbonePlan) -> np.ndarray:
         """Per-point scores, the sigmoid of the logits, as a flat array (no
         graph recorded). They lie in [0, 1]: in float32 a logit above about
         16.6 gives exactly 1.0, and one below about -104 exactly 0.0."""
         from .tensor import no_grad
 
         with no_grad():
-            result = self.forward(cloud, hidden, plan)
+            result = self.forward(hidden, plan)
         return sigmoid(result.logits.data).reshape(-1)

@@ -112,19 +112,16 @@ class AdamW:
     # -- persistence -----------------------------------------------------
 
     def state_arrays(self):
-        """Moment buffers and step count, for checkpointing; a pair not yet
-        created is created as zeros, as the update would."""
+        """Both moments, ``{"exp_avg": ..., "exp_avg_sq": ...}``, for a
+        checkpoint, which stores the step count once, as its step; a pair
+        not yet created is created as zeros, as the update would."""
         for name in self.params:
             self._moments(name)
-        return {
-            "step": self.step_count,
-            "exp_avg": self.exp_avg,
-            "exp_avg_sq": self.exp_avg_sq,
-        }
+        return {"exp_avg": self.exp_avg, "exp_avg_sq": self.exp_avg_sq}
 
-    def restore(self, saved: dict):
-        """Take the moments and step count laid out as :meth:`state_arrays`
-        saves them.
+    def restore(self, moments: dict, step: int):
+        """Take both moments, laid out as :meth:`state_arrays` gives them,
+        and the step count ``step``: a checkpoint's step.
 
         Each moment must match the parameters' names and shapes; see
         :func:`~affground.dataio.restore_arrays`. They are checked against
@@ -136,10 +133,10 @@ class AdamW:
         """
         live = {name: np.broadcast_to(np.zeros((), p.dtype), p.shape)
                 for name, p in self.params.items()}
-        taken = [restore_arrays(live, saved[moment], moment)
+        taken = [restore_arrays(live, moments[moment], moment)
                  for moment in MOMENTS]
         self.exp_avg, self.exp_avg_sq = taken
-        self.step_count = saved["step"]
+        self.step_count = step
 
 
 # elements per pass of adamw_step: its two scratch buffers stay in cache

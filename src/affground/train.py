@@ -5,8 +5,9 @@ epoch comes from a counter-based stream, gradients accumulate over each
 batch on per-sample graphs, and AdamW steps under a linear learning-rate
 decay. The step consumes the batch's gradients and creates each
 parameter's moments at its first update (see :mod:`~affground.optim`).
-Checkpoints carry parameters, optimizer moments, counters, and the
-config, so a resumed run reproduces the uninterrupted one bitwise.
+Checkpoints carry the parameters, both optimizer moments, the step, the
+config and the vocabulary, so a resumed run reproduces the uninterrupted
+one bitwise.
 
 At model sizes whose numpy operations are long enough (see
 :func:`_pipelines`), and with at least two items, both loops use a
@@ -265,9 +266,11 @@ def _check_dataset_compat(config: RunConfig, dataset: Dataset):
 
 
 def _check_vocab(dataset: Dataset, vocab):
-    """Refuse a dataset whose affordance names differ from a checkpoint's
-    (an empty or missing checkpoint vocabulary is not checked)."""
-    if vocab and dataset.vocab["affordances"] != vocab["affordances"]:
+    """Refuse a dataset whose affordance names differ from ``vocab``, a
+    checkpoint's. None, which :func:`evaluate` takes for an in-memory
+    model, is not checked."""
+    if vocab is not None and \
+            dataset.vocab["affordances"] != vocab["affordances"]:
         raise ConfigError(
             f"checkpoint affordance vocabulary {vocab['affordances']} "
             f"does not match dataset {dataset.vocab['affordances']}")
@@ -318,8 +321,7 @@ def train(config: RunConfig, manifest_path, out_dir, resume=None,
         return [samples[i] for i in order[slot * batch:(slot + 1) * batch]]
 
     def forward_loss(sample, integrated=None):
-        result = model.forward(sample.cloud, sample.hidden, sample.plan,
-                               integrated)
+        result = model.forward(sample.hidden, sample.plan, integrated)
         return model.loss(result, sample.cloud, sample.hidden)
 
     def walk(losses):   # adds to the current step's sums
@@ -405,8 +407,7 @@ def _resumed(config: RunConfig, dataset: Dataset, ckpt_dir) -> tuple:
     _check_vocab(dataset, ckpt.vocab)
     model = _adopted(config, ckpt)
     optimizer = _adamw(model, config.optimizer)
-    if ckpt.optimizer is not None:
-        optimizer.restore(ckpt.optimizer)
+    optimizer.restore(ckpt.moments, ckpt.step)
     return model, optimizer, ckpt.step
 
 
@@ -421,9 +422,8 @@ def _abort_diverged(log_file, step, sums, reason, cause):
 
 
 def _write_checkpoint(ckpt_dir, model, optimizer, config, step, dataset):
-    save_checkpoint(
-        ckpt_dir, model.params, config.to_dict(), step,
-        optimizer_state=optimizer.state_arrays(), vocab=dataset.vocab)
+    save_checkpoint(ckpt_dir, model.params, config.to_dict(), step,
+                    optimizer.state_arrays(), dataset.vocab)
 
 
 class _NoDraws:
@@ -523,7 +523,7 @@ def evaluate(model: AffordanceModel, manifest_path,
     def grouped_scores(sample, box):
         # the sampled distances go as soon as they are grouped
         plan = backbone.group(box.pop())
-        return model.predict(sample.cloud, sample.hidden, plan)
+        return model.predict(sample.hidden, plan)
 
     def score_alone(sample):
         score(sample, grouped_scores(sample, sampling(sample)))

@@ -650,7 +650,8 @@ class TestInterpolateMatchesChain:
             model = AffordanceModel(RunConfig(model=ModelConfig(**toy)))
             losses = []
             for cloud, hidden in samples:
-                total, _, _ = model.loss(model.forward(cloud, hidden), cloud, hidden)
+                result = model.forward(hidden, model.build_plan(cloud))
+                total, _, _ = model.loss(result, cloud, hidden)
                 T.backward(total)
                 losses.append(total.data.tobytes())
             return losses, {k: p.grad for k, p in model.params.items()}

@@ -67,6 +67,18 @@ def test_eval_on_checkpoint_vocab_without_affordances_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_on_checkpoint_with_empty_vocab_exits_2(tmp_path, capsys):
+    manifest, ckpt = _toy_checkpoint(tmp_path)
+    saved = json.loads((ckpt / "manifest.json").read_text())
+    saved["vocab"] = {}
+    (ckpt / "manifest.json").write_text(json.dumps(saved))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", manifest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "Traceback" not in err
+    assert "lacks classes and affordances" in err
+
+
 def test_gen_data_train_eval_corrupt_smoke(tmp_path, capsys):
     data, run, report, tree = (tmp_path / name for name in
                                ("data", "run", "report", "tree"))

@@ -11,7 +11,7 @@ import pytest
 from affground import tensor as T
 from affground.cli import main
 from affground.dataio import (
-    CLASS_NAMES,
+    MOMENTS,
     Checkpoint,
     gen_synthetic_dataset,
     load_checkpoint,
@@ -254,6 +254,17 @@ class TestSyntheticData:
                 assert not np.array_equal(clouds[i].coords, clouds[j].coords)
 
 
+VOCAB = {"classes": ["mug"], "affordances": ["grasp"]}
+
+
+def save_plain(ckpt_dir, params, config, step):
+    """``save_checkpoint`` with both AdamW moments zero and ``VOCAB``."""
+    moments = {moment: {name: np.zeros_like(p.data)
+                        for name, p in params.items()}
+               for moment in MOMENTS}
+    save_checkpoint(ckpt_dir, params, config, step, moments, VOCAB)
+
+
 class TestCheckpoints:
     def _params(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -267,30 +278,33 @@ class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
         params = self._params()
         config = {"model": {"d": 8}, "seed": 3}
-        opt_state = {
-            "step": 17,
+        moments = {
             "exp_avg": {k: np.full_like(v.data, 0.25) for k, v in params.items()},
             "exp_avg_sq": {k: np.full_like(v.data, 0.5) for k, v in params.items()},
         }
-        save_checkpoint(tmp_path / "ckpt", params, config, step=17,
-                        optimizer_state=opt_state, vocab={"affordances": ["grasp"]})
+        save_checkpoint(tmp_path / "ckpt", params, config, 17, moments, VOCAB)
         ckpt = load_checkpoint(tmp_path / "ckpt")
         assert isinstance(ckpt, Checkpoint)
         assert ckpt.step == 17 and ckpt.config == config
+        assert ckpt.vocab == VOCAB
         for name, p in params.items():
             assert ckpt.params[name].tobytes() == p.data.tobytes()
-            assert ckpt.optimizer["exp_avg"][name].tobytes() == \
-                opt_state["exp_avg"][name].tobytes()
+            for moment in MOMENTS:
+                assert ckpt.moments[moment][name].tobytes() == \
+                    moments[moment][name].tobytes()
+        # the step is stored once, as the manifest's step
+        saved = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        assert sorted(saved["optimizer"]) == sorted(MOMENTS)
 
     def test_missing_parameter_file_named(self, tmp_path):
         params = self._params(1)
-        save_checkpoint(tmp_path / "ckpt", params, {}, step=0)
+        save_plain(tmp_path / "ckpt", params, {}, 0)
         (tmp_path / "ckpt" / "params" / "b.w.htns").unlink()
         with pytest.raises(CheckpointError, match="b.w"):
             load_checkpoint(tmp_path / "ckpt")
 
     def test_shape_drift_rejected(self, tmp_path):
-        save_checkpoint(tmp_path / "ckpt", self._params(2), {}, step=0)
+        save_plain(tmp_path / "ckpt", self._params(2), {}, 0)
         ckpt = load_checkpoint(tmp_path / "ckpt")
         live = {"a.w": np.zeros((4, 3), dtype=np.float32),
                 "b.w": np.zeros((1, 4), dtype=np.float32)}
@@ -302,7 +316,7 @@ class TestCheckpoints:
             restore_arrays(live, ckpt.params, "params")
 
     def test_unexpected_entries_refused(self, tmp_path):
-        save_checkpoint(tmp_path / "ckpt", self._params(4), {}, step=0)
+        save_plain(tmp_path / "ckpt", self._params(4), {}, 0)
         ckpt = load_checkpoint(tmp_path / "ckpt")
         live = {"a.w": np.zeros((4, 3), dtype=np.float32)}
         with pytest.raises(CheckpointError, match=r"does not: \['b.w'\]"):
@@ -312,7 +326,7 @@ class TestCheckpoints:
     def test_restore_takes_the_saved_arrays(self, tmp_path):
         params = self._params(5)
         params["b.w"].data = params["b.w"].data.astype(np.float64)
-        save_checkpoint(tmp_path / "ckpt", params, {}, step=0)
+        save_plain(tmp_path / "ckpt", params, {}, 0)
         ckpt = load_checkpoint(tmp_path / "ckpt")
         live = {"a.w": np.zeros((4, 3), dtype=np.float32),
                 "b.w": np.zeros((1, 3), dtype=np.float32)}
@@ -328,34 +342,48 @@ class TestCheckpoints:
         params = self._params(3)
         params["a.w"].data[0, 0] = np.nan
         with pytest.raises(CheckpointError, match="non-finite"):
-            save_checkpoint(tmp_path / "ckpt", params, {}, step=0)
+            save_plain(tmp_path / "ckpt", params, {}, 0)
 
     def test_finite_parameter_whose_square_overflows_is_saved(self, tmp_path):
         params = self._params(6)
         params["a.w"].data[1, 2] = np.float32(3e19)
         with np.errstate(over="ignore"):
             assert not np.isfinite(params["a.w"].data[1, 2] ** 2)
-        save_checkpoint(tmp_path / "ckpt", params, {}, step=0)
+        save_plain(tmp_path / "ckpt", params, {}, 0)
         ckpt = load_checkpoint(tmp_path / "ckpt")
         for name, p in params.items():
             assert ckpt.params[name].tobytes() == p.data.tobytes()
         params["a.w"].data[1, 2] = np.inf
         with pytest.raises(CheckpointError,
                            match="refusing to save non-finite params entry a.w"):
-            save_checkpoint(tmp_path / "ckpt2", params, {}, step=0)
+            save_plain(tmp_path / "ckpt2", params, {}, 0)
 
     def test_config_round_trips_key_for_key(self, tmp_path):
         config = {"optimizer": {"lr": 1e-4, "betas": [0.9, 0.999]},
                   "fusion": {"stage1": True, "stage2": False}}
-        save_checkpoint(tmp_path / "ckpt", self._params(4), config, step=1)
+        save_plain(tmp_path / "ckpt", self._params(4), config, 1)
         assert load_checkpoint(tmp_path / "ckpt").config == config
 
 
 def _checkpoint_reader(tmp_path):
     params = {"a.w": T.tensor(np.ones((2, 3), dtype=np.float32))}
-    save_checkpoint(tmp_path / "ckpt", params, {"seed": 0}, step=3)
+    save_plain(tmp_path / "ckpt", params, {"seed": 0}, 3)
     return tmp_path / "ckpt" / "manifest.json", \
         lambda: load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("part", ["optimizer", "exp_avg_sq", "vocab"])
+def test_checkpoint_manifest_without_a_part_is_refused(tmp_path, part):
+    params = {"a.w": T.tensor(np.ones((2, 3), dtype=np.float32))}
+    save_plain(tmp_path / "ckpt", params, {"seed": 0}, 3)
+    path = tmp_path / "ckpt" / "manifest.json"
+    payload = json.loads(path.read_text())
+    del (payload["optimizer"] if part in MOMENTS else payload)[part]
+    path.write_text(json.dumps(payload))
+    # a resume reads the moments; an evaluation only checks them
+    for moments in (True, False):
+        with pytest.raises(CheckpointError, match=part):
+            load_checkpoint(tmp_path / "ckpt", moments)
 
 
 def _vocab_reader(tmp_path):
@@ -417,10 +445,7 @@ def _manifest_row(key, value):
 def _checkpoint_path(section):
     def damage(tmp_path):
         params = {"a.w": T.tensor(np.ones((2, 3), dtype=np.float32))}
-        save_checkpoint(tmp_path / "ckpt", params, {"seed": 0}, step=3,
-                        optimizer_state={"step": 3,
-                                         "exp_avg": {"a.w": np.zeros((2, 3))},
-                                         "exp_avg_sq": {"a.w": np.zeros((2, 3))}})
+        save_plain(tmp_path / "ckpt", params, {"seed": 0}, 3)
         path = tmp_path / "ckpt" / "manifest.json"
         payload = json.loads(path.read_text())
         files = payload["params"] if section == "params" \

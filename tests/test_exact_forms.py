@@ -455,7 +455,7 @@ def accumulated(config, dtype):
     model = AffordanceModel(config, dtype=dtype)
     outputs = {}
     for j, (cloud, hidden) in enumerate(toy_samples()):
-        result = model.forward(cloud, hidden)
+        result = model.forward(hidden, model.build_plan(cloud))
         total, _, _ = model.loss(result, cloud, hidden)
         T.backward(total)
         outputs[f"loss{j}"] = total.data.copy()
@@ -508,7 +508,7 @@ def test_forward_multiplies_fewer_rows(monkeypatch):
     def forward_macs():
         macs.append(0)
         with T.no_grad():
-            model.forward(cloud, hidden, plan)
+            model.forward(hidden, plan)
         return macs[-1]
 
     # every module that multiplies through tensor.matmul, as perfbench

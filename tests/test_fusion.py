@@ -216,7 +216,7 @@ class TestIntegrate:
     def test_disabled_stage_gets_zero_gradient(self):
         # a stage that is off builds no weights; the other one still trains
         model, cloud, hidden, plan = self._setup(2, stage1=False)
-        result = model.forward(cloud, hidden, plan)
+        result = model.forward(hidden, plan)
         T.backward(model.loss(result, cloud, hidden)[0])
         assert not any(".attn" in name for name in model.params)
         fuse = [p for name, p in model.params.items() if ".fuse" in name]

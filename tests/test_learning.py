@@ -46,7 +46,7 @@ def test_held_out_maps_follow_the_intention(tmp_path):
     assert overall["aiou"] > 0.5 and overall["auc"] > 0.9
 
     samples = load_samples(read_dataset(held_out), model)
-    swapped = [aiou(model.predict(s.cloud, samples[j].hidden, s.plan),
+    swapped = [aiou(model.predict(samples[j].hidden, s.plan),
                     s.cloud.labels)
                for s, j in zip(samples, other_affordance(read_dataset(held_out)))]
     assert len(swapped) == 8 and np.mean(swapped) < 0.1

@@ -36,7 +36,7 @@ def test_every_parameter_gets_a_nonzero_gradient(mode, stages):
     plan = model.build_plan(cloud)
     assert all(np.diff(sa.starts, append=len(sa.group_idx)).max() >= 2
                for sa in plan.sa)
-    result = model.forward(cloud, hidden, plan)
+    result = model.forward(hidden, plan)
     total, _, _ = model.loss(result, cloud, hidden)
     T.backward(total)
     dead = [name for name, p in model.params.items()
@@ -163,7 +163,8 @@ def test_graph_keeps_no_gathered_or_interpolated_term(monkeypatch):
 
     def run():
         model = AffordanceModel(config)
-        total, _, _ = model.loss(model.forward(cloud, hidden), cloud, hidden)
+        result = model.forward(hidden, model.build_plan(cloud))
+        total, _, _ = model.loss(result, cloud, hidden)
         terms = sum(node.data.nbytes for node in T.Tape.trace(total).nodes
                     if node._op in ("gather_rows", "interpolate"))
         kept = interior_bytes(total)
@@ -188,7 +189,8 @@ def test_graph_keeps_no_gathered_or_interpolated_product(monkeypatch):
 
     def run():
         model = AffordanceModel(config)
-        total, _, _ = model.loss(model.forward(cloud, hidden), cloud, hidden)
+        result = model.forward(hidden, model.build_plan(cloud))
+        total, _, _ = model.loss(result, cloud, hidden)
         products = [node._parents[0] for node in T.Tape.trace(total).nodes
                     if node._op in ("gather_rows", "interpolate")]
         held = owned_bytes(products), interior_bytes(total)
@@ -226,7 +228,8 @@ def test_graph_keeps_no_pooled_set_abstraction_buffer(monkeypatch):
 
         monkeypatch.setattr(backbone_module, "segment_max", pool)
         model = AffordanceModel(config)
-        total, _, _ = model.loss(model.forward(cloud, hidden), cloud, hidden)
+        result = model.forward(hidden, model.build_plan(cloud))
+        total, _, _ = model.loss(result, cloud, hidden)
         freed = [ref() is None for ref in buffers]
         held = owned_bytes(pooled), interior_bytes(total)
         T.backward(total)
@@ -250,7 +253,7 @@ def test_predict_scores_lie_in_the_closed_unit_interval(monkeypatch):
     hidden = synth_fixture(1, 0, seed=4, L=TOY["seq_len"], d_h=TOY["d_h"])
     logits = T.tensor(np.array([[17.0], [16.0], [0.0], [-17.0]], np.float32))
     monkeypatch.setattr(model.decoder, "predict_map", lambda feats, row: logits)
-    scores = model.predict(cloud, hidden)
+    scores = model.predict(hidden, model.build_plan(cloud))
     assert scores.dtype == np.float32 and scores.shape == (4,)
     assert scores[0] == 1.0 and 0.5 < scores[1] < 1.0 and scores[2] == 0.5
     assert 0.0 < scores[3] < 1e-7

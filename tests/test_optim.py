@@ -51,11 +51,10 @@ def float_params(seed=0):
             for name, (shape, dtype) in shapes.items()}
 
 
-def saved_state(params, step=2):
-    return {"step": step,
-            **{moment: {name: np.full(p.shape, 0.5, p.dtype)
-                        for name, p in params.items()}
-               for moment in ("exp_avg", "exp_avg_sq")}}
+def saved_moments(params):
+    return {moment: {name: np.full(p.shape, 0.5, p.dtype)
+                     for name, p in params.items()}
+            for moment in ("exp_avg", "exp_avg_sq")}
 
 
 class TestStateOnDemand:
@@ -109,7 +108,7 @@ class TestStateOnDemand:
         params = float_params()
         opt = AdamW(params)
         state = opt.state_arrays()
-        assert state["step"] == 0
+        assert list(state) == ["exp_avg", "exp_avg_sq"]   # no step count
         for moment in ("exp_avg", "exp_avg_sq"):
             assert list(state[moment]) == list(params)
             for name, p in params.items():
@@ -119,8 +118,8 @@ class TestStateOnDemand:
 
     def test_restore_allocates_no_moment(self, tracing):
         params = float_params()
-        saved = saved_state(params)
-        _, peak, _ = traced(lambda: AdamW(params).restore(saved))
+        saved = saved_moments(params)
+        _, peak, _ = traced(lambda: AdamW(params).restore(saved, 2))
         assert peak < params["b.w"].data.nbytes, peak   # a 24 KB moment
 
     @pytest.mark.parametrize("updated", [False, True],
@@ -135,10 +134,10 @@ class TestStateOnDemand:
         before = {moment: {name: arr.copy() for name, arr in
                            getattr(opt, moment).items()}
                   for moment in ("exp_avg", "exp_avg_sq")}
-        saved = saved_state(params, step=7)
+        saved = saved_moments(params)
         saved["exp_avg_sq"]["b.w"] = np.ones((48, 64))
         with pytest.raises(CheckpointError, match="exp_avg_sq entry b.w"):
-            opt.restore(saved)
+            opt.restore(saved, 7)
         assert opt.step_count == int(updated)
         for moment, arrays in before.items():
             live = getattr(opt, moment)
@@ -237,12 +236,11 @@ class TestAdamW:
         params = {"a": T.tensor(np.ones((2, 3), np.float32), requires_grad=True),
                   "b": T.tensor(np.ones(4, np.float32), requires_grad=True)}
         opt = AdamW(params, lr=0.1)
-        saved = {"step": 3,
-                 "exp_avg": {"a": np.full((2, 3), 0.5, np.float32),
+        saved = {"exp_avg": {"a": np.full((2, 3), 0.5, np.float32),
                              "b": np.full(4, 0.25, np.float32)},
                  "exp_avg_sq": {"a": np.full((2, 3), 0.5, np.float32),
                                 "b": np.full(4, 0.125)}}   # float64: cast once
-        opt.restore(saved)
+        opt.restore(saved, 3)
         assert opt.step_count == 3
         assert opt.exp_avg["a"] is saved["exp_avg"]["a"]
         assert opt.exp_avg_sq["a"] is saved["exp_avg_sq"]["a"]
@@ -261,10 +259,10 @@ class TestAdamW:
         opt = AdamW({"p": p})
         before = opt.state_arrays()
         # the first moment would pass; the second is saved misshapen
-        saved = {"step": 3, "exp_avg": {"p": np.ones((2, 3), np.float32)},
+        saved = {"exp_avg": {"p": np.ones((2, 3), np.float32)},
                  "exp_avg_sq": {"p": np.ones((3, 2), np.float32)}}
         with pytest.raises(CheckpointError, match="exp_avg_sq entry p"):
-            opt.restore(saved)
+            opt.restore(saved, 3)
         assert opt.step_count == 0
         for moment in ("exp_avg", "exp_avg_sq"):
             assert getattr(opt, moment) is before[moment]

@@ -1,7 +1,6 @@
 """Tensor engine: primitives, tape and backward."""
 
 import ast
-import operator
 import os
 import subprocess
 import sys
@@ -1248,10 +1247,10 @@ def test_toy_model_gradients_equal_the_former_rules(tmp_path, monkeypatch):
         model = AffordanceModel(config)
         samples = train_module.load_samples(read_dataset(manifest), model)
         for sample in samples[:3]:
-            result = model.forward(sample.cloud, sample.hidden, sample.plan)
+            result = model.forward(sample.hidden, sample.plan)
             total, _, _ = model.loss(result, sample.cloud, sample.hidden)
             T.backward(total * (1.0 / 3.0))
-        scores = [model.predict(s.cloud, s.hidden, s.plan) for s in samples]
+        scores = [model.predict(s.hidden, s.plan) for s in samples]
         return {name: p.grad for name, p in model.params.items()}, scores
 
     got_grads, got_scores = run()

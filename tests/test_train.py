@@ -121,7 +121,7 @@ def sequential_step(config, manifest, members=None):
     sums = {"l_txt": 0.0, "l_aff": 0.0, "total": 0.0}
     for i in order[:members]:
         sample = samples[i]
-        result = model.forward(sample.cloud, sample.hidden, sample.plan)
+        result = model.forward(sample.hidden, sample.plan)
         total, l_txt, l_aff = model.loss(result, sample.cloud, sample.hidden)
         backward(total * scale)
         sums["l_txt"] += l_txt.item() * scale
@@ -815,8 +815,8 @@ def test_grad_accum_trains_as_the_multiplied_batch(tmp_path, eight_samples,
     want = load_checkpoint(whole.checkpoint_dir)
     got = load_checkpoint(accum.checkpoint_dir)
     for group in ("params", "exp_avg", "exp_avg_sq"):
-        saved = want.params if group == "params" else want.optimizer[group]
-        loaded = got.params if group == "params" else got.optimizer[group]
+        saved = want.params if group == "params" else want.moments[group]
+        loaded = got.params if group == "params" else got.moments[group]
         assert loaded.keys() == saved.keys()
         for name, arr in saved.items():
             assert loaded[name].tobytes() == arr.tobytes(), (group, name)
@@ -876,7 +876,9 @@ def test_load_model_holds_one_copy_of_the_parameters(tmp_path):
                                          seq_len=8))
     params = AffordanceModel(config).params
     param_bytes = sum(p.data.nbytes for p in params.values())
-    save_checkpoint(tmp_path / "ckpt", params, config.to_dict(), step=0)
+    save_checkpoint(tmp_path / "ckpt", params, config.to_dict(), 0,
+                    AdamW(params).state_arrays(),
+                    {"classes": ["mug"], "affordances": ["grasp", "contain"]})
     del params
     tracemalloc.start()
     try:
@@ -902,9 +904,8 @@ def test_resume_holds_one_copy_of_the_parameters_and_moments(tmp_path):
         p.grad = np.ones_like(p.data)
     optimizer.step()
     param_bytes = sum(p.data.nbytes for p in params.values())
-    save_checkpoint(tmp_path / "ckpt", params, config.to_dict(), step=1,
-                    optimizer_state=optimizer.state_arrays(),
-                    vocab=dataset.vocab)
+    save_checkpoint(tmp_path / "ckpt", params, config.to_dict(), 1,
+                    optimizer.state_arrays(), dataset.vocab)
     del params, optimizer
     tracemalloc.start()
     try:
@@ -940,7 +941,7 @@ def test_resume_draws_no_weight_and_takes_the_moments(tmp_path, eight_samples,
         assert p.data is ckpt.params[name], name
         for moment in ("exp_avg", "exp_avg_sq"):
             assert getattr(optimizer, moment)[name] is \
-                ckpt.optimizer[moment][name], (moment, name)
+                ckpt.moments[moment][name], (moment, name)
     # nor does a resume that runs the last two steps
     assert train(config, eight_samples, tmp_path / "run",
                  resume=ckpt_dir).steps == 4
@@ -969,11 +970,41 @@ def test_pipelined_resume_matches_uninterrupted_run(tmp_path):
     got = load_checkpoint(resumed.checkpoint_dir)
     assert got.step == want.step == 4
     for group in ("params", "exp_avg", "exp_avg_sq"):
-        saved = want.params if group == "params" else want.optimizer[group]
-        loaded = got.params if group == "params" else got.optimizer[group]
+        saved = want.params if group == "params" else want.moments[group]
+        loaded = got.params if group == "params" else got.moments[group]
         assert loaded.keys() == saved.keys()
         for name, arr in saved.items():
             assert loaded[name].tobytes() == arr.tobytes(), (group, name)
+
+
+@pytest.mark.parametrize("saved_step", [2, 0], ids=["as_written", "stale"])
+def test_resume_ignores_an_optimizer_step_key(tmp_path, eight_samples,
+                                              saved_step):
+    # older versions also stored the step count, as optimizer.step; the
+    # manifest's step is the one that counts
+    config = RunConfig(model=ModelConfig(**TOY),
+                       optimizer=OptimConfig(epochs=2, batch_size=4),
+                       checkpoint_every=2)
+    full = train(config, eight_samples, tmp_path / "full")
+    with pytest.raises(Interrupt):
+        train(config, eight_samples, tmp_path / "cut", log_fn=crash_at_step_2)
+    ckpt = tmp_path / "cut" / "checkpoint"
+    payload = json.loads((ckpt / "manifest.json").read_text())
+    assert payload["step"] == 2
+    payload["optimizer"]["step"] = saved_step
+    (ckpt / "manifest.json").write_text(json.dumps(payload))
+    resumed = train(config, eight_samples, tmp_path / "cut", resume=ckpt)
+
+    assert resumed.log_path.read_bytes() == full.log_path.read_bytes()
+
+    def files(root):
+        return sorted(path.relative_to(root) for path in root.rglob("*")
+                      if path.is_file())
+
+    assert files(ckpt) == files(full.checkpoint_dir)
+    for rel in files(ckpt):
+        assert (ckpt / rel).read_bytes() == \
+            (full.checkpoint_dir / rel).read_bytes(), rel
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -1100,41 +1131,54 @@ def _misshape_moment(ckpt, manifest):
     write_tensor(ckpt / rel, np.zeros(3, dtype=np.float32))
 
 
-def _non_integer_optimizer_step(ckpt, manifest):
-    manifest["optimizer"]["step"] = "x"
-
-
 def _truncate_moment_file(ckpt, manifest):
     path = ckpt / next(iter(manifest["optimizer"]["exp_avg"].values()))
     path.write_bytes(path.read_bytes()[:-4])
 
 
+def _drop_optimizer(ckpt, manifest):
+    del manifest["optimizer"]
+
+
+def _drop_moment_map(ckpt, manifest):
+    del manifest["optimizer"]["exp_avg_sq"]
+
+
+def _drop_vocab(ckpt, manifest):
+    del manifest["vocab"]
+
+
 @pytest.mark.parametrize("damage", [
-    _drop_moment_entry, _misshape_moment, _non_integer_optimizer_step,
-    _truncate_moment_file,
-], ids=["missing_moment_entry", "moment_shape", "optimizer_step",
-        "truncated_moment_file"])
+    _drop_moment_entry, _misshape_moment, _truncate_moment_file,
+    _drop_optimizer, _drop_moment_map, _drop_vocab,
+], ids=["missing_moment_entry", "moment_shape", "truncated_moment_file",
+        "no_optimizer", "no_moment_map", "no_vocab"])
 def test_damaged_optimizer_state_fails_resume_as_checkpoint_error(
         tmp_path, capsys, damage):
+    # the last three lack a part of the one manifest schema
     manifest = gen_synthetic_dataset(tmp_path / "data", 1, 2, 1,
                                      TOY["n_points"], seed=2, d_h=TOY["d_h"],
                                      seq_len=TOY["seq_len"])
     config = RunConfig(model=ModelConfig(**TOY),
                        optimizer=OptimConfig(epochs=2, batch_size=2))
-    ckpt = train(config, manifest, tmp_path / "run").checkpoint_dir
+    run = tmp_path / "run"
+    ckpt = train(config, manifest, run).checkpoint_dir
+    log = (run / "log.jsonl").read_bytes()
     payload = json.loads((ckpt / "manifest.json").read_text())
     damage(ckpt, payload)
     (ckpt / "manifest.json").write_text(json.dumps(payload))
 
     with pytest.raises(CheckpointError):
-        train(config, manifest, tmp_path / "resumed", resume=ckpt)
+        train(config, manifest, run, resume=ckpt)
+    assert (run / "log.jsonl").read_bytes() == log
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config.to_dict()))
     capsys.readouterr()
     assert main(["train", "--config", str(config_path), "--data", str(manifest),
-                 "--out", str(tmp_path / "cli"), "--resume", str(ckpt)]) == 2
+                 "--out", str(run), "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and "Traceback" not in err
+    assert (run / "log.jsonl").read_bytes() == log
 
 
 # element [0, 0] of each layer's weight: the fuse's is in its row part
@@ -1222,7 +1266,7 @@ def sequential_report(model, manifest):
     report = MetricReport()
     for record in dataset.records:
         sample = train_module.load_sample(dataset, model, record)
-        scores = model.predict(sample.cloud, sample.hidden, sample.plan)
+        scores = model.predict(sample.hidden, sample.plan)
         report.add(record.id, record.affordance_name,
                    evaluate_sample(scores, sample.cloud.labels))
     return report
@@ -1341,11 +1385,11 @@ def test_error_in_either_forward_of_a_pair_propagates_unchanged(
     main = threading.get_ident()
     failed_on_main = []
 
-    def failing_predict(cloud, hidden, plan):
-        if np.array_equal(cloud.coords, target):
+    def failing_predict(hidden, plan):
+        if np.array_equal(plan.level_coords[0], target):
             failed_on_main.append(threading.get_ident() == main)
             raise boom
-        return AffordanceModel.predict(toy_model, cloud, hidden, plan)
+        return AffordanceModel.predict(toy_model, hidden, plan)
 
     monkeypatch.setattr(toy_model, "predict", failing_predict)
     ids = scored_ids(monkeypatch)
@@ -1472,11 +1516,11 @@ def test_sampled_distances_are_freed_before_the_forward_ends(
         distances[loaded[id(coords)]] = [weakref.ref(d2) for d2 in sampled.d2]
         return sampled
 
-    def predict(cloud, hidden, plan):
-        record = loaded[id(cloud.coords)]
+    def predict(hidden, plan):
+        record = loaded[id(plan.level_coords[0])]
         freed[record] = all(ref() is None for ref in distances[record])
         on_main[record] = threading.get_ident() == main
-        return AffordanceModel.predict(toy_model, cloud, hidden, plan)
+        return AffordanceModel.predict(toy_model, hidden, plan)
 
     monkeypatch.setattr(toy_model.backbone, "sample", sample)
     monkeypatch.setattr(toy_model, "predict", predict)
