@@ -99,6 +99,15 @@ class RunConfig:
             raise ConfigError("model.n_affordances must be at least 2")
         if self.lifting.mode not in LIFT_MODES:
             raise ConfigError(f"lifting.mode must be one of {LIFT_MODES}")
+        w = self.losses
+        if min(w.lambda_txt, w.lambda_aff) < 0:
+            raise ConfigError("losses.lambda_txt and losses.lambda_aff must be >= 0")
+        if not 0 < w.focal_alpha < 1:
+            raise ConfigError("losses.focal_alpha must lie in (0, 1)")
+        if w.focal_gamma < 0:
+            raise ConfigError("losses.focal_gamma must be >= 0")
+        if w.dice_eps <= 0:
+            raise ConfigError("losses.dice_eps must be positive")
         o = self.optimizer
         if o.lr <= 0:
             raise ConfigError("optimizer.lr must be positive")
@@ -146,10 +155,7 @@ def _build_section(cls, payload: dict, path: str):
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"unknown config key(s) under {path}: {sorted(unknown)}")
-    try:
-        return cls(**payload)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad values under {path}: {exc}") from exc
+    return cls(**payload)
 
 
 def config_from_dict(payload: dict) -> RunConfig:

@@ -255,7 +255,6 @@ AFFORDANCE_NAMES = ("grasp", "contain", "support", "lift", "open", "press")
 PROMPT_TEMPLATE = ("Locate the points on the {class_name} that support the "
                    "action '{affordance_name}'.")
 
-_BODY_FRACTION = 0.53
 _PART_FRACTION = 0.22  # region for even affordance ids
 _TOP_FRACTION = 0.25   # region for odd affordance ids
 MIN_CLOUD_POINTS = 8   # at least four points in each labeled region
@@ -523,6 +522,15 @@ def load_checkpoint(ckpt_dir, moments: bool = True) -> Checkpoint:
         raise CheckpointError(f"{manifest_path} is missing")
     try:
         manifest = json.loads(manifest_path.read_text())
+        if not isinstance(manifest, dict):
+            raise CheckpointError(f"{manifest_path}: manifest is not an object")
+        missing = [key for key in ("config", "step", "params", "optimizer", "vocab")
+                   if key not in manifest]
+        missing += [f"optimizer.{moment}" for moment in MOMENTS
+                    if "optimizer" in manifest and moment not in manifest["optimizer"]]
+        if missing:
+            raise CheckpointError(
+                f"{manifest_path}: manifest lacks {' and '.join(missing)}")
         config, step = manifest["config"], int(manifest["step"])
         params = _read_group(ckpt, "params", manifest["params"])
         saved = {moment: _read_group(ckpt, moment,

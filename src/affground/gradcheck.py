@@ -5,8 +5,9 @@ suite that the gradcheck command runs.
 differences with step 1e-5 (1e-6 for the primitives and the loss nodes,
 whose closed forms tolerate the smaller step):
 
-- every autodiff primitive, one at a time (16 checks; every check scalar
-  is built from the primitives alone, ``(t * t).sum()`` for a square);
+- every autodiff primitive, one at a time (15 checks; every check scalar
+  is a mean built from the primitives alone, ``tmean(t * t)`` for a
+  square);
 - the two loss nodes: the map loss at ordinary logits and at saturated
   ones (|z| from 20 to 30, where a wrongly signed point's gradient is
   about ``alpha / N``), and the text-label cross-entropy;
@@ -17,7 +18,7 @@ whose closed forms tolerate the smaller step):
   and :meth:`AffordanceModel.loss` over every entry of ``model.params``,
   backbone included.
 
-That is 27 checks: 16 primitive, 3 loss and 8 module or model ones.
+That is 26 checks: 15 primitive, 3 loss and 8 module or model ones.
 
 One toy model (d=4, d_h=8, cont_width=4, N=16, L=3) is built per suite
 run; the module composites take their module and parameters from it.
@@ -37,7 +38,7 @@ from .intention import HiddenStates
 from .losses import LossWeights, cross_entropy, map_loss
 from .model import AffordanceModel
 from .rng import derive_seed
-from .tensor import Tensor, backward, no_grad, zero_grad
+from .tensor import Tensor, backward, no_grad
 
 
 def _eval_scalar(f) -> float:
@@ -67,7 +68,8 @@ def finite_difference_check_params(loss_fn, params: dict, h: float = 1e-5) -> di
     as :func:`finite_difference_check`. One analytic backward pass is
     shared by all parameters.
     """
-    zero_grad(params)
+    for p in params.values():
+        p.grad = None
     out = loss_fn()
     if not np.isfinite(out.data).all():
         raise NumericError("loss is not finite at the current parameters")
@@ -117,12 +119,12 @@ def _rand(shape, seed):
 
 
 def _const(shape, seed):
-    return T.tensor(_rand(shape, seed), dtype=np.float64)
+    return Tensor(_rand(shape, seed), dtype=np.float64)
 
 
-def _square_sum(t: Tensor) -> Tensor:
-    """The sum of ``t``'s squared entries, as ``mul`` then ``tsum``."""
-    return (t * t).sum()
+def _square_mean(t: Tensor) -> Tensor:
+    """The mean of ``t``'s squared entries, as ``mul`` then ``tmean``."""
+    return T.tmean(t * t)
 
 
 def _primitive_checks(tol) -> list:
@@ -142,32 +144,31 @@ def _primitive_checks(tol) -> list:
     interp_w = np.array([[0.7, 0.3], [0.25, 0.75], [0.5, 0.5]])
 
     cases = [
-        ("add", (3, 4), lambda x: (x + c34).sum()),
-        ("add_broadcast", (3, 4), lambda x: (x + c14).sum()),
-        ("mul", (3, 4), lambda x: (x * c34 * x).sum()),
-        ("matmul", (3, 4), lambda x: (x @ c43).sum()),
-        ("softmax_lastdim", (2, 5), lambda x: (T.softmax_lastdim(x) * c25).sum()),
-        ("sum_axis", (3, 4), lambda x: (x * x.sum(axis=1, keepdims=True)).sum()),
-        ("mean", (3, 4), lambda x: _square_sum(x.mean(axis=0))),
+        ("add", (3, 4), lambda x: T.tmean(x + c34)),
+        ("add_broadcast", (3, 4), lambda x: T.tmean(x + c14)),
+        ("mul", (3, 4), lambda x: T.tmean(x * c34 * x)),
+        ("matmul", (3, 4), lambda x: T.tmean(T.matmul(x, c43))),
+        ("softmax_lastdim", (2, 5), lambda x: T.tmean(T.softmax_lastdim(x) * c25)),
+        ("mean", (3, 4), lambda x: _square_mean(T.tmean(x, axis=0))),
         ("segment_max", (5, 4),
-         lambda x: (T.segment_max(x, seg_starts) * c34).sum()),
-        ("segment_max_released", (5, 4), lambda x: _square_sum(T.segment_max(
+         lambda x: T.tmean(T.segment_max(x, seg_starts) * c34)),
+        ("segment_max_released", (5, 4), lambda x: _square_mean(T.segment_max(
             T.linear(x, c43, (c13,)), seg_starts, release=True))),
-        ("transpose", (3, 4), lambda x: (x.T * c43).sum()),
-        ("gather_rows", (3, 4), lambda x: _square_sum(T.gather_rows(x, gather_idx))),
+        ("transpose", (3, 4), lambda x: T.tmean(T.transpose(x) * c43)),
+        ("gather_rows", (3, 4), lambda x: _square_mean(T.gather_rows(x, gather_idx))),
         ("interpolate", (3, 4),
-         lambda x: _square_sum(T.interpolate(x, interp_idx, interp_w))),
-        ("linear", (3, 4), lambda x: _square_sum(T.linear(x, c43, (c13,)))),
+         lambda x: _square_mean(T.interpolate(x, interp_idx, interp_w))),
+        ("linear", (3, 4), lambda x: _square_mean(T.linear(x, c43, (c13,)))),
         ("linear_relu", (3, 4),
-         lambda x: _square_sum(T.linear(x, c43, (c13,), relu=True))),
+         lambda x: _square_mean(T.linear(x, c43, (c13,), relu=True))),
         ("linear_broadcast_bias", (1, 3),
-         lambda x: _square_sum(T.linear(c34, c43, (x,), relu=True))),
+         lambda x: _square_mean(T.linear(c34, c43, (x,), relu=True))),
         ("linear_two_addends", (3, 3),
-         lambda x: _square_sum(T.linear(c34, c43, (x, c13), relu=True))),
+         lambda x: _square_mean(T.linear(c34, c43, (x, c13), relu=True))),
     ]
     for name, shape, fn in cases:
-        x = T.tensor(_rand(shape, derive_seed("gradcheck", name)),
-                     requires_grad=True, dtype=np.float64)
+        x = Tensor(_rand(shape, derive_seed("gradcheck", name)),
+                   requires_grad=True, dtype=np.float64)
         err = finite_difference_check(fn, x, h=1e-6)
         checks.append(CheckResult(f"primitive.{name}", err, tol))
     return checks
@@ -183,11 +184,11 @@ def _loss_terms(tol) -> list:
     saturated = rng.uniform(20.0, 30.0, size=(N, 1)) * rng.choice([-1.0, 1.0], (N, 1))
     checks = []
     for name, z in (("map_loss", ordinary), ("map_loss_saturated", saturated)):
-        logits = T.tensor(z, requires_grad=True, dtype=np.float64)
+        logits = Tensor(z, requires_grad=True, dtype=np.float64)
         err = finite_difference_check(lambda t: map_loss(t, y, weights), logits,
                                       h=1e-6)
         checks.append(CheckResult(f"composite.{name}", err, tol))
-    row = T.tensor(rng.normal(size=(1, 5)), requires_grad=True, dtype=np.float64)
+    row = Tensor(rng.normal(size=(1, 5)), requires_grad=True, dtype=np.float64)
     err = finite_difference_check(lambda t: cross_entropy(t, 2), row, h=1e-6)
     return checks + [CheckResult("composite.cross_entropy", err, tol)]
 
@@ -210,7 +211,7 @@ def _model_checks(tol) -> list:
     tokens = _const((L, d), 2)
     feats = _const((N, d), 4)
     emb = _const((1, d), 5)
-    minus_feats = T.tensor(-feats.data)
+    minus_feats = Tensor(-feats.data)
 
     def check(name, prefixes, loss_fn):
         params = {k: v for k, v in model.params.items() if k.startswith(prefixes)}
@@ -219,7 +220,7 @@ def _model_checks(tol) -> list:
 
     def stage2_loss():
         descriptor = fusion.gated_global_descriptor(tokens)
-        return _square_sum(fusion.fuse_full_res(feats, descriptor))
+        return _square_mean(fusion.fuse_full_res(feats, descriptor))
 
     def decoder_loss():
         logits = decoder.predict_map(feats, decoder.point_to_intention(emb))
@@ -228,14 +229,13 @@ def _model_checks(tol) -> list:
     def backbone_loss():
         bottleneck, skips = model.backbone.encode(plan)
         full_res, _ = model.backbone.decode(bottleneck, skips, plan)
-        diff = full_res + minus_feats
-        return (diff * diff).mean()
+        return _square_mean(full_res + minus_feats)
 
     def model_loss():
         return model.loss(model.forward(hidden, plan), cloud, hidden)[0]
 
     checks = [
-        check("stage1_attention", "fusion.attn.", lambda: _square_sum(
+        check("stage1_attention", "fusion.attn.", lambda: _square_mean(
             fusion.bottleneck_cross_attention(queries, tokens))),
         check("stage2_descriptor_fuse", ("fusion.gate.", "fusion.fuse."),
               stage2_loss),
@@ -243,7 +243,7 @@ def _model_checks(tol) -> list:
     for i, stage in enumerate(model.lifting.stages):
         scale = _const((2 ** (i + 1), d), 6 + i)
         checks.append(check(f"lift_stage{i + 1}", f"lifting.stage{i + 1}.",
-                            lambda: _square_sum(stage(emb, scale))))
+                            lambda: _square_mean(stage(emb, scale))))
     return checks + [
         check("decoder", "decoder.", decoder_loss),
         check("backbone_encode_decode", "backbone.", backbone_loss),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .tensor import Tensor, _accumulate, _node
 
 
@@ -30,16 +30,6 @@ class LossWeights:
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
     dice_eps: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_txt < 0 or self.lambda_aff < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if not 0 < self.focal_alpha < 1:
-            raise ConfigError("focal alpha must lie in (0, 1)")
-        if self.focal_gamma < 0:
-            raise ConfigError("focal gamma must be non-negative")
-        if self.dice_eps <= 0:
-            raise ConfigError("dice epsilon must be positive")
 
 
 def binarize_targets(y: np.ndarray) -> np.ndarray:
@@ -132,6 +122,4 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
 
 def total_loss(l_txt: Tensor, l_aff: Tensor, weights: LossWeights) -> Tensor:
     """Weighted sum of the auxiliary text loss and the affordance loss."""
-    if weights.lambda_txt < 0 or weights.lambda_aff < 0:
-        raise ConfigError("loss weights must be non-negative")
     return weights.lambda_txt * l_txt + weights.lambda_aff * l_aff

@@ -166,7 +166,6 @@ class MetricReport:
     """Per-sample values with per-affordance and overall means."""
 
     samples: list = field(default_factory=list)
-    constants: dict = field(default_factory=lambda: dict(METRIC_CONSTANTS))
 
     def add(self, sample_id: str, affordance: str, record: dict):
         entry = {"id": sample_id, "affordance": affordance}
@@ -204,7 +203,7 @@ class MetricReport:
                     reasons[reason] = reasons.get(reason, 0) + 1
                 skip_counts[name] = reasons
         return {
-            "constants": self.constants,
+            "constants": METRIC_CONSTANTS,
             "per_affordance": per_affordance,
             "overall": overall,
             "skipped": skip_counts,
@@ -218,7 +217,7 @@ class MetricReport:
     def to_table(self) -> str:
         """Aligned text table grouped by affordance type."""
         summary = self.summary()
-        lines = ["# metric constants: " + json.dumps(self.constants, sort_keys=True)]
+        lines = ["# metric constants: " + json.dumps(METRIC_CONSTANTS, sort_keys=True)]
         header = f"{'affordance':<16}{'n':>5}  {'aIOU':>7}  {'AUC':>7}  " \
                  f"{'SIM':>7}  {'MAE':>7}"
         lines.append(header)

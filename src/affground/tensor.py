@@ -7,12 +7,11 @@ enabled, remember the operation that produced them. Calling
 in reverse, accumulating gradients into every tensor that was created
 with ``requires_grad=True``.
 
-The primitives are the ops the model runs (:func:`add`, :func:`mul`,
+The primitives are the ops the model runs: :func:`add`, :func:`mul`,
 :func:`matmul`, :func:`linear`, :func:`softmax_lastdim`, :func:`tmean`,
 :func:`segment_max`, :func:`transpose`, :func:`gather_rows` and
-:func:`interpolate`; its two loss nodes are in :mod:`affground.losses`)
-and :func:`tsum`, which gradcheck's check scalars reduce with. Tensor
-forwards ``+``, ``*``, ``@``, ``.sum``, ``.mean`` and ``.T`` to them.
+:func:`interpolate` (its two loss nodes are in :mod:`affground.losses`).
+Tensor forwards ``+`` and ``*`` to them.
 
 Accumulation contract: a tensor's gradient is the sum of its consumers'
 contributions, added in tape order onto ``+0.0`` (rank-one weight
@@ -33,8 +32,8 @@ Rank-one weight gradients: where a (1, K) row ``a`` multiplies a leaf
 It records copies of ``a`` and of the (1, N) output gradient ``g`` on
 ``w`` instead, and the first read of ``w.grad`` adds the sum over the B
 records since the last read as one (K, B) @ (B, N) product, after every
-other contribution. Setting ``grad`` (as :func:`zero_grad` does) drops
-the records; a walk never reads a leaf's ``grad``. One record keeps the
+other contribution. Setting ``grad`` (to ``None``, say) drops the
+records; a walk never reads a leaf's ``grad``. One record keeps the
 broadcast ``a.T * g``, the bytes of a K=1 product. More records give the
 same bytes on any number of BLAS threads, but not those of adding the
 outer products in record order: each element is within
@@ -202,23 +201,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    @property
-    def T(self):
-        return transpose(self)
-
-
-def tensor(data, requires_grad=False, dtype=None) -> Tensor:
-    """Create a leaf tensor."""
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
 
 
 def _coerce(value, like: Tensor) -> Tensor:
@@ -495,17 +477,6 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _node(out, (x,), backward, "softmax")
 
 
-def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    def backward(g):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.shape).copy())
-        else:
-            expanded = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(x, np.broadcast_to(expanded, x.shape).copy())
-
-    return _node(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward, "sum")
-
-
 def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
     n = x.data.size if axis is None else x.shape[axis]
 
@@ -767,10 +738,3 @@ def backward(loss: Tensor):
         if node._backward is not None and grad is not None:
             node._grad = None
             node._backward(grad)
-
-
-def zero_grad(params):
-    """Clear gradients on an iterable or dict of tensors."""
-    values = params.values() if isinstance(params, dict) else params
-    for t in values:
-        t.grad = None

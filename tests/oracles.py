@@ -11,10 +11,11 @@ score-based ``focal_loss``, ``dice_loss`` and ``affordance_loss`` and
 the composed ``cross_entropy_chain`` are that objective. All of them are
 the ``affground`` code as it was when the model last called it, except
 that ``div`` and ``neg`` are called by name where the Tensor operators
-``/`` and unary ``-`` were. ``sub``, ``power`` and ``reshape`` were
-left only to gradcheck's check scalars, and are called by name where
-``-``, ``**`` and ``Tensor.reshape`` were. :func:`tree_digest` was
-``affground.corruption``'s, which only tests called.
+``/`` and unary ``-`` were. ``sub``, ``power``, ``reshape`` and
+``tsum`` were left only to gradcheck's check scalars, and are called by
+name where ``-``, ``**``, ``Tensor.reshape`` and ``Tensor.sum`` were.
+:func:`tree_digest` was ``affground.corruption``'s, which only tests
+called.
 """
 
 import hashlib
@@ -150,6 +151,17 @@ def reshape(x, shape):
     return T._node(x.data.reshape(shape), (x,), backward, "reshape")
 
 
+def tsum(x, axis=None, keepdims=False):
+    def backward(g):
+        if axis is None:
+            T._accumulate(x, np.broadcast_to(g, x.shape).copy())
+        else:
+            expanded = g if keepdims else np.expand_dims(g, axis)
+            T._accumulate(x, np.broadcast_to(expanded, x.shape).copy())
+
+    return T._node(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward, "sum")
+
+
 def sigmoid(x):
     d = x.data
     out = np.empty_like(d)
@@ -234,7 +246,7 @@ def focal_loss(p, y, alpha=0.25, gamma=2.0):
     y_t = T.Tensor(yb.astype(p.dtype))
     p_t = p * y_t + sub(1.0, p) * sub(1.0, y_t)
     alpha_t = T.Tensor((alpha * yb + (1.0 - alpha) * (1.0 - yb)).astype(p.dtype))
-    return neg(alpha_t * power(sub(1.0, p_t), gamma) * log(p_t)).mean()
+    return T.tmean(neg(alpha_t * power(sub(1.0, p_t), gamma) * log(p_t)))
 
 
 def dice_loss(p, y, eps=1.0):
@@ -245,8 +257,8 @@ def dice_loss(p, y, eps=1.0):
         raise ContractError(f"{yb.shape[0]} targets for {p.shape[0]} scores")
     _validate_scores(p)
     y_t = T.Tensor(yb.astype(p.dtype))
-    overlap = 2.0 * T.tsum(p * y_t) + eps
-    total = T.tsum(p) + float(yb.sum()) + eps
+    overlap = 2.0 * tsum(p * y_t) + eps
+    total = tsum(p) + float(yb.sum()) + eps
     return sub(1.0, div(overlap, total))
 
 
@@ -262,8 +274,8 @@ def cross_entropy_chain(logits, target):
     # shift by the (constant) max so exp never overflows; the gradient of
     # logsumexp is unchanged by the shift
     shift = float(logits.data.max())
-    lse = log(T.tsum(exp(sub(logits, shift)))) + shift
-    return sub(lse, T.tsum(slice_cols(logits, target, target + 1)))
+    lse = log(tsum(exp(sub(logits, shift)))) + shift
+    return sub(lse, tsum(slice_cols(logits, target, target + 1)))
 
 
 def tree_digest(root) -> str:

@@ -28,7 +28,7 @@ from affground.intention import synth_fixture
 from affground.model import AffordanceModel
 from affground.rng import rng_for
 
-from oracles import power, reshape, sub
+from oracles import power, reshape, sub, tsum
 
 
 def fps_oracle(coords, m):
@@ -460,7 +460,7 @@ class TestSetAbstraction:
         patch = np.array([[0.1, 0, 0], [0, 0.1, 0], [-0.1, 0, 0], [0, -0.1, 0]])
         plan = SAPlan(group_idx=np.arange(8), geometry=np.vstack([patch, patch]),
                       starts=np.array([0, 4]))
-        feats = T.tensor(np.tile(np.arange(8)[:, None] % 4, (1, 2)),
+        feats = T.Tensor(np.tile(np.arange(8)[:, None] % 4, (1, 2)),
                          dtype=np.float64)
         out = backbone.sa_stages[1](feats, plan)
         np.testing.assert_array_equal(out.data[0], out.data[1])
@@ -472,7 +472,7 @@ class TestSetAbstraction:
         rel = np.array([[0.2, -0.1, 0.05]])
         feat = np.array([[0.4, -0.3]])
         plan = SAPlan(np.array([0]), rel, np.array([0]))
-        out = stage(T.tensor(feat, dtype=np.float64), plan)
+        out = stage(T.Tensor(feat, dtype=np.float64), plan)
 
         w0 = np.vstack([params[f"backbone.sa2.0.{part}"].data
                         for part in ("w_geo", "w_feat")])
@@ -488,7 +488,7 @@ class TestSetAbstraction:
         backbone = tiny_backbone(params, rng_for(2, "init"))
         rng = np.random.default_rng(3)
         coords = rng.normal(size=(16, 3)).astype(np.float32)
-        feats = T.tensor(rng.normal(size=(16, 2)), dtype=np.float64)
+        feats = T.Tensor(rng.normal(size=(16, 2)), dtype=np.float64)
         idx = np.array([1, 5, 9, 13])
         centers = coords[idx]
         # groups of four, one, three and two members
@@ -510,12 +510,12 @@ class TestSetAbstraction:
         rng = np.random.default_rng(5)
         coords = normalize_unit_sphere(rng.normal(size=(32, 3)))
         plan = backbone.build_plan(coords)
-        target = T.tensor(rng.normal(size=(8, 2)), dtype=np.float64)
+        target = T.Tensor(rng.normal(size=(8, 2)), dtype=np.float64)
 
         # the first stage reads its input, the coordinates, from the plan
         stage_params = {k: v for k, v in params.items() if k.startswith("backbone.sa1")}
         errs = finite_difference_check_params(
-            lambda: power(sub(backbone.sa_stages[0](None, plan.sa[0]), target), 2.0).sum(),
+            lambda: tsum(power(sub(backbone.sa_stages[0](None, plan.sa[0]), target), 2.0)),
             stage_params)
         assert max(errs.values()) <= 1e-4
 
@@ -560,8 +560,8 @@ class TestFeaturePropagation:
         fp = FeaturePropagation(params, "fp", rng_for(9, "init"), src_dim=4,
                                 widths=[6, 4, 4], dtype=np.float64)
         rng = np.random.default_rng(10)
-        src_feats = T.tensor(rng.normal(size=(3, 4)), dtype=np.float64)
-        skip = T.tensor(rng.normal(size=(5, 2)), dtype=np.float64)
+        src_feats = T.Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
+        skip = T.Tensor(rng.normal(size=(5, 2)), dtype=np.float64)
         idx, w = interpolation_neighbors(
             sq_dist_oracle(rng.normal(size=(5, 3)), rng.normal(size=(3, 3))))
         out = fp(src_feats, FPPlan(idx, w), skip)
@@ -586,7 +586,7 @@ def interpolate_chain_oracle(src_feats, nn_idx, weights):
     neighbor = gather_rows_oracle(src_feats, nn_idx.reshape(-1))
     w = T.Tensor(weights.reshape(n_dst * k, 1).astype(src_feats.dtype))
     mixed = reshape(neighbor * w, (n_dst, k, src_feats.shape[1]))
-    return T.tsum(mixed, axis=1)
+    return tsum(mixed, axis=1)
 
 
 def accumulate_oracle(t, grad):
@@ -623,9 +623,9 @@ class TestInterpolateMatchesChain:
             g[rng.random(g.shape) < 0.2] = -0.0
 
             def run(interp):
-                x = T.tensor(x_data, requires_grad=True, dtype=dtype)
+                x = T.Tensor(x_data, requires_grad=True, dtype=dtype)
                 out = interp(x, plan.nn_idx, plan.weights)
-                T.backward((out * T.tensor(g, dtype=dtype)).sum())
+                T.backward(tsum(out * T.Tensor(g, dtype=dtype)))
                 return out.data, x.grad
 
             got = run(T.interpolate)
@@ -667,7 +667,7 @@ class TestInterpolateMatchesChain:
 
     def test_one_node_replaces_four(self):
         plan = fp_plans()[0]
-        x = T.tensor(np.ones((int(plan.nn_idx.max()) + 1, 2)), requires_grad=True)
+        x = T.Tensor(np.ones((int(plan.nn_idx.max()) + 1, 2)), requires_grad=True)
         new = len(T.Tape.trace(T.interpolate(x, plan.nn_idx, plan.weights)).nodes)
         old = len(T.Tape.trace(
             interpolate_chain_oracle(x, plan.nn_idx, plan.weights)).nodes)
@@ -721,10 +721,10 @@ class TestEncodeDecode:
         rng = np.random.default_rng(13)
         coords = normalize_unit_sphere(rng.normal(size=(16, 3)))
         plan = backbone.build_plan(coords)
-        zero_bottleneck = T.tensor(np.zeros((2, 8)), dtype=np.float64)
-        zero_skips = [T.tensor(np.zeros((16, 3)), dtype=np.float64),
-                      T.tensor(np.zeros((8, 2)), dtype=np.float64),
-                      T.tensor(np.zeros((4, 4)), dtype=np.float64)]
+        zero_bottleneck = T.Tensor(np.zeros((2, 8)), dtype=np.float64)
+        zero_skips = [T.Tensor(np.zeros((16, 3)), dtype=np.float64),
+                      T.Tensor(np.zeros((8, 2)), dtype=np.float64),
+                      T.Tensor(np.zeros((4, 4)), dtype=np.float64)]
         full_res, _ = backbone.decode(zero_bottleneck, zero_skips, plan)
         np.testing.assert_array_equal(full_res.data, 0.0)
 
@@ -772,12 +772,12 @@ class TestEncodeDecode:
         rng = np.random.default_rng(17)
         coords = normalize_unit_sphere(rng.normal(size=(16, 3)))
         plan = backbone.build_plan(coords)
-        target = T.tensor(rng.normal(size=(16, 8)), dtype=np.float64)
+        target = T.Tensor(rng.normal(size=(16, 8)), dtype=np.float64)
 
         def loss():
             bottleneck, skips = backbone.encode(plan)
             full_res, _ = backbone.decode(bottleneck, skips, plan)
-            return power(sub(full_res, target), 2.0).mean()
+            return T.tmean(power(sub(full_res, target), 2.0))
 
         errs = finite_difference_check_params(loss, params)
         assert max(errs.values()) <= 1e-4

@@ -102,6 +102,20 @@ def test_bad_values_exit_1_without_traceback(tmp_path, capsys, override, name):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("losses, message", [
+    ({"focal_alpha": "x"}, "losses.focal_alpha must be a float, got 'x'"),
+    ({"lambda_txt": -0.1}, "losses.lambda_txt and losses.lambda_aff must be >= 0"),
+    ({"lambda_aff": -1}, "losses.lambda_txt and losses.lambda_aff must be >= 0"),
+    ({"focal_alpha": 1}, "losses.focal_alpha must lie in (0, 1)"),
+    ({"focal_gamma": -0.5}, "losses.focal_gamma must be >= 0"),
+    ({"dice_eps": 0}, "losses.dice_eps must be positive"),
+], ids=["alpha_type", "lambda_txt", "lambda_aff", "alpha", "gamma", "eps"])
+def test_loss_weights_are_checked_by_type_then_range(losses, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"losses": losses})
+    assert str(exc.value) == message
+
+
 def test_an_int_is_accepted_for_a_float():
     config = apply_overrides(RunConfig(), ["optimizer.lr=1", "model.radii=[1,2,3]"])
     assert config.optimizer.lr == 1

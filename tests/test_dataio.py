@@ -269,9 +269,9 @@ class TestCheckpoints:
     def _params(self, seed=0):
         rng = np.random.default_rng(seed)
         return {
-            "a.w": T.tensor(rng.normal(size=(4, 3)).astype(np.float32),
+            "a.w": T.Tensor(rng.normal(size=(4, 3)).astype(np.float32),
                             requires_grad=True),
-            "b.w": T.tensor(rng.normal(size=(1, 3)).astype(np.float32),
+            "b.w": T.Tensor(rng.normal(size=(1, 3)).astype(np.float32),
                             requires_grad=True),
         }
 
@@ -366,24 +366,27 @@ class TestCheckpoints:
 
 
 def _checkpoint_reader(tmp_path):
-    params = {"a.w": T.tensor(np.ones((2, 3), dtype=np.float32))}
+    params = {"a.w": T.Tensor(np.ones((2, 3), dtype=np.float32))}
     save_plain(tmp_path / "ckpt", params, {"seed": 0}, 3)
     return tmp_path / "ckpt" / "manifest.json", \
         lambda: load_checkpoint(tmp_path / "ckpt")
 
 
-@pytest.mark.parametrize("part", ["optimizer", "exp_avg_sq", "vocab"])
+@pytest.mark.parametrize("part", ["config", "step", "params", "optimizer",
+                                  "exp_avg_sq", "vocab"])
 def test_checkpoint_manifest_without_a_part_is_refused(tmp_path, part):
-    params = {"a.w": T.tensor(np.ones((2, 3), dtype=np.float32))}
+    params = {"a.w": T.Tensor(np.ones((2, 3), dtype=np.float32))}
     save_plain(tmp_path / "ckpt", params, {"seed": 0}, 3)
     path = tmp_path / "ckpt" / "manifest.json"
     payload = json.loads(path.read_text())
     del (payload["optimizer"] if part in MOMENTS else payload)[part]
     path.write_text(json.dumps(payload))
+    named = f"optimizer.{part}" if part in MOMENTS else part
     # a resume reads the moments; an evaluation only checks them
     for moments in (True, False):
-        with pytest.raises(CheckpointError, match=part):
+        with pytest.raises(CheckpointError) as exc:
             load_checkpoint(tmp_path / "ckpt", moments)
+        assert str(exc.value) == f"{path}: manifest lacks {named}"
 
 
 def _vocab_reader(tmp_path):
@@ -444,7 +447,7 @@ def _manifest_row(key, value):
 
 def _checkpoint_path(section):
     def damage(tmp_path):
-        params = {"a.w": T.tensor(np.ones((2, 3), dtype=np.float32))}
+        params = {"a.w": T.Tensor(np.ones((2, 3), dtype=np.float32))}
         save_plain(tmp_path / "ckpt", params, {"seed": 0}, 3)
         path = tmp_path / "ckpt" / "manifest.json"
         payload = json.loads(path.read_text())

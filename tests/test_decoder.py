@@ -28,7 +28,7 @@ def make_decoder(params, d=8, seed=0, dtype=np.float64):
 
 
 def feats_of(x, dtype=np.float64):
-    return T.tensor(x, dtype=dtype)
+    return T.Tensor(x, dtype=dtype)
 
 
 class TestPointToIntention:
@@ -37,7 +37,7 @@ class TestPointToIntention:
         dec = make_decoder(params)
         params["decoder.v.w"].data[:] = 0.0
         feats = feats_of(rand((5, 8), 1))
-        emb = T.tensor(rand((1, 8), 2), dtype=np.float64)
+        emb = T.Tensor(rand((1, 8), 2), dtype=np.float64)
         row = dec.point_to_intention(emb)
         np.testing.assert_array_equal(row.data, params["decoder.head.0.b"].data)
         out = dec.predict_map(feats, row)
@@ -54,18 +54,19 @@ class TestPointToIntention:
         gen = np.random.default_rng(14)
         wq, wk = (gen.normal(size=(8, 8)).astype(dtype) for _ in range(2))
         feats = feats_of(rand((11, 8), 15), dtype=dtype)
-        emb = T.tensor(rand((1, 8), 16), dtype=dtype)
-        q = feats @ T.tensor(wq)
-        k = emb @ T.tensor(wk)
-        v = emb @ params["decoder.v.w"]
-        attended = T.softmax_lastdim((q @ k.T) * (1.0 / np.sqrt(8))) @ v
+        emb = T.Tensor(rand((1, 8), 16), dtype=dtype)
+        q = T.matmul(feats, T.Tensor(wq))
+        k = T.matmul(emb, T.Tensor(wk))
+        v = T.matmul(emb, params["decoder.v.w"])
+        scores = T.matmul(q, T.transpose(k)) * (1.0 / np.sqrt(8))
+        attended = T.matmul(T.softmax_lastdim(scores), v)
         np.testing.assert_array_equal(attended.data,
                                       np.broadcast_to(v.data, (11, 4)))
         first = dec.head.layers[0]
-        expected_row = T.tensor(attended.data[:1]) + first.b
+        expected_row = T.Tensor(attended.data[:1]) + first.b
         row = dec.point_to_intention(emb)
         np.testing.assert_array_equal(row.data, expected_row.data)
-        expected = dec.head.after_first(relu(feats @ first.w + expected_row))
+        expected = dec.head.after_first(relu(T.matmul(feats, first.w) + expected_row))
         out = dec.predict_map(feats, row)
         np.testing.assert_array_equal(out.data, expected.data)
 
@@ -88,24 +89,24 @@ class TestPointToIntention:
         dec = make_decoder(params)
         row = rand((1, 8), 3)
         feats = feats_of(np.vstack([row, rand((2, 8), 4), row]))
-        emb = T.tensor(rand((1, 8), 5), dtype=np.float64)
+        emb = T.Tensor(rand((1, 8), 5), dtype=np.float64)
         out = dec.predict_map(feats, dec.point_to_intention(emb))
         np.testing.assert_allclose(out.data[0], out.data[3], atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         params = {}
         dec = make_decoder(params)
-        row = dec.point_to_intention(T.tensor(rand((1, 8)), dtype=np.float64))
+        row = dec.point_to_intention(T.Tensor(rand((1, 8)), dtype=np.float64))
         with pytest.raises(ShapeError):
             dec.predict_map(feats_of(rand((5, 4))), row)
         with pytest.raises(ShapeError):
-            dec.point_to_intention(T.tensor(rand((1, 4)), dtype=np.float64))
+            dec.point_to_intention(T.Tensor(rand((1, 4)), dtype=np.float64))
 
     def test_row_permutation_equivariance(self):
         params = {}
         dec = make_decoder(params)
         feats = rand((9, 8), 6)
-        emb = T.tensor(rand((1, 8), 7), dtype=np.float64)
+        emb = T.Tensor(rand((1, 8), 7), dtype=np.float64)
         perm = np.random.default_rng(8).permutation(9)
         with T.no_grad():
             base = dec.predict_map(feats_of(feats), dec.point_to_intention(emb))
@@ -122,7 +123,7 @@ class TestPredictMap:
             if name.startswith("decoder.head"):
                 p.data[:] = 0.0
         out = dec.predict_map(feats_of(rand((6, 8), 19)), dec.point_to_intention(
-            T.tensor(rand((1, 8), 20), dtype=np.float64)))
+            T.Tensor(rand((1, 8), 20), dtype=np.float64)))
         np.testing.assert_array_equal(out.data, np.zeros((6, 1)))
         np.testing.assert_array_equal(sigmoid(out.data), np.full((6, 1), 0.5))
 
@@ -134,7 +135,7 @@ class TestPredictMap:
         feats = feats_of(rand((20, 8), 9) * 3)
         with T.no_grad():
             out = dec.predict_map(feats, dec.point_to_intention(
-                T.tensor(rand((1, 8), 10), dtype=np.float64)))
+                T.Tensor(rand((1, 8), 10), dtype=np.float64)))
         scores = sigmoid(out.data)
         assert (scores > 0).all() and (scores < 1).all()
 
@@ -142,7 +143,7 @@ class TestPredictMap:
         params = {}
         dec = make_decoder(params)
         feats = feats_of(rand((6, 8), 11))
-        emb = T.tensor(rand((1, 8), 12), dtype=np.float64)
+        emb = T.Tensor(rand((1, 8), 12), dtype=np.float64)
         targets = np.array([1.0, 0.0, 0.6, 0.0, 1.0, 0.0])
 
         def loss():

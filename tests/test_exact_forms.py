@@ -58,7 +58,7 @@ from affground.rng import rng_for
 from affground.train import load_model
 
 from conftest import TOY, TOY_MODEL_SETS
-from oracles import concat, max_reduce, padded_rows, relu, reshape
+from oracles import concat, max_reduce, padded_rows, relu, reshape, tsum
 
 TOL = {np.float64: 1e-13, np.float32: 1e-5}
 DTYPES = [np.float64, np.float32]
@@ -229,7 +229,7 @@ def run(form, inputs: dict, params: dict, seed: int):
         t.grad = None
     out = form(*inputs.values())
     c = np.random.default_rng(seed).normal(size=out.shape)
-    T.backward((out * T.tensor(c, dtype=out.dtype)).sum())
+    T.backward(tsum(out * T.Tensor(c, dtype=out.dtype)))
     return out.data.copy(), {k: t.grad.copy() for k, t in leaves.items()}
 
 
@@ -241,7 +241,7 @@ def check_against_oracle(new, oracle, inputs, params, dtype, seed):
 
 
 def leaf(rng, shape, dtype):
-    return T.tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
+    return T.Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
 
 
 def real_plan(d, dtype):
@@ -325,7 +325,7 @@ def test_mlp_needs_an_input_and_an_output_width():
     params = {}
     mlp = make_mlp(params, "mlp", rng_for(0, "init"), [4, 2], np.float64)
     assert sorted(params) == ["mlp.0.b", "mlp.0.w"]
-    x = T.tensor(np.random.default_rng(1).normal(size=(3, 4)))
+    x = T.Tensor(np.random.default_rng(1).normal(size=(3, 4)))
     np.testing.assert_array_equal(
         mlp(x).data, x.data @ params["mlp.0.w"].data + params["mlp.0.b"].data)
     for widths in ([4], []):

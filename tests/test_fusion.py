@@ -15,7 +15,7 @@ from affground.model import AffordanceModel
 from affground.rng import rng_for
 
 from conftest import TOY
-from oracles import power
+from oracles import power, tsum
 
 
 def make_fusion(params, d=8, dtype=np.float64, seed=0):
@@ -27,16 +27,16 @@ def rand(shape, seed=0):
 
 
 def rows(x):
-    return T.tensor(x, dtype=np.float64)
+    return T.Tensor(x, dtype=np.float64)
 
 
 class TestBottleneckCrossAttention:
     def test_single_token_output_ignores_queries(self):
         params = {}
         fusion = make_fusion(params)
-        token = T.tensor(rand((1, 8), 1), dtype=np.float64)
-        q1 = T.tensor(rand((4, 8), 2), dtype=np.float64)
-        q2 = T.tensor(rand((4, 8), 3), dtype=np.float64)
+        token = T.Tensor(rand((1, 8), 1), dtype=np.float64)
+        q1 = T.Tensor(rand((4, 8), 2), dtype=np.float64)
+        q2 = T.Tensor(rand((4, 8), 3), dtype=np.float64)
         out1 = fusion.bottleneck_cross_attention(q1, token)
         out2 = fusion.bottleneck_cross_attention(q2, token)
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-12)
@@ -66,8 +66,8 @@ class TestBottleneckCrossAttention:
         params = {}
         fusion = make_fusion(params)
         token_row = rand((1, 8), 4)
-        tokens = T.tensor(np.repeat(token_row, 5, axis=0), dtype=np.float64)
-        queries = T.tensor(rand((3, 8), 5), dtype=np.float64)
+        tokens = T.Tensor(np.repeat(token_row, 5, axis=0), dtype=np.float64)
+        queries = T.Tensor(rand((3, 8), 5), dtype=np.float64)
         out = fusion.bottleneck_cross_attention(queries, tokens)
         np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-12)
         np.testing.assert_allclose(out.data[0], out.data[2], atol=1e-12)
@@ -77,17 +77,17 @@ class TestBottleneckCrossAttention:
         fusion = make_fusion(params)
         with pytest.raises(ShapeError):
             fusion.bottleneck_cross_attention(
-                T.tensor(rand((3, 4)), dtype=np.float64),
-                T.tensor(rand((2, 8)), dtype=np.float64))
+                T.Tensor(rand((3, 4)), dtype=np.float64),
+                T.Tensor(rand((2, 8)), dtype=np.float64))
 
     def test_gradcheck(self):
         params = {}
         fusion = make_fusion(params)
-        queries = T.tensor(rand((4, 8), 6), dtype=np.float64)
-        tokens = T.tensor(rand((3, 8), 7), dtype=np.float64)
+        queries = T.Tensor(rand((4, 8), 6), dtype=np.float64)
+        tokens = T.Tensor(rand((3, 8), 7), dtype=np.float64)
         attn_params = {k: v for k, v in params.items() if ".attn" in k}
         errs = finite_difference_check_params(
-            lambda: power(fusion.bottleneck_cross_attention(queries, tokens), 2.0).sum(),
+            lambda: tsum(power(fusion.bottleneck_cross_attention(queries, tokens), 2.0)),
             attn_params)
         assert max(errs.values()) <= 1e-4
 
@@ -97,7 +97,7 @@ class TestGatedDescriptor:
         params = {}
         fusion = make_fusion(params)
         params["fusion.gate.w"].data[:] = 0.0
-        tokens = T.tensor(rand((6, 8), 12), dtype=np.float64)
+        tokens = T.Tensor(rand((6, 8), 12), dtype=np.float64)
         desc = fusion.gated_global_descriptor(tokens)
         np.testing.assert_allclose(desc.data[0], tokens.data.mean(axis=0),
                                    atol=1e-12)
@@ -105,7 +105,7 @@ class TestGatedDescriptor:
     def test_single_token_identity(self):
         params = {}
         fusion = make_fusion(params)
-        tokens = T.tensor(rand((1, 8), 13), dtype=np.float64)
+        tokens = T.Tensor(rand((1, 8), 13), dtype=np.float64)
         np.testing.assert_allclose(fusion.gated_global_descriptor(tokens).data,
                                    tokens.data, atol=1e-12)
 
@@ -118,13 +118,13 @@ class TestGatedDescriptor:
         scores = tokens @ gate
         tokens[2] += gate[:, 0] * (1000.0 + scores.max() - scores[2, 0]) \
             / (gate[:, 0] @ gate[:, 0])
-        desc = fusion.gated_global_descriptor(T.tensor(tokens, dtype=np.float64))
+        desc = fusion.gated_global_descriptor(T.Tensor(tokens, dtype=np.float64))
         np.testing.assert_allclose(desc.data[0], tokens[2], atol=1e-6)
 
     def test_weights_sum_to_one_and_nonnegative(self):
         params = {}
         fusion = make_fusion(params)
-        tokens = T.tensor(rand((7, 8), 15) * 10, dtype=np.float64)
+        tokens = T.Tensor(rand((7, 8), 15) * 10, dtype=np.float64)
         scores = T.matmul(tokens, params["fusion.gate.w"])
         weights = T.softmax_lastdim(T.transpose(scores))
         assert abs(weights.data.sum() - 1.0) <= 1e-6
@@ -135,8 +135,8 @@ class TestGatedDescriptor:
         fusion = make_fusion(params)
         tokens = rand((6, 8), 16)
         perm = np.array([3, 1, 5, 0, 4, 2])
-        d1 = fusion.gated_global_descriptor(T.tensor(tokens, dtype=np.float64))
-        d2 = fusion.gated_global_descriptor(T.tensor(tokens[perm], dtype=np.float64))
+        d1 = fusion.gated_global_descriptor(T.Tensor(tokens, dtype=np.float64))
+        d2 = fusion.gated_global_descriptor(T.Tensor(tokens[perm], dtype=np.float64))
         np.testing.assert_allclose(d1.data, d2.data, atol=1e-6)
 
 
@@ -151,14 +151,14 @@ class TestDuplicateAndFuse:
         params["fusion.fuse.b"].data[:] = 0.0
         feats = np.abs(rand((5, d), 20))  # non-negative so relu is identity
         out = fusion.fuse_full_res(rows(feats),
-                                   T.tensor(rand((1, d), 26), dtype=np.float64))
+                                   T.Tensor(rand((1, d), 26), dtype=np.float64))
         np.testing.assert_allclose(out.data, feats, atol=1e-12)
 
     def test_row_permutation_equivariance(self):
         params = {}
         fusion = make_fusion(params)
         feats = rand((9, 8), 21)
-        desc = T.tensor(rand((1, 8), 22), dtype=np.float64)
+        desc = T.Tensor(rand((1, 8), 22), dtype=np.float64)
         perm = np.random.default_rng(23).permutation(9)
         out = fusion.fuse_full_res(rows(feats), desc)
         out_perm = fusion.fuse_full_res(rows(feats[perm]), desc)
@@ -167,13 +167,13 @@ class TestDuplicateAndFuse:
     def test_gradcheck_descriptor_and_fuse(self):
         params = {}
         fusion = make_fusion(params)
-        tokens = T.tensor(rand((3, 8), 24), dtype=np.float64)
+        tokens = T.Tensor(rand((3, 8), 24), dtype=np.float64)
         feats = rows(rand((4, 8), 25))
 
         def loss():
             desc = fusion.gated_global_descriptor(tokens)
             fused = fusion.fuse_full_res(feats, desc)
-            return (fused * fused).sum()
+            return tsum(fused * fused)
 
         stage2 = {k: v for k, v in params.items()
                   if ".gate" in k or ".fuse" in k}
@@ -229,7 +229,7 @@ class TestIntegrate:
         fusion = FusionModule(params, "fusion", rng_for(3, "init2"), 512)
         coords = normalize_unit_sphere(rand((2048, 3), 30))
         plan = backbone.build_plan(coords)
-        tokens = T.tensor(rand((4, 512), 31).astype(np.float32))
+        tokens = T.Tensor(rand((4, 512), 31).astype(np.float32))
         with T.no_grad():
             bottleneck, skips = backbone.encode(plan)
             bottleneck = fusion.bottleneck_cross_attention(bottleneck, tokens)

@@ -15,6 +15,8 @@ from affground.intention import (
 from affground.losses import cross_entropy
 from affground.rng import rng_for
 
+from oracles import tsum
+
 
 def make_head(params, d_h=16, d=8, k=3, cont_width=6, dtype=np.float64, seed=0):
     return IntentionHead(params, "intention", rng_for(seed, "init"), d_h, d,
@@ -104,11 +106,11 @@ class TestProjections:
         head = make_head(params)
         rng = np.random.default_rng(4)
         h = HiddenStates(rng.normal(size=(3, 16)).astype(np.float32), 2)
-        w = T.tensor(rng.normal(size=(3, 8)), dtype=np.float64)
+        w = T.Tensor(rng.normal(size=(3, 8)), dtype=np.float64)
 
         errs = finite_difference_check_params(
-            lambda: (head.project_cont(h).sum()
-                     + (head.project_hidden(h) * w).sum()), params)
+            lambda: (tsum(head.project_cont(h))
+                     + tsum(head.project_hidden(h) * w)), params)
         assert max(errs.values()) <= 1e-4
 
 

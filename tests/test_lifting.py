@@ -9,7 +9,7 @@ from affground.gradcheck import finite_difference_check_params
 from affground.lifting import GeometryLifting, LiftStage
 from affground.rng import rng_for
 
-from oracles import power
+from oracles import power, tsum
 
 
 def rand(shape, seed=0):
@@ -22,7 +22,7 @@ def make_lifting(params, d=8, mode="multi", seed=0, dtype=np.float64):
 
 
 def scales_for(d=8, seed=0, counts=(2, 4, 8)):
-    return [T.tensor(rand((n, d), seed + 10 + i), dtype=np.float64)
+    return [T.Tensor(rand((n, d), seed + 10 + i), dtype=np.float64)
             for i, n in enumerate(counts)]
 
 
@@ -33,8 +33,8 @@ class TestLiftStage:
         params["stage.v.w"].data[:] = 0.0
         params["stage.ffn.1.w"].data[:] = 0.0
         params["stage.ffn.1.b"].data[:] = 0.0
-        emb = T.tensor(rand((1, 8), 1), dtype=np.float64)
-        out = stage(emb, T.tensor(rand((5, 8), 2), dtype=np.float64))
+        emb = T.Tensor(rand((1, 8), 1), dtype=np.float64)
+        out = stage(emb, T.Tensor(rand((5, 8), 2), dtype=np.float64))
         np.testing.assert_array_equal(out.data, emb.data)
 
     def test_single_point_adds_projected_feature(self):
@@ -44,7 +44,7 @@ class TestLiftStage:
         params["stage.ffn.1.b"].data[:] = 0.0
         emb = rand((1, 8), 3)
         feat = rand((1, 8), 4)
-        out = stage(T.tensor(emb, dtype=np.float64), T.tensor(feat, dtype=np.float64))
+        out = stage(T.Tensor(emb, dtype=np.float64), T.Tensor(feat, dtype=np.float64))
         expected = emb + feat @ params["stage.v.w"].data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -63,18 +63,18 @@ class TestLiftStage:
                             + params["stage.ffn.0.b"].data, 0.0)
         expected = updated + hidden @ params["stage.ffn.1.w"].data \
             + params["stage.ffn.1.b"].data
-        out = stage(T.tensor(emb, dtype=np.float64),
-                    T.tensor(feats, dtype=np.float64))
+        out = stage(T.Tensor(emb, dtype=np.float64),
+                    T.Tensor(feats, dtype=np.float64))
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
     def test_point_permutation_invariance(self):
         params = {}
         stage = LiftStage(params, "stage", rng_for(2, "init"), 8, dtype=np.float64)
-        emb = T.tensor(rand((1, 8), 5), dtype=np.float64)
+        emb = T.Tensor(rand((1, 8), 5), dtype=np.float64)
         feats = rand((7, 8), 6)
         perm = np.random.default_rng(7).permutation(7)
-        out = stage(emb, T.tensor(feats, dtype=np.float64))
-        out_perm = stage(emb, T.tensor(feats[perm], dtype=np.float64))
+        out = stage(emb, T.Tensor(feats, dtype=np.float64))
+        out_perm = stage(emb, T.Tensor(feats[perm], dtype=np.float64))
         np.testing.assert_allclose(out.data, out_perm.data, atol=1e-6)
 
     def test_finite_for_any_parameters(self):
@@ -82,24 +82,24 @@ class TestLiftStage:
         stage = LiftStage(params, "stage", rng_for(3, "init"), 8, dtype=np.float64)
         for p in params.values():
             p.data *= 50.0
-        out = stage(T.tensor(rand((1, 8), 8), dtype=np.float64),
-                    T.tensor(rand((4, 8), 9), dtype=np.float64))
+        out = stage(T.Tensor(rand((1, 8), 8), dtype=np.float64),
+                    T.Tensor(rand((4, 8), 9), dtype=np.float64))
         assert np.isfinite(out.data).all()
 
     def test_width_mismatch_rejected(self):
         params = {}
         stage = LiftStage(params, "stage", rng_for(4, "init"), 8, dtype=np.float64)
         with pytest.raises(ShapeError):
-            stage(T.tensor(rand((1, 4)), dtype=np.float64),
-                  T.tensor(rand((4, 8)), dtype=np.float64))
+            stage(T.Tensor(rand((1, 4)), dtype=np.float64),
+                  T.Tensor(rand((4, 8)), dtype=np.float64))
 
     def test_gradcheck(self):
         params = {}
         stage = LiftStage(params, "stage", rng_for(5, "init"), 8, dtype=np.float64)
-        emb = T.tensor(rand((1, 8), 10), dtype=np.float64)
-        feats = T.tensor(rand((5, 8), 11), dtype=np.float64)
+        emb = T.Tensor(rand((1, 8), 10), dtype=np.float64)
+        feats = T.Tensor(rand((5, 8), 11), dtype=np.float64)
         errs = finite_difference_check_params(
-            lambda: power(stage(emb, feats), 2.0).sum(), params)
+            lambda: tsum(power(stage(emb, feats), 2.0)), params)
         assert max(errs.values()) <= 1e-4
 
 
@@ -110,14 +110,14 @@ class TestLiftingModes:
         for name, p in params.items():
             if ".v.w" in name or ".ffn.1" in name:
                 p.data[:] = 0.0
-        emb = T.tensor(rand((1, 8), 12), dtype=np.float64)
+        emb = T.Tensor(rand((1, 8), 12), dtype=np.float64)
         out = lifting.lift_all(emb, scales_for())
         np.testing.assert_array_equal(out.data, emb.data)
 
     def test_single_mode_ignores_coarse_scales(self):
         params = {}
         lifting = make_lifting(params, mode="single")
-        emb = T.tensor(rand((1, 8), 13), dtype=np.float64)
+        emb = T.Tensor(rand((1, 8), 13), dtype=np.float64)
         scales = scales_for(seed=20)
         out = lifting.lift_all(emb, scales)
 
@@ -128,8 +128,8 @@ class TestLiftingModes:
     def test_output_width_512_at_defaults(self):
         params = {}
         lifting = GeometryLifting(params, "lifting", rng_for(6, "init"), 512)
-        emb = T.tensor(rand((1, 512), 14).astype(np.float32))
-        scales = [T.tensor(rand((n, 512), n).astype(np.float32)) for n in (4, 8, 16)]
+        emb = T.Tensor(rand((1, 512), 14).astype(np.float32))
+        scales = [T.Tensor(rand((n, 512), n).astype(np.float32)) for n in (4, 8, 16)]
         with T.no_grad():
             assert lifting.lift_all(emb, scales).shape == (1, 512)
 
@@ -138,7 +138,7 @@ class TestLiftingModes:
         lifting = make_lifting(params, mode="concat")
         emb = rand((1, 8), 15)
         scales = scales_for(seed=30)
-        out = lifting.lift_all(T.tensor(emb, dtype=np.float64), scales)
+        out = lifting.lift_all(T.Tensor(emb, dtype=np.float64), scales)
         pooled = scales[-1].data.mean(axis=0, keepdims=True)
         joint = np.hstack([emb, pooled])
         w = np.vstack([params[f"lifting.concat.{part}"].data
@@ -155,16 +155,16 @@ class TestLiftingModes:
             params = {}
             lifting = make_lifting(params, mode=mode)
             assert {name.split(".")[1] for name in params} == expected, mode
-            emb = T.tensor(rand((1, 8), 16), dtype=np.float64)
+            emb = T.Tensor(rand((1, 8), 16), dtype=np.float64)
             out = lifting.lift_all(emb, scales_for(seed=40))
-            T.backward((out * out).sum())
+            T.backward(tsum(out * out))
             for name, p in params.items():
                 assert p.grad is not None and np.any(p.grad != 0), name
 
     def test_multi_runs_stage_i_on_scale_i_coarse_to_fine(self):
         params = {}
         lifting = make_lifting(params, seed=18)
-        emb = T.tensor(rand((1, 8), 18), dtype=np.float64)
+        emb = T.Tensor(rand((1, 8), 18), dtype=np.float64)
         scales = scales_for(seed=60)
         expected = emb
         for stage, feats in zip(lifting.stages, scales):
@@ -173,7 +173,7 @@ class TestLiftingModes:
                                       expected.data)
 
     def test_every_mode_needs_three_scales(self):
-        emb = T.tensor(rand((1, 8), 17), dtype=np.float64)
+        emb = T.Tensor(rand((1, 8), 17), dtype=np.float64)
         for mode in ("multi", "single", "concat"):
             lifting = make_lifting({}, mode=mode)
             for scales in (scales_for()[1:], scales_for() + scales_for()[:1]):
@@ -188,8 +188,8 @@ class TestLiftingModes:
         for mode in ("multi", "single", "concat"):
             params = {}
             lifting = make_lifting(params, mode=mode, seed=19)
-            emb = T.tensor(rand((1, 8), 19), dtype=np.float64)
+            emb = T.Tensor(rand((1, 8), 19), dtype=np.float64)
             scales = scales_for(seed=70)
             errs = finite_difference_check_params(
-                lambda: power(lifting.lift_all(emb, scales), 2.0).sum(), params)
+                lambda: tsum(power(lifting.lift_all(emb, scales), 2.0)), params)
             assert max(errs.values()) <= 1e-4, mode

@@ -251,7 +251,7 @@ def test_predict_scores_lie_in_the_closed_unit_interval(monkeypatch):
     model = AffordanceModel(RunConfig(model=ModelConfig(**TOY)))
     cloud = synth_cloud(1, 0, seed=3, n=TOY["n_points"])
     hidden = synth_fixture(1, 0, seed=4, L=TOY["seq_len"], d_h=TOY["d_h"])
-    logits = T.tensor(np.array([[17.0], [16.0], [0.0], [-17.0]], np.float32))
+    logits = T.Tensor(np.array([[17.0], [16.0], [0.0], [-17.0]], np.float32))
     monkeypatch.setattr(model.decoder, "predict_map", lambda feats, row: logits)
     scores = model.predict(hidden, model.build_plan(cloud))
     assert scores.dtype == np.float32 and scores.shape == (4,)

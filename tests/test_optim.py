@@ -19,6 +19,7 @@ from affground.model import AffordanceModel
 from affground.optim import AdamW, adamw_step, linear_lr
 
 from conftest import signed_zeros_and_negatives
+from oracles import tsum
 
 
 def traced(fn):
@@ -46,7 +47,7 @@ def float_params(seed=0):
     rng = np.random.default_rng(seed)
     shapes = {"a.w": ((512, 385), np.float32), "a.b": ((385,), np.float32),
               "b.w": ((64, 48), np.float64), "c.w": ((1, 1), np.float32)}
-    return {name: T.tensor(rng.normal(size=shape).astype(dtype),
+    return {name: T.Tensor(rng.normal(size=shape).astype(dtype),
                            requires_grad=True)
             for name, (shape, dtype) in shapes.items()}
 
@@ -76,9 +77,9 @@ class TestStateOnDemand:
         assert list(opt.exp_avg) == list(params) == list(opt.exp_avg_sq)
 
     def test_step_consumes_recorded_rank_one_rows(self):
-        w = T.tensor(np.ones((3, 4), np.float32), requires_grad=True)
-        row = T.tensor(np.arange(3, dtype=np.float32).reshape(1, 3))
-        T.backward((row @ w).sum())
+        w = T.Tensor(np.ones((3, 4), np.float32), requires_grad=True)
+        row = T.Tensor(np.arange(3, dtype=np.float32).reshape(1, 3))
+        T.backward(tsum(T.matmul(row, w)))
         assert w._rows is not None
         AdamW({"w": w}).step()
         assert w.grad is None and w._rows is None
@@ -172,7 +173,7 @@ class TestStateOnDemand:
 
 class TestAdamW:
     def test_first_step_is_lr_signed(self):
-        p = T.tensor([1.0], requires_grad=True, dtype=np.float64)
+        p = T.Tensor([1.0], requires_grad=True, dtype=np.float64)
         p.grad = np.array([4.0])
         opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
         opt.step()
@@ -180,7 +181,7 @@ class TestAdamW:
 
     def test_zero_grad_zero_decay_is_identity(self):
         rng = np.random.default_rng(0)
-        p = T.tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)
+        p = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)
         before = p.data.copy()
         opt = AdamW({"p": p}, lr=0.5, weight_decay=0.0)
         for _ in range(10):
@@ -192,7 +193,7 @@ class TestAdamW:
     @given(st.floats(min_value=1e-5, max_value=0.5),
            st.integers(min_value=1, max_value=5))
     def test_zero_grad_identity_property(self, lr, steps):
-        p = T.tensor([[0.3, -1.2]], requires_grad=True, dtype=np.float64)
+        p = T.Tensor([[0.3, -1.2]], requires_grad=True, dtype=np.float64)
         before = p.data.copy()
         opt = AdamW({"p": p}, lr=lr, weight_decay=0.0)
         for _ in range(steps):
@@ -201,18 +202,18 @@ class TestAdamW:
 
     def test_descent_on_quadratic(self):
         # 200 steps of f(theta) = (theta - 3)^2 at lr 0.1
-        theta = T.tensor([0.0], requires_grad=True, dtype=np.float64)
+        theta = T.Tensor([0.0], requires_grad=True, dtype=np.float64)
         opt = AdamW({"theta": theta}, lr=0.1, weight_decay=0.0)
         for _ in range(200):
             error = theta + -3.0
-            loss = (error * error).sum()
+            loss = tsum(error * error)
             T.backward(loss)
             opt.step()
             assert theta.grad is None
         assert abs(theta.data[0] - 3.0) < 0.05
 
     def test_shape_mismatch_rejected(self):
-        p = T.tensor([1.0, 2.0], requires_grad=True)
+        p = T.Tensor([1.0, 2.0], requires_grad=True)
         p.grad = np.zeros((3,), dtype=np.float32)
         with pytest.raises(ContractError):
             AdamW({"p": p}).step()
@@ -221,20 +222,20 @@ class TestAdamW:
         rng = np.random.default_rng(9)
         data = rng.normal(size=(4,))
         grad = rng.normal(size=(4,))
-        p1 = T.tensor(data.copy(), requires_grad=True, dtype=np.float64)
+        p1 = T.Tensor(data.copy(), requires_grad=True, dtype=np.float64)
         p1.grad = grad.copy()
         opt = AdamW({"p": p1}, lr=0.01, weight_decay=0.01)
         opt.step()
 
-        p2 = T.tensor(data.copy(), requires_grad=True, dtype=np.float64)
+        p2 = T.Tensor(data.copy(), requires_grad=True, dtype=np.float64)
         m = np.zeros_like(data)
         v = np.zeros_like(data)
         adamw_step(p2, grad, m, v, step=1, lr=0.01, weight_decay=0.01)
         np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_restore_takes_the_moment_arrays(self):
-        params = {"a": T.tensor(np.ones((2, 3), np.float32), requires_grad=True),
-                  "b": T.tensor(np.ones(4, np.float32), requires_grad=True)}
+        params = {"a": T.Tensor(np.ones((2, 3), np.float32), requires_grad=True),
+                  "b": T.Tensor(np.ones(4, np.float32), requires_grad=True)}
         opt = AdamW(params, lr=0.1)
         saved = {"exp_avg": {"a": np.full((2, 3), 0.5, np.float32),
                              "b": np.full(4, 0.25, np.float32)},
@@ -255,7 +256,7 @@ class TestAdamW:
         assert opt.exp_avg_sq["b"] is cast
 
     def test_refused_restore_leaves_the_optimizer(self):
-        p = T.tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        p = T.Tensor(np.ones((2, 3), np.float32), requires_grad=True)
         opt = AdamW({"p": p})
         before = opt.state_arrays()
         # the first moment would pass; the second is saved misshapen
@@ -271,7 +272,7 @@ class TestAdamW:
     def test_fixed_gradients_follow_reference_arithmetic(self):
         # float32 training must not drift from this exact operation order
         rng = np.random.default_rng(10)
-        p = T.tensor(rng.normal(size=(3, 5)).astype(np.float32),
+        p = T.Tensor(rng.normal(size=(3, 5)).astype(np.float32),
                      requires_grad=True)
         ref = p.data.copy()
         m = np.zeros_like(ref)
@@ -391,7 +392,7 @@ class TestFiniteness:
         # each new value is finite; their sum is not
         size = 3 * adamw_step.__globals__["_CHUNK"] + 7
         big = np.finfo(np.float32).max / 2
-        p = T.tensor(np.full(size, big, np.float32), requires_grad=True)
+        p = T.Tensor(np.full(size, big, np.float32), requires_grad=True)
         grad = np.ones(size, np.float32)
         m, v = np.zeros(size, np.float32), np.zeros(size, np.float32)
         adamw_step(p, grad, m, v, step=1, lr=1e-3, name="w")
@@ -403,7 +404,7 @@ class TestFiniteness:
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_non_finite_update_in_the_last_chunk_raises(self, value):
         size = 3 * adamw_step.__globals__["_CHUNK"] + 7
-        p = T.tensor(np.ones(size, np.float32), requires_grad=True)
+        p = T.Tensor(np.ones(size, np.float32), requires_grad=True)
         before = p.data
         grad = np.ones(size, np.float32)
         grad[-1] = value
@@ -436,7 +437,7 @@ class TestChunkedAdamW:
     def test_equals_the_whole_array_form(self, size, dtype):
         rng = np.random.default_rng(size)
         data = rng.normal(size=(size,)).astype(dtype)
-        want, got = T.tensor(data.copy()), T.tensor(data.copy())
+        want, got = T.Tensor(data.copy()), T.Tensor(data.copy())
         moments = [np.zeros(size, dtype) for _ in range(4)]
         for step in range(1, 4):
             grad = signed_zeros_and_negatives(rng, (size,), dtype)
@@ -453,7 +454,7 @@ class TestChunkedAdamW:
     @pytest.mark.parametrize("at", [0, -1], ids=["first_chunk", "last_chunk"])
     def test_non_finite_update_raises_and_keeps_the_parameter(self, at):
         size = 3 * self.CHUNK + 7
-        p = T.tensor(np.ones(size, np.float32), requires_grad=True)
+        p = T.Tensor(np.ones(size, np.float32), requires_grad=True)
         before = p.data
         grad = np.ones(size, np.float32)
         grad[at] = np.nan

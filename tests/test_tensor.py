@@ -36,42 +36,43 @@ from oracles import (
     sigmoid,
     slice_cols,
     sub,
+    tsum,
     unfused_linear,
 )
 
 
 class TestMatmul:
     def test_identity(self):
-        a = T.tensor([[1.0, 2.0], [3.0, 4.0]])
-        eye = T.tensor(np.eye(2, dtype=np.float32))
-        np.testing.assert_array_equal((a @ eye).data, a.data)
+        a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
+        eye = T.Tensor(np.eye(2, dtype=np.float32))
+        np.testing.assert_array_equal(T.matmul(a, eye).data, a.data)
 
     def test_hand_product(self):
-        a = T.tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = T.tensor([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal((a @ b).data, [[19.0, 22.0], [43.0, 50.0]])
+        a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
+        b = T.Tensor([[5.0, 6.0], [7.0, 8.0]])
+        np.testing.assert_array_equal(T.matmul(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_shape_mismatch_reports_both_shapes(self):
-        a = T.tensor(np.zeros((2, 3)))
-        b = T.tensor(np.zeros((4, 5)))
+        a = T.Tensor(np.zeros((2, 3)))
+        b = T.Tensor(np.zeros((4, 5)))
         with pytest.raises(ShapeError, match=r"2, 3.*4, 5"):
-            a @ b
+            T.matmul(a, b)
 
     def test_dtype_mismatch(self):
-        a = T.tensor(np.zeros((2, 2)), dtype=np.float32)
-        b = T.tensor(np.zeros((2, 2)), dtype=np.float64)
+        a = T.Tensor(np.zeros((2, 2)), dtype=np.float32)
+        b = T.Tensor(np.zeros((2, 2)), dtype=np.float64)
         with pytest.raises(ShapeError):
-            a @ b
+            T.matmul(a, b)
 
     def test_gradcheck_5x7_7x3(self):
         rng = np.random.default_rng(0)
-        a = T.tensor(rng.normal(size=(5, 7)), requires_grad=True, dtype=np.float64)
-        b = T.tensor(rng.normal(size=(7, 3)), dtype=np.float64)
+        a = T.Tensor(rng.normal(size=(5, 7)), requires_grad=True, dtype=np.float64)
+        b = T.Tensor(rng.normal(size=(7, 3)), dtype=np.float64)
 
-        err = finite_difference_check(lambda x: (x @ b).sum(), a, h=1e-5)
+        err = finite_difference_check(lambda x: tsum(T.matmul(x, b)), a, h=1e-5)
         assert err <= 1e-6
         err_b = finite_difference_check_params(
-            lambda: (a @ bb).sum(), {"b": (bb := T.tensor(b.data, requires_grad=True,
+            lambda: tsum(T.matmul(a, bb)), {"b": (bb := T.Tensor(b.data, requires_grad=True,
                                                           dtype=np.float64))})
         assert err_b["b"] <= 1e-6
 
@@ -94,17 +95,19 @@ class TestMatmul:
             "import sys\n"
             "import numpy as np\n"
             "from affground import tensor as T\n"
+            "from oracles import tsum\n"
             "rng = np.random.default_rng(0)\n"
-            "a = T.tensor(rng.normal(size=(1900, 128)), dtype=np.float32)\n"
-            "w = T.tensor(rng.normal(size=(128, 96)), requires_grad=True,\n"
+            "a = T.Tensor(rng.normal(size=(1900, 128)), dtype=np.float32)\n"
+            "w = T.Tensor(rng.normal(size=(128, 96)), requires_grad=True,\n"
             "             dtype=np.float32)\n"
-            "c = T.tensor(rng.normal(size=(1900, 96)), dtype=np.float32)\n"
-            "T.backward((T.matmul(a, w) * c).sum())\n"
+            "c = T.Tensor(rng.normal(size=(1900, 96)), dtype=np.float32)\n"
+            "T.backward(tsum(T.matmul(a, w) * c))\n"
             "sys.stdout.buffer.write(w.grad.tobytes())\n")
-        src = str(Path(T.__file__).resolve().parent.parent)
+        paths = os.pathsep.join([str(Path(T.__file__).resolve().parent.parent),
+                                 str(Path(__file__).resolve().parent)])
         grads = [subprocess.run(
             [sys.executable, "-c", script], check=True, capture_output=True,
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n,
+            env={**os.environ, "PYTHONPATH": paths, "OPENBLAS_NUM_THREADS": n,
                  "OMP_NUM_THREADS": n}).stdout for n in ("1", "2")]
         assert len(grads[0]) == 128 * 96 * 4 and grads[0] == grads[1]
 
@@ -118,12 +121,12 @@ class TestRankOneRecords:
 
     def walk_rows(self, w, rows, grads):
         for row, g in zip(rows, grads):
-            T.matmul(T.tensor(row), w)._backward(g.copy())
+            T.matmul(T.Tensor(row), w)._backward(g.copy())
 
     def case(self, rng, b, dtype, k=7, n=5):
         rows = [signed_zeros_and_negatives(rng, (1, k), dtype) for _ in range(b)]
         grads = [signed_zeros_and_negatives(rng, (1, n), dtype) for _ in range(b)]
-        return T.tensor(np.zeros((k, n), dtype), requires_grad=True), rows, grads
+        return T.Tensor(np.zeros((k, n), dtype), requires_grad=True), rows, grads
 
     @pytest.mark.parametrize("b", [2, 3, 8])
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -149,19 +152,21 @@ class TestRankOneRecords:
             "import sys\n"
             "import numpy as np\n"
             "from affground import tensor as T\n"
+            "from oracles import tsum\n"
             "rng = np.random.default_rng(0)\n"
             "for k, n, b in ((512, 2048, 8), (2048, 256, 8), (512, 256, 3)):\n"
-            "    w = T.tensor(np.zeros((k, n)), requires_grad=True,\n"
+            "    w = T.Tensor(np.zeros((k, n)), requires_grad=True,\n"
             "                 dtype=np.float32)\n"
             "    for _ in range(b):\n"
-            "        row = T.tensor(rng.normal(size=(1, k)), dtype=np.float32)\n"
-            "        c = T.tensor(rng.normal(size=(1, n)), dtype=np.float32)\n"
-            "        T.backward((T.matmul(row, w) * c).sum())\n"
+            "        row = T.Tensor(rng.normal(size=(1, k)), dtype=np.float32)\n"
+            "        c = T.Tensor(rng.normal(size=(1, n)), dtype=np.float32)\n"
+            "        T.backward(tsum(T.matmul(row, w) * c))\n"
             "    sys.stdout.buffer.write(w.grad.tobytes())\n")
-        src = str(Path(T.__file__).resolve().parent.parent)
+        paths = os.pathsep.join([str(Path(T.__file__).resolve().parent.parent),
+                                 str(Path(__file__).resolve().parent)])
         grads = [subprocess.run(
             [sys.executable, "-c", script], check=True, capture_output=True,
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n,
+            env={**os.environ, "PYTHONPATH": paths, "OPENBLAS_NUM_THREADS": n,
                  "OMP_NUM_THREADS": n}).stdout for n in ("1", "2")]
         size = (512 * 2048 + 2048 * 256 + 512 * 256) * 4
         assert len(grads[0]) == size and grads[0] == grads[1]
@@ -171,11 +176,11 @@ class TestRankOneRecords:
         # the full product is added in tape order, the records' sum last
         def run():
             rng = np.random.default_rng(5)
-            w = T.tensor(rng.normal(size=(6, 4)).astype(dtype), requires_grad=True)
-            row = T.tensor(rng.normal(size=(1, 6)).astype(dtype))
-            rows = T.tensor(rng.normal(size=(3, 6)).astype(dtype))
-            c = T.tensor(rng.normal(size=(1, 4)).astype(dtype))
-            T.backward((T.matmul(row, w) * c).sum() + T.matmul(rows, w).sum())
+            w = T.Tensor(rng.normal(size=(6, 4)).astype(dtype), requires_grad=True)
+            row = T.Tensor(rng.normal(size=(1, 6)).astype(dtype))
+            rows = T.Tensor(rng.normal(size=(3, 6)).astype(dtype))
+            c = T.Tensor(rng.normal(size=(1, 4)).astype(dtype))
+            T.backward(tsum(T.matmul(row, w) * c) + tsum(T.matmul(rows, w)))
             full = T._sum_over_rows(rows.data, np.ones((3, 4), dtype))
             return w.grad, (0 + full) + row.data.T * c.data
 
@@ -186,7 +191,7 @@ class TestRankOneRecords:
         rng = np.random.default_rng(2)
         w, rows, grads = self.case(rng, 3, np.float32)
         self.walk_rows(w, rows, grads)
-        T.zero_grad([w])
+        w.grad = None
         assert w._rows is None and w.grad is None
         self.walk_rows(w, rows[:1], grads[:1])
         assert w.grad.tobytes() == (0 + rows[0].T * grads[0]).tobytes()
@@ -195,84 +200,84 @@ class TestRankOneRecords:
         assert w._rows is None and (w.grad == 1).all()
 
     def test_interior_operand_gets_its_outer_product_at_once(self):
-        w = T.tensor(np.ones((3, 2)), requires_grad=True)
-        row = T.tensor(np.ones((1, 3)))
-        T.backward(T.matmul(row, w * 2.0).sum())
+        w = T.Tensor(np.ones((3, 2)), requires_grad=True)
+        row = T.Tensor(np.ones((1, 3)))
+        T.backward(tsum(T.matmul(row, w * 2.0)))
         assert w._rows is None
         np.testing.assert_array_equal(w._grad, np.full((3, 2), 2.0))
 
     def test_records_keep_no_operand_buffer(self):
         # a record holds copies, not the row's (or its base's) buffer
-        w = T.tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float32)
+        w = T.Tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float32)
         block = np.ones((4, 3), np.float32)
         ref = weakref.ref(block)
-        row = T.tensor(block[:1])
-        T.backward(T.matmul(row, w).sum())
+        row = T.Tensor(block[:1])
+        T.backward(tsum(T.matmul(row, w)))
         del block, row
         assert ref() is None and len(w._rows) == 1
 
 
 class TestSoftmax:
     def test_uniform(self):
-        out = T.softmax_lastdim(T.tensor([0.0, 0.0, 0.0]))
+        out = T.softmax_lastdim(T.Tensor([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-7)
 
     def test_closed_form(self):
-        out = T.softmax_lastdim(T.tensor([np.log(2.0), 0.0], dtype=np.float64))
+        out = T.softmax_lastdim(T.Tensor([np.log(2.0), 0.0], dtype=np.float64))
         np.testing.assert_allclose(out.data, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_large_logit_no_overflow(self):
-        out = T.softmax_lastdim(T.tensor([1000.0, 0.0], dtype=np.float64))
+        out = T.softmax_lastdim(T.Tensor([1000.0, 0.0], dtype=np.float64))
         np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
         assert np.isfinite(out.data).all()
 
     def test_nan_input_raises(self):
         with pytest.raises(NumericError):
-            T.softmax_lastdim(T.tensor([np.nan, 0.0]))
+            T.softmax_lastdim(T.Tensor([np.nan, 0.0]))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8))
     def test_rows_sum_to_one(self, row):
-        out = T.softmax_lastdim(T.tensor(np.array(row), dtype=np.float64))
+        out = T.softmax_lastdim(T.Tensor(np.array(row), dtype=np.float64))
         assert abs(out.data.sum() - 1.0) <= 1e-6
         assert (out.data >= 0).all()
 
     def test_gradcheck(self):
         rng = np.random.default_rng(3)
-        x = T.tensor(rng.normal(size=(2, 5)), requires_grad=True, dtype=np.float64)
-        w = T.tensor(rng.normal(size=(2, 5)), dtype=np.float64)
+        x = T.Tensor(rng.normal(size=(2, 5)), requires_grad=True, dtype=np.float64)
+        w = T.Tensor(rng.normal(size=(2, 5)), dtype=np.float64)
         err = finite_difference_check(
-            lambda t: (T.softmax_lastdim(t) * w).sum(), x, h=1e-6)
+            lambda t: tsum(T.softmax_lastdim(t) * w), x, h=1e-6)
         assert err <= 1e-6
 
 
 class TestBackward:
     def test_grad_of_sum_is_ones(self):
-        x = T.tensor([1.0, 2.0, 3.0], requires_grad=True)
-        T.backward(x.sum())
+        x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        T.backward(tsum(x))
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_grad_of_sum_of_squares(self):
-        x = T.tensor([1.0, 2.0, 3.0], requires_grad=True)
-        T.backward((x * x).sum())
+        x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        T.backward(tsum(x * x))
         np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
     def test_non_scalar_loss_rejected(self):
-        x = T.tensor([1.0, 2.0], requires_grad=True)
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
             T.backward(x * 2.0)
 
     def test_repeated_backward_accumulates(self):
-        x = T.tensor([1.0, 2.0], requires_grad=True)
-        loss = (x * x).sum()
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        loss = tsum(x * x)
         T.backward(loss)
         T.backward(loss)
         np.testing.assert_array_equal(x.grad, [4.0, 8.0])
 
     def test_tape_topological_order(self):
-        x = T.tensor([1.0, 2.0], requires_grad=True)
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
         y = x * x
-        z = (y + x).sum()
+        z = tsum(y + x)
         tape = T.Tape.trace(z)
         pos = {id(n): i for i, n in enumerate(tape.nodes)}
         assert len(pos) == len(tape.nodes)  # each op recorded exactly once
@@ -282,15 +287,15 @@ class TestBackward:
 
     def test_shared_subexpression_grad(self):
         # d/dx of (x*x + x*x) = 4x; the shared node must be visited once
-        x = T.tensor([3.0], requires_grad=True, dtype=np.float64)
+        x = T.Tensor([3.0], requires_grad=True, dtype=np.float64)
         y = x * x
-        T.backward((y + y).sum())
+        T.backward(tsum(y + y))
         np.testing.assert_allclose(x.grad, [12.0])
 
     def test_consumed_interior_gradient_is_released(self):
         # mul hands its parent a fresh buffer, so once z's rule has run
         # nothing but the walk could still hold z's gradient
-        x = T.tensor([1.0, -2.0], requires_grad=True)
+        x = T.Tensor([1.0, -2.0], requires_grad=True)
         y = x * 2.0
         z = y * 3.0
         consumed = []
@@ -306,15 +311,15 @@ class TestBackward:
             y_rule(g)
 
         z._backward, y._backward = record_z, check_y
-        T.backward(z.sum())
+        T.backward(tsum(z))
         assert dead_when_y_ran == [True]
         assert y.grad is None and z.grad is None
         np.testing.assert_array_equal(x.grad, [6.0, 6.0])
 
     def test_no_grad_suppresses_recording(self):
-        x = T.tensor([1.0], requires_grad=True)
+        x = T.Tensor([1.0], requires_grad=True)
         with T.no_grad():
-            y = (x * x).sum()
+            y = tsum(x * x)
         assert y._backward is None and not y.requires_grad
 
 
@@ -329,108 +334,108 @@ class TestPrimitiveGradients:
         data = rng.normal(size=shape)
         if positive:
             data = np.abs(data) + 0.5
-        x = T.tensor(data, requires_grad=True, dtype=np.float64)
+        x = T.Tensor(data, requires_grad=True, dtype=np.float64)
         assert finite_difference_check(fn, x, h=1e-6) <= self.TOL
 
     def test_add(self):
-        c = T.tensor(np.ones((3, 4)), dtype=np.float64)
-        self._check(lambda x: (x + c).sum())
+        c = T.Tensor(np.ones((3, 4)), dtype=np.float64)
+        self._check(lambda x: tsum(x + c))
 
     def test_add_broadcast(self):
-        c = T.tensor(np.ones((1, 4)), dtype=np.float64)
-        self._check(lambda x: (x + c).sum())
+        c = T.Tensor(np.ones((1, 4)), dtype=np.float64)
+        self._check(lambda x: tsum(x + c))
 
     def test_broadcast_grad_on_small_operand(self):
-        big = T.tensor(np.random.default_rng(1).normal(size=(3, 4)), dtype=np.float64)
-        b = T.tensor(np.zeros((1, 4)), requires_grad=True, dtype=np.float64)
-        T.backward((big + b).sum())
+        big = T.Tensor(np.random.default_rng(1).normal(size=(3, 4)), dtype=np.float64)
+        b = T.Tensor(np.zeros((1, 4)), requires_grad=True, dtype=np.float64)
+        T.backward(tsum(big + b))
         np.testing.assert_allclose(b.grad, np.full((1, 4), 3.0))
 
     def test_sub(self):
-        c = T.tensor(np.ones((3, 4)), dtype=np.float64)
-        self._check(lambda x: sub(c, x).sum())
+        c = T.Tensor(np.ones((3, 4)), dtype=np.float64)
+        self._check(lambda x: tsum(sub(c, x)))
 
     def test_mul(self):
-        c = T.tensor(np.full((3, 4), 2.5), dtype=np.float64)
-        self._check(lambda x: (x * c * x).sum())
+        c = T.Tensor(np.full((3, 4), 2.5), dtype=np.float64)
+        self._check(lambda x: tsum(x * c * x))
 
     def test_div(self):
-        self._check(lambda x: div(1.0, x).sum(), positive=True)
+        self._check(lambda x: tsum(div(1.0, x)), positive=True)
 
     def test_power(self):
-        self._check(lambda x: power(x, 3.0).sum(), positive=True)
+        self._check(lambda x: tsum(power(x, 3.0)), positive=True)
 
     def test_relu(self):
-        self._check(lambda x: relu(x).sum(), seed=5)
+        self._check(lambda x: tsum(relu(x)), seed=5)
 
     def test_sigmoid(self):
-        self._check(lambda x: sigmoid(x).sum())
+        self._check(lambda x: tsum(sigmoid(x)))
 
     def test_exp(self):
-        self._check(lambda x: exp(x).sum())
+        self._check(lambda x: tsum(exp(x)))
 
     def test_log(self):
-        self._check(lambda x: log(x).sum(), positive=True)
+        self._check(lambda x: tsum(log(x)), positive=True)
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(NumericError):
-            log(T.tensor([0.0, 1.0]))
+            log(T.Tensor([0.0, 1.0]))
 
     def test_clip_interior(self):
-        self._check(lambda x: clip(x, -0.5, 0.5).sum(), seed=7)
+        self._check(lambda x: tsum(clip(x, -0.5, 0.5)), seed=7)
 
     def test_mean_axis(self):
-        self._check(lambda x: x.mean(axis=0).sum())
+        self._check(lambda x: tsum(T.tmean(x, axis=0)))
 
     def test_sum_keepdims(self):
-        self._check(lambda x: (x * x.sum(axis=1, keepdims=True)).sum())
+        self._check(lambda x: tsum(x * tsum(x, axis=1, keepdims=True)))
 
     # max_reduce and concat are the oracles' own: check them as well
 
     def test_max_reduce(self):
-        self._check(lambda x: max_reduce(x, axis=1).sum(), seed=11)
+        self._check(lambda x: tsum(max_reduce(x, axis=1)), seed=11)
 
     def test_max_reduce_3d(self):
-        self._check(lambda x: max_reduce(x, axis=1).sum(), shape=(2, 3, 4))
+        self._check(lambda x: tsum(max_reduce(x, axis=1)), shape=(2, 3, 4))
 
     def test_segment_max_on_segments_of_one_row(self):
-        c = T.tensor(np.random.default_rng(3).normal(size=(3, 4)), dtype=np.float64)
-        self._check(lambda x: (T.segment_max(x, np.arange(3)) * c).sum(), seed=12)
+        c = T.Tensor(np.random.default_rng(3).normal(size=(3, 4)), dtype=np.float64)
+        self._check(lambda x: tsum(T.segment_max(x, np.arange(3)) * c), seed=12)
 
     def test_segment_max_on_uneven_segments(self):
-        c = T.tensor(np.random.default_rng(4).normal(size=(3, 4)), dtype=np.float64)
-        self._check(lambda x: (T.segment_max(x, [0, 1, 4]) * c).sum(),
+        c = T.Tensor(np.random.default_rng(4).normal(size=(3, 4)), dtype=np.float64)
+        self._check(lambda x: tsum(T.segment_max(x, [0, 1, 4]) * c),
                     shape=(6, 4), seed=13)
 
     def test_segment_max_on_tied_maxima(self):
         # repeated rows, as a group that holds one member twice: every copy
         # moves with its source, so the maxima stay tied under perturbation
         idx = np.array([0, 1, 0, 2, 2, 3, 0, 3])
-        c = T.tensor(np.random.default_rng(5).normal(size=(3, 4)), dtype=np.float64)
-        self._check(lambda x: (T.segment_max(T.gather_rows(x, idx), [0, 3, 5])
-                               * c).sum(), shape=(4, 4), seed=14)
+        c = T.Tensor(np.random.default_rng(5).normal(size=(3, 4)), dtype=np.float64)
+        self._check(lambda x: tsum(T.segment_max(T.gather_rows(x, idx), [0, 3, 5])
+                                   * c), shape=(4, 4), seed=14)
 
     def test_reshape(self):
-        self._check(lambda x: power(reshape(x, (2, 6)), 2.0).sum())
+        self._check(lambda x: tsum(power(reshape(x, (2, 6)), 2.0)))
 
     def test_transpose(self):
-        c = T.tensor(np.random.default_rng(2).normal(size=(4, 3)), dtype=np.float64)
-        self._check(lambda x: (x.T * c).sum())
+        c = T.Tensor(np.random.default_rng(2).normal(size=(4, 3)), dtype=np.float64)
+        self._check(lambda x: tsum(T.transpose(x) * c))
 
     def test_concat(self):
-        c = T.tensor(np.ones((3, 2)), dtype=np.float64)
-        self._check(lambda x: power(concat([x, c], axis=1), 2.0).sum())
+        c = T.Tensor(np.ones((3, 2)), dtype=np.float64)
+        self._check(lambda x: tsum(power(concat([x, c], axis=1), 2.0)))
 
     def test_gather_rows_with_duplicates(self):
         idx = np.array([0, 2, 2, 1])
-        self._check(lambda x: power(T.gather_rows(x, idx), 2.0).sum())
+        self._check(lambda x: tsum(power(T.gather_rows(x, idx), 2.0)))
 
     def test_interpolate_with_repeated_and_unread_rows(self):
         idx = TestInterpolate.IDX
-        self._check(lambda x: power(T.interpolate(x, idx, TestInterpolate.W), 2.0).sum())
+        self._check(lambda x: tsum(power(T.interpolate(x, idx, TestInterpolate.W), 2.0)))
 
     def test_slice_cols(self):
-        self._check(lambda x: power(slice_cols(x, 1, 3), 2.0).sum())
+        self._check(lambda x: tsum(power(slice_cols(x, 1, 3), 2.0)))
 
 
 def add_at_oracle(x_data, index, g):
@@ -473,33 +478,33 @@ class TestGatherRowsScatter:
            d=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
     def test_backward_equals_add_at(self, kind, dtype, n_rows, n_gathered, d, seed):
         idx, g = scatter_case(kind, n_rows, n_gathered, d, dtype, seed)
-        x = T.tensor(np.ones((n_rows, d), dtype=dtype), requires_grad=True)
+        x = T.Tensor(np.ones((n_rows, d), dtype=dtype), requires_grad=True)
         out = T.gather_rows(x, idx)
-        T.backward((out * T.tensor(g)).sum())
+        T.backward(tsum(out * T.Tensor(g)))
         expected = add_at_oracle(x.data, idx, g)
         assert x.grad.dtype == expected.dtype
         assert x.grad.tobytes() == expected.tobytes()
         assert T._scatter_rows(g, idx, x.shape, x.dtype).tobytes() == expected.tobytes()
 
     def test_all_negative_zero_gradient_gives_positive_zero(self):
-        x = T.tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float32)
-        T.backward((T.gather_rows(x, np.array([2, 0, 2])) *
-                    T.tensor(np.full((3, 2), -0.0), dtype=np.float32)).sum())
+        x = T.Tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float32)
+        T.backward(tsum(T.gather_rows(x, np.array([2, 0, 2])) *
+                        T.Tensor(np.full((3, 2), -0.0), dtype=np.float32)))
         assert not np.signbit(x.grad).any()
         assert x.grad.tobytes() == np.zeros((3, 2), np.float32).tobytes()
 
     def test_busiest_target_sums_in_gather_order(self):
         # float32: (1e8 - 1e8) + 1 is 1, but (1 - 1e8) + 1e8 is 0
-        x = T.tensor(np.zeros((2, 1)), requires_grad=True, dtype=np.float32)
+        x = T.Tensor(np.zeros((2, 1)), requires_grad=True, dtype=np.float32)
         g = np.array([[1e8], [-1e8], [5.0], [1.0]], dtype=np.float32)
-        T.backward((T.gather_rows(x, np.array([0, 0, 1, 0])) * T.tensor(g)).sum())
+        T.backward(tsum(T.gather_rows(x, np.array([0, 0, 1, 0])) * T.Tensor(g)))
         np.testing.assert_array_equal(x.grad, [[1.0], [5.0]])
 
     def test_negative_indices_count_from_the_end(self):
-        x = T.tensor(np.ones((4, 2)), requires_grad=True, dtype=np.float64)
+        x = T.Tensor(np.ones((4, 2)), requires_grad=True, dtype=np.float64)
         idx = np.array([-1, 3, 0, -4, 1])
         g = np.arange(10, dtype=np.float64).reshape(5, 2)
-        T.backward((T.gather_rows(x, idx) * T.tensor(g)).sum())
+        T.backward(tsum(T.gather_rows(x, idx) * T.Tensor(g)))
         assert x.grad.tobytes() == add_at_oracle(x.data, idx, g).tobytes()
 
 
@@ -550,7 +555,7 @@ class TestSliceGradient:
 
     @staticmethod
     def grad(make_rule, shape, contributions, dtype):
-        x = T.tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+        x = T.Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
         for cols, g in contributions:
             if cols is None:
                 T._accumulate(x, g.copy())
@@ -580,18 +585,18 @@ class TestInterpolate:
     W = np.array([[0.7, 0.3], [0.25, 0.75], [0.5, 0.5]])
 
     def test_forward_is_weighted_row_sum(self):
-        x = T.tensor(np.arange(6.0).reshape(3, 2), dtype=np.float64)
+        x = T.Tensor(np.arange(6.0).reshape(3, 2), dtype=np.float64)
         out = T.interpolate(x, self.IDX, self.W)
         expected = (x.data[self.IDX] * self.W[..., None]).sum(axis=1)
         np.testing.assert_allclose(out.data, expected, rtol=1e-15)
 
     def test_unread_source_row_gets_zero_gradient(self):
-        x = T.tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float64)
-        T.backward(T.interpolate(x, self.IDX, self.W).sum())
+        x = T.Tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float64)
+        T.backward(tsum(T.interpolate(x, self.IDX, self.W)))
         np.testing.assert_array_equal(x.grad, [[2.25, 2.25], [0, 0], [0.75, 0.75]])
 
     def test_weights_take_the_input_dtype_and_get_no_gradient(self):
-        x = T.tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float32)
+        x = T.Tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float32)
         out = T.interpolate(x, self.IDX, self.W)
         assert out.dtype == np.float32 and out._parents == (x,)
 
@@ -609,7 +614,7 @@ class TestInterpolate:
         # magnitudes spread over 8 decades, so the summation order shows
         g = with_negative_zeros(rng, (n, d), dtype) * dtype(10.0) ** rng.integers(
             -4, 4, (n, d)).astype(dtype)
-        x = T.tensor(np.ones((n_src, d), dtype), requires_grad=True)
+        x = T.Tensor(np.ones((n_src, d), dtype), requires_grad=True)
         T.interpolate(x, idx, w)._backward(g.copy())
         want = former_interpolate_backward(g, idx, w.astype(dtype), x.shape)
         assert x.grad.dtype == want.dtype
@@ -624,7 +629,7 @@ class TestInterpolate:
     ], ids=["1d_index", "weight_shape", "1d_source"])
     def test_rejects_bad_shapes(self, x_shape, idx, w):
         with pytest.raises(ShapeError):
-            T.interpolate(T.tensor(np.ones(x_shape)), idx, w)
+            T.interpolate(T.Tensor(np.ones(x_shape)), idx, w)
 
 
 def former_interpolate_backward(g, idx, w, shape):
@@ -652,12 +657,12 @@ class TestRelease:
         grads = []
         for release in (False, True):
             rng = np.random.default_rng(3)
-            x = T.tensor(rng.normal(size=(3, 4)), requires_grad=True)
-            w = T.tensor(rng.normal(size=(4, 5)), requires_grad=True)
+            x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+            w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
             product = T.matmul(x, w)
             ref = weakref.ref(product.data)
             out = self.OPS[op](product, release)
-            loss = (out * T.tensor(rng.normal(size=out.shape))).sum()
+            loss = tsum(out * T.Tensor(rng.normal(size=out.shape)))
             assert (ref() is None) == release   # while the graph is alive
             if release:
                 assert product.shape == (3, 5) and product.dtype == x.dtype
@@ -672,15 +677,15 @@ class TestRelease:
         grads = []
         for release in (False, True):
             rng = np.random.default_rng(4)
-            x = T.tensor(rng.normal(size=(3, 4)), requires_grad=True)
-            w = T.tensor(rng.normal(size=(4, 5)), requires_grad=True)
-            b = T.tensor(rng.normal(size=(1, 5)), requires_grad=True)
+            x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+            w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+            b = T.Tensor(rng.normal(size=(1, 5)), requires_grad=True)
             layer = T.linear(x, w, (b,))
             out = self.OPS[op](layer, release)
             if release:
                 for t in (layer, layer._parents[0]):
                     assert t.shape == (3, 5) and not any(t.data.strides)
-            T.backward((out * T.tensor(rng.normal(size=out.shape))).sum())
+            T.backward(tsum(out * T.Tensor(rng.normal(size=out.shape))))
             grads.append((out.data, x.grad, w.grad, b.grad))
         for kept, released in zip(*grads):
             assert kept.tobytes() == released.tobytes()
@@ -691,7 +696,7 @@ class TestRelease:
 
     @pytest.mark.parametrize("op", OPS)
     def test_only_a_product_can_be_released(self, op):
-        x = T.tensor(np.ones((3, 4)), requires_grad=True)
+        x = T.Tensor(np.ones((3, 4)), requires_grad=True)
         with pytest.raises(ContractError, match=f"{op}: only a matmul output"):
             self.OPS[op](x, True)
         assert x.data.base is None and (x.data == 1).all()
@@ -725,9 +730,9 @@ class TestSegmentMaxRecord:
         """``data`` pooled as the output of a ReLU-free layer, whose (rows,
         C) addend is a leaf and so gets the pool's input gradient; with a
         weak reference to the layer's buffer."""
-        a = T.tensor(np.ones((data.shape[0], 2), data.dtype), requires_grad=True)
-        w = T.tensor(np.ones((2, data.shape[1]), data.dtype), requires_grad=True)
-        addend = T.tensor(np.zeros_like(data), requires_grad=True)
+        a = T.Tensor(np.ones((data.shape[0], 2), data.dtype), requires_grad=True)
+        w = T.Tensor(np.ones((2, data.shape[1]), data.dtype), requires_grad=True)
+        addend = T.Tensor(np.zeros_like(data), requires_grad=True)
         layer = T.linear(a, w, (addend,))
         layer.data[...] = data   # the values to pool, in the layer's buffer
         buffer = weakref.ref(layer.data)
@@ -741,11 +746,11 @@ class TestSegmentMaxRecord:
     def test_equals_the_former_rule(self, release, kind, dtype, seed):
         data = self.values(kind, dtype, seed)
         g = with_negative_zeros(np.random.default_rng(seed + 10), (4, 6), dtype)
-        leaf = T.tensor(data.copy(), requires_grad=True)
+        leaf = T.Tensor(data.copy(), requires_grad=True)
         want = former_segment_max(leaf, self.STARTS)
-        T.backward((want * T.tensor(g)).sum())
+        T.backward(tsum(want * T.Tensor(g)))
         layer, addend, got, buffer = self.pooled(data, release)
-        loss = (got * T.tensor(g)).sum()
+        loss = tsum(got * T.Tensor(g))
         assert (buffer() is None) == release   # while the graph is alive
         T.backward(loss)
         if release:
@@ -763,26 +768,26 @@ class TestSegmentMaxRecord:
         grads = []
         for release in (False, True):
             _, addend, out, _ = self.pooled(data, release)
-            T.backward(out.sum())
+            T.backward(tsum(out))
             grads.append((out.data.tobytes(), addend.grad.tobytes()))
         assert grads[0] == grads[1]
 
     def test_a_plain_product_is_released(self):
-        x = T.tensor(np.ones((4, 2)), requires_grad=True)
-        product = T.matmul(x, T.tensor(np.ones((2, 3))))
-        T.backward(T.segment_max(product, [0, 1], release=True).sum())
+        x = T.Tensor(np.ones((4, 2)), requires_grad=True)
+        product = T.matmul(x, T.Tensor(np.ones((2, 3))))
+        T.backward(tsum(T.segment_max(product, [0, 1], release=True)))
         assert not any(product.data.strides)
         np.testing.assert_array_equal(x.grad, [[3, 3], [3, 3], [0, 0], [0, 0]])
 
     @pytest.mark.parametrize("make", [
-        lambda x, w: T.linear(x, w, (T.tensor(np.ones((1, 3))),), relu=True),
+        lambda x, w: T.linear(x, w, (T.Tensor(np.ones((1, 3))),), relu=True),
         lambda x, w: x,
         lambda x, w: T.matmul(x, w) + 1.0,
         lambda x, w: T.gather_rows(T.matmul(x, w), [0, 1, 2, 3]),
     ], ids=["relu_layer", "leaf", "add", "gather_rows"])
     def test_release_refuses_all_but_a_product_or_a_relu_free_layer(self, make):
-        x = T.tensor(np.ones((4, 3)), requires_grad=True)
-        pooled = make(x, T.tensor(np.ones((3, 3))))
+        x = T.Tensor(np.ones((4, 3)), requires_grad=True)
+        pooled = make(x, T.Tensor(np.ones((3, 3))))
         buffer = pooled.data
         with pytest.raises(ContractError, match="segment_max: only a matmul output "
                                                 "or a linear output without ReLU"):
@@ -796,19 +801,19 @@ class TestSegmentMaxRecord:
                             lambda *args: calls.append(1) or real(*args))
         positive = np.random.default_rng(0).random((10, 6)) + 1.0
         with T.no_grad():
-            T.segment_max(T.tensor(positive, requires_grad=True), self.STARTS)
-        T.segment_max(T.tensor(positive), self.STARTS)
+            T.segment_max(T.Tensor(positive, requires_grad=True), self.STARTS)
+        T.segment_max(T.Tensor(positive), self.STARTS)
         assert calls == []
-        x = T.tensor(positive, requires_grad=True)
+        x = T.Tensor(positive, requires_grad=True)
         out = T.segment_max(x, self.STARTS)
-        T.backward(out.sum())
+        T.backward(tsum(out))
         assert len(calls) == 1 and x.grad.sum() == out.size
         # a zero maximum's sign comes from the same rows
         zeros = self.values("signed_zeros", np.float64, 0)
-        T.segment_max(T.tensor(zeros, requires_grad=True), self.STARTS)
+        T.segment_max(T.Tensor(zeros, requires_grad=True), self.STARTS)
         assert len(calls) == 2
         with T.no_grad():
-            T.segment_max(T.tensor(zeros), self.STARTS)
+            T.segment_max(T.Tensor(zeros), self.STARTS)
         assert len(calls) == 3
 
 
@@ -888,12 +893,12 @@ class TestFormerRules:
         rng = np.random.default_rng(seed)
         data = signed_zeros_and_negatives(rng, (7, 33), dtype)
         data[0, :3] = [-0.0, 0.0, -1.5]
-        g = T.tensor(rng.normal(size=(7, 33)).astype(dtype))
+        g = T.Tensor(rng.normal(size=(7, 33)).astype(dtype))
         grads = []
         for rule in (former_relu, relu):
-            x = T.tensor(data.copy(), requires_grad=True)
+            x = T.Tensor(data.copy(), requires_grad=True)
             out = rule(x)
-            T.backward((out * g).sum())
+            T.backward(tsum(out * g))
             grads.append((out.data, x.grad))
         (want_out, want_grad), (got_out, got_grad) = grads
         assert not np.signbit(got_out).any()
@@ -914,12 +919,12 @@ class TestFormerRules:
         np.copyto(data, lead, where=np.arange(data.shape[axis]).reshape(
             [-1 if a == axis else 1 for a in range(3)]) >= 3)
         out_shape = np.zeros_like(data).max(axis=axis, keepdims=keepdims).shape
-        g = T.tensor(rng.normal(size=out_shape).astype(dtype))
+        g = T.Tensor(rng.normal(size=out_shape).astype(dtype))
         grads = []
         for rule in (former_max_reduce, max_reduce):
-            x = T.tensor(data.copy(), requires_grad=True)
+            x = T.Tensor(data.copy(), requires_grad=True)
             out = rule(x, axis, keepdims=keepdims)
-            T.backward((out * g).sum())
+            T.backward(tsum(out * g))
             grads.append((out.data, x.grad))
         (want_out, want_grad), (got_out, got_grad) = grads
         assert got_out.shape == want_out.shape
@@ -938,12 +943,12 @@ class TestFormerRules:
         data[:, 3:] = data[:, :1]
         g = rng.normal(size=(m, c)).astype(dtype)
         g[rng.random(g.shape) < 0.2] = -0.0
-        want_x = T.tensor(data.copy(), requires_grad=True)
+        want_x = T.Tensor(data.copy(), requires_grad=True)
         want = former_max_reduce(want_x, axis=1)
-        T.backward((want * T.tensor(g)).sum())
-        got_x = T.tensor(data.reshape(m * k, c), requires_grad=True)
+        T.backward(tsum(want * T.Tensor(g)))
+        got_x = T.Tensor(data.reshape(m * k, c), requires_grad=True)
         got = T.segment_max(got_x, np.arange(m) * k)
-        T.backward((got * T.tensor(g)).sum())
+        T.backward(tsum(got * T.Tensor(g)))
         assert np.signbit(want.data).any() and not np.signbit(want.data).all()
         assert got.data.dtype == dtype
         assert got.data.tobytes() == want.data.tobytes()
@@ -952,9 +957,9 @@ class TestFormerRules:
     def test_segment_max_nan_goes_to_the_first_row(self):
         data = np.array([[1.0, 5.0], [np.nan, 2.0], [3.0, np.nan],
                          [4.0, 0.5], [np.nan, -1.0]])
-        x = T.tensor(data, requires_grad=True, dtype=np.float64)
+        x = T.Tensor(data, requires_grad=True, dtype=np.float64)
         out = T.segment_max(x, [0, 3])
-        T.backward(out.sum())
+        T.backward(tsum(out))
         assert np.isnan(out.data).tolist() == [[True, True], [True, False]]
         np.testing.assert_array_equal(out.data[1, 1], 0.5)
         np.testing.assert_array_equal(
@@ -976,8 +981,8 @@ class TestFormerRules:
                    for s in (a_shape, b_shape)]
         grads = []
         for rule in (gemm_matmul, T.matmul):
-            a = T.tensor(a_data.copy(), requires_grad=True)
-            b = T.tensor(b_data.copy(), requires_grad=True)
+            a = T.Tensor(a_data.copy(), requires_grad=True)
+            b = T.Tensor(b_data.copy(), requires_grad=True)
             if existing:
                 T._accumulate(a, earlier[0].copy())
                 T._accumulate(b, earlier[1].copy())
@@ -1031,9 +1036,9 @@ class TestLinear:
         g[1, 1] = np.nan
 
         def make():
-            return (T.tensor(x, requires_grad=x_grad),
-                    T.tensor(w, requires_grad=True),
-                    [T.tensor(a, requires_grad=grad) for a, grad in addends])
+            return (T.Tensor(x, requires_grad=x_grad),
+                    T.Tensor(w, requires_grad=True),
+                    [T.Tensor(a, requires_grad=grad) for a, grad in addends])
         return make, g
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1102,14 +1107,14 @@ class TestLinear:
         ((1, 5, 6), np.float32),
     ], ids=["dtype", "rows", "columns", "rank"])
     def test_rejects_an_addend(self, shape, dtype):
-        x = T.tensor(np.ones((5, 4)), requires_grad=True, dtype=np.float32)
-        w = T.tensor(np.ones((4, 6)), requires_grad=True, dtype=np.float32)
-        addend = T.tensor(np.ones(shape), dtype=dtype)
+        x = T.Tensor(np.ones((5, 4)), requires_grad=True, dtype=np.float32)
+        w = T.Tensor(np.ones((4, 6)), requires_grad=True, dtype=np.float32)
+        addend = T.Tensor(np.ones(shape), dtype=dtype)
         with pytest.raises(ShapeError):
             T.linear(x, w, (addend,))
         if dtype != np.float32:
             with pytest.raises(ShapeError):     # as add refuses it
-                x @ w + addend
+                T.matmul(x, w) + addend
 
 
     @pytest.mark.parametrize("relu_on", [False, True], ids=["plain", "relu"])
@@ -1133,7 +1138,7 @@ class TestLinear:
     def test_rejects_a_spent_tensor_it_does_not_fill(self):
         make, _ = self.leaves("two_addends", np.float32, 0)
         x, w, (full, bias) = make()
-        other = T.tensor(np.ones((5, 6), dtype=np.float32))
+        other = T.Tensor(np.ones((5, 6), dtype=np.float32))
         for spent in ((other,), (bias,)):
             with pytest.raises(ContractError):
                 T.linear(x, w, (full, bias), spent=spent)
@@ -1143,10 +1148,10 @@ class TestLinear:
                          ids=["add", "sub", "mul", "div"])
 @pytest.mark.parametrize("operand", ["tensor", "constant"])
 def test_operands_that_do_not_broadcast_raise_shape_error(op, operand):
-    a = T.tensor(np.ones((5, 6)))
+    a = T.Tensor(np.ones((5, 6)))
     b = np.ones((2, 6))
     if operand == "tensor":
-        b = T.tensor(b)
+        b = T.Tensor(b)
     for left, right in ((a, b), (b, a)):
         with pytest.raises(ShapeError, match=r"\(5, 6\).*\(2, 6\)|\(2, 6\).*\(5, 6\)"):
             op(left, right)
@@ -1160,7 +1165,7 @@ class TestHandingOff:
         rng = np.random.default_rng(7)
 
         def leaf(shape, grad=True):
-            return T.tensor(signed_zeros_and_negatives(rng, shape, np.float32),
+            return T.Tensor(signed_zeros_and_negatives(rng, shape, np.float32),
                             requires_grad=grad)
 
         x, z = leaf((300, 4), grad=False), leaf((300, 3), grad=False)
@@ -1170,7 +1175,7 @@ class TestHandingOff:
         h = T.linear(x, w1, (b1,), relu=True)
         shift = T.linear(row, w_row)                      # a K=1 product
         h2 = T.linear(h, w_h, (T.matmul(z, w_z), shift), relu=True)
-        loss = T.matmul(h2, kept).sum() + (h2 * h2).mean()
+        loss = tsum(T.matmul(h2, kept)) + T.tmean(h2 * h2)
         return loss, {"w1": w1, "b1": b1, "w_h": w_h, "w_z": w_z,
                       "kept": kept, "row": row, "w_row": w_row}
 
@@ -1199,18 +1204,18 @@ class TestHandingOff:
     @pytest.mark.parametrize("use", [
         lambda w, x: w * x,
         lambda w, x: T.matmul(T.transpose(w), x),
-        lambda w, x: T.matmul(T.transpose(x), w) + (w * x).sum(),
+        lambda w, x: T.matmul(T.transpose(x), w) + tsum(w * x),
     ], ids=["mul", "transpose", "matmul_and_mul"])
     def test_a_handed_off_leaf_in_any_op_gets_the_sequential_bytes(self, use):
         def leaves():
             rng = np.random.default_rng(11)
-            return [T.tensor(signed_zeros_and_negatives(rng, (3, 4), np.float32),
+            return [T.Tensor(signed_zeros_and_negatives(rng, (3, 4), np.float32),
                              requires_grad=True) for _ in range(2)]
 
         want = leaves()
-        T.backward(use(*want).sum())
+        T.backward(tsum(use(*want)))
         w, x = leaves()
-        loss = use(w, x).sum()
+        loss = tsum(use(w, x))
         jobs = []
         with T.handing_off(jobs.append, keep=[x]):
             T.backward(loss)
@@ -1279,19 +1284,19 @@ class TestAccumulateOwnsItsBuffer:
                     assert not np.shares_memory(t.grad, other.grad)
 
     def test_x_plus_x(self):
-        x = T.tensor([1.0, -2.0], requires_grad=True)
-        c = T.tensor([3.0, 0.5])
-        loss = ((x + x) * c).sum()
+        x = T.Tensor([1.0, -2.0], requires_grad=True)
+        c = T.Tensor([3.0, 0.5])
+        loss = tsum((x + x) * c)
         tensors = T.Tape.trace(loss).nodes
         T.backward(loss)
         np.testing.assert_array_equal(x.grad, [6.0, 1.0])
         self.assert_grads_own_memory(tensors)
 
     def test_shared_subexpression(self):
-        a = T.tensor([1.0, 2.0], requires_grad=True)
-        b = T.tensor([0.5, -1.0], requires_grad=True)
+        a = T.Tensor([1.0, 2.0], requires_grad=True)
+        b = T.Tensor([0.5, -1.0], requires_grad=True)
         s = a + b
-        loss = (s * s + s).sum()
+        loss = tsum(s * s + s)
         tensors = T.Tape.trace(loss).nodes
         T.backward(loss)
         np.testing.assert_array_equal(a.grad, [4.0, 3.0])
@@ -1301,22 +1306,22 @@ class TestAccumulateOwnsItsBuffer:
     def test_repeated_backward_accumulates_per_leaf(self):
         # a + b hands the same upstream buffer to both leaves; adding into
         # one leaf's gradient later must leave the other's untouched
-        a = T.tensor([1.0, 2.0], requires_grad=True)
-        b = T.tensor([3.0, 4.0], requires_grad=True)
-        c = T.tensor([2.0, -1.0])
-        loss = ((a + b) * c).sum()
+        a = T.Tensor([1.0, 2.0], requires_grad=True)
+        b = T.Tensor([3.0, 4.0], requires_grad=True)
+        c = T.Tensor([2.0, -1.0])
+        loss = tsum((a + b) * c)
         T.backward(loss)
         T.backward(loss)
-        T.backward((a * c).sum())
+        T.backward(tsum(a * c))
         np.testing.assert_array_equal(a.grad, [6.0, -3.0])
         np.testing.assert_array_equal(b.grad, [4.0, -2.0])
         self.assert_grads_own_memory(T.Tape.trace(loss).nodes)
 
     def test_add_of_two_full_shape_leaves(self):
         # both operands would receive the upstream buffer itself
-        a = T.tensor([1.0, 2.0], requires_grad=True)
-        b = T.tensor([3.0, 4.0], requires_grad=True)
-        loss = ((a + b) * T.tensor([2.0, -1.0])).sum()
+        a = T.Tensor([1.0, 2.0], requires_grad=True)
+        b = T.Tensor([3.0, 4.0], requires_grad=True)
+        loss = tsum((a + b) * T.Tensor([2.0, -1.0]))
         tensors = T.Tape.trace(loss).nodes
         T.backward(loss)
         np.testing.assert_array_equal(a.grad, [2.0, -1.0])
@@ -1327,49 +1332,49 @@ class TestAccumulateOwnsItsBuffer:
 
     def test_concat_of_one_tensor_twice(self):
         # both halves of one upstream buffer land in the same gradient
-        x = T.tensor([[1.0, -2.0]], requires_grad=True)
-        c = T.tensor([[3.0, 0.5, -1.0, 4.0]])
-        loss = (concat([x, x], axis=1) * c).sum()
+        x = T.Tensor([[1.0, -2.0]], requires_grad=True)
+        c = T.Tensor([[3.0, 0.5, -1.0, 4.0]])
+        loss = tsum(concat([x, x], axis=1) * c)
         tensors = T.Tape.trace(loss).nodes
         T.backward(loss)
         np.testing.assert_array_equal(x.grad, [[2.0, 4.5]])
         self.assert_grads_own_memory(tensors)
 
     def test_first_write_turns_negative_zero_positive(self):
-        x = T.tensor([1.0, 2.0], requires_grad=True)
-        T.backward((x * T.tensor([-0.0, 3.0])).sum())
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        T.backward(tsum(x * T.Tensor([-0.0, 3.0])))
         assert x.grad.tobytes() == np.array([0.0, 3.0], np.float32).tobytes()
 
 
 class TestFiniteDifferenceHarness:
     def test_exact_quadratic(self):
-        x = T.tensor(np.random.default_rng(0).normal(size=(6,)),
+        x = T.Tensor(np.random.default_rng(0).normal(size=(6,)),
                      requires_grad=True, dtype=np.float64)
-        err = finite_difference_check(lambda t: (t * t).sum(), x, h=1e-5)
+        err = finite_difference_check(lambda t: tsum(t * t), x, h=1e-5)
         assert err <= 1e-8
 
     def test_softmax_cross_entropy(self):
         rng = np.random.default_rng(1)
-        logits = T.tensor(rng.normal(size=(1, 5)), requires_grad=True,
+        logits = T.Tensor(rng.normal(size=(1, 5)), requires_grad=True,
                           dtype=np.float64)
 
         def ce(z):
             p = T.softmax_lastdim(z)
-            return neg(log(slice_cols(p, 2, 3))).sum()
+            return tsum(neg(log(slice_cols(p, 2, 3))))
 
         assert finite_difference_check(ce, logits, h=1e-6) <= 1e-6
 
     def test_detects_injected_fault(self):
         # a deliberately wrong backward rule (+10% on the gradient) must
         # be flagged with error >= 0.05
-        x = T.tensor([1.0, 2.0, 3.0], requires_grad=True, dtype=np.float64)
+        x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True, dtype=np.float64)
 
         def bad_square(t):
             def backward(g):
                 T._accumulate(t, 1.1 * g * 2.0 * t.data)
             return T._node(t.data * t.data, (t,), backward, "bad_square")
 
-        err = finite_difference_check(lambda t: bad_square(t).sum(), x, h=1e-5)
+        err = finite_difference_check(lambda t: tsum(bad_square(t)), x, h=1e-5)
         assert err >= 0.05
 
 
@@ -1377,11 +1382,11 @@ class TestDeterminism:
     def test_identical_graph_identical_output(self):
         def build():
             rng = np.random.default_rng(42)
-            x = T.tensor(rng.normal(size=(8, 8)), requires_grad=True,
+            x = T.Tensor(rng.normal(size=(8, 8)), requires_grad=True,
                          dtype=np.float64)
-            w = T.tensor(rng.normal(size=(8, 8)), requires_grad=True,
+            w = T.Tensor(rng.normal(size=(8, 8)), requires_grad=True,
                          dtype=np.float64)
-            loss = T.linear(x, w, relu=True).sum()
+            loss = tsum(T.linear(x, w, relu=True))
             T.backward(loss)
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -1399,43 +1404,59 @@ _OPERATORS = {ast.Add: ("__add__", "__radd__"), ast.Sub: ("__sub__", "__rsub__")
 
 
 def test_every_public_tensor_function_has_a_caller_under_src():
-    # A caller is a use by name (``f`` or ``T.f``) or an operator or method
-    # that a Tensor method forwards to it (``a + b``, ``x.sum()``), outside
-    # the Tensor class and outside gradcheck's primitive table. Operand
-    # types are not known to ast, so operators and method names count
-    # wherever they appear.
+    # Every public function and class of tensor.py, and every method of
+    # Tensor, needs a caller in a module under src other than gradcheck.py,
+    # which checks the primitives rather than running them; the Tensor
+    # class's own body is not searched. A function or class is called by name
+    # (``f`` or ``T.f``) or through an operator that a Tensor method
+    # forwards to it (``a + b``). A method is called through its operator,
+    # by attribute (``x.item()``), by the class's name (``__init__``), or
+    # by ``repr`` and ``!r`` (``__repr__``). ast does not know operand
+    # types, so operators and attributes count wherever they appear: a
+    # numpy ``.sum()`` would count for a ``Tensor.sum``, but not for a
+    # function that only such a method forwards to.
     src = Path(T.__file__).parent
     tensor_tree = ast.parse(Path(T.__file__).read_text())
     public = {node.name for node in tensor_tree.body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
     (tensor_class,) = [node for node in tensor_tree.body
                        if isinstance(node, ast.ClassDef) and node.name == "Tensor"]
+    methods = {node.name for node in tensor_class.body
+               if isinstance(node, ast.FunctionDef)} | {
+        target.id for node in tensor_class.body if isinstance(node, ast.Assign)
+        for target in node.targets if target.id != "__slots__"}
     forwards = {method.name: {n.id for n in ast.walk(method) if isinstance(n, ast.Name)}
                 for method in tensor_class.body if isinstance(method, ast.FunctionDef)}
     forwards["__radd__"], forwards["__rmul__"] = forwards["__add__"], forwards["__mul__"]
 
-    used = set()
+    called, methods_called = set(), set()
     for path in sorted(src.glob("*.py")):
+        if path.name == "gradcheck.py":
+            continue
         tree = tensor_tree if path.name == "tensor.py" else ast.parse(path.read_text())
         aliases = {a.asname or a.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) for a in node.names
                    if a.name == "tensor"}
-        skipped = {id(tensor_class)} | {
-            id(node) for node in tree.body if isinstance(node, ast.FunctionDef)
-            and path.name == "gradcheck.py" and node.name == "_primitive_checks"}
         stack = [tree]
         while stack:
             node = stack.pop()
-            if id(node) in skipped:
+            if node is tensor_class:
                 continue
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                called.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used |= forwards.get(node.attr, set())
+                methods_called.add(node.attr)
                 if isinstance(node.value, ast.Name) and node.value.id in aliases:
-                    used.add(node.attr)
+                    called.add(node.attr)
+            elif isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
+                methods_called.add("__repr__")
             elif isinstance(node, (ast.BinOp, ast.UnaryOp)):
                 for method in _OPERATORS.get(type(node.op), ()):
-                    used |= forwards.get(method, set())
+                    methods_called.add(method)
+                    called |= forwards.get(method, set())
             stack.extend(ast.iter_child_nodes(node))
-    assert sorted(public - used) == []
+    methods_called |= {"__init__"} if "Tensor" in called else set()
+    methods_called |= {"__repr__"} if "repr" in called else set()
+    assert sorted(public - called) == []
+    assert sorted(methods - methods_called) == []
